@@ -4,9 +4,9 @@ Subcommands: aggregate (pool agent network files into a consensus
 artifact), query (consensus probability of an event, optionally
 conditioned), and check (built-in verification suites).
 
-Exit codes: 0 success, 1 unexpected check outcome, 2 parse or usage
-error, 3 variable mismatch across inputs, 4 degenerate CPT during
-structured consensus building, 5 zero-probability evidence.
+Exit codes: 0 success, 1 unexpected check outcome, 2 parse, usage or
+weight error, 3 variable mismatch across inputs, 4 degenerate CPT or
+zero-mass pool in consensus building, 5 zero-probability evidence.
 """
 from __future__ import annotations
 
@@ -20,8 +20,11 @@ from .axioms import run_axioms_suite, run_examples_suite, run_oracle_suite
 from .consensus import linop_query, logop_consensus_bn
 from .errors import (
     DegenerateCpt,
+    DegenerateProduct,
+    InvalidWeight,
     MismatchedVariables,
     ModelFormatError,
+    WeightCountMismatch,
     ZeroEvidence,
 )
 from .inference import query_conditional
@@ -32,8 +35,6 @@ from .model_io import (
     load_network,
     manifest_to_dict,
     network_to_dict,
-    save_manifest,
-    save_network,
 )
 from .networks import BayesNet, MarkovNet
 from .pools import normalize_weights
@@ -213,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     agg.add_argument(
         "--dense-oracle", action="store_true",
-        help="parameterize from the dense pooled table instead of queries",
+        help="fill CPTs from the agents' weighted CPT product, not queries",
     )
     agg.set_defaults(func=cmd_aggregate)
 
@@ -234,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     qry.add_argument(
         "--dense-oracle", action="store_true",
-        help="build the logop consensus from the dense pooled table",
+        help="build the logop consensus from the weighted CPT product",
     )
     qry.set_defaults(func=cmd_query)
 
@@ -255,7 +256,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (_UsageError, ModelFormatError) as err:
+    except (_UsageError, ModelFormatError, WeightCountMismatch,
+            InvalidWeight) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
     except MismatchedVariables as err:
@@ -263,10 +265,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_MISMATCH
     except DegenerateCpt as err:
         print(
-            f"error: {err}\nhint: --dense-oracle parameterizes the consensus "
-            f"from the dense pooled table instead",
+            f"error: {err}\nhint: --dense-oracle fills the consensus CPTs "
+            f"from the agents' weighted CPT product instead",
             file=sys.stderr,
         )
+        return EXIT_DEGENERATE
+    except DegenerateProduct as err:
+        print(f"error: {err}", file=sys.stderr)
         return EXIT_DEGENERATE
     except ZeroEvidence as err:
         print(f"error: {err}", file=sys.stderr)

@@ -10,11 +10,15 @@ the normalized weighted geometric mean of the agent joints, using only
 per-agent inference queries, never a dense 2**m table. Nodes are
 processed in elimination order (reverse topological order). For each
 node and each parent instantiation, the node's neighbors are fixed
-(parents by the instantiation, children all to one chosen outcome),
-every agent is asked for its conditional on that context, the answers
-are combined by single-event geometric pooling, and the conditioning on
-the already-parameterized children is then divided back out through
-their likelihood ratios.
+(parents by the instantiation, children all true, or all false if that
+fails), every agent is asked for its conditional on that context, the
+answers are combined by single-event geometric pooling, and the
+conditioning on the already-parameterized children is then divided back
+out through their likelihood ratios.
+
+The dense_oracle route needs no queries: the pool is the normalized
+product of every agent CPT raised to the agent's weight, and one
+elimination pass over it along the elimination order yields the CPTs.
 """
 from __future__ import annotations
 
@@ -29,22 +33,24 @@ from .errors import (
     MismatchedVariables,
     ZeroEvidence,
 )
-from .inference import query_conditional, query_event_marginal
-from .joint import JointTable, marginal
+from .inference import (
+    query_conditional,
+    query_event_marginal,
+    weighted_product_cpts,
+)
 from .networks import (
     BayesNet,
     Cpt,
     Dag,
     EliminationOrder,
     MarkovNet,
-    bn_to_joint,
     direct_by_order,
     is_decomposable,
     mn_union,
     moralize,
     triangulate,
 )
-from .pools import logop, normalize_weights
+from .pools import normalize_weights
 
 
 @dataclass(frozen=True)
@@ -52,7 +58,7 @@ class ConsensusBn:
     """A consensus network plus how it was built.
 
     agent_queries counts the per-agent inference calls issued while
-    filling in CPTs; the dense fallback issues none.
+    filling in CPTs; the dense_oracle route issues none.
     """
 
     bn: BayesNet
@@ -161,7 +167,6 @@ def _structured_cpts(
     w: np.ndarray,
     structure: Dag,
     elimination_order: EliminationOrder,
-    child_outcome: bool,
 ) -> tuple[list[Cpt], int]:
     children = structure.children()
     done: dict[int, Cpt] = {}
@@ -213,14 +218,9 @@ def _structured_cpts(
             parent_asg = {
                 p: bool((r >> i) & 1) for i, p in enumerate(parents)
             }
-            outcomes = (
-                (child_outcome, not child_outcome)
-                if children[node]
-                else (child_outcome,)
-            )
             row = None
             failure: DegenerateCpt | None = None
-            for outcome in outcomes:
+            for outcome in (True, False) if children[node] else (True,):
                 try:
                     row = blanket_row(node, parent_asg, outcome)
                     break
@@ -229,33 +229,11 @@ def _structured_cpts(
             if row is None:
                 raise DegenerateCpt(
                     f"node {node}, parent row {r}: {failure}; rerun with "
-                    f"dense_oracle=True to use the dense fallback"
+                    f"dense_oracle=True to use the factor-product fill"
                 ) from failure
             rows.append(row)
         done[node] = Cpt(node, parents, tuple(rows))
     return [done[v] for v in range(structure.m)], queries
-
-
-def _dense_cpts(
-    bns: Sequence[BayesNet], w: np.ndarray, structure: Dag
-) -> list[Cpt]:
-    dense = logop([bn_to_joint(bn) for bn in bns], w)
-    cpts = []
-    for node in range(structure.m):
-        parents = structure.parents[node]
-        rows = []
-        for r in range(1 << len(parents)):
-            parent_asg = {
-                p: bool((r >> i) & 1) for i, p in enumerate(parents)
-            }
-            p_context = marginal(dense, parent_asg)
-            if p_context <= 0.0:
-                rows.append(0.5)  # unreachable context, any row works
-            else:
-                p_joint = marginal(dense, {**parent_asg, node: True})
-                rows.append(min(1.0, p_joint / p_context))
-        cpts.append(Cpt(node, parents, tuple(rows)))
-    return cpts
 
 
 def logop_consensus_bn(
@@ -263,29 +241,25 @@ def logop_consensus_bn(
     weights: Sequence[float] | None = None,
     *,
     dense_oracle: bool = False,
-    child_outcome: bool = True,
     sources: Sequence[str] = (),
 ) -> ConsensusBn:
     """Consensus network whose joint is the geometric pool of the agents.
 
     The default path parameterizes the consensus structure from
     per-agent inference queries alone. When an agent CPT row of 0 or 1
-    makes that ill-defined it raises DegenerateCpt; dense_oracle=True
-    switches to materializing the pooled joint instead (capacity
-    permitting). child_outcome picks which outcome children are fixed
-    to first; the result is the same either way, so it exists for
-    diagnostics.
+    makes that ill-defined it raises DegenerateCpt. dense_oracle=True
+    instead fills the CPTs by one elimination pass over the agents'
+    weighted CPT product, which handles such rows at any size and raises
+    DegenerateProduct when the pool has zero mass.
     """
     _check_agents(bns)
     w = normalize_weights(weights, len(bns))
     structure, order = consensus_bn_structure([bn.dag() for bn in bns])
     if dense_oracle:
-        cpts = _dense_cpts(bns, w, structure)
+        cpts = weighted_product_cpts(bns, w, structure, order)
         queries = 0
     else:
-        cpts, queries = _structured_cpts(
-            bns, w, structure, order, child_outcome
-        )
+        cpts, queries = _structured_cpts(bns, w, structure, order)
     consensus = BayesNet(tuple(cpts), bns[0].labels)
     return ConsensusBn(consensus, order, tuple(sources), queries)
 

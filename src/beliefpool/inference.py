@@ -9,13 +9,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import UnknownVariable, ZeroEvidence
+from .errors import DegenerateProduct, UnknownVariable, ZeroEvidence
 from .joint import Assignment
-from .networks import BayesNet, Cpt
+from .networks import BayesNet, Cpt, Dag, min_fill_order
 
 
 @dataclass(eq=False)
@@ -66,40 +66,6 @@ def _sum_out(factor: _Factor, var: int) -> _Factor:
     return _Factor(remaining, factor.table.sum(axis=axis))
 
 
-def _elimination_order(
-    scopes: Iterable[tuple[int, ...]], eliminate: set[int]
-) -> list[int]:
-    """Min-fill order restricted to the variables being eliminated."""
-    adj: dict[int, set[int]] = {}
-    for scope in scopes:
-        for v in scope:
-            adj.setdefault(v, set())
-        for u, w in itertools.combinations(scope, 2):
-            adj[u].add(w)
-            adj[w].add(u)
-    remaining = set(eliminate)
-    order: list[int] = []
-
-    def fill_count(v: int) -> int:
-        nbrs = sorted(adj[v])
-        return sum(
-            1 for u, w in itertools.combinations(nbrs, 2) if w not in adj[u]
-        )
-
-    while remaining:
-        v = min(remaining, key=lambda u: (fill_count(u), u))
-        nbrs = adj[v]
-        for u, w in itertools.combinations(sorted(nbrs), 2):
-            adj[u].add(w)
-            adj[w].add(u)
-        for u in nbrs:
-            adj[u].discard(v)
-        del adj[v]
-        remaining.discard(v)
-        order.append(v)
-    return order
-
-
 def _run(bn: BayesNet, evidence: Assignment, keep: set[int]) -> _Factor:
     """Eliminate everything outside keep after restricting by evidence.
 
@@ -112,14 +78,64 @@ def _run(bn: BayesNet, evidence: Assignment, keep: set[int]) -> _Factor:
             if var in factor.vars:
                 factor = _restrict(factor, var, bool(value))
         factors.append(factor)
-    eliminate = {
-        v for f in factors for v in f.vars if v not in keep
-    }
-    for v in _elimination_order((f.vars for f in factors), eliminate):
+    adj: dict[int, set[int]] = {v: set() for f in factors for v in f.vars}
+    for f in factors:
+        for u, w in itertools.combinations(f.vars, 2):
+            adj[u].add(w)
+            adj[w].add(u)
+    order, _ = min_fill_order(adj, keep)
+    for v in order:
         bucket = [f for f in factors if v in f.vars]
         factors = [f for f in factors if v not in f.vars]
         factors.append(_sum_out(reduce(_multiply, bucket), v))
     return reduce(_multiply, factors, _Factor((), np.array(1.0)))
+
+
+def weighted_product_cpts(
+    bns: Sequence[BayesNet],
+    weights: Sequence[float],
+    structure: Dag,
+    elimination_order: Sequence[int],
+) -> list[Cpt]:
+    """CPTs over structure for the geometric pool of the agents.
+
+    That pool is the normalized product of every agent's CPT factors,
+    each raised to the agent's weight. Each node's parents must be its
+    neighbors eliminated later, as consensus_bn_structure returns them,
+    so one elimination pass finds every bucket inside a family. Rows of
+    zero mass get 0.5; zero mass on every state raises DegenerateProduct.
+    """
+    # Log space keeps 1e-300 rows from underflowing; w = 0 drops out (0**0=1).
+    with np.errstate(divide="ignore"):
+        factors = [
+            _Factor(f.vars, w * np.log(f.table))
+            for bn, w in zip(bns, weights)
+            if w > 0.0
+            for f in _network_factors(bn)
+        ]
+    cpts: dict[int, Cpt] = {}
+    for v in elimination_order:
+        parents = structure.parents[v]
+        family = tuple(sorted((v,) + parents))
+        table = np.zeros((2,) * len(family))
+        for f in factors:
+            if v in f.vars:
+                table = table + _expand(f, family)
+        factors = [f for f in factors if v not in f.vars]
+        axis = family.index(v)
+        rest = family[:axis] + family[axis + 1 :]
+        log_mass = np.logaddexp.reduce(table, axis=axis)
+        reachable = log_mass > -np.inf
+        if not np.any(reachable):
+            raise DegenerateProduct("geometric pool has zero mass")
+        shift = np.where(reachable, log_mass, 0.0)  # no -inf minus -inf
+        p_true = np.full_like(log_mass, 0.5)
+        np.exp(np.take(table, 1, axis=axis) - shift, out=p_true, where=reachable)
+        # Row index bit i is parents[i], so parents[0] varies fastest.
+        rows = p_true.transpose([rest.index(p) for p in parents])
+        cpts[v] = Cpt(v, parents, tuple(rows.ravel(order="F")))
+        factors.append(_Factor(rest, log_mass))
+    return [cpts[v] for v in range(structure.m)]
 
 
 def _check_assignment(bn: BayesNet, assignment: Assignment) -> None:

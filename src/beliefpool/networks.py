@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -258,25 +258,26 @@ def mn_union(nets: Sequence[MarkovNet]) -> MarkovNet:
 
 
 def _fill_count(adj: Mapping[int, set[int]], v: int) -> int:
-    nbrs = sorted(adj[v])
     return sum(
-        1 for u, w in itertools.combinations(nbrs, 2) if w not in adj[u]
+        1 for u, w in itertools.combinations(adj[v], 2) if w not in adj[u]
     )
 
 
 def min_fill_order(
-    adjacency: Mapping[int, set[int]]
+    adjacency: Mapping[int, set[int]], keep: Collection[int] = ()
 ) -> tuple[EliminationOrder, frozenset[tuple[int, int]]]:
     """Greedy elimination order adding the fewest fill edges per step.
 
+    Variables in keep are never eliminated but still count toward fill.
     Ties pick the lowest variable index. Returns the order and the set
     of fill edges added (each pair sorted ascending).
     """
     adj = {v: set(nbrs) for v, nbrs in adjacency.items()}
+    remaining = set(adj).difference(keep)
     order: list[int] = []
     fills: set[tuple[int, int]] = set()
-    while adj:
-        v = min(adj, key=lambda u: (_fill_count(adj, u), u))
+    while remaining:
+        v = min(remaining, key=lambda u: (_fill_count(adj, u), u))
         nbrs = sorted(adj[v])
         for u, w in itertools.combinations(nbrs, 2):
             if w not in adj[u]:
@@ -286,6 +287,7 @@ def min_fill_order(
         for u in nbrs:
             adj[u].discard(v)
         del adj[v]
+        remaining.discard(v)
         order.append(v)
     return tuple(order), frozenset(fills)
 

@@ -26,6 +26,7 @@ from beliefpool.cli import (
     EXIT_ZERO_EVIDENCE,
     main,
 )
+from beliefpool.sampling import random_bn
 
 AGENT_A = BayesNet(
     (Cpt(0, (), (0.5,)), Cpt(1, (), (0.5,))), labels=("A1", "A2")
@@ -121,13 +122,11 @@ class TestAggregate:
 
     def test_degenerate_cpt_hints_dense_oracle(self, capsys, tmp_path, chain_files):
         certain = tmp_path / "certain.json"
-        save_network(
-            BayesNet(
-                (Cpt(0, (), (0.2,)), Cpt(1, (0,), (0.6, 1.0))),
-                labels=("A1", "A2"),
-            ),
-            certain,
+        certain_bn = BayesNet(
+            (Cpt(0, (), (0.2,)), Cpt(1, (0,), (0.6, 1.0))),
+            labels=("A1", "A2"),
         )
+        save_network(certain_bn, certain)
         code, _, err = run(
             capsys, "aggregate", str(certain), chain_files[1], "--pool", "logop"
         )
@@ -139,7 +138,43 @@ class TestAggregate:
             "--dense-oracle",
         )
         assert code == EXIT_OK
-        assert json.loads(out)["provenance"]["agent_queries"] == 0
+        data = json.loads(out)
+        assert data["provenance"]["agent_queries"] == 0
+        dense = logop([bn_to_joint(certain_bn), bn_to_joint(CHAIN_B)])
+        np.testing.assert_allclose(
+            bn_to_joint(network_from_dict(data)).probs, dense.probs, atol=1e-9
+        )
+
+    def test_all_zero_pool_exit_code(self, capsys, tmp_path):
+        paths = []
+        for name, p in (("sure", 1.0), ("never", 0.0)):
+            path = tmp_path / f"{name}.json"
+            save_network(
+                BayesNet((Cpt(0, (), (p,)), Cpt(1, (), (0.5,))), labels=("A1", "A2")),
+                path,
+            )
+            paths.append(str(path))
+        code, _, err = run(
+            capsys, "aggregate", *paths, "--pool", "logop", "--dense-oracle"
+        )
+        assert code == EXIT_DEGENERATE
+        assert "error" in err
+        assert "--dense-oracle" not in err
+
+    def test_dense_oracle_above_dense_capacity(self, capsys, tmp_path):
+        rng = np.random.default_rng(40)
+        labels = tuple(f"v{i}" for i in range(40))
+        paths = []
+        for i in range(3):
+            agent = random_bn(rng, 40, edge_prob=0.05, max_parents=2)
+            path = tmp_path / f"agent{i}.json"
+            save_network(BayesNet(agent.cpts, labels=labels), path)
+            paths.append(str(path))
+        code, out, _ = run(
+            capsys, "aggregate", *paths, "--pool", "logop", "--dense-oracle"
+        )
+        assert code == EXIT_OK
+        assert network_from_dict(json.loads(out)).m == 40
 
     def test_label_order_differences_are_aligned(self, capsys, tmp_path):
         flipped = BayesNet(
@@ -327,6 +362,15 @@ class TestParsing:
             "--weights", "a,b",
         )
         assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize("weights", ["1,2,3", "0,0"])
+    def test_rejected_weights(self, capsys, agent_files, weights):
+        code, _, err = run(
+            capsys, "aggregate", *agent_files, "--pool", "logop",
+            "--weights", weights,
+        )
+        assert code == EXIT_PARSE
+        assert "weights" in err
 
     def test_malformed_network_file(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

@@ -38,7 +38,7 @@ from beliefpool import (
     single_event_logop,
 )
 from beliefpool.axioms import chain_agents
-from beliefpool.sampling import random_bn, random_weights
+from beliefpool.sampling import random_bn, random_dag, random_weights
 
 CHAIN_A, CHAIN_B = chain_agents()
 
@@ -59,6 +59,33 @@ P_NODE1_GIVEN_FALSE = 0.4449944320643649
 # Each agent's conditional for node 0 given node 1 true: 1/7 and 32/35.
 COND_A = 0.08 / (0.08 + 0.48)
 COND_B = 0.64 / (0.64 + 0.06)
+
+
+EXTREME_ROWS = (0.0, 1e-300, 1e-12, 0.5, 1.0 - 1e-12, 1.0)
+
+
+def _support(bn):
+    """States bn gives positive probability, free of underflow."""
+    rows = [
+        Cpt(c.owner, c.parents, [r if r in (0.0, 1.0) else 0.5 for r in c.rows])
+        for c in bn.cpts
+    ]
+    return bn_to_joint(BayesNet(tuple(rows))).probs > 0.0
+
+
+def _dense_is_exact(bn):
+    """Whether bn_to_joint holds every positive state as a normal float."""
+    probs = bn_to_joint(bn).probs
+    return bool(np.all(probs[_support(bn)] >= np.finfo(float).tiny))
+
+
+def _log_prob(bn, state):
+    """log P(state) from the CPT rows, without a dense table."""
+    total = 0.0
+    for cpt in bn.cpts:
+        p = cpt.prob_true({v: bool(x) for v, x in enumerate(state)})
+        total += math.log(p if state[cpt.owner] else 1.0 - p)
+    return total
 
 
 def two_node_bn(p_first, p_second, labels=None):
@@ -227,16 +254,6 @@ class TestLogopConsensusBn:
         q = max(len(ps) for ps in result.bn.dag().parents)
         assert result.agent_queries <= 2 * n * m * (1 << q)
 
-    @given(seed=st.integers(min_value=0, max_value=100_000))
-    @settings(max_examples=20, deadline=None)
-    def test_child_outcome_choice_is_immaterial(self, seed):
-        rng = np.random.default_rng(seed)
-        agents = [random_bn(rng, 5, max_parents=2) for _ in range(2)]
-        fixed_true = logop_consensus_bn(agents, child_outcome=True)
-        fixed_false = logop_consensus_bn(agents, child_outcome=False)
-        for a, b in zip(fixed_true.bn.cpts, fixed_false.bn.cpts):
-            np.testing.assert_allclose(a.rows, b.rows, atol=1e-9)
-
     def test_dense_oracle_path(self):
         queried = logop_consensus_bn([CHAIN_A, CHAIN_B])
         dense = logop_consensus_bn([CHAIN_A, CHAIN_B], dense_oracle=True)
@@ -244,6 +261,63 @@ class TestLogopConsensusBn:
         np.testing.assert_allclose(
             bn_to_joint(queried.bn).probs, bn_to_joint(dense.bn).probs, atol=1e-12
         )
+
+    @given(seed=st.integers(min_value=0, max_value=100_000), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_dense_oracle_on_extreme_rows(self, seed, data):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 6))
+        n = int(rng.integers(2, 4))
+        agents = [
+            BayesNet(tuple(
+                Cpt(v, ps, data.draw(st.lists(
+                    st.sampled_from(EXTREME_ROWS),
+                    min_size=1 << len(ps), max_size=1 << len(ps),
+                )))
+                for v, ps in enumerate(random_dag(rng, m, max_parents=2).parents)
+            ))
+            for _ in range(n)
+        ]
+        w = list(random_weights(rng, n))
+        w[data.draw(st.integers(0, n - 1))] = 0.0
+        pooled = [a for a, wi in zip(agents, w) if wi > 0.0]
+        if not np.logical_and.reduce([_support(a) for a in pooled]).any():
+            with pytest.raises(DegenerateProduct):
+                logop_consensus_bn(agents, w, dense_oracle=True)
+            return
+        result = logop_consensus_bn(agents, w, dense_oracle=True)
+        # The dense reference is exact only while no positive agent
+        # state probability underflows in bn_to_joint.
+        if all(_dense_is_exact(a) for a in pooled):
+            dense = logop([bn_to_joint(a) for a in agents], w)
+            np.testing.assert_allclose(
+                bn_to_joint(result.bn).probs, dense.probs, atol=1e-9
+            )
+
+    def test_dense_oracle_above_dense_capacity(self):
+        rng = np.random.default_rng(40)
+        agents = [
+            random_bn(rng, 40, edge_prob=0.05, max_parents=2) for _ in range(3)
+        ]
+        w = random_weights(rng, 3)
+        result = logop_consensus_bn(agents, w, dense_oracle=True)
+        states = [rng.integers(0, 2, 40).astype(bool) for _ in range(20)]
+        base = states[0]
+        for state in states[1:]:
+            want = sum(
+                wi * (_log_prob(a, state) - _log_prob(a, base))
+                for a, wi in zip(agents, w)
+            )
+            got = _log_prob(result.bn, state) - _log_prob(result.bn, base)
+            assert got == pytest.approx(want, abs=1e-9)
+
+    def test_dense_oracle_all_zero_product(self):
+        sure = BayesNet((Cpt(0, (), (1.0,)), Cpt(1, (0,), (0.5, 0.5))))
+        never = BayesNet((Cpt(0, (), (0.0,)), Cpt(1, (0,), (0.5, 0.5))))
+        with pytest.raises(DegenerateProduct):
+            logop([bn_to_joint(sure), bn_to_joint(never)])
+        with pytest.raises(DegenerateProduct):
+            logop_consensus_bn([sure, never], dense_oracle=True)
 
     def test_degenerate_row_raises_and_fallback_works(self):
         certain = BayesNet((Cpt(0, (), (0.2,)), Cpt(1, (0,), (0.6, 1.0))))

@@ -204,6 +204,11 @@ class TestTriangulate:
         order, fills = min_fill_order(square.adjacency())
         assert len(order) == 4
         assert fills == frozenset({(1, 3)})  # node 0 goes first, joining 1 and 3
+        assert min_fill_order(square.adjacency(), keep=()) == (order, fills)
+        # Kept 0 still counts toward fill: eliminating 1 joins 0 and 2.
+        kept_order, kept_fills = min_fill_order(square.adjacency(), keep={0})
+        assert kept_order == (1, 2, 3)
+        assert kept_fills == frozenset({(0, 2)})
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)
