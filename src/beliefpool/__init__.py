@@ -94,7 +94,6 @@ from .networks import (
 from .pools import (
     POOL_NAMES,
     AggregationSpec,
-    apply_pool,
     linop,
     logop,
     normalize_weights,

@@ -9,12 +9,13 @@ live here too, alongside deterministic report suites for the CLI.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .consensus import single_event_logop, logop_consensus_bn
+from .consensus import linop_query, logop_consensus_bn, single_event_logop
 from .errors import MalformedInstance, ZeroEvidence
 from .inference import query_conditional
 from .joint import (
@@ -36,19 +37,6 @@ from .sampling import (
     random_product_table,
     random_vstructure_pair,
     random_weights,
-)
-
-PROPERTY_NAMES = (
-    "unam",
-    "mp",
-    "eb",
-    "pds",
-    "ipp",
-    "eipp",
-    "meipp",
-    "nmeipp",
-    "mipp",
-    "fa-consistency",
 )
 
 # ---------------------------------------------------------------------------
@@ -147,8 +135,10 @@ class FamilyInstance:
 _PRODUCT_PRECONDITION_TOL = 1e-12
 
 
-def _pool_fn(pool: str) -> Callable:
-    return linop if pool == "linop" else logop
+def _pooled(spec: AggregationSpec, inst, tables=None) -> JointTable:
+    """Pool inst.tables (or tables) by spec.pool; inst.weights override spec's."""
+    pool = linop if spec.pool == "linop" else logop
+    return pool(inst.tables if tables is None else tables, inst.weights or spec.weights)
 
 
 def _scalar_pool(pool: str, values: Sequence[float], weights) -> float:
@@ -185,21 +175,26 @@ def _require(kind, instance):
         )
 
 
+def _preserved_gap(spec, inst, gap, hypothesis, tol=_PRODUCT_PRECONDITION_TOL) -> float:
+    """The pooled table's gap, once every agent's gap is within tol."""
+    if any(gap(t) > tol for t in inst.tables):
+        raise MalformedInstance(hypothesis)
+    return gap(_pooled(spec, inst))
+
+
 def _unam_gap(spec: AggregationSpec, inst: UnanimityInstance) -> float:
     _require(UnanimityInstance, inst)
     first = inst.tables[0]
     for t in inst.tables[1:]:
         if t.m != first.m or not np.array_equal(t.probs, first.probs):
             raise MalformedInstance("unanimity needs identical agent tables")
-    pooled = _pool_fn(spec.pool)(inst.tables, inst.weights or spec.weights)
-    return float(np.max(np.abs(pooled.probs - first.probs)))
+    return float(np.max(np.abs(_pooled(spec, inst).probs - first.probs)))
 
 
 def _mp_gap(spec: AggregationSpec, inst: EventPoolInstance) -> float:
     _require(EventPoolInstance, inst)
     weights = inst.weights or spec.weights
-    pooled = _pool_fn(spec.pool)(inst.tables, weights)
-    joint_route = _event_mass(pooled, inst.event)
+    joint_route = _event_mass(_pooled(spec, inst), inst.event)
     event_route = _scalar_pool(
         spec.pool, [_event_mass(t, inst.event) for t in inst.tables], weights
     )
@@ -208,13 +203,11 @@ def _mp_gap(spec: AggregationSpec, inst: EventPoolInstance) -> float:
 
 def _eb_gap(spec: AggregationSpec, inst: EvidenceInstance) -> float:
     _require(EvidenceInstance, inst)
-    weights = inst.weights or spec.weights
     evidence = dict(inst.evidence)
-    pool = _pool_fn(spec.pool)
     try:
-        pool_then_condition = condition(pool(inst.tables, weights), evidence)
-        condition_then_pool = pool(
-            [condition(t, evidence) for t in inst.tables], weights
+        pool_then_condition = condition(_pooled(spec, inst), evidence)
+        condition_then_pool = _pooled(
+            spec, inst, [condition(t, evidence) for t in inst.tables]
         )
     except ZeroEvidence as err:
         raise MalformedInstance(
@@ -231,14 +224,14 @@ def _pds_gap(spec: AggregationSpec, inst: StatePairInstance) -> float:
         raise MalformedInstance("profiles must have the same agent count")
     for tp, tq in zip(inst.tables_p, inst.tables_q):
         for state in (inst.s, inst.t):
+            if not 0 <= state < min(tp.n_states, tq.n_states):
+                raise MalformedInstance(f"state index {state} out of range")
             if abs(tp.probs[state] - tq.probs[state]) > 1e-15:
                 raise MalformedInstance(
                     "profiles must agree on both distinguished states"
                 )
-    weights = inst.weights or spec.weights
-    pool = _pool_fn(spec.pool)
-    pooled_p = pool(inst.tables_p, weights)
-    pooled_q = pool(inst.tables_q, weights)
+    pooled_p = _pooled(spec, inst, inst.tables_p)
+    pooled_q = _pooled(spec, inst, inst.tables_q)
     if pooled_p.probs[inst.t] <= 0.0 or pooled_q.probs[inst.t] <= 0.0:
         raise MalformedInstance("reference state t pooled to zero mass")
     ratio_p = pooled_p.probs[inst.s] / pooled_p.probs[inst.t]
@@ -249,53 +242,43 @@ def _pds_gap(spec: AggregationSpec, inst: StatePairInstance) -> float:
 def _ipp_gap(spec: AggregationSpec, inst: EventPairInstance) -> float:
     _require(EventPairInstance, inst)
     both = inst.event_a & inst.event_b
-    for t in inst.tables:
-        gap = abs(
+
+    def gap(t: JointTable) -> float:
+        return abs(
             _event_mass(t, both)
             - _event_mass(t, inst.event_a) * _event_mass(t, inst.event_b)
         )
-        if gap > _PRODUCT_PRECONDITION_TOL:
-            raise MalformedInstance(
-                "events must be independent under every agent"
-            )
-    pooled = _pool_fn(spec.pool)(inst.tables, inst.weights or spec.weights)
-    return abs(
-        _event_mass(pooled, both)
-        - _event_mass(pooled, inst.event_a) * _event_mass(pooled, inst.event_b)
+
+    return _preserved_gap(
+        spec, inst, gap, "events must be independent under every agent"
     )
 
 
 def _pair_gap(spec: AggregationSpec, inst: VariablePairInstance) -> float:
     _require(VariablePairInstance, inst)
-    for t in inst.tables:
-        if pairwise_dependence_gap(t, inst.a, inst.b) > _PRODUCT_PRECONDITION_TOL:
-            raise MalformedInstance(
-                "variables must be pairwise independent under every agent"
-            )
-    pooled = _pool_fn(spec.pool)(inst.tables, inst.weights or spec.weights)
-    return pairwise_dependence_gap(pooled, inst.a, inst.b)
+    return _preserved_gap(
+        spec, inst,
+        lambda t: pairwise_dependence_gap(t, inst.a, inst.b),
+        "variables must be pairwise independent under every agent",
+    )
 
 
 def _meipp_gap(spec: AggregationSpec, inst: ProductInstance) -> float:
     _require(ProductInstance, inst)
-    for t in inst.tables:
-        if _product_gap(t) > _PRODUCT_PRECONDITION_TOL:
-            raise MalformedInstance(
-                "every agent table must be a full product of marginals"
-            )
-    pooled = _pool_fn(spec.pool)(inst.tables, inst.weights or spec.weights)
-    return _product_gap(pooled)
+    return _preserved_gap(
+        spec, inst, _product_gap,
+        "every agent table must be a full product of marginals",
+    )
 
 
 def _mipp_gap(spec: AggregationSpec, inst: MarkovInstance) -> float:
     _require(MarkovInstance, inst)
-    for t in inst.tables:
-        if markov_dependence_gap(t, inst.a, inst.w, inst.x) > 1e-10:
-            raise MalformedInstance(
-                "conditional independence must hold for every agent"
-            )
-    pooled = _pool_fn(spec.pool)(inst.tables, inst.weights or spec.weights)
-    return markov_dependence_gap(pooled, inst.a, inst.w, inst.x)
+    return _preserved_gap(
+        spec, inst,
+        lambda t: markov_dependence_gap(t, inst.a, inst.w, inst.x),
+        "conditional independence must hold for every agent",
+        tol=1e-10,
+    )
 
 
 def family_pooled_joint(
@@ -340,18 +323,127 @@ def _fa_gap(spec: AggregationSpec, inst: FamilyInstance) -> float:
     return float(np.max(np.abs(joint_a.probs - joint_b.probs)))
 
 
-_CHECKERS: dict[str, Callable[[AggregationSpec, object], float]] = {
-    "unam": _unam_gap,
-    "mp": _mp_gap,
-    "eb": _eb_gap,
-    "pds": _pds_gap,
-    "ipp": _ipp_gap,
-    "eipp": _pair_gap,
-    "nmeipp": _pair_gap,
-    "meipp": _meipp_gap,
-    "mipp": _mipp_gap,
-    "fa-consistency": _fa_gap,
+# ---------------------------------------------------------------------------
+# Suite draws: each returns one random instance, or None for a rejected draw
+
+
+def _draw_unam(rng: np.random.Generator) -> UnanimityInstance:
+    t = random_joint(rng, int(rng.integers(2, 5)))
+    return UnanimityInstance((t, t, t), random_weights(rng, 3))
+
+
+def _draw_mp(rng: np.random.Generator) -> EventPoolInstance:
+    m = int(rng.integers(2, 5))
+    tables = tuple(random_joint(rng, m) for _ in range(3))
+    n_states = 1 << m
+    size = int(rng.integers(1, n_states))
+    event = frozenset(
+        int(s) for s in rng.choice(n_states, size=size, replace=False)
+    )
+    return EventPoolInstance(tables, event, random_weights(rng, 3))
+
+
+def _draw_eb(rng: np.random.Generator) -> EvidenceInstance:
+    m = int(rng.integers(2, 5))
+    tables = tuple(random_joint(rng, m) for _ in range(3))
+    var = int(rng.integers(0, m))
+    return EvidenceInstance(
+        tables, ((var, bool(rng.integers(0, 2))),), random_weights(rng, 3)
+    )
+
+
+def _draw_pds(rng: np.random.Generator) -> StatePairInstance:
+    m = int(rng.integers(2, 4))
+    s, t = (int(v) for v in rng.choice(1 << m, size=2, replace=False))
+    profile_p = []
+    profile_q = []
+    for _ in range(2):
+        base = random_joint(rng, m)
+        other = np.maximum(rng.random(1 << m), 0.01)
+        other[s] = base.probs[s]
+        other[t] = base.probs[t]
+        # rescale the remaining states so the table still sums to 1
+        keep = base.probs[s] + base.probs[t]
+        rest = [i for i in range(1 << m) if i not in (s, t)]
+        other[rest] *= (1.0 - keep) / other[rest].sum()
+        profile_p.append(base)
+        profile_q.append(JointTable(m, other))
+    return StatePairInstance(
+        tuple(profile_p), tuple(profile_q), s, t, random_weights(rng, 2)
+    )
+
+
+def _draw_ipp(rng: np.random.Generator) -> EventPairInstance:
+    m = int(rng.integers(3, 5))
+    block = tuple(range(int(rng.integers(1, m))))
+    tables = tuple(random_block_product_table(rng, m, block) for _ in range(2))
+    # event_a reads only block bits, event_b only the rest
+    rest = tuple(v for v in range(m) if v not in block)
+    pick_a = int(rng.integers(1, len(block) + 1))
+    pick_b = int(rng.integers(1, len(rest) + 1))
+    event_a = frozenset(
+        s for s in range(1 << m) if all((s >> v) & 1 for v in block[:pick_a])
+    )
+    event_b = frozenset(
+        s for s in range(1 << m) if all((s >> v) & 1 for v in rest[:pick_b])
+    )
+    return EventPairInstance(tables, event_a, event_b, random_weights(rng, 2))
+
+
+def _draw_eipp(rng: np.random.Generator) -> VariablePairInstance:
+    tables = tuple(random_product_table(rng, 2) for _ in range(2))
+    return VariablePairInstance(tables, 0, 1, random_weights(rng, 2))
+
+
+def _draw_meipp(rng: np.random.Generator) -> ProductInstance:
+    m = int(rng.integers(2, 5))
+    tables = tuple(random_product_table(rng, m) for _ in range(3))
+    return ProductInstance(tables, random_weights(rng, 3))
+
+
+def _draw_nmeipp(rng: np.random.Generator) -> VariablePairInstance | None:
+    tables = tuple(bn_to_joint(bn) for bn in random_vstructure_pair(rng))
+    if all(_product_gap(t) <= 1e-9 for t in tables):
+        return None  # mutually independent sample: hypothesis not met
+    return VariablePairInstance(tables, 0, 1, random_weights(rng, 2))
+
+
+def _draw_mipp(rng: np.random.Generator) -> MarkovInstance | None:
+    m = int(rng.integers(3, 6))
+    variables = [int(v) for v in rng.permutation(m)]
+    a = variables[0]
+    cut = int(rng.integers(1, m))
+    w = tuple(sorted(variables[1 : cut + 1]))
+    x = tuple(sorted(variables[cut + 1 :]))
+    if not x:
+        return None
+    tables = tuple(random_conditional_table(rng, m, a, w, x) for _ in range(2))
+    return MarkovInstance(tables, a, w, x, random_weights(rng, 2))
+
+
+def _draw_fa(rng: np.random.Generator) -> FamilyInstance:
+    m = int(rng.integers(2, 4))
+    tables = tuple(random_joint(rng, m) for _ in range(2))
+    ordering_a = tuple(int(v) for v in rng.permutation(m))
+    ordering_b = tuple(reversed(ordering_a))
+    return FamilyInstance(tables, ordering_a, ordering_b, random_weights(rng, 2))
+
+
+# property name -> (checker returning a violation, suite draw)
+_PROPERTIES: dict[str, tuple[Callable, Callable]] = {
+    "unam": (_unam_gap, _draw_unam),
+    "mp": (_mp_gap, _draw_mp),
+    "eb": (_eb_gap, _draw_eb),
+    "pds": (_pds_gap, _draw_pds),
+    "ipp": (_ipp_gap, _draw_ipp),
+    "eipp": (_pair_gap, _draw_eipp),
+    "meipp": (_meipp_gap, _draw_meipp),
+    "nmeipp": (_pair_gap, _draw_nmeipp),
+    "mipp": (_mipp_gap, _draw_mipp),
+    "fa-consistency": (_fa_gap, _draw_fa),
 }
+
+PROPERTY_NAMES = tuple(_PROPERTIES)
 
 
 # ---------------------------------------------------------------------------
@@ -412,22 +504,16 @@ def check_property(
     instance does not satisfy the property's hypothesis.
     """
     name = prop.lower()
-    if name not in _CHECKERS:
+    if name not in _PROPERTIES:
         raise ValueError(f"unknown property {prop!r}; choose from {PROPERTY_NAMES}")
-    checker = _CHECKERS[name]
-    cases = tuple(
-        CaseResult(i, v, v <= tol)
-        for i, v in (
-            (i, checker(spec, inst)) for i, inst in enumerate(instances)
-        )
-    )
+    checker, _ = _PROPERTIES[name]
+    violations = [checker(spec, inst) for inst in instances]
+    cases = tuple(CaseResult(i, v, v <= tol) for i, v in enumerate(violations))
     return CheckReport(name, spec.pool, tol, cases)
 
 
 # ---------------------------------------------------------------------------
 # Worked fixtures
-
-EXAMPLE_IDS = ("ex1-linop", "ex2-logop", "ex3-fa", "fig1d-logop")
 
 _STATE_ORDER = (
     state_index((True, True)),
@@ -524,8 +610,6 @@ def _ex2_logop() -> ExampleReport:
 
 def _logop_pair_exact() -> tuple[float, float, float, float]:
     """Independent recomputation of the geometric pool for the pair agents."""
-    import math
-
     first = {(1, 1): 0.25, (1, 0): 0.25, (0, 1): 0.25, (0, 0): 0.25}
     second = {(1, 1): 0.48, (1, 0): 0.32, (0, 1): 0.12, (0, 0): 0.08}
     raw = {s: math.sqrt(first[s] * second[s]) for s in first}
@@ -583,19 +667,23 @@ def _fig1d_logop() -> ExampleReport:
     return ExampleReport("fig1d-logop", ok, lines)
 
 
+_EXAMPLES: dict[str, Callable[[], ExampleReport]] = {
+    "ex1-linop": _ex1_linop,
+    "ex2-logop": _ex2_logop,
+    "ex3-fa": _ex3_fa,
+    "fig1d-logop": _fig1d_logop,
+}
+
+EXAMPLE_IDS = tuple(_EXAMPLES)
+
+
 def reproduce_example(example_id: str) -> ExampleReport:
     """Rebuild one of the worked fixtures and verify its frozen values."""
-    builders = {
-        "ex1-linop": _ex1_linop,
-        "ex2-logop": _ex2_logop,
-        "ex3-fa": _ex3_fa,
-        "fig1d-logop": _fig1d_logop,
-    }
-    if example_id not in builders:
+    if example_id not in _EXAMPLES:
         raise ValueError(
             f"unknown example {example_id!r}; choose from {EXAMPLE_IDS}"
         )
-    return builders[example_id]()
+    return _EXAMPLES[example_id]()
 
 
 # ---------------------------------------------------------------------------
@@ -661,136 +749,14 @@ def logop_mp_break_witness(seed: int = 0) -> tuple[EventPoolInstance, float]:
 
 
 def _suite_instances(prop: str, rng: np.random.Generator, trials: int):
-    if prop == "unam":
-        out = []
-        for _ in range(trials):
-            t = random_joint(rng, int(rng.integers(2, 5)))
-            out.append(UnanimityInstance((t, t, t), random_weights(rng, 3)))
-        return out
-    if prop == "mp":
-        out = []
-        for _ in range(trials):
-            m = int(rng.integers(2, 5))
-            tables = tuple(random_joint(rng, m) for _ in range(3))
-            n_states = 1 << m
-            size = int(rng.integers(1, n_states))
-            event = frozenset(
-                int(s) for s in rng.choice(n_states, size=size, replace=False)
-            )
-            out.append(EventPoolInstance(tables, event, random_weights(rng, 3)))
-        return out
-    if prop == "eb":
-        out = []
-        for _ in range(trials):
-            m = int(rng.integers(2, 5))
-            tables = tuple(random_joint(rng, m) for _ in range(3))
-            var = int(rng.integers(0, m))
-            out.append(
-                EvidenceInstance(
-                    tables, ((var, bool(rng.integers(0, 2))),),
-                    random_weights(rng, 3),
-                )
-            )
-        return out
-    if prop == "pds":
-        out = []
-        for _ in range(trials):
-            m = int(rng.integers(2, 4))
-            s, t = (int(v) for v in rng.choice(1 << m, size=2, replace=False))
-            profile_p = []
-            profile_q = []
-            for _ in range(2):
-                base = random_joint(rng, m)
-                other = np.maximum(rng.random(1 << m), 0.01)
-                other[s] = base.probs[s]
-                other[t] = base.probs[t]
-                # rescale the remaining states so the table still sums to 1
-                keep = base.probs[s] + base.probs[t]
-                rest = [i for i in range(1 << m) if i not in (s, t)]
-                other[rest] *= (1.0 - keep) / other[rest].sum()
-                profile_p.append(base)
-                profile_q.append(JointTable(m, other))
-            out.append(
-                StatePairInstance(
-                    tuple(profile_p), tuple(profile_q), s, t,
-                    random_weights(rng, 2),
-                )
-            )
-        return out
-    if prop == "ipp":
-        out = []
-        for _ in range(trials):
-            m = int(rng.integers(3, 5))
-            block = tuple(range(int(rng.integers(1, m))))
-            tables = tuple(
-                random_block_product_table(rng, m, block) for _ in range(2)
-            )
-            # event_a reads only block bits, event_b only the rest
-            rest = tuple(v for v in range(m) if v not in block)
-            pick_a = int(rng.integers(1, len(block) + 1))
-            pick_b = int(rng.integers(1, len(rest) + 1))
-            event_a = frozenset(
-                s for s in range(1 << m)
-                if all((s >> v) & 1 for v in block[:pick_a])
-            )
-            event_b = frozenset(
-                s for s in range(1 << m)
-                if all((s >> v) & 1 for v in rest[:pick_b])
-            )
-            out.append(
-                EventPairInstance(tables, event_a, event_b, random_weights(rng, 2))
-            )
-        return out
-    if prop == "eipp":
-        out = []
-        for _ in range(trials):
-            tables = tuple(random_product_table(rng, 2) for _ in range(2))
-            out.append(VariablePairInstance(tables, 0, 1, random_weights(rng, 2)))
-        return out
-    if prop == "nmeipp":
-        out = []
-        while len(out) < trials:
-            agents = random_vstructure_pair(rng)
-            tables = tuple(bn_to_joint(bn) for bn in agents)
-            if all(_product_gap(t) <= 1e-9 for t in tables):
-                continue
-            out.append(VariablePairInstance(tables, 0, 1, random_weights(rng, 2)))
-        return out
-    if prop == "meipp":
-        out = []
-        for _ in range(trials):
-            m = int(rng.integers(2, 5))
-            tables = tuple(random_product_table(rng, m) for _ in range(3))
-            out.append(ProductInstance(tables, random_weights(rng, 3)))
-        return out
-    if prop == "mipp":
-        out = []
-        for _ in range(trials):
-            m = int(rng.integers(3, 6))
-            variables = [int(v) for v in rng.permutation(m)]
-            a = variables[0]
-            cut = int(rng.integers(1, m))
-            w = tuple(sorted(variables[1 : cut + 1]))
-            x = tuple(sorted(variables[cut + 1 :]))
-            if not x:
-                continue
-            tables = tuple(
-                random_conditional_table(rng, m, a, w, x) for _ in range(2)
-            )
-            out.append(MarkovInstance(tables, a, w, x, random_weights(rng, 2)))
-        return out
-    if prop == "fa-consistency":
-        out = []
-        for _ in range(trials):
-            m = int(rng.integers(2, 4))
-            tables = tuple(random_joint(rng, m) for _ in range(2))
-            ordering_a = tuple(int(v) for v in rng.permutation(m))
-            ordering_b = tuple(reversed(ordering_a))
-            out.append(
-                FamilyInstance(tables, ordering_a, ordering_b, random_weights(rng, 2))
-            )
-        return out
-    raise ValueError(f"unknown property {prop!r}")
+    """Draw until trials instances are held; rejected draws are redrawn."""
+    _, draw = _PROPERTIES[prop]
+    out = []
+    while len(out) < trials:
+        instance = draw(rng)
+        if instance is not None:
+            out.append(instance)
+    return out
 
 
 # (pool, property, tolerance, expectation) for the standard suite.
@@ -826,10 +792,12 @@ def run_axioms_suite(seed: int = 0, trials: int = 20) -> tuple[tuple[str, ...], 
     """
     lines: list[str] = []
     all_ok = True
+    # Both pools of a property are checked on one draw: instances are immutable.
+    drawn: dict[str, list] = {}
     for pool, prop, tol, expect in _SUITE_PLAN:
-        rng = np.random.default_rng(seed)
-        instances = _suite_instances(prop, rng, trials)
-        report = check_property(AggregationSpec(pool), prop, instances, tol)
+        if prop not in drawn:
+            drawn[prop] = _suite_instances(prop, np.random.default_rng(seed), trials)
+        report = check_property(AggregationSpec(pool), prop, drawn[prop], tol)
         ok = report.all_passed if expect == "all-pass" else not report.all_passed
         all_ok &= ok
         lines.append(
@@ -882,9 +850,6 @@ def run_oracle_suite(
     seed: int = 0, trials: int = 25
 ) -> tuple[tuple[str, ...], bool]:
     """Structured consensus and pooled queries versus dense recomputation."""
-    from .consensus import linop_query
-    from .joint import conditional_probability
-
     rng = np.random.default_rng(seed)
     max_consensus_err = 0.0
     max_query_err = 0.0

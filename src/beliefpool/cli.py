@@ -2,11 +2,13 @@
 
 Subcommands: aggregate (pool agent network files into a consensus
 artifact), query (consensus probability of an event, optionally
-conditioned), and check (built-in verification suites).
+conditioned), and check (built-in verification suites; every randomized
+row runs exactly --trials cases).
 
 Exit codes: 0 success, 1 unexpected check outcome, 2 parse, usage or
-weight error, 3 variable mismatch across inputs, 4 degenerate CPT or
-zero-mass pool in consensus building, 5 zero-probability evidence.
+weight error (a negative --seed or --trials below 1 included), 3
+variable mismatch across inputs, 4 degenerate CPT or zero-mass pool in
+consensus building, 5 zero-probability evidence.
 """
 from __future__ import annotations
 
@@ -176,6 +178,10 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
+    if args.trials is not None and args.trials < 1:
+        raise _UsageError(f"--trials must be at least 1, got {args.trials}")
     if args.suite == "examples":
         lines, ok = run_examples_suite()
     elif args.suite == "axioms":

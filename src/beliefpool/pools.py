@@ -100,11 +100,3 @@ def logop(
             "geometric pooling left zero mass on every state"
         )
     return JointTable(m, raw)
-
-
-def apply_pool(
-    spec: AggregationSpec, tables: Sequence[JointTable]
-) -> JointTable:
-    """Pool tables according to an aggregation spec."""
-    fn = linop if spec.pool == "linop" else logop
-    return fn(tables, spec.weights)

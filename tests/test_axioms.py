@@ -65,6 +65,35 @@ LOGOP_MP_VIOLATION = 0.0593128
 # draw order, so the magnitude is whatever seed 42 happens to produce.
 NMEIPP_SEED42_VIOLATION = 0.008995580273816584
 
+# run_axioms_suite(seed=0, trials=5), line for line: a change to any draw's
+# RNG call order, a checker, or a _SUITE_PLAN row shows up here.
+AXIOMS_SEED0_TRIALS5 = (
+    "property=unam pool=linop tol=1.0e-12 cases=5 passed=5 max_violation=5.551e-17 expected=all-pass ok",
+    "property=unam pool=logop tol=1.0e-12 cases=5 passed=5 max_violation=5.551e-17 expected=all-pass ok",
+    "property=mp pool=linop tol=1.0e-12 cases=5 passed=5 max_violation=1.110e-16 expected=all-pass ok",
+    "property=mp pool=logop tol=1.0e-12 cases=5 passed=0 max_violation=2.705e-02 expected=some-fail ok",
+    "property=eb pool=linop tol=1.0e-10 cases=5 passed=0 max_violation=1.495e-02 expected=some-fail ok",
+    "property=eb pool=logop tol=1.0e-10 cases=5 passed=5 max_violation=5.551e-17 expected=all-pass ok",
+    "property=pds pool=linop tol=1.0e-12 cases=5 passed=5 max_violation=8.882e-16 expected=all-pass ok",
+    "property=pds pool=logop tol=1.0e-12 cases=5 passed=5 max_violation=1.776e-15 expected=all-pass ok",
+    "property=ipp pool=linop tol=1.0e-09 cases=5 passed=0 max_violation=3.157e-02 expected=some-fail ok",
+    "property=ipp pool=logop tol=1.0e-09 cases=5 passed=5 max_violation=5.551e-17 expected=all-pass ok",
+    "property=eipp pool=linop tol=1.0e-12 cases=5 passed=0 max_violation=4.615e-02 expected=some-fail ok",
+    "property=eipp pool=logop tol=1.0e-12 cases=5 passed=5 max_violation=1.110e-16 expected=all-pass ok",
+    "property=meipp pool=linop tol=1.0e-09 cases=5 passed=0 max_violation=7.149e-02 expected=some-fail ok",
+    "property=meipp pool=logop tol=1.0e-12 cases=5 passed=5 max_violation=5.551e-17 expected=all-pass ok",
+    "property=nmeipp pool=linop tol=1.0e-06 cases=5 passed=0 max_violation=4.761e-02 expected=some-fail ok",
+    "property=nmeipp pool=logop tol=1.0e-06 cases=5 passed=0 max_violation=2.330e-02 expected=some-fail ok",
+    "property=mipp pool=linop tol=1.0e-09 cases=5 passed=0 max_violation=1.983e-01 expected=some-fail ok",
+    "property=mipp pool=logop tol=1.0e-09 cases=5 passed=5 max_violation=1.110e-16 expected=all-pass ok",
+    "property=fa-consistency pool=linop tol=1.0e-09 cases=5 passed=0 max_violation=5.499e-02 expected=some-fail ok",
+    "property=fa-consistency pool=logop tol=1.0e-09 cases=5 passed=0 max_violation=5.292e-02 expected=some-fail ok",
+    "negative-control linop-eb seed=0 violation=8.703e-02 (want > 1e-06) ok",
+    "negative-control logop-mp seed=0 violation=5.931e-02 (want > 1e-06) ok",
+    "negative-control fig1d-logop seed=42 ok",
+    "nmeipp-search seed=42 witness trial=0 violation=8.996e-03 ok",
+)
+
 
 def seeded_tables(seed, m, n):
     rng = np.random.default_rng(seed)
@@ -185,6 +214,12 @@ class TestCheckProperty:
         dependent = joint_from_entries(2, (0.4, 0.1, 0.1, 0.4))
         with pytest.raises(MalformedInstance):
             check_property(LOGOP, "eipp", [VariablePairInstance((dependent,), 0, 1)])
+        # State indices outside the m=2 table must not wrap or escape as
+        # IndexError.
+        tables = (dependent, dependent)
+        for s, t in ((-1, 0), (0, -1), (9, 0), (0, 4)):
+            with pytest.raises(MalformedInstance):
+                check_property(LOGOP, "pds", [StatePairInstance(tables, tables, s, t)])
 
     def test_report_shape(self):
         instances = [UnanimityInstance(seeded_tables(0, 2, 2)[:1] * 2)]
@@ -282,6 +317,21 @@ class TestReportSuites:
         lines, ok = run_oracle_suite(seed=0, trials=10)
         assert ok
         assert any("max_state_error" in line for line in lines)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5, 7])
+    def test_axioms_suite_runs_every_requested_case(self, seed):
+        # Rejected draws are redrawn, so a single trial still gives every
+        # row, mipp included, exactly one case.
+        lines, ok = run_axioms_suite(seed=seed, trials=1)
+        assert ok
+        rows = [line for line in lines if line.startswith("property=")]
+        assert len(rows) == 20
+        assert all(" cases=1 " in line for line in rows)
+
+    def test_axioms_suite_output_pinned(self):
+        lines, ok = run_axioms_suite(seed=0, trials=5)
+        assert ok
+        assert lines == AXIOMS_SEED0_TRIALS5
 
     def test_axioms_suite_deterministic(self):
         first = run_axioms_suite(seed=7, trials=5)

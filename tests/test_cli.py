@@ -344,6 +344,15 @@ class TestCheck:
         assert code == EXIT_OK
         assert "max_state_error" in out
 
+    @pytest.mark.parametrize(
+        "flags", [("--seed", "-1"), ("--trials", "0"), ("--trials", "-2")]
+    )
+    def test_bad_seed_or_trials(self, capsys, flags):
+        code, out, err = run(capsys, "check", "--suite", "axioms", *flags)
+        assert code == EXIT_PARSE
+        assert err.startswith("error:")
+        assert out == ""
+
 
 class TestParsing:
     def test_missing_subcommand(self, capsys):

@@ -19,7 +19,6 @@ from beliefpool import (
     InvalidWeight,
     MismatchedVariables,
     WeightCountMismatch,
-    apply_pool,
     joint_from_entries,
     linop,
     logop,
@@ -68,13 +67,6 @@ class TestAggregationSpec:
     def test_pool_name_checked(self):
         with pytest.raises(ValueError):
             AggregationSpec("geometric")
-
-    def test_dispatch(self):
-        tables = (AGENT_1, AGENT_2)
-        got = apply_pool(AggregationSpec("linop"), tables)
-        np.testing.assert_allclose(got.probs, linop(tables).probs)
-        got = apply_pool(AggregationSpec("logop", (0.3, 0.7)), tables)
-        np.testing.assert_allclose(got.probs, logop(tables, (0.3, 0.7)).probs)
 
 
 class TestLinop:
