@@ -2,7 +2,9 @@
 
 Queries never materialize the full joint table, so they stay usable on
 networks too large for dense enumeration as long as the induced factor
-widths stay small.
+widths stay small. Each query is pruned to the ancestral set of its
+target and evidence variables: the CPT factors of every other node are
+barren, sum to one, and cannot change the answer.
 """
 from __future__ import annotations
 
@@ -27,14 +29,14 @@ class _Factor:
 
 
 def _cpt_factor(cpt: Cpt) -> _Factor:
-    variables = tuple(sorted((cpt.owner,) + cpt.parents))
-    table = np.empty((2,) * len(variables), dtype=np.float64)
-    for bits in itertools.product((0, 1), repeat=len(variables)):
-        assignment = dict(zip(variables, bits))
-        p_true = cpt.rows[cpt.row_index(assignment)]
-        table[bits] = p_true if assignment[cpt.owner] else 1.0 - p_true
+    # Row bit i is parents[i], so a Fortran-order reshape puts parents[i]
+    # on axis i; the owner's axis goes last.
+    p_true = np.reshape(cpt.rows, (2,) * len(cpt.parents), order="F")
+    table = np.stack([1.0 - p_true, p_true], axis=-1)
+    unsorted = cpt.parents + (cpt.owner,)
+    table = np.ascontiguousarray(table.transpose(np.argsort(unsorted)))
     table.flags.writeable = False
-    return _Factor(variables, table)
+    return _Factor(tuple(sorted(unsorted)), table)
 
 
 @lru_cache(maxsize=128)
@@ -66,14 +68,29 @@ def _sum_out(factor: _Factor, var: int) -> _Factor:
     return _Factor(remaining, factor.table.sum(axis=axis))
 
 
+def _ancestral_set(bn: BayesNet, variables: set[int]) -> list[int]:
+    """The variables together with all of their ancestors."""
+    seen = set(variables)
+    stack = list(variables)
+    while stack:
+        for parent in bn.cpts[stack.pop()].parents:
+            if parent not in seen:
+                seen.add(parent)
+                stack.append(parent)
+    return sorted(seen)
+
+
 def _run(bn: BayesNet, evidence: Assignment, keep: set[int]) -> _Factor:
     """Eliminate everything outside keep after restricting by evidence.
 
     The returned factor maps each keep-assignment to its probability
-    jointly with the evidence.
+    jointly with the evidence. Only the CPTs of the ancestral set of
+    keep and the evidence enter; the others sum to one.
     """
+    all_factors = _network_factors(bn)  # one per node, by owner
     factors = []
-    for factor in _network_factors(bn):
+    for v in _ancestral_set(bn, keep | set(evidence)):
+        factor = all_factors[v]
         for var, value in evidence.items():
             if var in factor.vars:
                 factor = _restrict(factor, var, bool(value))

@@ -38,7 +38,12 @@ from beliefpool import (
     single_event_logop,
 )
 from beliefpool.axioms import chain_agents
-from beliefpool.sampling import random_bn, random_dag, random_weights
+from beliefpool.sampling import (
+    random_bn,
+    random_common_structure_bns,
+    random_dag,
+    random_weights,
+)
 
 CHAIN_A, CHAIN_B = chain_agents()
 
@@ -253,6 +258,20 @@ class TestLogopConsensusBn:
         )
         q = max(len(ps) for ps in result.bn.dag().parents)
         assert result.agent_queries <= 2 * n * m * (1 << q)
+
+    def test_shared_structure_query_count_pinned(self):
+        # Pruning each VE query to its ancestral set must leave the
+        # number of agent queries, the paper's unit, as it was.
+        rng = np.random.default_rng(30)
+        agents = random_common_structure_bns(rng, 30, 3, edge_prob=0.1, max_parents=2)
+        w = random_weights(rng, 3)
+        result = logop_consensus_bn(agents, w)
+        assert result.agent_queries == 321
+        factor = logop_consensus_bn(agents, w, dense_oracle=True)
+        assert result.elimination_order == factor.elimination_order
+        for got, want in zip(result.bn.cpts, factor.bn.cpts):
+            assert got.parents == want.parents
+            np.testing.assert_allclose(got.rows, want.rows, rtol=0, atol=1e-9)
 
     def test_dense_oracle_path(self):
         queried = logop_consensus_bn([CHAIN_A, CHAIN_B])

@@ -1,5 +1,7 @@
 """Exact network queries checked against dense-table enumeration."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from beliefpool import (
     query_conditional,
     query_event_marginal,
 )
+from beliefpool.inference import _ancestral_set, _cpt_factor
 from beliefpool.sampling import random_bn
 
 CHAIN = BayesNet((Cpt(0, (), (0.2,)), Cpt(1, (0,), (0.6, 0.4))))
@@ -22,6 +25,33 @@ CHAIN = BayesNet((Cpt(0, (), (0.2,)), Cpt(1, (0,), (0.6, 0.4))))
 
 def random_assignment(rng, m, variables):
     return {int(j): bool(rng.integers(0, 2)) for j in variables}
+
+
+def descendants(net, v):
+    children = net.dag().children()
+    seen, stack = set(), [v]
+    while stack:
+        for c in children[stack.pop()]:
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return sorted(seen)
+
+
+def sparse_bn(rng):
+    """Random network sparse enough that most queries prune nodes."""
+    m = int(rng.integers(2, 13))
+    return random_bn(rng, m, edge_prob=0.2, max_parents=2)
+
+
+# 0 -> 1 -> 2 with node 1 always false, so node 2 is never true; node 3
+# is a barren child of 0 that every query on 0..2 prunes.
+ZERO_ANCESTOR = BayesNet((
+    Cpt(0, (), (0.3,)),
+    Cpt(1, (0,), (0.0, 0.0)),
+    Cpt(2, (1,), (0.0, 0.5)),
+    Cpt(3, (0,), (0.4, 0.9)),
+))
 
 
 class TestQueryConditional:
@@ -64,6 +94,91 @@ class TestQueryConditional:
         got = query_conditional(net, target, evidence)
         want = conditional_probability(dense, target, evidence)
         assert got == pytest.approx(want, abs=1e-12)
+
+
+class TestPrunedQueries:
+    def test_ancestral_set(self):
+        assert _ancestral_set(ZERO_ANCESTOR, {2}) == [0, 1, 2]
+        assert _ancestral_set(ZERO_ANCESTOR, {3}) == [0, 3]
+        assert _ancestral_set(ZERO_ANCESTOR, set()) == []
+
+    @given(seed=st.integers(min_value=0, max_value=100_000))
+    @settings(max_examples=80, deadline=None)
+    def test_sparse_network_matches_dense(self, seed):
+        rng = np.random.default_rng(seed)
+        net = sparse_bn(rng)
+        m = net.m
+        dense = bn_to_joint(net)
+        pool = list(rng.permutation(m))
+        n_target = int(rng.integers(0, 3))
+        target = random_assignment(rng, m, pool[:n_target])
+        n_evidence = int(rng.integers(0, 4))
+        evidence = random_assignment(rng, m, pool[n_target : n_target + n_evidence])
+        got = query_conditional(net, target, evidence)
+        want = conditional_probability(dense, target, evidence)
+        assert got == pytest.approx(want, abs=1e-12)
+        event = {**evidence, **target}
+        got = query_event_marginal(net, event)
+        assert got == pytest.approx(marginal(dense, event), abs=1e-12)
+
+    @given(seed=st.integers(min_value=0, max_value=100_000))
+    @settings(max_examples=60, deadline=None)
+    def test_evidence_on_descendants_only(self, seed):
+        rng = np.random.default_rng(seed)
+        net = sparse_bn(rng)
+        dense = bn_to_joint(net)
+        v = int(rng.integers(0, net.m))
+        below = descendants(net, v)
+        k = int(rng.integers(0, len(below) + 1))
+        evidence = random_assignment(rng, net.m, rng.permutation(below)[:k])
+        target = {v: bool(rng.integers(0, 2))}
+        got = query_conditional(net, target, evidence)
+        want = conditional_probability(dense, target, evidence)
+        assert got == pytest.approx(want, abs=1e-12)
+
+    def test_empty_target_and_empty_event(self):
+        net = sparse_bn(np.random.default_rng(12))
+        dense = bn_to_joint(net)
+        evidence = {0: True, net.m - 1: False}
+        assert query_conditional(net, {}, evidence) == 1.0
+        assert conditional_probability(dense, {}, evidence) == pytest.approx(
+            1.0, abs=1e-12
+        )
+        # No variable is asked about, so no CPT enters: exactly 1.
+        assert query_event_marginal(net, {}) == 1.0
+        assert marginal(dense, {}) == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_evidence_through_ancestor_row(self):
+        assert query_event_marginal(ZERO_ANCESTOR, {2: True}) == 0.0
+        with pytest.raises(ZeroEvidence):
+            query_conditional(ZERO_ANCESTOR, {0: True}, {2: True})
+        with pytest.raises(ZeroEvidence):
+            query_conditional(ZERO_ANCESTOR, {3: True}, {2: True, 0: False})
+        with pytest.raises(ZeroEvidence):
+            conditional_probability(bn_to_joint(ZERO_ANCESTOR), {0: True}, {2: True})
+
+
+class TestCptFactor:
+    @pytest.mark.parametrize("k", range(6))
+    def test_matches_per_entry_definition(self, k):
+        rng = np.random.default_rng(k)
+        owner, *parents = (int(v) for v in rng.permutation(k + 3)[: k + 1])
+        cpt = Cpt(owner, tuple(parents), tuple(rng.random(1 << k)))
+        factor = _cpt_factor(cpt)
+        assert factor.vars == tuple(sorted(parents + [owner]))
+        for bits in itertools.product((0, 1), repeat=k + 1):
+            assignment = dict(zip(factor.vars, bits))
+            p_true = cpt.rows[cpt.row_index(assignment)]
+            want = p_true if assignment[owner] else 1.0 - p_true
+            assert factor.table[bits] == want
+
+    def test_unsorted_parents(self):
+        cpt = Cpt(2, (4, 0, 3), tuple(np.linspace(0.05, 0.95, 8)))
+        factor = _cpt_factor(cpt)
+        assert factor.vars == (0, 2, 3, 4)
+        # Row 0b011 sets parents 4 and 0 true and parent 3 false.
+        assert factor.table[1, 1, 0, 1] == cpt.rows[0b011]
+        assert factor.table[1, 0, 0, 1] == 1.0 - cpt.rows[0b011]
 
 
 class TestQueryEventMarginal:
