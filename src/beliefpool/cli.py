@@ -156,16 +156,10 @@ def cmd_query(args: argparse.Namespace) -> int:
     evidence = _parse_literals(args.given, labels)
     if not event:
         raise _UsageError("--event must assign at least one variable")
-    for var in list(event):
-        if var in evidence:
-            if event[var] != evidence[var]:
-                print(f"{0.0:.6f}")
-                return EXIT_OK
-            del event[var]
-    if not event:
-        # event was entirely implied by the evidence
-        print(f"{1.0:.6f}")
-        return EXIT_OK
+    # Literals the evidence fixes leave the query, which still checks the
+    # weights and the evidence; a contradicted one makes the answer 0.
+    contradicted = any(evidence.get(v, x) != x for v, x in event.items())
+    event = {v: x for v, x in event.items() if v not in evidence}
     if args.pool == "linop":
         value = linop_query(models, event, evidence, weights)
     else:
@@ -173,7 +167,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             models, weights, dense_oracle=args.dense_oracle
         )
         value = query_conditional(consensus.bn, event, evidence)
-    print(f"{value:.6f}")
+    print(f"{0.0 if contradicted else value:.6f}")
     return EXIT_OK
 
 

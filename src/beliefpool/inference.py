@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -26,28 +26,6 @@ class _Factor:
 
     vars: tuple[int, ...]
     table: np.ndarray
-
-
-def _cpt_factor(cpt: Cpt) -> _Factor:
-    # Row bit i is parents[i], so a Fortran-order reshape puts parents[i]
-    # on axis i; the owner's axis goes last.
-    p_true = np.reshape(cpt.rows, (2,) * len(cpt.parents), order="F")
-    table = np.stack([1.0 - p_true, p_true], axis=-1)
-    unsorted = cpt.parents + (cpt.owner,)
-    table = np.ascontiguousarray(table.transpose(np.argsort(unsorted)))
-    table.flags.writeable = False
-    return _Factor(tuple(sorted(unsorted)), table)
-
-
-@lru_cache(maxsize=128)
-def _network_factors(bn: BayesNet) -> tuple[_Factor, ...]:
-    return tuple(_cpt_factor(cpt) for cpt in bn.cpts)
-
-
-def _restrict(factor: _Factor, var: int, value: bool) -> _Factor:
-    axis = factor.vars.index(var)
-    remaining = factor.vars[:axis] + factor.vars[axis + 1 :]
-    return _Factor(remaining, np.take(factor.table, int(value), axis=axis))
 
 
 def _expand(factor: _Factor, out_vars: tuple[int, ...]) -> np.ndarray:
@@ -87,14 +65,15 @@ def _run(bn: BayesNet, evidence: Assignment, keep: set[int]) -> _Factor:
     jointly with the evidence. Only the CPTs of the ancestral set of
     keep and the evidence enter; the others sum to one.
     """
-    all_factors = _network_factors(bn)  # one per node, by owner
     factors = []
     for v in _ancestral_set(bn, keep | set(evidence)):
-        factor = all_factors[v]
-        for var, value in evidence.items():
-            if var in factor.vars:
-                factor = _restrict(factor, var, bool(value))
-        factors.append(factor)
+        cpt = bn.cpts[v]
+        index = tuple(
+            int(bool(evidence[u])) if u in evidence else slice(None)
+            for u in cpt.family
+        )
+        free = tuple(u for u in cpt.family if u not in evidence)
+        factors.append(_Factor(free, cpt.table[index]))
     adj: dict[int, set[int]] = {v: set() for f in factors for v in f.vars}
     for f in factors:
         for u, w in itertools.combinations(f.vars, 2):
@@ -125,10 +104,10 @@ def weighted_product_cpts(
     # Log space keeps 1e-300 rows from underflowing; w = 0 drops out (0**0=1).
     with np.errstate(divide="ignore"):
         factors = [
-            _Factor(f.vars, w * np.log(f.table))
+            _Factor(cpt.family, w * np.log(cpt.table))
             for bn, w in zip(bns, weights)
             if w > 0.0
-            for f in _network_factors(bn)
+            for cpt in bn.cpts
         ]
     cpts: dict[int, Cpt] = {}
     for v in elimination_order:

@@ -291,7 +291,8 @@ def align_variables(
     """Reindex all models to the first model's variable order.
 
     Models must carry labels and agree on the label set; structures and
-    CPT rows are preserved under the renaming.
+    CPT rows are preserved under the renaming. Models already in that
+    order come back as they are.
     """
     if not models:
         raise ValueError("need at least one model")
@@ -304,6 +305,9 @@ def align_variables(
             raise MismatchedVariables(
                 f"variable sets differ: {sorted(labels)} vs {sorted(reference)}"
             )
+        if labels == reference:
+            aligned.append(model)
+            continue
         perm = {i: target[label] for i, label in enumerate(labels)}
         if isinstance(model, BayesNet):
             cpts = tuple(

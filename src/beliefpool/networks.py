@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Collection, Mapping, Sequence
 
 import numpy as np
@@ -68,6 +69,23 @@ class Cpt:
     def prob_true(self, assignment: Assignment) -> float:
         """P(owner = true) under the given parent assignment."""
         return self.rows[self.row_index(assignment)]
+
+    @cached_property
+    def family(self) -> tuple[int, ...]:
+        """Owner and parents in increasing order: the axes of table."""
+        return tuple(sorted(self.parents + (self.owner,)))
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """Read-only P(owner | parents), axis i = family[i]; built once."""
+        # Row bit i is parents[i], so a Fortran-order reshape puts parents[i]
+        # on axis i; the owner's axis goes last.
+        p_true = np.reshape(self.rows, (2,) * len(self.parents), order="F")
+        table = np.stack([1.0 - p_true, p_true], axis=-1)
+        unsorted = self.parents + (self.owner,)
+        table = np.ascontiguousarray(table.transpose(np.argsort(unsorted)))
+        table.flags.writeable = False
+        return table
 
 
 @dataclass(frozen=True)

@@ -239,6 +239,57 @@ class TestQuery:
         assert code == EXIT_OK
         assert out.strip() == "1.000000"
 
+    @pytest.fixture
+    def impossible_files(self, tmp_path):
+        # Both agents give A1 probability zero. The logop query route
+        # rejects that row (exit 4), so the tests use --dense-oracle.
+        paths = []
+        for i, p in enumerate((0.3, 0.7)):
+            path = tmp_path / f"impossible_{i}.json"
+            save_network(
+                BayesNet(
+                    (Cpt(0, (), (0.0,)), Cpt(1, (), (p,))), labels=("A1", "A2")
+                ),
+                path,
+            )
+            paths.append(str(path))
+        return paths
+
+    @pytest.mark.parametrize("pool", ["linop", "logop"])
+    @pytest.mark.parametrize("event", ["A1=1", "A1=0"])
+    def test_overlapping_event_checks_weight_count(
+        self, capsys, agent_files, pool, event
+    ):
+        code, out, err = run(
+            capsys, "query", *agent_files, "--pool", pool,
+            "--weights", "1,2,3", "--event", event, "--given", "A1=1",
+        )
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "weight" in err
+
+    @pytest.mark.parametrize("pool", ["linop", "logop"])
+    @pytest.mark.parametrize("event", ["A1=1", "A1=0", "A2=1"])
+    def test_overlapping_event_checks_zero_evidence(
+        self, capsys, impossible_files, pool, event
+    ):
+        code, out, _ = run(
+            capsys, "query", *impossible_files, "--pool", pool,
+            "--dense-oracle", "--event", event, "--given", "A1=1",
+        )
+        assert code == EXIT_ZERO_EVIDENCE
+        assert out == ""
+
+    @pytest.mark.parametrize("pool", ["linop", "logop"])
+    def test_overlapping_event_answers(self, capsys, chain_files, pool):
+        for event, want in (("A1=1", "1.000000"), ("A1=0", "0.000000"),
+                            ("A1=1,A2=0", "0.000000")):
+            code, out, _ = run(
+                capsys, "query", *chain_files, "--pool", pool,
+                "--event", event, "--given", "A1=1,A2=1",
+            )
+            assert (code, out.strip()) == (EXIT_OK, want)
+
     def test_unknown_variable(self, capsys, agent_files):
         code, _, err = run(
             capsys, "query", *agent_files, "--pool", "linop", "--event", "A9=1"

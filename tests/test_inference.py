@@ -17,7 +17,7 @@ from beliefpool import (
     query_conditional,
     query_event_marginal,
 )
-from beliefpool.inference import _ancestral_set, _cpt_factor
+from beliefpool.inference import _ancestral_set
 from beliefpool.sampling import random_bn
 
 CHAIN = BayesNet((Cpt(0, (), (0.2,)), Cpt(1, (0,), (0.6, 0.4))))
@@ -164,21 +164,34 @@ class TestCptFactor:
         rng = np.random.default_rng(k)
         owner, *parents = (int(v) for v in rng.permutation(k + 3)[: k + 1])
         cpt = Cpt(owner, tuple(parents), tuple(rng.random(1 << k)))
-        factor = _cpt_factor(cpt)
-        assert factor.vars == tuple(sorted(parents + [owner]))
+        assert cpt.family == tuple(sorted(parents + [owner]))
         for bits in itertools.product((0, 1), repeat=k + 1):
-            assignment = dict(zip(factor.vars, bits))
+            assignment = dict(zip(cpt.family, bits))
             p_true = cpt.rows[cpt.row_index(assignment)]
             want = p_true if assignment[owner] else 1.0 - p_true
-            assert factor.table[bits] == want
+            assert cpt.table[bits] == want
 
     def test_unsorted_parents(self):
         cpt = Cpt(2, (4, 0, 3), tuple(np.linspace(0.05, 0.95, 8)))
-        factor = _cpt_factor(cpt)
-        assert factor.vars == (0, 2, 3, 4)
+        assert cpt.family == (0, 2, 3, 4)
         # Row 0b011 sets parents 4 and 0 true and parent 3 false.
-        assert factor.table[1, 1, 0, 1] == cpt.rows[0b011]
-        assert factor.table[1, 0, 0, 1] == 1.0 - cpt.rows[0b011]
+        assert cpt.table[1, 1, 0, 1] == cpt.rows[0b011]
+        assert cpt.table[1, 0, 0, 1] == 1.0 - cpt.rows[0b011]
+
+    def test_table_rejects_writes(self):
+        cpt = Cpt(1, (0,), (0.6, 0.4))
+        assert cpt.table is cpt.table
+        with pytest.raises(ValueError):
+            cpt.table[0, 0] = 0.5
+        assert cpt.table[0, 0] == pytest.approx(0.4)
+
+    def test_query_builds_only_ancestral_tables(self):
+        net = BayesNet(tuple(
+            Cpt(c.owner, c.parents, c.rows) for c in ZERO_ANCESTOR.cpts
+        ))
+        assert query_conditional(net, {2: True}) == 0.0
+        built = [v for v, cpt in enumerate(net.cpts) if "table" in vars(cpt)]
+        assert built == [0, 1, 2]  # node 3 is barren
 
 
 class TestQueryEventMarginal:

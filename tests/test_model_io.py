@@ -212,6 +212,14 @@ class TestAlignVariables:
             bn_to_joint(aligned).probs, bn_to_joint(CHAIN).probs, atol=1e-15
         )
 
+    def test_aligned_models_returned_unchanged(self):
+        same = BayesNet(
+            (Cpt(0, (), (0.7,)), Cpt(1, (0,), (0.1, 0.9))), labels=("A1", "A2")
+        )
+        markov = MarkovNet(2, frozenset({(0, 1)}), labels=("A1", "A2"))
+        aligned = align_variables([CHAIN, same, markov])
+        assert all(a is b for a, b in zip(aligned, [CHAIN, same, markov]))
+
     def test_markov_edges_renamed(self):
         net = MarkovNet(2, frozenset({(0, 1)}), labels=("A2", "A1"))
         aligned = align_variables(
