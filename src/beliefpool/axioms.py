@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .consensus import linop_query, logop_consensus_bn, single_event_logop
-from .errors import MalformedInstance, ZeroEvidence
+from .errors import DegenerateProduct, MalformedInstance, ZeroEvidence
 from .inference import query_conditional
 from .joint import (
     JointTable,
@@ -28,7 +28,7 @@ from .joint import (
     state_index,
 )
 from .networks import BayesNet, Cpt, bn_to_joint
-from .pools import AggregationSpec, linop, logop, normalize_weights
+from .pools import POOL_NAMES, AggregationSpec, _stack, linop, logop, normalize_weights
 from .sampling import (
     random_block_product_table,
     random_bn,
@@ -290,29 +290,51 @@ def family_pooled_joint(
     """Chain-rule along the ordering, pooling each conditional row.
 
     Every node is conditioned on the full prefix of the ordering, so the
-    result depends only on the ordering, not on any structure.
+    result depends only on the ordering, not on any structure. Raises
+    MalformedInstance when an agent gives a prefix context zero mass and
+    DegenerateProduct when a logop row pools to zero mass, whichever
+    comes first in chain-rule row order.
     """
-    m = tables[0].m
+    if pool not in POOL_NAMES:
+        raise ValueError(f"pool must be one of {POOL_NAMES}, got {pool!r}")
+    m, stacked = _stack(tables)
     if sorted(ordering) != list(range(m)):
         raise MalformedInstance("ordering must be a permutation of all variables")
-    cpts = []
-    for k, node in enumerate(ordering):
-        prefix = tuple(ordering[:k])
-        rows = []
-        for r in range(1 << k):
-            context = {v: bool((r >> i) & 1) for i, v in enumerate(prefix)}
-            try:
-                conds = [
-                    conditional_probability(t, {node: True}, context)
-                    for t in tables
-                ]
-            except ZeroEvidence as err:
+    w = normalize_weights(weights, len(tables))
+    # Axis 0 is the agent and axis k + 1 is ordering[k]: state index bit j
+    # sits on axis m - j of the plain reshape.
+    mass = stacked.reshape((len(tables),) + (2,) * m)
+    mass = mass.transpose((0,) + tuple(m - v for v in ordering))
+    joint = np.ones((2,) * m)
+    for k in range(m):
+        # Mass of (prefix context, node) per agent; axis i + 1 is ordering[i].
+        family = mass.sum(axis=tuple(range(k + 2, m + 1)))
+        true = family[..., 1]
+        context = family[..., 0] + true
+        dead = (context <= 0.0).any(axis=0)
+        cond = np.divide(true, context, out=np.zeros_like(true), where=context > 0.0)
+        wk = w.reshape((-1,) + (1,) * k)
+        if pool == "linop":
+            # The weights' sum, and so a row of sure nodes, may round above 1.
+            rows = np.minimum((wk * cond).sum(axis=0), 1.0)
+            bad = dead
+        else:
+            p_true = np.prod(cond**wk, axis=0)
+            total = p_true + np.prod((1.0 - cond) ** wk, axis=0)
+            bad = dead | (total <= 0.0)
+            rows = np.divide(p_true, total, out=np.zeros_like(total), where=total > 0.0)
+        # Row r's bit i is ordering[i], so Fortran order is row order.
+        bad_rows = np.flatnonzero(bad.ravel(order="F"))
+        if bad_rows.size:
+            if dead.ravel(order="F")[bad_rows[0]]:
                 raise MalformedInstance(
                     "every chain-rule context must have positive mass"
-                ) from err
-            rows.append(_scalar_pool(pool, conds, weights))
-        cpts.append(Cpt(node, prefix, tuple(rows)))
-    return bn_to_joint(BayesNet(tuple(cpts)))
+                )
+            raise DegenerateProduct("event and complement both pooled to zero mass")
+        factor = np.stack([1.0 - rows, rows], axis=-1)
+        joint *= factor.reshape(factor.shape + (1,) * (m - k - 1))
+    # Back to state-index layout: variable j on axis m - 1 - j.
+    return JointTable(m, joint.transpose(np.argsort(ordering)[::-1]).ravel())
 
 
 def _fa_gap(spec: AggregationSpec, inst: FamilyInstance) -> float:

@@ -81,17 +81,17 @@ def _parse_literals(text: str, labels: Sequence[str]) -> dict[int, bool]:
     return out
 
 
+def _require_bayes(path: str, model: BayesNet | MarkovNet) -> BayesNet:
+    if isinstance(model, MarkovNet):
+        raise _UsageError(
+            f"{path} is a markov network; pooling needs bayes networks "
+            f"(structure union for markov inputs is a library operation)"
+        )
+    return model
+
+
 def _load_bayes_inputs(paths: Sequence[str]) -> list[BayesNet]:
-    models = []
-    for path in paths:
-        model = load_network(path)
-        if isinstance(model, MarkovNet):
-            raise _UsageError(
-                f"{path} is a markov network; pooling needs bayes networks "
-                f"(structure union for markov inputs is a library operation)"
-            )
-        models.append(model)
-    return [m for m in align_variables(models)]
+    return align_variables([_require_bayes(p, load_network(p)) for p in paths])
 
 
 def _emit(data: dict, out: str | None) -> None:
@@ -146,6 +146,7 @@ def _resolve_query_inputs(
             if weights is None:
                 weights = model.weights
             return _load_bayes_inputs(paths), weights
+        return align_variables([_require_bayes(args.inputs[0], model)]), weights
     return _load_bayes_inputs(args.inputs), weights
 
 

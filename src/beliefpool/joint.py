@@ -91,14 +91,14 @@ def _check_variables(m: int, variables: Iterable[int]) -> None:
             raise UnknownVariable(f"variable {j} outside range(0, {m})")
 
 
-def assignment_mask(m: int, assignment: Assignment) -> np.ndarray:
-    """Boolean mask over all 2**m states consistent with the assignment."""
+def _block(m: int, assignment: Assignment) -> tuple:
+    """Index into a (2,)*m view (variable j on axis m-1-j) of the states
+    consistent with the assignment."""
     _check_variables(m, assignment)
-    indices = np.arange(1 << m)
-    mask = np.ones(1 << m, dtype=bool)
+    index = [slice(None)] * m
     for j, value in assignment.items():
-        mask &= ((indices >> j) & 1) == int(bool(value))
-    return mask
+        index[m - 1 - j] = int(bool(value))
+    return tuple(index)
 
 
 def marginal(table: JointTable, assignment: Assignment) -> float:
@@ -106,13 +106,16 @@ def marginal(table: JointTable, assignment: Assignment) -> float:
 
     An empty assignment is the sure event and returns 1.0.
     """
-    return float(table.probs[assignment_mask(table.m, assignment)].sum())
+    view = table.probs.reshape((2,) * table.m)
+    # C order lists the block's states by increasing index, as a mask would.
+    return float(np.ravel(view[_block(table.m, assignment)]).sum())
 
 
 def condition(table: JointTable, evidence: Assignment) -> JointTable:
     """Table conditioned on the evidence; inconsistent states get mass zero."""
-    mask = assignment_mask(table.m, evidence)
-    kept = np.where(mask, table.probs, 0.0)
+    block = _block(table.m, evidence)
+    kept = np.zeros_like(table.probs)
+    kept.reshape((2,) * table.m)[block] = table.probs.reshape((2,) * table.m)[block]
     total = kept.sum()
     if total <= 0.0:
         raise ZeroEvidence("conditioning event has probability zero")

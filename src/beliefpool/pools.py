@@ -1,6 +1,7 @@
 """Arithmetic (linop) and geometric (logop) pooling of dense joint tables."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,7 +23,8 @@ def normalize_weights(
 ) -> np.ndarray:
     """Validated weight vector summing to one; None means equal weights.
 
-    Weights must be nonnegative with a positive total.
+    Weights must be finite and nonnegative with a positive total. When
+    the total overflows, the weights are first divided by the largest.
     """
     if n_agents <= 0:
         raise ValueError("need at least one agent")
@@ -34,9 +36,16 @@ def normalize_weights(
             f"got {w.shape[0] if w.ndim == 1 else 'malformed'} weights "
             f"for {n_agents} agents"
         )
-    if np.any(w < 0.0) or not np.all(np.isfinite(w)):
+    # min is NaN when any weight is; a sum that overflows is rescaled below.
+    if not w.min() >= 0.0:
         raise InvalidWeight("weights must be finite and nonnegative")
-    total = w.sum()
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if not math.isfinite(total):
+        if not np.isfinite(w).all():
+            raise InvalidWeight("weights must be finite and nonnegative")
+        w = w / w.max()
+        total = w.sum()
     if total <= 0.0:
         raise InvalidWeight("weights must not all be zero")
     return w / total

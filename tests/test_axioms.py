@@ -8,21 +8,30 @@ frozen here so future edits cannot quietly change them.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefpool import (
     AggregationSpec,
     BayesNet,
     Cpt,
+    DegenerateProduct,
+    JointTable,
     MalformedInstance,
+    MismatchedVariables,
+    ZeroEvidence,
     bn_to_joint,
     check_property,
+    conditional_probability,
     family_pooled_joint,
     joint_from_entries,
     linop,
     logop,
+    normalize_weights,
     pairwise_dependence_gap,
     reproduce_example,
     search_nmeipp_violation,
+    single_event_logop,
 )
 from beliefpool.axioms import (
     EXAMPLE_IDS,
@@ -231,6 +240,36 @@ class TestCheckProperty:
         assert len(report.lines()) >= 1
 
 
+def per_row_family_pooled_joint(pool, tables, ordering, weights):
+    """The chain rule one conditional row at a time, as a loop reference."""
+    m = tables[0].m
+    w = normalize_weights(weights, len(tables))
+    rows = []
+    for k, node in enumerate(ordering):
+        rows.append([])
+        for r in range(1 << k):
+            context = {v: bool((r >> i) & 1) for i, v in enumerate(ordering[:k])}
+            # The ratio of two separately summed masses may round above 1,
+            # and so may a linop row of ones: both are clipped.
+            try:
+                conds = [
+                    min(conditional_probability(t, {node: True}, context), 1.0)
+                    for t in tables
+                ]
+            except ZeroEvidence as err:
+                raise MalformedInstance("zero-mass context") from err
+            if pool == "linop":
+                rows[k].append(min(float(np.dot(w, conds)), 1.0))
+            else:
+                rows[k].append(single_event_logop(conds, w))
+    probs = np.ones(1 << m)
+    for s in range(1 << m):
+        for k, node in enumerate(ordering):
+            r = sum(((s >> v) & 1) << i for i, v in enumerate(ordering[:k]))
+            probs[s] *= rows[k][r] if (s >> node) & 1 else 1.0 - rows[k][r]
+    return JointTable(m, probs)
+
+
 class TestFamilyPooledJoint:
     def test_chain_fixture_both_orderings(self):
         tables = tuple(bn_to_joint(bn) for bn in chain_agents())
@@ -249,6 +288,62 @@ class TestFamilyPooledJoint:
         tables = tuple(bn_to_joint(bn) for bn in chain_agents())
         with pytest.raises(MalformedInstance):
             family_pooled_joint("linop", tables, (0, 0))
+
+    def test_mismatched_variable_counts(self):
+        rng = np.random.default_rng(0)
+        tables = (random_joint(rng, 2), random_joint(rng, 3))
+        with pytest.raises(MismatchedVariables):
+            family_pooled_joint("linop", tables, (0, 1))
+
+    def test_no_tables(self):
+        with pytest.raises(ValueError, match="need at least one table"):
+            family_pooled_joint("linop", (), ())
+
+    def test_unknown_pool(self):
+        tables = tuple(bn_to_joint(bn) for bn in chain_agents())
+        with pytest.raises(ValueError, match="linop"):
+            family_pooled_joint("geometric", tables, (0, 1))
+
+    def test_sure_node_row_that_rounds_above_one(self):
+        # These weights normalize to a sum of 1 + 2**-52, so a unanimous
+        # linop row of 1 pools to just above 1.
+        weights = (0.7214883401940817, 0.5253543224757259, 0.31024187555895566)
+        assert np.dot(normalize_weights(weights, 3), np.ones(3)) > 1.0
+        sure = joint_from_entries(2, (0.0, 0.0, 0.5, 0.5))
+        pooled = family_pooled_joint("linop", (sure,) * 3, (0, 1), weights)
+        np.testing.assert_allclose(pooled.probs, sure.probs, atol=1e-15)
+
+    @given(
+        pool=st.sampled_from(("linop", "logop")),
+        m=st.integers(min_value=1, max_value=4),
+        n=st.integers(min_value=1, max_value=3),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_row_reference(self, pool, m, n, data):
+        # No entry like 1e-12 beside 0.3: 1 - c of a row that close to 1 keeps
+        # a few digits only, in either summation order.
+        entry = st.sampled_from((0.0, 0.0, 1e-300, 0.3, 0.5, 1.0))
+        tables = tuple(
+            JointTable(m, np.array(data.draw(
+                st.lists(entry, min_size=1 << m, max_size=1 << m)
+                .filter(lambda xs: sum(xs) > 0.0)
+            )))
+            for _ in range(n)
+        )
+        weights = data.draw(
+            st.lists(st.sampled_from((0.0, 0.25, 1.0, 3.0)), min_size=n, max_size=n)
+            .filter(lambda ws: sum(ws) > 0.0)
+        )
+        ordering = tuple(data.draw(st.permutations(range(m))))
+        try:
+            want = per_row_family_pooled_joint(pool, tables, ordering, weights)
+        except (MalformedInstance, DegenerateProduct) as err:
+            with pytest.raises(type(err)):
+                family_pooled_joint(pool, tables, ordering, weights)
+            return
+        got = family_pooled_joint(pool, tables, ordering, weights)
+        np.testing.assert_allclose(got.probs, want.probs, rtol=0.0, atol=1e-12)
 
 
 class TestWorkedFixtures:

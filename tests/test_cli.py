@@ -8,6 +8,7 @@ import subprocess
 import numpy as np
 import pytest
 
+from beliefpool import model_io
 from beliefpool import (
     BayesNet,
     Cpt,
@@ -82,6 +83,14 @@ class TestAggregate:
         )
         assert code == EXIT_OK
         np.testing.assert_allclose(json.loads(out)["weights"], [0.25, 0.75])
+
+    def test_overflowing_weights_normalized(self, capsys, agent_files):
+        code, out, _ = run(
+            capsys, "aggregate", *agent_files, "--pool", "linop",
+            "--weights", "1e308,1e308",
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["weights"] == [0.5, 0.5]
 
     def test_logop_consensus_file(self, capsys, chain_files, tmp_path):
         out_path = tmp_path / "consensus.json"
@@ -360,6 +369,36 @@ class TestQuery:
         )
         assert code == EXIT_OK
         assert out.strip() == "0.800000"
+
+    def test_logop_overflowing_weights(self, capsys, chain_files):
+        code, out, _ = run(
+            capsys, "query", *chain_files, "--pool", "logop",
+            "--event", "A1=1", "--weights", "1e308,1e308",
+        )
+        assert code == EXIT_OK
+        assert out.strip() == "0.488926"
+
+    def test_single_network_read_once(self, capsys, monkeypatch, agent_files):
+        reads = []
+        load_json = model_io._load_json
+        monkeypatch.setattr(
+            model_io, "_load_json", lambda path: reads.append(path) or load_json(path)
+        )
+        code, out, _ = run(
+            capsys, "query", agent_files[1], "--pool", "logop", "--event", "A1=1"
+        )
+        assert code == EXIT_OK
+        assert out.strip() == "0.800000"
+        assert reads == [agent_files[1]]
+
+    def test_single_markov_file_rejected(self, capsys, tmp_path):
+        path = tmp_path / "mn.json"
+        save_network(MarkovNet(2, frozenset({(0, 1)}), labels=("A1", "A2")), path)
+        code, _, err = run(
+            capsys, "query", str(path), "--pool", "linop", "--event", "A1=1"
+        )
+        assert code == EXIT_PARSE
+        assert "markov" in err
 
     def test_saved_consensus_is_queryable(self, capsys, tmp_path, chain_files):
         out_path = tmp_path / "consensus.json"

@@ -134,6 +134,72 @@ class TestCondition:
         assert marginal(conditioned, {k: True}) == pytest.approx(expect, abs=1e-12)
 
 
+def consistent(state, assignment):
+    return all(((state >> j) & 1) == int(v) for j, v in assignment.items())
+
+
+@st.composite
+def table_and_assignment(draw):
+    m = draw(st.integers(min_value=0, max_value=8))
+    table = joint_from_entries(m, draw(entries(m)))
+    variables = st.integers(min_value=0, max_value=max(m - 1, 0))
+    partial = st.dictionaries(variables, st.booleans(), max_size=m)
+    full = st.lists(st.booleans(), min_size=m, max_size=m).map(
+        lambda bits: dict(enumerate(bits))
+    )
+    assignment = draw(st.one_of(st.just({}), full, partial) if m else st.just({}))
+    return table, assignment
+
+
+class TestAgainstEnumeration:
+    """marginal and condition index a (2,)*m view; a loop over state
+    indices must give the same floats, summed in the same order."""
+
+    @given(table_and_assignment())
+    @settings(max_examples=200)
+    def test_marginal(self, drawn):
+        table, assignment = drawn
+        selected = [p for s, p in enumerate(table.probs) if consistent(s, assignment)]
+        assert marginal(table, assignment) == float(np.array(selected).sum())
+
+    @given(table_and_assignment())
+    @settings(max_examples=200)
+    def test_condition(self, drawn):
+        table, assignment = drawn
+        kept = np.array([
+            p if consistent(s, assignment) else 0.0
+            for s, p in enumerate(table.probs)
+        ])
+        if kept.sum() <= 0.0:
+            with pytest.raises(ZeroEvidence):
+                condition(table, assignment)
+            return
+        got = condition(table, assignment).probs
+        assert np.array_equal(got, joint_from_entries(table.m, kept).probs)
+
+    @pytest.mark.parametrize(
+        "assignment", [{1: False}, {2: True}, {6: False}, {9: True}, {2: True, 11: False}]
+    )
+    def test_large_table_sums_in_index_order(self, assignment):
+        # On this table numpy's sum of the strided block itself takes another
+        # order than the sum of the same entries in a row, for the first four.
+        table = joint_from_entries(16, np.random.default_rng(0).random(1 << 16) ** 8)
+        states = np.arange(table.n_states)
+        mask = np.ones(table.n_states, dtype=bool)
+        for j, value in assignment.items():
+            mask &= ((states >> j) & 1) == int(value)
+        assert marginal(table, assignment) == float(table.probs[mask].sum())
+
+    @given(m=st.integers(min_value=0, max_value=8), data=st.data())
+    def test_out_of_range_variable(self, m, data):
+        table = joint_from_entries(m, data.draw(entries(m)))
+        j = data.draw(st.sampled_from((-1, m, m + 3)))
+        with pytest.raises(UnknownVariable):
+            marginal(table, {j: True})
+        with pytest.raises(UnknownVariable):
+            condition(table, {j: False})
+
+
 class TestConditionalProbability:
     def test_basic_ratio(self):
         got = conditional_probability(PAIR, {0: True}, {1: True})

@@ -62,6 +62,39 @@ class TestNormalizeWeights:
         with pytest.raises(InvalidWeight):
             normalize_weights((0.0, 0.0), 2)
 
+    @pytest.mark.parametrize(
+        "weights, expect",
+        [
+            ((1e308, 1e308), [0.5, 0.5]),
+            ((1e308, 1e308, 1e308), [1 / 3] * 3),
+            ((1.5e308, 0.5e308, 0.0), [0.75, 0.25, 0.0]),
+        ],
+    )
+    def test_overflowing_total_is_rescaled(self, weights, expect):
+        # A RuntimeWarning would fail here: the suite runs with them as errors.
+        np.testing.assert_allclose(
+            normalize_weights(weights, len(weights)), expect, rtol=1e-15
+        )
+
+    @pytest.mark.parametrize(
+        "weights",
+        [(math.inf, 1.0), (1e308, math.inf), (math.nan, 1.0), (-math.inf, 1.0)],
+    )
+    def test_non_finite_rejected(self, weights):
+        with pytest.raises(InvalidWeight, match="finite and nonnegative"):
+            normalize_weights(weights, 2)
+
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1e300, allow_subnormal=True),
+            min_size=1,
+            max_size=12,
+        ).filter(lambda ws: sum(ws) > 0.0)
+    )
+    def test_finite_total_divides_by_sum(self, weights):
+        w = np.asarray(weights, dtype=np.float64)
+        assert np.array_equal(normalize_weights(weights, len(weights)), w / w.sum())
+
 
 class TestAggregationSpec:
     def test_pool_name_checked(self):
