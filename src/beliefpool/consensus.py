@@ -113,7 +113,11 @@ def single_event_logop(
         raise ValueError("need at least one conditional probability")
     if np.any(values < 0.0) or np.any(values > 1.0):
         raise ValueError("conditional probabilities must lie in [0, 1]")
-    w = normalize_weights(weights, values.size)
+    return _pool_event(values, normalize_weights(weights, values.size))
+
+
+def _pool_event(values: np.ndarray, w: np.ndarray) -> float:
+    """single_event_logop on checked values and normalized weights."""
     p_true = float(np.prod(values**w))
     p_false = float(np.prod((1.0 - values) ** w))
     total = p_true + p_false
@@ -171,6 +175,9 @@ def _structured_cpts(
     children = structure.children()
     done: dict[int, Cpt] = {}
     queries = 0
+    # Every row pools with the vector single_event_logop(conds, w) would
+    # use, normalized once here rather than once per row.
+    w = normalize_weights(w, len(bns))
 
     def blanket_row(
         node: int, parent_asg: dict[int, bool], outcome: bool
@@ -194,7 +201,7 @@ def _structured_cpts(
                     f"on a neighborhood instantiation"
                 )
             conds.append(c)
-        pooled = single_event_logop(conds, w)
+        pooled = _pool_event(np.array(conds), w)
         if not children[node]:
             return pooled
         ratios = []

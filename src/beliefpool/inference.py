@@ -2,16 +2,25 @@
 
 Queries never materialize the full joint table, so they stay usable on
 networks too large for dense enumeration as long as the induced factor
-widths stay small. Each query is pruned to the ancestral set of its
-target and evidence variables: the CPT factors of every other node are
-barren, sum to one, and cannot change the answer.
+widths stay small. Each query reads only the CPTs it needs:
+
+- A conditional on a strictly positive network (every CPT row inside
+  (0, 1)) is pruned to its requisite CPTs, found by Bayes-ball. With
+  evidence on a node's whole Markov blanket, that is the node's own CPT
+  and its children's. The dropped CPTs scale every entry of the answer
+  by the same constant, which normalization removes.
+- A marginal, and a conditional on any other network, is pruned to the
+  ancestral set of its target and evidence: the CPTs of every other
+  node are barren and sum to one. A marginal needs the whole P(event),
+  and without positivity only the ancestral set keeps a zero-probability
+  conditioning event exactly zero.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -58,15 +67,46 @@ def _ancestral_set(bn: BayesNet, variables: set[int]) -> list[int]:
     return sorted(seen)
 
 
-def _run(bn: BayesNet, evidence: Assignment, keep: set[int]) -> _Factor:
+def _requisite(
+    bn: BayesNet, targets: Iterable[int], evidence: Assignment
+) -> list[int]:
+    """Nodes whose CPTs P(targets | evidence) needs, by Bayes-ball.
+
+    A ball starts at each target as if sent from a child. An unobserved
+    node passes a ball from a child on to its parents and children, and
+    one from a parent on to its children; an observed node bounces a
+    ball from a parent back to its parents and stops one from a child
+    (Shachter 1998). The nodes that send the ball to their parents are
+    marked on top, and the answer depends on their CPTs alone whenever
+    the evidence has positive probability.
+    """
+    top: set[int] = set()
+    bottom: set[int] = set()
+    balls = [(v, True) for v in targets]  # (node, came from a child)
+    while balls:
+        v, from_child = balls.pop()
+        observed = v in evidence
+        if from_child != observed and v not in top:
+            top.add(v)
+            balls.extend((p, True) for p in bn.cpts[v].parents)
+        if not observed and v not in bottom:
+            bottom.add(v)
+            balls.extend((c, False) for c in bn.children[v])
+    return sorted(top)
+
+
+def _run(
+    bn: BayesNet, evidence: Assignment, keep: set[int], nodes: Iterable[int]
+) -> _Factor:
     """Eliminate everything outside keep after restricting by evidence.
 
-    The returned factor maps each keep-assignment to its probability
-    jointly with the evidence. Only the CPTs of the ancestral set of
-    keep and the evidence enter; the others sum to one.
+    Only the CPTs of nodes enter: the ancestral set of keep and the
+    evidence, whose product summed over the rest is the joint
+    probability of each keep-assignment with the evidence, or the
+    requisite set, whose product is proportional to it.
     """
     factors = []
-    for v in _ancestral_set(bn, keep | set(evidence)):
+    for v in nodes:
         cpt = bn.cpts[v]
         index = tuple(
             int(bool(evidence[u])) if u in evidence else slice(None)
@@ -135,15 +175,17 @@ def weighted_product_cpts(
 
 
 def _check_assignment(bn: BayesNet, assignment: Assignment) -> None:
+    m = bn.m
     for v in assignment:
-        if not 0 <= v < bn.m:
-            raise UnknownVariable(f"variable {v} outside range(0, {bn.m})")
+        if not 0 <= v < m:
+            raise UnknownVariable(f"variable {v} outside range(0, {m})")
 
 
 def query_event_marginal(bn: BayesNet, event: Assignment) -> float:
     """Probability that every variable in event takes its given value."""
     _check_assignment(bn, event)
-    return float(_run(bn, event, set()).table)
+    nodes = _ancestral_set(bn, set(event))
+    return float(_run(bn, event, set(), nodes).table)
 
 
 def query_conditional(
@@ -160,7 +202,11 @@ def query_conditional(
     _check_assignment(bn, evidence)
     if set(target) & set(evidence):
         raise ValueError("target and evidence must assign disjoint variables")
-    result = _run(bn, evidence, set(target))
+    if bn.strictly_positive:
+        nodes = _requisite(bn, target, evidence)
+    else:
+        nodes = _ancestral_set(bn, set(target) | set(evidence))
+    result = _run(bn, evidence, set(target), nodes)
     total = float(result.table.sum())
     if total <= 0.0:
         raise ZeroEvidence("conditioning event has probability zero")

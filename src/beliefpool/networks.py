@@ -181,6 +181,20 @@ class BayesNet:
     def m(self) -> int:
         return len(self.cpts)
 
+    @cached_property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """children[j] lists the nodes that have j as a parent; built once."""
+        return self.dag().children()
+
+    @cached_property
+    def strictly_positive(self) -> bool:
+        """Whether every CPT row lies strictly inside (0, 1); checked once.
+
+        Then every full assignment, and so every event, has positive
+        probability.
+        """
+        return all(0.0 < r < 1.0 for cpt in self.cpts for r in cpt.rows)
+
     def dag(self) -> Dag:
         return Dag(self.m, tuple(c.parents for c in self.cpts))
 

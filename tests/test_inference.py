@@ -14,10 +14,11 @@ from beliefpool import (
     bn_to_joint,
     conditional_probability,
     marginal,
+    markov_blanket,
     query_conditional,
     query_event_marginal,
 )
-from beliefpool.inference import _ancestral_set
+from beliefpool.inference import _ancestral_set, _requisite
 from beliefpool.sampling import random_bn
 
 CHAIN = BayesNet((Cpt(0, (), (0.2,)), Cpt(1, (0,), (0.6, 0.4))))
@@ -51,6 +52,26 @@ ZERO_ANCESTOR = BayesNet((
     Cpt(1, (0,), (0.0, 0.0)),
     Cpt(2, (1,), (0.0, 0.5)),
     Cpt(3, (0,), (0.4, 0.9)),
+))
+
+
+# 0 -> 2 <- 1, 2 -> 3 <- 4, 3 -> 5; every row strictly inside (0, 1).
+COLLIDER = BayesNet((
+    Cpt(0, (), (0.3,)),
+    Cpt(1, (), (0.6,)),
+    Cpt(2, (0, 1), (0.1, 0.7, 0.4, 0.9)),
+    Cpt(3, (2, 4), (0.2, 0.5, 0.8, 0.35)),
+    Cpt(4, (), (0.45,)),
+    Cpt(5, (3,), (0.25, 0.65)),
+))
+
+# 0 -> 1 is positive; node 3 of the separate component 2 -> 3 is never
+# true, so any evidence 3 = true has probability zero.
+ZERO_ELSEWHERE = BayesNet((
+    Cpt(0, (), (0.3,)),
+    Cpt(1, (0,), (0.2, 0.7)),
+    Cpt(2, (), (0.5,)),
+    Cpt(3, (2,), (0.0, 0.0)),
 ))
 
 
@@ -158,6 +179,58 @@ class TestPrunedQueries:
             conditional_probability(bn_to_joint(ZERO_ANCESTOR), {0: True}, {2: True})
 
 
+class TestRequisite:
+    def test_markov_blanket_evidence_gives_node_and_children(self):
+        blanket = {0: True, 1: False, 3: True, 4: False}
+        assert set(blanket) == markov_blanket(COLLIDER, 2)
+        assert _requisite(COLLIDER, [2], blanket) == [2, 3]
+
+    def test_no_evidence_gives_ancestral_set(self):
+        assert _requisite(COLLIDER, [3], {}) == [0, 1, 2, 3, 4]
+        assert _requisite(COLLIDER, [0], {}) == [0]
+        assert _requisite(COLLIDER, [], {}) == []
+        for v in range(COLLIDER.m):
+            assert _requisite(COLLIDER, [v], {}) == _ancestral_set(COLLIDER, {v})
+
+    def test_evidence_on_collider_child_pulls_in_other_parent(self):
+        # Observing 3 below the collider 2 couples 0 with 1, and with 4,
+        # the other parent of the observed node itself.
+        assert _requisite(COLLIDER, [0], {3: True}) == [0, 1, 2, 3, 4]
+        # Evidence below 3 is reached through 3 alone.
+        assert _requisite(COLLIDER, [0], {5: False}) == [0, 1, 2, 3, 4, 5]
+
+    def test_positivity_and_children_are_kept(self):
+        assert COLLIDER.strictly_positive
+        assert not ZERO_ANCESTOR.strictly_positive
+        assert not ZERO_ELSEWHERE.strictly_positive
+        assert COLLIDER.children == COLLIDER.dag().children()
+        assert COLLIDER.children is COLLIDER.children
+
+    @given(seed=st.integers(min_value=0, max_value=100_000))
+    @settings(max_examples=80, deadline=None)
+    def test_markov_blanket_evidence_matches_dense(self, seed):
+        rng = np.random.default_rng(seed)
+        net = sparse_bn(rng)
+        v = int(rng.integers(0, net.m))
+        evidence = random_assignment(rng, net.m, sorted(markov_blanket(net, v)))
+        target = {v: bool(rng.integers(0, 2))}
+        got = query_conditional(net, target, evidence)
+        want = conditional_probability(bn_to_joint(net), target, evidence)
+        assert got == pytest.approx(want, abs=1e-12)
+
+    def test_zero_evidence_in_separate_component(self):
+        # The requisite set of node 0 leaves out node 3, so only the
+        # positivity guard keeps this zero-mass evidence an error.
+        assert _requisite(ZERO_ELSEWHERE, [0], {3: True}) == [0]
+        with pytest.raises(ZeroEvidence):
+            query_conditional(ZERO_ELSEWHERE, {0: True}, {3: True})
+        with pytest.raises(ZeroEvidence):
+            query_conditional(ZERO_ELSEWHERE, {1: False}, {0: True, 3: True})
+        assert query_conditional(ZERO_ELSEWHERE, {0: True}, {1: True}) == (
+            pytest.approx(0.3 * 0.7 / (0.3 * 0.7 + 0.7 * 0.2))
+        )
+
+
 class TestCptFactor:
     @pytest.mark.parametrize("k", range(6))
     def test_matches_per_entry_definition(self, k):
@@ -192,6 +265,14 @@ class TestCptFactor:
         assert query_conditional(net, {2: True}) == 0.0
         built = [v for v, cpt in enumerate(net.cpts) if "table" in vars(cpt)]
         assert built == [0, 1, 2]  # node 3 is barren
+
+    def test_positive_query_builds_only_requisite_tables(self):
+        net = BayesNet(tuple(
+            Cpt(c.owner, c.parents, c.rows) for c in COLLIDER.cpts
+        ))
+        query_conditional(net, {2: True}, {0: True, 1: False, 3: True, 4: False})
+        built = [v for v, cpt in enumerate(net.cpts) if "table" in vars(cpt)]
+        assert built == [2, 3]  # the node's own CPT and its child's
 
 
 class TestQueryEventMarginal:
