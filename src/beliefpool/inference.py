@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from operator import index
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,6 +37,9 @@ class _Factor:
     table: np.ndarray
 
 
+_ALL = slice(None)  # the index that keeps an unobserved variable's axis
+
+
 def _expand(factor: _Factor, out_vars: tuple[int, ...]) -> np.ndarray:
     # Both variable tuples are sorted, so inserting singleton axes for
     # the missing variables aligns the tables for broadcasting.
@@ -44,9 +47,20 @@ def _expand(factor: _Factor, out_vars: tuple[int, ...]) -> np.ndarray:
     return factor.table.reshape(shape)
 
 
-def _multiply(a: _Factor, b: _Factor) -> _Factor:
-    out_vars = tuple(sorted(set(a.vars) | set(b.vars)))
-    return _Factor(out_vars, _expand(a, out_vars) * _expand(b, out_vars))
+def _product(factors: Sequence[_Factor]) -> _Factor:
+    """Product of the factors, multiplied in the order given."""
+    if not factors:
+        return _Factor((), np.array(1.0))
+    scope = factors[0].vars
+    if all(f.vars == scope for f in factors):
+        tables = [f.table for f in factors]
+    else:
+        scope = tuple(sorted({v for f in factors for v in f.vars}))
+        tables = [_expand(f, scope) for f in factors]
+    table = tables[0]
+    for t in tables[1:]:
+        table = np.multiply(table, t)
+    return _Factor(scope, table)
 
 
 def _sum_out(factor: _Factor, var: int) -> _Factor:
@@ -80,51 +94,60 @@ def _requisite(
     marked on top, and the answer depends on their CPTs alone whenever
     the evidence has positive probability.
     """
+    cpts, children = bn.cpts, bn.children
     top: set[int] = set()
     bottom: set[int] = set()
-    balls = [(v, True) for v in targets]  # (node, came from a child)
-    while balls:
-        v, from_child = balls.pop()
-        observed = v in evidence
-        if from_child != observed and v not in top:
+    from_child = list(targets)
+    from_parent: list[int] = []
+    while from_child or from_parent:
+        if from_child:
+            v = from_child.pop()
+            up = v not in evidence
+        else:
+            v = from_parent.pop()
+            up = v in evidence
+        if up and v not in top:
             top.add(v)
-            balls.extend((p, True) for p in bn.cpts[v].parents)
-        if not observed and v not in bottom:
+            from_child.extend(cpts[v].parents)
+        if v not in evidence and v not in bottom:
             bottom.add(v)
-            balls.extend((c, False) for c in bn.children[v])
+            from_parent.extend(children[v])
     return sorted(top)
 
 
 def _run(
-    bn: BayesNet, evidence: Assignment, keep: set[int], nodes: Iterable[int]
+    bn: BayesNet, evidence: dict[int, int], keep: set[int], nodes: Iterable[int]
 ) -> _Factor:
     """Eliminate everything outside keep after restricting by evidence.
 
-    Only the CPTs of nodes enter: the ancestral set of keep and the
-    evidence, whose product summed over the rest is the joint
-    probability of each keep-assignment with the evidence, or the
-    requisite set, whose product is proportional to it.
+    evidence maps each observed variable to its state, 0 or 1. Only the
+    CPTs of nodes enter: the ancestral set of keep and the evidence,
+    whose product summed over the rest is the joint probability of each
+    keep-assignment with the evidence, or the requisite set, whose
+    product is proportional to it. When every restricted factor lies
+    inside keep, as when the evidence covers a target's Markov blanket,
+    nothing is eliminated and no elimination order is computed.
     """
     factors = []
     for v in nodes:
         cpt = bn.cpts[v]
-        index = tuple(
-            int(bool(evidence[u])) if u in evidence else slice(None)
-            for u in cpt.family
-        )
-        free = tuple(u for u in cpt.family if u not in evidence)
-        factors.append(_Factor(free, cpt.table[index]))
-    adj: dict[int, set[int]] = {v: set() for f in factors for v in f.vars}
-    for f in factors:
-        for u, w in itertools.combinations(f.vars, 2):
-            adj[u].add(w)
-            adj[w].add(u)
-    order, _ = min_fill_order(adj, keep)
-    for v in order:
-        bucket = [f for f in factors if v in f.vars]
-        factors = [f for f in factors if v not in f.vars]
-        factors.append(_sum_out(reduce(_multiply, bucket), v))
-    return reduce(_multiply, factors, _Factor((), np.array(1.0)))
+        family = cpt.family
+        restrict = tuple([evidence.get(u, _ALL) for u in family])
+        free = tuple([u for u in family if u not in evidence])
+        factors.append(_Factor(free, cpt.table[restrict]))
+    scope = {v for f in factors for v in f.vars}
+    if not scope <= keep:
+        adj: dict[int, set[int]] = {v: set() for v in scope}
+        for f in factors:
+            for u, w in itertools.combinations(f.vars, 2):
+                adj[u].add(w)
+                adj[w].add(u)
+        order, _ = min_fill_order(adj, keep)
+        for v in order:
+            bucket = [f for f in factors if v in f.vars]
+            factors = [f for f in factors if v not in f.vars]
+            factors.append(_sum_out(_product(bucket), v))
+    return _product(factors)
 
 
 def weighted_product_cpts(
@@ -174,18 +197,29 @@ def weighted_product_cpts(
     return [cpts[v] for v in range(structure.m)]
 
 
-def _check_assignment(bn: BayesNet, assignment: Assignment) -> None:
+def _check_assignment(bn: BayesNet, assignment: Assignment) -> dict[int, int]:
+    """The assignment as {variable: 0 or 1}, after checking its variables.
+
+    Raises UnknownVariable for a key that is not an integer (a Python
+    int or a numpy integer) or lies outside range(0, bn.m).
+    """
+    try:
+        states = {index(v): 1 if x else 0 for v, x in assignment.items()}
+    except TypeError:
+        keys = ", ".join(repr(v) for v in assignment)
+        raise UnknownVariable(f"variables must be integers, got {keys}") from None
     m = bn.m
-    for v in assignment:
-        if not 0 <= v < m:
-            raise UnknownVariable(f"variable {v} outside range(0, {m})")
+    if states and not (0 <= min(states) and max(states) < m):
+        v = min(states) if min(states) < 0 else max(states)
+        raise UnknownVariable(f"variable {v} outside range(0, {m})")
+    return states
 
 
 def query_event_marginal(bn: BayesNet, event: Assignment) -> float:
     """Probability that every variable in event takes its given value."""
-    _check_assignment(bn, event)
-    nodes = _ancestral_set(bn, set(event))
-    return float(_run(bn, event, set(), nodes).table)
+    states = _check_assignment(bn, event)
+    nodes = _ancestral_set(bn, set(states))
+    return float(_run(bn, states, set(), nodes).table)
 
 
 def query_conditional(
@@ -197,22 +231,18 @@ def query_conditional(
     is the sure event. Raises ZeroEvidence when the evidence itself has
     probability zero.
     """
-    evidence = dict(evidence or {})
-    _check_assignment(bn, target)
-    _check_assignment(bn, evidence)
-    if set(target) & set(evidence):
+    wanted = _check_assignment(bn, target)
+    given = _check_assignment(bn, evidence or {})
+    if not given.keys().isdisjoint(wanted):
         raise ValueError("target and evidence must assign disjoint variables")
     if bn.strictly_positive:
-        nodes = _requisite(bn, target, evidence)
+        nodes = _requisite(bn, wanted, given)
     else:
-        nodes = _ancestral_set(bn, set(target) | set(evidence))
-    result = _run(bn, evidence, set(target), nodes)
+        nodes = _ancestral_set(bn, set(wanted) | set(given))
+    result = _run(bn, given, set(wanted), nodes)
     total = float(result.table.sum())
     if total <= 0.0:
         raise ZeroEvidence("conditioning event has probability zero")
-    if not target:
+    if not wanted:
         return 1.0
-    picked = result.table[
-        tuple(int(bool(target[v])) for v in result.vars)
-    ]
-    return float(picked) / total
+    return float(result.table[tuple(wanted[v] for v in result.vars)]) / total

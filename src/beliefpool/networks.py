@@ -79,11 +79,13 @@ class Cpt:
     def table(self) -> np.ndarray:
         """Read-only P(owner | parents), axis i = family[i]; built once."""
         # Row bit i is parents[i], so a Fortran-order reshape puts parents[i]
-        # on axis i; the owner's axis goes last.
+        # on axis i; the view has the same axes with the owner's last.
         p_true = np.reshape(self.rows, (2,) * len(self.parents), order="F")
-        table = np.stack([1.0 - p_true, p_true], axis=-1)
-        unsorted = self.parents + (self.owner,)
-        table = np.ascontiguousarray(table.transpose(np.argsort(unsorted)))
+        family = self.family
+        table = np.empty((2,) * len(family))
+        view = table.transpose([family.index(u) for u in self.parents + (self.owner,)])
+        np.subtract(1.0, p_true, out=view[..., 0])
+        view[..., 1] = p_true
         table.flags.writeable = False
         return table
 

@@ -1,6 +1,7 @@
 """Exact network queries checked against dense-table enumeration."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from beliefpool import (
     BayesNet,
     Cpt,
+    UnknownVariable,
     ZeroEvidence,
     bn_to_joint,
     conditional_probability,
@@ -18,6 +20,7 @@ from beliefpool import (
     query_conditional,
     query_event_marginal,
 )
+from beliefpool import inference
 from beliefpool.inference import _ancestral_set, _requisite
 from beliefpool.sampling import random_bn
 
@@ -37,6 +40,47 @@ def descendants(net, v):
                 seen.add(c)
                 stack.append(c)
     return sorted(seen)
+
+
+def two_tuple_requisite(bn, targets, evidence):
+    """Reference Bayes-ball: one stack of (node, came from a child) balls.
+
+    _requisite runs the same rules over one stack per direction, with no
+    tuple per ball, and must return the same nodes.
+    """
+    top, bottom = set(), set()
+    balls = [(v, True) for v in targets]
+    while balls:
+        v, from_child = balls.pop()
+        observed = v in evidence
+        if from_child != observed and v not in top:
+            top.add(v)
+            balls.extend((p, True) for p in bn.cpts[v].parents)
+        if not observed and v not in bottom:
+            bottom.add(v)
+            balls.extend((c, False) for c in bn.dag().children()[v])
+    return sorted(top)
+
+
+def with_extreme_rows(rng, net):
+    """The network with about a quarter of its CPT rows set to 0 or 1."""
+    cpts = []
+    for cpt in net.cpts:
+        rows = [
+            float(rng.integers(0, 2)) if rng.random() < 0.25 else r
+            for r in cpt.rows
+        ]
+        cpts.append(Cpt(cpt.owner, cpt.parents, tuple(rows)))
+    return BayesNet(tuple(cpts))
+
+
+# Four spellings of each state that every query must read alike.
+STATE_SPELLINGS = (
+    (False, True),
+    (0, 1),
+    (np.False_, np.True_),
+    (np.int64(0), np.int64(1)),
+)
 
 
 def sparse_bn(rng):
@@ -92,6 +136,30 @@ class TestQueryConditional:
     def test_overlapping_target_and_evidence_rejected(self):
         with pytest.raises(ValueError):
             query_conditional(CHAIN, {0: True}, {0: True})
+
+    def test_non_integer_variable_rejected(self):
+        # A float key must not be skipped: that answers P(0=T) = 0.2.
+        with pytest.raises(UnknownVariable):
+            query_conditional(CHAIN, {0: True}, {1.5: True})
+        with pytest.raises(UnknownVariable):
+            query_conditional(CHAIN, {0.5: True}, {1: True})
+        with pytest.raises(UnknownVariable):
+            query_conditional(CHAIN, {0: True}, {"1": True})
+        with pytest.raises(UnknownVariable):
+            query_conditional(CHAIN, {0: True}, {1.0: True})
+        want = 0.2 * 0.4 / 0.56
+        for key in (1, np.int64(1), np.int32(1), np.uint8(1)):
+            got = query_conditional(CHAIN, {0: True}, {key: True})
+            assert got == pytest.approx(want)
+            got = query_conditional(CHAIN, {key - 1: True}, {1: True})
+            assert got == pytest.approx(want)
+
+    def test_out_of_range_variable_rejected(self):
+        for bad in (-1, 2, np.int64(7)):
+            with pytest.raises(UnknownVariable):
+                query_conditional(CHAIN, {0: True}, {bad: True})
+            with pytest.raises(UnknownVariable):
+                query_conditional(CHAIN, {bad: True})
 
     def test_zero_evidence_raises(self):
         net = BayesNet((Cpt(0, (), (1.0,)), Cpt(1, (0,), (0.5, 0.5))))
@@ -218,6 +286,25 @@ class TestRequisite:
         want = conditional_probability(bn_to_joint(net), target, evidence)
         assert got == pytest.approx(want, abs=1e-12)
 
+    @given(seed=st.integers(min_value=0, max_value=100_000))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_two_tuple_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 11))
+        net = random_bn(
+            rng, m, edge_prob=float(rng.uniform(0.1, 0.6)), max_parents=3
+        )
+        order = [int(v) for v in rng.permutation(m)]
+        n_target = int(rng.integers(0, min(m, 3) + 1))
+        n_evidence = int(rng.integers(0, m - n_target + 1))
+        targets = order[:n_target]
+        evidence = random_assignment(
+            rng, m, order[n_target : n_target + n_evidence]
+        )
+        assert _requisite(net, targets, evidence) == two_tuple_requisite(
+            net, targets, evidence
+        )
+
     def test_zero_evidence_in_separate_component(self):
         # The requisite set of node 0 leaves out node 3, so only the
         # positivity guard keeps this zero-mass evidence an error.
@@ -291,6 +378,99 @@ class TestQueryEventMarginal:
     def test_empty_event(self):
         assert query_event_marginal(CHAIN, {}) == 1.0
 
+    def test_non_integer_variable_rejected(self):
+        for event in ({0.5: True}, {0: True, 1.0: False}, {None: True}):
+            with pytest.raises(UnknownVariable):
+                query_event_marginal(CHAIN, event)
+        got = query_event_marginal(CHAIN, {np.int64(0): True, np.uint16(1): False})
+        assert got == query_event_marginal(CHAIN, {0: True, 1: False})
+
     def test_full_instantiation(self):
         got = query_event_marginal(CHAIN, {0: True, 1: False})
         assert got == pytest.approx(0.2 * 0.6)
+
+
+class TestAgainstJoint:
+    """Both VE branches against the dense joint, on any row values."""
+
+    def test_branches(self):
+        with mock.patch.object(
+            inference, "min_fill_order", wraps=inference.min_fill_order
+        ) as order:
+            blanket = {0: True, 1: False, 3: True, 4: False}
+            query_conditional(COLLIDER, {2: True}, blanket)
+            assert order.call_count == 0
+            query_conditional(COLLIDER, {2: True}, {3: True})
+            assert order.call_count == 1
+
+    @staticmethod
+    def check(net, target, evidence):
+        dense = bn_to_joint(net)
+        spelled = [
+            (
+                {v: spelling[x] for v, x in target.items()},
+                {v: spelling[x] for v, x in evidence.items()},
+            )
+            for spelling in STATE_SPELLINGS
+        ]
+        want_event = marginal(dense, {**evidence, **target})
+        for t, e in spelled:
+            got = query_event_marginal(net, {**e, **t})
+            assert got == pytest.approx(want_event, abs=1e-12)
+        if marginal(dense, evidence) == 0.0:
+            for t, e in spelled:
+                with pytest.raises(ZeroEvidence):
+                    query_conditional(net, t, e)
+            return
+        want = conditional_probability(dense, target, evidence)
+        answers = {query_conditional(net, t, e) for t, e in spelled}
+        assert len(answers) == 1
+        assert answers.pop() == pytest.approx(want, abs=1e-12)
+
+    @staticmethod
+    def network(rng, extreme):
+        net = random_bn(
+            rng,
+            int(rng.integers(2, 11)),
+            edge_prob=float(rng.uniform(0.15, 0.5)),
+            max_parents=3,
+        )
+        return with_extreme_rows(rng, net) if extreme else net
+
+    @given(
+        seed=st.integers(min_value=0, max_value=100_000), extreme=st.booleans()
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_blanket_evidence(self, seed, extreme):
+        rng = np.random.default_rng(seed)
+        net = self.network(rng, extreme)
+        v = int(rng.integers(0, net.m))
+        target = {v: int(rng.integers(0, 2))}
+        evidence = {
+            u: int(rng.integers(0, 2)) for u in sorted(markov_blanket(net, v))
+        }
+        self.check(net, target, evidence)
+        if net.strictly_positive:
+            # Every requisite factor is over v alone: nothing to order.
+            with mock.patch.object(
+                inference, "min_fill_order", wraps=inference.min_fill_order
+            ) as order:
+                query_conditional(net, target, evidence)
+            order.assert_not_called()
+
+    @given(
+        seed=st.integers(min_value=0, max_value=100_000), extreme=st.booleans()
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_partial_evidence(self, seed, extreme):
+        rng = np.random.default_rng(seed)
+        net = self.network(rng, extreme)
+        order = [int(u) for u in rng.permutation(net.m)]
+        n_target = int(rng.integers(1, 3))
+        n_evidence = int(rng.integers(0, net.m - n_target + 1))
+        target = {u: int(rng.integers(0, 2)) for u in order[:n_target]}
+        evidence = {
+            u: int(rng.integers(0, 2))
+            for u in order[n_target : n_target + n_evidence]
+        }
+        self.check(net, target, evidence)
