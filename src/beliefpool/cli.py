@@ -6,9 +6,10 @@ conditioned), and check (built-in verification suites; every randomized
 row runs exactly --trials cases).
 
 Exit codes: 0 success, 1 unexpected check outcome, 2 parse, usage or
-weight error (a negative --seed or --trials below 1 included), 3
-variable mismatch across inputs, 4 degenerate CPT or zero-mass pool in
-consensus building, 5 zero-probability evidence.
+weight error (a negative --seed or --trials below 1 included, and a file
+that is not UTF-8, holds an integer too large for a float or nests too
+deeply), 3 variable mismatch across inputs, 4 degenerate CPT or
+zero-mass pool in consensus building, 5 zero-probability evidence.
 """
 from __future__ import annotations
 
@@ -253,8 +254,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once and shared by every main() call in the process: parse_args
+# returns a new namespace each time and leaves the parser unchanged.
+_PARSER = _build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (_UsageError, ModelFormatError, WeightCountMismatch,

@@ -1,12 +1,17 @@
 """JSON files for networks and pooling manifests.
 
-A network file holds "kind" ("bayes" or "markov"), an ordered
-"variables" label list, "edges" as label pairs, and for bayes kind a
-"cpts" map. CPT rows are keyed by parent outcome strings: with parents
-listed as (p_0, ..., p_{k-1}), character i of the key is "1" exactly
-when p_i is true, and a parentless node uses the single key "".
-Probabilities round-trip bit-exactly since values are written with
-Python's shortest-repr float serialization.
+A network file is UTF-8 JSON holding "kind" ("bayes" or "markov"), an
+ordered "variables" label list, "edges" as label pairs, and for bayes
+kind a "cpts" map. CPT rows are keyed by parent outcome strings: with
+parents listed as (p_0, ..., p_{k-1}), a key has exactly k characters,
+each "0" or "1", character i is "1" exactly when p_i is true, and a
+parentless node uses the single key "". Each row value is a number in
+[0, 1]. Probabilities round-trip bit-exactly since values are written
+with Python's shortest-repr float serialization.
+
+Loading checks a file in one pass per CPT and raises ModelFormatError
+for anything malformed, including text that is not UTF-8, integers too
+large for a float, and nesting too deep for the JSON parser.
 
 A manifest file ("kind": "linop-manifest") names input network files
 plus weights instead of storing a pooled model, because an arithmetic
@@ -40,18 +45,12 @@ def _require_labels(model: BayesNet | MarkovNet) -> tuple[str, ...]:
     return model.labels
 
 
-def _row_key(row_index: int, n_parents: int) -> str:
-    return "".join(
-        "1" if (row_index >> i) & 1 else "0" for i in range(n_parents)
-    )
-
-
-def _row_index(key: str, n_parents: int) -> int:
-    if len(key) != n_parents or any(c not in "01" for c in key):
-        raise ModelFormatError(
-            f"row key {key!r} is not a {n_parents}-character outcome string"
-        )
-    return sum(1 << i for i, c in enumerate(key) if c == "1")
+def _row_keys(n_parents: int) -> list[str]:
+    """Key of every row index in order: character i is bit i of the index."""
+    if not n_parents:
+        return [""]
+    spec = f"0{n_parents}b"
+    return [format(r, spec)[::-1] for r in range(1 << n_parents)]
 
 
 def network_to_dict(
@@ -65,13 +64,10 @@ def network_to_dict(
         )
         cpts = {}
         for cpt in model.cpts:
-            rows = {
-                _row_key(r, len(cpt.parents)): cpt.rows[r]
-                for r in range(len(cpt.rows))
-            }
+            rows = sorted(zip(_row_keys(len(cpt.parents)), cpt.rows))
             cpts[labels[cpt.owner]] = {
                 "parents": [labels[p] for p in cpt.parents],
-                "rows": dict(sorted(rows.items())),
+                "rows": dict(rows),
             }
         data = {
             "kind": "bayes",
@@ -116,26 +112,47 @@ def _parse_edges(
         raise ModelFormatError("'edges' must be a list of label pairs")
     parsed = []
     for e in edges:
-        if (
-            not isinstance(e, list)
-            or len(e) != 2
-            or not all(isinstance(x, str) for x in e)
-        ):
+        if not isinstance(e, list) or len(e) != 2:
             raise ModelFormatError(f"edge {e!r} is not a pair of labels")
-        for x in e:
-            if x not in index:
-                raise ModelFormatError(f"edge references unknown variable {x!r}")
-        parsed.append((index[e[0]], index[e[1]]))
+        try:
+            parsed.append((index[e[0]], index[e[1]]))
+        except (KeyError, TypeError):
+            if not all(isinstance(x, str) for x in e):
+                raise ModelFormatError(
+                    f"edge {e!r} is not a pair of labels"
+                ) from None
+            unknown = next(x for x in e if x not in index)
+            raise ModelFormatError(
+                f"edge references unknown variable {unknown!r}"
+            ) from None
     return parsed
 
 
 def _parse_probability(value) -> float:
+    """A row value that is not already a float in [0, 1], or the error."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ModelFormatError(f"probability {value!r} is not a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError as err:
+        raise ModelFormatError(
+            "probability is an integer too large for a float"
+        ) from err
     if not 0.0 <= value <= 1.0:
         raise ModelFormatError(f"probability {value} outside [0, 1]")
     return value
+
+
+def _parent_error(
+    label: str, parents_raw: list, index: dict[str, int]
+) -> ModelFormatError:
+    """Why a parent list failed to resolve: a non-label or an unknown one."""
+    if not all(isinstance(p, str) for p in parents_raw):
+        return ModelFormatError(f"cpt for {label!r} needs a parent label list")
+    unknown = next(p for p in parents_raw if p not in index)
+    return ModelFormatError(
+        f"cpt for {label!r} references unknown parent {unknown!r}"
+    )
 
 
 def network_from_dict(data) -> BayesNet | MarkovNet:
@@ -172,16 +189,12 @@ def network_from_dict(data) -> BayesNet | MarkovNet:
         if not isinstance(entry, dict):
             raise ModelFormatError(f"cpt for {label!r} must be an object")
         parents_raw = entry.get("parents")
-        if not isinstance(parents_raw, list) or not all(
-            isinstance(p, str) for p in parents_raw
-        ):
+        if not isinstance(parents_raw, list):
             raise ModelFormatError(f"cpt for {label!r} needs a parent label list")
-        for p in parents_raw:
-            if p not in index:
-                raise ModelFormatError(
-                    f"cpt for {label!r} references unknown parent {p!r}"
-                )
-        parents = tuple(index[p] for p in parents_raw)
+        try:
+            parents = tuple([index[p] for p in parents_raw])
+        except (KeyError, TypeError):
+            raise _parent_error(label, parents_raw, index) from None
         rows_raw = entry.get("rows")
         k = len(parents)
         if not isinstance(rows_raw, dict) or len(rows_raw) != (1 << k):
@@ -189,15 +202,21 @@ def network_from_dict(data) -> BayesNet | MarkovNet:
                 f"cpt for {label!r} needs exactly {1 << k} rows"
             )
         rows = [0.0] * (1 << k)
-        seen = set()
+        # Dict keys are distinct and a valid key names exactly one row, so
+        # with 2^k keys every row is set once and no key can repeat a row.
         for key, value in rows_raw.items():
-            if not isinstance(key, str):
-                raise ModelFormatError(f"row key {key!r} must be a string")
-            r = _row_index(key, k)
-            if r in seen:
-                raise ModelFormatError(f"duplicate row key {key!r}")
-            seen.add(r)
-            rows[r] = _parse_probability(value)
+            # strip leaves nothing only when every character is "0" or "1";
+            # int(key, 2) alone would take signs, spaces, "_" and any digit.
+            if not (isinstance(key, str) and len(key) == k
+                    and not key.strip("01")):
+                if not isinstance(key, str):
+                    raise ModelFormatError(f"row key {key!r} must be a string")
+                raise ModelFormatError(
+                    f"row key {key!r} is not a {k}-character outcome string"
+                )
+            if type(value) is not float or not 0.0 <= value <= 1.0:
+                value = _parse_probability(value)
+            rows[int(key[::-1], 2) if k else 0] = value
         try:
             cpts.append(Cpt(index[label], parents, tuple(rows)))
         except Exception as err:
@@ -240,19 +259,28 @@ def manifest_from_dict(data) -> LinopManifest:
             for w in weights
         ):
             raise ModelFormatError("'weights' must be a list of numbers")
-        weights = tuple(float(w) for w in weights)
+        try:
+            weights = tuple(float(w) for w in weights)
+        except OverflowError as err:
+            raise ModelFormatError(
+                "'weights' holds an integer too large for a float"
+            ) from err
     return LinopManifest(tuple(inputs), weights)
 
 
 def _load_json(path: str | Path):
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise ModelFormatError(f"cannot read {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ModelFormatError(f"{path} is not UTF-8 text: {err}") from err
     try:
         return json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # bad JSON, or an integer past the digit limit
         raise ModelFormatError(f"{path} is not valid JSON: {err}") from err
+    except RecursionError:
+        raise ModelFormatError(f"{path} nests too deeply to parse") from None
 
 
 def load_network(path: str | Path) -> BayesNet | MarkovNet:

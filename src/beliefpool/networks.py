@@ -11,6 +11,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Collection, Mapping, Sequence
 
 import numpy as np
@@ -39,21 +40,24 @@ class Cpt:
     rows: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "parents", tuple(self.parents))
-        object.__setattr__(self, "rows", tuple(float(r) for r in self.rows))
+        parents = tuple(self.parents)
+        rows = tuple(map(float, self.rows))
+        object.__setattr__(self, "parents", parents)
+        object.__setattr__(self, "rows", rows)
         if self.owner < 0:
             raise ValueError(f"owner index must be nonnegative, got {self.owner}")
-        if len(set(self.parents)) != len(self.parents):
-            raise ValueError("duplicate parent indices")
-        if self.owner in self.parents:
-            raise ValueError("node cannot be its own parent")
-        if len(self.rows) != 1 << len(self.parents):
+        if parents:
+            if len(set(parents)) != len(parents):
+                raise ValueError("duplicate parent indices")
+            if self.owner in parents:
+                raise ValueError("node cannot be its own parent")
+        if len(rows) != 1 << len(parents):
             raise ValueError(
-                f"expected {1 << len(self.parents)} rows for "
-                f"{len(self.parents)} parents, got {len(self.rows)}"
+                f"expected {1 << len(parents)} rows for "
+                f"{len(parents)} parents, got {len(rows)}"
             )
-        for r in self.rows:
-            if not 0.0 <= r <= 1.0:
+        for r in rows:
+            if not 0.0 <= r <= 1.0:  # also false for NaN
                 raise ValueError(f"row probability {r} outside [0, 1]")
 
     def row_index(self, assignment: Assignment) -> int:
@@ -98,19 +102,22 @@ class Dag:
     parents: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "parents", tuple(tuple(ps) for ps in self.parents)
-        )
-        if len(self.parents) != self.m:
+        m = self.m
+        parents = tuple(map(tuple, self.parents))
+        object.__setattr__(self, "parents", parents)
+        if len(parents) != m:
             raise ValueError("parent lists must cover every node")
-        for j, ps in enumerate(self.parents):
+        for j, ps in enumerate(parents):
+            if not ps:
+                continue
             if len(set(ps)) != len(ps):
                 raise ValueError(f"duplicate parents for node {j}")
-            for p in ps:
-                if not 0 <= p < self.m:
-                    raise UnknownVariable(f"parent {p} outside range(0, {self.m})")
-                if p == j:
-                    raise ValueError(f"node {j} cannot be its own parent")
+            if min(ps) < 0 or max(ps) >= m or j in ps:
+                for p in ps:  # the first bad parent names the error
+                    if not 0 <= p < m:
+                        raise UnknownVariable(f"parent {p} outside range(0, {m})")
+                    if p == j:
+                        raise ValueError(f"node {j} cannot be its own parent")
         self.topological_order()  # raises on cycles
 
     def children(self) -> tuple[tuple[int, ...], ...]:
@@ -119,7 +126,7 @@ class Dag:
         for j, ps in enumerate(self.parents):
             for p in ps:
                 out[p].append(j)
-        return tuple(tuple(ch) for ch in out)
+        return tuple(map(tuple, out))
 
     def edges(self) -> frozenset[tuple[int, int]]:
         """Directed (parent, child) pairs."""
@@ -167,9 +174,10 @@ class BayesNet:
 
     cpts: tuple[Cpt, ...]
     labels: tuple[str, ...] | None = None
+    _dag: Dag = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        cpts = tuple(sorted(self.cpts, key=lambda c: c.owner))
+        cpts = tuple(sorted(self.cpts, key=attrgetter("owner")))
         object.__setattr__(self, "cpts", cpts)
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
@@ -177,7 +185,10 @@ class BayesNet:
         if owners != list(range(len(cpts))):
             raise ValueError("need exactly one CPT per variable 0..m-1")
         _check_labels(self.m, self.labels)
-        self.dag()  # validates parent ranges and acyclicity
+        # Validates parent ranges and acyclicity; dag() hands out this one.
+        object.__setattr__(
+            self, "_dag", Dag(len(cpts), tuple(c.parents for c in cpts))
+        )
 
     @property
     def m(self) -> int:
@@ -186,7 +197,7 @@ class BayesNet:
     @cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
         """children[j] lists the nodes that have j as a parent; built once."""
-        return self.dag().children()
+        return self._dag.children()
 
     @cached_property
     def strictly_positive(self) -> bool:
@@ -198,7 +209,8 @@ class BayesNet:
         return all(0.0 < r < 1.0 for cpt in self.cpts for r in cpt.rows)
 
     def dag(self) -> Dag:
-        return Dag(self.m, tuple(c.parents for c in self.cpts))
+        """The network's structure, built and validated once."""
+        return self._dag
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,11 @@
 codes, and the built-in check suites."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -476,6 +479,83 @@ class TestParsing:
         path.write_text("{\"kind\": \"bayes\"}")
         code, _, err = run(capsys, "aggregate", str(path), "--pool", "linop")
         assert code == EXIT_PARSE
+
+    def test_non_utf8_file(self, capsys, tmp_path, agent_files):
+        path = tmp_path / "latin1.json"
+        text = json.dumps(model_io.network_to_dict(AGENT_A), ensure_ascii=False)
+        path.write_bytes(text.replace("A1", "\u00e9").encode("latin-1"))
+        code, out, err = run(
+            capsys, "query", str(path), agent_files[1], "--pool", "linop",
+            "--event", "A2=1",
+        )
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith("error:") and "UTF-8" in err
+
+    def test_deeply_nested_file(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run(
+            capsys, "query", str(path), "--pool", "linop", "--event", "A1=1"
+        )
+        assert code == EXIT_PARSE
+        assert err.startswith("error:") and "nests too deeply" in err
+
+    @pytest.mark.parametrize("command", ["query", "aggregate"])
+    def test_row_beyond_float_range(self, capsys, tmp_path, agent_files, command):
+        path = tmp_path / "huge.json"
+        text = json.dumps(model_io.network_to_dict(AGENT_A))
+        path.write_text(text.replace('{"": 0.5}', '{"": 1%s}' % ("0" * 400), 1))
+        argv = [command, str(path), agent_files[1], "--pool", "logop"]
+        if command == "query":
+            argv += ["--event", "A1=1"]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith("error:") and "too large for a float" in err
+
+    def test_manifest_weight_beyond_float_range(self, capsys, tmp_path, agent_files):
+        manifest = tmp_path / "pool.json"
+        manifest.write_text(
+            '{"kind": "linop-manifest", "inputs": ["a.json", "b.json"], '
+            '"weights": [1%s, 1]}' % ("0" * 400)
+        )
+        code, out, err = run(
+            capsys, "query", str(manifest), "--pool", "linop", "--event", "A1=1"
+        )
+        assert code == EXIT_PARSE
+        assert err.startswith("error:") and "weights" in err
+
+    def test_repeated_main_calls_match_fresh_processes(self, capsys, agent_files):
+        # main() reuses one parser; each call must print what a new process
+        # running the same command prints, whatever ran before it.
+        commands = [
+            ["query", *agent_files, "--pool", "linop", "--event", "A1=1"],
+            ["check", "--suite", "examples"],
+            ["aggregate", *agent_files, "--pool", "logop", "--weights", "3,1"],
+            ["query", *agent_files, "--event", "A1=1"],
+            ["query", *agent_files, "--pool", "logop", "--event", "A2=0",
+             "--given", "A1=1"],
+        ]
+        in_process = []
+        for argv in commands:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        fresh = []
+        for argv in commands:
+            proc = subprocess.run(
+                [sys.executable, "-m", "beliefpool.cli", *argv],
+                capture_output=True, text=True,
+                env={**os.environ,
+                     "PYTHONPATH": str(Path(model_io.__file__).parents[1])},
+            )
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        assert in_process == fresh
+        assert [code for code, _, _ in fresh] == [0, 0, 0, EXIT_PARSE, 0]
 
 
 @pytest.mark.skipif(

@@ -1,9 +1,13 @@
 """JSON round trips, format validation, and label-based alignment."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefpool import (
     BayesNet,
@@ -32,6 +36,53 @@ CHAIN = BayesNet(
 
 def valid_bayes_dict():
     return network_to_dict(CHAIN)
+
+
+def reference_text(bn):
+    """The saved text of a bayes network, built key by key from the row
+    bit encoding, independently of model_io."""
+    labels = bn.labels
+
+    def row_key(r, k):
+        return "".join("1" if (r >> i) & 1 else "0" for i in range(k))
+
+    edges = sorted((labels[p], labels[c.owner]) for c in bn.cpts for p in c.parents)
+    cpts = {
+        labels[c.owner]: {
+            "parents": [labels[p] for p in c.parents],
+            "rows": dict(sorted(
+                (row_key(r, len(c.parents)), c.rows[r]) for r in range(len(c.rows))
+            )),
+        }
+        for c in bn.cpts
+    }
+    data = {
+        "kind": "bayes",
+        "variables": list(labels),
+        "edges": [list(e) for e in edges],
+        "cpts": cpts,
+    }
+    return json.dumps(data, indent=2) + "\n"
+
+
+# Rows at the edges of [0, 1] and of the float range, all bit-exact in JSON.
+EDGE_ROWS = (0.0, 1.0, 1e-300, 5e-324, 0.3, 1.0 - 1e-16)
+
+
+@st.composite
+def labelled_bns(draw):
+    m = draw(st.integers(min_value=1, max_value=8))
+    labels = draw(st.lists(st.text(min_size=1, max_size=4), min_size=m,
+                           max_size=m, unique=True))
+    order = draw(st.permutations(range(m)))
+    cpts = []
+    for pos, v in enumerate(order):
+        parents = draw(st.lists(st.sampled_from(order[:pos]), max_size=6,
+                                unique=True)) if pos else []
+        rows = draw(st.lists(st.sampled_from(EDGE_ROWS), min_size=1 << len(parents),
+                             max_size=1 << len(parents)))
+        cpts.append(Cpt(v, tuple(parents), tuple(rows)))
+    return BayesNet(tuple(cpts), tuple(labels))
 
 
 class TestNetworkRoundTrip:
@@ -82,6 +133,20 @@ class TestNetworkRoundTrip:
         data = network_to_dict(CHAIN, provenance={"pool": "logop"})
         assert data["provenance"] == {"pool": "logop"}
 
+    @given(bn=labelled_bns())
+    @settings(max_examples=150, deadline=None)
+    def test_saved_text_matches_reference(self, bn):
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "net.json"
+            save_network(bn, path)
+            assert path.read_text() == reference_text(bn)
+            got = load_network(path)
+        assert got == bn
+        assert all(
+            a.rows[r].hex() == b.rows[r].hex()
+            for a, b in zip(got.cpts, bn.cpts) for r in range(len(a.rows))
+        )
+
     def test_serializing_needs_labels(self):
         with pytest.raises(ValueError):
             network_to_dict(BayesNet(CHAIN.cpts))
@@ -128,6 +193,75 @@ class TestFormatValidation:
         with pytest.raises(ModelFormatError):
             network_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "key", ["2", " 1", "+1", "1_0", "\u0661", "\uff10", "1", "011", ""]
+    )
+    def test_row_key_grammar(self, key):
+        # Only "0"/"1" strings of the parent count name a row: int(key, 2)
+        # would also take a sign, a space, "_" or another script's digit.
+        data = valid_bayes_dict()
+        data["cpts"]["A2"]["rows"] = {"00": 0.6, key: 0.4}
+        with pytest.raises(ModelFormatError, match="outcome string"):
+            network_from_dict(data)
+
+    def test_non_string_row_key(self):
+        data = valid_bayes_dict()
+        data["cpts"]["A2"]["rows"] = {"0": 0.6, 1: 0.4}
+        with pytest.raises(ModelFormatError, match="must be a string"):
+            network_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d["cpts"]["A2"].update(parents=["A9"]),
+             "cpt for 'A2' references unknown parent 'A9'"),
+            (lambda d: d["cpts"]["A2"].update(parents=["A9", 3]),
+             "cpt for 'A2' needs a parent label list"),
+            (lambda d: d["cpts"]["A2"].update(parents=[["A1"]]),
+             "cpt for 'A2' needs a parent label list"),
+            (lambda d: d["cpts"]["A2"].update(parents="A1"),
+             "cpt for 'A2' needs a parent label list"),
+            (lambda d: d["cpts"]["A2"].update(
+                parents=["A1", "A1"], rows=dict.fromkeys(["00", "01", "10", "11"], 0.5)
+            ),
+             "duplicate parent indices"),
+            (lambda d: d["cpts"]["A2"].update(parents=["A2"]),
+             "node cannot be its own parent"),
+            (lambda d: d.update(edges=[["A1", 3]]),
+             "edge ['A1', 3] is not a pair of labels"),
+            (lambda d: d.update(edges=[[["A1"], "A9"]]),
+             "edge [['A1'], 'A9'] is not a pair of labels"),
+            (lambda d: d.update(edges=[["A1", "A9"]]),
+             "edge references unknown variable 'A9'"),
+            (lambda d: d.update(edges=[["A1", "A2", "A1"]]),
+             "is not a pair of labels"),
+        ],
+    )
+    def test_label_errors_name_the_fault(self, mutate, message):
+        data = valid_bayes_dict()
+        mutate(data)
+        with pytest.raises(ModelFormatError) as exc:
+            network_from_dict(data)
+        assert message in str(exc.value)
+
+    @pytest.mark.parametrize("text", ["true", "NaN", "Infinity", "-Infinity",
+                                      "-0.5", "\"0.5\"", "null"])
+    def test_non_probability_rows_in_files(self, tmp_path, text):
+        path = tmp_path / "net.json"
+        good = json.dumps(valid_bayes_dict())
+        path.write_text(good.replace('{"": 0.2}', '{"": %s}' % text))
+        with pytest.raises(ModelFormatError, match="^probability"):
+            load_network(path)
+
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_huge_integer_row(self, tmp_path, digits):
+        # 400 digits overflow a float; 5000 pass the int parser's digit limit.
+        path = tmp_path / "net.json"
+        good = json.dumps(valid_bayes_dict())
+        path.write_text(good.replace('{"": 0.2}', '{"": 1%s}' % ("0" * digits)))
+        with pytest.raises(ModelFormatError):
+            load_network(path)
+
     def test_boolean_probability_rejected(self):
         data = valid_bayes_dict()
         data["cpts"]["A1"]["rows"] = {"": True}
@@ -169,6 +303,25 @@ class TestFormatValidation:
         with pytest.raises(ModelFormatError):
             load_network(path)
 
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        text = json.dumps(valid_bayes_dict(), ensure_ascii=False)
+        path.write_bytes(text.replace("A1", "\u00e9").encode("latin-1"))
+        with pytest.raises(ModelFormatError, match="UTF-8"):
+            load_model_file(path)
+
+    def test_utf8_labels_load(self, tmp_path):
+        path = tmp_path / "utf8.json"
+        text = json.dumps(valid_bayes_dict(), ensure_ascii=False)
+        path.write_bytes(text.replace("A1", "\u00e9").encode("utf-8"))
+        assert load_network(path).labels == ("\u00e9", "A2")
+
+    def test_deep_nesting(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ModelFormatError, match="nests too deeply"):
+            load_model_file(path)
+
 
 class TestManifest:
     def test_round_trip(self):
@@ -192,6 +345,12 @@ class TestManifest:
     def test_empty_inputs_rejected(self):
         with pytest.raises(ModelFormatError):
             manifest_from_dict({"kind": "linop-manifest", "inputs": []})
+
+    def test_overflowing_integer_weight_rejected(self):
+        with pytest.raises(ModelFormatError, match="weights"):
+            manifest_from_dict(
+                {"kind": "linop-manifest", "inputs": ["a"], "weights": [10**400]}
+            )
 
     def test_bad_weights_rejected(self):
         with pytest.raises(ModelFormatError):

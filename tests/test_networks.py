@@ -91,6 +91,21 @@ class TestCpt:
         with pytest.raises(ValueError):
             Cpt(0, (), (1.5,))
 
+    @pytest.mark.parametrize("row", [-0.1, float("nan"), float("inf")])
+    def test_rejects_row_outside_unit_interval(self, row):
+        with pytest.raises(ValueError, match="outside"):
+            Cpt(0, (1,), (0.5, row))
+
+    def test_rejects_duplicate_parents(self):
+        with pytest.raises(ValueError, match="duplicate parent"):
+            Cpt(0, (1, 1), (0.1,) * 4)
+
+    def test_rows_become_float_tuple(self):
+        cpt = Cpt(0, [1], [0, 1])
+        assert cpt.parents == (1,)
+        assert cpt.rows == (0.0, 1.0)
+        assert all(type(r) is float for r in cpt.rows)
+
 
 class TestDag:
     def test_topological_order_prefers_low_index(self):
@@ -100,6 +115,29 @@ class TestDag:
     def test_cycle_rejected(self):
         with pytest.raises(ValueError):
             Dag(2, ((1,), (0,)))
+
+    @pytest.mark.parametrize(
+        "parents, error, message",
+        [
+            (((), (0, 0)), ValueError, "duplicate parents for node 1"),
+            (((), (2,)), UnknownVariable, "parent 2 outside range(0, 2)"),
+            (((), (-1,)), UnknownVariable, "parent -1 outside range(0, 2)"),
+            (((), (1,)), ValueError, "node 1 cannot be its own parent"),
+            # The first bad parent in the list names the error.
+            (((), (1, 5)), ValueError, "node 1 cannot be its own parent"),
+            (((), (5, 1)), UnknownVariable, "parent 5 outside range(0, 2)"),
+            (((),), ValueError, "parent lists must cover every node"),
+            (((1,), (0,)), ValueError, "directed cycle"),
+        ],
+    )
+    def test_invalid_parents_named(self, parents, error, message):
+        with pytest.raises(error) as exc:
+            Dag(2, parents)
+        assert message in str(exc.value)
+
+    def test_parent_lists_become_tuples(self):
+        dag = Dag(3, [[], [0], [1, 0]])
+        assert dag.parents == ((), (0,), (1, 0))
 
     def test_children_inverts_parents(self):
         assert VEE.children() == ((2,), (2,), ())
@@ -124,6 +162,12 @@ class TestBayesNet:
 
     def test_hashable(self):
         assert len({CHAIN, BayesNet(CHAIN.cpts)}) == 1
+
+    def test_dag_built_once(self):
+        net = BayesNet((Cpt(1, (0,), (0.6, 0.4)), Cpt(0, (), (0.2,))))
+        assert net.dag() is net.dag()
+        assert net.dag() == Dag(2, ((), (0,)))
+        assert "_dag" not in repr(net)
 
 
 class TestBnToJoint:
