@@ -206,9 +206,7 @@ def _structured_cpts(
             return pooled
         ratios = []
         for child in children[node]:
-            cpt = done[child]
-            p_num = cpt.prob_true({**context, node: False})
-            p_den = cpt.prob_true({**context, node: True})
+            p_num, p_den = done[child].row_pair(node, context)
             if not outcome:
                 p_num, p_den = 1.0 - p_num, 1.0 - p_den
             ratios.append((p_num, p_den))

@@ -4,11 +4,14 @@ Queries never materialize the full joint table, so they stay usable on
 networks too large for dense enumeration as long as the induced factor
 widths stay small. Each query reads only the CPTs it needs:
 
-- A conditional on a strictly positive network (every CPT row inside
-  (0, 1)) is pruned to its requisite CPTs, found by Bayes-ball. With
-  evidence on a node's whole Markov blanket, that is the node's own CPT
-  and its children's. The dropped CPTs scale every entry of the answer
-  by the same constant, which normalization removes.
+- A single-target conditional on a strictly positive network (every
+  CPT row inside (0, 1)), given the target's whole Markov blanket, is
+  closed-form: its requisite CPTs are the node's own and its children's,
+  the evidence picks one row of each per state of the node, and the
+  answer is the normalized product of those rows. No factor is built.
+- Any other conditional on a strictly positive network is pruned to its
+  requisite CPTs, found by Bayes-ball. The dropped CPTs scale every
+  entry of the answer by the same constant, which normalization removes.
 - A marginal, and a conditional on any other network, is pruned to the
   ancestral set of its target and evidence: the CPTs of every other
   node are barren and sum to one. A marginal needs the whole P(event),
@@ -125,8 +128,8 @@ def _run(
     whose product summed over the rest is the joint probability of each
     keep-assignment with the evidence, or the requisite set, whose
     product is proportional to it. When every restricted factor lies
-    inside keep, as when the evidence covers a target's Markov blanket,
-    nothing is eliminated and no elimination order is computed.
+    inside keep, nothing is eliminated and no elimination order is
+    computed.
     """
     factors = []
     for v in nodes:
@@ -215,6 +218,36 @@ def _check_assignment(bn: BayesNet, assignment: Assignment) -> dict[int, int]:
     return states
 
 
+def _blanket_conditional(
+    bn: BayesNet, v: int, x: int, evidence: dict[int, int]
+) -> float:
+    """P(v = x | evidence) on a strictly positive network, given evidence
+    on v's whole Markov blanket.
+
+    The requisite CPTs are v's own and its children's, and the evidence
+    leaves each of them one entry per state of v. The products a0 and a1
+    multiply those entries in increasing node order, as _run multiplies
+    the factors (1.0 times the first is exact), so the answer is the
+    same float the general route returns.
+    """
+    cpts = bn.cpts
+    a0 = a1 = 1.0
+    for u in sorted((v, *bn.children[v])):
+        p0, p1 = cpts[u].row_pair(v, evidence)
+        if u == v:  # p0 == p1 = P(v = 1 | v's parents)
+            f0, f1 = 1.0 - p1, p1
+        elif evidence[u]:
+            f0, f1 = p0, p1
+        else:
+            f0, f1 = 1.0 - p0, 1.0 - p1
+        a0 *= f0
+        a1 *= f1
+    total = a0 + a1
+    if total <= 0.0:
+        raise ZeroEvidence("conditioning event has probability zero")
+    return (a1 if x else a0) / total
+
+
 def query_event_marginal(bn: BayesNet, event: Assignment) -> float:
     """Probability that every variable in event takes its given value."""
     states = _check_assignment(bn, event)
@@ -236,6 +269,10 @@ def query_conditional(
     if not given.keys().isdisjoint(wanted):
         raise ValueError("target and evidence must assign disjoint variables")
     if bn.strictly_positive:
+        if len(wanted) == 1:
+            ((v, x),) = wanted.items()
+            if given.keys() >= bn.blankets[v]:
+                return _blanket_conditional(bn, v, x, given)
         nodes = _requisite(bn, wanted, given)
     else:
         nodes = _ancestral_set(bn, set(wanted) | set(given))

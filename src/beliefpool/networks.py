@@ -70,6 +70,18 @@ class Cpt:
                 index |= 1 << i
         return index
 
+    def row_pair(self, v: int, assignment: Assignment) -> tuple[float, float]:
+        """P(owner = true) with v false and with v true, every other
+        parent read from assignment, which must cover it. When v is not
+        a parent, both are the one row the assignment picks."""
+        row = bit = 0
+        for i, parent in enumerate(self.parents):
+            if parent == v:
+                bit = 1 << i
+            elif assignment[parent]:
+                row |= 1 << i
+        return self.rows[row], self.rows[row | bit]
+
     def prob_true(self, assignment: Assignment) -> float:
         """P(owner = true) under the given parent assignment."""
         return self.rows[self.row_index(assignment)]
@@ -127,6 +139,18 @@ class Dag:
             for p in ps:
                 out[p].append(j)
         return tuple(map(tuple, out))
+
+    def blankets(self) -> tuple[frozenset[int], ...]:
+        """blankets()[j] is the Markov blanket of node j: its parents,
+        children, and children's other parents."""
+        out: list[set[int]] = [set(ps) for ps in self.parents]
+        for j, ps in enumerate(self.parents):
+            for p in ps:
+                out[p].add(j)
+                out[p].update(ps)
+        for j, blanket in enumerate(out):
+            blanket.discard(j)
+        return tuple(map(frozenset, out))
 
     def edges(self) -> frozenset[tuple[int, int]]:
         """Directed (parent, child) pairs."""
@@ -198,6 +222,11 @@ class BayesNet:
     def children(self) -> tuple[tuple[int, ...], ...]:
         """children[j] lists the nodes that have j as a parent; built once."""
         return self._dag.children()
+
+    @cached_property
+    def blankets(self) -> tuple[frozenset[int], ...]:
+        """blankets[j] is the Markov blanket of node j; built once."""
+        return self._dag.blankets()
 
     @cached_property
     def strictly_positive(self) -> bool:
@@ -422,10 +451,6 @@ def markov_blanket(structure: BayesNet | Dag, a: int) -> frozenset[int]:
     dag = _as_dag(structure)
     if not 0 <= a < dag.m:
         raise UnknownVariable(f"variable {a} outside range(0, {dag.m})")
-    blanket = set(dag.parents[a])
-    for child, ps in enumerate(dag.parents):
-        if a in ps:
-            blanket.add(child)
-            blanket.update(ps)
-    blanket.discard(a)
-    return frozenset(blanket)
+    if isinstance(structure, BayesNet):
+        return structure.blankets[a]
+    return dag.blankets()[a]

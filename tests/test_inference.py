@@ -119,6 +119,18 @@ ZERO_ELSEWHERE = BayesNet((
 ))
 
 
+# Strictly positive rows at the edges of (0, 1), where products underflow.
+EDGE_ROWS = (1e-300, 1e-12, 0.3, 0.5, 1 - 1e-12)
+
+
+def with_edge_rows(rng, net):
+    """The network with every CPT row drawn from EDGE_ROWS."""
+    return BayesNet(tuple(
+        Cpt(c.owner, c.parents, tuple(rng.choice(EDGE_ROWS, len(c.rows))))
+        for c in net.cpts
+    ))
+
+
 class TestQueryConditional:
     def test_chain_by_hand(self):
         # P(1=T) = 0.2*0.4 + 0.8*0.6 = 0.56; Bayes gives P(0=T | 1=T).
@@ -357,9 +369,20 @@ class TestCptFactor:
         net = BayesNet(tuple(
             Cpt(c.owner, c.parents, c.rows) for c in COLLIDER.cpts
         ))
-        query_conditional(net, {2: True}, {0: True, 1: False, 3: True, 4: False})
+        # Two targets go through Bayes-ball: 0 and 1 are observed parents,
+        # and observed 3 stops the ball before its child 5.
+        target, evidence = {2: True, 4: True}, {0: True, 1: False, 3: True}
+        assert _requisite(net, target, evidence) == [2, 3, 4]
+        query_conditional(net, target, evidence)
         built = [v for v, cpt in enumerate(net.cpts) if "table" in vars(cpt)]
-        assert built == [2, 3]  # the node's own CPT and its child's
+        assert built == [2, 3, 4]
+
+    def test_blanket_query_builds_no_table(self):
+        net = BayesNet(tuple(
+            Cpt(c.owner, c.parents, c.rows) for c in COLLIDER.cpts
+        ))
+        query_conditional(net, {2: True}, {0: True, 1: False, 3: True, 4: False})
+        assert not any("table" in vars(cpt) for cpt in net.cpts)
 
 
 class TestQueryEventMarginal:
@@ -399,6 +422,10 @@ class TestAgainstJoint:
         ) as order:
             blanket = {0: True, 1: False, 3: True, 4: False}
             query_conditional(COLLIDER, {2: True}, blanket)
+            assert order.call_count == 0
+            # Two targets take the factor route; every factor left after
+            # the evidence lies inside them, so nothing is eliminated.
+            query_conditional(COLLIDER, {2: True, 4: True}, {0: 1, 1: 0, 3: 1})
             assert order.call_count == 0
             query_conditional(COLLIDER, {2: True}, {3: True})
             assert order.call_count == 1
@@ -451,7 +478,7 @@ class TestAgainstJoint:
         }
         self.check(net, target, evidence)
         if net.strictly_positive:
-            # Every requisite factor is over v alone: nothing to order.
+            # The closed-form route computes no elimination order.
             with mock.patch.object(
                 inference, "min_fill_order", wraps=inference.min_fill_order
             ) as order:
@@ -474,3 +501,60 @@ class TestAgainstJoint:
             for u in order[n_target : n_target + n_evidence]
         }
         self.check(net, target, evidence)
+
+
+class TestBlanketConditional:
+    """Single targets given their Markov blanket on positive networks,
+    against the requisite-factor route that answered them before."""
+
+    @staticmethod
+    def check(net, target, evidence):
+        ((v, x),) = target.items()
+        given = inference._check_assignment(net, evidence)
+        result = inference._run(net, given, {v}, _requisite(net, [v], given))
+        total = float(result.table.sum())
+        with mock.patch.object(inference, "_run") as run:
+            if total <= 0.0:
+                with pytest.raises(ZeroEvidence):
+                    query_conditional(net, target, evidence)
+            else:
+                got = query_conditional(net, target, evidence)
+                assert got == float(result.table[x]) / total
+        run.assert_not_called()
+
+    @given(seed=st.integers(min_value=0, max_value=100_000))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_near_edges(self, seed):
+        rng = np.random.default_rng(seed)
+        net = with_edge_rows(rng, random_bn(
+            rng,
+            int(rng.integers(1, 11)),
+            edge_prob=float(rng.uniform(0.15, 0.6)),
+            max_parents=3,
+        ))
+        assert net.strictly_positive
+        v = int(rng.integers(0, net.m))
+        evidence = random_assignment(rng, net.m, sorted(markov_blanket(net, v)))
+        rest = [u for u in range(net.m) if u != v and u not in evidence]
+        extra = rng.permutation(rest)[: int(rng.integers(0, len(rest) + 1))]
+        evidence.update(random_assignment(rng, net.m, extra))
+        self.check(net, {v: int(rng.integers(0, 2))}, evidence)
+
+    def test_underflow(self):
+        # Node 0 with children 1, 2 and 3, each nearly never true.
+        net = BayesNet((
+            Cpt(0, (), (0.5,)),
+            Cpt(1, (0,), (1e-300, 1e-300)),
+            Cpt(2, (0,), (1e-300, 1e-12)),
+            Cpt(3, (0,), (1e-300, 1e-300)),
+        ))
+        for x in (0, 1):
+            # Both states underflow: the evidence reads as probability zero.
+            self.check(net, {0: x}, {1: True, 2: True, 3: True})
+            with pytest.raises(ZeroEvidence):
+                query_conditional(net, {0: x}, {1: True, 2: True, 3: True})
+            self.check(net, {0: x}, {1: True, 2: True, 3: False})
+            self.check(net, {0: x}, {1: False, 2: False, 3: False})
+        # Only the false state underflows; the true one is subnormal.
+        assert query_conditional(net, {0: 1}, {1: True, 2: True, 3: False}) == 1.0
+        assert query_conditional(net, {0: 0}, {1: True, 2: True, 3: False}) == 0.0

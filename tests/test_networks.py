@@ -74,6 +74,19 @@ class TestCpt:
         cpt = Cpt(0, (1,), (0.1, 0.9))
         assert cpt.prob_true({1: True, 3: False}) == 0.9
 
+    def test_row_pair_sets_one_parent_both_ways(self):
+        cpt = Cpt(0, (2, 1, 4), tuple(np.linspace(0.05, 0.95, 8)))
+        for bits in itertools.product((False, True), repeat=3):
+            assignment = dict(zip((2, 1, 4), bits))
+            for v in (2, 1, 4):
+                want = tuple(
+                    cpt.prob_true({**assignment, v: x}) for x in (False, True)
+                )
+                assert cpt.row_pair(v, assignment) == want
+            # A non-parent leaves one row, read twice.
+            row = cpt.prob_true(assignment)
+            assert cpt.row_pair(3, assignment) == (row, row)
+
     def test_missing_parent_raises(self):
         cpt = Cpt(0, (1,), (0.1, 0.9))
         with pytest.raises(UnknownVariable):
@@ -356,3 +369,16 @@ class TestMarkovBlanket:
             moral = moralize(dag)
             for v in range(6):
                 assert markov_blanket(dag, v) == moral.neighbors(v)
+
+    def test_network_keeps_its_blankets(self):
+        rng = np.random.default_rng(37)
+        for _ in range(25):
+            net = random_bn(rng, 7, edge_prob=0.4, max_parents=3)
+            moral = moralize(net)
+            assert net.blankets is net.blankets
+            for v in range(net.m):
+                assert markov_blanket(net, v) is net.blankets[v]
+                assert net.blankets[v] == moral.neighbors(v)
+            for bad in (-1, net.m):
+                with pytest.raises(UnknownVariable):
+                    markov_blanket(net, bad)
