@@ -17,7 +17,6 @@ import numpy as np
 
 from .consensus import linop_query, logop_consensus_bn, single_event_logop
 from .errors import DegenerateProduct, MalformedInstance, ZeroEvidence
-from .inference import query_conditional
 from .joint import (
     JointTable,
     condition,

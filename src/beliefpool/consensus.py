@@ -251,10 +251,11 @@ def logop_consensus_bn(
     """Consensus network whose joint is the geometric pool of the agents.
 
     The default path parameterizes the consensus structure from
-    per-agent inference queries alone. When an agent CPT row of 0 or 1
-    makes that ill-defined it raises DegenerateCpt. dense_oracle=True
-    instead fills the CPTs by one elimination pass over the agents'
-    weighted CPT product, which handles such rows at any size and raises
+    per-agent inference queries alone. When an agent CPT row of 0 or 1,
+    or a conditional that rounds to 0 or 1 or underflows, makes that
+    ill-defined it raises DegenerateCpt. dense_oracle=True instead fills
+    the CPTs by one elimination pass over the agents' weighted CPT
+    product, which handles such agents at any size and raises
     DegenerateProduct when the pool has zero mass.
     """
     _check_agents(bns)

@@ -42,7 +42,14 @@ class DegenerateProduct(BeliefPoolError):
 
 
 class DegenerateCpt(BeliefPoolError):
-    """A CPT row of 0 or 1 made the structured consensus ill-defined."""
+    """The query route could not fill a consensus CPT row.
+
+    An agent's conditional for the row was 0, 1 or undefined, or a child
+    row it divides by was 0 or 1. An agent CPT row of 0 or 1 causes
+    this, and so can strictly positive rows near 0 or 1, when a
+    conditional rounds to 0 or 1 or underflows. dense_oracle=True fills
+    such rows.
+    """
 
 
 class NotChordal(BeliefPoolError):

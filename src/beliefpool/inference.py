@@ -2,21 +2,19 @@
 
 Queries never materialize the full joint table, so they stay usable on
 networks too large for dense enumeration as long as the induced factor
-widths stay small. Each query reads only the CPTs it needs:
+widths stay small. A query takes one of two routes:
 
 - A single-target conditional on a strictly positive network (every
   CPT row inside (0, 1)), given the target's whole Markov blanket, is
-  closed-form: its requisite CPTs are the node's own and its children's,
-  the evidence picks one row of each per state of the node, and the
-  answer is the normalized product of those rows. No factor is built.
-- Any other conditional on a strictly positive network is pruned to its
-  requisite CPTs, found by Bayes-ball. The dropped CPTs scale every
-  entry of the answer by the same constant, which normalization removes.
-- A marginal, and a conditional on any other network, is pruned to the
+  closed-form: only the node's own CPT and its children's matter, the
+  evidence picks one row of each per state of the node, and the answer
+  is the normalized product of those rows. No factor is built. Each
+  consensus CPT row asks this query of every agent.
+- Every other query, marginal or conditional, is pruned to the
   ancestral set of its target and evidence: the CPTs of every other
-  node are barren and sum to one. A marginal needs the whole P(event),
-  and without positivity only the ancestral set keeps a zero-probability
-  conditioning event exactly zero.
+  node are barren and sum to one. The CPTs left give the whole
+  P(event), and a zero-probability conditioning event stays exactly
+  zero on any network.
 """
 from __future__ import annotations
 
@@ -84,52 +82,17 @@ def _ancestral_set(bn: BayesNet, variables: set[int]) -> list[int]:
     return sorted(seen)
 
 
-def _requisite(
-    bn: BayesNet, targets: Iterable[int], evidence: Assignment
-) -> list[int]:
-    """Nodes whose CPTs P(targets | evidence) needs, by Bayes-ball.
-
-    A ball starts at each target as if sent from a child. An unobserved
-    node passes a ball from a child on to its parents and children, and
-    one from a parent on to its children; an observed node bounces a
-    ball from a parent back to its parents and stops one from a child
-    (Shachter 1998). The nodes that send the ball to their parents are
-    marked on top, and the answer depends on their CPTs alone whenever
-    the evidence has positive probability.
-    """
-    cpts, children = bn.cpts, bn.children
-    top: set[int] = set()
-    bottom: set[int] = set()
-    from_child = list(targets)
-    from_parent: list[int] = []
-    while from_child or from_parent:
-        if from_child:
-            v = from_child.pop()
-            up = v not in evidence
-        else:
-            v = from_parent.pop()
-            up = v in evidence
-        if up and v not in top:
-            top.add(v)
-            from_child.extend(cpts[v].parents)
-        if v not in evidence and v not in bottom:
-            bottom.add(v)
-            from_parent.extend(children[v])
-    return sorted(top)
-
-
 def _run(
     bn: BayesNet, evidence: dict[int, int], keep: set[int], nodes: Iterable[int]
 ) -> _Factor:
     """Eliminate everything outside keep after restricting by evidence.
 
     evidence maps each observed variable to its state, 0 or 1. Only the
-    CPTs of nodes enter: the ancestral set of keep and the evidence,
-    whose product summed over the rest is the joint probability of each
-    keep-assignment with the evidence, or the requisite set, whose
-    product is proportional to it. When every restricted factor lies
-    inside keep, nothing is eliminated and no elimination order is
-    computed.
+    CPTs of nodes enter. Queries pass the ancestral set of keep and the
+    evidence, whose product summed over the rest is the joint
+    probability of each keep-assignment with the evidence. When every
+    restricted factor lies inside keep, nothing is eliminated and no
+    elimination order is computed.
     """
     factors = []
     for v in nodes:
@@ -224,11 +187,12 @@ def _blanket_conditional(
     """P(v = x | evidence) on a strictly positive network, given evidence
     on v's whole Markov blanket.
 
-    The requisite CPTs are v's own and its children's, and the evidence
-    leaves each of them one entry per state of v. The products a0 and a1
-    multiply those entries in increasing node order, as _run multiplies
-    the factors (1.0 times the first is exact), so the answer is the
-    same float the general route returns.
+    Given the blanket, the answer is proportional to the product of v's
+    own CPT and its children's, and the evidence leaves each of them one
+    entry per state of v. The products a0 and a1 multiply those entries
+    in increasing node order, as _run multiplies the factors (1.0 times
+    the first is exact), so the answer is the same float _run returns
+    over the CPTs of v and its children, normalized.
     """
     cpts = bn.cpts
     a0 = a1 = 1.0
@@ -262,20 +226,17 @@ def query_conditional(
 
     Target and evidence must assign disjoint variables. An empty target
     is the sure event. Raises ZeroEvidence when the evidence itself has
-    probability zero.
+    probability zero, or underflows to zero.
     """
     wanted = _check_assignment(bn, target)
     given = _check_assignment(bn, evidence or {})
     if not given.keys().isdisjoint(wanted):
         raise ValueError("target and evidence must assign disjoint variables")
-    if bn.strictly_positive:
-        if len(wanted) == 1:
-            ((v, x),) = wanted.items()
-            if given.keys() >= bn.blankets[v]:
-                return _blanket_conditional(bn, v, x, given)
-        nodes = _requisite(bn, wanted, given)
-    else:
-        nodes = _ancestral_set(bn, set(wanted) | set(given))
+    if len(wanted) == 1 and bn.strictly_positive:
+        ((v, x),) = wanted.items()
+        if given.keys() >= bn.blankets[v]:
+            return _blanket_conditional(bn, v, x, given)
+    nodes = _ancestral_set(bn, set(wanted) | set(given))
     result = _run(bn, given, set(wanted), nodes)
     total = float(result.table.sum())
     if total <= 0.0:

@@ -8,6 +8,7 @@ arithmetic plus one square root) before this module existed.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from beliefpool import (
     remove_child_conditioning,
     single_event_logop,
 )
+from beliefpool import inference
 from beliefpool.axioms import chain_agents
 from beliefpool.sampling import (
     random_bn,
@@ -272,6 +274,25 @@ class TestLogopConsensusBn:
         for got, want in zip(result.bn.cpts, factor.bn.cpts):
             assert got.parents == want.parents
             np.testing.assert_allclose(got.rows, want.rows, rtol=0, atol=1e-9)
+
+    @given(seed=st.integers(min_value=0, max_value=100_000), shared=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_positive_agents_need_no_elimination(self, seed, shared):
+        # Each row asks every agent for one node given the node's consensus
+        # neighbors, which cover the node's Markov blanket in that agent.
+        # On strictly positive agents that query is closed-form.
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 11))
+        n = int(rng.integers(1, 4))
+        if shared:
+            agents = random_common_structure_bns(rng, m, n, max_parents=2)
+        else:
+            agents = [random_bn(rng, m, max_parents=2) for _ in range(n)]
+        assert all(a.strictly_positive for a in agents)
+        with mock.patch.object(inference, "_run", wraps=inference._run) as run:
+            result = logop_consensus_bn(agents, random_weights(rng, n))
+        run.assert_not_called()
+        assert result.agent_queries >= n * m
 
     def test_dense_oracle_path(self):
         queried = logop_consensus_bn([CHAIN_A, CHAIN_B])

@@ -21,7 +21,7 @@ from beliefpool import (
     query_event_marginal,
 )
 from beliefpool import inference
-from beliefpool.inference import _ancestral_set, _requisite
+from beliefpool.inference import _ancestral_set
 from beliefpool.sampling import random_bn
 
 CHAIN = BayesNet((Cpt(0, (), (0.2,)), Cpt(1, (0,), (0.6, 0.4))))
@@ -40,26 +40,6 @@ def descendants(net, v):
                 seen.add(c)
                 stack.append(c)
     return sorted(seen)
-
-
-def two_tuple_requisite(bn, targets, evidence):
-    """Reference Bayes-ball: one stack of (node, came from a child) balls.
-
-    _requisite runs the same rules over one stack per direction, with no
-    tuple per ball, and must return the same nodes.
-    """
-    top, bottom = set(), set()
-    balls = [(v, True) for v in targets]
-    while balls:
-        v, from_child = balls.pop()
-        observed = v in evidence
-        if from_child != observed and v not in top:
-            top.add(v)
-            balls.extend((p, True) for p in bn.cpts[v].parents)
-        if not observed and v not in bottom:
-            bottom.add(v)
-            balls.extend((c, False) for c in bn.dag().children()[v])
-    return sorted(top)
 
 
 def with_extreme_rows(rng, net):
@@ -258,26 +238,16 @@ class TestPrunedQueries:
         with pytest.raises(ZeroEvidence):
             conditional_probability(bn_to_joint(ZERO_ANCESTOR), {0: True}, {2: True})
 
-
-class TestRequisite:
-    def test_markov_blanket_evidence_gives_node_and_children(self):
-        blanket = {0: True, 1: False, 3: True, 4: False}
-        assert set(blanket) == markov_blanket(COLLIDER, 2)
-        assert _requisite(COLLIDER, [2], blanket) == [2, 3]
-
-    def test_no_evidence_gives_ancestral_set(self):
-        assert _requisite(COLLIDER, [3], {}) == [0, 1, 2, 3, 4]
-        assert _requisite(COLLIDER, [0], {}) == [0]
-        assert _requisite(COLLIDER, [], {}) == []
-        for v in range(COLLIDER.m):
-            assert _requisite(COLLIDER, [v], {}) == _ancestral_set(COLLIDER, {v})
-
-    def test_evidence_on_collider_child_pulls_in_other_parent(self):
-        # Observing 3 below the collider 2 couples 0 with 1, and with 4,
-        # the other parent of the observed node itself.
-        assert _requisite(COLLIDER, [0], {3: True}) == [0, 1, 2, 3, 4]
-        # Evidence below 3 is reached through 3 alone.
-        assert _requisite(COLLIDER, [0], {5: False}) == [0, 1, 2, 3, 4, 5]
+    def test_zero_evidence_in_separate_component(self):
+        # The zero-mass evidence lies outside the component of the target;
+        # its ancestral set still reaches it, so the query raises.
+        with pytest.raises(ZeroEvidence):
+            query_conditional(ZERO_ELSEWHERE, {0: True}, {3: True})
+        with pytest.raises(ZeroEvidence):
+            query_conditional(ZERO_ELSEWHERE, {1: False}, {0: True, 3: True})
+        assert query_conditional(ZERO_ELSEWHERE, {0: True}, {1: True}) == (
+            pytest.approx(0.3 * 0.7 / (0.3 * 0.7 + 0.7 * 0.2))
+        )
 
     def test_positivity_and_children_are_kept(self):
         assert COLLIDER.strictly_positive
@@ -297,37 +267,6 @@ class TestRequisite:
         got = query_conditional(net, target, evidence)
         want = conditional_probability(bn_to_joint(net), target, evidence)
         assert got == pytest.approx(want, abs=1e-12)
-
-    @given(seed=st.integers(min_value=0, max_value=100_000))
-    @settings(max_examples=150, deadline=None)
-    def test_matches_two_tuple_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        m = int(rng.integers(1, 11))
-        net = random_bn(
-            rng, m, edge_prob=float(rng.uniform(0.1, 0.6)), max_parents=3
-        )
-        order = [int(v) for v in rng.permutation(m)]
-        n_target = int(rng.integers(0, min(m, 3) + 1))
-        n_evidence = int(rng.integers(0, m - n_target + 1))
-        targets = order[:n_target]
-        evidence = random_assignment(
-            rng, m, order[n_target : n_target + n_evidence]
-        )
-        assert _requisite(net, targets, evidence) == two_tuple_requisite(
-            net, targets, evidence
-        )
-
-    def test_zero_evidence_in_separate_component(self):
-        # The requisite set of node 0 leaves out node 3, so only the
-        # positivity guard keeps this zero-mass evidence an error.
-        assert _requisite(ZERO_ELSEWHERE, [0], {3: True}) == [0]
-        with pytest.raises(ZeroEvidence):
-            query_conditional(ZERO_ELSEWHERE, {0: True}, {3: True})
-        with pytest.raises(ZeroEvidence):
-            query_conditional(ZERO_ELSEWHERE, {1: False}, {0: True, 3: True})
-        assert query_conditional(ZERO_ELSEWHERE, {0: True}, {1: True}) == (
-            pytest.approx(0.3 * 0.7 / (0.3 * 0.7 + 0.7 * 0.2))
-        )
 
 
 class TestCptFactor:
@@ -365,17 +304,15 @@ class TestCptFactor:
         built = [v for v, cpt in enumerate(net.cpts) if "table" in vars(cpt)]
         assert built == [0, 1, 2]  # node 3 is barren
 
-    def test_positive_query_builds_only_requisite_tables(self):
+    def test_positive_query_builds_only_ancestral_tables(self):
         net = BayesNet(tuple(
             Cpt(c.owner, c.parents, c.rows) for c in COLLIDER.cpts
         ))
-        # Two targets go through Bayes-ball: 0 and 1 are observed parents,
-        # and observed 3 stops the ball before its child 5.
+        # Two targets take the factor route on a positive network too.
         target, evidence = {2: True, 4: True}, {0: True, 1: False, 3: True}
-        assert _requisite(net, target, evidence) == [2, 3, 4]
         query_conditional(net, target, evidence)
         built = [v for v, cpt in enumerate(net.cpts) if "table" in vars(cpt)]
-        assert built == [2, 3, 4]
+        assert built == [0, 1, 2, 3, 4]  # node 5 is barren
 
     def test_blanket_query_builds_no_table(self):
         net = BayesNet(tuple(
@@ -505,13 +442,14 @@ class TestAgainstJoint:
 
 class TestBlanketConditional:
     """Single targets given their Markov blanket on positive networks,
-    against the requisite-factor route that answered them before."""
+    against elimination over the CPTs of the target and its children."""
 
     @staticmethod
     def check(net, target, evidence):
         ((v, x),) = target.items()
         given = inference._check_assignment(net, evidence)
-        result = inference._run(net, given, {v}, _requisite(net, [v], given))
+        nodes = sorted((v, *net.children[v]))
+        result = inference._run(net, given, {v}, nodes)
         total = float(result.table.sum())
         with mock.patch.object(inference, "_run") as run:
             if total <= 0.0:
