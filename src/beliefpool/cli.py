@@ -6,15 +6,15 @@ conditioned), and check (built-in verification suites; every randomized
 row runs exactly --trials cases).
 
 Exit codes: 0 success, 1 unexpected check outcome, 2 parse, usage or
-weight error (a negative --seed or --trials below 1 included, and a file
+weight error (a negative --seed or --trials below 1 included, a file
 that is not UTF-8, holds an integer too large for a float or nests too
-deeply), 3 variable mismatch across inputs, 4 degenerate CPT or
-zero-mass pool in consensus building, 5 zero-probability evidence.
+deeply, and an --out path that cannot be written), 3 variable mismatch
+across inputs, 4 degenerate CPT or zero-mass pool in consensus building,
+5 zero-probability evidence.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -34,6 +34,7 @@ from .inference import query_conditional
 from .model_io import (
     LinopManifest,
     align_variables,
+    json_text,
     load_model_file,
     load_network,
     manifest_to_dict,
@@ -96,11 +97,14 @@ def _load_bayes_inputs(paths: Sequence[str]) -> list[BayesNet]:
 
 
 def _emit(data: dict, out: str | None) -> None:
-    text = json.dumps(data, indent=2)
+    text = json_text(data)
     if out is None:
-        print(text)
-    else:
-        Path(out).write_text(text + "\n")
+        sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as err:
+        raise _UsageError(f"cannot write {out}: {err}") from err
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:

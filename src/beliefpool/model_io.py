@@ -9,6 +9,9 @@ parentless node uses the single key "". Each row value is a number in
 [0, 1]. Probabilities round-trip bit-exactly since values are written
 with Python's shortest-repr float serialization.
 
+Saved text is exactly json.dumps(data, indent=2) plus a newline, written
+by json_text without the pure-Python encoder an indent otherwise forces.
+
 Loading checks a file in one pass per CPT and raises ModelFormatError
 for anything malformed, including text that is not UTF-8, integers too
 large for a float, and nesting too deep for the JSON parser.
@@ -297,8 +300,95 @@ def load_model_file(
     return network_from_dict(data)
 
 
+# json.dumps escapes every string with this one (the C version where the
+# interpreter has it) and writes each finite float as float.__repr__.
+_string = json.encoder.encode_basestring_ascii
+
+
+def _container(brackets: str, items: list[str], depth: int) -> str:
+    """json.dumps(..., indent=2) layout of a list or object at the given
+    depth whose items are already encoded."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * depth
+    inner = pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
+def _labels_text(labels: list[str], depth: int) -> str:
+    return _container("[]", list(map(_string, labels)), depth)
+
+
+def _edges_text(edges: list[list[str]], depth: int) -> str:
+    close = "\n" + "  " * (depth + 1)
+    inner = close + "  "
+    sep = "," + inner
+    return _container("[]", [
+        f"[{inner}{sep.join(map(_string, edge))}{close}]" for edge in edges
+    ], depth)
+
+
+_row = "{}: {}".format
+
+
+def _cpts_text(cpts: dict, depth: int) -> str:
+    # Each entry is an object at depth + 1 holding a parent list and a
+    # row object at depth + 2, whose items sit at depth + 3.
+    close = "\n" + "  " * (depth + 1)
+    field = close + "  "
+    inner = field + "  "
+    sep = "," + inner
+    entries = []
+    for label, cpt in cpts.items():
+        parents, rows = cpt["parents"], cpt["rows"]
+        parents_text = (
+            f"[{inner}{sep.join(map(_string, parents))}{field}]" if parents
+            else "[]"
+        )
+        rows_text = sep.join(
+            map(_row, map(_string, rows), map(float.__repr__, rows.values()))
+        )
+        entries.append(
+            f'{_string(label)}: {{{field}"parents": {parents_text},'
+            f'{field}"rows": {{{inner}{rows_text}{field}}}{close}}}'
+        )
+    return _container("{}", entries, depth)
+
+
+# The network schema's bulky fields, written without the pure-Python
+# encoder that an indent forces json.dumps to use.
+_FIELD_TEXT = {
+    "variables": _labels_text,
+    "edges": _edges_text,
+    "cpts": _cpts_text,
+}
+
+
+def json_text(data: dict) -> str:
+    """The saved text of network_to_dict or manifest_to_dict output:
+    exactly json.dumps(data, indent=2) + "\\n".
+
+    Labels, edges, parent lists and CPT rows are formatted here; every
+    other field goes through json.dumps re-indented. A field that does
+    not have the schema's types (a non-string label, say) sends the whole
+    dict through json.dumps.
+    """
+    try:
+        fields = []
+        for key, value in data.items():
+            field_text = _FIELD_TEXT.get(key)
+            text = (
+                field_text(value, 1) if field_text is not None
+                else json.dumps(value, indent=2).replace("\n", "\n  ")
+            )
+            fields.append(f"{_string(key)}: {text}")
+    except TypeError:
+        return json.dumps(data, indent=2) + "\n"
+    return _container("{}", fields, 0) + "\n"
+
+
 def _dump(data: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(data, indent=2) + "\n")
+    Path(path).write_text(json_text(data))
 
 
 def save_network(

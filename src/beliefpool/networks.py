@@ -346,23 +346,38 @@ def min_fill_order(
     Variables in keep are never eliminated but still count toward fill.
     Ties pick the lowest variable index. Returns the order and the set
     of fill edges added (each pair sorted ascending).
+
+    Fill counts are kept between steps and recounted only where they can
+    change. A vertex's count is the number of non-adjacent pairs among
+    its neighbors. Eliminating v changes the neighborhood of v's
+    neighbors only, and a fill edge (u, w) closes a pair of exactly the
+    vertices adjacent to both u and w; every other vertex keeps its
+    neighbors and their pairs. So after each step only v's neighbors and
+    the common neighbors of each new fill edge's endpoints are recounted,
+    and every pick is the one a full recount would make.
     """
     adj = {v: set(nbrs) for v, nbrs in adjacency.items()}
-    remaining = set(adj).difference(keep)
+    fill = {v: _fill_count(adj, v) for v in adj if v not in keep}
     order: list[int] = []
     fills: set[tuple[int, int]] = set()
-    while remaining:
-        v = min(remaining, key=lambda u: (_fill_count(adj, u), u))
+    while fill:
+        v = min(fill, key=lambda u: (fill[u], u))
         nbrs = sorted(adj[v])
+        added = []
         for u, w in itertools.combinations(nbrs, 2):
             if w not in adj[u]:
                 adj[u].add(w)
                 adj[w].add(u)
-                fills.add((u, w))
+                added.append((u, w))
         for u in nbrs:
             adj[u].discard(v)
-        del adj[v]
-        remaining.discard(v)
+        del adj[v], fill[v]
+        stale = set(nbrs)
+        for u, w in added:
+            stale |= adj[u] & adj[w]
+        for u in stale.intersection(fill):
+            fill[u] = _fill_count(adj, u)
+        fills.update(added)
         order.append(v)
     return tuple(order), frozenset(fills)
 

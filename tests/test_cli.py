@@ -114,6 +114,41 @@ class TestAggregate:
             bn_to_joint(consensus).probs, dense.probs, atol=1e-12
         )
 
+    @pytest.mark.parametrize("argv", [
+        ["--pool", "logop"],
+        ["--pool", "logop", "--weights", "1,3", "--dense-oracle"],
+        ["--pool", "linop", "--weights", "2,1"],
+    ])
+    def test_printed_text_equals_saved_file(self, capsys, tmp_path, argv):
+        # Input paths with a quote, a backslash and non-ASCII characters
+        # land in the provenance or manifest.
+        folder = tmp_path / 'agents "q" \\ é✓'
+        folder.mkdir()
+        paths = [str(folder / "chain_a.json"), str(folder / "chain_b.json")]
+        save_network(CHAIN_A, paths[0])
+        save_network(CHAIN_B, paths[1])
+        out_path = tmp_path / "consensus.json"
+        code, printed, _ = run(capsys, "aggregate", *paths, *argv)
+        assert code == EXIT_OK
+        assert run(capsys, "aggregate", *paths, *argv, "--out", str(out_path)) == (
+            EXIT_OK, "", ""
+        )
+        assert printed.encode() == out_path.read_bytes()
+        data = json.loads(printed)
+        assert printed == json.dumps(data, indent=2) + "\n"
+        assert data.get("inputs", data.get("provenance", {}).get("inputs")) == paths
+
+    @pytest.mark.parametrize("where", ["missing folder", "directory"])
+    def test_unwritable_out_path(self, capsys, tmp_path, chain_files, where):
+        out = tmp_path / "missing" / "c.json" if where == "missing folder" else tmp_path
+        code, printed, err = run(
+            capsys, "aggregate", *chain_files, "--pool", "logop", "--out", str(out)
+        )
+        assert code == EXIT_PARSE
+        assert printed == ""
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in err
+
     def test_markov_input_rejected(self, capsys, tmp_path):
         path = tmp_path / "mn.json"
         save_network(MarkovNet(2, frozenset({(0, 1)}), labels=("A1", "A2")), path)

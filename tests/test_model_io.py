@@ -1,5 +1,6 @@
 """JSON round trips, format validation, and label-based alignment."""
 
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -38,30 +39,43 @@ def valid_bayes_dict():
     return network_to_dict(CHAIN)
 
 
-def reference_text(bn):
-    """The saved text of a bayes network, built key by key from the row
-    bit encoding, independently of model_io."""
-    labels = bn.labels
+def reference_text(model, provenance=None):
+    """The saved text of a network, built key by key from the row bit
+    encoding, independently of model_io."""
+    labels = model.labels
 
     def row_key(r, k):
         return "".join("1" if (r >> i) & 1 else "0" for i in range(k))
 
-    edges = sorted((labels[p], labels[c.owner]) for c in bn.cpts for p in c.parents)
-    cpts = {
-        labels[c.owner]: {
-            "parents": [labels[p] for p in c.parents],
-            "rows": dict(sorted(
-                (row_key(r, len(c.parents)), c.rows[r]) for r in range(len(c.rows))
-            )),
+    if isinstance(model, MarkovNet):
+        edges = sorted(tuple(sorted((labels[u], labels[v]))) for u, v in model.edges)
+        data = {
+            "kind": "markov",
+            "variables": list(labels),
+            "edges": [list(e) for e in edges],
         }
-        for c in bn.cpts
-    }
-    data = {
-        "kind": "bayes",
-        "variables": list(labels),
-        "edges": [list(e) for e in edges],
-        "cpts": cpts,
-    }
+    else:
+        edges = sorted(
+            (labels[p], labels[c.owner]) for c in model.cpts for p in c.parents
+        )
+        cpts = {
+            labels[c.owner]: {
+                "parents": [labels[p] for p in c.parents],
+                "rows": dict(sorted(
+                    (row_key(r, len(c.parents)), c.rows[r])
+                    for r in range(len(c.rows))
+                )),
+            }
+            for c in model.cpts
+        }
+        data = {
+            "kind": "bayes",
+            "variables": list(labels),
+            "edges": [list(e) for e in edges],
+            "cpts": cpts,
+        }
+    if provenance is not None:
+        data["provenance"] = provenance
     return json.dumps(data, indent=2) + "\n"
 
 
@@ -69,11 +83,13 @@ def reference_text(bn):
 EDGE_ROWS = (0.0, 1.0, 1e-300, 5e-324, 0.3, 1.0 - 1e-16)
 
 
+labels_text = st.text(min_size=1, max_size=4)
+
+
 @st.composite
 def labelled_bns(draw):
     m = draw(st.integers(min_value=1, max_value=8))
-    labels = draw(st.lists(st.text(min_size=1, max_size=4), min_size=m,
-                           max_size=m, unique=True))
+    labels = draw(st.lists(labels_text, min_size=m, max_size=m, unique=True))
     order = draw(st.permutations(range(m)))
     cpts = []
     for pos, v in enumerate(order):
@@ -83,6 +99,34 @@ def labelled_bns(draw):
                              max_size=1 << len(parents)))
         cpts.append(Cpt(v, tuple(parents), tuple(rows)))
     return BayesNet(tuple(cpts), tuple(labels))
+
+
+# File paths as a user may pass them: quotes, backslashes, non-ASCII.
+paths = st.one_of(
+    st.just('agents/"q"\\é✓.json'), st.text(min_size=1, max_size=8)
+)
+
+
+@st.composite
+def labelled_mns(draw):
+    m = draw(st.integers(min_value=1, max_value=8))
+    labels = draw(st.lists(labels_text, min_size=m, max_size=m, unique=True))
+    pairs = list(itertools.combinations(range(m), 2))
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs))) if pairs else set()
+    return MarkovNet(m, frozenset(edges), tuple(labels))
+
+
+@st.composite
+def cli_provenance(draw, labels):
+    """A provenance block shaped as CLI aggregate writes it."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    return {
+        "pool": "logop",
+        "weights": draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)),
+        "inputs": draw(st.lists(paths, min_size=n, max_size=n)),
+        "elimination_order": draw(st.permutations(labels)),
+        "agent_queries": draw(st.integers(min_value=0, max_value=10**9)),
+    }
 
 
 class TestNetworkRoundTrip:
@@ -133,18 +177,55 @@ class TestNetworkRoundTrip:
         data = network_to_dict(CHAIN, provenance={"pool": "logop"})
         assert data["provenance"] == {"pool": "logop"}
 
-    @given(bn=labelled_bns())
+    @given(bn=labelled_bns(), data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_saved_text_matches_reference(self, bn):
+    def test_saved_text_matches_reference(self, bn, data):
+        provenance = data.draw(st.none() | cli_provenance(bn.labels))
         with tempfile.TemporaryDirectory() as folder:
             path = Path(folder) / "net.json"
-            save_network(bn, path)
-            assert path.read_text() == reference_text(bn)
+            save_network(bn, path, provenance)
+            assert path.read_text() == reference_text(bn, provenance)
             got = load_network(path)
         assert got == bn
         assert all(
             a.rows[r].hex() == b.rows[r].hex()
             for a, b in zip(got.cpts, bn.cpts) for r in range(len(a.rows))
+        )
+
+    @given(net=labelled_mns())
+    @settings(max_examples=50, deadline=None)
+    def test_saved_markov_text_matches_reference(self, net):
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "net.json"
+            save_network(net, path)
+            assert path.read_text() == reference_text(net)
+            assert load_network(path) == net
+
+    @given(
+        inputs=st.lists(paths, min_size=1, max_size=4),
+        weights=st.none() | st.lists(st.floats(0.0, 1e3), max_size=4),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_saved_manifest_text_matches_reference(self, inputs, weights):
+        data = {"kind": "linop-manifest", "inputs": inputs}
+        if weights is not None:
+            data["weights"] = weights
+        manifest = LinopManifest(
+            tuple(inputs), None if weights is None else tuple(weights)
+        )
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "pool.json"
+            save_manifest(manifest, path)
+            assert path.read_text() == json.dumps(data, indent=2) + "\n"
+
+    def test_non_string_labels_saved_as_json_dumps_writes_them(self, tmp_path):
+        # Such a file does not load, but it is still written exactly as
+        # json.dumps writes the dict, never half in the direct layout.
+        net = BayesNet(CHAIN.cpts, labels=(1, 2.5))
+        path = tmp_path / "net.json"
+        save_network(net, path)
+        assert path.read_text() == (
+            json.dumps(network_to_dict(net), indent=2) + "\n"
         )
 
     def test_serializing_needs_labels(self):

@@ -62,6 +62,42 @@ def to_nx(net):
     return g
 
 
+def min_fill_by_full_recount(adjacency, keep=()):
+    """Oracle for min_fill_order: the plain greedy loop that recounts the
+    fill of every remaining vertex before each pick."""
+    def fill_count(v):
+        return sum(
+            1 for u, w in itertools.combinations(adj[v], 2) if w not in adj[u]
+        )
+
+    adj = {v: set(nbrs) for v, nbrs in adjacency.items()}
+    remaining = set(adj).difference(keep)
+    order, fills = [], set()
+    while remaining:
+        v = min(remaining, key=lambda u: (fill_count(u), u))
+        nbrs = sorted(adj[v])
+        for u, w in itertools.combinations(nbrs, 2):
+            if w not in adj[u]:
+                adj[u].add(w)
+                adj[w].add(u)
+                fills.add((u, w))
+        for u in nbrs:
+            adj[u].discard(v)
+        del adj[v]
+        remaining.discard(v)
+        order.append(v)
+    return tuple(order), frozenset(fills)
+
+
+@st.composite
+def graphs_with_keep(draw):
+    m = draw(st.integers(min_value=1, max_value=24))
+    density = draw(st.sampled_from((0.05, 0.15, 0.3, 0.6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = draw(st.sets(st.integers(0, m - 1), max_size=3))
+    return random_mn(rng, m, density).adjacency(), keep
+
+
 class TestCpt:
     def test_row_bit_i_is_parent_i(self):
         cpt = Cpt(0, (2, 1), (0.1, 0.2, 0.3, 0.4))
@@ -266,6 +302,22 @@ class TestTriangulate:
         kept_order, kept_fills = min_fill_order(square.adjacency(), keep={0})
         assert kept_order == (1, 2, 3)
         assert kept_fills == frozenset({(0, 2)})
+
+    def test_fill_edge_lowers_count_of_a_non_neighbor(self):
+        # The 4-cycle 0-2-1-3: eliminating 0 joins 2 and 3, so 1, which is
+        # not adjacent to 0, drops to fill 0 and wins the tie with 2.
+        square = mn(4, (0, 2), (1, 2), (1, 3), (0, 3))
+        order, fills = min_fill_order(square.adjacency())
+        assert order == (0, 1, 2, 3)
+        assert fills == frozenset({(2, 3)})
+
+    @given(case=graphs_with_keep())
+    @settings(max_examples=300, deadline=None)
+    def test_min_fill_order_matches_full_recount(self, case):
+        adjacency, keep = case
+        assert min_fill_order(adjacency, keep) == min_fill_by_full_recount(
+            adjacency, keep
+        )
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)
