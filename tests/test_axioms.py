@@ -19,14 +19,13 @@ from beliefpool import (
     JointTable,
     MalformedInstance,
     MismatchedVariables,
-    ZeroEvidence,
     bn_to_joint,
     check_property,
-    conditional_probability,
     family_pooled_joint,
     joint_from_entries,
     linop,
     logop,
+    marginal,
     normalize_weights,
     pairwise_dependence_gap,
     reproduce_example,
@@ -249,16 +248,19 @@ def per_row_family_pooled_joint(pool, tables, ordering, weights):
         rows.append([])
         for r in range(1 << k):
             context = {v: bool((r >> i) & 1) for i, v in enumerate(ordering[:k])}
-            # The ratio of two separately summed masses may round above 1,
-            # and so may a linop row of ones: both are clipped.
-            try:
-                conds = [
-                    min(conditional_probability(t, {node: True}, context), 1.0)
-                    for t in tables
-                ]
-            except ZeroEvidence as err:
-                raise MalformedInstance("zero-mass context") from err
+            # true / (false + true), not P(node, context) / P(context): the
+            # context mass summed on its own may differ from false + true in
+            # the last bit, and logop turns a sure row read as 1 - 2**-53
+            # into a 1e-8 pooled mass.
+            conds = []
+            for t in tables:
+                true = marginal(t, {**context, node: True})
+                mass = marginal(t, {**context, node: False}) + true
+                if mass <= 0.0:
+                    raise MalformedInstance("zero-mass context")
+                conds.append(true / mass)
             if pool == "linop":
+                # The weights' sum, and so a row of ones, may round above 1.
                 rows[k].append(min(float(np.dot(w, conds)), 1.0))
             else:
                 rows[k].append(single_event_logop(conds, w))
@@ -344,6 +346,25 @@ class TestFamilyPooledJoint:
             return
         got = family_pooled_joint(pool, tables, ordering, weights)
         np.testing.assert_allclose(got.probs, want.probs, rtol=0.0, atol=1e-12)
+
+    def test_logop_sure_row_beside_an_impossible_one(self):
+        # One agent is sure of variable 2 and the other rules it out: logop
+        # pools that first row to zero mass, and the reference agrees.
+        sure = JointTable(3, np.array([0.0, 0.0, 0.0, 0.0, 0.3, 0.5, 0.3, 1.0]))
+        never = JointTable(3, np.array([0.0, 0.0, 0.0, 1e-300, 0.0, 0.0, 0.0, 0.0]))
+        for pooled in (per_row_family_pooled_joint, family_pooled_joint):
+            with pytest.raises(DegenerateProduct):
+                pooled("logop", (sure, never), (2, 1, 0), (0.25, 0.25))
+        # The second agent's 2e-300 on variable 2 false rounds away beside
+        # 2.1, so its row is exactly 1 and so is the logop row: the states
+        # where variable 2 is false keep no mass, not the 1e-8 that a row
+        # read as 1 - 2**-53 would leave them.
+        tiny = JointTable(3, np.array([1e-300, 0.0, 0.0, 1e-300, 0.0, 0.0, 1e-300, 1e-300]))
+        mixed = JointTable(3, np.array([1e-300, 0.0, 0.0, 1e-300, 0.3, 0.5, 0.3, 1.0]))
+        want = per_row_family_pooled_joint("logop", (tiny, mixed), (2, 0, 1), (0.25, 0.25))
+        got = family_pooled_joint("logop", (tiny, mixed), (2, 0, 1), (0.25, 0.25))
+        np.testing.assert_allclose(got.probs, want.probs, rtol=0.0, atol=1e-12)
+        assert not got.probs[:4].any()
 
 
 class TestWorkedFixtures:
