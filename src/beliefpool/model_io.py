@@ -45,6 +45,8 @@ class LinopManifest:
 def _require_labels(model: BayesNet | MarkovNet) -> tuple[str, ...]:
     if model.labels is None:
         raise ValueError("serializing a network requires variable labels")
+    if not all(isinstance(label, str) for label in model.labels):
+        raise ValueError("variable labels must be strings")
     return model.labels
 
 
@@ -368,22 +370,18 @@ def json_text(data: dict) -> str:
     """The saved text of network_to_dict or manifest_to_dict output:
     exactly json.dumps(data, indent=2) + "\\n".
 
-    Labels, edges, parent lists and CPT rows are formatted here; every
-    other field goes through json.dumps re-indented. A field that does
-    not have the schema's types (a non-string label, say) sends the whole
-    dict through json.dumps.
+    Labels, edges, parent lists and CPT rows are formatted here (labels
+    are strings, as network_to_dict requires); every other field goes
+    through json.dumps re-indented.
     """
-    try:
-        fields = []
-        for key, value in data.items():
-            field_text = _FIELD_TEXT.get(key)
-            text = (
-                field_text(value, 1) if field_text is not None
-                else json.dumps(value, indent=2).replace("\n", "\n  ")
-            )
-            fields.append(f"{_string(key)}: {text}")
-    except TypeError:
-        return json.dumps(data, indent=2) + "\n"
+    fields = []
+    for key, value in data.items():
+        field_text = _FIELD_TEXT.get(key)
+        text = (
+            field_text(value, 1) if field_text is not None
+            else json.dumps(value, indent=2).replace("\n", "\n  ")
+        )
+        fields.append(f"{_string(key)}: {text}")
     return _container("{}", fields, 0) + "\n"
 
 

@@ -8,7 +8,7 @@ frozen here so future edits cannot quietly change them.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beliefpool import (
@@ -272,6 +272,30 @@ def per_row_family_pooled_joint(pool, tables, ordering, weights):
     return JointTable(m, probs)
 
 
+@st.composite
+def pooling_cases(draw):
+    """A pool, joint tables, a variable ordering and weights."""
+    pool = draw(st.sampled_from(("linop", "logop")))
+    m = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=3))
+    # No entry like 1e-12 beside 0.3: 1 - c of a row that close to 1 keeps
+    # a few digits only, in either summation order.
+    entry = st.sampled_from((0.0, 0.0, 1e-300, 0.3, 0.5, 1.0))
+    tables = tuple(
+        JointTable(m, np.array(draw(
+            st.lists(entry, min_size=1 << m, max_size=1 << m)
+            .filter(lambda xs: sum(xs) > 0.0)
+        )))
+        for _ in range(n)
+    )
+    weights = draw(
+        st.lists(st.sampled_from((0.0, 0.25, 1.0, 3.0)), min_size=n, max_size=n)
+        .filter(lambda ws: sum(ws) > 0.0)
+    )
+    ordering = tuple(draw(st.permutations(range(m))))
+    return pool, tables, ordering, weights
+
+
 class TestFamilyPooledJoint:
     def test_chain_fixture_both_orderings(self):
         tables = tuple(bn_to_joint(bn) for bn in chain_agents())
@@ -315,29 +339,33 @@ class TestFamilyPooledJoint:
         pooled = family_pooled_joint("linop", (sure,) * 3, (0, 1), weights)
         np.testing.assert_allclose(pooled.probs, sure.probs, atol=1e-15)
 
-    @given(
-        pool=st.sampled_from(("linop", "logop")),
-        m=st.integers(min_value=1, max_value=4),
-        n=st.integers(min_value=1, max_value=3),
-        data=st.data(),
-    )
+    @given(case=pooling_cases())
+    @example(case=(
+        # One agent is sure of variable 2 and the other rules it out, so
+        # logop pools that first row to zero mass.
+        "logop",
+        (
+            JointTable(3, np.array([0.0, 0.0, 0.0, 0.0, 0.3, 0.5, 0.3, 1.0])),
+            JointTable(3, np.array([0.0, 0.0, 0.0, 1e-300, 0.0, 0.0, 0.0, 0.0])),
+        ),
+        (2, 1, 0),
+        (0.25, 0.25),
+    ))
+    @example(case=(
+        # The second agent's 2e-300 on variable 2 false rounds away beside
+        # 2.1, so its row is exactly 1 and so is the logop row: the states
+        # where variable 2 is false keep no mass.
+        "logop",
+        (
+            JointTable(3, np.array([1e-300, 0, 0, 1e-300, 0, 0, 1e-300, 1e-300])),
+            JointTable(3, np.array([1e-300, 0, 0, 1e-300, 0.3, 0.5, 0.3, 1.0])),
+        ),
+        (2, 0, 1),
+        (0.25, 0.25),
+    ))
     @settings(max_examples=300, deadline=None)
-    def test_matches_per_row_reference(self, pool, m, n, data):
-        # No entry like 1e-12 beside 0.3: 1 - c of a row that close to 1 keeps
-        # a few digits only, in either summation order.
-        entry = st.sampled_from((0.0, 0.0, 1e-300, 0.3, 0.5, 1.0))
-        tables = tuple(
-            JointTable(m, np.array(data.draw(
-                st.lists(entry, min_size=1 << m, max_size=1 << m)
-                .filter(lambda xs: sum(xs) > 0.0)
-            )))
-            for _ in range(n)
-        )
-        weights = data.draw(
-            st.lists(st.sampled_from((0.0, 0.25, 1.0, 3.0)), min_size=n, max_size=n)
-            .filter(lambda ws: sum(ws) > 0.0)
-        )
-        ordering = tuple(data.draw(st.permutations(range(m))))
+    def test_matches_per_row_reference(self, case):
+        pool, tables, ordering, weights = case
         try:
             want = per_row_family_pooled_joint(pool, tables, ordering, weights)
         except (MalformedInstance, DegenerateProduct) as err:
@@ -346,25 +374,6 @@ class TestFamilyPooledJoint:
             return
         got = family_pooled_joint(pool, tables, ordering, weights)
         np.testing.assert_allclose(got.probs, want.probs, rtol=0.0, atol=1e-12)
-
-    def test_logop_sure_row_beside_an_impossible_one(self):
-        # One agent is sure of variable 2 and the other rules it out: logop
-        # pools that first row to zero mass, and the reference agrees.
-        sure = JointTable(3, np.array([0.0, 0.0, 0.0, 0.0, 0.3, 0.5, 0.3, 1.0]))
-        never = JointTable(3, np.array([0.0, 0.0, 0.0, 1e-300, 0.0, 0.0, 0.0, 0.0]))
-        for pooled in (per_row_family_pooled_joint, family_pooled_joint):
-            with pytest.raises(DegenerateProduct):
-                pooled("logop", (sure, never), (2, 1, 0), (0.25, 0.25))
-        # The second agent's 2e-300 on variable 2 false rounds away beside
-        # 2.1, so its row is exactly 1 and so is the logop row: the states
-        # where variable 2 is false keep no mass, not the 1e-8 that a row
-        # read as 1 - 2**-53 would leave them.
-        tiny = JointTable(3, np.array([1e-300, 0.0, 0.0, 1e-300, 0.0, 0.0, 1e-300, 1e-300]))
-        mixed = JointTable(3, np.array([1e-300, 0.0, 0.0, 1e-300, 0.3, 0.5, 0.3, 1.0]))
-        want = per_row_family_pooled_joint("logop", (tiny, mixed), (2, 0, 1), (0.25, 0.25))
-        got = family_pooled_joint("logop", (tiny, mixed), (2, 0, 1), (0.25, 0.25))
-        np.testing.assert_allclose(got.probs, want.probs, rtol=0.0, atol=1e-12)
-        assert not got.probs[:4].any()
 
 
 class TestWorkedFixtures:

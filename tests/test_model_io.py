@@ -218,15 +218,14 @@ class TestNetworkRoundTrip:
             save_manifest(manifest, path)
             assert path.read_text() == json.dumps(data, indent=2) + "\n"
 
-    def test_non_string_labels_saved_as_json_dumps_writes_them(self, tmp_path):
-        # Such a file does not load, but it is still written exactly as
-        # json.dumps writes the dict, never half in the direct layout.
+    def test_non_string_labels_are_not_saved(self, tmp_path):
+        # The loader rejects such labels, so a file holding them is never
+        # written.
         net = BayesNet(CHAIN.cpts, labels=(1, 2.5))
         path = tmp_path / "net.json"
-        save_network(net, path)
-        assert path.read_text() == (
-            json.dumps(network_to_dict(net), indent=2) + "\n"
-        )
+        with pytest.raises(ValueError, match="strings"):
+            save_network(net, path)
+        assert not path.exists()
 
     def test_serializing_needs_labels(self):
         with pytest.raises(ValueError):
