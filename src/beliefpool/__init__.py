@@ -31,8 +31,6 @@ from .consensus import (
     consensus_mn_structure,
     linop_query,
     logop_consensus_bn,
-    remove_child_conditioning,
-    single_event_logop,
 )
 from .errors import (
     BeliefPoolError,

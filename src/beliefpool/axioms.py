@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .consensus import linop_query, logop_consensus_bn, single_event_logop
+from .consensus import linop_query, logop_consensus_bn
 from .errors import DegenerateProduct, MalformedInstance, ZeroEvidence
 from .joint import (
     JointTable,
@@ -27,7 +27,10 @@ from .joint import (
     state_index,
 )
 from .networks import BayesNet, Cpt, bn_to_joint
-from .pools import POOL_NAMES, AggregationSpec, _stack, linop, logop, normalize_weights
+from .pools import (
+    POOL_NAMES, AggregationSpec, _stack, linop, logistic, logop,
+    normalize_weights, pooled_log_odds,
+)
 from .sampling import (
     random_block_product_table,
     random_bn,
@@ -140,13 +143,6 @@ def _pooled(spec: AggregationSpec, inst, tables=None) -> JointTable:
     return pool(inst.tables if tables is None else tables, inst.weights or spec.weights)
 
 
-def _scalar_pool(pool: str, values: Sequence[float], weights) -> float:
-    w = normalize_weights(weights, len(values))
-    if pool == "linop":
-        return float(np.dot(w, np.asarray(values, dtype=np.float64)))
-    return single_event_logop(values, w)
-
-
 def _event_mass(table: JointTable, states: frozenset[int]) -> float:
     for s in states:
         if not 0 <= s < table.n_states:
@@ -192,12 +188,16 @@ def _unam_gap(spec: AggregationSpec, inst: UnanimityInstance) -> float:
 
 def _mp_gap(spec: AggregationSpec, inst: EventPoolInstance) -> float:
     _require(EventPoolInstance, inst)
-    weights = inst.weights or spec.weights
+    w = normalize_weights(inst.weights or spec.weights, len(inst.tables))
     joint_route = _event_mass(_pooled(spec, inst), inst.event)
-    event_route = _scalar_pool(
-        spec.pool, [_event_mass(t, inst.event) for t in inst.tables], weights
-    )
-    return abs(joint_route - event_route)
+    true = np.array([_event_mass(t, inst.event) for t in inst.tables])
+    if spec.pool == "linop":
+        return abs(joint_route - float(w @ true))
+    rest = frozenset(range(inst.tables[0].n_states)) - inst.event
+    false = np.array([_event_mass(t, rest) for t in inst.tables])
+    # No NaN here: the joint route has raised DegenerateProduct first.
+    _, event_route = logistic(pooled_log_odds(false, true, w))
+    return abs(joint_route - float(event_route))
 
 
 def _eb_gap(spec: AggregationSpec, inst: EvidenceInstance) -> float:
@@ -289,7 +289,9 @@ def family_pooled_joint(
     """Chain-rule along the ordering, pooling each conditional row.
 
     Every node is conditioned on the full prefix of the ordering, so the
-    result depends only on the ordering, not on any structure. Raises
+    result depends only on the ordering, not on any structure. A row
+    pools the agents' (false, true) masses of the node in its context:
+    linop averages each side's share, logop pools their log-odds. Raises
     MalformedInstance when an agent gives a prefix context zero mass and
     DegenerateProduct when a logop row pools to zero mass, whichever
     comes first in chain-rule row order.
@@ -308,20 +310,18 @@ def family_pooled_joint(
     for k in range(m):
         # Mass of (prefix context, node) per agent; axis i + 1 is ordering[i].
         family = mass.sum(axis=tuple(range(k + 2, m + 1)))
-        true = family[..., 1]
-        context = family[..., 0] + true
-        dead = (context <= 0.0).any(axis=0)
-        cond = np.divide(true, context, out=np.zeros_like(true), where=context > 0.0)
-        wk = w.reshape((-1,) + (1,) * k)
+        context = family.sum(axis=-1, keepdims=True)
+        dead = (context[..., 0] <= 0.0).any(axis=0)
         if pool == "linop":
+            split = np.divide(family, context, out=np.zeros_like(family), where=context > 0.0)
+            wk = w.reshape((-1,) + (1,) * (k + 1))
             # The weights' sum, and so a row of sure nodes, may round above 1.
-            rows = np.minimum((wk * cond).sum(axis=0), 1.0)
+            factor = np.minimum((wk * split).sum(axis=0), 1.0)
             bad = dead
         else:
-            p_true = np.prod(cond**wk, axis=0)
-            total = p_true + np.prod((1.0 - cond) ** wk, axis=0)
-            bad = dead | (total <= 0.0)
-            rows = np.divide(p_true, total, out=np.zeros_like(total), where=total > 0.0)
+            p_false, p_true = logistic(pooled_log_odds(family[..., 0], family[..., 1], w))
+            factor = np.stack([p_false, p_true], axis=-1)
+            bad = dead | np.isnan(p_true)
         # Row r's bit i is ordering[i], so Fortran order is row order.
         bad_rows = np.flatnonzero(bad.ravel(order="F"))
         if bad_rows.size:
@@ -330,7 +330,6 @@ def family_pooled_joint(
                     "every chain-rule context must have positive mass"
                 )
             raise DegenerateProduct("event and complement both pooled to zero mass")
-        factor = np.stack([1.0 - rows, rows], axis=-1)
         joint *= factor.reshape(factor.shape + (1,) * (m - k - 1))
     # Back to state-index layout: variable j on axis m - 1 - j.
     return JointTable(m, joint.transpose(np.argsort(ordering)[::-1]).ravel())

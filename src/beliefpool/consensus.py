@@ -11,10 +11,11 @@ per-agent inference queries, never a dense 2**m table. Nodes are
 processed in elimination order (reverse topological order). For each
 node and each parent instantiation, the node's neighbors are fixed
 (parents by the instantiation, children all true, or all false if that
-fails), every agent is asked for its conditional on that context, the
-answers are combined by single-event geometric pooling, and the
-conditioning on the already-parameterized children is then divided back
-out through their likelihood ratios.
+fails) and every agent is asked for its conditional on that context.
+The row is the logistic of the agents' pooled log-odds plus each
+already-parameterized child's log-ratio, log P(child | node false) -
+log P(child | node true), which removes the conditioning on the
+children.
 
 The dense_oracle route needs no queries: the pool is the normalized
 product of every agent CPT raised to the agent's weight, and one
@@ -22,6 +23,7 @@ elimination pass over it along the elimination order yields the CPTs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,7 +31,6 @@ import numpy as np
 
 from .errors import (
     DegenerateCpt,
-    DegenerateProduct,
     MismatchedVariables,
     ZeroEvidence,
 )
@@ -50,7 +51,7 @@ from .networks import (
     moralize,
     triangulate,
 )
-from .pools import normalize_weights
+from .pools import logistic, normalize_weights, pooled_log_odds
 
 
 @dataclass(frozen=True)
@@ -100,60 +101,6 @@ def consensus_bn_structure(
     return direct_by_order(chordal, order), order
 
 
-def single_event_logop(
-    conds: Sequence[float], weights: Sequence[float] | None = None
-) -> float:
-    """Geometric pooling of one event's probabilities.
-
-    Combines p_1..p_n into prod(p_i**w_i) renormalized against the
-    matching product for the complementary event.
-    """
-    values = np.asarray(list(conds), dtype=np.float64)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("need at least one conditional probability")
-    if np.any(values < 0.0) or np.any(values > 1.0):
-        raise ValueError("conditional probabilities must lie in [0, 1]")
-    return _pool_event(values, normalize_weights(weights, values.size))
-
-
-def _pool_event(values: np.ndarray, w: np.ndarray) -> float:
-    """single_event_logop on checked values and normalized weights."""
-    p_true = float(np.prod(values**w))
-    p_false = float(np.prod((1.0 - values) ** w))
-    total = p_true + p_false
-    if total <= 0.0:
-        raise DegenerateProduct(
-            "event and complement both pooled to zero mass"
-        )
-    return p_true / total
-
-
-def remove_child_conditioning(
-    blanket_odds: float, child_ratios: Sequence[tuple[float, float]]
-) -> float:
-    """Turn odds conditioned on fixed children into a plain CPT row.
-
-    blanket_odds is P(node | parents, children fixed) expressed as odds.
-    Each (numerator, denominator) pair is the fixed child outcome's
-    probability under the child's own CPT with the node false
-    (numerator) versus true (denominator). Multiplying the odds by
-    these likelihood ratios removes the conditioning on the children;
-    the corrected odds convert back to a probability.
-    """
-    if not np.isfinite(blanket_odds) or blanket_odds <= 0.0:
-        raise DegenerateCpt(
-            f"blanket odds must be positive and finite, got {blanket_odds}"
-        )
-    odds = float(blanket_odds)
-    for numerator, denominator in child_ratios:
-        if numerator <= 0.0 or denominator <= 0.0:
-            raise DegenerateCpt(
-                "child CPT row of 0 or 1 makes a likelihood ratio undefined"
-            )
-        odds *= numerator / denominator
-    return odds / (1.0 + odds)
-
-
 def _check_agents(bns: Sequence[BayesNet]) -> int:
     if not bns:
         raise ValueError("need at least one agent network")
@@ -175,13 +122,12 @@ def _structured_cpts(
     children = structure.children()
     done: dict[int, Cpt] = {}
     queries = 0
-    # Every row pools with the vector single_event_logop(conds, w) would
-    # use, normalized once here rather than once per row.
-    w = normalize_weights(w, len(bns))
 
     def blanket_row(
         node: int, parent_asg: dict[int, bool], outcome: bool
-    ) -> float:
+    ) -> tuple[list[float], float]:
+        """Each agent's conditional for the row, and the children's
+        log-ratio to add to the pooled log-odds."""
         nonlocal queries
         context = dict(parent_asg)
         context.update({c: outcome for c in children[node]})
@@ -201,24 +147,23 @@ def _structured_cpts(
                     f"on a neighborhood instantiation"
                 )
             conds.append(c)
-        pooled = _pool_event(np.array(conds), w)
-        if not children[node]:
-            return pooled
-        ratios = []
+        log_ratio = 0.0
         for child in children[node]:
             p_num, p_den = done[child].row_pair(node, context)
             if not outcome:
                 p_num, p_den = 1.0 - p_num, 1.0 - p_den
-            ratios.append((p_num, p_den))
-        return remove_child_conditioning(
-            pooled / (1.0 - pooled), ratios
-        )
+            if p_num <= 0.0 or p_den <= 0.0:
+                raise DegenerateCpt(
+                    "child CPT row of 0 or 1 makes a likelihood ratio undefined"
+                )
+            log_ratio += math.log(p_num) - math.log(p_den)
+        return conds, log_ratio
 
     # Elimination order is a reverse topological order, so every child
     # of a node is parameterized before the node itself.
     for node in elimination_order:
         parents = structure.parents[node]
-        rows = []
+        conds, log_ratios = [], []
         for r in range(1 << len(parents)):
             parent_asg = {
                 p: bool((r >> i) & 1) for i, p in enumerate(parents)
@@ -236,8 +181,12 @@ def _structured_cpts(
                     f"node {node}, parent row {r}: {failure}; rerun with "
                     f"dense_oracle=True to use the factor-product fill"
                 ) from failure
-            rows.append(row)
-        done[node] = Cpt(node, parents, tuple(rows))
+            conds.append(row[0])
+            log_ratios.append(row[1])
+        # One pool per node: agent on axis 0, parent row on axis 1.
+        c = np.array(conds).T
+        _, rows = logistic(pooled_log_odds(1.0 - c, c, w) + log_ratios)
+        done[node] = Cpt(node, parents, tuple(rows.tolist()))
     return [done[v] for v in range(structure.m)], queries
 
 
@@ -251,9 +200,10 @@ def logop_consensus_bn(
     """Consensus network whose joint is the geometric pool of the agents.
 
     The default path parameterizes the consensus structure from
-    per-agent inference queries alone. When an agent CPT row of 0 or 1,
-    or a conditional that rounds to 0 or 1 or underflows, makes that
-    ill-defined it raises DegenerateCpt. dense_oracle=True instead fills
+    per-agent inference queries alone: each CPT row is the logistic of
+    the agents' pooled log-odds plus the child log-ratios. When an agent
+    CPT row of 0 or 1, or a conditional that rounds to 0 or 1 or
+    underflows, makes that ill-defined it raises DegenerateCpt. dense_oracle=True instead fills
     the CPTs by one elimination pass over the agents' weighted CPT
     product, which handles such agents at any size and raises
     DegenerateProduct when the pool has zero mass.

@@ -45,7 +45,7 @@ class DegenerateCpt(BeliefPoolError):
     """The query route could not fill a consensus CPT row.
 
     An agent's conditional for the row was 0, 1 or undefined, or a child
-    row it divides by was 0 or 1. An agent CPT row of 0 or 1 causes
+    row whose log-ratio the row adds was 0 or 1. An agent CPT row of 0 or 1 causes
     this, and so can strictly positive rows near 0 or 1, when a
     conditional rounds to 0 or 1 or underflows. dense_oracle=True fills
     such rows.

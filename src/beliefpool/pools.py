@@ -1,4 +1,5 @@
-"""Arithmetic (linop) and geometric (logop) pooling of dense joint tables."""
+"""Arithmetic (linop) and geometric (logop) pooling of dense joint tables,
+and the logop of a single binary event."""
 from __future__ import annotations
 
 import math
@@ -109,3 +110,33 @@ def logop(
             "geometric pooling left zero mass on every state"
         )
     return JointTable(m, raw)
+
+
+def pooled_log_odds(
+    false: np.ndarray, true: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Log-odds of one binary event under the logop of its two masses.
+
+    false and true hold each agent's mass on the event's two sides, with
+    the agent on axis 0; weights are normalized. Returns the sum over
+    the agents of w_i * (log true_i - log false_i): -inf or +inf where
+    the pool is sure, NaN where the event and its complement both pool
+    to zero mass. A zero-weight agent drops out, whatever its masses.
+    """
+    keep = weights > 0.0
+    w = weights[keep]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.log(true[keep]) - np.log(false[keep])
+        return (w @ terms.reshape(w.size, -1)).reshape(terms.shape[1:])
+
+
+def logistic(log_odds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P(false), P(true)) of an event with the given log-odds.
+
+    Neither side is one minus the other, so each keeps its own digits
+    near 0; NaN stays NaN on both sides.
+    """
+    e = np.exp(-np.abs(log_odds))
+    small, big = e / (1.0 + e), 1.0 / (1.0 + e)
+    up = log_odds >= 0.0
+    return np.where(up, small, big), np.where(up, big, small)

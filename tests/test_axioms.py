@@ -6,6 +6,8 @@ brute force over dense tables before the checkers were written and are
 frozen here so future edits cannot quietly change them.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +32,6 @@ from beliefpool import (
     pairwise_dependence_gap,
     reproduce_example,
     search_nmeipp_violation,
-    single_event_logop,
 )
 from beliefpool.axioms import (
     EXAMPLE_IDS,
@@ -239,8 +240,18 @@ class TestCheckProperty:
         assert len(report.lines()) >= 1
 
 
+def _log(x):
+    return math.log(x) if x > 0.0 else -math.inf
+
+
 def per_row_family_pooled_joint(pool, tables, ordering, weights):
-    """The chain rule one conditional row at a time, as a loop reference."""
+    """The chain rule one conditional row at a time, as a loop reference.
+
+    Each row pools every agent's (false, true) masses of the node in its
+    context, read with marginal, in Python floats: linop averages each
+    side's share, logop sums w * (log true - log false) with fsum and
+    takes the logistic. Neither side is taken as one minus the other.
+    """
     m = tables[0].m
     w = normalize_weights(weights, len(tables))
     rows = []
@@ -248,27 +259,35 @@ def per_row_family_pooled_joint(pool, tables, ordering, weights):
         rows.append([])
         for r in range(1 << k):
             context = {v: bool((r >> i) & 1) for i, v in enumerate(ordering[:k])}
-            # true / (false + true), not P(node, context) / P(context): the
-            # context mass summed on its own may differ from false + true in
-            # the last bit, and logop turns a sure row read as 1 - 2**-53
-            # into a 1e-8 pooled mass.
-            conds = []
-            for t in tables:
-                true = marginal(t, {**context, node: True})
-                mass = marginal(t, {**context, node: False}) + true
-                if mass <= 0.0:
-                    raise MalformedInstance("zero-mass context")
-                conds.append(true / mass)
+            masses = [
+                (marginal(t, {**context, node: False}), marginal(t, {**context, node: True}))
+                for t in tables
+            ]
+            if any(false + true <= 0.0 for false, true in masses):
+                raise MalformedInstance("zero-mass context")
             if pool == "linop":
                 # The weights' sum, and so a row of ones, may round above 1.
-                rows[k].append(min(float(np.dot(w, conds)), 1.0))
-            else:
-                rows[k].append(single_event_logop(conds, w))
+                rows[k].append(tuple(
+                    min(math.fsum(wi * pair[side] / sum(pair) for wi, pair in zip(w, masses)), 1.0)
+                    for side in (0, 1)
+                ))
+                continue
+            try:
+                log_odds = math.fsum(
+                    wi * (_log(true) - _log(false))
+                    for wi, (false, true) in zip(w, masses)
+                    if wi > 0.0
+                )
+            except ValueError as err:  # -inf + inf: opposed certainties
+                raise DegenerateProduct("zero pooled mass") from err
+            e = math.exp(-abs(log_odds))
+            small, big = e / (1.0 + e), 1.0 / (1.0 + e)
+            rows[k].append((small, big) if log_odds >= 0.0 else (big, small))
     probs = np.ones(1 << m)
     for s in range(1 << m):
         for k, node in enumerate(ordering):
             r = sum(((s >> v) & 1) << i for i, v in enumerate(ordering[:k]))
-            probs[s] *= rows[k][r] if (s >> node) & 1 else 1.0 - rows[k][r]
+            probs[s] *= rows[k][r][(s >> node) & 1]
     return JointTable(m, probs)
 
 
@@ -278,9 +297,7 @@ def pooling_cases(draw):
     pool = draw(st.sampled_from(("linop", "logop")))
     m = draw(st.integers(min_value=1, max_value=4))
     n = draw(st.integers(min_value=1, max_value=3))
-    # No entry like 1e-12 beside 0.3: 1 - c of a row that close to 1 keeps
-    # a few digits only, in either summation order.
-    entry = st.sampled_from((0.0, 0.0, 1e-300, 0.3, 0.5, 1.0))
+    entry = st.sampled_from((0.0, 0.0, 1e-300, 1e-12, 0.3, 0.5, 1.0))
     tables = tuple(
         JointTable(m, np.array(draw(
             st.lists(entry, min_size=1 << m, max_size=1 << m)
@@ -339,7 +356,37 @@ class TestFamilyPooledJoint:
         pooled = family_pooled_joint("linop", (sure,) * 3, (0, 1), weights)
         np.testing.assert_allclose(pooled.probs, sure.probs, atol=1e-15)
 
+    def test_one_variable_is_the_pool_itself(self):
+        # A one-variable chain rule is the joint itself, so the row pool
+        # must agree with the dense pools, also where one agent's
+        # conditional rounds to 1 and the other rules the state out.
+        a = JointTable(1, np.array([1e-300, 0.3]))
+        b = JointTable(1, np.array([0.5, 0.0]))
+        got = family_pooled_joint("logop", (a, b), (0,))
+        np.testing.assert_array_equal(got.probs, [1.0, 0.0])
+        rng = np.random.default_rng(5)
+        cases = [((a, b), None)] + [
+            (tuple(random_joint(rng, 1) for _ in range(3)), (0.25, 1.0, 3.0))
+            for _ in range(5)
+        ]
+        for tables, weights in cases:
+            for pool, dense in (("linop", linop), ("logop", logop)):
+                np.testing.assert_allclose(
+                    family_pooled_joint(pool, tables, (0,), weights).probs,
+                    dense(tables, weights).probs,
+                    rtol=0.0, atol=1e-15,
+                )
+
     @given(case=pooling_cases())
+    @example(case=(
+        # A one-variable chain rule: the first agent's conditional rounds
+        # to 1 and the second rules the state out, so the pool is sure of
+        # false.
+        "logop",
+        (JointTable(1, np.array([1e-300, 0.3])), JointTable(1, np.array([0.5, 0.0]))),
+        (0,),
+        None,
+    ))
     @example(case=(
         # One agent is sure of variable 2 and the other rules it out, so
         # logop pools that first row to zero mass.

@@ -35,10 +35,10 @@ from beliefpool import (
     logop,
     logop_consensus_bn,
     marginal,
-    remove_child_conditioning,
-    single_event_logop,
+    normalize_weights,
 )
 from beliefpool import inference
+from beliefpool.pools import logistic, pooled_log_odds
 from beliefpool.axioms import chain_agents
 from beliefpool.sampling import (
     random_bn,
@@ -127,60 +127,93 @@ class TestConsensusStructures:
                 assert agent.dag().skeleton() <= structure.skeleton()
 
 
+def pool_event(false, true, weights=None):
+    """(P(false), P(true)) of the logop of the agents' event masses."""
+    false, true = np.asarray(false, float), np.asarray(true, float)
+    w = normalize_weights(weights, false.size)
+    p_false, p_true = logistic(pooled_log_odds(false, true, w))
+    return float(p_false), float(p_true)
+
+
 class TestSingleEventLogop:
     def test_half_and_point_eight(self):
-        got = single_event_logop((0.5, 0.8))
-        assert got == pytest.approx(2.0 / 3.0, abs=1e-12)
+        p_false, p_true = pool_event((0.5, 0.2), (0.5, 0.8))
+        assert p_true == pytest.approx(2.0 / 3.0, abs=1e-12)
         # Same thing from the defining ratio of geometric means.
         raw_true = math.sqrt(0.5 * 0.8)
         raw_false = math.sqrt(0.5 * 0.2)
-        assert got == pytest.approx(raw_true / (raw_true + raw_false), abs=1e-15)
+        assert p_true == pytest.approx(raw_true / (raw_true + raw_false), abs=1e-15)
+        assert p_false == pytest.approx(raw_false / (raw_true + raw_false), abs=1e-15)
 
     def test_unanimity(self):
         for p in (0.1, 0.5, 0.73):
-            assert single_event_logop((p, p, p)) == pytest.approx(p, abs=1e-12)
+            got = pool_event((1.0 - p,) * 3, (p,) * 3)
+            assert got == pytest.approx((1.0 - p, p), abs=1e-12)
 
     def test_single_agent(self):
-        assert single_event_logop((0.3,), (1.0,)) == pytest.approx(0.3)
+        assert pool_event((0.7,), (0.3,), (1.0,)) == pytest.approx((0.7, 0.3))
 
     def test_weights_shift_the_answer(self):
-        heavy_b = single_event_logop((0.5, 0.8), (0.1, 0.9))
-        assert heavy_b > single_event_logop((0.5, 0.8))
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            single_event_logop((0.5, 1.2))
+        _, heavy_b = pool_event((0.5, 0.2), (0.5, 0.8), (0.1, 0.9))
+        assert heavy_b > pool_event((0.5, 0.2), (0.5, 0.8))[1]
 
     def test_opposed_certainties_degenerate(self):
-        with pytest.raises(DegenerateProduct):
-            single_event_logop((0.0, 1.0))
+        # The event and its complement both pool to zero mass.
+        got = pool_event((0.0, 1.0), (1.0, 0.0))
+        assert math.isnan(got[0]) and math.isnan(got[1])
 
 
 class TestRemoveChildConditioning:
+    """A consensus row is the logistic of the pooled log-odds plus each
+    finished child's log-ratio, log P(child | node false) - log
+    P(child | node true)."""
+
     def test_no_children_even_odds(self):
-        assert remove_child_conditioning(1.0, []) == pytest.approx(0.5)
+        assert logistic(np.float64(0.0)) == (0.5, 0.5)
 
     def test_neutral_child_changes_nothing(self):
-        odds = 3.0
-        got = remove_child_conditioning(odds, [(0.4, 0.4)])
-        assert got == pytest.approx(odds / (1.0 + odds), abs=1e-12)
+        log_odds = math.log(3.0)
+        _, got = logistic(np.float64(log_odds + math.log(0.4) - math.log(0.4)))
+        assert got == pytest.approx(0.75, abs=1e-12)
 
-    def test_nonpositive_odds_rejected(self):
-        with pytest.raises(DegenerateCpt):
-            remove_child_conditioning(0.0, [])
+    def test_zero_odds_is_a_sure_false(self):
+        # Zero or infinite odds give a sure row, not a failure.
+        assert logistic(np.float64(-math.inf)) == (1.0, 0.0)
+        assert logistic(np.float64(math.inf)) == (0.0, 1.0)
 
     def test_zero_ratio_term_rejected(self):
-        with pytest.raises(DegenerateCpt):
-            remove_child_conditioning(1.0, [(0.0, 0.5)])
+        # Two agents from the extreme-row draws. Node 3's first row fails
+        # on both outcomes of its children, the last time because a
+        # finished consensus child row rounded to 0 or 1, which leaves
+        # its log-ratio for node 3 undefined.
+        sure = 1.0 - 1e-12
+        first = BayesNet((
+            Cpt(0, (1, 3), (0.7, 1e-300, 0.7, 0.5)),
+            Cpt(1, (), (0.5,)),
+            Cpt(2, (), (0.5,)),
+            Cpt(3, (1, 2), (0.3, 1e-12, 0.5, 0.3)),
+        ))
+        second = BayesNet((
+            Cpt(0, (), (1e-300,)),
+            Cpt(1, (2,), (sure, sure)),
+            Cpt(2, (0,), (1e-12, sure)),
+            Cpt(3, (0, 2), (1e-300, 0.3, 0.7, 0.7)),
+        ))
+        with pytest.raises(DegenerateCpt, match="child CPT row of 0 or 1"):
+            logop_consensus_bn([first, second])
+        logop_consensus_bn([first, second], dense_oracle=True)
 
     def test_chain_trace_recovers_root_marginal(self):
-        # Fix the child true, pool the agents' conditionals for node 0,
-        # then divide the child's consensus rows back out. The result
-        # must equal the pooled joint's node-0 marginal.
-        pooled = single_event_logop((COND_A, COND_B))
-        odds = pooled / (1.0 - pooled)
-        ratios = [(P_NODE1_GIVEN_FALSE, P_NODE1_GIVEN_TRUE)]
-        got = remove_child_conditioning(odds, ratios)
+        # Fix the child true, pool the agents' masses for node 0, then
+        # add the child's consensus log-ratio. The result must equal the
+        # pooled joint's node-0 marginal.
+        log_odds = pooled_log_odds(
+            np.array([1.0 - COND_A, 1.0 - COND_B]),
+            np.array([COND_A, COND_B]),
+            np.array([0.5, 0.5]),
+        )
+        log_odds += math.log(P_NODE1_GIVEN_FALSE) - math.log(P_NODE1_GIVEN_TRUE)
+        _, got = logistic(log_odds)
         assert got == pytest.approx(P_NODE0, abs=1e-12)
 
 

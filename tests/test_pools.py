@@ -27,6 +27,7 @@ from beliefpool import (
     pairwise_dependence_gap,
 )
 from beliefpool.axioms import independent_pair_agents
+from beliefpool.pools import logistic, pooled_log_odds
 from beliefpool.sampling import random_joint, random_weights
 
 # State order by index: (FF, TF, FT, TT) with bit 0 the first variable.
@@ -188,3 +189,65 @@ class TestLogop:
         logs = sum(wi * np.log(t.probs) for wi, t in zip(w, tables))
         expect = np.exp(logs) / np.exp(logs).sum()
         np.testing.assert_allclose(pooled.probs, expect, atol=1e-12)
+
+
+MASSES = (0.0, 1e-300, 1e-12, 0.3, 0.5, 1.0 - 1e-12, 1.0)
+
+
+def _log(x):
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def reference_event_pool(false, true, w):
+    """(P(false), P(true)) from a per-agent fsum of logs; None when the
+    event and its complement both pool to zero mass."""
+    try:
+        log_odds = math.fsum(
+            wi * (_log(t) - _log(f)) for wi, f, t in zip(w, false, true) if wi > 0.0
+        )
+    except ValueError:  # -inf + inf: opposed certainties
+        return None
+    if math.isnan(log_odds):  # an agent with no mass on either side
+        return None
+    raw_true = math.exp(min(log_odds, 0.0))
+    raw_false = math.exp(min(-log_odds, 0.0))
+    return raw_false / (raw_true + raw_false), raw_true / (raw_true + raw_false)
+
+
+class TestPooledLogOdds:
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=1, max_value=4),
+        rows=st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_log_space_reference(self, data, n, rows):
+        masses = st.lists(
+            st.lists(st.sampled_from(MASSES), min_size=rows, max_size=rows),
+            min_size=n, max_size=n,
+        )
+        false = np.array(data.draw(masses))
+        true = np.array(data.draw(masses))
+        weights = data.draw(
+            st.lists(st.sampled_from((0.0, 0.25, 1.0, 3.0)), min_size=n, max_size=n)
+            .filter(lambda ws: sum(ws) > 0.0)
+        )
+        w = normalize_weights(weights, n)
+        p_false, p_true = logistic(pooled_log_odds(false, true, w))
+        assert p_false.shape == p_true.shape == (rows,)
+        for r in range(rows):
+            kept = [i for i in range(n) if w[i] > 0.0]
+            opposed = any(true[i, r] == 0.0 < false[i, r] for i in kept) and any(
+                false[i, r] == 0.0 < true[i, r] for i in kept
+            )
+            want = reference_event_pool(false[:, r], true[:, r], w)
+            if want is None:
+                assert math.isnan(p_false[r]) and math.isnan(p_true[r])
+                continue
+            assert not opposed
+            for got, expect in zip((p_false[r], p_true[r]), want):
+                assert abs(got - expect) <= 1e-12
+                # Neither side may be one minus the other: a side near 0
+                # keeps its relative digits too (down to the subnormals).
+                assert math.isclose(got, expect, rel_tol=1e-12, abs_tol=1e-300)
+
