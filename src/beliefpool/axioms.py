@@ -297,7 +297,7 @@ def family_pooled_joint(
     comes first in chain-rule row order.
     """
     if pool not in POOL_NAMES:
-        raise ValueError(f"pool must be one of {POOL_NAMES}, got {pool!r}")
+        raise MalformedInstance(f"pool must be one of {POOL_NAMES}, got {pool!r}")
     m, stacked = _stack(tables)
     if sorted(ordering) != list(range(m)):
         raise MalformedInstance("ordering must be a permutation of all variables")
@@ -472,7 +472,6 @@ PROPERTY_NAMES = tuple(_PROPERTIES)
 
 @dataclass(frozen=True)
 class CaseResult:
-    index: int
     violation: float
     passed: bool
 
@@ -503,13 +502,6 @@ class CheckReport:
             f"max_violation={self.max_violation:.3e}"
         )
 
-    def lines(self) -> tuple[str, ...]:
-        out = [self.summary()]
-        for case in self.cases:
-            status = "pass" if case.passed else "fail"
-            out.append(f"  [{case.index:03d}] {status} {case.violation:.3e}")
-        return tuple(out)
-
 
 def check_property(
     spec: AggregationSpec,
@@ -525,10 +517,10 @@ def check_property(
     """
     name = prop.lower()
     if name not in _PROPERTIES:
-        raise ValueError(f"unknown property {prop!r}; choose from {PROPERTY_NAMES}")
+        raise MalformedInstance(f"unknown property {prop!r}; choose from {PROPERTY_NAMES}")
     checker, _ = _PROPERTIES[name]
     violations = [checker(spec, inst) for inst in instances]
-    cases = tuple(CaseResult(i, v, v <= tol) for i, v in enumerate(violations))
+    cases = tuple(CaseResult(v, v <= tol) for v in violations)
     return CheckReport(name, spec.pool, tol, cases)
 
 
@@ -700,7 +692,7 @@ EXAMPLE_IDS = tuple(_EXAMPLES)
 def reproduce_example(example_id: str) -> ExampleReport:
     """Rebuild one of the worked fixtures and verify its frozen values."""
     if example_id not in _EXAMPLES:
-        raise ValueError(
+        raise MalformedInstance(
             f"unknown example {example_id!r}; choose from {EXAMPLE_IDS}"
         )
     return _EXAMPLES[example_id]()

@@ -116,14 +116,9 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         _emit(manifest_to_dict(manifest), args.out)
         return EXIT_OK
     consensus = logop_consensus_bn(
-        models,
-        weights,
-        dense_oracle=args.dense_oracle,
-        sources=tuple(args.inputs),
+        models, weights, dense_oracle=args.dense_oracle
     )
-    labels = consensus.bn.labels or tuple(
-        f"x{i}" for i in range(consensus.bn.m)
-    )
+    labels = consensus.bn.labels
     provenance = {
         "pool": "logop",
         "weights": list(normalize_weights(weights, len(models))),
@@ -157,7 +152,7 @@ def _resolve_query_inputs(
 
 def cmd_query(args: argparse.Namespace) -> int:
     models, weights = _resolve_query_inputs(args)
-    labels = models[0].labels or ()
+    labels = models[0].labels
     event = _parse_literals(args.event, labels)
     evidence = _parse_literals(args.given, labels)
     if not event:

@@ -31,7 +31,9 @@ import numpy as np
 
 from .errors import (
     DegenerateCpt,
+    MalformedInstance,
     MismatchedVariables,
+    NotChordal,
     ZeroEvidence,
 )
 from .inference import (
@@ -59,18 +61,17 @@ class ConsensusBn:
     """A consensus network plus how it was built.
 
     agent_queries counts the per-agent inference calls issued while
-    filling in CPTs; the dense_oracle route issues none.
+    filling in CPTs; the dense_oracle route issues none. Raises
+    NotChordal unless bn is decomposable.
     """
 
     bn: BayesNet
     elimination_order: EliminationOrder
-    sources: tuple[str, ...] = ()
     agent_queries: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sources", tuple(self.sources))
         if not is_decomposable(self.bn):
-            raise ValueError("consensus network must be decomposable")
+            raise NotChordal("consensus network must be decomposable")
 
 
 def consensus_mn_structure(
@@ -103,7 +104,7 @@ def consensus_bn_structure(
 
 def _check_agents(bns: Sequence[BayesNet]) -> int:
     if not bns:
-        raise ValueError("need at least one agent network")
+        raise MalformedInstance("need at least one agent network")
     m = bns[0].m
     for bn in bns:
         if bn.m != m:
@@ -195,7 +196,6 @@ def logop_consensus_bn(
     weights: Sequence[float] | None = None,
     *,
     dense_oracle: bool = False,
-    sources: Sequence[str] = (),
 ) -> ConsensusBn:
     """Consensus network whose joint is the geometric pool of the agents.
 
@@ -217,7 +217,7 @@ def logop_consensus_bn(
     else:
         cpts, queries = _structured_cpts(bns, w, structure, order)
     consensus = BayesNet(tuple(cpts), bns[0].labels)
-    return ConsensusBn(consensus, order, tuple(sources), queries)
+    return ConsensusBn(consensus, order, queries)
 
 
 def linop_query(

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error the package raises on purpose is a BeliefPoolError. The
+three that report a caller's bad input (ModelFormatError,
+MalformedInstance, NotChordal) are also ValueErrors.
+"""
 
 
 class BeliefPoolError(Exception):
@@ -52,13 +57,19 @@ class DegenerateCpt(BeliefPoolError):
     """
 
 
-class NotChordal(BeliefPoolError):
-    """An operation requiring a chordal graph got a non-chordal one."""
+class NotChordal(BeliefPoolError, ValueError):
+    """An operation requiring a chordal graph got a non-chordal one: an
+    order that is not a perfect elimination order, or a consensus
+    network that is not decomposable."""
 
 
-class MalformedInstance(BeliefPoolError):
-    """A property-check instance is missing fields or internally inconsistent."""
+class MalformedInstance(BeliefPoolError, ValueError):
+    """A call's arguments are missing or inconsistent: an empty agent or
+    table list, a bad ordering or partition, an unknown pool, property
+    or example, or a property-check instance outside its hypothesis."""
 
 
-class ModelFormatError(BeliefPoolError):
-    """A network file failed to parse or violates the format contract."""
+class ModelFormatError(BeliefPoolError, ValueError):
+    """A model breaks the format contract, whether it was read from a
+    file or built in memory (a CPT, DAG, network, label list or joint
+    table)."""

@@ -25,7 +25,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateProduct, UnknownVariable, ZeroEvidence
+from .errors import (
+    DegenerateProduct,
+    MalformedInstance,
+    UnknownVariable,
+    ZeroEvidence,
+)
 from .joint import Assignment
 from .networks import BayesNet, Cpt, Dag, min_fill_order
 
@@ -231,7 +236,7 @@ def query_conditional(
     wanted = _check_assignment(bn, target)
     given = _check_assignment(bn, evidence or {})
     if not given.keys().isdisjoint(wanted):
-        raise ValueError("target and evidence must assign disjoint variables")
+        raise MalformedInstance("target and evidence must assign disjoint variables")
     if len(wanted) == 1 and bn.strictly_positive:
         ((v, x),) = wanted.items()
         if given.keys() >= bn.blankets[v]:

@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import (
     CapacityExceeded,
+    MalformedInstance,
+    ModelFormatError,
     NegativeMass,
     UnknownVariable,
     ZeroEvidence,
@@ -41,7 +43,7 @@ class JointTable:
 
     def __post_init__(self) -> None:
         if not 0 <= self.m:
-            raise ValueError(f"variable count must be nonnegative, got {self.m}")
+            raise ModelFormatError(f"variable count must be nonnegative, got {self.m}")
         if self.m > MAX_DENSE_VARIABLES:
             raise CapacityExceeded(
                 f"dense table over {self.m} variables exceeds the "
@@ -49,7 +51,7 @@ class JointTable:
             )
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.shape != (1 << self.m,):
-            raise ValueError(
+            raise ModelFormatError(
                 f"expected {1 << self.m} entries for m={self.m}, got shape {probs.shape}"
             )
         if np.any(probs < 0.0):
@@ -66,11 +68,6 @@ class JointTable:
         return 1 << self.m
 
 
-def joint_from_entries(m: int, entries: Iterable[float]) -> JointTable:
-    """Build a table from raw state masses, normalizing them."""
-    return JointTable(m, np.asarray(list(entries), dtype=np.float64))
-
-
 def state_index(bits: Sequence[bool]) -> int:
     """Index of the state where variable j takes bits[j]."""
     idx = 0
@@ -78,11 +75,6 @@ def state_index(bits: Sequence[bool]) -> int:
         if value:
             idx |= 1 << j
     return idx
-
-
-def state_bits(index: int, m: int) -> tuple[bool, ...]:
-    """Outcome of each variable in the state with the given index."""
-    return tuple(bool((index >> j) & 1) for j in range(m))
 
 
 def _check_variables(m: int, variables: Iterable[int]) -> None:
@@ -142,18 +134,11 @@ def pairwise_dependence_gap(table: JointTable, a: int, b: int) -> float:
     """|P(a and b) - P(a) * P(b)| with both variables true."""
     _check_variables(table.m, (a, b))
     if a == b:
-        raise ValueError("pairwise independence needs two distinct variables")
+        raise MalformedInstance("pairwise independence needs two distinct variables")
     p_ab = marginal(table, {a: True, b: True})
     p_a = marginal(table, {a: True})
     p_b = marginal(table, {b: True})
     return abs(p_ab - p_a * p_b)
-
-
-def is_pairwise_independent(
-    table: JointTable, a: int, b: int, tol: float = 1e-9
-) -> bool:
-    """Whether P(a and b) equals P(a) * P(b) within tol (both true)."""
-    return pairwise_dependence_gap(table, a, b) <= tol
 
 
 def markov_dependence_gap(
@@ -169,11 +154,11 @@ def markov_dependence_gap(
     x = tuple(sorted(set(x)))
     _check_variables(table.m, (a,) + w + x)
     if a in w or a in x:
-        raise ValueError("target variable may not appear in w or x")
+        raise MalformedInstance("target variable may not appear in w or x")
     if set(w) & set(x):
-        raise ValueError("w and x must be disjoint")
+        raise MalformedInstance("w and x must be disjoint")
     if {a, *w, *x} != set(range(table.m)):
-        raise ValueError("a, w, x together must cover all variables")
+        raise MalformedInstance("a, w, x together must cover all variables")
     if not x:
         return 0.0
 
@@ -193,14 +178,3 @@ def markov_dependence_gap(
     live = (context_mass > 0.0) & (w_mass > 0.0)[:, None]
     gaps = np.abs(cond_wx - cond_w[:, None])[live]
     return float(gaps.max()) if gaps.size else 0.0
-
-
-def is_markov_independent(
-    table: JointTable,
-    a: int,
-    w: Iterable[int],
-    x: Iterable[int],
-    tol: float = 1e-9,
-) -> bool:
-    """Whether variable a is independent of x given w, at every context."""
-    return markov_dependence_gap(table, a, w, x) <= tol

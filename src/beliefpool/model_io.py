@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .errors import MismatchedVariables, ModelFormatError
+from .errors import MalformedInstance, MismatchedVariables, ModelFormatError
 from .networks import BayesNet, Cpt, MarkovNet
 
 NETWORK_KINDS = ("bayes", "markov")
@@ -44,9 +44,9 @@ class LinopManifest:
 
 def _require_labels(model: BayesNet | MarkovNet) -> tuple[str, ...]:
     if model.labels is None:
-        raise ValueError("serializing a network requires variable labels")
+        raise ModelFormatError("serializing a network requires variable labels")
     if not all(isinstance(label, str) for label in model.labels):
-        raise ValueError("variable labels must be strings")
+        raise ModelFormatError("variable labels must be strings")
     return model.labels
 
 
@@ -161,7 +161,12 @@ def _parent_error(
 
 
 def network_from_dict(data) -> BayesNet | MarkovNet:
-    """Reconstruct a network from its JSON representation."""
+    """Reconstruct a network from its JSON representation.
+
+    Raises ModelFormatError for any malformed input: the checks here, or
+    the network constructors' own (a cycle, a self-loop, a repeated or
+    self parent), which raise it themselves.
+    """
     if not isinstance(data, dict):
         raise ModelFormatError("top level must be a JSON object")
     kind = data.get("kind")
@@ -176,10 +181,7 @@ def network_from_dict(data) -> BayesNet | MarkovNet:
     if kind == "markov":
         if "cpts" in data:
             raise ModelFormatError("markov networks do not carry 'cpts'")
-        try:
-            return MarkovNet(len(labels), frozenset(edges), labels)
-        except Exception as err:
-            raise ModelFormatError(str(err)) from err
+        return MarkovNet(len(labels), frozenset(edges), labels)
 
     cpts_data = data.get("cpts")
     if not isinstance(cpts_data, dict):
@@ -222,15 +224,9 @@ def network_from_dict(data) -> BayesNet | MarkovNet:
             if type(value) is not float or not 0.0 <= value <= 1.0:
                 value = _parse_probability(value)
             rows[int(key[::-1], 2) if k else 0] = value
-        try:
-            cpts.append(Cpt(index[label], parents, tuple(rows)))
-        except Exception as err:
-            raise ModelFormatError(str(err)) from err
+        cpts.append(Cpt(index[label], parents, tuple(rows)))
 
-    try:
-        bn = BayesNet(tuple(cpts), labels)
-    except Exception as err:
-        raise ModelFormatError(str(err)) from err
+    bn = BayesNet(tuple(cpts), labels)
     declared = {(p, c) for p, c in edges}
     derived = {(p, c.owner) for c in bn.cpts for p in c.parents}
     if declared != derived:
@@ -411,7 +407,7 @@ def align_variables(
     order come back as they are.
     """
     if not models:
-        raise ValueError("need at least one model")
+        raise MalformedInstance("need at least one model")
     reference = _require_labels(models[0])
     aligned: list[BayesNet | MarkovNet] = []
     target = {label: i for i, label in enumerate(reference)}

@@ -3,7 +3,8 @@
 Variables are integer indices 0..m-1. CPT row encoding: for a node with
 parents (p_0, ..., p_{k-1}), row index bit i (least significant bit =
 p_0) is 1 exactly when p_i is true, and each row stores the probability
-that the owner is true.
+that the owner is true. The constructors raise ModelFormatError for a
+model that breaks this contract, as the file loader does for a file.
 """
 from __future__ import annotations
 
@@ -18,7 +19,9 @@ import numpy as np
 
 from .errors import (
     CapacityExceeded,
+    MalformedInstance,
     MismatchedVariables,
+    ModelFormatError,
     NotChordal,
     UnknownVariable,
 )
@@ -45,30 +48,20 @@ class Cpt:
         object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "rows", rows)
         if self.owner < 0:
-            raise ValueError(f"owner index must be nonnegative, got {self.owner}")
+            raise ModelFormatError(f"owner index must be nonnegative, got {self.owner}")
         if parents:
             if len(set(parents)) != len(parents):
-                raise ValueError("duplicate parent indices")
+                raise ModelFormatError("duplicate parent indices")
             if self.owner in parents:
-                raise ValueError("node cannot be its own parent")
+                raise ModelFormatError("node cannot be its own parent")
         if len(rows) != 1 << len(parents):
-            raise ValueError(
+            raise ModelFormatError(
                 f"expected {1 << len(parents)} rows for "
                 f"{len(parents)} parents, got {len(rows)}"
             )
         for r in rows:
             if not 0.0 <= r <= 1.0:  # also false for NaN
-                raise ValueError(f"row probability {r} outside [0, 1]")
-
-    def row_index(self, assignment: Assignment) -> int:
-        """Row picked out by an assignment covering every parent."""
-        index = 0
-        for i, parent in enumerate(self.parents):
-            if parent not in assignment:
-                raise UnknownVariable(f"assignment missing parent {parent}")
-            if assignment[parent]:
-                index |= 1 << i
-        return index
+                raise ModelFormatError(f"row probability {r} outside [0, 1]")
 
     def row_pair(self, v: int, assignment: Assignment) -> tuple[float, float]:
         """P(owner = true) with v false and with v true, every other
@@ -81,10 +74,6 @@ class Cpt:
             elif assignment[parent]:
                 row |= 1 << i
         return self.rows[row], self.rows[row | bit]
-
-    def prob_true(self, assignment: Assignment) -> float:
-        """P(owner = true) under the given parent assignment."""
-        return self.rows[self.row_index(assignment)]
 
     @cached_property
     def family(self) -> tuple[int, ...]:
@@ -118,18 +107,18 @@ class Dag:
         parents = tuple(map(tuple, self.parents))
         object.__setattr__(self, "parents", parents)
         if len(parents) != m:
-            raise ValueError("parent lists must cover every node")
+            raise ModelFormatError("parent lists must cover every node")
         for j, ps in enumerate(parents):
             if not ps:
                 continue
             if len(set(ps)) != len(ps):
-                raise ValueError(f"duplicate parents for node {j}")
+                raise ModelFormatError(f"duplicate parents for node {j}")
             if min(ps) < 0 or max(ps) >= m or j in ps:
                 for p in ps:  # the first bad parent names the error
                     if not 0 <= p < m:
                         raise UnknownVariable(f"parent {p} outside range(0, {m})")
                     if p == j:
-                        raise ValueError(f"node {j} cannot be its own parent")
+                        raise ModelFormatError(f"node {j} cannot be its own parent")
         self.topological_order()  # raises on cycles
 
     def children(self) -> tuple[tuple[int, ...], ...]:
@@ -152,12 +141,6 @@ class Dag:
             blanket.discard(j)
         return tuple(map(frozenset, out))
 
-    def edges(self) -> frozenset[tuple[int, int]]:
-        """Directed (parent, child) pairs."""
-        return frozenset(
-            (p, j) for j, ps in enumerate(self.parents) for p in ps
-        )
-
     def skeleton(self) -> frozenset[tuple[int, int]]:
         """Undirected edge set, each pair sorted ascending."""
         return frozenset(
@@ -179,7 +162,7 @@ class Dag:
                 if remaining[c] == 0:
                     heapq.heappush(ready, c)
         if len(order) != self.m:
-            raise ValueError("parent structure contains a directed cycle")
+            raise ModelFormatError("parent structure contains a directed cycle")
         return tuple(order)
 
 
@@ -187,9 +170,9 @@ def _check_labels(m: int, labels: tuple[str, ...] | None) -> None:
     if labels is None:
         return
     if len(labels) != m:
-        raise ValueError(f"expected {m} labels, got {len(labels)}")
+        raise ModelFormatError(f"expected {m} labels, got {len(labels)}")
     if len(set(labels)) != len(labels):
-        raise ValueError("variable labels must be distinct")
+        raise ModelFormatError("variable labels must be distinct")
 
 
 @dataclass(frozen=True)
@@ -207,7 +190,7 @@ class BayesNet:
             object.__setattr__(self, "labels", tuple(self.labels))
         owners = [c.owner for c in cpts]
         if owners != list(range(len(cpts))):
-            raise ValueError("need exactly one CPT per variable 0..m-1")
+            raise ModelFormatError("need exactly one CPT per variable 0..m-1")
         _check_labels(self.m, self.labels)
         # Validates parent ranges and acyclicity; dag() hands out this one.
         object.__setattr__(
@@ -256,7 +239,7 @@ class MarkovNet:
             if not (0 <= u < self.m and 0 <= v < self.m):
                 raise UnknownVariable(f"edge ({u}, {v}) outside range(0, {self.m})")
             if u == v:
-                raise ValueError(f"self-loop on node {u}")
+                raise ModelFormatError(f"self-loop on node {u}")
             canonical.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", frozenset(canonical))
         if self.labels is not None:
@@ -270,13 +253,6 @@ class MarkovNet:
             adj[u].add(v)
             adj[v].add(u)
         return adj
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        if not 0 <= v < self.m:
-            raise UnknownVariable(f"variable {v} outside range(0, {self.m})")
-        return frozenset(
-            u if w == v else w for u, w in self.edges if v in (u, w)
-        )
 
 
 def _as_dag(structure: BayesNet | Dag) -> Dag:
@@ -316,7 +292,7 @@ def moralize(structure: BayesNet | Dag) -> MarkovNet:
 def mn_union(nets: Sequence[MarkovNet]) -> MarkovNet:
     """Edge union of structures over the same variable set."""
     if not nets:
-        raise ValueError("need at least one structure")
+        raise MalformedInstance("need at least one structure")
     m = nets[0].m
     for net in nets:
         if net.m != m:
@@ -393,39 +369,6 @@ def triangulate(mn: MarkovNet) -> tuple[MarkovNet, EliminationOrder]:
     return chordal, order
 
 
-def perfect_elimination_order(mn: MarkovNet) -> EliminationOrder | None:
-    """A perfect elimination order of mn, or None when mn is not chordal.
-
-    Maximum-cardinality search proposes the order; the simplicial check
-    of each vertex against its later neighbors verifies it.
-    """
-    adj = mn.adjacency()
-    weight = {v: 0 for v in range(mn.m)}
-    unnumbered = set(range(mn.m))
-    visit: list[int] = []
-    while unnumbered:
-        v = min(unnumbered, key=lambda u: (-weight[u], u))
-        unnumbered.remove(v)
-        visit.append(v)
-        for u in adj[v]:
-            if u in unnumbered:
-                weight[u] += 1
-    peo = tuple(reversed(visit))
-    pos = {v: i for i, v in enumerate(peo)}
-    for v in peo:
-        later = [u for u in adj[v] if pos[u] > pos[v]]
-        if later:
-            first = min(later, key=pos.__getitem__)
-            if any(u != first and u not in adj[first] for u in later):
-                return None
-    return peo
-
-
-def is_chordal(mn: MarkovNet) -> bool:
-    """Whether every cycle of length four or more has a chord."""
-    return perfect_elimination_order(mn) is not None
-
-
 def direct_by_order(mn: MarkovNet, order: Sequence[int]) -> Dag:
     """Orient a chordal graph along an elimination order.
 
@@ -435,7 +378,7 @@ def direct_by_order(mn: MarkovNet, order: Sequence[int]) -> Dag:
     holds exactly when order is a perfect elimination order of mn.
     """
     if sorted(order) != list(range(mn.m)):
-        raise ValueError("order must be a permutation of all variables")
+        raise MalformedInstance("order must be a permutation of all variables")
     adj = mn.adjacency()
     pos = {v: i for i, v in enumerate(order)}
     parents = tuple(
@@ -459,13 +402,3 @@ def is_decomposable(structure: BayesNet | Dag) -> bool:
             if (u, v) not in skeleton:
                 return False
     return True
-
-
-def markov_blanket(structure: BayesNet | Dag, a: int) -> frozenset[int]:
-    """Parents, children, and children's other parents of node a."""
-    dag = _as_dag(structure)
-    if not 0 <= a < dag.m:
-        raise UnknownVariable(f"variable {a} outside range(0, {dag.m})")
-    if isinstance(structure, BayesNet):
-        return structure.blankets[a]
-    return dag.blankets()[a]

@@ -11,6 +11,7 @@ import numpy as np
 from .errors import (
     DegenerateProduct,
     InvalidWeight,
+    MalformedInstance,
     MismatchedVariables,
     WeightCountMismatch,
 )
@@ -28,7 +29,7 @@ def normalize_weights(
     the total overflows, the weights are first divided by the largest.
     """
     if n_agents <= 0:
-        raise ValueError("need at least one agent")
+        raise MalformedInstance("need at least one agent")
     if weights is None:
         return np.full(n_agents, 1.0 / n_agents)
     w = np.asarray(list(weights), dtype=np.float64)
@@ -65,7 +66,7 @@ class AggregationSpec:
 
     def __post_init__(self) -> None:
         if self.pool not in POOL_NAMES:
-            raise ValueError(f"pool must be one of {POOL_NAMES}, got {self.pool!r}")
+            raise MalformedInstance(f"pool must be one of {POOL_NAMES}, got {self.pool!r}")
         if self.weights is not None:
             object.__setattr__(
                 self, "weights", tuple(float(w) for w in self.weights)
@@ -74,7 +75,7 @@ class AggregationSpec:
 
 def _stack(tables: Sequence[JointTable]) -> tuple[int, np.ndarray]:
     if not tables:
-        raise ValueError("need at least one table")
+        raise MalformedInstance("need at least one table")
     m = tables[0].m
     for t in tables:
         if t.m != m:

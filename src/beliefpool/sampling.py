@@ -10,6 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import MalformedInstance
 from .joint import JointTable
 from .networks import (
     BayesNet,
@@ -207,7 +208,7 @@ def random_conditional_table(
     x = sorted(set(x))
     rest = w + x
     if sorted({a, *rest}) != list(range(m)):
-        raise ValueError("a, w, x must partition all variables")
+        raise MalformedInstance("a, w, x must partition all variables")
     context_mass = np.maximum(rng.random(1 << len(rest)), floor)
     context_mass /= context_mass.sum()
     cond_true = rng.uniform(low, high, 1 << len(w))

@@ -19,9 +19,8 @@ from beliefpool import (
     bn_to_joint,
     linop,
     logop,
-    network_from_dict,
-    save_network,
 )
+from beliefpool.model_io import network_from_dict, save_network
 from beliefpool.cli import (
     EXIT_DEGENERATE,
     EXIT_MISMATCH,

@@ -24,21 +24,21 @@ from beliefpool import (
     DegenerateProduct,
     MarkovNet,
     MismatchedVariables,
+    NotChordal,
     ZeroEvidence,
     bn_to_joint,
-    conditional_probability,
     consensus_bn_structure,
-    consensus_mn_structure,
-    is_decomposable,
     linop,
     linop_query,
     logop,
     logop_consensus_bn,
     marginal,
-    normalize_weights,
 )
+from beliefpool.consensus import consensus_mn_structure
+from beliefpool.joint import conditional_probability
+from beliefpool.networks import is_decomposable
 from beliefpool import inference
-from beliefpool.pools import logistic, pooled_log_odds
+from beliefpool.pools import logistic, normalize_weights, pooled_log_odds
 from beliefpool.axioms import chain_agents
 from beliefpool.sampling import (
     random_bn,
@@ -90,7 +90,7 @@ def _log_prob(bn, state):
     """log P(state) from the CPT rows, without a dense table."""
     total = 0.0
     for cpt in bn.cpts:
-        p = cpt.prob_true({v: bool(x) for v, x in enumerate(state)})
+        p = cpt.rows[sum(1 << i for i, u in enumerate(cpt.parents) if state[u])]
         total += math.log(p if state[cpt.owner] else 1.0 - p)
     return total
 
@@ -407,20 +407,17 @@ class TestLogopConsensusBn:
         with pytest.raises(MismatchedVariables):
             logop_consensus_bn([CHAIN_A, one_node])
 
-    def test_sources_and_labels_carried(self):
+    def test_labels_carried(self):
         labeled_a = BayesNet(CHAIN_A.cpts, labels=("A1", "A2"))
         labeled_b = BayesNet(CHAIN_B.cpts, labels=("A1", "A2"))
-        result = logop_consensus_bn(
-            [labeled_a, labeled_b], sources=("a.json", "b.json")
-        )
-        assert result.sources == ("a.json", "b.json")
+        result = logop_consensus_bn([labeled_a, labeled_b])
         assert result.bn.labels == ("A1", "A2")
 
     def test_consensus_bn_must_be_decomposable(self):
         vee = BayesNet(
             (Cpt(0, (), (0.3,)), Cpt(1, (), (0.7,)), Cpt(2, (0, 1), (0.1, 0.6, 0.4, 0.9)))
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(NotChordal):
             ConsensusBn(vee, (0, 1, 2))
 
 

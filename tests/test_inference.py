@@ -14,14 +14,15 @@ from beliefpool import (
     UnknownVariable,
     ZeroEvidence,
     bn_to_joint,
-    conditional_probability,
     marginal,
-    markov_blanket,
+)
+from beliefpool import inference
+from beliefpool.inference import (
+    _ancestral_set,
     query_conditional,
     query_event_marginal,
 )
-from beliefpool import inference
-from beliefpool.inference import _ancestral_set
+from beliefpool.joint import conditional_probability
 from beliefpool.sampling import random_bn
 
 CHAIN = BayesNet((Cpt(0, (), (0.2,)), Cpt(1, (0,), (0.6, 0.4))))
@@ -262,7 +263,7 @@ class TestPrunedQueries:
         rng = np.random.default_rng(seed)
         net = sparse_bn(rng)
         v = int(rng.integers(0, net.m))
-        evidence = random_assignment(rng, net.m, sorted(markov_blanket(net, v)))
+        evidence = random_assignment(rng, net.m, sorted(net.blankets[v]))
         target = {v: bool(rng.integers(0, 2))}
         got = query_conditional(net, target, evidence)
         want = conditional_probability(bn_to_joint(net), target, evidence)
@@ -278,7 +279,8 @@ class TestCptFactor:
         assert cpt.family == tuple(sorted(parents + [owner]))
         for bits in itertools.product((0, 1), repeat=k + 1):
             assignment = dict(zip(cpt.family, bits))
-            p_true = cpt.rows[cpt.row_index(assignment)]
+            row = sum(1 << i for i, p in enumerate(parents) if assignment[p])
+            p_true = cpt.rows[row]
             want = p_true if assignment[owner] else 1.0 - p_true
             assert cpt.table[bits] == want
 
@@ -411,7 +413,7 @@ class TestAgainstJoint:
         v = int(rng.integers(0, net.m))
         target = {v: int(rng.integers(0, 2))}
         evidence = {
-            u: int(rng.integers(0, 2)) for u in sorted(markov_blanket(net, v))
+            u: int(rng.integers(0, 2)) for u in sorted(net.blankets[v])
         }
         self.check(net, target, evidence)
         if net.strictly_positive:
@@ -472,7 +474,7 @@ class TestBlanketConditional:
         ))
         assert net.strictly_positive
         v = int(rng.integers(0, net.m))
-        evidence = random_assignment(rng, net.m, sorted(markov_blanket(net, v)))
+        evidence = random_assignment(rng, net.m, sorted(net.blankets[v]))
         rest = [u for u in range(net.m) if u != v and u not in evidence]
         extra = rng.permutation(rest)[: int(rng.integers(0, len(rest) + 1))]
         evidence.update(random_assignment(rng, net.m, extra))

@@ -13,15 +13,13 @@ from beliefpool import (
     UnknownVariable,
     ZeroEvidence,
     ZeroMass,
+    marginal,
+)
+from beliefpool.joint import (
     condition,
     conditional_probability,
-    is_markov_independent,
-    is_pairwise_independent,
-    joint_from_entries,
-    marginal,
     markov_dependence_gap,
     pairwise_dependence_gap,
-    state_bits,
     state_index,
 )
 from beliefpool.sampling import (
@@ -32,7 +30,7 @@ from beliefpool.sampling import (
 
 # Two variables, states indexed with bit 0 = first variable:
 # index 0 = (F,F), 1 = (T,F), 2 = (F,T), 3 = (T,T).
-PAIR = joint_from_entries(2, (0.1, 0.2, 0.3, 0.4))
+PAIR = JointTable(2, (0.1, 0.2, 0.3, 0.4))
 
 
 def entries(m):
@@ -45,20 +43,20 @@ def entries(m):
 
 class TestConstruction:
     def test_normalizes_on_build(self):
-        table = joint_from_entries(1, (2.0, 6.0))
+        table = JointTable(1, (2.0, 6.0))
         np.testing.assert_allclose(table.probs, [0.25, 0.75])
 
     def test_rejects_negative_entries(self):
         with pytest.raises(NegativeMass):
-            joint_from_entries(1, (0.5, -0.1))
+            JointTable(1, (0.5, -0.1))
 
     def test_rejects_zero_total_mass(self):
         with pytest.raises(ZeroMass):
-            joint_from_entries(2, (0.0, 0.0, 0.0, 0.0))
+            JointTable(2, (0.0, 0.0, 0.0, 0.0))
 
     def test_rejects_wrong_entry_count(self):
         with pytest.raises(ValueError):
-            joint_from_entries(2, (0.5, 0.5))
+            JointTable(2, (0.5, 0.5))
 
     def test_rejects_too_many_variables(self):
         with pytest.raises(CapacityExceeded):
@@ -70,18 +68,19 @@ class TestConstruction:
 
     @given(m=st.integers(min_value=0, max_value=6), data=st.data())
     def test_always_sums_to_one(self, m, data):
-        table = joint_from_entries(m, data.draw(entries(m)))
+        table = JointTable(m, data.draw(entries(m)))
         assert table.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestStateIndexing:
     def test_bit_j_is_variable_j(self):
         assert state_index((True, False, True)) == 0b101
-        assert state_bits(0b101, 3) == (True, False, True)
+        assert state_index((False, True)) == 0b10
 
     @given(st.integers(min_value=0, max_value=2**8 - 1))
     def test_round_trip(self, index):
-        assert state_index(state_bits(index, 8)) == index
+        bits = tuple(bool((index >> j) & 1) for j in range(8))
+        assert state_index(bits) == index
 
 
 class TestMarginal:
@@ -101,7 +100,7 @@ class TestMarginal:
 
     @given(m=st.integers(min_value=1, max_value=5), data=st.data())
     def test_complement_sums_to_one(self, m, data):
-        table = joint_from_entries(m, data.draw(entries(m)))
+        table = JointTable(m, data.draw(entries(m)))
         j = data.draw(st.integers(min_value=0, max_value=m - 1))
         total = marginal(table, {j: True}) + marginal(table, {j: False})
         assert total == pytest.approx(1.0, abs=1e-12)
@@ -115,13 +114,13 @@ class TestCondition:
         )
 
     def test_zero_probability_evidence(self):
-        table = joint_from_entries(2, (0.5, 0.5, 0.0, 0.0))
+        table = JointTable(2, (0.5, 0.5, 0.0, 0.0))
         with pytest.raises(ZeroEvidence):
             condition(table, {1: True})
 
     @given(m=st.integers(min_value=1, max_value=5), data=st.data())
     def test_matches_ratio_definition(self, m, data):
-        table = joint_from_entries(m, data.draw(entries(m)))
+        table = JointTable(m, data.draw(entries(m)))
         j = data.draw(st.integers(min_value=0, max_value=m - 1))
         value = data.draw(st.booleans())
         if marginal(table, {j: value}) < 1e-9:
@@ -141,7 +140,7 @@ def consistent(state, assignment):
 @st.composite
 def table_and_assignment(draw):
     m = draw(st.integers(min_value=0, max_value=8))
-    table = joint_from_entries(m, draw(entries(m)))
+    table = JointTable(m, draw(entries(m)))
     variables = st.integers(min_value=0, max_value=max(m - 1, 0))
     partial = st.dictionaries(variables, st.booleans(), max_size=m)
     full = st.lists(st.booleans(), min_size=m, max_size=m).map(
@@ -175,7 +174,7 @@ class TestAgainstEnumeration:
                 condition(table, assignment)
             return
         got = condition(table, assignment).probs
-        assert np.array_equal(got, joint_from_entries(table.m, kept).probs)
+        assert np.array_equal(got, JointTable(table.m, kept).probs)
 
     @pytest.mark.parametrize(
         "assignment", [{1: False}, {2: True}, {6: False}, {9: True}, {2: True, 11: False}]
@@ -183,7 +182,7 @@ class TestAgainstEnumeration:
     def test_large_table_sums_in_index_order(self, assignment):
         # On this table numpy's sum of the strided block itself takes another
         # order than the sum of the same entries in a row, for the first four.
-        table = joint_from_entries(16, np.random.default_rng(0).random(1 << 16) ** 8)
+        table = JointTable(16, np.random.default_rng(0).random(1 << 16) ** 8)
         states = np.arange(table.n_states)
         mask = np.ones(table.n_states, dtype=bool)
         for j, value in assignment.items():
@@ -192,7 +191,7 @@ class TestAgainstEnumeration:
 
     @given(m=st.integers(min_value=0, max_value=8), data=st.data())
     def test_out_of_range_variable(self, m, data):
-        table = joint_from_entries(m, data.draw(entries(m)))
+        table = JointTable(m, data.draw(entries(m)))
         j = data.draw(st.sampled_from((-1, m, m + 3)))
         with pytest.raises(UnknownVariable):
             marginal(table, {j: True})
@@ -216,7 +215,7 @@ class TestConditionalProbability:
         assert got == 1.0
 
     def test_zero_evidence_raises(self):
-        table = joint_from_entries(2, (0.5, 0.5, 0.0, 0.0))
+        table = JointTable(2, (0.5, 0.5, 0.0, 0.0))
         with pytest.raises(ZeroEvidence):
             conditional_probability(table, {0: True}, {1: True})
 
@@ -231,7 +230,6 @@ class TestPairwiseIndependence:
     def test_dependent_pair_detected(self):
         # P(both true) = 0.4 but the marginals are 0.6 and 0.7.
         assert pairwise_dependence_gap(PAIR, 0, 1) == pytest.approx(0.02)
-        assert not is_pairwise_independent(PAIR, 0, 1, tol=1e-3)
 
     def test_distinct_variables_required(self):
         with pytest.raises(ValueError):
@@ -244,7 +242,6 @@ class TestMarkovIndependence:
         for _ in range(25):
             table = random_conditional_table(rng, 4, a=2, w=(0, 3), x=(1,))
             assert markov_dependence_gap(table, 2, (0, 3), (1,)) <= 1e-12
-            assert is_markov_independent(table, 2, (0, 3), (1,))
 
     def test_dependence_detected(self):
         # Contexts 1=T and 1=F give P(0=T) of 4/7 and 2/3 against the
@@ -269,7 +266,7 @@ class TestMarkovIndependence:
     @settings(max_examples=40)
     def test_gap_matches_direct_definition(self, data):
         m = 3
-        table = joint_from_entries(m, data.draw(entries(m)))
+        table = JointTable(m, data.draw(entries(m)))
         a = data.draw(st.integers(min_value=0, max_value=m - 1))
         rest = [j for j in range(m) if j != a]
         w = (rest[0],)

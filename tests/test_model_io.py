@@ -13,21 +13,24 @@ from hypothesis import strategies as st
 from beliefpool import (
     BayesNet,
     Cpt,
-    LinopManifest,
     MarkovNet,
     MismatchedVariables,
     ModelFormatError,
-    align_variables,
     bn_to_joint,
+    marginal,
+)
+from beliefpool.model_io import (
+    LinopManifest,
+    align_variables,
     load_model_file,
     load_network,
-    marginal,
+    manifest_from_dict,
+    manifest_to_dict,
     network_from_dict,
     network_to_dict,
     save_manifest,
     save_network,
 )
-from beliefpool.model_io import manifest_from_dict, manifest_to_dict
 from beliefpool.sampling import random_bn
 
 CHAIN = BayesNet(
@@ -232,7 +235,75 @@ class TestNetworkRoundTrip:
             network_to_dict(BayesNet(CHAIN.cpts))
 
 
+# Any JSON value, small enough to draw fast.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def json_positions(node, path=()):
+    """The path of every value inside a JSON document, the root included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in items:
+        yield from json_positions(child, path + (key,))
+
+
+@st.composite
+def mutated_network_dicts(draw):
+    """A valid bayes or markov dict, maybe rewired, then with up to three
+    values replaced, deleted or renamed.
+
+    Rewiring gives one variable new parent labels (any, itself and
+    repeats included) with a full row set and matching edges, or adds
+    one markov edge, so the constructors see cycles, self-loops and
+    duplicate parents that the field checks pass."""
+    data = network_to_dict(draw(st.one_of(labelled_bns(), labelled_mns())))
+    data = json.loads(json.dumps(data))  # a deep copy the draws may change
+    labels = tuple(data["variables"])
+    label = st.sampled_from(labels)
+    if draw(st.booleans()):
+        if data["kind"] == "markov":
+            data["edges"].append(draw(st.lists(label, min_size=2, max_size=2)))
+        else:
+            parents = draw(st.lists(label, max_size=3))
+            rows = dict.fromkeys(map("".join, itertools.product("01", repeat=len(parents))), 0.5)
+            data["cpts"][draw(label)] = {"parents": parents, "rows": rows}
+            data["edges"] = [[p, c] for c, cpt in data["cpts"].items() for p in cpt["parents"]]
+    values = st.one_of(json_values, label, st.lists(label, max_size=3))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        path = draw(st.sampled_from(list(json_positions(data))[1:]))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        action = draw(st.sampled_from(("replace", "delete", "rename")))
+        if action == "replace":
+            parent[key] = draw(values)
+        elif action == "delete":
+            del parent[key]
+        elif isinstance(parent, dict):
+            parent[draw(st.one_of(label, st.text(max_size=3)))] = parent.pop(key)
+    return data
+
+
 class TestFormatValidation:
+    @given(data=mutated_network_dicts())
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_dicts_raise_only_model_format_error(self, data):
+        # The loader has no catch-all: every constructor error on a
+        # malformed dict must already be a ModelFormatError.
+        try:
+            model = network_from_dict(data)
+        except ModelFormatError:
+            return
+        assert isinstance(model, (BayesNet, MarkovNet))
+
     def test_unknown_kind(self):
         with pytest.raises(ModelFormatError):
             network_from_dict({"kind": "factor-graph", "variables": ["A"]})
@@ -315,6 +386,11 @@ class TestFormatValidation:
              "edge references unknown variable 'A9'"),
             (lambda d: d.update(edges=[["A1", "A2", "A1"]]),
              "is not a pair of labels"),
+            (lambda d: d["cpts"]["A1"].update(parents=["A2"], rows={"0": 0.5, "1": 0.5})
+             or d["edges"].append(["A2", "A1"]),
+             "parent structure contains a directed cycle"),
+            (lambda d: d.update(kind="markov", edges=[["A2", "A2"]]) or d.pop("cpts"),
+             "self-loop on node 1"),
         ],
     )
     def test_label_errors_name_the_fault(self, mutate, message):

@@ -2,7 +2,8 @@
 ordering, moralization, union, triangulation, and redirection.
 
 Chordality results are cross-checked against networkx, which uses an
-unrelated algorithm, so the in-package checker never grades itself.
+unrelated algorithm, so the package's own check (direct_by_order's
+NotChordal) never grades itself.
 """
 
 import itertools
@@ -18,21 +19,18 @@ from beliefpool import (
     CapacityExceeded,
     Cpt,
     Dag,
-    JointTable,
     MarkovNet,
     MismatchedVariables,
     NotChordal,
     UnknownVariable,
     bn_to_joint,
+)
+from beliefpool.networks import (
     direct_by_order,
-    is_chordal,
     is_decomposable,
-    joint_from_entries,
-    markov_blanket,
     min_fill_order,
     mn_union,
     moralize,
-    perfect_elimination_order,
     triangulate,
 )
 from beliefpool.sampling import random_bn, random_dag, random_decomposable_bn
@@ -60,6 +58,12 @@ def to_nx(net):
     g.add_nodes_from(range(net.m))
     g.add_edges_from(net.edges)
     return g
+
+
+def prob_true(cpt, assignment):
+    """P(owner = true) read from cpt.rows at the row the assignment picks:
+    bit i of the row index is parents[i]."""
+    return cpt.rows[sum(1 << i for i, p in enumerate(cpt.parents) if assignment[p])]
 
 
 def min_fill_by_full_recount(adjacency, keep=()):
@@ -101,14 +105,14 @@ def graphs_with_keep(draw):
 class TestCpt:
     def test_row_bit_i_is_parent_i(self):
         cpt = Cpt(0, (2, 1), (0.1, 0.2, 0.3, 0.4))
-        assert cpt.row_index({2: False, 1: False}) == 0
-        assert cpt.row_index({2: True, 1: False}) == 1
-        assert cpt.row_index({2: False, 1: True}) == 2
-        assert cpt.prob_true({2: True, 1: True}) == 0.4
+        # Parent 2 is bit 0, parent 1 is bit 1.
+        assert cpt.row_pair(2, {1: False}) == (0.1, 0.2)
+        assert cpt.row_pair(2, {1: True}) == (0.3, 0.4)
+        assert cpt.row_pair(1, {2: True}) == (0.2, 0.4)
 
     def test_extra_assignment_keys_ignored(self):
         cpt = Cpt(0, (1,), (0.1, 0.9))
-        assert cpt.prob_true({1: True, 3: False}) == 0.9
+        assert cpt.row_pair(1, {1: True, 3: False}) == (0.1, 0.9)
 
     def test_row_pair_sets_one_parent_both_ways(self):
         cpt = Cpt(0, (2, 1, 4), tuple(np.linspace(0.05, 0.95, 8)))
@@ -116,17 +120,12 @@ class TestCpt:
             assignment = dict(zip((2, 1, 4), bits))
             for v in (2, 1, 4):
                 want = tuple(
-                    cpt.prob_true({**assignment, v: x}) for x in (False, True)
+                    prob_true(cpt, {**assignment, v: x}) for x in (False, True)
                 )
                 assert cpt.row_pair(v, assignment) == want
             # A non-parent leaves one row, read twice.
-            row = cpt.prob_true(assignment)
+            row = prob_true(cpt, assignment)
             assert cpt.row_pair(3, assignment) == (row, row)
-
-    def test_missing_parent_raises(self):
-        cpt = Cpt(0, (1,), (0.1, 0.9))
-        with pytest.raises(UnknownVariable):
-            cpt.row_index({2: True})
 
     def test_row_count_must_match_parents(self):
         with pytest.raises(ValueError):
@@ -192,7 +191,7 @@ class TestDag:
         assert VEE.children() == ((2,), (2,), ())
 
     def test_edges_and_skeleton(self):
-        assert VEE.edges() == frozenset({(0, 2), (1, 2)})
+        assert VEE.parents == ((), (), (0, 1))
         assert VEE.skeleton() == frozenset({(0, 2), (1, 2)})
 
 
@@ -243,7 +242,7 @@ class TestBnToJoint:
             bits = {j: bool((index >> j) & 1) for j in range(4)}
             expect = 1.0
             for cpt in net.cpts:
-                p = cpt.prob_true(bits)
+                p = prob_true(cpt, bits)
                 expect *= p if bits[cpt.owner] else 1.0 - p
             assert table.probs[index] == pytest.approx(expect, abs=1e-12)
 
@@ -327,8 +326,18 @@ class TestTriangulate:
         chordal, order = triangulate(net)
         assert net.edges <= chordal.edges
         assert set(order) == set(range(net.m))
-        assert is_chordal(chordal)
+        direct_by_order(chordal, order)  # raises NotChordal unless perfect
         assert nx.is_chordal(to_nx(chordal))
+
+
+def is_chordal(net):
+    """The package's chordality test: min-fill adds no edge to a chordal
+    graph, and direct_by_order accepts its order."""
+    chordal, order = triangulate(net)
+    if chordal.edges != net.edges:
+        return False
+    direct_by_order(net, order)
+    return True
 
 
 class TestChordality:
@@ -340,11 +349,13 @@ class TestChordality:
     def test_square_is_not(self):
         square = mn(4, (0, 1), (1, 2), (2, 3), (0, 3))
         assert not is_chordal(square)
-        assert perfect_elimination_order(square) is None
+        for order in itertools.permutations(range(4)):
+            with pytest.raises(NotChordal):
+                direct_by_order(square, order)
 
     def test_elimination_order_is_perfect(self):
         net = mn(4, (0, 1), (1, 2), (2, 3), (0, 3), (0, 2))
-        order = perfect_elimination_order(net)
+        _, order = triangulate(net)
         adj = net.adjacency()
         seen = set()
         for v in order:
@@ -379,8 +390,9 @@ class TestDirectByOrder:
             assert dag.parents[order[-1]] == ()
             assert dag.skeleton() == chordal.edges
             position = {v: i for i, v in enumerate(reversed(order))}
-            for parent, child in dag.edges():
-                assert position[parent] < position[child]
+            for child, parents in enumerate(dag.parents):
+                for parent in parents:
+                    assert position[parent] < position[child]
 
     def test_nonchordal_rejected(self):
         square = mn(4, (0, 1), (1, 2), (2, 3), (0, 3))
@@ -410,17 +422,19 @@ class TestMarkovBlanket:
     def test_parents_children_coparents(self):
         # 0 -> 2 <- 1, 2 -> 3, 4 isolated: blanket of 2 touches all but 4.
         dag = Dag(5, ((), (), (0, 1), (2,), ()))
-        assert markov_blanket(dag, 2) == frozenset({0, 1, 3})
-        assert markov_blanket(dag, 4) == frozenset()
-        assert markov_blanket(dag, 0) == frozenset({1, 2})
+        blankets = dag.blankets()
+        assert blankets[2] == frozenset({0, 1, 3})
+        assert blankets[4] == frozenset()
+        assert blankets[0] == frozenset({1, 2})
 
     def test_matches_moral_neighbors(self):
         rng = np.random.default_rng(31)
         for _ in range(25):
             dag = random_dag(rng, 6)
             moral = moralize(dag)
+            adjacency = moral.adjacency()
             for v in range(6):
-                assert markov_blanket(dag, v) == moral.neighbors(v)
+                assert dag.blankets()[v] == adjacency[v]
 
     def test_network_keeps_its_blankets(self):
         rng = np.random.default_rng(37)
@@ -428,9 +442,7 @@ class TestMarkovBlanket:
             net = random_bn(rng, 7, edge_prob=0.4, max_parents=3)
             moral = moralize(net)
             assert net.blankets is net.blankets
+            assert net.blankets == net.dag().blankets()
+            adjacency = moral.adjacency()
             for v in range(net.m):
-                assert markov_blanket(net, v) is net.blankets[v]
-                assert net.blankets[v] == moral.neighbors(v)
-            for bad in (-1, net.m):
-                with pytest.raises(UnknownVariable):
-                    markov_blanket(net, bad)
+                assert net.blankets[v] == adjacency[v]

@@ -17,22 +17,21 @@ from beliefpool import (
     AggregationSpec,
     DegenerateProduct,
     InvalidWeight,
+    JointTable,
     MismatchedVariables,
     WeightCountMismatch,
-    joint_from_entries,
     linop,
     logop,
     marginal,
-    normalize_weights,
-    pairwise_dependence_gap,
 )
+from beliefpool.joint import pairwise_dependence_gap
 from beliefpool.axioms import independent_pair_agents
-from beliefpool.pools import logistic, pooled_log_odds
+from beliefpool.pools import logistic, normalize_weights, pooled_log_odds
 from beliefpool.sampling import random_joint, random_weights
 
 # State order by index: (FF, TF, FT, TT) with bit 0 the first variable.
-AGENT_1 = joint_from_entries(2, (0.25, 0.25, 0.25, 0.25))
-AGENT_2 = joint_from_entries(2, (0.08, 0.32, 0.12, 0.48))
+AGENT_1 = JointTable(2, (0.25, 0.25, 0.25, 0.25))
+AGENT_2 = JointTable(2, (0.08, 0.32, 0.12, 0.48))
 
 # Equal-weight arithmetic pool of the two, exact by hand.
 LINOP_EXPECTED = (0.165, 0.285, 0.185, 0.365)
@@ -130,7 +129,7 @@ class TestLinop:
 
     def test_mismatched_tables(self):
         with pytest.raises(MismatchedVariables):
-            linop((AGENT_1, joint_from_entries(1, (0.5, 0.5))))
+            linop((AGENT_1, JointTable(1, (0.5, 0.5))))
 
     @given(seed=st.integers(min_value=0, max_value=100_000))
     @settings(max_examples=50)
@@ -159,13 +158,13 @@ class TestLogop:
 
     def test_zero_weight_agent_drops_out(self):
         # The zero-mass state of a weight-0 agent must not zero the pool.
-        degenerate = joint_from_entries(2, (0.0, 0.5, 0.25, 0.25))
+        degenerate = JointTable(2, (0.0, 0.5, 0.25, 0.25))
         pooled = logop((AGENT_1, degenerate), (1.0, 0.0))
         np.testing.assert_allclose(pooled.probs, AGENT_1.probs, atol=1e-15)
 
     def test_disjoint_supports_degenerate(self):
-        left = joint_from_entries(2, (0.5, 0.5, 0.0, 0.0))
-        right = joint_from_entries(2, (0.0, 0.0, 0.5, 0.5))
+        left = JointTable(2, (0.5, 0.5, 0.0, 0.0))
+        right = JointTable(2, (0.0, 0.0, 0.5, 0.5))
         with pytest.raises(DegenerateProduct):
             logop((left, right))
 

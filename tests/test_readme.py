@@ -1,10 +1,12 @@
 """The README's Python quick start runs and gives the values its
-comments print."""
+comments print, and README names every top-level export."""
 
 import re
+import types
 from pathlib import Path
 
-from beliefpool import bn_to_joint, marginal
+import beliefpool
+from beliefpool import BeliefPoolError, bn_to_joint, marginal
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -18,3 +20,18 @@ def test_quick_start_values():
     assert consensus.bn.dag().parents == ((1,), ())
     assert consensus.agent_queries == 6
     assert round(marginal(bn_to_joint(consensus.bn), {1: True}), 6) == 0.591687
+
+
+def test_every_export_is_documented():
+    """The top level holds what README documents, the types those names
+    take or return, and the error classes; nothing only tests use."""
+    text = README.read_text()
+    undocumented = [
+        name
+        for name, value in vars(beliefpool).items()
+        if not name.startswith("_")
+        and not isinstance(value, types.ModuleType)
+        and not (isinstance(value, type) and issubclass(value, BeliefPoolError))
+        and not re.search(rf"\b{name}\b", text)
+    ]
+    assert undocumented == []
