@@ -7,15 +7,23 @@ geometric-mean consensus of the agents.
 
 Numeric side: fill in that structure's CPTs so the implied joint equals
 the normalized weighted geometric mean of the agent joints, using only
-per-agent inference queries, never a dense 2**m table. Nodes are
-processed in elimination order (reverse topological order). For each
-node and each parent instantiation, the node's neighbors are fixed
-(parents by the instantiation, children all true, or all false if that
-fails) and every agent is asked for its conditional on that context.
-The row is the logistic of the agents' pooled log-odds plus each
-already-parameterized child's log-ratio, log P(child | node false) -
-log P(child | node true), which removes the conditioning on the
-children.
+per-agent inference queries, never a dense 2**m table. The fill makes
+three passes over the elimination order (a reverse topological order):
+1. For each node and each parent instantiation, the node's neighbors
+   are fixed (parents by the instantiation, children all true, or all
+   false if an agent's conditional is degenerate on that) and every
+   agent is asked for its conditional on that context.
+2. One pooled_log_odds call pools the agents' conditionals for every
+   row of the build.
+3. Each row's log-odds gains each already-filled child's log-ratio,
+   log P(child | node false) - log P(child | node true) at the child's
+   value in the context, which removes the conditioning on the
+   children. The ratio is read from the child's own log-odds through a
+   log-sigmoid, so it is finite even where the child's row rounds to 0
+   or 1. One logistic call then turns every row's log-odds into a
+   probability.
+Only an agent conditional of 0 or 1, or zero evidence for a context,
+fails (DegenerateCpt).
 
 The dense_oracle route needs no queries: the pool is the normalized
 product of every agent CPT raised to the agent's weight, and one
@@ -51,6 +59,7 @@ from .networks import (
     is_decomposable,
     mn_union,
     moralize,
+    row_bit,
     triangulate,
 )
 from .pools import logistic, normalize_weights, pooled_log_odds
@@ -114,24 +123,22 @@ def _check_agents(bns: Sequence[BayesNet]) -> int:
     return m
 
 
+def _log_sigmoid(x: float) -> float:
+    """log P(event) for log-odds x, finite for every finite x."""
+    return min(x, 0.0) - math.log1p(math.exp(-abs(x)))
+
+
 def _structured_cpts(
     bns: Sequence[BayesNet],
     w: np.ndarray,
     structure: Dag,
     elimination_order: EliminationOrder,
 ) -> tuple[list[Cpt], int]:
-    children = structure.children()
-    done: dict[int, Cpt] = {}
+    parents, children = structure.parents, structure.children()
     queries = 0
 
-    def blanket_row(
-        node: int, parent_asg: dict[int, bool], outcome: bool
-    ) -> tuple[list[float], float]:
-        """Each agent's conditional for the row, and the children's
-        log-ratio to add to the pooled log-odds."""
+    def agent_conditionals(node: int, context: dict[int, bool]) -> list[float]:
         nonlocal queries
-        context = dict(parent_asg)
-        context.update({c: outcome for c in children[node]})
         conds = []
         for bn in bns:
             queries += 1
@@ -148,47 +155,60 @@ def _structured_cpts(
                     f"on a neighborhood instantiation"
                 )
             conds.append(c)
-        log_ratio = 0.0
-        for child in children[node]:
-            p_num, p_den = done[child].row_pair(node, context)
-            if not outcome:
-                p_num, p_den = 1.0 - p_num, 1.0 - p_den
-            if p_num <= 0.0 or p_den <= 0.0:
-                raise DegenerateCpt(
-                    "child CPT row of 0 or 1 makes a likelihood ratio undefined"
-                )
-            log_ratio += math.log(p_num) - math.log(p_den)
-        return conds, log_ratio
+        return conds
 
-    # Elimination order is a reverse topological order, so every child
-    # of a node is parameterized before the node itself.
+    # Pass 1 (the three passes are in the module docstring); start[node]
+    # is the index of the node's first row in the build.
+    start: dict[int, int] = {}
+    conds: list[list[float]] = []
+    contexts: list[tuple[dict[int, bool], bool]] = []
     for node in elimination_order:
-        parents = structure.parents[node]
-        conds, log_ratios = [], []
-        for r in range(1 << len(parents)):
+        start[node] = len(conds)
+        for r in range(1 << len(parents[node])):
             parent_asg = {
-                p: bool((r >> i) & 1) for i, p in enumerate(parents)
+                p: bool((r >> i) & 1) for i, p in enumerate(parents[node])
             }
-            row = None
             failure: DegenerateCpt | None = None
             for outcome in (True, False) if children[node] else (True,):
+                context = dict(parent_asg)
+                context.update({c: outcome for c in children[node]})
                 try:
-                    row = blanket_row(node, parent_asg, outcome)
+                    conds.append(agent_conditionals(node, context))
+                    contexts.append((context, outcome))
                     break
                 except DegenerateCpt as err:
                     failure = err
-            if row is None:
+            else:
                 raise DegenerateCpt(
                     f"node {node}, parent row {r}: {failure}; rerun with "
                     f"dense_oracle=True to use the factor-product fill"
                 ) from failure
-            conds.append(row[0])
-            log_ratios.append(row[1])
-        # One pool per node: agent on axis 0, parent row on axis 1.
-        c = np.array(conds).T
-        _, rows = logistic(pooled_log_odds(1.0 - c, c, w) + log_ratios)
-        done[node] = Cpt(node, parents, tuple(rows.tolist()))
-    return [done[v] for v in range(structure.m)], queries
+
+    # Pass 2: agent on axis 0, row on axis 1.
+    c = np.array(conds).T
+    log_odds = pooled_log_odds(1.0 - c, c, w).tolist()
+
+    # Pass 3. Elimination order is a reverse topological order, so every
+    # child's log-odds are finished before its parents read them.
+    for node in elimination_order:
+        for k in range(start[node], start[node] + (1 << len(parents[node]))):
+            context, outcome = contexts[k]
+            sign = 1.0 if outcome else -1.0
+            log_ratio = 0.0
+            for child in children[node]:
+                row, bit = row_bit(parents[child], node, context)
+                base = start[child]
+                log_ratio += _log_sigmoid(
+                    sign * log_odds[base + row]
+                ) - _log_sigmoid(sign * log_odds[base + (row | bit)])
+            log_odds[k] += log_ratio
+    _, p_true = logistic(np.array(log_odds))
+    rows = p_true.tolist()
+    cpts = {
+        node: Cpt(node, parents[node], rows[k:k + (1 << len(parents[node]))])
+        for node, k in start.items()
+    }
+    return [cpts[v] for v in range(structure.m)], queries
 
 
 def logop_consensus_bn(
@@ -200,10 +220,12 @@ def logop_consensus_bn(
     """Consensus network whose joint is the geometric pool of the agents.
 
     The default path parameterizes the consensus structure from
-    per-agent inference queries alone: each CPT row is the logistic of
-    the agents' pooled log-odds plus the child log-ratios. When an agent
-    CPT row of 0 or 1, or a conditional that rounds to 0 or 1 or
-    underflows, makes that ill-defined it raises DegenerateCpt. dense_oracle=True instead fills
+    per-agent inference queries alone, in the three passes of the
+    module docstring: each CPT row is the logistic of the agents'
+    pooled log-odds plus the child log-ratios. Only an agent's
+    conditional of 0 or 1 (from an agent CPT row of 0 or 1, or a
+    conditional that rounds to 0 or 1 or underflows) or a context with
+    zero evidence raises DegenerateCpt. dense_oracle=True instead fills
     the CPTs by one elimination pass over the agents' weighted CPT
     product, which handles such agents at any size and raises
     DegenerateProduct when the pool has zero mass.

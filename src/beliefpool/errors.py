@@ -49,9 +49,10 @@ class DegenerateProduct(BeliefPoolError):
 class DegenerateCpt(BeliefPoolError):
     """The query route could not fill a consensus CPT row.
 
-    An agent's conditional for the row was 0, 1 or undefined, or a child
-    row whose log-ratio the row adds was 0 or 1. An agent CPT row of 0 or 1 causes
-    this, and so can strictly positive rows near 0 or 1, when a
+    Only an agent's conditional for the row causes this: it was 0 or 1,
+    or the agent gives the row's context zero evidence, on both the
+    all-true and the all-false children. An agent CPT row of 0 or 1
+    causes this, and so can strictly positive rows near 0 or 1, when a
     conditional rounds to 0 or 1 or underflows. dense_oracle=True fills
     such rows.
     """

@@ -30,6 +30,27 @@ from .joint import MAX_DENSE_VARIABLES, Assignment, JointTable
 EliminationOrder = tuple[int, ...]
 
 
+def row_bit(
+    parents: Sequence[int], v: int, assignment: Assignment
+) -> tuple[int, int]:
+    """(row, bit): row is the index of the parent row with v false and
+    every other parent read from assignment; row | bit has v true. bit
+    is 0 when v is not a parent. Raises MalformedInstance when the
+    assignment misses another parent."""
+    row = bit = 0
+    try:
+        for i, parent in enumerate(parents):
+            if parent == v:
+                bit = 1 << i
+            elif assignment[parent]:
+                row |= 1 << i
+    except KeyError as err:
+        raise MalformedInstance(
+            f"assignment gives no value for parent {err.args[0]}"
+        ) from None
+    return row, bit
+
+
 @dataclass(frozen=True)
 class Cpt:
     """Conditional probability table of one binary node.
@@ -67,12 +88,7 @@ class Cpt:
         """P(owner = true) with v false and with v true, every other
         parent read from assignment, which must cover it. When v is not
         a parent, both are the one row the assignment picks."""
-        row = bit = 0
-        for i, parent in enumerate(self.parents):
-            if parent == v:
-                bit = 1 << i
-            elif assignment[parent]:
-                row |= 1 << i
+        row, bit = row_bit(self.parents, v, assignment)
         return self.rows[row], self.rows[row | bit]
 
     @cached_property

@@ -37,7 +37,7 @@ from beliefpool import (
 from beliefpool.consensus import consensus_mn_structure
 from beliefpool.joint import conditional_probability
 from beliefpool.networks import is_decomposable
-from beliefpool import inference
+from beliefpool import consensus, inference
 from beliefpool.pools import logistic, normalize_weights, pooled_log_odds
 from beliefpool.axioms import chain_agents
 from beliefpool.sampling import (
@@ -181,11 +181,11 @@ class TestRemoveChildConditioning:
         assert logistic(np.float64(-math.inf)) == (1.0, 0.0)
         assert logistic(np.float64(math.inf)) == (0.0, 1.0)
 
-    def test_zero_ratio_term_rejected(self):
-        # Two agents from the extreme-row draws. Node 3's first row fails
-        # on both outcomes of its children, the last time because a
-        # finished consensus child row rounded to 0 or 1, which leaves
-        # its log-ratio for node 3 undefined.
+    def test_extreme_child_rows_build(self):
+        # Two agents from the extreme-row draws. A finished consensus
+        # child row of node 3 rounds to 1.0 as a float, so a log-ratio
+        # taken from the rounded rows is undefined; taken from the
+        # child's log-odds it is finite, and the group builds.
         sure = 1.0 - 1e-12
         first = BayesNet((
             Cpt(0, (1, 3), (0.7, 1e-300, 0.7, 0.5)),
@@ -199,9 +199,11 @@ class TestRemoveChildConditioning:
             Cpt(2, (0,), (1e-12, sure)),
             Cpt(3, (0, 2), (1e-300, 0.3, 0.7, 0.7)),
         ))
-        with pytest.raises(DegenerateCpt, match="child CPT row of 0 or 1"):
-            logop_consensus_bn([first, second])
-        logop_consensus_bn([first, second], dense_oracle=True)
+        queried = logop_consensus_bn([first, second])
+        factor = logop_consensus_bn([first, second], dense_oracle=True)
+        for got, want in zip(queried.bn.cpts, factor.bn.cpts):
+            assert got.parents == want.parents
+            np.testing.assert_allclose(got.rows, want.rows, rtol=0, atol=1e-9)
 
     def test_chain_trace_recovers_root_marginal(self):
         # Fix the child true, pool the agents' masses for node 0, then
@@ -307,6 +309,29 @@ class TestLogopConsensusBn:
         for got, want in zip(result.bn.cpts, factor.bn.cpts):
             assert got.parents == want.parents
             np.testing.assert_allclose(got.rows, want.rows, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_one_pool_and_one_logistic_per_build(self, shared):
+        # Every row of the build goes through one pooled_log_odds call and
+        # one logistic call, and every agent query is counted.
+        rng = np.random.default_rng(31)
+        if shared:
+            agents = random_common_structure_bns(rng, 20, 3, edge_prob=0.1, max_parents=2)
+        else:
+            agents = [random_bn(rng, 8, max_parents=2) for _ in range(3)]
+        with mock.patch.object(
+            consensus, "pooled_log_odds", wraps=pooled_log_odds
+        ) as pool, mock.patch.object(
+            consensus, "logistic", wraps=logistic
+        ) as squash, mock.patch.object(
+            consensus, "query_conditional", wraps=inference.query_conditional
+        ) as query:
+            result = logop_consensus_bn(agents, random_weights(rng, 3))
+        assert pool.call_count == 1
+        assert squash.call_count == 1
+        assert query.call_count == result.agent_queries
+        rows = sum(1 << len(ps) for ps in result.bn.dag().parents)
+        assert pool.call_args.args[1].shape == (3, rows)
 
     @given(seed=st.integers(min_value=0, max_value=100_000), shared=st.booleans())
     @settings(max_examples=40, deadline=None)

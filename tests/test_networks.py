@@ -19,6 +19,7 @@ from beliefpool import (
     CapacityExceeded,
     Cpt,
     Dag,
+    MalformedInstance,
     MarkovNet,
     MismatchedVariables,
     NotChordal,
@@ -113,6 +114,12 @@ class TestCpt:
     def test_extra_assignment_keys_ignored(self):
         cpt = Cpt(0, (1,), (0.1, 0.9))
         assert cpt.row_pair(1, {1: True, 3: False}) == (0.1, 0.9)
+
+    def test_row_pair_names_a_missing_parent(self):
+        with pytest.raises(MalformedInstance, match="parent 1"):
+            Cpt(0, (1,), (0.1, 0.9)).row_pair(2, {})
+        with pytest.raises(MalformedInstance, match="parent 3"):
+            Cpt(0, (1, 3), (0.1, 0.2, 0.3, 0.4)).row_pair(1, {2: True})
 
     def test_row_pair_sets_one_parent_both_ways(self):
         cpt = Cpt(0, (2, 1, 4), tuple(np.linspace(0.05, 0.95, 8)))
