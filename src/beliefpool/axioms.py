@@ -138,9 +138,9 @@ _PRODUCT_PRECONDITION_TOL = 1e-12
 
 
 def _pooled(spec: AggregationSpec, inst, tables=None) -> JointTable:
-    """Pool inst.tables (or tables) by spec.pool; inst.weights override spec's."""
+    """Pool inst.tables (or tables) by spec.pool with the instance's weights."""
     pool = linop if spec.pool == "linop" else logop
-    return pool(inst.tables if tables is None else tables, inst.weights or spec.weights)
+    return pool(inst.tables if tables is None else tables, inst.weights)
 
 
 def _event_mass(table: JointTable, states: frozenset[int]) -> float:
@@ -163,13 +163,6 @@ def _product_gap(table: JointTable) -> float:
     return float(np.max(np.abs(table.probs - expected)))
 
 
-def _require(kind, instance):
-    if not isinstance(instance, kind):
-        raise MalformedInstance(
-            f"expected {kind.__name__}, got {type(instance).__name__}"
-        )
-
-
 def _preserved_gap(spec, inst, gap, hypothesis, tol=_PRODUCT_PRECONDITION_TOL) -> float:
     """The pooled table's gap, once every agent's gap is within tol."""
     if any(gap(t) > tol for t in inst.tables):
@@ -178,7 +171,6 @@ def _preserved_gap(spec, inst, gap, hypothesis, tol=_PRODUCT_PRECONDITION_TOL) -
 
 
 def _unam_gap(spec: AggregationSpec, inst: UnanimityInstance) -> float:
-    _require(UnanimityInstance, inst)
     first = inst.tables[0]
     for t in inst.tables[1:]:
         if t.m != first.m or not np.array_equal(t.probs, first.probs):
@@ -187,8 +179,7 @@ def _unam_gap(spec: AggregationSpec, inst: UnanimityInstance) -> float:
 
 
 def _mp_gap(spec: AggregationSpec, inst: EventPoolInstance) -> float:
-    _require(EventPoolInstance, inst)
-    w = normalize_weights(inst.weights or spec.weights, len(inst.tables))
+    w = normalize_weights(inst.weights, len(inst.tables))
     joint_route = _event_mass(_pooled(spec, inst), inst.event)
     true = np.array([_event_mass(t, inst.event) for t in inst.tables])
     if spec.pool == "linop":
@@ -201,7 +192,6 @@ def _mp_gap(spec: AggregationSpec, inst: EventPoolInstance) -> float:
 
 
 def _eb_gap(spec: AggregationSpec, inst: EvidenceInstance) -> float:
-    _require(EvidenceInstance, inst)
     evidence = dict(inst.evidence)
     try:
         pool_then_condition = condition(_pooled(spec, inst), evidence)
@@ -218,7 +208,6 @@ def _eb_gap(spec: AggregationSpec, inst: EvidenceInstance) -> float:
 
 
 def _pds_gap(spec: AggregationSpec, inst: StatePairInstance) -> float:
-    _require(StatePairInstance, inst)
     if len(inst.tables_p) != len(inst.tables_q):
         raise MalformedInstance("profiles must have the same agent count")
     for tp, tq in zip(inst.tables_p, inst.tables_q):
@@ -239,7 +228,6 @@ def _pds_gap(spec: AggregationSpec, inst: StatePairInstance) -> float:
 
 
 def _ipp_gap(spec: AggregationSpec, inst: EventPairInstance) -> float:
-    _require(EventPairInstance, inst)
     both = inst.event_a & inst.event_b
 
     def gap(t: JointTable) -> float:
@@ -254,7 +242,6 @@ def _ipp_gap(spec: AggregationSpec, inst: EventPairInstance) -> float:
 
 
 def _pair_gap(spec: AggregationSpec, inst: VariablePairInstance) -> float:
-    _require(VariablePairInstance, inst)
     return _preserved_gap(
         spec, inst,
         lambda t: pairwise_dependence_gap(t, inst.a, inst.b),
@@ -263,7 +250,6 @@ def _pair_gap(spec: AggregationSpec, inst: VariablePairInstance) -> float:
 
 
 def _meipp_gap(spec: AggregationSpec, inst: ProductInstance) -> float:
-    _require(ProductInstance, inst)
     return _preserved_gap(
         spec, inst, _product_gap,
         "every agent table must be a full product of marginals",
@@ -271,7 +257,6 @@ def _meipp_gap(spec: AggregationSpec, inst: ProductInstance) -> float:
 
 
 def _mipp_gap(spec: AggregationSpec, inst: MarkovInstance) -> float:
-    _require(MarkovInstance, inst)
     return _preserved_gap(
         spec, inst,
         lambda t: markov_dependence_gap(t, inst.a, inst.w, inst.x),
@@ -336,10 +321,8 @@ def family_pooled_joint(
 
 
 def _fa_gap(spec: AggregationSpec, inst: FamilyInstance) -> float:
-    _require(FamilyInstance, inst)
-    weights = inst.weights or spec.weights
-    joint_a = family_pooled_joint(spec.pool, inst.tables, inst.ordering_a, weights)
-    joint_b = family_pooled_joint(spec.pool, inst.tables, inst.ordering_b, weights)
+    joint_a = family_pooled_joint(spec.pool, inst.tables, inst.ordering_a, inst.weights)
+    joint_b = family_pooled_joint(spec.pool, inst.tables, inst.ordering_b, inst.weights)
     return float(np.max(np.abs(joint_a.probs - joint_b.probs)))
 
 
@@ -449,18 +432,29 @@ def _draw_fa(rng: np.random.Generator) -> FamilyInstance:
     return FamilyInstance(tables, ordering_a, ordering_b, random_weights(rng, 2))
 
 
-# property name -> (checker returning a violation, suite draw)
-_PROPERTIES: dict[str, tuple[Callable, Callable]] = {
-    "unam": (_unam_gap, _draw_unam),
-    "mp": (_mp_gap, _draw_mp),
-    "eb": (_eb_gap, _draw_eb),
-    "pds": (_pds_gap, _draw_pds),
-    "ipp": (_ipp_gap, _draw_ipp),
-    "eipp": (_pair_gap, _draw_eipp),
-    "meipp": (_meipp_gap, _draw_meipp),
-    "nmeipp": (_pair_gap, _draw_nmeipp),
-    "mipp": (_mipp_gap, _draw_mipp),
-    "fa-consistency": (_fa_gap, _draw_fa),
+# property name -> (instance type, checker returning a violation, suite
+# draw, then the suite's (tolerance, expectation) for linop and for logop)
+_PROPERTIES: dict[str, tuple] = {
+    "unam": (UnanimityInstance, _unam_gap, _draw_unam,
+             (1e-12, "all-pass"), (1e-12, "all-pass")),
+    "mp": (EventPoolInstance, _mp_gap, _draw_mp,
+           (1e-12, "all-pass"), (1e-12, "some-fail")),
+    "eb": (EvidenceInstance, _eb_gap, _draw_eb,
+           (1e-10, "some-fail"), (1e-10, "all-pass")),
+    "pds": (StatePairInstance, _pds_gap, _draw_pds,
+            (1e-12, "all-pass"), (1e-12, "all-pass")),
+    "ipp": (EventPairInstance, _ipp_gap, _draw_ipp,
+            (1e-9, "some-fail"), (1e-9, "all-pass")),
+    "eipp": (VariablePairInstance, _pair_gap, _draw_eipp,
+             (1e-12, "some-fail"), (1e-12, "all-pass")),
+    "meipp": (ProductInstance, _meipp_gap, _draw_meipp,
+              (1e-9, "some-fail"), (1e-12, "all-pass")),
+    "nmeipp": (VariablePairInstance, _pair_gap, _draw_nmeipp,
+               (1e-6, "some-fail"), (1e-6, "some-fail")),
+    "mipp": (MarkovInstance, _mipp_gap, _draw_mipp,
+             (1e-9, "some-fail"), (1e-9, "all-pass")),
+    "fa-consistency": (FamilyInstance, _fa_gap, _draw_fa,
+                       (1e-9, "some-fail"), (1e-9, "some-fail")),
 }
 
 PROPERTY_NAMES = tuple(_PROPERTIES)
@@ -511,17 +505,23 @@ def check_property(
 ) -> CheckReport:
     """Measure one property of one pool across many instances.
 
-    Instance weights take precedence over spec weights; with neither,
-    agents are weighted equally. Raises MalformedInstance when an
-    instance does not satisfy the property's hypothesis.
+    Each instance pools with its own weights (None weights the agents
+    equally). Raises MalformedInstance when an instance is not the
+    property's instance type or does not satisfy its hypothesis.
     """
     name = prop.lower()
     if name not in _PROPERTIES:
         raise MalformedInstance(f"unknown property {prop!r}; choose from {PROPERTY_NAMES}")
-    checker, _ = _PROPERTIES[name]
-    violations = [checker(spec, inst) for inst in instances]
-    cases = tuple(CaseResult(v, v <= tol) for v in violations)
-    return CheckReport(name, spec.pool, tol, cases)
+    kind, checker, *_ = _PROPERTIES[name]
+    cases = []
+    for inst in instances:
+        if not isinstance(inst, kind):
+            raise MalformedInstance(
+                f"expected {kind.__name__}, got {type(inst).__name__}"
+            )
+        violation = checker(spec, inst)
+        cases.append(CaseResult(violation, violation <= tol))
+    return CheckReport(name, spec.pool, tol, tuple(cases))
 
 
 # ---------------------------------------------------------------------------
@@ -735,20 +735,20 @@ def search_nmeipp_violation(
     return None
 
 
-def linop_eb_break_witness(seed: int = 0) -> tuple[EvidenceInstance, float]:
-    """Fixed-seed instance where arithmetic pooling fails to commute
-    with conditioning."""
-    rng = np.random.default_rng(seed)
+def linop_eb_break_witness() -> tuple[EvidenceInstance, float]:
+    """Seed-0 instance where arithmetic pooling fails to commute with
+    conditioning."""
+    rng = np.random.default_rng(0)
     tables = (random_joint(rng, 3), random_joint(rng, 3))
     instance = EvidenceInstance(tables, ((0, True),))
     violation = _eb_gap(AggregationSpec("linop"), instance)
     return instance, violation
 
 
-def logop_mp_break_witness(seed: int = 0) -> tuple[EventPoolInstance, float]:
-    """Fixed-seed instance where geometric pooling fails to commute
-    with event marginalization."""
-    rng = np.random.default_rng(seed)
+def logop_mp_break_witness() -> tuple[EventPoolInstance, float]:
+    """Seed-0 instance where geometric pooling fails to commute with
+    event marginalization."""
+    rng = np.random.default_rng(0)
     tables = (random_joint(rng, 3), random_joint(rng, 3))
     event = frozenset(s for s in range(8) if s & 1)
     instance = EventPoolInstance(tables, event)
@@ -760,42 +760,6 @@ def logop_mp_break_witness(seed: int = 0) -> tuple[EventPoolInstance, float]:
 # Deterministic report suites (used by the CLI check command)
 
 
-def _suite_instances(prop: str, rng: np.random.Generator, trials: int):
-    """Draw until trials instances are held; rejected draws are redrawn."""
-    _, draw = _PROPERTIES[prop]
-    out = []
-    while len(out) < trials:
-        instance = draw(rng)
-        if instance is not None:
-            out.append(instance)
-    return out
-
-
-# (pool, property, tolerance, expectation) for the standard suite.
-_SUITE_PLAN: tuple[tuple[str, str, float, str], ...] = (
-    ("linop", "unam", 1e-12, "all-pass"),
-    ("logop", "unam", 1e-12, "all-pass"),
-    ("linop", "mp", 1e-12, "all-pass"),
-    ("logop", "mp", 1e-12, "some-fail"),
-    ("linop", "eb", 1e-10, "some-fail"),
-    ("logop", "eb", 1e-10, "all-pass"),
-    ("linop", "pds", 1e-12, "all-pass"),
-    ("logop", "pds", 1e-12, "all-pass"),
-    ("linop", "ipp", 1e-9, "some-fail"),
-    ("logop", "ipp", 1e-9, "all-pass"),
-    ("linop", "eipp", 1e-12, "some-fail"),
-    ("logop", "eipp", 1e-12, "all-pass"),
-    ("linop", "meipp", 1e-9, "some-fail"),
-    ("logop", "meipp", 1e-12, "all-pass"),
-    ("linop", "nmeipp", 1e-6, "some-fail"),
-    ("logop", "nmeipp", 1e-6, "some-fail"),
-    ("linop", "mipp", 1e-9, "some-fail"),
-    ("logop", "mipp", 1e-9, "all-pass"),
-    ("linop", "fa-consistency", 1e-9, "some-fail"),
-    ("logop", "fa-consistency", 1e-9, "some-fail"),
-)
-
-
 def run_axioms_suite(seed: int = 0, trials: int = 20) -> tuple[tuple[str, ...], bool]:
     """Property table for both pools plus the fixed negative controls.
 
@@ -804,23 +768,28 @@ def run_axioms_suite(seed: int = 0, trials: int = 20) -> tuple[tuple[str, ...], 
     """
     lines: list[str] = []
     all_ok = True
-    # Both pools of a property are checked on one draw: instances are immutable.
-    drawn: dict[str, list] = {}
-    for pool, prop, tol, expect in _SUITE_PLAN:
-        if prop not in drawn:
-            drawn[prop] = _suite_instances(prop, np.random.default_rng(seed), trials)
-        report = check_property(AggregationSpec(pool), prop, drawn[prop], tol)
-        ok = report.all_passed if expect == "all-pass" else not report.all_passed
-        all_ok &= ok
-        lines.append(
-            f"{report.summary()} expected={expect} "
-            f"{'ok' if ok else 'UNEXPECTED'}"
-        )
+    for prop, (_, _, draw, *expected) in _PROPERTIES.items():
+        # Rejected draws (None) are redrawn; both pools check the same
+        # instances, which are immutable.
+        rng = np.random.default_rng(seed)
+        instances = []
+        while len(instances) < trials:
+            instance = draw(rng)
+            if instance is not None:
+                instances.append(instance)
+        for pool, (tol, expect) in zip(POOL_NAMES, expected):
+            report = check_property(AggregationSpec(pool), prop, instances, tol)
+            ok = report.all_passed if expect == "all-pass" else not report.all_passed
+            all_ok &= ok
+            lines.append(
+                f"{report.summary()} expected={expect} "
+                f"{'ok' if ok else 'UNEXPECTED'}"
+            )
     for name, builder in (
         ("linop-eb", linop_eb_break_witness),
         ("logop-mp", logop_mp_break_witness),
     ):
-        _, violation = builder(0)
+        _, violation = builder()
         ok = violation > 1e-6
         all_ok &= ok
         lines.append(

@@ -177,12 +177,14 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
     if args.trials is not None and args.trials < 1:
         raise _UsageError(f"--trials must be at least 1, got {args.trials}")
+    # Without --trials, each suite runs its own default count.
+    trials = {} if args.trials is None else {"trials": args.trials}
     if args.suite == "examples":
         lines, ok = run_examples_suite()
     elif args.suite == "axioms":
-        lines, ok = run_axioms_suite(args.seed, args.trials or 20)
+        lines, ok = run_axioms_suite(args.seed, **trials)
     else:
-        lines, ok = run_oracle_suite(args.seed, args.trials or 25)
+        lines, ok = run_oracle_suite(args.seed, **trials)
     for line in lines:
         print(line)
     return EXIT_OK if ok else EXIT_UNEXPECTED

@@ -55,22 +55,13 @@ def normalize_weights(
 
 @dataclass(frozen=True)
 class AggregationSpec:
-    """Which pool to apply and with what expert weights.
-
-    weights=None requests equal weighting; explicit weights are
-    normalized to sum to one wherever they are used.
-    """
+    """Which pool to apply; the weights travel with each instance."""
 
     pool: str
-    weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.pool not in POOL_NAMES:
             raise MalformedInstance(f"pool must be one of {POOL_NAMES}, got {self.pool!r}")
-        if self.weights is not None:
-            object.__setattr__(
-                self, "weights", tuple(float(w) for w in self.weights)
-            )
 
 
 def _stack(tables: Sequence[JointTable]) -> tuple[int, np.ndarray]:

@@ -1,8 +1,10 @@
 """Seeded random generators for tables, structures, and agent groups.
 
 Everything takes a numpy Generator so callers control reproducibility.
-Probability entries are floored away from zero by default; degenerate
-inputs are exercised through hand-built fixtures instead.
+Probability entries stay away from zero in fixed ranges: table masses
+are floored at FLOOR, CPT rows and marginals lie in [LOW, HIGH], and
+Markov potentials in [POT_LOW, POT_HIGH]. Degenerate inputs are
+exercised through hand-built fixtures instead.
 """
 from __future__ import annotations
 
@@ -22,12 +24,14 @@ from .networks import (
     triangulate,
 )
 
+FLOOR = 0.01
+LOW, HIGH = 0.05, 0.95
+POT_LOW, POT_HIGH = 0.2, 5.0
 
-def random_joint(
-    rng: np.random.Generator, m: int, floor: float = 0.01
-) -> JointTable:
+
+def random_joint(rng: np.random.Generator, m: int) -> JointTable:
     """Positive random table: unit-uniform masses floored, then normalized."""
-    return JointTable(m, np.maximum(rng.random(1 << m), floor))
+    return JointTable(m, np.maximum(rng.random(1 << m), FLOOR))
 
 
 def random_weights(rng: np.random.Generator, n: int) -> tuple[float, ...]:
@@ -60,37 +64,25 @@ def random_bn(
     dag: Dag | None = None,
     edge_prob: float = 0.35,
     max_parents: int = 3,
-    low: float = 0.05,
-    high: float = 0.95,
 ) -> BayesNet:
-    """Random network with CPT rows drawn uniformly from [low, high]."""
+    """Random network with CPT rows drawn uniformly from [LOW, HIGH]."""
     if dag is None:
         dag = random_dag(rng, m, edge_prob, max_parents)
     cpts = tuple(
-        Cpt(v, dag.parents[v], tuple(rng.uniform(low, high, 1 << len(dag.parents[v]))))
+        Cpt(v, dag.parents[v], tuple(rng.uniform(LOW, HIGH, 1 << len(dag.parents[v]))))
         for v in range(m)
     )
     return BayesNet(cpts)
 
 
-def random_decomposable_bn(
-    rng: np.random.Generator,
-    m: int,
-    *,
-    edge_prob: float = 0.35,
-    max_parents: int = 3,
-    low: float = 0.05,
-    high: float = 0.95,
-) -> BayesNet:
+def random_decomposable_bn(rng: np.random.Generator, m: int) -> BayesNet:
     """Random network whose moral graph is already chordal.
 
     Built by moralizing and triangulating a random structure, then
     orienting it back along the elimination order.
     """
-    base = random_dag(rng, m, edge_prob, max_parents)
-    chordal, order = triangulate(moralize(base))
-    dag = direct_by_order(chordal, order)
-    return random_bn(rng, m, dag=dag, low=low, high=high)
+    chordal, order = triangulate(moralize(random_dag(rng, m)))
+    return random_bn(rng, m, dag=direct_by_order(chordal, order))
 
 
 def random_common_structure_bns(
@@ -100,19 +92,13 @@ def random_common_structure_bns(
     *,
     edge_prob: float = 0.35,
     max_parents: int = 3,
-    low: float = 0.05,
-    high: float = 0.95,
 ) -> list[BayesNet]:
     """Agents sharing one random structure, each with its own CPTs."""
     dag = random_dag(rng, m, edge_prob, max_parents)
-    return [
-        random_bn(rng, m, dag=dag, low=low, high=high) for _ in range(n_agents)
-    ]
+    return [random_bn(rng, m, dag=dag) for _ in range(n_agents)]
 
 
-def random_vstructure_pair(
-    rng: np.random.Generator, low: float = 0.05, high: float = 0.95
-) -> tuple[BayesNet, BayesNet]:
+def random_vstructure_pair(rng: np.random.Generator) -> tuple[BayesNet, BayesNet]:
     """Two agents over three variables with 0 -> 2 <- 1.
 
     Variables 0 and 1 are exactly independent for each agent, but
@@ -120,8 +106,8 @@ def random_vstructure_pair(
     """
 
     def one() -> BayesNet:
-        p0, p1 = rng.uniform(low, high, 2)
-        rows = tuple(rng.uniform(low, high, 4))
+        p0, p1 = rng.uniform(LOW, HIGH, 2)
+        rows = tuple(rng.uniform(LOW, HIGH, 4))
         return BayesNet(
             (Cpt(0, (), (p0,)), Cpt(1, (), (p1,)), Cpt(2, (0, 1), rows))
         )
@@ -129,11 +115,9 @@ def random_vstructure_pair(
     return one(), one()
 
 
-def random_product_table(
-    rng: np.random.Generator, m: int, low: float = 0.05, high: float = 0.95
-) -> JointTable:
+def random_product_table(rng: np.random.Generator, m: int) -> JointTable:
     """Table where all variables are mutually independent."""
-    marginals = rng.uniform(low, high, m)
+    marginals = rng.uniform(LOW, HIGH, m)
     indices = np.arange(1 << m)
     probs = np.ones(1 << m, dtype=np.float64)
     for j in range(m):
@@ -143,17 +127,14 @@ def random_product_table(
 
 
 def random_block_product_table(
-    rng: np.random.Generator,
-    m: int,
-    block: Sequence[int],
-    floor: float = 0.01,
+    rng: np.random.Generator, m: int, block: Sequence[int]
 ) -> JointTable:
     """Table factorizing as P(block variables) * P(remaining variables)."""
     block = sorted(set(block))
     rest = [v for v in range(m) if v not in block]
-    q_block = np.maximum(rng.random(1 << len(block)), floor)
+    q_block = np.maximum(rng.random(1 << len(block)), FLOOR)
     q_block /= q_block.sum()
-    q_rest = np.maximum(rng.random(1 << len(rest)), floor)
+    q_rest = np.maximum(rng.random(1 << len(rest)), FLOOR)
     q_rest /= q_rest.sum()
     indices = np.arange(1 << m)
     block_ctx = np.zeros(1 << m, dtype=np.int64)
@@ -165,12 +146,7 @@ def random_block_product_table(
     return JointTable(m, q_block[block_ctx] * q_rest[rest_ctx])
 
 
-def random_markov_table(
-    rng: np.random.Generator,
-    mn: MarkovNet,
-    pot_low: float = 0.2,
-    pot_high: float = 5.0,
-) -> JointTable:
+def random_markov_table(rng: np.random.Generator, mn: MarkovNet) -> JointTable:
     """Positive table Markov with respect to mn.
 
     Product of random positive node and edge potentials, so every
@@ -180,10 +156,10 @@ def random_markov_table(
     indices = np.arange(size)
     probs = np.ones(size, dtype=np.float64)
     for v in range(mn.m):
-        phi = rng.uniform(pot_low, pot_high, 2)
+        phi = rng.uniform(POT_LOW, POT_HIGH, 2)
         probs *= phi[(indices >> v) & 1]
     for u, v in sorted(mn.edges):
-        psi = rng.uniform(pot_low, pot_high, (2, 2))
+        psi = rng.uniform(POT_LOW, POT_HIGH, (2, 2))
         probs *= psi[(indices >> u) & 1, (indices >> v) & 1]
     return JointTable(mn.m, probs)
 
@@ -194,10 +170,6 @@ def random_conditional_table(
     a: int,
     w: Sequence[int],
     x: Sequence[int],
-    *,
-    floor: float = 0.01,
-    low: float = 0.05,
-    high: float = 0.95,
 ) -> JointTable:
     """Table where a is independent of x given w, by construction.
 
@@ -209,9 +181,9 @@ def random_conditional_table(
     rest = w + x
     if sorted({a, *rest}) != list(range(m)):
         raise MalformedInstance("a, w, x must partition all variables")
-    context_mass = np.maximum(rng.random(1 << len(rest)), floor)
+    context_mass = np.maximum(rng.random(1 << len(rest)), FLOOR)
     context_mass /= context_mass.sum()
-    cond_true = rng.uniform(low, high, 1 << len(w))
+    cond_true = rng.uniform(LOW, HIGH, 1 << len(w))
     indices = np.arange(1 << m)
     ctx = np.zeros(1 << m, dtype=np.int64)
     for i, v in enumerate(rest):

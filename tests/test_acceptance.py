@@ -234,8 +234,8 @@ def test_c5_shared_structure_independencies_survive_geometric_pooling():
 def test_c6_fixed_seed_negative_controls():
     witness = search_nmeipp_violation(seed=42, trials=100)
     shared_effect = witness.violation if witness else 0.0
-    _, eb_violation = linop_eb_break_witness(seed=0)
-    _, mp_violation = logop_mp_break_witness(seed=0)
+    _, eb_violation = linop_eb_break_witness()
+    _, mp_violation = logop_mp_break_witness()
     ok = shared_effect > 1e-6 and eb_violation > 1e-6 and mp_violation > 1e-6
     _report(
         "criterion-6 negative controls break by more than 1e-6",

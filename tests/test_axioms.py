@@ -21,6 +21,7 @@ from beliefpool import (
     JointTable,
     MalformedInstance,
     MismatchedVariables,
+    WeightCountMismatch,
     bn_to_joint,
     check_property,
     family_pooled_joint,
@@ -74,7 +75,7 @@ LOGOP_MP_VIOLATION = 0.0593128
 NMEIPP_SEED42_VIOLATION = 0.008995580273816584
 
 # run_axioms_suite(seed=0, trials=5), line for line: a change to any draw's
-# RNG call order, a checker, or a _SUITE_PLAN row shows up here.
+# RNG call order, a checker, or a _PROPERTIES row shows up here.
 AXIOMS_SEED0_TRIALS5 = (
     "property=unam pool=linop tol=1.0e-12 cases=5 passed=5 max_violation=5.551e-17 expected=all-pass ok",
     "property=unam pool=logop tol=1.0e-12 cases=5 passed=5 max_violation=5.551e-17 expected=all-pass ok",
@@ -228,6 +229,17 @@ class TestCheckProperty:
         for s, t in ((-1, 0), (0, -1), (9, 0), (0, 4)):
             with pytest.raises(MalformedInstance):
                 check_property(LOGOP, "pds", [StatePairInstance(tables, tables, s, t)])
+
+    @pytest.mark.parametrize("prop, instance", [
+        ("eb", EvidenceInstance(seeded_tables(0, 2, 2), ((0, True),), ())),
+        ("mp", EventPoolInstance(seeded_tables(0, 2, 2), frozenset({1}), ())),
+        ("fa-consistency", FamilyInstance(seeded_tables(0, 2, 2), (0, 1), (1, 0), ())),
+    ])
+    @pytest.mark.parametrize("spec", [LINOP, LOGOP], ids=["linop", "logop"])
+    def test_empty_weights_are_a_count_mismatch(self, spec, prop, instance):
+        # weights=() lists no weight for either agent; only None means equal.
+        with pytest.raises(WeightCountMismatch, match="got 0 weights for 2 agents"):
+            check_property(spec, prop, [instance])
 
     def test_report_shape(self):
         instances = [UnanimityInstance(seeded_tables(0, 2, 2)[:1] * 2)]
@@ -441,12 +453,12 @@ class TestWorkedFixtures:
 
 class TestWitnesses:
     def test_linop_fails_to_commute_with_conditioning(self):
-        instance, violation = linop_eb_break_witness(seed=0)
+        instance, violation = linop_eb_break_witness()
         assert violation == pytest.approx(LINOP_EB_VIOLATION, abs=1e-7)
         assert violation > 1e-6
 
     def test_logop_fails_to_commute_with_marginalization(self):
-        instance, violation = logop_mp_break_witness(seed=0)
+        instance, violation = logop_mp_break_witness()
         assert violation == pytest.approx(LOGOP_MP_VIOLATION, abs=1e-7)
         assert violation > 1e-6
 

@@ -191,6 +191,24 @@ class TestAggregate:
             bn_to_joint(network_from_dict(data)).probs, dense.probs, atol=1e-9
         )
 
+    def test_zero_evidence_context_hints_dense_oracle(self, capsys, tmp_path):
+        paths = []
+        for name, cpts in (
+            ("never", (Cpt(0, (), (0.3,)), Cpt(1, (0,), (0.0, 0.0)))),
+            ("halves", (Cpt(0, (), (0.5,)), Cpt(1, (), (0.5,)))),
+        ):
+            path = tmp_path / f"{name}.json"
+            save_network(BayesNet(cpts, labels=("A1", "A2")), path)
+            paths.append(str(path))
+        code, _, err = run(capsys, "aggregate", *paths, "--pool", "logop")
+        assert code == EXIT_DEGENERATE
+        assert "zero mass" in err
+        assert "--dense-oracle" in err
+        code, _, _ = run(
+            capsys, "aggregate", *paths, "--pool", "logop", "--dense-oracle"
+        )
+        assert code == EXIT_OK
+
     def test_all_zero_pool_exit_code(self, capsys, tmp_path):
         paths = []
         for name, p in (("sure", 1.0), ("never", 0.0)):
@@ -342,6 +360,13 @@ class TestQuery:
         )
         assert code == EXIT_PARSE
         assert "A9" in err
+
+    def test_empty_event(self, capsys, agent_files):
+        code, out, err = run(
+            capsys, "query", *agent_files, "--pool", "linop", "--event", ""
+        )
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith("error: --event")
 
     def test_bad_literal_syntax(self, capsys, agent_files):
         code, _, err = run(

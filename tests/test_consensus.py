@@ -427,6 +427,21 @@ class TestLogopConsensusBn:
             bn_to_joint(fallback.bn).probs, dense.probs, atol=1e-12
         )
 
+    def test_zero_evidence_context_raises_and_fallback_works(self):
+        # The first agent never has variable 1 true, so its conditional
+        # for the consensus row of node 0 given variable 1 has no mass.
+        never = BayesNet((Cpt(0, (), (0.3,)), Cpt(1, (0,), (0.0, 0.0))))
+        halves = BayesNet((Cpt(0, (), (0.5,)), Cpt(1, (), (0.5,))))
+        with pytest.raises(DegenerateCpt, match="zero mass") as exc:
+            logop_consensus_bn([never, halves])
+        assert "dense_oracle=True" in str(exc.value)
+        assert isinstance(exc.value.__cause__.__cause__, ZeroEvidence)
+        fallback = logop_consensus_bn([never, halves], dense_oracle=True)
+        dense = logop([bn_to_joint(never), bn_to_joint(halves)])
+        np.testing.assert_allclose(
+            bn_to_joint(fallback.bn).probs, dense.probs, atol=1e-12
+        )
+
     def test_mismatched_agents(self):
         one_node = BayesNet((Cpt(0, (), (0.5,)),))
         with pytest.raises(MismatchedVariables):

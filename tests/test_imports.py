@@ -21,11 +21,16 @@ from beliefpool import (
     ConsensusBn,
     Cpt,
     Dag,
+    EventPoolInstance,
+    EvidenceInstance,
     JointTable,
     MalformedInstance,
     MarkovNet,
     ModelFormatError,
     NotChordal,
+    StatePairInstance,
+    UnanimityInstance,
+    UnknownVariable,
     check_property,
     family_pooled_joint,
     linop,
@@ -34,7 +39,12 @@ from beliefpool import (
 from beliefpool.axioms import reproduce_example
 from beliefpool.inference import query_conditional
 from beliefpool.joint import markov_dependence_gap, pairwise_dependence_gap
-from beliefpool.model_io import align_variables, network_to_dict
+from beliefpool.model_io import (
+    align_variables,
+    manifest_from_dict,
+    network_from_dict,
+    network_to_dict,
+)
 from beliefpool.networks import direct_by_order, mn_union
 from beliefpool.pools import normalize_weights
 from beliefpool.sampling import random_conditional_table
@@ -107,6 +117,8 @@ def test_no_bare_value_error(path):
 
 CHAIN = BayesNet((Cpt(0, (), (0.2,)), Cpt(1, (0,), (0.6, 0.4))))
 PAIR = JointTable(2, (0.1, 0.2, 0.3, 0.4))
+REVERSED = JointTable(2, (0.4, 0.3, 0.2, 0.1))
+LINOP = AggregationSpec("linop")
 SQUARE = MarkovNet(4, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
 VEE = BayesNet(
     (Cpt(0, (), (0.3,)), Cpt(1, (), (0.7,)), Cpt(2, (0, 1), (0.1, 0.6, 0.4, 0.9)))
@@ -115,21 +127,47 @@ VEE = BayesNet(
 # One call per retyped raise site group, with the type it must raise.
 CALLER_ERRORS = {
     "cpt-own-parent": (ModelFormatError, lambda: Cpt(0, (0,), (0.1, 0.9))),
+    "cpt-negative-owner": (ModelFormatError, lambda: Cpt(-1, (), (0.5,))),
     "cpt-row-count": (ModelFormatError, lambda: Cpt(0, (1,), (0.1,))),
     "dag-cycle": (ModelFormatError, lambda: Dag(2, ((1,), (0,)))),
     "bayes-labels": (ModelFormatError, lambda: BayesNet(CHAIN.cpts, ("A", "A"))),
+    "bayes-label-count": (ModelFormatError, lambda: BayesNet(CHAIN.cpts, ("A",))),
     "bayes-owners": (ModelFormatError, lambda: BayesNet(CHAIN.cpts[:1] * 2)),
     "markov-self-loop": (ModelFormatError, lambda: MarkovNet(2, frozenset({(1, 1)}))),
     "joint-entry-count": (ModelFormatError, lambda: JointTable(2, (0.5, 0.5))),
+    "joint-negative-count": (ModelFormatError, lambda: JointTable(-1, (1.0,))),
     "save-unlabeled": (ModelFormatError, lambda: network_to_dict(CHAIN)),
+    "load-non-object": (ModelFormatError, lambda: network_from_dict([])),
+    "manifest-kind": (ModelFormatError, lambda: manifest_from_dict({"kind": "bayes"})),
     "no-weights-agents": (MalformedInstance, lambda: normalize_weights(None, 0)),
     "unknown-pool-spec": (MalformedInstance, lambda: AggregationSpec("mean")),
     "no-tables": (MalformedInstance, lambda: linop(())),
     "unknown-pool-family": (
         MalformedInstance, lambda: family_pooled_joint("mean", (PAIR,), (0, 1))
     ),
-    "unknown-property": (
-        MalformedInstance, lambda: check_property(AggregationSpec("linop"), "x", [])
+    "unknown-property": (MalformedInstance, lambda: check_property(LINOP, "x", [])),
+    "wrong-instance-type": (
+        MalformedInstance,
+        lambda: check_property(LINOP, "eb", [UnanimityInstance((PAIR,))]),
+    ),
+    "unam-not-unanimous": (
+        MalformedInstance,
+        lambda: check_property(LINOP, "unam", [UnanimityInstance((PAIR, REVERSED))]),
+    ),
+    "pds-profiles-disagree": (
+        MalformedInstance,
+        lambda: check_property(LINOP, "pds", [StatePairInstance((PAIR,), (REVERSED,), 0, 1)]),
+    ),
+    "eb-zero-mass-evidence": (
+        MalformedInstance,
+        lambda: check_property(
+            LINOP, "eb",
+            [EvidenceInstance((JointTable(2, (0.5, 0.0, 0.5, 0.0)),), ((0, True),))],
+        ),
+    ),
+    "mp-state-out-of-range": (
+        MalformedInstance,
+        lambda: check_property(LINOP, "mp", [EventPoolInstance((PAIR,), frozenset({9}))]),
     ),
     "unknown-example": (MalformedInstance, lambda: reproduce_example("ex9")),
     "target-in-evidence": (
@@ -141,6 +179,10 @@ CALLER_ERRORS = {
     "no-models": (MalformedInstance, lambda: align_variables([])),
     "same-pair": (MalformedInstance, lambda: pairwise_dependence_gap(PAIR, 1, 1)),
     "bad-partition": (MalformedInstance, lambda: markov_dependence_gap(PAIR, 0, (0,), (1,))),
+    "overlapping-partition": (
+        MalformedInstance,
+        lambda: markov_dependence_gap(JointTable(3, (0.125,) * 8), 0, (1,), (1,)),
+    ),
     "bad-sample-partition": (
         MalformedInstance,
         lambda: random_conditional_table(np.random.default_rng(0), 3, 0, (1,), ()),
@@ -156,3 +198,12 @@ def test_caller_errors_are_typed_value_errors(error, call):
         call()
     assert isinstance(exc.value, BeliefPoolError)
     assert isinstance(exc.value, ValueError)
+
+
+def test_markov_edge_outside_range_is_unknown_variable():
+    # UnknownVariable is a BeliefPoolError but not a ValueError, so it
+    # cannot be a CALLER_ERRORS row.
+    with pytest.raises(UnknownVariable) as exc:
+        MarkovNet(2, frozenset({(0, 5)}))
+    assert isinstance(exc.value, BeliefPoolError)
+    assert not isinstance(exc.value, ValueError)

@@ -418,6 +418,22 @@ class TestFormatValidation:
         with pytest.raises(ModelFormatError):
             load_network(path)
 
+    def test_integer_rows_load_as_floats(self, tmp_path):
+        data = valid_bayes_dict()
+        data["cpts"]["A2"]["rows"] = {"0": 0, "1": 1}
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(data))
+        net = load_network(path)
+        rows = net.cpts[1].rows
+        assert rows == (0.0, 1.0)
+        assert all(type(r) is float for r in rows)
+        again = tmp_path / "again.json"
+        save_network(net, again)
+        saved = json.loads(again.read_text())["cpts"]["A2"]["rows"]
+        assert saved == {"0": 0.0, "1": 1.0}
+        assert all(type(r) is float for r in saved.values())
+        assert load_network(again).cpts == net.cpts
+
     def test_boolean_probability_rejected(self):
         data = valid_bayes_dict()
         data["cpts"]["A1"]["rows"] = {"": True}
