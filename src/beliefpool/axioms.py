@@ -25,6 +25,7 @@ from .joint import (
     pairwise_dependence_gap,
     markov_dependence_gap,
     state_index,
+    _trusted_table,
 )
 from .networks import BayesNet, Cpt, bn_to_joint
 from .pools import (
@@ -317,7 +318,7 @@ def family_pooled_joint(
             raise DegenerateProduct("event and complement both pooled to zero mass")
         joint *= factor.reshape(factor.shape + (1,) * (m - k - 1))
     # Back to state-index layout: variable j on axis m - 1 - j.
-    return JointTable(m, joint.transpose(np.argsort(ordering)[::-1]).ravel())
+    return _trusted_table(m, joint.transpose(np.argsort(ordering)[::-1]).ravel())
 
 
 def _fa_gap(spec: AggregationSpec, inst: FamilyInstance) -> float:

@@ -6,9 +6,10 @@ conditioned), and check (built-in verification suites; every randomized
 row runs exactly --trials cases).
 
 Exit codes: 0 success, 1 unexpected check outcome, 2 parse, usage or
-weight error (a negative --seed or --trials below 1 included, a file
-that is not UTF-8, holds an integer too large for a float or nests too
-deeply, and an --out path that cannot be written), 3 variable mismatch
+weight error (a negative --seed, --trials below 1, either flag given to
+the examples suite, a file that is not UTF-8, holds an integer too
+large for a float or nests too deeply, and an --out path that cannot
+be written), 3 variable mismatch
 across inputs, 4 degenerate CPT or zero-mass pool in consensus building,
 5 zero-probability evidence.
 """
@@ -173,18 +174,26 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    if args.seed < 0:
+    if args.seed is not None and args.seed < 0:
         raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
     if args.trials is not None and args.trials < 1:
         raise _UsageError(f"--trials must be at least 1, got {args.trials}")
-    # Without --trials, each suite runs its own default count.
+    # Without --seed the randomized suites use seed 0; without --trials,
+    # each runs its own default count.
+    seed = 0 if args.seed is None else args.seed
     trials = {} if args.trials is None else {"trials": args.trials}
     if args.suite == "examples":
+        for flag, value in (("--seed", args.seed), ("--trials", args.trials)):
+            if value is not None:
+                raise _UsageError(
+                    f"{flag} does not apply to --suite examples, "
+                    f"which runs fixed examples"
+                )
         lines, ok = run_examples_suite()
     elif args.suite == "axioms":
-        lines, ok = run_axioms_suite(args.seed, **trials)
+        lines, ok = run_axioms_suite(seed, **trials)
     else:
-        lines, ok = run_oracle_suite(args.seed, **trials)
+        lines, ok = run_oracle_suite(seed, **trials)
     for line in lines:
         print(line)
     return EXIT_OK if ok else EXIT_UNEXPECTED
@@ -246,7 +255,10 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument(
         "--suite", choices=("examples", "axioms", "oracle"), required=True
     )
-    chk.add_argument("--seed", type=int, default=0)
+    chk.add_argument(
+        "--seed", type=int, default=None,
+        help="seed of a randomized suite (default 0; not for examples)",
+    )
     chk.add_argument(
         "--trials", type=int, default=None,
         help="instances per randomized check (suite-specific default)",

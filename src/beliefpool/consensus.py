@@ -49,6 +49,7 @@ from .inference import (
     query_event_marginal,
     weighted_product_cpts,
 )
+from .joint import _trusted
 from .networks import (
     BayesNet,
     Cpt,
@@ -204,8 +205,14 @@ def _structured_cpts(
             log_odds[k] += log_ratio
     _, p_true = logistic(np.array(log_odds))
     rows = p_true.tolist()
+    # Each row is a logistic of finite log-odds, a Python float in [0, 1].
     cpts = {
-        node: Cpt(node, parents[node], rows[k:k + (1 << len(parents[node]))])
+        node: _trusted(
+            Cpt,
+            owner=node,
+            parents=parents[node],
+            rows=tuple(rows[k:k + (1 << len(parents[node]))]),
+        )
         for node, k in start.items()
     }
     return [cpts[v] for v in range(structure.m)], queries
@@ -238,8 +245,14 @@ def logop_consensus_bn(
         queries = 0
     else:
         cpts, queries = _structured_cpts(bns, w, structure, order)
-    consensus = BayesNet(tuple(cpts), bns[0].labels)
-    return ConsensusBn(consensus, order, queries)
+    # direct_by_order has validated structure (acyclic, and decomposable
+    # by its chordality check) and the CPTs follow it node by node.
+    consensus = _trusted(
+        BayesNet, cpts=tuple(cpts), labels=bns[0].labels, _dag=structure
+    )
+    return _trusted(
+        ConsensusBn, bn=consensus, elimination_order=order, agent_queries=queries
+    )
 
 
 def linop_query(

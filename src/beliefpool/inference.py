@@ -31,7 +31,7 @@ from .errors import (
     UnknownVariable,
     ZeroEvidence,
 )
-from .joint import Assignment
+from .joint import Assignment, _trusted
 from .networks import BayesNet, Cpt, Dag, min_fill_order
 
 
@@ -163,7 +163,10 @@ def weighted_product_cpts(
         np.exp(np.take(table, 1, axis=axis) - shift, out=p_true, where=reachable)
         # Row index bit i is parents[i], so parents[0] varies fastest.
         rows = p_true.transpose([rest.index(p) for p in parents])
-        cpts[v] = Cpt(v, parents, tuple(rows.ravel(order="F")))
+        # Each row is a share of its log-mass, exp(<= 0), or 0.5: in [0, 1].
+        cpts[v] = _trusted(
+            Cpt, owner=v, parents=parents, rows=tuple(rows.ravel(order="F").tolist())
+        )
         factors.append(_Factor(rest, log_mass))
     return [cpts[v] for v in range(structure.m)]
 

@@ -4,11 +4,19 @@ A table over m variables holds 2**m state probabilities. State index
 encoding: bit j of the index (least significant bit = variable 0) is 1
 exactly when variable j is true. All tables are normalized on
 construction and immutable afterwards.
+
+Each model is validated once, where it enters: the JointTable
+constructor checks every input. The dense kernels (bn_to_joint, linop,
+logop, condition, family_pooled_joint) compute mass from valid models
+and build through _trusted_table, which normalizes as the constructor
+does and checks nothing again. _trusted, the one trusted construction
+path of every model type, lives here because every model module
+imports this one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -26,6 +34,23 @@ from .errors import (
 MAX_DENSE_VARIABLES = 24
 
 Assignment = Mapping[int, bool]
+
+T = TypeVar("T")
+
+
+def _trusted(cls: type[T], **fields) -> T:
+    """An instance of the frozen dataclass cls holding fields as given,
+    built without running cls.__post_init__.
+
+    Only package code that has already checked every field as the
+    public constructor would may call it (tests/test_imports.py lists
+    the callers). Fields must be what the constructor would store, every
+    field with a default included: tuples of Python ints and floats,
+    never numpy scalars, so that ==, hashing and saved text match.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +93,16 @@ class JointTable:
         return 1 << self.m
 
 
+def _trusted_table(m: int, mass: np.ndarray) -> JointTable:
+    """JointTable(m, mass) without its checks, for a dense kernel whose
+    mass is already a float64 array of shape (2**m,), m within capacity,
+    nonnegative with a positive finite total. Normalizes exactly as the
+    constructor does, so every entry is the same."""
+    probs = mass / mass.sum()
+    probs.flags.writeable = False
+    return _trusted(JointTable, m=m, probs=probs)
+
+
 def state_index(bits: Sequence[bool]) -> int:
     """Index of the state where variable j takes bits[j]."""
     idx = 0
@@ -108,10 +143,9 @@ def condition(table: JointTable, evidence: Assignment) -> JointTable:
     block = _block(table.m, evidence)
     kept = np.zeros_like(table.probs)
     kept.reshape((2,) * table.m)[block] = table.probs.reshape((2,) * table.m)[block]
-    total = kept.sum()
-    if total <= 0.0:
+    if kept.sum() <= 0.0:
         raise ZeroEvidence("conditioning event has probability zero")
-    return JointTable(table.m, kept)
+    return _trusted_table(table.m, kept)
 
 
 def conditional_probability(

@@ -14,7 +14,11 @@ by json_text without the pure-Python encoder an indent otherwise forces.
 
 Loading checks a file in one pass per CPT and raises ModelFormatError
 for anything malformed, including text that is not UTF-8, integers too
-large for a float, and nesting too deep for the JSON parser.
+large for a float, and nesting too deep for the JSON parser. The loader
+is where a file's model is validated: it makes every check the network
+constructors would, with their messages, then builds the network
+without running those checks again. The one check it leaves to the
+structure is acyclicity (Dag.topological_order).
 
 A manifest file ("kind": "linop-manifest") names input network files
 plus weights instead of storing a pooled model, because an arithmetic
@@ -28,7 +32,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import MalformedInstance, MismatchedVariables, ModelFormatError
-from .networks import BayesNet, Cpt, MarkovNet
+from .joint import _trusted
+from .networks import BayesNet, Cpt, Dag, MarkovNet, check_parents
 
 NETWORK_KINDS = ("bayes", "markov")
 MANIFEST_KIND = "linop-manifest"
@@ -163,9 +168,10 @@ def _parent_error(
 def network_from_dict(data) -> BayesNet | MarkovNet:
     """Reconstruct a network from its JSON representation.
 
-    Raises ModelFormatError for any malformed input: the checks here, or
-    the network constructors' own (a cycle, a self-loop, a repeated or
-    self parent), which raise it themselves.
+    Raises ModelFormatError for any malformed input: the checks here
+    (a repeated or self parent with the Cpt constructor's messages), a
+    cycle from Dag.topological_order, or a markov self-loop from the
+    MarkovNet constructor.
     """
     if not isinstance(data, dict):
         raise ModelFormatError("top level must be a JSON object")
@@ -191,7 +197,7 @@ def network_from_dict(data) -> BayesNet | MarkovNet:
             "'cpts' must have exactly one entry per variable"
         )
     cpts = []
-    for label in labels:
+    for owner, label in enumerate(labels):
         entry = cpts_data[label]
         if not isinstance(entry, dict):
             raise ModelFormatError(f"cpt for {label!r} must be an object")
@@ -224,9 +230,15 @@ def network_from_dict(data) -> BayesNet | MarkovNet:
             if type(value) is not float or not 0.0 <= value <= 1.0:
                 value = _parse_probability(value)
             rows[int(key[::-1], 2) if k else 0] = value
-        cpts.append(Cpt(index[label], parents, tuple(rows)))
+        check_parents(owner, parents)
+        cpts.append(_trusted(Cpt, owner=owner, parents=parents, rows=tuple(rows)))
 
-    bn = BayesNet(tuple(cpts), labels)
+    # Every Cpt and BayesNet check has passed: one CPT per variable in
+    # owner order, known distinct labels, known parents that are distinct
+    # and not the owner, 2^k Python floats in [0, 1]. Only a cycle is left.
+    dag = _trusted(Dag, m=len(labels), parents=tuple(c.parents for c in cpts))
+    dag.topological_order()
+    bn = _trusted(BayesNet, cpts=tuple(cpts), labels=labels, _dag=dag)
     declared = {(p, c) for p, c in edges}
     derived = {(p, c.owner) for c in bn.cpts for p in c.parents}
     if declared != derived:
@@ -422,15 +434,19 @@ def align_variables(
             continue
         perm = {i: target[label] for i, label in enumerate(labels)}
         if isinstance(model, BayesNet):
+            # Renaming a valid network's variables keeps it valid; the
+            # CPTs are taken in their new owner order.
             cpts = tuple(
-                Cpt(
-                    perm[c.owner],
-                    tuple(perm[p] for p in c.parents),
-                    c.rows,
+                _trusted(
+                    Cpt,
+                    owner=perm[c.owner],
+                    parents=tuple(perm[p] for p in c.parents),
+                    rows=c.rows,
                 )
-                for c in model.cpts
+                for c in sorted(model.cpts, key=lambda c: perm[c.owner])
             )
-            aligned.append(BayesNet(cpts, reference))
+            dag = _trusted(Dag, m=model.m, parents=tuple(c.parents for c in cpts))
+            aligned.append(_trusted(BayesNet, cpts=cpts, labels=reference, _dag=dag))
         else:
             edges = frozenset((perm[u], perm[v]) for u, v in model.edges)
             aligned.append(MarkovNet(model.m, edges, reference))

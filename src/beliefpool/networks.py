@@ -5,6 +5,12 @@ parents (p_0, ..., p_{k-1}), row index bit i (least significant bit =
 p_0) is 1 exactly when p_i is true, and each row stores the probability
 that the owner is true. The constructors raise ModelFormatError for a
 model that breaks this contract, as the file loader does for a file.
+
+Each model is validated once, where it enters: these constructors and
+the file loader check every input. Package code that has already
+checked or computed every field (the loader, align_variables, the
+consensus builders, bn_to_joint) builds through joint._trusted or
+joint._trusted_table and does not check again.
 """
 from __future__ import annotations
 
@@ -25,7 +31,7 @@ from .errors import (
     NotChordal,
     UnknownVariable,
 )
-from .joint import MAX_DENSE_VARIABLES, Assignment, JointTable
+from .joint import MAX_DENSE_VARIABLES, Assignment, JointTable, _trusted_table
 
 EliminationOrder = tuple[int, ...]
 
@@ -51,6 +57,17 @@ def row_bit(
     return row, bit
 
 
+def check_parents(owner: int, parents: tuple[int, ...]) -> None:
+    """Raise ModelFormatError for a repeated parent or the owner among
+    its own parents."""
+    if not parents:
+        return
+    if len(set(parents)) != len(parents):
+        raise ModelFormatError("duplicate parent indices")
+    if owner in parents:
+        raise ModelFormatError("node cannot be its own parent")
+
+
 @dataclass(frozen=True)
 class Cpt:
     """Conditional probability table of one binary node.
@@ -70,11 +87,7 @@ class Cpt:
         object.__setattr__(self, "rows", rows)
         if self.owner < 0:
             raise ModelFormatError(f"owner index must be nonnegative, got {self.owner}")
-        if parents:
-            if len(set(parents)) != len(parents):
-                raise ModelFormatError("duplicate parent indices")
-            if self.owner in parents:
-                raise ModelFormatError("node cannot be its own parent")
+        check_parents(self.owner, parents)
         if len(rows) != 1 << len(parents):
             raise ModelFormatError(
                 f"expected {1 << len(parents)} rows for "
@@ -291,7 +304,7 @@ def bn_to_joint(bn: BayesNet) -> JointTable:
         p_true = np.asarray(cpt.rows, dtype=np.float64)[row_idx]
         owner_true = ((indices >> cpt.owner) & 1) == 1
         probs *= np.where(owner_true, p_true, 1.0 - p_true)
-    return JointTable(bn.m, probs)
+    return _trusted_table(bn.m, probs)
 
 
 def moralize(structure: BayesNet | Dag) -> MarkovNet:

@@ -15,7 +15,7 @@ from .errors import (
     MismatchedVariables,
     WeightCountMismatch,
 )
-from .joint import JointTable
+from .joint import JointTable, _trusted_table
 
 POOL_NAMES = ("linop", "logop")
 
@@ -82,7 +82,7 @@ def linop(
     """Weighted arithmetic mean of the agents' state probabilities."""
     m, stacked = _stack(tables)
     w = normalize_weights(weights, len(tables))
-    return JointTable(m, w @ stacked)
+    return _trusted_table(m, w @ stacked)
 
 
 def logop(
@@ -101,7 +101,7 @@ def logop(
         raise DegenerateProduct(
             "geometric pooling left zero mass on every state"
         )
-    return JointTable(m, raw)
+    return _trusted_table(m, raw)
 
 
 def pooled_log_odds(

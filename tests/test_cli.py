@@ -505,6 +505,24 @@ class TestCheck:
         assert err.startswith("error:")
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (("--seed", "3"), "--seed"),
+            (("--seed", "0"), "--seed"),
+            (("--trials", "5"), "--trials"),
+            (("--seed", "3", "--trials", "5"), "--seed"),
+        ],
+    )
+    def test_examples_suite_takes_no_seed_or_trials(self, capsys, flags, named):
+        # The examples are fixed, so a seed or a trial count would be
+        # silently ignored; even the default seed, given explicitly, is refused.
+        code, out, err = run(capsys, "check", "--suite", "examples", *flags)
+        assert code == EXIT_PARSE
+        assert err.startswith("error:")
+        assert named in err.splitlines()[0]
+        assert out == ""
+
 
 class TestParsing:
     def test_missing_subcommand(self, capsys):

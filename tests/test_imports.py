@@ -2,10 +2,11 @@
 
 Every name a package module imports with `from ... import` is used: no
 linter runs on the package, so this test is the check that an import
-left behind by a deleted call does not stay. And every error is typed:
+left behind by a deleted call does not stay. Every error is typed:
 no module raises a bare ValueError, and the caller errors that replace
 it are BeliefPoolErrors that a caller's `except ValueError` still
-catches.
+catches. And only the functions that have already validated their
+input call the trusted construction path.
 """
 
 import ast
@@ -49,7 +50,8 @@ from beliefpool.networks import direct_by_order, mn_union
 from beliefpool.pools import normalize_weights
 from beliefpool.sampling import random_conditional_table
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "beliefpool"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "beliefpool"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -207,3 +209,73 @@ def test_markov_edge_outside_range_is_unknown_variable():
         MarkovNet(2, frozenset({(0, 5)}))
     assert isinstance(exc.value, BeliefPoolError)
     assert not isinstance(exc.value, ValueError)
+
+
+TRUSTED_PATH = ("_trusted", "_trusted_table")
+# The functions that may build a model without its constructor's checks,
+# because they have checked or computed every field themselves: the
+# loader, the consensus builders and the dense kernels.
+TRUSTED_CALLERS = {
+    "joint._trusted_table",
+    "model_io.network_from_dict",
+    "model_io.align_variables",
+    "consensus._structured_cpts",
+    "consensus.logop_consensus_bn",
+    "inference.weighted_product_cpts",
+    "networks.bn_to_joint",
+    "pools.linop",
+    "pools.logop",
+    "joint.condition",
+    "axioms.family_pooled_joint",
+}
+
+
+def trusted_uses(source, module):
+    """(enclosing function, whether the use is a call's callee) for every
+    use of a trusted-path name; the function is "module.name", or None
+    at module level."""
+    tree = ast.parse(source)
+    callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    uses = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = f"{module}.{node.name}"
+        if isinstance(node, ast.Name) and node.id in TRUSTED_PATH or (
+            isinstance(node, ast.Attribute) and node.attr in TRUSTED_PATH
+        ):
+            uses.append((function, id(node) in callees))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return uses
+
+
+def test_checker_finds_trusted_uses():
+    source = (
+        "from .joint import _trusted\n"
+        "def load(x):\n"
+        "    return _trusted(Cpt, rows=_trusted_table(1, x))\n"
+        "def other(joint):\n"
+        "    f = _trusted\n"
+        "    return joint._trusted(Dag)\n"
+        "ALIAS = _trusted_table\n"
+    )
+    assert trusted_uses(source, "m") == [
+        ("m.load", True),
+        ("m.load", True),
+        ("m.other", False),
+        ("m.other", True),
+        (None, False),
+    ]
+
+
+def test_only_validating_functions_call_the_trusted_path():
+    uses = [
+        use
+        for path in MODULES + sorted(TESTS.glob("*.py"))
+        for use in trusted_uses(path.read_text(), path.stem)
+    ]
+    assert all(is_call for _, is_call in uses)
+    assert {function for function, _ in uses} == TRUSTED_CALLERS
