@@ -49,6 +49,6 @@ from .errors import (
 )
 from .joint import JointTable, marginal
 from .networks import BayesNet, Cpt, Dag, MarkovNet, bn_to_joint
-from .pools import AggregationSpec, linop, logop
+from .pools import linop, logop
 
 __version__ = "0.1.0"

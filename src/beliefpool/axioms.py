@@ -21,6 +21,7 @@ from .joint import (
     JointTable,
     condition,
     conditional_probability,
+    factor_product,
     marginal,
     pairwise_dependence_gap,
     markov_dependence_gap,
@@ -29,7 +30,7 @@ from .joint import (
 )
 from .networks import BayesNet, Cpt, bn_to_joint
 from .pools import (
-    POOL_NAMES, AggregationSpec, _stack, linop, logistic, logop,
+    POOL_NAMES, _stack, check_pool_name, linop, logistic, logop,
     normalize_weights, pooled_log_odds,
 )
 from .sampling import (
@@ -138,10 +139,10 @@ class FamilyInstance:
 _PRODUCT_PRECONDITION_TOL = 1e-12
 
 
-def _pooled(spec: AggregationSpec, inst, tables=None) -> JointTable:
-    """Pool inst.tables (or tables) by spec.pool with the instance's weights."""
-    pool = linop if spec.pool == "linop" else logop
-    return pool(inst.tables if tables is None else tables, inst.weights)
+def _pooled(pool: str, inst, tables=None) -> JointTable:
+    """Pool inst.tables (or tables) by pool with the instance's weights."""
+    rule = linop if pool == "linop" else logop
+    return rule(inst.tables if tables is None else tables, inst.weights)
 
 
 def _event_mass(table: JointTable, states: frozenset[int]) -> float:
@@ -155,35 +156,31 @@ def _event_mass(table: JointTable, states: frozenset[int]) -> float:
 
 def _product_gap(table: JointTable) -> float:
     """Largest deviation from the product of single-variable marginals."""
-    indices = np.arange(table.n_states)
-    expected = np.ones(table.n_states, dtype=np.float64)
-    for j in range(table.m):
-        p_true = marginal(table, {j: True})
-        bit = ((indices >> j) & 1) == 1
-        expected *= np.where(bit, p_true, 1.0 - p_true)
+    p_true = [marginal(table, {j: True}) for j in range(table.m)]
+    expected = factor_product(table.m, [((j,), (1.0 - p, p)) for j, p in enumerate(p_true)])
     return float(np.max(np.abs(table.probs - expected)))
 
 
-def _preserved_gap(spec, inst, gap, hypothesis, tol=_PRODUCT_PRECONDITION_TOL) -> float:
+def _preserved_gap(pool, inst, gap, hypothesis, tol=_PRODUCT_PRECONDITION_TOL) -> float:
     """The pooled table's gap, once every agent's gap is within tol."""
     if any(gap(t) > tol for t in inst.tables):
         raise MalformedInstance(hypothesis)
-    return gap(_pooled(spec, inst))
+    return gap(_pooled(pool, inst))
 
 
-def _unam_gap(spec: AggregationSpec, inst: UnanimityInstance) -> float:
+def _unam_gap(pool: str, inst: UnanimityInstance) -> float:
     first = inst.tables[0]
     for t in inst.tables[1:]:
         if t.m != first.m or not np.array_equal(t.probs, first.probs):
             raise MalformedInstance("unanimity needs identical agent tables")
-    return float(np.max(np.abs(_pooled(spec, inst).probs - first.probs)))
+    return float(np.max(np.abs(_pooled(pool, inst).probs - first.probs)))
 
 
-def _mp_gap(spec: AggregationSpec, inst: EventPoolInstance) -> float:
+def _mp_gap(pool: str, inst: EventPoolInstance) -> float:
     w = normalize_weights(inst.weights, len(inst.tables))
-    joint_route = _event_mass(_pooled(spec, inst), inst.event)
+    joint_route = _event_mass(_pooled(pool, inst), inst.event)
     true = np.array([_event_mass(t, inst.event) for t in inst.tables])
-    if spec.pool == "linop":
+    if pool == "linop":
         return abs(joint_route - float(w @ true))
     rest = frozenset(range(inst.tables[0].n_states)) - inst.event
     false = np.array([_event_mass(t, rest) for t in inst.tables])
@@ -192,12 +189,12 @@ def _mp_gap(spec: AggregationSpec, inst: EventPoolInstance) -> float:
     return abs(joint_route - float(event_route))
 
 
-def _eb_gap(spec: AggregationSpec, inst: EvidenceInstance) -> float:
+def _eb_gap(pool: str, inst: EvidenceInstance) -> float:
     evidence = dict(inst.evidence)
     try:
-        pool_then_condition = condition(_pooled(spec, inst), evidence)
+        pool_then_condition = condition(_pooled(pool, inst), evidence)
         condition_then_pool = _pooled(
-            spec, inst, [condition(t, evidence) for t in inst.tables]
+            pool, inst, [condition(t, evidence) for t in inst.tables]
         )
     except ZeroEvidence as err:
         raise MalformedInstance(
@@ -208,7 +205,7 @@ def _eb_gap(spec: AggregationSpec, inst: EvidenceInstance) -> float:
     )
 
 
-def _pds_gap(spec: AggregationSpec, inst: StatePairInstance) -> float:
+def _pds_gap(pool: str, inst: StatePairInstance) -> float:
     if len(inst.tables_p) != len(inst.tables_q):
         raise MalformedInstance("profiles must have the same agent count")
     for tp, tq in zip(inst.tables_p, inst.tables_q):
@@ -219,8 +216,8 @@ def _pds_gap(spec: AggregationSpec, inst: StatePairInstance) -> float:
                 raise MalformedInstance(
                     "profiles must agree on both distinguished states"
                 )
-    pooled_p = _pooled(spec, inst, inst.tables_p)
-    pooled_q = _pooled(spec, inst, inst.tables_q)
+    pooled_p = _pooled(pool, inst, inst.tables_p)
+    pooled_q = _pooled(pool, inst, inst.tables_q)
     if pooled_p.probs[inst.t] <= 0.0 or pooled_q.probs[inst.t] <= 0.0:
         raise MalformedInstance("reference state t pooled to zero mass")
     ratio_p = pooled_p.probs[inst.s] / pooled_p.probs[inst.t]
@@ -228,7 +225,7 @@ def _pds_gap(spec: AggregationSpec, inst: StatePairInstance) -> float:
     return abs(float(ratio_p - ratio_q))
 
 
-def _ipp_gap(spec: AggregationSpec, inst: EventPairInstance) -> float:
+def _ipp_gap(pool: str, inst: EventPairInstance) -> float:
     both = inst.event_a & inst.event_b
 
     def gap(t: JointTable) -> float:
@@ -238,28 +235,28 @@ def _ipp_gap(spec: AggregationSpec, inst: EventPairInstance) -> float:
         )
 
     return _preserved_gap(
-        spec, inst, gap, "events must be independent under every agent"
+        pool, inst, gap, "events must be independent under every agent"
     )
 
 
-def _pair_gap(spec: AggregationSpec, inst: VariablePairInstance) -> float:
+def _pair_gap(pool: str, inst: VariablePairInstance) -> float:
     return _preserved_gap(
-        spec, inst,
+        pool, inst,
         lambda t: pairwise_dependence_gap(t, inst.a, inst.b),
         "variables must be pairwise independent under every agent",
     )
 
 
-def _meipp_gap(spec: AggregationSpec, inst: ProductInstance) -> float:
+def _meipp_gap(pool: str, inst: ProductInstance) -> float:
     return _preserved_gap(
-        spec, inst, _product_gap,
+        pool, inst, _product_gap,
         "every agent table must be a full product of marginals",
     )
 
 
-def _mipp_gap(spec: AggregationSpec, inst: MarkovInstance) -> float:
+def _mipp_gap(pool: str, inst: MarkovInstance) -> float:
     return _preserved_gap(
-        spec, inst,
+        pool, inst,
         lambda t: markov_dependence_gap(t, inst.a, inst.w, inst.x),
         "conditional independence must hold for every agent",
         tol=1e-10,
@@ -282,8 +279,7 @@ def family_pooled_joint(
     DegenerateProduct when a logop row pools to zero mass, whichever
     comes first in chain-rule row order.
     """
-    if pool not in POOL_NAMES:
-        raise MalformedInstance(f"pool must be one of {POOL_NAMES}, got {pool!r}")
+    check_pool_name(pool)
     m, stacked = _stack(tables)
     if sorted(ordering) != list(range(m)):
         raise MalformedInstance("ordering must be a permutation of all variables")
@@ -321,9 +317,9 @@ def family_pooled_joint(
     return _trusted_table(m, joint.transpose(np.argsort(ordering)[::-1]).ravel())
 
 
-def _fa_gap(spec: AggregationSpec, inst: FamilyInstance) -> float:
-    joint_a = family_pooled_joint(spec.pool, inst.tables, inst.ordering_a, inst.weights)
-    joint_b = family_pooled_joint(spec.pool, inst.tables, inst.ordering_b, inst.weights)
+def _fa_gap(pool: str, inst: FamilyInstance) -> float:
+    joint_a = family_pooled_joint(pool, inst.tables, inst.ordering_a, inst.weights)
+    joint_b = family_pooled_joint(pool, inst.tables, inst.ordering_b, inst.weights)
     return float(np.max(np.abs(joint_a.probs - joint_b.probs)))
 
 
@@ -466,63 +462,59 @@ PROPERTY_NAMES = tuple(_PROPERTIES)
 
 
 @dataclass(frozen=True)
-class CaseResult:
-    violation: float
-    passed: bool
-
-
-@dataclass(frozen=True)
 class CheckReport:
+    """One violation per instance; a violation at most tol passes."""
+
     prop: str
     pool: str
     tol: float
-    cases: tuple[CaseResult, ...]
+    violations: tuple[float, ...]
 
     @property
     def n_passed(self) -> int:
-        return sum(1 for c in self.cases if c.passed)
+        return sum(1 for v in self.violations if v <= self.tol)
 
     @property
     def all_passed(self) -> bool:
-        return self.n_passed == len(self.cases)
+        return self.n_passed == len(self.violations)
 
     @property
     def max_violation(self) -> float:
-        return max((c.violation for c in self.cases), default=0.0)
+        return max(self.violations, default=0.0)
 
     def summary(self) -> str:
         return (
             f"property={self.prop} pool={self.pool} tol={self.tol:.1e} "
-            f"cases={len(self.cases)} passed={self.n_passed} "
+            f"cases={len(self.violations)} passed={self.n_passed} "
             f"max_violation={self.max_violation:.3e}"
         )
 
 
 def check_property(
-    spec: AggregationSpec,
+    pool: str,
     prop: str,
     instances: Sequence,
     tol: float = 1e-9,
 ) -> CheckReport:
-    """Measure one property of one pool across many instances.
+    """Measure one property of the named pool across many instances.
 
     Each instance pools with its own weights (None weights the agents
-    equally). Raises MalformedInstance when an instance is not the
-    property's instance type or does not satisfy its hypothesis.
+    equally). Raises MalformedInstance for an unknown pool or property,
+    or an instance not of the property's type or outside its hypothesis.
     """
+    check_pool_name(pool)
     name = prop.lower()
     if name not in _PROPERTIES:
         raise MalformedInstance(f"unknown property {prop!r}; choose from {PROPERTY_NAMES}")
     kind, checker, *_ = _PROPERTIES[name]
-    cases = []
+    violations = []
     for inst in instances:
         if not isinstance(inst, kind):
             raise MalformedInstance(
                 f"expected {kind.__name__}, got {type(inst).__name__}"
             )
-        violation = checker(spec, inst)
-        cases.append(CaseResult(violation, violation <= tol))
-    return CheckReport(name, spec.pool, tol, tuple(cases))
+        violations.append(checker(pool, inst))
+    return CheckReport(name, pool, tol, tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -712,15 +704,13 @@ class NmeippWitness:
     agents: tuple[BayesNet, BayesNet]
 
 
-def search_nmeipp_violation(
-    seed: int, trials: int = 100, threshold: float = 1e-6
-) -> NmeippWitness | None:
+def search_nmeipp_violation(seed: int, trials: int = 100) -> NmeippWitness | None:
     """Look for pairwise independence broken by geometric pooling.
 
     Samples shared-effect agent pairs (variables 0 and 1 independent
     for each agent but not mutually independent with variable 2) and
     returns the first whose pooled table has an independence gap above
-    the threshold. Deterministic for a fixed seed.
+    1e-6. Deterministic for a fixed seed.
     """
     rng = np.random.default_rng(seed)
     for trial in range(trials):
@@ -731,7 +721,7 @@ def search_nmeipp_violation(
         if all(_product_gap(t) <= 1e-9 for t in tables):
             continue  # mutually independent sample: hypothesis not met
         violation = pairwise_dependence_gap(logop(tables), 0, 1)
-        if violation > threshold:
+        if violation > 1e-6:
             return NmeippWitness(trial, violation, agents)
     return None
 
@@ -742,7 +732,7 @@ def linop_eb_break_witness() -> tuple[EvidenceInstance, float]:
     rng = np.random.default_rng(0)
     tables = (random_joint(rng, 3), random_joint(rng, 3))
     instance = EvidenceInstance(tables, ((0, True),))
-    violation = _eb_gap(AggregationSpec("linop"), instance)
+    violation = _eb_gap("linop", instance)
     return instance, violation
 
 
@@ -753,7 +743,7 @@ def logop_mp_break_witness() -> tuple[EventPoolInstance, float]:
     tables = (random_joint(rng, 3), random_joint(rng, 3))
     event = frozenset(s for s in range(8) if s & 1)
     instance = EventPoolInstance(tables, event)
-    violation = _mp_gap(AggregationSpec("logop"), instance)
+    violation = _mp_gap("logop", instance)
     return instance, violation
 
 
@@ -779,7 +769,7 @@ def run_axioms_suite(seed: int = 0, trials: int = 20) -> tuple[tuple[str, ...], 
             if instance is not None:
                 instances.append(instance)
         for pool, (tol, expect) in zip(POOL_NAMES, expected):
-            report = check_property(AggregationSpec(pool), prop, instances, tol)
+            report = check_property(pool, prop, instances, tol)
             ok = report.all_passed if expect == "all-pass" else not report.all_passed
             all_ok &= ok
             lines.append(

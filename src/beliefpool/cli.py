@@ -7,9 +7,9 @@ row runs exactly --trials cases).
 
 Exit codes: 0 success, 1 unexpected check outcome, 2 parse, usage or
 weight error (a negative --seed, --trials below 1, either flag given to
-the examples suite, a file that is not UTF-8, holds an integer too
-large for a float or nests too deeply, and an --out path that cannot
-be written), 3 variable mismatch
+the examples suite, --dense-oracle given with --pool linop, a file that
+is not UTF-8, holds an integer too large for a float or nests too
+deeply, and an --out path that cannot be written), 3 variable mismatch
 across inputs, 4 degenerate CPT or zero-mass pool in consensus building,
 5 zero-probability evidence.
 """
@@ -42,7 +42,7 @@ from .model_io import (
     network_to_dict,
 )
 from .networks import BayesNet, MarkovNet
-from .pools import normalize_weights
+from .pools import POOL_NAMES, normalize_weights
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -108,7 +108,13 @@ def _emit(data: dict, out: str | None) -> None:
         raise _UsageError(f"cannot write {out}: {err}") from err
 
 
+def _check_dense_oracle(args: argparse.Namespace) -> None:
+    if args.dense_oracle and args.pool == "linop":
+        raise _UsageError("--dense-oracle applies to --pool logop only")
+
+
 def cmd_aggregate(args: argparse.Namespace) -> int:
+    _check_dense_oracle(args)
     weights = _parse_weights(args.weights)
     models = _load_bayes_inputs(args.inputs)
     if args.pool == "linop":
@@ -152,6 +158,7 @@ def _resolve_query_inputs(
 
 
 def cmd_query(args: argparse.Namespace) -> int:
+    _check_dense_oracle(args)
     models, weights = _resolve_query_inputs(args)
     labels = models[0].labels
     event = _parse_literals(args.event, labels)
@@ -215,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     agg.add_argument("inputs", nargs="+", metavar="NETWORK")
     agg.add_argument(
-        "--pool", choices=("linop", "logop"), required=True,
+        "--pool", choices=POOL_NAMES, required=True,
         help="arithmetic (linop) or geometric (logop) pooling",
     )
     agg.add_argument(
@@ -226,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     agg.add_argument(
         "--dense-oracle", action="store_true",
-        help="fill CPTs from the agents' weighted CPT product, not queries",
+        help="logop only: fill CPTs from the agents' weighted CPT product",
     )
     agg.set_defaults(func=cmd_aggregate)
 
@@ -235,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     qry.add_argument("inputs", nargs="+", metavar="NETWORK_OR_MANIFEST")
     qry.add_argument(
-        "--pool", choices=("linop", "logop"), required=True,
+        "--pool", choices=POOL_NAMES, required=True,
     )
     qry.add_argument("--weights", help="comma-separated agent weights")
     qry.add_argument(
@@ -247,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     qry.add_argument(
         "--dense-oracle", action="store_true",
-        help="build the logop consensus from the weighted CPT product",
+        help="logop only: build the consensus from the weighted CPT product",
     )
     qry.set_defaults(func=cmd_query)
 

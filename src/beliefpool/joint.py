@@ -2,8 +2,10 @@
 
 A table over m variables holds 2**m state probabilities. State index
 encoding: bit j of the index (least significant bit = variable 0) is 1
-exactly when variable j is true. All tables are normalized on
-construction and immutable afterwards.
+exactly when variable j is true; factor_product, the one dense product
+of factors, indexes each factor's table the same way over the factor's
+own variables. All tables are normalized on construction and immutable
+afterwards.
 
 Each model is validated once, where it enters: the JointTable
 constructor checks every input. The dense kernels (bn_to_joint, linop,
@@ -67,17 +69,24 @@ class JointTable:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 0 <= self.m:
-            raise ModelFormatError(f"variable count must be nonnegative, got {self.m}")
-        if self.m > MAX_DENSE_VARIABLES:
-            raise CapacityExceeded(
-                f"dense table over {self.m} variables exceeds the "
-                f"{MAX_DENSE_VARIABLES}-variable capacity"
-            )
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.shape != (1 << self.m,):
+        try:
+            if not 0 <= self.m:
+                raise ModelFormatError(f"variable count must be nonnegative, got {self.m}")
+            if self.m > MAX_DENSE_VARIABLES:
+                raise CapacityExceeded(
+                    f"dense table over {self.m} variables exceeds the "
+                    f"{MAX_DENSE_VARIABLES}-variable capacity"
+                )
+            n_states = 1 << self.m
+        except TypeError:
+            raise ModelFormatError(f"variable count {self.m!r} is not an integer") from None
+        try:
+            probs = np.asarray(self.probs, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ModelFormatError("probability entries must be numbers") from None
+        if probs.shape != (n_states,):
             raise ModelFormatError(
-                f"expected {1 << self.m} entries for m={self.m}, got shape {probs.shape}"
+                f"expected {n_states} entries for m={self.m}, got shape {probs.shape}"
             )
         if np.any(probs < 0.0):
             raise NegativeMass("probability entries must be nonnegative")
@@ -110,6 +119,24 @@ def state_index(bits: Sequence[bool]) -> int:
         if value:
             idx |= 1 << j
     return idx
+
+
+def factor_product(
+    m: int, factors: Iterable[tuple[Sequence[int], np.ndarray]]
+) -> np.ndarray:
+    """Product over the 2**m states of factors (variables, flat table), in
+    the order given, where bit i of a table's index is the value of
+    variables[i]: a CPT is the factor (parents + (owner,), 1 - rows then
+    rows). Entries equal a running product from ones; no factors give ones."""
+    states = np.arange(1 << m)
+    product = None
+    for variables, table in factors:
+        index = np.zeros(1 << m, dtype=np.int64)
+        for i, v in enumerate(variables):
+            index |= ((states >> v) & 1) << i
+        values = np.asarray(table, dtype=np.float64)[index]
+        product = values if product is None else product * values
+    return np.ones(1 << m) if product is None else product
 
 
 def _check_variables(m: int, variables: Iterable[int]) -> None:

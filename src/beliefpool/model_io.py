@@ -33,7 +33,7 @@ from typing import Sequence
 
 from .errors import MalformedInstance, MismatchedVariables, ModelFormatError
 from .joint import _trusted
-from .networks import BayesNet, Cpt, Dag, MarkovNet, check_parents
+from .networks import BayesNet, Cpt, Dag, MarkovNet, check_parents, parse_probability
 
 NETWORK_KINDS = ("bayes", "markov")
 MANIFEST_KIND = "linop-manifest"
@@ -138,21 +138,6 @@ def _parse_edges(
     return parsed
 
 
-def _parse_probability(value) -> float:
-    """A row value that is not already a float in [0, 1], or the error."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ModelFormatError(f"probability {value!r} is not a number")
-    try:
-        value = float(value)
-    except OverflowError as err:
-        raise ModelFormatError(
-            "probability is an integer too large for a float"
-        ) from err
-    if not 0.0 <= value <= 1.0:
-        raise ModelFormatError(f"probability {value} outside [0, 1]")
-    return value
-
-
 def _parent_error(
     label: str, parents_raw: list, index: dict[str, int]
 ) -> ModelFormatError:
@@ -228,7 +213,7 @@ def network_from_dict(data) -> BayesNet | MarkovNet:
                     f"row key {key!r} is not a {k}-character outcome string"
                 )
             if type(value) is not float or not 0.0 <= value <= 1.0:
-                value = _parse_probability(value)
+                value = parse_probability(value)
             rows[int(key[::-1], 2) if k else 0] = value
         check_parents(owner, parents)
         cpts.append(_trusted(Cpt, owner=owner, parents=parents, rows=tuple(rows)))

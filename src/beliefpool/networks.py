@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import numbers
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
@@ -31,7 +33,7 @@ from .errors import (
     NotChordal,
     UnknownVariable,
 )
-from .joint import MAX_DENSE_VARIABLES, Assignment, JointTable, _trusted_table
+from .joint import MAX_DENSE_VARIABLES, Assignment, JointTable, _trusted_table, factor_product
 
 EliminationOrder = tuple[int, ...]
 
@@ -55,6 +57,20 @@ def row_bit(
             f"assignment gives no value for parent {err.args[0]}"
         ) from None
     return row, bit
+
+
+def parse_probability(value) -> float:
+    """value as a Python float; ModelFormatError unless it is a number, not a
+    bool, in [0, 1] (NaN is not) that a float can hold."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ModelFormatError(f"probability {value!r} is not a number")
+    try:
+        value = float(value)
+    except OverflowError as err:
+        raise ModelFormatError("probability is an integer too large for a float") from err
+    if not 0.0 <= value <= 1.0:  # also false for NaN
+        raise ModelFormatError(f"probability {value} outside [0, 1]")
+    return value
 
 
 def check_parents(owner: int, parents: tuple[int, ...]) -> None:
@@ -81,21 +97,25 @@ class Cpt:
     rows: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        parents = tuple(self.parents)
-        rows = tuple(map(float, self.rows))
+        try:
+            owner = operator.index(self.owner)
+            parents = tuple(map(operator.index, self.parents))
+        except TypeError:
+            raise ModelFormatError("owner and parents must be integers") from None
+        rows = tuple(
+            float(r) if isinstance(r, float) and 0.0 <= r <= 1.0 else parse_probability(r)
+            for r in self.rows
+        )
         object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "rows", rows)
-        if self.owner < 0:
-            raise ModelFormatError(f"owner index must be nonnegative, got {self.owner}")
-        check_parents(self.owner, parents)
+        if owner < 0:
+            raise ModelFormatError(f"owner index must be nonnegative, got {owner}")
+        check_parents(owner, parents)
         if len(rows) != 1 << len(parents):
             raise ModelFormatError(
                 f"expected {1 << len(parents)} rows for "
                 f"{len(parents)} parents, got {len(rows)}"
             )
-        for r in rows:
-            if not 0.0 <= r <= 1.0:  # also false for NaN
-                raise ModelFormatError(f"row probability {r} outside [0, 1]")
 
     def row_pair(self, v: int, assignment: Assignment) -> tuple[float, float]:
         """P(owner = true) with v false and with v true, every other
@@ -133,22 +153,26 @@ class Dag:
 
     def __post_init__(self) -> None:
         m = self.m
-        parents = tuple(map(tuple, self.parents))
-        object.__setattr__(self, "parents", parents)
-        if len(parents) != m:
-            raise ModelFormatError("parent lists must cover every node")
-        for j, ps in enumerate(parents):
-            if not ps:
-                continue
-            if len(set(ps)) != len(ps):
-                raise ModelFormatError(f"duplicate parents for node {j}")
-            if min(ps) < 0 or max(ps) >= m or j in ps:
-                for p in ps:  # the first bad parent names the error
-                    if not 0 <= p < m:
-                        raise UnknownVariable(f"parent {p} outside range(0, {m})")
-                    if p == j:
-                        raise ModelFormatError(f"node {j} cannot be its own parent")
-        self.topological_order()  # raises on cycles
+        # A count or parent that is not an integer fails a comparison or an index.
+        try:
+            parents = tuple(map(tuple, self.parents))
+            object.__setattr__(self, "parents", parents)
+            if len(parents) != m:
+                raise ModelFormatError("parent lists must cover every node")
+            for j, ps in enumerate(parents):
+                if not ps:
+                    continue
+                if len(set(ps)) != len(ps):
+                    raise ModelFormatError(f"duplicate parents for node {j}")
+                if min(ps) < 0 or max(ps) >= m or j in ps:
+                    for p in ps:  # the first bad parent names the error
+                        if not 0 <= p < m:
+                            raise UnknownVariable(f"parent {p} outside range(0, {m})")
+                        if p == j:
+                            raise ModelFormatError(f"node {j} cannot be its own parent")
+            self.topological_order()  # raises on cycles
+        except TypeError:
+            raise ModelFormatError("node count and parents must be integers") from None
 
     def children(self) -> tuple[tuple[int, ...], ...]:
         """children()[j] lists the nodes that have j as a parent."""
@@ -264,12 +288,16 @@ class MarkovNet:
 
     def __post_init__(self) -> None:
         canonical = set()
-        for u, v in self.edges:
-            if not (0 <= u < self.m and 0 <= v < self.m):
-                raise UnknownVariable(f"edge ({u}, {v}) outside range(0, {self.m})")
-            if u == v:
-                raise ModelFormatError(f"self-loop on node {u}")
-            canonical.add((min(u, v), max(u, v)))
+        # A non-integer fails the comparison, unless it is a float in range.
+        try:
+            for u, v in self.edges:
+                if not (0 <= u < self.m and 0 <= v < self.m):
+                    raise UnknownVariable(f"edge ({u}, {v}) outside range(0, {self.m})")
+                if u == v:
+                    raise ModelFormatError(f"self-loop on node {u}")
+                canonical.add((min(u, v), max(u, v)))
+        except TypeError:
+            raise ModelFormatError("edges must be pairs of integers") from None
         object.__setattr__(self, "edges", frozenset(canonical))
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
@@ -294,17 +322,11 @@ def bn_to_joint(bn: BayesNet) -> JointTable:
         raise CapacityExceeded(
             f"cannot materialize a dense table over {bn.m} variables"
         )
-    size = 1 << bn.m
-    indices = np.arange(size)
-    probs = np.ones(size, dtype=np.float64)
+    factors = []
     for cpt in bn.cpts:
-        row_idx = np.zeros(size, dtype=np.int64)
-        for i, parent in enumerate(cpt.parents):
-            row_idx |= ((indices >> parent) & 1) << i
-        p_true = np.asarray(cpt.rows, dtype=np.float64)[row_idx]
-        owner_true = ((indices >> cpt.owner) & 1) == 1
-        probs *= np.where(owner_true, p_true, 1.0 - p_true)
-    return _trusted_table(bn.m, probs)
+        rows = np.asarray(cpt.rows)
+        factors.append((cpt.parents + (cpt.owner,), np.concatenate((1.0 - rows, rows))))
+    return _trusted_table(bn.m, factor_product(bn.m, factors))
 
 
 def moralize(structure: BayesNet | Dag) -> MarkovNet:

@@ -1,9 +1,9 @@
 """Arithmetic (linop) and geometric (logop) pooling of dense joint tables,
-and the logop of a single binary event."""
+and the logop of a single binary event. Callers name a pool by its string
+in POOL_NAMES, which check_pool_name checks."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -53,15 +53,10 @@ def normalize_weights(
     return w / total
 
 
-@dataclass(frozen=True)
-class AggregationSpec:
-    """Which pool to apply; the weights travel with each instance."""
-
-    pool: str
-
-    def __post_init__(self) -> None:
-        if self.pool not in POOL_NAMES:
-            raise MalformedInstance(f"pool must be one of {POOL_NAMES}, got {self.pool!r}")
+def check_pool_name(pool: str) -> None:
+    """Raise MalformedInstance unless pool names a pool in POOL_NAMES."""
+    if pool not in POOL_NAMES:
+        raise MalformedInstance(f"pool must be one of {POOL_NAMES}, got {pool!r}")
 
 
 def _stack(tables: Sequence[JointTable]) -> tuple[int, np.ndarray]:

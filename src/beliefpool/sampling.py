@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MalformedInstance
-from .joint import JointTable
+from .joint import JointTable, factor_product
 from .networks import (
     BayesNet,
     Cpt,
@@ -117,13 +117,8 @@ def random_vstructure_pair(rng: np.random.Generator) -> tuple[BayesNet, BayesNet
 
 def random_product_table(rng: np.random.Generator, m: int) -> JointTable:
     """Table where all variables are mutually independent."""
-    marginals = rng.uniform(LOW, HIGH, m)
-    indices = np.arange(1 << m)
-    probs = np.ones(1 << m, dtype=np.float64)
-    for j in range(m):
-        bit = ((indices >> j) & 1) == 1
-        probs *= np.where(bit, marginals[j], 1.0 - marginals[j])
-    return JointTable(m, probs)
+    factors = [((j,), (1.0 - p, p)) for j, p in enumerate(rng.uniform(LOW, HIGH, m))]
+    return JointTable(m, factor_product(m, factors))
 
 
 def random_block_product_table(
@@ -136,14 +131,7 @@ def random_block_product_table(
     q_block /= q_block.sum()
     q_rest = np.maximum(rng.random(1 << len(rest)), FLOOR)
     q_rest /= q_rest.sum()
-    indices = np.arange(1 << m)
-    block_ctx = np.zeros(1 << m, dtype=np.int64)
-    for i, v in enumerate(block):
-        block_ctx |= ((indices >> v) & 1) << i
-    rest_ctx = np.zeros(1 << m, dtype=np.int64)
-    for i, v in enumerate(rest):
-        rest_ctx |= ((indices >> v) & 1) << i
-    return JointTable(m, q_block[block_ctx] * q_rest[rest_ctx])
+    return JointTable(m, factor_product(m, [(block, q_block), (rest, q_rest)]))
 
 
 def random_markov_table(rng: np.random.Generator, mn: MarkovNet) -> JointTable:
@@ -152,16 +140,10 @@ def random_markov_table(rng: np.random.Generator, mn: MarkovNet) -> JointTable:
     Product of random positive node and edge potentials, so every
     separation of the structure holds in the table exactly.
     """
-    size = 1 << mn.m
-    indices = np.arange(size)
-    probs = np.ones(size, dtype=np.float64)
-    for v in range(mn.m):
-        phi = rng.uniform(POT_LOW, POT_HIGH, 2)
-        probs *= phi[(indices >> v) & 1]
-    for u, v in sorted(mn.edges):
-        psi = rng.uniform(POT_LOW, POT_HIGH, (2, 2))
-        probs *= psi[(indices >> u) & 1, (indices >> v) & 1]
-    return JointTable(mn.m, probs)
+    nodes = [((v,), rng.uniform(POT_LOW, POT_HIGH, 2)) for v in range(mn.m)]
+    # An edge's four potentials are psi[u's value, v's value] in C order.
+    edges = [((v, u), rng.uniform(POT_LOW, POT_HIGH, 4)) for u, v in sorted(mn.edges)]
+    return JointTable(mn.m, factor_product(mn.m, nodes + edges))
 
 
 def random_conditional_table(
@@ -184,15 +166,6 @@ def random_conditional_table(
     context_mass = np.maximum(rng.random(1 << len(rest)), FLOOR)
     context_mass /= context_mass.sum()
     cond_true = rng.uniform(LOW, HIGH, 1 << len(w))
-    indices = np.arange(1 << m)
-    ctx = np.zeros(1 << m, dtype=np.int64)
-    for i, v in enumerate(rest):
-        ctx |= ((indices >> v) & 1) << i
-    wctx = np.zeros(1 << m, dtype=np.int64)
-    for i, v in enumerate(w):
-        wctx |= ((indices >> v) & 1) << i
-    a_true = ((indices >> a) & 1) == 1
-    probs = context_mass[ctx] * np.where(
-        a_true, cond_true[wctx], 1.0 - cond_true[wctx]
-    )
-    return JointTable(m, probs)
+    # P(a | w) is the CPT factor of a with parents w.
+    a_given_w = np.concatenate((1.0 - cond_true, cond_true))
+    return JointTable(m, factor_product(m, [(rest, context_mass), (w + [a], a_given_w)]))

@@ -14,8 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beliefpool import (
-    AggregationSpec,
     BayesNet,
+    CheckReport,
     Cpt,
     DegenerateProduct,
     JointTable,
@@ -55,8 +55,7 @@ from beliefpool.axioms import (
 )
 from beliefpool.sampling import random_joint, random_product_table
 
-LINOP = AggregationSpec("linop")
-LOGOP = AggregationSpec("logop")
+LINOP, LOGOP = "linop", "logop"
 
 # Chain agents pooled family-by-family, hand-computed. Along the
 # natural ordering the averaged tables are P(first)=0.5 and
@@ -112,8 +111,8 @@ def seeded_tables(seed, m, n):
 class TestCheckProperty:
     def test_unanimity_holds_for_both_pools(self):
         instances = [UnanimityInstance(seeded_tables(s, 3, 3)[:1] * 3) for s in range(5)]
-        for spec in (LINOP, LOGOP):
-            report = check_property(spec, "unam", instances, tol=1e-12)
+        for pool in (LINOP, LOGOP):
+            report = check_property(pool, "unam", instances, tol=1e-12)
             assert report.all_passed
             assert report.n_passed == 5
 
@@ -148,8 +147,8 @@ class TestCheckProperty:
                 for t in tables_p
             )
             instances.append(StatePairInstance(tables_p, tables_q, 1, 2))
-        for spec in (LINOP, LOGOP):
-            assert check_property(spec, "pds", instances, tol=1e-12).all_passed
+        for pool in (LINOP, LOGOP):
+            assert check_property(pool, "pds", instances, tol=1e-12).all_passed
 
     def test_independent_events_survive_only_logop(self):
         rng = np.random.default_rng(4)
@@ -208,10 +207,14 @@ class TestCheckProperty:
     def test_family_aggregation_inconsistent_for_both(self):
         tables = tuple(bn_to_joint(bn) for bn in chain_agents())
         instances = [FamilyInstance(tables, (0, 1), (1, 0))]
-        for spec in (LINOP, LOGOP):
-            report = check_property(spec, "fa-consistency", instances, tol=1e-9)
+        for pool in (LINOP, LOGOP):
+            report = check_property(pool, "fa-consistency", instances, tol=1e-9)
             assert not report.all_passed
             assert report.max_violation > 0.03
+
+    def test_pool_name_checked(self):
+        with pytest.raises(MalformedInstance, match="pool must be one of"):
+            check_property("geometric", "unam", [])
 
     def test_unknown_property_rejected(self):
         with pytest.raises(ValueError):
@@ -235,11 +238,11 @@ class TestCheckProperty:
         ("mp", EventPoolInstance(seeded_tables(0, 2, 2), frozenset({1}), ())),
         ("fa-consistency", FamilyInstance(seeded_tables(0, 2, 2), (0, 1), (1, 0), ())),
     ])
-    @pytest.mark.parametrize("spec", [LINOP, LOGOP], ids=["linop", "logop"])
-    def test_empty_weights_are_a_count_mismatch(self, spec, prop, instance):
+    @pytest.mark.parametrize("pool", [LINOP, LOGOP], ids=["linop", "logop"])
+    def test_empty_weights_are_a_count_mismatch(self, pool, prop, instance):
         # weights=() lists no weight for either agent; only None means equal.
         with pytest.raises(WeightCountMismatch, match="got 0 weights for 2 agents"):
-            check_property(spec, prop, [instance])
+            check_property(pool, prop, [instance])
 
     def test_report_shape(self):
         instances = [UnanimityInstance(seeded_tables(0, 2, 2)[:1] * 2)]
@@ -247,7 +250,14 @@ class TestCheckProperty:
         assert report.prop == "unam"
         assert report.pool == "linop"
         assert report.tol == 1e-6
+        assert len(report.violations) == 1
         assert "property=unam" in report.summary()
+
+    def test_violation_at_tol_passes(self):
+        report = CheckReport("unam", "linop", 0.5, (0.5, 0.0, 0.6, math.nan))
+        assert report.n_passed == 2
+        assert not report.all_passed
+        assert "cases=4 passed=2" in report.summary()
 
 
 def _log(x):
@@ -474,9 +484,6 @@ class TestWitnesses:
         assert pairwise_dependence_gap(pooled, 0, 1) == pytest.approx(
             witness.violation, abs=1e-12
         )
-
-    def test_search_respects_threshold(self):
-        assert search_nmeipp_violation(seed=42, trials=3, threshold=0.5) is None
 
 
 class TestReportSuites:

@@ -306,7 +306,7 @@ class TestQuery:
     @pytest.fixture
     def impossible_files(self, tmp_path):
         # Both agents give A1 probability zero. The logop query route
-        # rejects that row (exit 4), so the tests use --dense-oracle.
+        # rejects that row (exit 4), so the logop tests use --dense-oracle.
         paths = []
         for i, p in enumerate((0.3, 0.7)):
             path = tmp_path / f"impossible_{i}.json"
@@ -337,9 +337,10 @@ class TestQuery:
     def test_overlapping_event_checks_zero_evidence(
         self, capsys, impossible_files, pool, event
     ):
+        oracle = ["--dense-oracle"] if pool == "logop" else []
         code, out, _ = run(
             capsys, "query", *impossible_files, "--pool", pool,
-            "--dense-oracle", "--event", event, "--given", "A1=1",
+            *oracle, "--event", event, "--given", "A1=1",
         )
         assert code == EXIT_ZERO_EVIDENCE
         assert out == ""
@@ -525,6 +526,30 @@ class TestCheck:
 
 
 class TestParsing:
+    @pytest.mark.parametrize("command", ["aggregate", "query", "query-manifest"])
+    def test_dense_oracle_needs_logop(
+        self, capsys, tmp_path, monkeypatch, agent_files, command
+    ):
+        # The linop pool builds no consensus network, so the flag would
+        # otherwise be silently ignored.
+        monkeypatch.chdir(tmp_path)
+        inputs = ["a.json", "b.json"]
+        if command == "query-manifest":
+            run(capsys, "aggregate", *inputs, "--pool", "linop", "--out", "pool.json")
+            inputs = ["pool.json"]
+        extra = (
+            ["--out", "out.json"] if command == "aggregate" else ["--event", "A1=1"]
+        )
+        code, out, err = run(
+            capsys, command.split("-")[0], *inputs, "--pool", "linop",
+            "--dense-oracle", *extra,
+        )
+        assert code == EXIT_PARSE
+        assert err.startswith("error:")
+        assert "--dense-oracle" in err.splitlines()[0]
+        assert out == ""
+        assert not (tmp_path / "out.json").exists()
+
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

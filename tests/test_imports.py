@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from beliefpool import (
-    AggregationSpec,
     BayesNet,
     BeliefPoolError,
     ConsensusBn,
@@ -120,7 +119,6 @@ def test_no_bare_value_error(path):
 CHAIN = BayesNet((Cpt(0, (), (0.2,)), Cpt(1, (0,), (0.6, 0.4))))
 PAIR = JointTable(2, (0.1, 0.2, 0.3, 0.4))
 REVERSED = JointTable(2, (0.4, 0.3, 0.2, 0.1))
-LINOP = AggregationSpec("linop")
 SQUARE = MarkovNet(4, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
 VEE = BayesNet(
     (Cpt(0, (), (0.3,)), Cpt(1, (), (0.7,)), Cpt(2, (0, 1), (0.1, 0.6, 0.4, 0.9)))
@@ -131,45 +129,55 @@ CALLER_ERRORS = {
     "cpt-own-parent": (ModelFormatError, lambda: Cpt(0, (0,), (0.1, 0.9))),
     "cpt-negative-owner": (ModelFormatError, lambda: Cpt(-1, (), (0.5,))),
     "cpt-row-count": (ModelFormatError, lambda: Cpt(0, (1,), (0.1,))),
+    "cpt-row-not-a-number": (ModelFormatError, lambda: Cpt(0, (), ("abc",))),
+    "cpt-row-numeric-string": (ModelFormatError, lambda: Cpt(0, (), ("0.5",))),
+    "cpt-row-bool": (ModelFormatError, lambda: Cpt(0, (), (True,))),
+    "cpt-float-owner": (ModelFormatError, lambda: Cpt(0.5, (), (0.5,))),
+    "cpt-string-parent": (ModelFormatError, lambda: Cpt(0, ("1",), (0.1, 0.9))),
+    "dag-float-parent": (ModelFormatError, lambda: Dag(2, ((), (0.5,)))),
+    "dag-string-parent": (ModelFormatError, lambda: Dag(2, ((), ("0",)))),
     "dag-cycle": (ModelFormatError, lambda: Dag(2, ((1,), (0,)))),
     "bayes-labels": (ModelFormatError, lambda: BayesNet(CHAIN.cpts, ("A", "A"))),
     "bayes-label-count": (ModelFormatError, lambda: BayesNet(CHAIN.cpts, ("A",))),
     "bayes-owners": (ModelFormatError, lambda: BayesNet(CHAIN.cpts[:1] * 2)),
     "markov-self-loop": (ModelFormatError, lambda: MarkovNet(2, frozenset({(1, 1)}))),
+    "markov-string-endpoint": (ModelFormatError, lambda: MarkovNet(2, {(0, "1")})),
     "joint-entry-count": (ModelFormatError, lambda: JointTable(2, (0.5, 0.5))),
     "joint-negative-count": (ModelFormatError, lambda: JointTable(-1, (1.0,))),
+    "joint-float-count": (ModelFormatError, lambda: JointTable(1.0, (0.5, 0.5))),
+    "joint-string-entries": (ModelFormatError, lambda: JointTable(1, ["a", "b"])),
     "save-unlabeled": (ModelFormatError, lambda: network_to_dict(CHAIN)),
     "load-non-object": (ModelFormatError, lambda: network_from_dict([])),
     "manifest-kind": (ModelFormatError, lambda: manifest_from_dict({"kind": "bayes"})),
     "no-weights-agents": (MalformedInstance, lambda: normalize_weights(None, 0)),
-    "unknown-pool-spec": (MalformedInstance, lambda: AggregationSpec("mean")),
+    "unknown-pool-check": (MalformedInstance, lambda: check_property("mean", "unam", [])),
     "no-tables": (MalformedInstance, lambda: linop(())),
     "unknown-pool-family": (
         MalformedInstance, lambda: family_pooled_joint("mean", (PAIR,), (0, 1))
     ),
-    "unknown-property": (MalformedInstance, lambda: check_property(LINOP, "x", [])),
+    "unknown-property": (MalformedInstance, lambda: check_property("linop", "x", [])),
     "wrong-instance-type": (
         MalformedInstance,
-        lambda: check_property(LINOP, "eb", [UnanimityInstance((PAIR,))]),
+        lambda: check_property("linop", "eb", [UnanimityInstance((PAIR,))]),
     ),
     "unam-not-unanimous": (
         MalformedInstance,
-        lambda: check_property(LINOP, "unam", [UnanimityInstance((PAIR, REVERSED))]),
+        lambda: check_property("linop", "unam", [UnanimityInstance((PAIR, REVERSED))]),
     ),
     "pds-profiles-disagree": (
         MalformedInstance,
-        lambda: check_property(LINOP, "pds", [StatePairInstance((PAIR,), (REVERSED,), 0, 1)]),
+        lambda: check_property("linop", "pds", [StatePairInstance((PAIR,), (REVERSED,), 0, 1)]),
     ),
     "eb-zero-mass-evidence": (
         MalformedInstance,
         lambda: check_property(
-            LINOP, "eb",
+            "linop", "eb",
             [EvidenceInstance((JointTable(2, (0.5, 0.0, 0.5, 0.0)),), ((0, True),))],
         ),
     ),
     "mp-state-out-of-range": (
         MalformedInstance,
-        lambda: check_property(LINOP, "mp", [EventPoolInstance((PAIR,), frozenset({9}))]),
+        lambda: check_property("linop", "mp", [EventPoolInstance((PAIR,), frozenset({9}))]),
     ),
     "unknown-example": (MalformedInstance, lambda: reproduce_example("ex9")),
     "target-in-evidence": (

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefpool import (
-    AggregationSpec,
     DegenerateProduct,
     InvalidWeight,
     JointTable,
@@ -94,12 +93,6 @@ class TestNormalizeWeights:
     def test_finite_total_divides_by_sum(self, weights):
         w = np.asarray(weights, dtype=np.float64)
         assert np.array_equal(normalize_weights(weights, len(weights)), w / w.sum())
-
-
-class TestAggregationSpec:
-    def test_pool_name_checked(self):
-        with pytest.raises(ValueError):
-            AggregationSpec("geometric")
 
 
 class TestLinop:

@@ -1,0 +1,189 @@
+"""The dense factor product and the table generators built on it.
+
+Each generator and bn_to_joint must give exactly the entries of the
+per-variable state loops they replaced, which are kept here as
+references; the kernel itself is checked against a plain Python
+product over every state.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from beliefpool import JointTable, bn_to_joint
+from beliefpool.joint import factor_product
+from beliefpool.networks import moralize
+from beliefpool.sampling import (
+    FLOOR,
+    HIGH,
+    LOW,
+    POT_HIGH,
+    POT_LOW,
+    random_block_product_table,
+    random_bn,
+    random_conditional_table,
+    random_dag,
+    random_markov_table,
+    random_product_table,
+)
+
+
+def loop_product_table(rng, m):
+    marginals = rng.uniform(LOW, HIGH, m)
+    indices = np.arange(1 << m)
+    probs = np.ones(1 << m, dtype=np.float64)
+    for j in range(m):
+        bit = ((indices >> j) & 1) == 1
+        probs *= np.where(bit, marginals[j], 1.0 - marginals[j])
+    return JointTable(m, probs)
+
+
+def loop_block_product_table(rng, m, block):
+    block = sorted(set(block))
+    rest = [v for v in range(m) if v not in block]
+    q_block = np.maximum(rng.random(1 << len(block)), FLOOR)
+    q_block /= q_block.sum()
+    q_rest = np.maximum(rng.random(1 << len(rest)), FLOOR)
+    q_rest /= q_rest.sum()
+    indices = np.arange(1 << m)
+    block_ctx = np.zeros(1 << m, dtype=np.int64)
+    for i, v in enumerate(block):
+        block_ctx |= ((indices >> v) & 1) << i
+    rest_ctx = np.zeros(1 << m, dtype=np.int64)
+    for i, v in enumerate(rest):
+        rest_ctx |= ((indices >> v) & 1) << i
+    return JointTable(m, q_block[block_ctx] * q_rest[rest_ctx])
+
+
+def loop_markov_table(rng, mn):
+    size = 1 << mn.m
+    indices = np.arange(size)
+    probs = np.ones(size, dtype=np.float64)
+    for v in range(mn.m):
+        phi = rng.uniform(POT_LOW, POT_HIGH, 2)
+        probs *= phi[(indices >> v) & 1]
+    for u, v in sorted(mn.edges):
+        psi = rng.uniform(POT_LOW, POT_HIGH, (2, 2))
+        probs *= psi[(indices >> u) & 1, (indices >> v) & 1]
+    return JointTable(mn.m, probs)
+
+
+def loop_conditional_table(rng, m, a, w, x):
+    w = sorted(set(w))
+    x = sorted(set(x))
+    rest = w + x
+    context_mass = np.maximum(rng.random(1 << len(rest)), FLOOR)
+    context_mass /= context_mass.sum()
+    cond_true = rng.uniform(LOW, HIGH, 1 << len(w))
+    indices = np.arange(1 << m)
+    ctx = np.zeros(1 << m, dtype=np.int64)
+    for i, v in enumerate(rest):
+        ctx |= ((indices >> v) & 1) << i
+    wctx = np.zeros(1 << m, dtype=np.int64)
+    for i, v in enumerate(w):
+        wctx |= ((indices >> v) & 1) << i
+    a_true = ((indices >> a) & 1) == 1
+    probs = context_mass[ctx] * np.where(
+        a_true, cond_true[wctx], 1.0 - cond_true[wctx]
+    )
+    return JointTable(m, probs)
+
+
+def loop_bn_to_joint(bn):
+    size = 1 << bn.m
+    indices = np.arange(size)
+    probs = np.ones(size, dtype=np.float64)
+    for cpt in bn.cpts:
+        row_idx = np.zeros(size, dtype=np.int64)
+        for i, parent in enumerate(cpt.parents):
+            row_idx |= ((indices >> parent) & 1) << i
+        p_true = np.asarray(cpt.rows, dtype=np.float64)[row_idx]
+        owner_true = ((indices >> cpt.owner) & 1) == 1
+        probs *= np.where(owner_true, p_true, 1.0 - p_true)
+    return JointTable(bn.m, probs)
+
+
+def same_entries(got, want):
+    return got.m == want.m and np.array_equal(got.probs, want.probs)
+
+
+SEEDS_AND_SIZES = [(seed, m) for seed in range(8) for m in range(0, 7)]
+
+
+@pytest.mark.parametrize("seed, m", SEEDS_AND_SIZES)
+def test_product_table_matches_loop(seed, m):
+    got = random_product_table(np.random.default_rng(seed), m)
+    assert same_entries(got, loop_product_table(np.random.default_rng(seed), m))
+
+
+@pytest.mark.parametrize("seed, m", SEEDS_AND_SIZES)
+def test_block_product_table_matches_loop(seed, m):
+    block = [int(v) for v in np.random.default_rng(seed).permutation(m)[: seed % (m + 1)]]
+    got = random_block_product_table(np.random.default_rng(seed), m, block)
+    want = loop_block_product_table(np.random.default_rng(seed), m, block)
+    assert same_entries(got, want)
+
+
+@pytest.mark.parametrize("seed, m", SEEDS_AND_SIZES)
+def test_markov_table_matches_loop(seed, m):
+    mn = moralize(random_dag(np.random.default_rng(seed), m, edge_prob=0.5))
+    got = random_markov_table(np.random.default_rng(seed), mn)
+    assert same_entries(got, loop_markov_table(np.random.default_rng(seed), mn))
+
+
+@pytest.mark.parametrize("seed, m", [(s, m) for s, m in SEEDS_AND_SIZES if m])
+def test_conditional_table_matches_loop(seed, m):
+    variables = [int(v) for v in np.random.default_rng(seed).permutation(m)]
+    cut = seed % m
+    # w and x unsorted: the generator sorts them itself.
+    a, w, x = variables[0], variables[1 : cut + 1][::-1], variables[cut + 1 :][::-1]
+    got = random_conditional_table(np.random.default_rng(seed), m, a, w, x)
+    want = loop_conditional_table(np.random.default_rng(seed), m, a, w, x)
+    assert same_entries(got, want)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_bn_to_joint_matches_loop(seed):
+    rng = np.random.default_rng(seed)
+    bn = random_bn(rng, seed % 9, edge_prob=0.5, max_parents=seed % 5)
+    assert same_entries(bn_to_joint(bn), loop_bn_to_joint(bn))
+
+
+@st.composite
+def factor_lists(draw):
+    m = draw(st.integers(0, 8))
+    factors = []
+    for _ in range(draw(st.integers(0, 4))):
+        variables = draw(st.permutations(range(m)))[: draw(st.integers(0, min(m, 4)))]
+        table = draw(
+            st.lists(
+                st.floats(-4.0, 4.0, allow_subnormal=False),
+                min_size=1 << len(variables),
+                max_size=1 << len(variables),
+            )
+        )
+        factors.append((tuple(variables), np.array(table)))
+    return m, factors
+
+
+def per_state_product(m, factors):
+    """Product, state by state, of each factor's entry at the index whose
+    bit i is the state's value of variables[i]."""
+    out = []
+    for state in range(1 << m):
+        value = 1.0
+        for variables, table in factors:
+            row = sum(((state >> v) & 1) << i for i, v in enumerate(variables))
+            value *= float(table[row])
+        out.append(value)
+    return np.array(out)
+
+
+@given(factor_lists())
+@example((0, []))
+@example((3, []))
+@example((3, [((2, 0), np.array([1.0, 2.0, 3.0, 5.0]))]))
+def test_factor_product_matches_per_state_product(case):
+    m, factors = case
+    assert np.array_equal(factor_product(m, factors), per_state_product(m, factors))
