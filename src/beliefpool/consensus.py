@@ -31,6 +31,7 @@ elimination pass over it along the elimination order yields the CPTs.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -60,7 +61,6 @@ from .networks import (
     is_decomposable,
     mn_union,
     moralize,
-    row_bit,
     triangulate,
 )
 from .pools import logistic, normalize_weights, pooled_log_odds
@@ -124,11 +124,6 @@ def _check_agents(bns: Sequence[BayesNet]) -> int:
     return m
 
 
-def _log_sigmoid(x: float) -> float:
-    """log P(event) for log-odds x, finite for every finite x."""
-    return min(x, 0.0) - math.log1p(math.exp(-abs(x)))
-
-
 def _structured_cpts(
     bns: Sequence[BayesNet],
     w: np.ndarray,
@@ -141,10 +136,11 @@ def _structured_cpts(
     def agent_conditionals(node: int, context: dict[int, bool]) -> list[float]:
         nonlocal queries
         conds = []
+        target = {node: True}
         for bn in bns:
             queries += 1
             try:
-                c = query_conditional(bn, {node: True}, context)
+                c = query_conditional(bn, target, context)
             except ZeroEvidence as err:
                 raise DegenerateCpt(
                     f"an agent gives zero mass to a neighborhood "
@@ -165,14 +161,13 @@ def _structured_cpts(
     contexts: list[tuple[dict[int, bool], bool]] = []
     for node in elimination_order:
         start[node] = len(conds)
-        for r in range(1 << len(parents[node])):
-            parent_asg = {
-                p: bool((r >> i) & 1) for i, p in enumerate(parents[node])
-            }
+        # product varies its last factor fastest, and row bit i is parent i.
+        ps, kids = parents[node][::-1], children[node]
+        for r, bits in enumerate(itertools.product((False, True), repeat=len(ps))):
             failure: DegenerateCpt | None = None
-            for outcome in (True, False) if children[node] else (True,):
-                context = dict(parent_asg)
-                context.update({c: outcome for c in children[node]})
+            for outcome in (True, False) if kids else (True,):
+                context = dict(zip(ps, bits))
+                context.update(dict.fromkeys(kids, outcome))
                 try:
                     conds.append(agent_conditionals(node, context))
                     contexts.append((context, outcome))
@@ -191,17 +186,34 @@ def _structured_cpts(
 
     # Pass 3. Elimination order is a reverse topological order, so every
     # child's log-odds are finished before its parents read them.
+    # A log-sigmoid, min(x, 0) - log1p(exp(-|x|)), is log P(event) for
+    # log-odds x, finite for every finite x.
+    exp, log1p = math.exp, math.log1p
     for node in elimination_order:
+        # Per child: its first row, node's row bit, and the row bit of
+        # each other parent, which the context covers.
+        layout = [
+            (
+                start[child],
+                1 << parents[child].index(node),
+                [(p, 1 << i) for i, p in enumerate(parents[child]) if p != node],
+            )
+            for child in children[node]
+        ]
         for k in range(start[node], start[node] + (1 << len(parents[node]))):
             context, outcome = contexts[k]
             sign = 1.0 if outcome else -1.0
             log_ratio = 0.0
-            for child in children[node]:
-                row, bit = row_bit(parents[child], node, context)
-                base = start[child]
-                log_ratio += _log_sigmoid(
-                    sign * log_odds[base + row]
-                ) - _log_sigmoid(sign * log_odds[base + (row | bit)])
+            for base, bit, others in layout:
+                row = 0  # the child's row with node false; row | bit has it true
+                for p, b in others:
+                    if context[p]:
+                        row |= b
+                x0 = sign * log_odds[base + row]
+                x1 = sign * log_odds[base + (row | bit)]
+                log_ratio += (min(x0, 0.0) - log1p(exp(-abs(x0)))) - (
+                    min(x1, 0.0) - log1p(exp(-abs(x1)))
+                )
             log_odds[k] += log_ratio
     _, p_true = logistic(np.array(log_odds))
     rows = p_true.tolist()

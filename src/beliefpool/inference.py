@@ -88,22 +88,23 @@ def _ancestral_set(bn: BayesNet, variables: set[int]) -> list[int]:
 
 
 def _run(
-    bn: BayesNet, evidence: dict[int, int], keep: set[int], nodes: Iterable[int]
+    bn: BayesNet, evidence: Assignment, keep: set[int], nodes: Iterable[int]
 ) -> _Factor:
     """Eliminate everything outside keep after restricting by evidence.
 
-    evidence maps each observed variable to its state, 0 or 1. Only the
-    CPTs of nodes enter. Queries pass the ancestral set of keep and the
-    evidence, whose product summed over the rest is the joint
-    probability of each keep-assignment with the evidence. When every
-    restricted factor lies inside keep, nothing is eliminated and no
-    elimination order is computed.
+    evidence maps each observed variable to its state, as
+    _check_assignment returns it. Only the CPTs of nodes enter. Queries
+    pass the ancestral set of keep and the evidence, whose product
+    summed over the rest is the joint probability of each
+    keep-assignment with the evidence. When every restricted factor
+    lies inside keep, nothing is eliminated and no elimination order is
+    computed.
     """
     factors = []
     for v in nodes:
         cpt = bn.cpts[v]
         family = cpt.family
-        restrict = tuple([evidence.get(u, _ALL) for u in family])
+        restrict = tuple([int(evidence[u]) if u in evidence else _ALL for u in family])
         free = tuple([u for u in family if u not in evidence])
         factors.append(_Factor(free, cpt.table[restrict]))
     scope = {v for f in factors for v in f.vars}
@@ -171,12 +172,26 @@ def weighted_product_cpts(
     return [cpts[v] for v in range(structure.m)]
 
 
-def _check_assignment(bn: BayesNet, assignment: Assignment) -> dict[int, int]:
-    """The assignment as {variable: 0 or 1}, after checking its variables.
+_INT = frozenset({int})
+_BOOL = frozenset({bool})
 
-    Raises UnknownVariable for a key that is not an integer (a Python
-    int or a numpy integer) or lies outside range(0, bn.m).
+
+def _check_assignment(bn: BayesNet, assignment: Assignment) -> Assignment:
+    """The assignment as {variable: state}, after checking its variables.
+
+    The common case, Python-int keys in range(0, bn.m) with bool
+    values, comes back unchanged after three set checks; any other
+    assignment comes back as a new {variable: 0 or 1}. So every state
+    is truthy or falsy, and int() of it is 0 or 1. Raises
+    UnknownVariable for a key that is not an integer (a Python int or a
+    numpy integer) or lies outside range(0, bn.m).
     """
+    if (
+        _INT.issuperset(map(type, assignment))
+        and bn.variables.issuperset(assignment)
+        and _BOOL.issuperset(map(type, assignment.values()))
+    ):
+        return assignment
     try:
         states = {index(v): 1 if x else 0 for v, x in assignment.items()}
     except TypeError:
@@ -190,7 +205,7 @@ def _check_assignment(bn: BayesNet, assignment: Assignment) -> dict[int, int]:
 
 
 def _blanket_conditional(
-    bn: BayesNet, v: int, x: int, evidence: dict[int, int]
+    bn: BayesNet, v: int, x: int, evidence: Assignment
 ) -> float:
     """P(v = x | evidence) on a strictly positive network, given evidence
     on v's whole Markov blanket.
@@ -202,18 +217,27 @@ def _blanket_conditional(
     the first is exact), so the answer is the same float _run returns
     over the CPTs of v and its children, normalized.
     """
-    cpts = bn.cpts
     a0 = a1 = 1.0
-    for u in sorted((v, *bn.children[v])):
-        p0, p1 = cpts[u].row_pair(v, evidence)
-        if u == v:  # p0 == p1 = P(v = 1 | v's parents)
-            f0, f1 = 1.0 - p1, p1
-        elif evidence[u]:
-            f0, f1 = p0, p1
+    for cpt in bn.blanket_cpts[v]:
+        # row has v false and every other parent read from evidence;
+        # row | bit has v true.
+        row = bit = 0
+        for i, p in enumerate(cpt.parents):
+            if p == v:
+                bit = 1 << i
+            elif evidence[p]:
+                row |= 1 << i
+        rows = cpt.rows
+        if cpt.owner == v:
+            p1 = rows[row]
+            a0 *= 1.0 - p1
+            a1 *= p1
+        elif evidence[cpt.owner]:
+            a0 *= rows[row]
+            a1 *= rows[row | bit]
         else:
-            f0, f1 = 1.0 - p0, 1.0 - p1
-        a0 *= f0
-        a1 *= f1
+            a0 *= 1.0 - rows[row]
+            a1 *= 1.0 - rows[row | bit]
     total = a0 + a1
     if total <= 0.0:
         raise ZeroEvidence("conditioning event has probability zero")
@@ -251,4 +275,4 @@ def query_conditional(
         raise ZeroEvidence("conditioning event has probability zero")
     if not wanted:
         return 1.0
-    return float(result.table[tuple(wanted[v] for v in result.vars)]) / total
+    return float(result.table[tuple(int(wanted[v]) for v in result.vars)]) / total

@@ -18,6 +18,7 @@ imports this one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -80,9 +81,17 @@ class JointTable:
             n_states = 1 << self.m
         except TypeError:
             raise ModelFormatError(f"variable count {self.m!r} is not an integer") from None
+        # Booleans, strings and other non-numbers must not reach the float
+        # cast, which would turn True or "0.5" into a probability.
         try:
-            probs = np.asarray(self.probs, dtype=np.float64)
-        except (TypeError, ValueError):
+            raw = np.asarray(self.probs)
+            if raw.dtype.kind not in "iuf" and not (
+                raw.dtype.kind == "O"
+                and all(isinstance(x, Real) and not isinstance(x, bool) for x in raw.flat)
+            ):
+                raise TypeError
+            probs = raw.astype(np.float64, copy=False)
+        except (TypeError, ValueError, OverflowError):
             raise ModelFormatError("probability entries must be numbers") from None
         if probs.shape != (n_states,):
             raise ModelFormatError(

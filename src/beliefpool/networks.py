@@ -9,8 +9,9 @@ model that breaks this contract, as the file loader does for a file.
 Each model is validated once, where it enters: these constructors and
 the file loader check every input. Package code that has already
 checked or computed every field (the loader, align_variables, the
-consensus builders, bn_to_joint) builds through joint._trusted or
-joint._trusted_table and does not check again.
+structure transforms moralize, mn_union, triangulate and
+direct_by_order, the consensus builders, bn_to_joint) builds through
+joint._trusted or joint._trusted_table and does not check again.
 """
 from __future__ import annotations
 
@@ -33,30 +34,9 @@ from .errors import (
     NotChordal,
     UnknownVariable,
 )
-from .joint import MAX_DENSE_VARIABLES, Assignment, JointTable, _trusted_table, factor_product
+from .joint import MAX_DENSE_VARIABLES, JointTable, _trusted, _trusted_table, factor_product
 
 EliminationOrder = tuple[int, ...]
-
-
-def row_bit(
-    parents: Sequence[int], v: int, assignment: Assignment
-) -> tuple[int, int]:
-    """(row, bit): row is the index of the parent row with v false and
-    every other parent read from assignment; row | bit has v true. bit
-    is 0 when v is not a parent. Raises MalformedInstance when the
-    assignment misses another parent."""
-    row = bit = 0
-    try:
-        for i, parent in enumerate(parents):
-            if parent == v:
-                bit = 1 << i
-            elif assignment[parent]:
-                row |= 1 << i
-    except KeyError as err:
-        raise MalformedInstance(
-            f"assignment gives no value for parent {err.args[0]}"
-        ) from None
-    return row, bit
 
 
 def parse_probability(value) -> float:
@@ -117,13 +97,6 @@ class Cpt:
                 f"{len(parents)} parents, got {len(rows)}"
             )
 
-    def row_pair(self, v: int, assignment: Assignment) -> tuple[float, float]:
-        """P(owner = true) with v false and with v true, every other
-        parent read from assignment, which must cover it. When v is not
-        a parent, both are the one row the assignment picks."""
-        row, bit = row_bit(self.parents, v, assignment)
-        return self.rows[row], self.rows[row | bit]
-
     @cached_property
     def family(self) -> tuple[int, ...]:
         """Owner and parents in increasing order: the axes of table."""
@@ -153,9 +126,9 @@ class Dag:
 
     def __post_init__(self) -> None:
         m = self.m
-        # A count or parent that is not an integer fails a comparison or an index.
+        # A parent that is not an integer fails index(), a count a comparison.
         try:
-            parents = tuple(map(tuple, self.parents))
+            parents = tuple(tuple(map(operator.index, ps)) for ps in self.parents)
             object.__setattr__(self, "parents", parents)
             if len(parents) != m:
                 raise ModelFormatError("parent lists must cover every node")
@@ -265,6 +238,21 @@ class BayesNet:
         return self._dag.blankets()
 
     @cached_property
+    def blanket_cpts(self) -> tuple[tuple[Cpt, ...], ...]:
+        """blanket_cpts[j] holds the CPTs of j and of its children in
+        increasing owner order: every factor that mentions j; built once."""
+        cpts = self.cpts
+        return tuple(
+            tuple(cpts[u] for u in sorted((j, *kids)))
+            for j, kids in enumerate(self.children)
+        )
+
+    @cached_property
+    def variables(self) -> frozenset[int]:
+        """The variable indices, range(0, m), as a set; built once."""
+        return frozenset(range(self.m))
+
+    @cached_property
     def strictly_positive(self) -> bool:
         """Whether every CPT row lies strictly inside (0, 1); checked once.
 
@@ -287,17 +275,23 @@ class MarkovNet:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        canonical = set()
-        # A non-integer fails the comparison, unless it is a float in range.
+        # index() rejects a float or a string endpoint; unpacking rejects
+        # an edge of another length.
         try:
-            for u, v in self.edges:
-                if not (0 <= u < self.m and 0 <= v < self.m):
-                    raise UnknownVariable(f"edge ({u}, {v}) outside range(0, {self.m})")
-                if u == v:
-                    raise ModelFormatError(f"self-loop on node {u}")
-                canonical.add((min(u, v), max(u, v)))
-        except TypeError:
+            pairs = [(operator.index(u), operator.index(v)) for u, v in self.edges]
+        except (TypeError, ValueError):
             raise ModelFormatError("edges must be pairs of integers") from None
+        try:
+            operator.index(self.m)
+        except TypeError:
+            raise ModelFormatError(f"node count {self.m!r} is not an integer") from None
+        canonical = set()
+        for u, v in pairs:
+            if not (0 <= u < self.m and 0 <= v < self.m):
+                raise UnknownVariable(f"edge ({u}, {v}) outside range(0, {self.m})")
+            if u == v:
+                raise ModelFormatError(f"self-loop on node {u}")
+            canonical.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", frozenset(canonical))
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
@@ -337,7 +331,8 @@ def moralize(structure: BayesNet | Dag) -> MarkovNet:
         for u, v in itertools.combinations(sorted(ps), 2):
             edges.add((u, v))
     labels = structure.labels if isinstance(structure, BayesNet) else None
-    return MarkovNet(dag.m, frozenset(edges), labels)
+    # Sorted pairs of a validated structure's nodes.
+    return _trusted(MarkovNet, m=dag.m, edges=frozenset(edges), labels=labels)
 
 
 def mn_union(nets: Sequence[MarkovNet]) -> MarkovNet:
@@ -356,7 +351,8 @@ def mn_union(nets: Sequence[MarkovNet]) -> MarkovNet:
     labels = nets[0].labels
     if any(net.labels != labels for net in nets):
         labels = None
-    return MarkovNet(m, frozenset(edges), labels)
+    # A union of validated, sorted edge sets over the same nodes.
+    return _trusted(MarkovNet, m=m, edges=frozenset(edges), labels=labels)
 
 
 def _fill_count(adj: Mapping[int, set[int]], v: int) -> int:
@@ -416,7 +412,8 @@ def triangulate(mn: MarkovNet) -> tuple[MarkovNet, EliminationOrder]:
     graph; running it again adds no further fill.
     """
     order, fills = min_fill_order(mn.adjacency())
-    chordal = MarkovNet(mn.m, mn.edges | fills, mn.labels)
+    # Fill edges are sorted pairs of mn's nodes.
+    chordal = _trusted(MarkovNet, m=mn.m, edges=mn.edges | fills, labels=mn.labels)
     return chordal, order
 
 
@@ -441,7 +438,8 @@ def direct_by_order(mn: MarkovNet, order: Sequence[int]) -> Dag:
                 raise NotChordal(
                     "order is not a perfect elimination order of the graph"
                 )
-    return Dag(mn.m, parents)
+    # Every parent comes later in the order, so the result is acyclic.
+    return _trusted(Dag, m=mn.m, parents=parents)
 
 
 def is_decomposable(structure: BayesNet | Dag) -> bool:

@@ -222,11 +222,16 @@ def test_markov_edge_outside_range_is_unknown_variable():
 TRUSTED_PATH = ("_trusted", "_trusted_table")
 # The functions that may build a model without its constructor's checks,
 # because they have checked or computed every field themselves: the
-# loader, the consensus builders and the dense kernels.
+# loader, the structure transforms, the consensus builders and the dense
+# kernels.
 TRUSTED_CALLERS = {
     "joint._trusted_table",
     "model_io.network_from_dict",
     "model_io.align_variables",
+    "networks.moralize",
+    "networks.mn_union",
+    "networks.triangulate",
+    "networks.direct_by_order",
     "consensus._structured_cpts",
     "consensus.logop_consensus_bn",
     "inference.weighted_product_cpts",

@@ -1,6 +1,7 @@
 """Exact network queries checked against dense-table enumeration."""
 
 import itertools
+import re
 from unittest import mock
 
 import numpy as np
@@ -498,3 +499,76 @@ class TestBlanketConditional:
         # Only the false state underflows; the true one is subnormal.
         assert query_conditional(net, {0: 1}, {1: True, 2: True, 3: False}) == 1.0
         assert query_conditional(net, {0: 0}, {1: True, 2: True, 3: False}) == 0.0
+
+
+def answer(query, *args):
+    """query(*args), or the ZeroEvidence it raises."""
+    try:
+        return query(*args)
+    except ZeroEvidence:
+        return ZeroEvidence
+
+
+class TestAssignmentCheck:
+    """_check_assignment hands back Python-int keys with bool values as
+    they are, and normalizes every other spelling; the answers must not
+    tell the two apart, on either query route."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=100_000),
+        edge_rows=st.booleans(),
+        cover_blanket=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fast_and_normalizing_paths_agree(self, seed, edge_rows, cover_blanket):
+        rng = np.random.default_rng(seed)
+        net = random_bn(
+            rng, int(rng.integers(1, 10)), edge_prob=float(rng.uniform(0.15, 0.6)), max_parents=3
+        )
+        if edge_rows:
+            net = with_edge_rows(rng, net)
+        v = int(rng.integers(0, net.m))
+        rest = [u for u in rng.permutation(net.m).tolist() if u != v]
+        if cover_blanket:  # the closed-form route
+            rest = sorted(net.blankets[v]) + [u for u in rest if u not in net.blankets[v]]
+            n = int(rng.integers(len(net.blankets[v]), len(rest) + 1))
+        else:  # mostly the elimination route
+            n = int(rng.integers(0, len(rest) + 1))
+        target = {v: bool(rng.integers(0, 2))}
+        evidence = random_assignment(rng, net.m, rest[:n])
+        assert inference._check_assignment(net, evidence) is evidence
+        assert inference._check_assignment(net, target) is target
+
+        fast = answer(query_conditional, net, target, evidence)
+        event = {**target, **evidence}
+        for respell in (
+            lambda a: {np.int64(u): int(x) for u, x in a.items()},
+            lambda a: {u: 2 * int(x) for u, x in a.items()},  # any truthy state is true
+        ):
+            normalized = inference._check_assignment(net, respell(evidence))
+            assert normalized == {u: int(x) for u, x in evidence.items()}
+            assert all(type(u) is int for u in normalized)
+            slow = answer(query_conditional, net, respell(target), respell(evidence))
+            assert fast is slow if fast is ZeroEvidence else fast == slow
+            assert query_event_marginal(net, event) == query_event_marginal(net, respell(event))
+
+    @given(m=st.integers(4, 9), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_bad_keys_keep_their_messages(self, m, data):
+        net = random_bn(np.random.default_rng(m), m)
+        valid = data.draw(st.dictionaries(st.integers(0, 2), st.booleans(), max_size=3))
+        for bad, message in (
+            (3.0, "variables must be integers, got {keys}"),
+            ("x", "variables must be integers, got {keys}"),
+            (-1, f"variable -1 outside range(0, {m})"),
+            (m, f"variable {m} outside range(0, {m})"),
+        ):
+            assignment = {**valid, bad: True}
+            keys = ", ".join(repr(u) for u in assignment)
+            expected = re.escape(message.format(keys=keys))
+            with pytest.raises(UnknownVariable, match=f"^{expected}$"):
+                query_conditional(net, assignment)
+            with pytest.raises(UnknownVariable, match=f"^{expected}$"):
+                query_conditional(net, {}, assignment)
+            with pytest.raises(UnknownVariable, match=f"^{expected}$"):
+                query_event_marginal(net, assignment)

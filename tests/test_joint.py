@@ -1,6 +1,8 @@
 """Dense joint-table behavior: construction, indexing, conditioning,
 and the two independence gap measures."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from beliefpool import (
     CapacityExceeded,
     JointTable,
+    ModelFormatError,
     NegativeMass,
     UnknownVariable,
     ZeroEvidence,
@@ -57,6 +60,19 @@ class TestConstruction:
     def test_rejects_wrong_entry_count(self):
         with pytest.raises(ValueError):
             JointTable(2, (0.5, 0.5))
+
+    @pytest.mark.parametrize(
+        "probs",
+        [["0.5", "0.5"], [True, False], np.array([True, False]), [0.5, None], [1j, 1.0]],
+        ids=["strings", "bools", "bool-array", "none", "complex"],
+    )
+    def test_rejects_entries_that_are_not_numbers(self, probs):
+        with pytest.raises(ModelFormatError, match="probability entries must be numbers"):
+            JointTable(1, probs)
+
+    def test_integer_and_object_number_entries_accepted(self):
+        for probs in ([1, 3], np.array([1, 3], dtype=np.uint8), [Fraction(1, 4), 0.75]):
+            assert JointTable(1, probs).probs.tolist() == [0.25, 0.75]
 
     def test_rejects_too_many_variables(self):
         with pytest.raises(CapacityExceeded):

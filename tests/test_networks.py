@@ -19,9 +19,9 @@ from beliefpool import (
     CapacityExceeded,
     Cpt,
     Dag,
-    MalformedInstance,
     MarkovNet,
     MismatchedVariables,
+    ModelFormatError,
     NotChordal,
     UnknownVariable,
     bn_to_joint,
@@ -104,36 +104,6 @@ def graphs_with_keep(draw):
 
 
 class TestCpt:
-    def test_row_bit_i_is_parent_i(self):
-        cpt = Cpt(0, (2, 1), (0.1, 0.2, 0.3, 0.4))
-        # Parent 2 is bit 0, parent 1 is bit 1.
-        assert cpt.row_pair(2, {1: False}) == (0.1, 0.2)
-        assert cpt.row_pair(2, {1: True}) == (0.3, 0.4)
-        assert cpt.row_pair(1, {2: True}) == (0.2, 0.4)
-
-    def test_extra_assignment_keys_ignored(self):
-        cpt = Cpt(0, (1,), (0.1, 0.9))
-        assert cpt.row_pair(1, {1: True, 3: False}) == (0.1, 0.9)
-
-    def test_row_pair_names_a_missing_parent(self):
-        with pytest.raises(MalformedInstance, match="parent 1"):
-            Cpt(0, (1,), (0.1, 0.9)).row_pair(2, {})
-        with pytest.raises(MalformedInstance, match="parent 3"):
-            Cpt(0, (1, 3), (0.1, 0.2, 0.3, 0.4)).row_pair(1, {2: True})
-
-    def test_row_pair_sets_one_parent_both_ways(self):
-        cpt = Cpt(0, (2, 1, 4), tuple(np.linspace(0.05, 0.95, 8)))
-        for bits in itertools.product((False, True), repeat=3):
-            assignment = dict(zip((2, 1, 4), bits))
-            for v in (2, 1, 4):
-                want = tuple(
-                    prob_true(cpt, {**assignment, v: x}) for x in (False, True)
-                )
-                assert cpt.row_pair(v, assignment) == want
-            # A non-parent leaves one row, read twice.
-            row = prob_true(cpt, assignment)
-            assert cpt.row_pair(3, assignment) == (row, row)
-
     def test_row_count_must_match_parents(self):
         with pytest.raises(ValueError):
             Cpt(0, (1, 2), (0.1, 0.9))
@@ -194,6 +164,10 @@ class TestDag:
         dag = Dag(3, [[], [0], [1, 0]])
         assert dag.parents == ((), (0,), (1, 0))
 
+    def test_numpy_parents_become_python_ints(self):
+        dag = Dag(2, ((), (np.int64(0),)))
+        assert type(dag.parents[1][0]) is int
+
     def test_children_inverts_parents(self):
         assert VEE.children() == ((2,), (2,), ())
 
@@ -252,6 +226,29 @@ class TestBnToJoint:
                 p = prob_true(cpt, bits)
                 expect *= p if bits[cpt.owner] else 1.0 - p
             assert table.probs[index] == pytest.approx(expect, abs=1e-12)
+
+
+class TestMarkovNet:
+    @pytest.mark.parametrize(
+        "edges",
+        [{(0, 1.5)}, {(0.0, 1)}, {(0, "1")}, {(0, 1, 1)}, {(0,)}, {5}],
+        ids=["float-endpoint", "integral-float", "string", "triple", "single", "not-a-pair"],
+    )
+    def test_rejects_edges_that_are_not_integer_pairs(self, edges):
+        # (0, 1.5) used to build, and triangulate then raised KeyError: 1.5.
+        with pytest.raises(ModelFormatError, match="edges must be pairs of integers"):
+            MarkovNet(3, edges)
+
+    @pytest.mark.parametrize("m", ["3", 3.0, None])
+    def test_rejects_a_count_that_is_not_an_integer(self, m):
+        # 3.0 used to build, and triangulate then failed with a bare TypeError.
+        with pytest.raises(ModelFormatError, match=f"node count {m!r} is not an integer"):
+            MarkovNet(m, {(0, 1)})
+
+    def test_edges_become_sorted_python_int_pairs(self):
+        net = MarkovNet(3, {(np.int64(2), np.uint8(0)), (1, 0)})
+        assert net.edges == frozenset({(0, 2), (0, 1)})
+        assert all(type(u) is int for edge in net.edges for u in edge)
 
 
 class TestMoralize:
@@ -453,3 +450,12 @@ class TestMarkovBlanket:
             adjacency = moral.adjacency()
             for v in range(net.m):
                 assert net.blankets[v] == adjacency[v]
+
+    def test_blanket_cpts_are_the_node_and_its_children(self):
+        net = random_bn(np.random.default_rng(41), 7, edge_prob=0.4, max_parents=3)
+        assert net.blanket_cpts is net.blanket_cpts
+        for v in range(net.m):
+            owners = [cpt.owner for cpt in net.blanket_cpts[v]]
+            assert owners == sorted((v, *net.children[v]))
+            assert all(cpt is net.cpts[u] for cpt, u in zip(net.blanket_cpts[v], owners))
+        assert net.variables == frozenset(range(7))

@@ -1,13 +1,14 @@
 """Trusted construction gives what the public constructors give.
 
-The loader, the consensus builders and the dense kernels build their
-models without re-running the constructors' checks (joint._trusted and
-joint._trusted_table). Each test here runs such a call twice: once as
-the package runs it, and once with the trusted path swapped for the
-public constructors, which check and convert every field. The two
-results must agree field for field, the type of every value included
-(a numpy scalar where the constructor stores a Python float is a
-failure, though == would pass), and on the bytes of the saved text.
+The loader, the structure transforms, the consensus builders and the
+dense kernels build their models without re-running the constructors'
+checks (joint._trusted and joint._trusted_table). Each test here runs
+such a call twice: once as the package runs it, and once with the
+trusted path swapped for the public constructors, which check and
+convert every field. The two results must agree field for field, the
+type of every value included (a numpy scalar where the constructor
+stores a Python float is a failure, though == would pass), and on the
+bytes of the saved text.
 """
 
 import contextlib
@@ -32,6 +33,7 @@ from beliefpool import (
 from beliefpool import axioms, consensus, inference, joint, model_io, networks, pools
 from beliefpool.joint import condition
 from beliefpool.model_io import align_variables, json_text, network_from_dict, network_to_dict
+from beliefpool.networks import direct_by_order, mn_union, moralize, triangulate
 from beliefpool.sampling import random_bn, random_joint, random_weights
 
 from test_model_io import labelled_bns
@@ -70,6 +72,8 @@ def snapshot(value):
         return ("ndarray", value.dtype.str, value.shape, value.flags.writeable, value.tobytes())
     if isinstance(value, tuple):
         return ("tuple",) + tuple(map(snapshot, value))
+    if isinstance(value, frozenset):
+        return ("frozenset",) + tuple(sorted(map(snapshot, value)))
     if isinstance(value, float):
         return (type(value).__name__, struct.pack("<d", value))
     return (type(value).__name__, value)
@@ -128,6 +132,32 @@ def test_consensus_networks(seed, m, n_agents, dense_oracle):
     assert trusted == public
     provenance = {"elimination_order": [labels[v] for v in trusted.elimination_order]}
     assert_same_network(trusted.bn, public.bn, provenance)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 9),
+    n_agents=st.integers(1, 3),
+    labelled=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_structure_transforms(seed, m, n_agents, labelled):
+    rng = np.random.default_rng(seed)
+    labels = tuple(f"x{i}" for i in range(m)) if labelled else None
+    agents = [
+        BayesNet(random_bn(rng, m, edge_prob=0.4, max_parents=3).cpts, labels)
+        for _ in range(n_agents)
+    ]
+
+    def build():
+        morals = tuple(moralize(bn) for bn in agents) + (moralize(agents[0].dag()),)
+        union = mn_union(morals[:n_agents])
+        chordal, order = triangulate(union)
+        return morals, union, chordal, order, direct_by_order(chordal, order)
+
+    trusted, public = both_routes(build)
+    assert snapshot(trusted) == snapshot(public)
+    assert trusted == public
 
 
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 5))
