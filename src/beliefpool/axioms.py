@@ -21,6 +21,7 @@ from .joint import (
     JointTable,
     condition,
     conditional_probability,
+    contract,
     factor_product,
     marginal,
     pairwise_dependence_gap,
@@ -288,7 +289,7 @@ def family_pooled_joint(
     # sits on axis m - j of the plain reshape.
     mass = stacked.reshape((len(tables),) + (2,) * m)
     mass = mass.transpose((0,) + tuple(m - v for v in ordering))
-    joint = np.ones((2,) * m)
+    factors = []
     for k in range(m):
         # Mass of (prefix context, node) per agent; axis i + 1 is ordering[i].
         family = mass.sum(axis=tuple(range(k + 2, m + 1)))
@@ -312,9 +313,9 @@ def family_pooled_joint(
                     "every chain-rule context must have positive mass"
                 )
             raise DegenerateProduct("event and complement both pooled to zero mass")
-        joint *= factor.reshape(factor.shape + (1,) * (m - k - 1))
-    # Back to state-index layout: variable j on axis m - 1 - j.
-    return _trusted_table(m, joint.transpose(np.argsort(ordering)[::-1]).ravel())
+        factors.append((ordering[: k + 1], factor))
+    # State-index layout: variable j on axis m - 1 - j.
+    return _trusted_table(m, contract(factors, range(m - 1, -1, -1)).ravel())
 
 
 def _fa_gap(pool: str, inst: FamilyInstance) -> float:

@@ -12,7 +12,7 @@ three passes over the elimination order (a reverse topological order):
 1. For each node and each parent instantiation, the node's neighbors
    are fixed (parents by the instantiation, children all true, or all
    false if an agent's conditional is degenerate on that) and every
-   agent is asked for its conditional on that context.
+   agent of positive weight is asked for its conditional on it.
 2. One pooled_log_odds call pools the agents' conditionals for every
    row of the build.
 3. Each row's log-odds gains each already-filled child's log-ratio,
@@ -71,8 +71,9 @@ class ConsensusBn:
     """A consensus network plus how it was built.
 
     agent_queries counts the per-agent inference calls issued while
-    filling in CPTs; the dense_oracle route issues none. Raises
-    NotChordal unless bn is decomposable.
+    filling in CPTs; zero-weight agents are never asked, and the
+    dense_oracle route issues none. Raises NotChordal unless bn is
+    decomposable.
     """
 
     bn: BayesNet
@@ -130,6 +131,8 @@ def _structured_cpts(
     structure: Dag,
     elimination_order: EliminationOrder,
 ) -> tuple[list[Cpt], int]:
+    # A zero-weight agent drops out of the pool, so it is never asked.
+    bns, w = [bn for bn, wi in zip(bns, w) if wi > 0.0], w[w > 0.0]
     parents, children = structure.parents, structure.children()
     queries = 0
 
@@ -241,13 +244,13 @@ def logop_consensus_bn(
     The default path parameterizes the consensus structure from
     per-agent inference queries alone, in the three passes of the
     module docstring: each CPT row is the logistic of the agents'
-    pooled log-odds plus the child log-ratios. Only an agent's
-    conditional of 0 or 1 (from an agent CPT row of 0 or 1, or a
-    conditional that rounds to 0 or 1 or underflows) or a context with
-    zero evidence raises DegenerateCpt. dense_oracle=True instead fills
-    the CPTs by one elimination pass over the agents' weighted CPT
-    product, which handles such agents at any size and raises
-    DegenerateProduct when the pool has zero mass.
+    pooled log-odds plus the child log-ratios. Only the conditional of
+    0 or 1 of an agent of positive weight (from an agent CPT row of 0
+    or 1, or a conditional that rounds to 0 or 1 or underflows) or a
+    context with zero evidence raises DegenerateCpt. dense_oracle=True
+    instead fills the CPTs by one elimination pass over the agents'
+    weighted CPT product, which handles such agents at any size and
+    raises DegenerateProduct when the pool has zero mass.
     """
     _check_agents(bns)
     w = normalize_weights(weights, len(bns))

@@ -14,12 +14,12 @@ widths stay small. A query takes one of two routes:
   ancestral set of its target and evidence: the CPTs of every other
   node are barren and sum to one. The CPTs left give the whole
   P(event), and a zero-probability conditioning event stays exactly
-  zero on any network.
+  zero on any network. Each elimination bucket is one joint.contract
+  call, the one factor product.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import index
 from typing import Iterable, Sequence
 
@@ -31,48 +31,19 @@ from .errors import (
     UnknownVariable,
     ZeroEvidence,
 )
-from .joint import Assignment, _trusted
+from .joint import Assignment, _trusted, contract
 from .networks import BayesNet, Cpt, Dag, min_fill_order
-
-
-@dataclass(eq=False)
-class _Factor:
-    """Table over a strictly increasing variable tuple; axis i = vars[i]."""
-
-    vars: tuple[int, ...]
-    table: np.ndarray
 
 
 _ALL = slice(None)  # the index that keeps an unobserved variable's axis
 
 
-def _expand(factor: _Factor, out_vars: tuple[int, ...]) -> np.ndarray:
+def _expand(
+    variables: tuple[int, ...], table: np.ndarray, out: tuple[int, ...]
+) -> np.ndarray:
     # Both variable tuples are sorted, so inserting singleton axes for
     # the missing variables aligns the tables for broadcasting.
-    shape = tuple(2 if v in factor.vars else 1 for v in out_vars)
-    return factor.table.reshape(shape)
-
-
-def _product(factors: Sequence[_Factor]) -> _Factor:
-    """Product of the factors, multiplied in the order given."""
-    if not factors:
-        return _Factor((), np.array(1.0))
-    scope = factors[0].vars
-    if all(f.vars == scope for f in factors):
-        tables = [f.table for f in factors]
-    else:
-        scope = tuple(sorted({v for f in factors for v in f.vars}))
-        tables = [_expand(f, scope) for f in factors]
-    table = tables[0]
-    for t in tables[1:]:
-        table = np.multiply(table, t)
-    return _Factor(scope, table)
-
-
-def _sum_out(factor: _Factor, var: int) -> _Factor:
-    axis = factor.vars.index(var)
-    remaining = factor.vars[:axis] + factor.vars[axis + 1 :]
-    return _Factor(remaining, factor.table.sum(axis=axis))
+    return table.reshape(tuple(2 if v in variables else 1 for v in out))
 
 
 def _ancestral_set(bn: BayesNet, variables: set[int]) -> list[int]:
@@ -89,37 +60,40 @@ def _ancestral_set(bn: BayesNet, variables: set[int]) -> list[int]:
 
 def _run(
     bn: BayesNet, evidence: Assignment, keep: set[int], nodes: Iterable[int]
-) -> _Factor:
+) -> tuple[tuple[int, ...], np.ndarray]:
     """Eliminate everything outside keep after restricting by evidence.
 
     evidence maps each observed variable to its state, as
     _check_assignment returns it. Only the CPTs of nodes enter. Queries
     pass the ancestral set of keep and the evidence, whose product
     summed over the rest is the joint probability of each
-    keep-assignment with the evidence. When every restricted factor
-    lies inside keep, nothing is eliminated and no elimination order is
-    computed.
+    keep-assignment with the evidence. Each bucket is one contract call
+    that sums out its variable; the factors left are multiplied onto
+    their sorted variables. When every restricted factor lies inside
+    keep, nothing is eliminated and no elimination order is computed.
     """
-    factors = []
+    factors = []  # (variables, table) pairs, axis i = variables[i]
     for v in nodes:
         cpt = bn.cpts[v]
         family = cpt.family
         restrict = tuple([int(evidence[u]) if u in evidence else _ALL for u in family])
         free = tuple([u for u in family if u not in evidence])
-        factors.append(_Factor(free, cpt.table[restrict]))
-    scope = {v for f in factors for v in f.vars}
+        factors.append((free, cpt.table[restrict]))
+    scope = {v for variables, _ in factors for v in variables}
     if not scope <= keep:
         adj: dict[int, set[int]] = {v: set() for v in scope}
-        for f in factors:
-            for u, w in itertools.combinations(f.vars, 2):
+        for variables, _ in factors:
+            for u, w in itertools.combinations(variables, 2):
                 adj[u].add(w)
                 adj[w].add(u)
         order, _ = min_fill_order(adj, keep)
         for v in order:
-            bucket = [f for f in factors if v in f.vars]
-            factors = [f for f in factors if v not in f.vars]
-            factors.append(_sum_out(_product(bucket), v))
-    return _product(factors)
+            bucket = [f for f in factors if v in f[0]]
+            factors = [f for f in factors if v not in f[0]]
+            rest = tuple(sorted({u for variables, _ in bucket for u in variables} - {v}))
+            factors.append((rest, contract(bucket, rest)))
+    variables = tuple(sorted(scope & keep))
+    return variables, contract(factors, variables)
 
 
 def weighted_product_cpts(
@@ -139,7 +113,7 @@ def weighted_product_cpts(
     # Log space keeps 1e-300 rows from underflowing; w = 0 drops out (0**0=1).
     with np.errstate(divide="ignore"):
         factors = [
-            _Factor(cpt.family, w * np.log(cpt.table))
+            (cpt.family, w * np.log(cpt.table))
             for bn, w in zip(bns, weights)
             if w > 0.0
             for cpt in bn.cpts
@@ -149,10 +123,10 @@ def weighted_product_cpts(
         parents = structure.parents[v]
         family = tuple(sorted((v,) + parents))
         table = np.zeros((2,) * len(family))
-        for f in factors:
-            if v in f.vars:
-                table = table + _expand(f, family)
-        factors = [f for f in factors if v not in f.vars]
+        for variables, log_table in factors:
+            if v in variables:
+                table = table + _expand(variables, log_table, family)
+        factors = [f for f in factors if v not in f[0]]
         axis = family.index(v)
         rest = family[:axis] + family[axis + 1 :]
         log_mass = np.logaddexp.reduce(table, axis=axis)
@@ -168,7 +142,7 @@ def weighted_product_cpts(
         cpts[v] = _trusted(
             Cpt, owner=v, parents=parents, rows=tuple(rows.ravel(order="F").tolist())
         )
-        factors.append(_Factor(rest, log_mass))
+        factors.append((rest, log_mass))
     return [cpts[v] for v in range(structure.m)]
 
 
@@ -248,7 +222,7 @@ def query_event_marginal(bn: BayesNet, event: Assignment) -> float:
     """Probability that every variable in event takes its given value."""
     states = _check_assignment(bn, event)
     nodes = _ancestral_set(bn, set(states))
-    return float(_run(bn, states, set(), nodes).table)
+    return float(_run(bn, states, set(), nodes)[1])
 
 
 def query_conditional(
@@ -269,10 +243,10 @@ def query_conditional(
         if given.keys() >= bn.blankets[v]:
             return _blanket_conditional(bn, v, x, given)
     nodes = _ancestral_set(bn, set(wanted) | set(given))
-    result = _run(bn, given, set(wanted), nodes)
-    total = float(result.table.sum())
+    variables, table = _run(bn, given, set(wanted), nodes)
+    total = float(table.sum())
     if total <= 0.0:
         raise ZeroEvidence("conditioning event has probability zero")
     if not wanted:
         return 1.0
-    return float(result.table[tuple(int(wanted[v]) for v in result.vars)]) / total
+    return float(table[tuple(int(wanted[v]) for v in variables)]) / total

@@ -2,10 +2,11 @@
 
 A table over m variables holds 2**m state probabilities. State index
 encoding: bit j of the index (least significant bit = variable 0) is 1
-exactly when variable j is true; factor_product, the one dense product
-of factors, indexes each factor's table the same way over the factor's
-own variables. All tables are normalized on construction and immutable
-afterwards.
+exactly when variable j is true. contract is the one factor product:
+one einsum call that serves factor_product, which indexes each flat
+factor table the same way over the factor's own variables, the
+variable-elimination buckets and the chain-rule pool. All tables are
+normalized on construction and immutable afterwards.
 
 Each model is validated once, where it enters: the JointTable
 constructor checks every input. The dense kernels (bn_to_joint, linop,
@@ -130,6 +131,30 @@ def state_index(bits: Sequence[bool]) -> int:
     return idx
 
 
+def contract(
+    factors: Iterable[tuple[Sequence[int], np.ndarray]], out: Sequence[int]
+) -> np.ndarray:
+    """The one factor product: factors (variables, table), axis i of a
+    table being variables[i], multiplied in the order given (none give
+    1.0) and summed over every variable not in out, which some factor
+    must read; axis i of the result is out[i]. A sum over a variable that
+    every factor reads, as in a VE bucket, adds its two products; einsum
+    may regroup other sums. Labels are numbered per call, so only a call
+    over more than 52 variables, too many to allocate, runs out of them.
+    Folding the first 31 factors into one keeps each product's order."""
+    factors = list(factors)
+    if not factors:
+        return np.ones(())
+    while len(factors) > 31:  # einsum's operand limit: 31 in numpy 1.x, 63 in 2.x
+        scope = tuple(dict.fromkeys(v for variables, _ in factors[:31] for v in variables))
+        factors[:31] = [(scope, contract(factors[:31], scope))]
+    labels: dict[int, int] = {}
+    operands: list = []
+    for variables, table in factors:
+        operands += (table, [labels.setdefault(v, len(labels)) for v in variables])
+    return np.einsum(*operands, [labels[v] for v in out])
+
+
 def factor_product(
     m: int, factors: Iterable[tuple[Sequence[int], np.ndarray]]
 ) -> np.ndarray:
@@ -137,15 +162,16 @@ def factor_product(
     the order given, where bit i of a table's index is the value of
     variables[i]: a CPT is the factor (parents + (owner,), 1 - rows then
     rows). Entries equal a running product from ones; no factors give ones."""
-    states = np.arange(1 << m)
-    product = None
-    for variables, table in factors:
-        index = np.zeros(1 << m, dtype=np.int64)
-        for i, v in enumerate(variables):
-            index |= ((states >> v) & 1) << i
-        values = np.asarray(table, dtype=np.float64)[index]
-        product = values if product is None else product * values
-    return np.ones(1 << m) if product is None else product
+    # A Fortran reshape puts index bit i on axis i, so axis i is variables[i].
+    tensors = [
+        (vs, np.reshape(np.asarray(t, dtype=np.float64), (2,) * len(vs), order="F"))
+        for vs, t in factors
+    ]
+    unread = tuple(sorted(set(range(m)).difference(*(vs for vs, _ in tensors))))
+    if unread:
+        tensors.append((unread, np.ones((2,) * len(unread))))
+    # Variable j on axis m - 1 - j: C order lists the states by index.
+    return contract(tensors, range(m - 1, -1, -1)).ravel()
 
 
 def _check_variables(m: int, variables: Iterable[int]) -> None:

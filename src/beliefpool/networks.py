@@ -443,11 +443,6 @@ def direct_by_order(mn: MarkovNet, order: Sequence[int]) -> Dag:
 
 
 def is_decomposable(structure: BayesNet | Dag) -> bool:
-    """Whether every node's parent set is already complete in the skeleton."""
-    dag = _as_dag(structure)
-    skeleton = dag.skeleton()
-    for ps in dag.parents:
-        for u, v in itertools.combinations(sorted(ps), 2):
-            if (u, v) not in skeleton:
-                return False
-    return True
+    """Whether every node's parent set is already complete in the
+    skeleton, that is, whether moralizing adds no edge."""
+    return moralize(structure).edges == _as_dag(structure).skeleton()

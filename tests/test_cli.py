@@ -287,6 +287,30 @@ class TestQuery:
         assert code == EXIT_OK
         assert out.strip() == "0.488926"
 
+    def test_zero_weight_agent_drops_out(self, capsys, tmp_path):
+        # Only the zero-weight agent z has a CPT row of 1.0.
+        paths = []
+        for name, rows in (("a", (0.3, 0.4)), ("z", (0.2, 1.0))):
+            path = tmp_path / f"{name}.json"
+            save_network(
+                BayesNet(
+                    (Cpt(0, (), (0.5,)), Cpt(1, (0,), rows)),
+                    labels=("rain", "traffic"),
+                ),
+                path,
+            )
+            paths.append(str(path))
+        code, _, _ = run(
+            capsys, "aggregate", *paths, "--pool", "logop", "--weights", "1,0"
+        )
+        assert code == EXIT_OK
+        code, out, _ = run(
+            capsys, "query", *paths, "--pool", "logop", "--weights", "1,0",
+            "--event", "traffic=1",
+        )
+        assert code == EXIT_OK
+        assert out.strip() == "0.350000"
+
     def test_contradictory_event_prints_zero(self, capsys, agent_files):
         code, out, _ = run(
             capsys, "query", *agent_files, "--pool", "linop",

@@ -360,6 +360,18 @@ class TestLogopConsensusBn:
             bn_to_joint(queried.bn).probs, bn_to_joint(dense.bn).probs, atol=1e-12
         )
 
+    def test_zero_weight_agent_is_not_asked(self):
+        # Only the zero-weight agent has a row of 1.0. It drops out of the
+        # pool, so the query route asks the other agent alone.
+        sure = BayesNet((Cpt(0, (), (0.5,)), Cpt(1, (0,), (0.2, 1.0))))
+        result = logop_consensus_bn([CHAIN_A, sure], [1, 0])
+        dense = logop_consensus_bn([CHAIN_A, sure], [1, 0], dense_oracle=True)
+        np.testing.assert_allclose(
+            bn_to_joint(result.bn).probs, bn_to_joint(dense.bn).probs, atol=1e-12
+        )
+        rows = sum(1 << len(ps) for ps in result.bn.dag().parents)
+        assert result.agent_queries == rows
+
     @given(seed=st.integers(min_value=0, max_value=100_000), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_dense_oracle_on_extreme_rows(self, seed, data):

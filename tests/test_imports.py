@@ -5,11 +5,13 @@ linter runs on the package, so this test is the check that an import
 left behind by a deleted call does not stay. Every error is typed:
 no module raises a bare ValueError, and the caller errors that replace
 it are BeliefPoolErrors that a caller's `except ValueError` still
-catches. And only the functions that have already validated their
-input call the trusted construction path.
+catches. Only the functions that have already validated their
+input call the trusted construction path. And there is one factor
+product, joint.contract, the only caller of np.einsum.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -243,10 +245,10 @@ TRUSTED_CALLERS = {
 }
 
 
-def trusted_uses(source, module):
+def trusted_uses(source, module, names=TRUSTED_PATH):
     """(enclosing function, whether the use is a call's callee) for every
-    use of a trusted-path name; the function is "module.name", or None
-    at module level."""
+    use of one of names, the trusted-path names by default; the function
+    is "module.name", or None at module level."""
     tree = ast.parse(source)
     callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     uses = []
@@ -254,8 +256,8 @@ def trusted_uses(source, module):
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = f"{module}.{node.name}"
-        if isinstance(node, ast.Name) and node.id in TRUSTED_PATH or (
-            isinstance(node, ast.Attribute) and node.attr in TRUSTED_PATH
+        if isinstance(node, ast.Name) and node.id in names or (
+            isinstance(node, ast.Attribute) and node.attr in names
         ):
             uses.append((function, id(node) in callees))
         for child in ast.iter_child_nodes(node):
@@ -292,3 +294,20 @@ def test_only_validating_functions_call_the_trusted_path():
     ]
     assert all(is_call for _, is_call in uses)
     assert {function for function, _ in uses} == TRUSTED_CALLERS
+
+
+def test_one_factor_product():
+    """joint.contract is the one factor product: the only einsum call,
+    and the per-record VE factors and per-state index arrays it replaced
+    stay gone."""
+    uses = [
+        use
+        for path in MODULES
+        for use in trusted_uses(path.read_text(), path.stem, names=("einsum",))
+    ]
+    assert uses == [("joint.contract", True)]
+    for path in MODULES:
+        text = path.read_text()
+        for name in ("_Factor", "_product", "_sum_out"):
+            assert not re.search(rf"\b{name}\b", text), (path.name, name)
+        assert "np.arange(1 << m)" not in text, path.name

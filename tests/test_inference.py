@@ -1,6 +1,7 @@
 """Exact network queries checked against dense-table enumeration."""
 
 import itertools
+import math
 import re
 from unittest import mock
 
@@ -352,6 +353,32 @@ class TestQueryEventMarginal:
         got = query_event_marginal(CHAIN, {0: True, 1: False})
         assert got == pytest.approx(0.2 * 0.6)
 
+    def test_hub_bucket_past_einsum_operand_limit(self):
+        # Eliminating the hub multiplies its prior with 70 child factors
+        # in one bucket: more factors than one einsum call takes.
+        n = 70
+        q0 = [0.3 + 0.004 * i for i in range(n)]  # P(child i true | hub false)
+        q1 = [0.8 - 0.003 * i for i in range(n)]  # P(child i true | hub true)
+        net = BayesNet(
+            (Cpt(0, (), (0.4,)),)
+            + tuple(Cpt(i + 1, (0,), (q0[i], q1[i])) for i in range(n))
+        )
+        event = {i + 1: i % 3 != 0 for i in range(n)}
+
+        def given_hub(q, skip=()):
+            return math.prod(
+                q[i] if event[i + 1] else 1.0 - q[i] for i in range(n) if i not in skip
+            )
+
+        want = 0.6 * given_hub(q0) + 0.4 * given_hub(q1)
+        assert query_event_marginal(net, event) == pytest.approx(want, rel=1e-12)
+        # Child 1 kept: the hub's bucket sums onto it.
+        rest = {v: x for v, x in event.items() if v != 1}
+        true = 0.6 * q0[0] * given_hub(q0, {0}) + 0.4 * q1[0] * given_hub(q1, {0})
+        false = 0.6 * (1 - q0[0]) * given_hub(q0, {0}) + 0.4 * (1 - q1[0]) * given_hub(q1, {0})
+        got = query_conditional(net, {1: True}, rest)
+        assert got == pytest.approx(true / (true + false), rel=1e-12)
+
 
 class TestAgainstJoint:
     """Both VE branches against the dense joint, on any row values."""
@@ -452,15 +479,15 @@ class TestBlanketConditional:
         ((v, x),) = target.items()
         given = inference._check_assignment(net, evidence)
         nodes = sorted((v, *net.children[v]))
-        result = inference._run(net, given, {v}, nodes)
-        total = float(result.table.sum())
+        _, table = inference._run(net, given, {v}, nodes)
+        total = float(table.sum())
         with mock.patch.object(inference, "_run") as run:
             if total <= 0.0:
                 with pytest.raises(ZeroEvidence):
                     query_conditional(net, target, evidence)
             else:
                 got = query_conditional(net, target, evidence)
-                assert got == float(result.table[x]) / total
+                assert got == float(table[x]) / total
         run.assert_not_called()
 
     @given(seed=st.integers(min_value=0, max_value=100_000))

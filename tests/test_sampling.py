@@ -1,18 +1,20 @@
-"""The dense factor product and the table generators built on it.
+"""The factor product and the table generators built on it.
 
 Each generator and bn_to_joint must give exactly the entries of the
 per-variable state loops they replaced, which are kept here as
-references; the kernel itself is checked against a plain Python
-product over every state.
+references; the kernels (contract and factor_product) are checked
+against a plain Python product over every state.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from beliefpool import JointTable, bn_to_joint
-from beliefpool.joint import factor_product
+from beliefpool import JointTable, MarkovNet, bn_to_joint
+from beliefpool.joint import contract, factor_product
 from beliefpool.networks import moralize
 from beliefpool.sampling import (
     FLOOR,
@@ -125,9 +127,17 @@ def test_block_product_table_matches_loop(seed, m):
     assert same_entries(got, want)
 
 
-@pytest.mark.parametrize("seed, m", SEEDS_AND_SIZES)
-def test_markov_table_matches_loop(seed, m):
-    mn = moralize(random_dag(np.random.default_rng(seed), m, edge_prob=0.5))
+@pytest.mark.parametrize(
+    "seed, m, complete",
+    [pytest.param(seed, m, False, id=f"{seed}-{m}") for seed, m in SEEDS_AND_SIZES]
+    # 10 node and 45 edge potentials: more factors than one einsum call takes.
+    + [pytest.param(0, 10, True, id="complete-10")],
+)
+def test_markov_table_matches_loop(seed, m, complete):
+    if complete:
+        mn = MarkovNet(m, frozenset(itertools.combinations(range(m), 2)))
+    else:
+        mn = moralize(random_dag(np.random.default_rng(seed), m, edge_prob=0.5))
     got = random_markov_table(np.random.default_rng(seed), mn)
     assert same_entries(got, loop_markov_table(np.random.default_rng(seed), mn))
 
@@ -187,3 +197,63 @@ def per_state_product(m, factors):
 def test_factor_product_matches_per_state_product(case):
     m, factors = case
     assert np.array_equal(factor_product(m, factors), per_state_product(m, factors))
+
+
+@st.composite
+def contractions(draw):
+    """Up to 70 factors over up to 6 variables, each on an unsorted
+    variable list of 0 to 3 of them, and an out list drawn from the
+    variables some factor reads."""
+    factors = []
+    for _ in range(draw(st.integers(0, 70))):
+        variables = draw(st.permutations(range(6)))[: draw(st.integers(0, 3))]
+        table = draw(
+            st.lists(
+                st.floats(0.25, 4.0),
+                min_size=1 << len(variables),
+                max_size=1 << len(variables),
+            )
+        )
+        factors.append((tuple(variables), np.reshape(table, (2,) * len(variables))))
+    read = sorted({v for variables, _ in factors for v in variables})
+    out = draw(st.permutations(read))[: draw(st.integers(0, len(read)))]
+    return factors, tuple(out)
+
+
+def per_state_contract(factors, out):
+    """Sum over the states of every variable read, in increasing state
+    order, of the product of each factor's entry, from 1.0 in the
+    order given, into the entry of the state's out values."""
+    scope = sorted({v for variables, _ in factors for v in variables})
+    result = np.zeros((2,) * len(out))
+    for state in itertools.product((0, 1), repeat=len(scope)):
+        values = dict(zip(scope, state))
+        value = 1.0
+        for variables, table in factors:
+            value *= float(table[tuple(values[v] for v in variables)])
+        result[tuple(values[v] for v in out)] += value
+    return result
+
+
+@given(contractions())
+@example(([], ()))
+@example(([((), np.array(3.0)), ((), np.array(0.5))], ()))
+@example(([((1, 0), np.array([[1.0, 2.0], [3.0, 5.0]])), ((0,), np.array([0.5, 4.0]))], (0,)))
+# 70 factors over one variable: past the fold at 31 and numpy 2's 63 operands.
+@example(([((0,), np.array([0.5, 1.5]))] * 70, (0,)))
+@example(([((0,), np.array([0.5, 1.5]))] * 70, ()))
+@example(([((0,), np.array([1.25, 0.25])), ((), np.array(0.65309152))], ()))
+def test_contract_matches_per_state_product(case):
+    factors, out = case
+    got = contract(factors, out)
+    want = per_state_contract(factors, out)
+    summed = {v for variables, _ in factors for v in variables} - set(out)
+    assert got.shape == want.shape
+    if not summed or (len(summed) == 1 and all(summed <= set(vs) for vs, _ in factors)):
+        # Each entry is one running product, or, as in an elimination
+        # bucket, the sum of the two running products of its variable.
+        assert np.array_equal(got, want)
+    else:
+        # einsum may regroup: it moves a factor that is constant along a
+        # summed variable out of that sum.
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
