@@ -835,7 +835,8 @@ def run_oracle_suite(
         ]
         weights = random_weights(rng, n)
         consensus = logop_consensus_bn(agents, weights)
-        dense = logop([bn_to_joint(bn) for bn in agents], weights)
+        tables = [bn_to_joint(bn) for bn in agents]
+        dense = logop(tables, weights)
         err = float(
             np.max(np.abs(bn_to_joint(consensus.bn).probs - dense.probs))
         )
@@ -849,7 +850,7 @@ def run_oracle_suite(
         evidence = {g: bool(rng.integers(0, 2)) for g in given}
         got = linop_query(agents, {var: True}, evidence, weights)
         want = conditional_probability(
-            linop([bn_to_joint(bn) for bn in agents], weights),
+            linop(tables, weights),
             {var: True},
             evidence,
         )

@@ -16,6 +16,7 @@ across inputs, 4 degenerate CPT or zero-mass pool in consensus building,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -119,7 +120,15 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     models = _load_bayes_inputs(args.inputs)
     if args.pool == "linop":
         normalized = normalize_weights(weights, len(models))
-        manifest = LinopManifest(tuple(args.inputs), tuple(normalized))
+        # query resolves a manifest's relative inputs against its folder.
+        inputs = args.inputs
+        if args.out is not None:
+            folder = os.path.dirname(os.path.abspath(args.out))
+            inputs = [
+                p if os.path.isabs(p) else os.path.relpath(p, folder)
+                for p in inputs
+            ]
+        manifest = LinopManifest(tuple(inputs), tuple(normalized))
         _emit(manifest_to_dict(manifest), args.out)
         return EXIT_OK
     consensus = logop_consensus_bn(

@@ -1,9 +1,14 @@
 """Consensus structures and consensus networks for groups of agents.
 
-Structure side: moralize every agent network, union the undirected
-structures, triangulate, and orient along the elimination order. The
-result is a decomposable directed structure that can represent any
-geometric-mean consensus of the agents.
+The pool decides who shapes the consensus: an agent of weight 0 is not
+pooled (its factor is P**0 = 1), so logop_consensus_bn and linop_query
+drop it once, up front, and neither the structure, any CPT, nor any
+agent query sees it.
+
+Structure side: moralize every distinct agent structure, union the
+undirected structures, triangulate, and orient along the elimination
+order. The result is a decomposable directed structure that can
+represent any geometric-mean consensus of the agents.
 
 Numeric side: fill in that structure's CPTs so the implied joint equals
 the normalized weighted geometric mean of the agent joints, using only
@@ -12,7 +17,7 @@ three passes over the elimination order (a reverse topological order):
 1. For each node and each parent instantiation, the node's neighbors
    are fixed (parents by the instantiation, children all true, or all
    false if an agent's conditional is degenerate on that) and every
-   agent of positive weight is asked for its conditional on it.
+   pooled agent is asked for its conditional on it.
 2. One pooled_log_odds call pools the agents' conditionals for every
    row of the build.
 3. Each row's log-odds gains each already-filled child's log-ratio,
@@ -71,9 +76,9 @@ class ConsensusBn:
     """A consensus network plus how it was built.
 
     agent_queries counts the per-agent inference calls issued while
-    filling in CPTs; zero-weight agents are never asked, and the
-    dense_oracle route issues none. Raises NotChordal unless bn is
-    decomposable.
+    filling in CPTs; the dense_oracle route issues none. Zero-weight
+    agents shape neither the structure nor any CPT, so they are never
+    asked. Raises NotChordal unless bn is decomposable.
     """
 
     bn: BayesNet
@@ -91,10 +96,11 @@ def consensus_mn_structure(
     """Union of the agents' undirected structures.
 
     Directed inputs are moralized first; undirected inputs join as-is.
+    Equal inputs (models compare by value) are moralized once.
     """
     nets = [
         model if isinstance(model, MarkovNet) else moralize(model)
-        for model in models
+        for model in dict.fromkeys(models)
     ]
     return mn_union(nets)
 
@@ -113,7 +119,14 @@ def consensus_bn_structure(
     return direct_by_order(chordal, order), order
 
 
-def _check_agents(bns: Sequence[BayesNet]) -> int:
+def _pooled_agents(
+    bns: Sequence[BayesNet], weights: Sequence[float] | None
+) -> tuple[list[BayesNet], np.ndarray]:
+    """The agents of positive weight and their normalized weights.
+
+    Checks that every agent, pooled or not, has the same variable count
+    and that the weights are valid for all of them.
+    """
     if not bns:
         raise MalformedInstance("need at least one agent network")
     m = bns[0].m
@@ -122,7 +135,9 @@ def _check_agents(bns: Sequence[BayesNet]) -> int:
             raise MismatchedVariables(
                 f"agents disagree on variable count: {bn.m} != {m}"
             )
-    return m
+    w = normalize_weights(weights, len(bns))
+    pooled = w > 0.0
+    return [bn for bn, keep in zip(bns, pooled) if keep], w[pooled]
 
 
 def _structured_cpts(
@@ -130,10 +145,10 @@ def _structured_cpts(
     w: np.ndarray,
     structure: Dag,
     elimination_order: EliminationOrder,
+    labels: tuple[str, ...] | None,
 ) -> tuple[list[Cpt], int]:
-    # A zero-weight agent drops out of the pool, so it is never asked.
-    bns, w = [bn for bn, wi in zip(bns, w) if wi > 0.0], w[w > 0.0]
     parents, children = structure.parents, structure.children()
+    name = str if labels is None else labels.__getitem__
     queries = 0
 
     def agent_conditionals(node: int, context: dict[int, bool]) -> list[float]:
@@ -146,13 +161,12 @@ def _structured_cpts(
                 c = query_conditional(bn, target, context)
             except ZeroEvidence as err:
                 raise DegenerateCpt(
-                    f"an agent gives zero mass to a neighborhood "
-                    f"instantiation of node {node}"
+                    "an agent gives zero mass to a neighborhood instantiation"
                 ) from err
             if not 0.0 < c < 1.0:
                 raise DegenerateCpt(
-                    f"an agent's conditional for node {node} hit {c} "
-                    f"on a neighborhood instantiation"
+                    f"an agent's conditional hit {c} on a neighborhood "
+                    f"instantiation"
                 )
             conds.append(c)
         return conds
@@ -166,7 +180,7 @@ def _structured_cpts(
         start[node] = len(conds)
         # product varies its last factor fastest, and row bit i is parent i.
         ps, kids = parents[node][::-1], children[node]
-        for r, bits in enumerate(itertools.product((False, True), repeat=len(ps))):
+        for bits in itertools.product((False, True), repeat=len(ps)):
             failure: DegenerateCpt | None = None
             for outcome in (True, False) if kids else (True,):
                 context = dict(zip(ps, bits))
@@ -178,9 +192,13 @@ def _structured_cpts(
                 except DegenerateCpt as err:
                     failure = err
             else:
+                literals = ",".join(
+                    f"{name(p)}={int(b)}" for p, b in zip(parents[node], bits[::-1])
+                )
                 raise DegenerateCpt(
-                    f"node {node}, parent row {r}: {failure}; rerun with "
-                    f"dense_oracle=True to use the factor-product fill"
+                    f"variable {name(node)}, parent row {literals or '(none)'}: "
+                    f"{failure}; rerun with dense_oracle=True to use the "
+                    f"factor-product fill"
                 ) from failure
 
     # Pass 2: agent on axis 0, row on axis 1.
@@ -251,19 +269,23 @@ def logop_consensus_bn(
     instead fills the CPTs by one elimination pass over the agents'
     weighted CPT product, which handles such agents at any size and
     raises DegenerateProduct when the pool has zero mass.
+
+    Agents of weight 0 are checked for their variable count and then
+    dropped: the structure, the CPTs and agent_queries come from the
+    positive-weight agents alone. The labels are the first agent's.
     """
-    _check_agents(bns)
-    w = normalize_weights(weights, len(bns))
-    structure, order = consensus_bn_structure([bn.dag() for bn in bns])
+    agents, w = _pooled_agents(bns, weights)
+    labels = bns[0].labels
+    structure, order = consensus_bn_structure([bn.dag() for bn in agents])
     if dense_oracle:
-        cpts = weighted_product_cpts(bns, w, structure, order)
+        cpts = weighted_product_cpts(agents, w, structure, order)
         queries = 0
     else:
-        cpts, queries = _structured_cpts(bns, w, structure, order)
+        cpts, queries = _structured_cpts(agents, w, structure, order, labels)
     # direct_by_order has validated structure (acyclic, and decomposable
     # by its chordality check) and the CPTs follow it node by node.
     consensus = _trusted(
-        BayesNet, cpts=tuple(cpts), labels=bns[0].labels, _dag=structure
+        BayesNet, cpts=tuple(cpts), labels=labels, _dag=structure
     )
     return _trusted(
         ConsensusBn, bn=consensus, elimination_order=order, agent_queries=queries
@@ -280,10 +302,10 @@ def linop_query(
 
     The arithmetic pool commutes with marginalization, so the pooled
     conditional is the ratio of weighted sums of per-agent event
-    probabilities; no pooled model is ever constructed.
+    probabilities; no pooled model is ever constructed. Agents of
+    weight 0 add nothing to either sum, so they are never queried.
     """
-    _check_agents(bns)
-    w = normalize_weights(weights, len(bns))
+    bns, w = _pooled_agents(bns, weights)
     evidence = dict(evidence or {})
     merged = dict(evidence)
     contradiction = False

@@ -105,17 +105,18 @@ def weighted_product_cpts(
     """CPTs over structure for the geometric pool of the agents.
 
     That pool is the normalized product of every agent's CPT factors,
-    each raised to the agent's weight. Each node's parents must be its
-    neighbors eliminated later, as consensus_bn_structure returns them,
-    so one elimination pass finds every bucket inside a family. Rows of
-    zero mass get 0.5; zero mass on every state raises DegenerateProduct.
+    each raised to the agent's weight. Every weight is positive: the
+    caller drops zero-weight agents, which the pool ignores. Each node's
+    parents must be its neighbors eliminated later, as
+    consensus_bn_structure returns them, so one elimination pass finds
+    every bucket inside a family. Rows of zero mass get 0.5; zero mass
+    on every state raises DegenerateProduct.
     """
-    # Log space keeps 1e-300 rows from underflowing; w = 0 drops out (0**0=1).
+    # Log space keeps 1e-300 rows from underflowing.
     with np.errstate(divide="ignore"):
         factors = [
             (cpt.family, w * np.log(cpt.table))
             for bn, w in zip(bns, weights)
-            if w > 0.0
             for cpt in bn.cpts
         ]
     cpts: dict[int, Cpt] = {}

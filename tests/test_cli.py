@@ -204,6 +204,9 @@ class TestAggregate:
         assert code == EXIT_DEGENERATE
         assert "zero mass" in err
         assert "--dense-oracle" in err
+        # The variable and its parent row go by label, in literal syntax.
+        assert err.startswith("error: variable A1, parent row A2=1: ")
+        assert "node 0" not in err
         code, _, _ = run(
             capsys, "aggregate", *paths, "--pool", "logop", "--dense-oracle"
         )
@@ -435,6 +438,26 @@ class TestQuery:
         )
         assert code == EXIT_OK
         assert out.strip() == "0.365000"
+
+    @pytest.mark.parametrize("out", ["sub/pool.json", "pool.json", "../pool.json"])
+    def test_manifest_saved_elsewhere_queries_back(
+        self, capsys, tmp_path, monkeypatch, agent_files, out
+    ):
+        # Relative inputs are written relative to the manifest's folder.
+        work = tmp_path / "work"
+        (work / "sub").mkdir(parents=True)
+        monkeypatch.chdir(work)
+        inputs = ["../a.json", "../b.json"]
+        code, _, _ = run(
+            capsys, "aggregate", *inputs, "--pool", "linop",
+            "--weights", "2,1", "--out", out,
+        )
+        assert code == EXIT_OK
+        query = ["--pool", "linop", "--event", "A1=1", "--given", "A2=1"]
+        _, direct, _ = run(capsys, "query", *inputs, *query, "--weights", "2,1")
+        code, answer, err = run(capsys, "query", out, *query)
+        assert (code, err) == (EXIT_OK, "")
+        assert answer == direct == "0.612500\n"
 
     def test_manifest_needs_linop(self, capsys, tmp_path, monkeypatch, agent_files):
         monkeypatch.chdir(tmp_path)

@@ -36,7 +36,8 @@ from beliefpool import (
 )
 from beliefpool.consensus import consensus_mn_structure
 from beliefpool.joint import conditional_probability
-from beliefpool.networks import is_decomposable
+from beliefpool.model_io import json_text, network_to_dict
+from beliefpool.networks import is_decomposable, moralize
 from beliefpool import consensus, inference
 from beliefpool.pools import logistic, normalize_weights, pooled_log_odds
 from beliefpool.axioms import chain_agents
@@ -108,6 +109,14 @@ class TestConsensusStructures:
         got = consensus_mn_structure([bn, mn])
         # Moralizing the shared-child network marries 0 and 1.
         assert got.edges == frozenset({(0, 1), (0, 2), (1, 2)})
+
+    def test_shared_structure_moralized_once(self):
+        rng = np.random.default_rng(5)
+        agents = random_common_structure_bns(rng, 12, 3, max_parents=2)
+        with mock.patch.object(consensus, "moralize", wraps=moralize) as moral:
+            structure, _ = consensus_bn_structure([a.dag() for a in agents])
+        assert moral.call_count == 1
+        assert moralize(agents[0]).edges <= structure.skeleton()
 
     def test_chain_pair_orientation(self):
         structure, order = consensus_bn_structure([CHAIN_A, CHAIN_B])
@@ -372,6 +381,61 @@ class TestLogopConsensusBn:
         rows = sum(1 << len(ps) for ps in result.bn.dag().parents)
         assert result.agent_queries == rows
 
+    @pytest.mark.parametrize("dense_oracle", [False, True])
+    def test_zero_weight_agent_does_not_widen_structure(self, dense_oracle):
+        # A sparse agent pooled alone, beside a wider agent of weight 0.
+        labels = tuple(f"v{i}" for i in range(14))
+        a = random_bn(np.random.default_rng(0), 14, edge_prob=0.1, max_parents=2)
+        z = random_bn(np.random.default_rng(1), 14, edge_prob=0.3, max_parents=3)
+        a, z = (BayesNet(bn.cpts, labels=labels) for bn in (a, z))
+        result = logop_consensus_bn([a, z], (1, 0), dense_oracle=dense_oracle)
+        alone = logop_consensus_bn([a], dense_oracle=dense_oracle)
+        assert result.agent_queries == (0 if dense_oracle else 25)
+        assert max(len(ps) for ps in result.bn.dag().parents) == 2
+        assert json_text(network_to_dict(result.bn)) == json_text(
+            network_to_dict(alone.bn)
+        )
+
+    @given(
+        seed=st.integers(min_value=0, max_value=100_000),
+        dense_oracle=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_zero_weight_agent_changes_nothing(self, seed, dense_oracle, data):
+        # The saved consensus and the query count with an extra agent of
+        # weight 0, of any structure and with rows of 0 or 1, are those
+        # of the build without it.
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 7))
+        n = int(rng.integers(1, 4))
+        labels = tuple(f"v{i}" for i in range(m))
+        agents = [
+            BayesNet(random_bn(rng, m, max_parents=2).cpts, labels=labels)
+            for _ in range(n)
+        ]
+        w = list(random_weights(rng, n))
+        dag = random_dag(rng, m, edge_prob=0.6, max_parents=3)
+        zero = BayesNet(tuple(
+            Cpt(v, ps, data.draw(st.lists(
+                st.sampled_from((0.0, 1e-300, 0.5, 1.0)),
+                min_size=1 << len(ps), max_size=1 << len(ps),
+            )))
+            for v, ps in enumerate(dag.parents)
+        ), labels=labels)
+        at = data.draw(st.integers(0, n))
+        with_zero = logop_consensus_bn(
+            agents[:at] + [zero] + agents[at:], w[:at] + [0.0] + w[at:],
+            dense_oracle=dense_oracle,
+        )
+        without = logop_consensus_bn(agents, w, dense_oracle=dense_oracle)
+        saved, want = (
+            network_to_dict(result.bn) for result in (with_zero, without)
+        )
+        for key in ("variables", "edges", "cpts"):
+            assert json_text({key: saved[key]}) == json_text({key: want[key]})
+        assert with_zero.agent_queries == without.agent_queries
+
     @given(seed=st.integers(min_value=0, max_value=100_000), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_dense_oracle_on_extreme_rows(self, seed, data):
@@ -447,6 +511,8 @@ class TestLogopConsensusBn:
         with pytest.raises(DegenerateCpt, match="zero mass") as exc:
             logop_consensus_bn([never, halves])
         assert "dense_oracle=True" in str(exc.value)
+        # Without labels the variable goes by its index.
+        assert str(exc.value).startswith("variable 0, parent row 1=1: ")
         assert isinstance(exc.value.__cause__.__cause__, ZeroEvidence)
         fallback = logop_consensus_bn([never, halves], dense_oracle=True)
         dense = logop([bn_to_joint(never), bn_to_joint(halves)])
@@ -503,6 +569,29 @@ class TestLinopQuery:
         got = linop_query([CHAIN_B], {1: True}, {0: True})
         want = conditional_probability(bn_to_joint(CHAIN_B), {1: True}, {0: True})
         assert got == pytest.approx(want, abs=1e-15)
+
+    @given(seed=st.integers(min_value=0, max_value=100_000))
+    @settings(max_examples=30, deadline=None)
+    def test_zero_weight_agent_is_not_queried(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 7))
+        n = int(rng.integers(1, 4))
+        agents = [random_bn(rng, m, max_parents=3) for _ in range(n)]
+        zero = random_bn(rng, m, max_parents=3)
+        w = list(random_weights(rng, n))
+        at = int(rng.integers(0, n + 1))
+        variables = list(rng.permutation(m))
+        event = {variables[0]: bool(rng.integers(0, 2))}
+        evidence = {variables[1]: bool(rng.integers(0, 2))}
+        with mock.patch.object(
+            consensus, "query_event_marginal", wraps=inference.query_event_marginal
+        ) as marginal_query:
+            got = linop_query(
+                agents[:at] + [zero] + agents[at:], event, evidence,
+                w[:at] + [0.0] + w[at:],
+            )
+        assert all(call.args[0] is not zero for call in marginal_query.call_args_list)
+        assert got == linop_query(agents, event, evidence, w)
 
     @given(seed=st.integers(min_value=0, max_value=100_000))
     @settings(max_examples=40, deadline=None)
