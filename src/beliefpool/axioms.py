@@ -1,9 +1,9 @@
-"""Checkable pooling properties, worked fixtures, and witness searches.
+"""Checkable pooling properties, worked fixtures, and negative controls.
 
 Each property gets an instance type carrying the agent tables plus
 whatever the property quantifies over, and a checker that returns a
 violation magnitude. check_property applies one pool to many instances
-and reports pass/fail against a tolerance. Expected-failure searches
+and reports pass/fail against a tolerance. Expected failures
 (independence broken by pooling, order-dependent family aggregation)
 live here too, alongside deterministic report suites for the CLI.
 """
@@ -693,38 +693,7 @@ def reproduce_example(example_id: str) -> ExampleReport:
 
 
 # ---------------------------------------------------------------------------
-# Witness searches and negative controls
-
-
-@dataclass(frozen=True)
-class NmeippWitness:
-    """A sampled agent pair whose geometric pool broke independence."""
-
-    trial: int
-    violation: float
-    agents: tuple[BayesNet, BayesNet]
-
-
-def search_nmeipp_violation(seed: int, trials: int = 100) -> NmeippWitness | None:
-    """Look for pairwise independence broken by geometric pooling.
-
-    Samples shared-effect agent pairs (variables 0 and 1 independent
-    for each agent but not mutually independent with variable 2) and
-    returns the first whose pooled table has an independence gap above
-    1e-6. Deterministic for a fixed seed.
-    """
-    rng = np.random.default_rng(seed)
-    for trial in range(trials):
-        agents = random_vstructure_pair(rng)
-        tables = tuple(bn_to_joint(bn) for bn in agents)
-        if any(pairwise_dependence_gap(t, 0, 1) > 1e-12 for t in tables):
-            continue
-        if all(_product_gap(t) <= 1e-9 for t in tables):
-            continue  # mutually independent sample: hypothesis not met
-        violation = pairwise_dependence_gap(logop(tables), 0, 1)
-        if violation > 1e-6:
-            return NmeippWitness(trial, violation, agents)
-    return None
+# Negative-control witnesses
 
 
 def linop_eb_break_witness() -> tuple[EvidenceInstance, float]:
@@ -794,16 +763,6 @@ def run_axioms_suite(seed: int = 0, trials: int = 20) -> tuple[tuple[str, ...], 
         f"negative-control fig1d-logop seed={_FIG1D_SEED} "
         f"{'ok' if fig1d.ok else 'UNEXPECTED'}"
     )
-    witness = search_nmeipp_violation(seed=_FIG1D_SEED, trials=50)
-    ok = witness is not None
-    all_ok &= ok
-    if witness is not None:
-        lines.append(
-            f"nmeipp-search seed={_FIG1D_SEED} witness trial={witness.trial} "
-            f"violation={witness.violation:.3e} ok"
-        )
-    else:
-        lines.append(f"nmeipp-search seed={_FIG1D_SEED} no witness UNEXPECTED")
     return tuple(lines), all_ok
 
 

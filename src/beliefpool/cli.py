@@ -42,7 +42,7 @@ from .model_io import (
     manifest_to_dict,
     network_to_dict,
 )
-from .networks import BayesNet, MarkovNet
+from .networks import BayesNet
 from .pools import POOL_NAMES, normalize_weights
 
 EXIT_OK = 0
@@ -85,17 +85,8 @@ def _parse_literals(text: str, labels: Sequence[str]) -> dict[int, bool]:
     return out
 
 
-def _require_bayes(path: str, model: BayesNet | MarkovNet) -> BayesNet:
-    if isinstance(model, MarkovNet):
-        raise _UsageError(
-            f"{path} is a markov network; pooling needs bayes networks "
-            f"(structure union for markov inputs is a library operation)"
-        )
-    return model
-
-
 def _load_bayes_inputs(paths: Sequence[str]) -> list[BayesNet]:
-    return align_variables([_require_bayes(p, load_network(p)) for p in paths])
+    return align_variables([load_network(p) for p in paths])
 
 
 def _emit(data: dict, out: str | None) -> None:
@@ -162,7 +153,7 @@ def _resolve_query_inputs(
             if weights is None:
                 weights = model.weights
             return _load_bayes_inputs(paths), weights
-        return align_variables([_require_bayes(args.inputs[0], model)]), weights
+        return align_variables([model]), weights
     return _load_bayes_inputs(args.inputs), weights
 
 

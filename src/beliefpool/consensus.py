@@ -124,8 +124,9 @@ def _pooled_agents(
 ) -> tuple[list[BayesNet], np.ndarray]:
     """The agents of positive weight and their normalized weights.
 
-    Checks that every agent, pooled or not, has the same variable count
-    and that the weights are valid for all of them.
+    Checks that every agent, pooled or not, has the same variable count,
+    the same label order where both carry labels (agents are pooled by
+    index), and that the weights are valid for all of them.
     """
     if not bns:
         raise MalformedInstance("need at least one agent network")
@@ -135,6 +136,12 @@ def _pooled_agents(
             raise MismatchedVariables(
                 f"agents disagree on variable count: {bn.m} != {m}"
             )
+    orders = list(dict.fromkeys(bn.labels for bn in bns if bn.labels is not None))
+    if len(orders) > 1:
+        raise MismatchedVariables(
+            f"agents disagree on variable labels: {list(orders[0])} vs "
+            f"{list(orders[1])}; align_variables puts agents in one label order"
+        )
     w = normalize_weights(weights, len(bns))
     pooled = w > 0.0
     return [bn for bn, keep in zip(bns, pooled) if keep], w[pooled]

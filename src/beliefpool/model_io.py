@@ -1,8 +1,8 @@
 """JSON files for networks and pooling manifests.
 
-A network file is UTF-8 JSON holding "kind" ("bayes" or "markov"), an
-ordered "variables" label list, "edges" as label pairs, and for bayes
-kind a "cpts" map. CPT rows are keyed by parent outcome strings: with
+A network file is UTF-8 JSON holding "kind" (always "bayes"), an
+ordered "variables" label list, "edges" as parent-child label pairs, and
+a "cpts" map. CPT rows are keyed by parent outcome strings: with
 parents listed as (p_0, ..., p_{k-1}), a key has exactly k characters,
 each "0" or "1", character i is "1" exactly when p_i is true, and a
 parentless node uses the single key "". Each row value is a number in
@@ -12,10 +12,11 @@ with Python's shortest-repr float serialization.
 Saved text is exactly json.dumps(data, indent=2) plus a newline, written
 by json_text without the pure-Python encoder an indent otherwise forces.
 
-Loading checks a file in one pass per CPT and raises ModelFormatError
-for anything malformed, including text that is not UTF-8, integers too
-large for a float, and nesting too deep for the JSON parser. The loader
-is where a file's model is validated: it makes every check the network
+Loading checks a file in one pass per CPT and raises ModelFormatError,
+naming the file, for anything malformed, including text that is not
+UTF-8, integers too large for a float, nesting too deep for the JSON
+parser, and any kind but "bayes" or "linop-manifest". The loader is
+where a file's model is validated: it makes every check the network
 constructors would, with their messages, then builds the network
 without running those checks again. The one check it leaves to the
 structure is acyclicity (Dag.topological_order).
@@ -33,9 +34,8 @@ from typing import Sequence
 
 from .errors import MalformedInstance, MismatchedVariables, ModelFormatError
 from .joint import _trusted
-from .networks import BayesNet, Cpt, Dag, MarkovNet, check_parents, parse_probability
+from .networks import BayesNet, Cpt, Dag, check_parents, parse_probability
 
-NETWORK_KINDS = ("bayes", "markov")
 MANIFEST_KIND = "linop-manifest"
 
 
@@ -47,7 +47,11 @@ class LinopManifest:
     weights: tuple[float, ...] | None = None
 
 
-def _require_labels(model: BayesNet | MarkovNet) -> tuple[str, ...]:
+def _require_labels(model: BayesNet) -> tuple[str, ...]:
+    if not isinstance(model, BayesNet):
+        raise ModelFormatError(
+            f"only a BayesNet has a file form, got {type(model).__name__}"
+        )
     if model.labels is None:
         raise ModelFormatError("serializing a network requires variable labels")
     if not all(isinstance(label, str) for label in model.labels):
@@ -63,37 +67,25 @@ def _row_keys(n_parents: int) -> list[str]:
     return [format(r, spec)[::-1] for r in range(1 << n_parents)]
 
 
-def network_to_dict(
-    model: BayesNet | MarkovNet, provenance: dict | None = None
-) -> dict:
+def network_to_dict(model: BayesNet, provenance: dict | None = None) -> dict:
     """JSON-ready representation of a network."""
     labels = _require_labels(model)
-    if isinstance(model, BayesNet):
-        edges = sorted(
-            (labels[p], labels[c.owner]) for c in model.cpts for p in c.parents
-        )
-        cpts = {}
-        for cpt in model.cpts:
-            rows = sorted(zip(_row_keys(len(cpt.parents)), cpt.rows))
-            cpts[labels[cpt.owner]] = {
-                "parents": [labels[p] for p in cpt.parents],
-                "rows": dict(rows),
-            }
-        data = {
-            "kind": "bayes",
-            "variables": list(labels),
-            "edges": [list(e) for e in edges],
-            "cpts": cpts,
+    edges = sorted(
+        (labels[p], labels[c.owner]) for c in model.cpts for p in c.parents
+    )
+    cpts = {}
+    for cpt in model.cpts:
+        rows = sorted(zip(_row_keys(len(cpt.parents)), cpt.rows))
+        cpts[labels[cpt.owner]] = {
+            "parents": [labels[p] for p in cpt.parents],
+            "rows": dict(rows),
         }
-    else:
-        edges = sorted(
-            tuple(sorted((labels[u], labels[v]))) for u, v in model.edges
-        )
-        data = {
-            "kind": "markov",
-            "variables": list(labels),
-            "edges": [list(e) for e in edges],
-        }
+    data = {
+        "kind": "bayes",
+        "variables": list(labels),
+        "edges": [list(e) for e in edges],
+        "cpts": cpts,
+    }
     if provenance is not None:
         data["provenance"] = provenance
     return data
@@ -150,29 +142,21 @@ def _parent_error(
     )
 
 
-def network_from_dict(data) -> BayesNet | MarkovNet:
-    """Reconstruct a network from its JSON representation.
+def network_from_dict(data) -> BayesNet:
+    """Reconstruct a Bayesian network from its JSON representation.
 
-    Raises ModelFormatError for any malformed input: the checks here
-    (a repeated or self parent with the Cpt constructor's messages), a
-    cycle from Dag.topological_order, or a markov self-loop from the
-    MarkovNet constructor.
+    Raises ModelFormatError for any malformed input: a kind other than
+    "bayes", the checks here (a repeated or self parent with the Cpt
+    constructor's messages), or a cycle from Dag.topological_order.
     """
     if not isinstance(data, dict):
         raise ModelFormatError("top level must be a JSON object")
     kind = data.get("kind")
-    if kind not in NETWORK_KINDS:
-        raise ModelFormatError(
-            f"'kind' must be one of {NETWORK_KINDS}, got {kind!r}"
-        )
+    if kind != "bayes":
+        raise ModelFormatError(f"'kind' must be 'bayes', got {kind!r}")
     labels = _parse_variables(data)
     index = {label: i for i, label in enumerate(labels)}
     edges = _parse_edges(data, index)
-
-    if kind == "markov":
-        if "cpts" in data:
-            raise ModelFormatError("markov networks do not carry 'cpts'")
-        return MarkovNet(len(labels), frozenset(edges), labels)
 
     cpts_data = data.get("cpts")
     if not isinstance(cpts_data, dict):
@@ -281,18 +265,23 @@ def _load_json(path: str | Path):
         raise ModelFormatError(f"{path} nests too deeply to parse") from None
 
 
-def load_network(path: str | Path) -> BayesNet | MarkovNet:
-    return network_from_dict(_load_json(path))
+def load_network(path: str | Path) -> BayesNet:
+    data = _load_json(path)
+    try:
+        return network_from_dict(data)
+    except ModelFormatError as err:
+        raise ModelFormatError(f"{path}: {err}") from err
 
 
-def load_model_file(
-    path: str | Path,
-) -> BayesNet | MarkovNet | LinopManifest:
+def load_model_file(path: str | Path) -> BayesNet | LinopManifest:
     """Load a network or manifest, dispatching on the file's kind."""
     data = _load_json(path)
-    if isinstance(data, dict) and data.get("kind") == MANIFEST_KIND:
-        return manifest_from_dict(data)
-    return network_from_dict(data)
+    try:
+        if isinstance(data, dict) and data.get("kind") == MANIFEST_KIND:
+            return manifest_from_dict(data)
+        return network_from_dict(data)
+    except ModelFormatError as err:
+        raise ModelFormatError(f"{path}: {err}") from err
 
 
 # json.dumps escapes every string with this one (the C version where the
@@ -383,9 +372,7 @@ def _dump(data: dict, path: str | Path) -> None:
 
 
 def save_network(
-    model: BayesNet | MarkovNet,
-    path: str | Path,
-    provenance: dict | None = None,
+    model: BayesNet, path: str | Path, provenance: dict | None = None
 ) -> None:
     _dump(network_to_dict(model, provenance), path)
 
@@ -394,9 +381,7 @@ def save_manifest(manifest: LinopManifest, path: str | Path) -> None:
     _dump(manifest_to_dict(manifest), path)
 
 
-def align_variables(
-    models: Sequence[BayesNet | MarkovNet],
-) -> list[BayesNet | MarkovNet]:
+def align_variables(models: Sequence[BayesNet]) -> list[BayesNet]:
     """Reindex all models to the first model's variable order.
 
     Models must carry labels and agree on the label set; structures and
@@ -406,7 +391,7 @@ def align_variables(
     if not models:
         raise MalformedInstance("need at least one model")
     reference = _require_labels(models[0])
-    aligned: list[BayesNet | MarkovNet] = []
+    aligned: list[BayesNet] = []
     target = {label: i for i, label in enumerate(reference)}
     for model in models:
         labels = _require_labels(model)
@@ -418,21 +403,17 @@ def align_variables(
             aligned.append(model)
             continue
         perm = {i: target[label] for i, label in enumerate(labels)}
-        if isinstance(model, BayesNet):
-            # Renaming a valid network's variables keeps it valid; the
-            # CPTs are taken in their new owner order.
-            cpts = tuple(
-                _trusted(
-                    Cpt,
-                    owner=perm[c.owner],
-                    parents=tuple(perm[p] for p in c.parents),
-                    rows=c.rows,
-                )
-                for c in sorted(model.cpts, key=lambda c: perm[c.owner])
+        # Renaming a valid network's variables keeps it valid; the CPTs
+        # are taken in their new owner order.
+        cpts = tuple(
+            _trusted(
+                Cpt,
+                owner=perm[c.owner],
+                parents=tuple(perm[p] for p in c.parents),
+                rows=c.rows,
             )
-            dag = _trusted(Dag, m=model.m, parents=tuple(c.parents for c in cpts))
-            aligned.append(_trusted(BayesNet, cpts=cpts, labels=reference, _dag=dag))
-        else:
-            edges = frozenset((perm[u], perm[v]) for u, v in model.edges)
-            aligned.append(MarkovNet(model.m, edges, reference))
+            for c in sorted(model.cpts, key=lambda c: perm[c.owner])
+        )
+        dag = _trusted(Dag, m=model.m, parents=tuple(c.parents for c in cpts))
+        aligned.append(_trusted(BayesNet, cpts=cpts, labels=reference, _dag=dag))
     return aligned

@@ -272,7 +272,6 @@ class MarkovNet:
 
     m: int
     edges: frozenset[tuple[int, int]]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         # index() rejects a float or a string endpoint; unpacking rejects
@@ -293,9 +292,6 @@ class MarkovNet:
                 raise ModelFormatError(f"self-loop on node {u}")
             canonical.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", frozenset(canonical))
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
-        _check_labels(self.m, self.labels)
 
     def adjacency(self) -> dict[int, set[int]]:
         """Mutable adjacency map covering every node, isolated ones included."""
@@ -330,9 +326,8 @@ def moralize(structure: BayesNet | Dag) -> MarkovNet:
     for ps in dag.parents:
         for u, v in itertools.combinations(sorted(ps), 2):
             edges.add((u, v))
-    labels = structure.labels if isinstance(structure, BayesNet) else None
     # Sorted pairs of a validated structure's nodes.
-    return _trusted(MarkovNet, m=dag.m, edges=frozenset(edges), labels=labels)
+    return _trusted(MarkovNet, m=dag.m, edges=frozenset(edges))
 
 
 def mn_union(nets: Sequence[MarkovNet]) -> MarkovNet:
@@ -348,11 +343,8 @@ def mn_union(nets: Sequence[MarkovNet]) -> MarkovNet:
     edges: set[tuple[int, int]] = set()
     for net in nets:
         edges |= net.edges
-    labels = nets[0].labels
-    if any(net.labels != labels for net in nets):
-        labels = None
     # A union of validated, sorted edge sets over the same nodes.
-    return _trusted(MarkovNet, m=m, edges=frozenset(edges), labels=labels)
+    return _trusted(MarkovNet, m=m, edges=frozenset(edges))
 
 
 def _fill_count(adj: Mapping[int, set[int]], v: int) -> int:
@@ -413,7 +405,7 @@ def triangulate(mn: MarkovNet) -> tuple[MarkovNet, EliminationOrder]:
     """
     order, fills = min_fill_order(mn.adjacency())
     # Fill edges are sorted pairs of mn's nodes.
-    chordal = _trusted(MarkovNet, m=mn.m, edges=mn.edges | fills, labels=mn.labels)
+    chordal = _trusted(MarkovNet, m=mn.m, edges=mn.edges | fills)
     return chordal, order
 
 

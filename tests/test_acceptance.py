@@ -28,7 +28,7 @@ from beliefpool.axioms import (
     independent_pair_agents,
     linop_eb_break_witness,
     logop_mp_break_witness,
-    search_nmeipp_violation,
+    reproduce_example,
 )
 from beliefpool.joint import (
     markov_dependence_gap,
@@ -232,11 +232,16 @@ def test_c5_shared_structure_independencies_survive_geometric_pooling():
 
 
 def test_c6_fixed_seed_negative_controls():
-    witness = search_nmeipp_violation(seed=42, trials=100)
-    shared_effect = witness.violation if witness else 0.0
+    fig1d = reproduce_example("fig1d-logop")
+    gap_line = fig1d.lines[2]
+    shared_effect = float(gap_line.split()[3])
     _, eb_violation = linop_eb_break_witness()
     _, mp_violation = logop_mp_break_witness()
-    ok = shared_effect > 1e-6 and eb_violation > 1e-6 and mp_violation > 1e-6
+    ok = (
+        fig1d.ok
+        and gap_line.startswith("  consensus independence gap 8.996e-03 ")
+        and shared_effect > 1e-6 and eb_violation > 1e-6 and mp_violation > 1e-6
+    )
     _report(
         "criterion-6 negative controls break by more than 1e-6",
         ok,

@@ -15,7 +15,6 @@ from beliefpool import model_io
 from beliefpool import (
     BayesNet,
     Cpt,
-    MarkovNet,
     bn_to_joint,
     linop,
     logop,
@@ -61,6 +60,15 @@ def chain_files(tmp_path):
     save_network(CHAIN_A, a)
     save_network(CHAIN_B, b)
     return str(a), str(b)
+
+
+def markov_file(folder):
+    """A structure-only network file of kind "markov", which no loader reads."""
+    path = folder / "mn.json"
+    path.write_text(json.dumps(
+        {"kind": "markov", "variables": ["A1", "A2"], "edges": [["A1", "A2"]]}
+    ))
+    return path
 
 
 def run(capsys, *argv):
@@ -148,12 +156,26 @@ class TestAggregate:
         assert err.startswith(f"error: cannot write {out}: ")
         assert "Traceback" not in err
 
-    def test_markov_input_rejected(self, capsys, tmp_path):
-        path = tmp_path / "mn.json"
-        save_network(MarkovNet(2, frozenset({(0, 1)}), labels=("A1", "A2")), path)
-        code, _, err = run(capsys, "aggregate", str(path), "--pool", "logop")
+    def test_markov_input_rejected(self, capsys, tmp_path, chain_files):
+        path = markov_file(tmp_path)
+        code, printed, err = run(
+            capsys, "aggregate", chain_files[0], str(path), "--pool", "logop"
+        )
         assert code == EXIT_PARSE
-        assert "markov" in err
+        assert printed == ""
+        assert err == f"error: {path}: 'kind' must be 'bayes', got 'markov'\n"
+
+    def test_bad_cpt_error_names_its_file(self, capsys, tmp_path, chain_files):
+        data = json.loads(Path(chain_files[1]).read_text())
+        data["cpts"]["A2"]["rows"] = {"0": 0.5}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, printed, err = run(
+            capsys, "aggregate", chain_files[0], str(bad), "--pool", "logop"
+        )
+        assert code == EXIT_PARSE
+        assert printed == ""
+        assert err == f"error: {bad}: cpt for 'A2' needs exactly 2 rows\n"
 
     def test_mismatched_variables(self, capsys, tmp_path, agent_files):
         other = tmp_path / "other.json"
@@ -502,13 +524,13 @@ class TestQuery:
         assert reads == [agent_files[1]]
 
     def test_single_markov_file_rejected(self, capsys, tmp_path):
-        path = tmp_path / "mn.json"
-        save_network(MarkovNet(2, frozenset({(0, 1)}), labels=("A1", "A2")), path)
-        code, _, err = run(
+        path = markov_file(tmp_path)
+        code, printed, err = run(
             capsys, "query", str(path), "--pool", "linop", "--event", "A1=1"
         )
         assert code == EXIT_PARSE
-        assert "markov" in err
+        assert printed == ""
+        assert err == f"error: {path}: 'kind' must be 'bayes', got 'markov'\n"
 
     def test_saved_consensus_is_queryable(self, capsys, tmp_path, chain_files):
         out_path = tmp_path / "consensus.json"

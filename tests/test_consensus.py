@@ -531,6 +531,23 @@ class TestLogopConsensusBn:
         result = logop_consensus_bn([labeled_a, labeled_b])
         assert result.bn.labels == ("A1", "A2")
 
+    def test_label_orders_must_agree(self):
+        # Both agents say P(rain) = 0.9, but in different variable orders:
+        # pooling by index would blend rain with traffic.
+        a = two_node_bn(0.9, 0.5, labels=("rain", "traffic"))
+        b = two_node_bn(0.5, 0.9, labels=("traffic", "rain"))
+        for pool in (
+            lambda: logop_consensus_bn([a, b]),
+            lambda: logop_consensus_bn([a, b], dense_oracle=True),
+            lambda: linop_query([a, b], {0: True}),
+        ):
+            with pytest.raises(MismatchedVariables, match="align_variables"):
+                pool()
+        # Agents without labels are pooled by index as before.
+        unlabeled = BayesNet(b.cpts)
+        assert logop_consensus_bn([a, unlabeled]).bn.labels == a.labels
+        assert linop_query([unlabeled, a], {0: True}) == pytest.approx(0.7)
+
     def test_consensus_bn_must_be_decomposable(self):
         vee = BayesNet(
             (Cpt(0, (), (0.3,)), Cpt(1, (), (0.7,)), Cpt(2, (0, 1), (0.1, 0.6, 0.4, 0.9)))

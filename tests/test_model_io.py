@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -50,33 +51,25 @@ def reference_text(model, provenance=None):
     def row_key(r, k):
         return "".join("1" if (r >> i) & 1 else "0" for i in range(k))
 
-    if isinstance(model, MarkovNet):
-        edges = sorted(tuple(sorted((labels[u], labels[v]))) for u, v in model.edges)
-        data = {
-            "kind": "markov",
-            "variables": list(labels),
-            "edges": [list(e) for e in edges],
+    edges = sorted(
+        (labels[p], labels[c.owner]) for c in model.cpts for p in c.parents
+    )
+    cpts = {
+        labels[c.owner]: {
+            "parents": [labels[p] for p in c.parents],
+            "rows": dict(sorted(
+                (row_key(r, len(c.parents)), c.rows[r])
+                for r in range(len(c.rows))
+            )),
         }
-    else:
-        edges = sorted(
-            (labels[p], labels[c.owner]) for c in model.cpts for p in c.parents
-        )
-        cpts = {
-            labels[c.owner]: {
-                "parents": [labels[p] for p in c.parents],
-                "rows": dict(sorted(
-                    (row_key(r, len(c.parents)), c.rows[r])
-                    for r in range(len(c.rows))
-                )),
-            }
-            for c in model.cpts
-        }
-        data = {
-            "kind": "bayes",
-            "variables": list(labels),
-            "edges": [list(e) for e in edges],
-            "cpts": cpts,
-        }
+        for c in model.cpts
+    }
+    data = {
+        "kind": "bayes",
+        "variables": list(labels),
+        "edges": [list(e) for e in edges],
+        "cpts": cpts,
+    }
     if provenance is not None:
         data["provenance"] = provenance
     return json.dumps(data, indent=2) + "\n"
@@ -111,15 +104,6 @@ paths = st.one_of(
 
 
 @st.composite
-def labelled_mns(draw):
-    m = draw(st.integers(min_value=1, max_value=8))
-    labels = draw(st.lists(labels_text, min_size=m, max_size=m, unique=True))
-    pairs = list(itertools.combinations(range(m), 2))
-    edges = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs))) if pairs else set()
-    return MarkovNet(m, frozenset(edges), tuple(labels))
-
-
-@st.composite
 def cli_provenance(draw, labels):
     """A provenance block shaped as CLI aggregate writes it."""
     n = draw(st.integers(min_value=1, max_value=4))
@@ -136,10 +120,6 @@ class TestNetworkRoundTrip:
     def test_bayes_dict_round_trip(self):
         got = network_from_dict(valid_bayes_dict())
         assert got == CHAIN
-
-    def test_markov_dict_round_trip(self):
-        net = MarkovNet(3, frozenset({(0, 1), (1, 2)}), labels=("X", "Y", "Z"))
-        assert network_from_dict(network_to_dict(net)) == net
 
     def test_file_round_trip_is_bit_exact(self, tmp_path):
         # Awkward floats survive because floats serialize shortest-repr.
@@ -195,15 +175,6 @@ class TestNetworkRoundTrip:
             for a, b in zip(got.cpts, bn.cpts) for r in range(len(a.rows))
         )
 
-    @given(net=labelled_mns())
-    @settings(max_examples=50, deadline=None)
-    def test_saved_markov_text_matches_reference(self, net):
-        with tempfile.TemporaryDirectory() as folder:
-            path = Path(folder) / "net.json"
-            save_network(net, path)
-            assert path.read_text() == reference_text(net)
-            assert load_network(path) == net
-
     @given(
         inputs=st.lists(paths, min_size=1, max_size=4),
         weights=st.none() | st.lists(st.floats(0.0, 1e3), max_size=4),
@@ -234,6 +205,21 @@ class TestNetworkRoundTrip:
         with pytest.raises(ValueError):
             network_to_dict(BayesNet(CHAIN.cpts))
 
+    def test_markov_structure_has_no_file_form(self, tmp_path):
+        # Only a BayesNet has a file kind; a MarkovNet gets a typed error,
+        # not an AttributeError.
+        net = MarkovNet(2, frozenset({(0, 1)}))
+        path = tmp_path / "net.json"
+        for write in (
+            lambda: network_to_dict(net),
+            lambda: save_network(net, path),
+            lambda: align_variables([CHAIN, net]),
+            lambda: align_variables([net]),
+        ):
+            with pytest.raises(ModelFormatError, match="MarkovNet"):
+                write()
+        assert not path.exists()
+
 
 # Any JSON value, small enough to draw fast.
 json_values = st.recursive(
@@ -256,25 +242,22 @@ def json_positions(node, path=()):
 
 @st.composite
 def mutated_network_dicts(draw):
-    """A valid bayes or markov dict, maybe rewired, then with up to three
-    values replaced, deleted or renamed.
+    """A valid bayes dict, maybe rewired, then with up to three values
+    replaced, deleted or renamed.
 
     Rewiring gives one variable new parent labels (any, itself and
-    repeats included) with a full row set and matching edges, or adds
-    one markov edge, so the constructors see cycles, self-loops and
-    duplicate parents that the field checks pass."""
-    data = network_to_dict(draw(st.one_of(labelled_bns(), labelled_mns())))
+    repeats included) with a full row set and matching edges, so the
+    constructors see cycles, self parents and duplicate parents that
+    the field checks pass."""
+    data = network_to_dict(draw(labelled_bns()))
     data = json.loads(json.dumps(data))  # a deep copy the draws may change
     labels = tuple(data["variables"])
     label = st.sampled_from(labels)
     if draw(st.booleans()):
-        if data["kind"] == "markov":
-            data["edges"].append(draw(st.lists(label, min_size=2, max_size=2)))
-        else:
-            parents = draw(st.lists(label, max_size=3))
-            rows = dict.fromkeys(map("".join, itertools.product("01", repeat=len(parents))), 0.5)
-            data["cpts"][draw(label)] = {"parents": parents, "rows": rows}
-            data["edges"] = [[p, c] for c, cpt in data["cpts"].items() for p in cpt["parents"]]
+        parents = draw(st.lists(label, max_size=3))
+        rows = dict.fromkeys(map("".join, itertools.product("01", repeat=len(parents))), 0.5)
+        data["cpts"][draw(label)] = {"parents": parents, "rows": rows}
+        data["edges"] = [[p, c] for c, cpt in data["cpts"].items() for p in cpt["parents"]]
     values = st.one_of(json_values, label, st.lists(label, max_size=3))
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         path = draw(st.sampled_from(list(json_positions(data))[1:]))
@@ -302,7 +285,7 @@ class TestFormatValidation:
             model = network_from_dict(data)
         except ModelFormatError:
             return
-        assert isinstance(model, (BayesNet, MarkovNet))
+        assert isinstance(model, BayesNet)
 
     def test_unknown_kind(self):
         with pytest.raises(ModelFormatError):
@@ -389,8 +372,6 @@ class TestFormatValidation:
             (lambda d: d["cpts"]["A1"].update(parents=["A2"], rows={"0": 0.5, "1": 0.5})
              or d["edges"].append(["A2", "A1"]),
              "parent structure contains a directed cycle"),
-            (lambda d: d.update(kind="markov", edges=[["A2", "A2"]]) or d.pop("cpts"),
-             "self-loop on node 1"),
         ],
     )
     def test_label_errors_name_the_fault(self, mutate, message):
@@ -406,7 +387,9 @@ class TestFormatValidation:
         path = tmp_path / "net.json"
         good = json.dumps(valid_bayes_dict())
         path.write_text(good.replace('{"": 0.2}', '{"": %s}' % text))
-        with pytest.raises(ModelFormatError, match="^probability"):
+        with pytest.raises(
+            ModelFormatError, match=f"^{re.escape(str(path))}: probability"
+        ):
             load_network(path)
 
     @pytest.mark.parametrize("digits", [400, 5000])
@@ -440,11 +423,31 @@ class TestFormatValidation:
         with pytest.raises(ModelFormatError):
             network_from_dict(data)
 
-    def test_markov_must_not_carry_cpts(self):
-        with pytest.raises(ModelFormatError):
-            network_from_dict(
-                {"kind": "markov", "variables": ["A"], "edges": [], "cpts": {}}
-            )
+    @pytest.mark.parametrize("load", [load_network, load_model_file])
+    def test_markov_file_rejected_naming_path_and_kind(self, tmp_path, load):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(
+            {"kind": "markov", "variables": ["A1", "A2"], "edges": [["A1", "A2"]]}
+        ))
+        with pytest.raises(ModelFormatError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}: 'kind' must be 'bayes', got 'markov'"
+
+    @pytest.mark.parametrize("load", [load_network, load_model_file])
+    def test_format_errors_name_the_file(self, tmp_path, load):
+        data = valid_bayes_dict()
+        data["cpts"]["A2"]["rows"] = {"0": 0.6}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ModelFormatError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}: cpt for 'A2' needs exactly 2 rows"
+
+    def test_manifest_errors_name_the_file(self, tmp_path):
+        path = tmp_path / "pool.json"
+        path.write_text(json.dumps({"kind": "linop-manifest", "inputs": []}))
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: "):
+            load_model_file(path)
 
     def test_edges_must_match_cpt_parents(self):
         data = valid_bayes_dict()
@@ -547,17 +550,8 @@ class TestAlignVariables:
         same = BayesNet(
             (Cpt(0, (), (0.7,)), Cpt(1, (0,), (0.1, 0.9))), labels=("A1", "A2")
         )
-        markov = MarkovNet(2, frozenset({(0, 1)}), labels=("A1", "A2"))
-        aligned = align_variables([CHAIN, same, markov])
-        assert all(a is b for a, b in zip(aligned, [CHAIN, same, markov]))
-
-    def test_markov_edges_renamed(self):
-        net = MarkovNet(2, frozenset({(0, 1)}), labels=("A2", "A1"))
-        aligned = align_variables(
-            [MarkovNet(2, frozenset({(0, 1)}), labels=("A1", "A2")), net]
-        )[1]
-        assert aligned.labels == ("A1", "A2")
-        assert aligned.edges == frozenset({(0, 1)})
+        aligned = align_variables([CHAIN, same])
+        assert all(a is b for a, b in zip(aligned, [CHAIN, same]))
 
     def test_label_sets_must_match(self):
         other = BayesNet(

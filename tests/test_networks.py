@@ -258,10 +258,6 @@ class TestMoralize:
     def test_chain_keeps_skeleton(self):
         assert moralize(CHAIN).edges == frozenset({(0, 1)})
 
-    def test_keeps_labels_from_bayes_net(self):
-        net = BayesNet(CHAIN.cpts, labels=("A1", "A2"))
-        assert moralize(net).labels == ("A1", "A2")
-
 
 class TestMnUnion:
     def test_union_of_edge_sets(self):
@@ -271,12 +267,6 @@ class TestMnUnion:
     def test_variable_count_must_match(self):
         with pytest.raises(MismatchedVariables):
             mn_union([mn(2, (0, 1)), mn(3, (0, 1))])
-
-    def test_disagreeing_labels_dropped(self):
-        a = MarkovNet(2, frozenset({(0, 1)}), labels=("A1", "A2"))
-        b = MarkovNet(2, frozenset({(0, 1)}), labels=("B1", "B2"))
-        assert mn_union([a, b]).labels is None
-        assert mn_union([a, a]).labels == ("A1", "A2")
 
 
 class TestTriangulate:
