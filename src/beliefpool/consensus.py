@@ -27,8 +27,11 @@ three passes over the elimination order (a reverse topological order):
    log-sigmoid, so it is finite even where the child's row rounds to 0
    or 1. One logistic call then turns every row's log-odds into a
    probability.
-Only an agent conditional of 0 or 1, or zero evidence for a context,
-fails (DegenerateCpt).
+The route needs strictly positive agents: before any query it raises
+DegenerateCpt for an agent of positive weight with a CPT row of 0 or 1,
+naming the agent by its position, the variable and the row. After that,
+only an agent conditional that rounds to 0 or 1, or a context whose
+evidence underflows to zero, fails (DegenerateCpt).
 
 The dense_oracle route needs no queries: the pool is the normalized
 product of every agent CPT raised to the agent's weight, and one
@@ -43,19 +46,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateCpt,
-    MalformedInstance,
-    MismatchedVariables,
-    NotChordal,
-    ZeroEvidence,
-)
+from .errors import DegenerateCpt, MismatchedVariables, NotChordal, ZeroEvidence
 from .inference import (
     query_conditional,
     query_event_marginal,
     weighted_product_cpts,
 )
-from .joint import _trusted
+from .joint import _check_query, _shared_variable_count, _trusted
 from .networks import (
     BayesNet,
     Cpt,
@@ -90,52 +87,36 @@ class ConsensusBn:
             raise NotChordal("consensus network must be decomposable")
 
 
-def consensus_mn_structure(
-    models: Sequence[BayesNet | Dag | MarkovNet],
-) -> MarkovNet:
-    """Union of the agents' undirected structures.
-
-    Directed inputs are moralized first; undirected inputs join as-is.
-    Equal inputs (models compare by value) are moralized once.
-    """
-    nets = [
-        model if isinstance(model, MarkovNet) else moralize(model)
-        for model in dict.fromkeys(models)
-    ]
-    return mn_union(nets)
-
-
 def consensus_bn_structure(
     models: Sequence[BayesNet | Dag | MarkovNet],
 ) -> tuple[Dag, EliminationOrder]:
     """Decomposable directed structure covering every agent's structure.
 
-    Moralize, union, triangulate, then orient each edge from the
-    later-eliminated endpoint to the earlier-eliminated one. Also
-    returns the elimination order, which is the reverse of a
-    topological order of the result.
+    Moralize the directed inputs (undirected inputs join as-is; equal
+    inputs, which compare by value, are moralized once), union,
+    triangulate, then orient each edge from the later-eliminated
+    endpoint to the earlier-eliminated one. Also returns the elimination
+    order, which is the reverse of a topological order of the result.
     """
-    chordal, order = triangulate(consensus_mn_structure(models))
+    nets = [
+        model if isinstance(model, MarkovNet) else moralize(model)
+        for model in dict.fromkeys(models)
+    ]
+    chordal, order = triangulate(mn_union(nets))
     return direct_by_order(chordal, order), order
 
 
 def _pooled_agents(
     bns: Sequence[BayesNet], weights: Sequence[float] | None
-) -> tuple[list[BayesNet], np.ndarray]:
-    """The agents of positive weight and their normalized weights.
+) -> tuple[list[int], list[BayesNet], np.ndarray]:
+    """The positions in bns of the agents of positive weight, those
+    agents, and their normalized weights.
 
     Checks that every agent, pooled or not, has the same variable count,
     the same label order where both carry labels (agents are pooled by
     index), and that the weights are valid for all of them.
     """
-    if not bns:
-        raise MalformedInstance("need at least one agent network")
-    m = bns[0].m
-    for bn in bns:
-        if bn.m != m:
-            raise MismatchedVariables(
-                f"agents disagree on variable count: {bn.m} != {m}"
-            )
+    _shared_variable_count(bns, "agent network", "agents")
     orders = list(dict.fromkeys(bn.labels for bn in bns if bn.labels is not None))
     if len(orders) > 1:
         raise MismatchedVariables(
@@ -143,8 +124,35 @@ def _pooled_agents(
             f"{list(orders[1])}; align_variables puts agents in one label order"
         )
     w = normalize_weights(weights, len(bns))
-    pooled = w > 0.0
-    return [bn for bn, keep in zip(bns, pooled) if keep], w[pooled]
+    positions = np.flatnonzero(w > 0.0).tolist()
+    return positions, [bns[i] for i in positions], w[positions]
+
+
+_RERUN = "rerun with dense_oracle=True to use the factor-product fill"
+
+
+def _row_name(
+    labels: tuple[str, ...] | None, owner: int, parents: Sequence[int], row: int
+) -> str:
+    """Row row of owner's CPT: the variable by label (by index without
+    labels) and the parent row as label=0|1 literals."""
+    name = str if labels is None else labels.__getitem__
+    literals = ",".join(f"{name(p)}={row >> i & 1}" for i, p in enumerate(parents))
+    return f"variable {name(owner)}, parent row {literals or '(none)'}"
+
+
+def _require_strictly_positive(position: int, bn: BayesNet) -> None:
+    """Raise DegenerateCpt, naming the agent by position, for bn's first
+    CPT row of 0 or 1: the query route needs strictly positive agents."""
+    for cpt in () if bn.strictly_positive else bn.cpts:
+        for row, p in enumerate(cpt.rows):
+            if not 0.0 < p < 1.0:
+                where = _row_name(bn.labels, cpt.owner, cpt.parents, row)
+                raise DegenerateCpt(
+                    f"agent {position}, {where}: the row is {p}, but the query route "
+                    f"needs every CPT row of a pooled agent strictly inside (0, 1); "
+                    f"{_RERUN}"
+                )
 
 
 def _structured_cpts(
@@ -155,7 +163,6 @@ def _structured_cpts(
     labels: tuple[str, ...] | None,
 ) -> tuple[list[Cpt], int]:
     parents, children = structure.parents, structure.children()
-    name = str if labels is None else labels.__getitem__
     queries = 0
 
     def agent_conditionals(node: int, context: dict[int, bool]) -> list[float]:
@@ -187,7 +194,7 @@ def _structured_cpts(
         start[node] = len(conds)
         # product varies its last factor fastest, and row bit i is parent i.
         ps, kids = parents[node][::-1], children[node]
-        for bits in itertools.product((False, True), repeat=len(ps)):
+        for row, bits in enumerate(itertools.product((False, True), repeat=len(ps))):
             failure: DegenerateCpt | None = None
             for outcome in (True, False) if kids else (True,):
                 context = dict(zip(ps, bits))
@@ -199,13 +206,8 @@ def _structured_cpts(
                 except DegenerateCpt as err:
                     failure = err
             else:
-                literals = ",".join(
-                    f"{name(p)}={int(b)}" for p, b in zip(parents[node], bits[::-1])
-                )
                 raise DegenerateCpt(
-                    f"variable {name(node)}, parent row {literals or '(none)'}: "
-                    f"{failure}; rerun with dense_oracle=True to use the "
-                    f"factor-product fill"
+                    f"{_row_name(labels, node, parents[node], row)}: {failure}; {_RERUN}"
                 ) from failure
 
     # Pass 2: agent on axis 0, row on axis 1.
@@ -269,19 +271,22 @@ def logop_consensus_bn(
     The default path parameterizes the consensus structure from
     per-agent inference queries alone, in the three passes of the
     module docstring: each CPT row is the logistic of the agents'
-    pooled log-odds plus the child log-ratios. Only the conditional of
-    0 or 1 of an agent of positive weight (from an agent CPT row of 0
-    or 1, or a conditional that rounds to 0 or 1 or underflows) or a
-    context with zero evidence raises DegenerateCpt. dense_oracle=True
-    instead fills the CPTs by one elimination pass over the agents'
-    weighted CPT product, which handles such agents at any size and
-    raises DegenerateProduct when the pool has zero mass.
+    pooled log-odds plus the child log-ratios. It raises DegenerateCpt
+    up front when an agent of positive weight has a CPT row of 0 or 1,
+    naming the agent by its position in bns, and later when an agent's
+    conditional rounds to 0 or 1 or its context's evidence underflows.
+    dense_oracle=True instead fills the CPTs by one elimination pass
+    over the agents' weighted CPT product, which handles such agents at
+    any size and raises DegenerateProduct when the pool has zero mass.
 
     Agents of weight 0 are checked for their variable count and then
     dropped: the structure, the CPTs and agent_queries come from the
     positive-weight agents alone. The labels are the first agent's.
     """
-    agents, w = _pooled_agents(bns, weights)
+    positions, agents, w = _pooled_agents(bns, weights)
+    if not dense_oracle:
+        for position, bn in zip(positions, agents):
+            _require_strictly_positive(position, bn)
     labels = bns[0].labels
     structure, order = consensus_bn_structure([bn.dag() for bn in agents])
     if dense_oracle:
@@ -310,16 +315,11 @@ def linop_query(
     The arithmetic pool commutes with marginalization, so the pooled
     conditional is the ratio of weighted sums of per-agent event
     probabilities; no pooled model is ever constructed. Agents of
-    weight 0 add nothing to either sum, so they are never queried.
+    weight 0 add nothing to either sum, so they are never queried. Event
+    and evidence must assign disjoint variables.
     """
-    bns, w = _pooled_agents(bns, weights)
-    evidence = dict(evidence or {})
-    merged = dict(evidence)
-    contradiction = False
-    for var, value in event.items():
-        if var in merged and bool(merged[var]) != bool(value):
-            contradiction = True
-        merged[var] = value
+    _, bns, w = _pooled_agents(bns, weights)
+    event, evidence = _check_query(bns[0].variables, event, evidence)
     denominator = float(
         sum(
             wi * query_event_marginal(bn, evidence)
@@ -328,8 +328,7 @@ def linop_query(
     )
     if denominator <= 0.0:
         raise ZeroEvidence("conditioning event has probability zero")
-    if contradiction:
-        return 0.0
+    merged = {**evidence, **event}
     numerator = float(
         sum(wi * query_event_marginal(bn, merged) for wi, bn in zip(w, bns))
     )

@@ -47,14 +47,15 @@ class DegenerateProduct(BeliefPoolError):
 
 
 class DegenerateCpt(BeliefPoolError):
-    """The query route could not fill a consensus CPT row.
+    """The query route cannot fill a consensus CPT row.
 
-    Only an agent's conditional for the row causes this: it was 0 or 1,
-    or the agent gives the row's context zero evidence, on both the
-    all-true and the all-false children. An agent CPT row of 0 or 1
-    causes this, and so can strictly positive rows near 0 or 1, when a
-    conditional rounds to 0 or 1 or underflows. dense_oracle=True fills
-    such rows.
+    The route needs strictly positive agents, so it raises this before
+    any query when an agent of positive weight has a CPT row of 0 or 1;
+    the message names the agent by position, the variable, the parent
+    row and the value. Strictly positive rows near 0 or 1 can still
+    cause it later, when an agent's conditional for a row rounds to 0
+    or 1, or underflows to zero evidence, on both the all-true and the
+    all-false children. dense_oracle=True fills such rows.
     """
 
 

@@ -5,11 +5,13 @@ networks too large for dense enumeration as long as the induced factor
 widths stay small. A query takes one of two routes:
 
 - A single-target conditional on a strictly positive network (every
-  CPT row inside (0, 1)), given the target's whole Markov blanket, is
-  closed-form: only the node's own CPT and its children's matter, the
-  evidence picks one row of each per state of the node, and the answer
-  is the normalized product of those rows. No factor is built. Each
-  consensus CPT row asks this query of every agent.
+  CPT row inside (0, 1)) first tries the closed form: only the node's
+  own CPT and its children's matter, the evidence picks one row of each
+  per state of the node, and the answer is the normalized product of
+  those rows. No factor is built. The evidence it reads is exactly the
+  node's Markov blanket, so it gates itself: a missing blanket variable
+  sends the query to elimination. Each consensus CPT row asks this
+  query of every agent.
 - Every other query, marginal or conditional, is pruned to the
   ancestral set of its target and evidence: the CPTs of every other
   node are barren and sum to one. The CPTs left give the whole
@@ -20,18 +22,12 @@ widths stay small. A query takes one of two routes:
 from __future__ import annotations
 
 import itertools
-from operator import index
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateProduct,
-    MalformedInstance,
-    UnknownVariable,
-    ZeroEvidence,
-)
-from .joint import Assignment, _trusted, contract
+from .errors import DegenerateProduct, ZeroEvidence
+from .joint import Assignment, _check_assignment, _check_query, _trusted, contract
 from .networks import BayesNet, Cpt, Dag, min_fill_order
 
 
@@ -147,43 +143,11 @@ def weighted_product_cpts(
     return [cpts[v] for v in range(structure.m)]
 
 
-_INT = frozenset({int})
-_BOOL = frozenset({bool})
-
-
-def _check_assignment(bn: BayesNet, assignment: Assignment) -> Assignment:
-    """The assignment as {variable: state}, after checking its variables.
-
-    The common case, Python-int keys in range(0, bn.m) with bool
-    values, comes back unchanged after three set checks; any other
-    assignment comes back as a new {variable: 0 or 1}. So every state
-    is truthy or falsy, and int() of it is 0 or 1. Raises
-    UnknownVariable for a key that is not an integer (a Python int or a
-    numpy integer) or lies outside range(0, bn.m).
-    """
-    if (
-        _INT.issuperset(map(type, assignment))
-        and bn.variables.issuperset(assignment)
-        and _BOOL.issuperset(map(type, assignment.values()))
-    ):
-        return assignment
-    try:
-        states = {index(v): 1 if x else 0 for v, x in assignment.items()}
-    except TypeError:
-        keys = ", ".join(repr(v) for v in assignment)
-        raise UnknownVariable(f"variables must be integers, got {keys}") from None
-    m = bn.m
-    if states and not (0 <= min(states) and max(states) < m):
-        v = min(states) if min(states) < 0 else max(states)
-        raise UnknownVariable(f"variable {v} outside range(0, {m})")
-    return states
-
-
 def _blanket_conditional(
     bn: BayesNet, v: int, x: int, evidence: Assignment
 ) -> float:
     """P(v = x | evidence) on a strictly positive network, given evidence
-    on v's whole Markov blanket.
+    on v's whole Markov blanket (KeyError for a blanket variable it lacks).
 
     Given the blanket, the answer is proportional to the product of v's
     own CPT and its children's, and the evidence leaves each of them one
@@ -221,7 +185,7 @@ def _blanket_conditional(
 
 def query_event_marginal(bn: BayesNet, event: Assignment) -> float:
     """Probability that every variable in event takes its given value."""
-    states = _check_assignment(bn, event)
+    states = _check_assignment(bn.variables, event)
     nodes = _ancestral_set(bn, set(states))
     return float(_run(bn, states, set(), nodes)[1])
 
@@ -229,20 +193,20 @@ def query_event_marginal(bn: BayesNet, event: Assignment) -> float:
 def query_conditional(
     bn: BayesNet, target: Assignment, evidence: Assignment | None = None
 ) -> float:
-    """P(target | evidence) by variable elimination.
+    """P(target | evidence), in closed form or by variable elimination.
 
-    Target and evidence must assign disjoint variables. An empty target
-    is the sure event. Raises ZeroEvidence when the evidence itself has
+    Target and evidence must assign disjoint variables, and their keys
+    pass joint's checks, as for the dense queries. An empty target is
+    the sure event. Raises ZeroEvidence when the evidence itself has
     probability zero, or underflows to zero.
     """
-    wanted = _check_assignment(bn, target)
-    given = _check_assignment(bn, evidence or {})
-    if not given.keys().isdisjoint(wanted):
-        raise MalformedInstance("target and evidence must assign disjoint variables")
+    wanted, given = _check_query(bn.variables, target, evidence)
     if len(wanted) == 1 and bn.strictly_positive:
         ((v, x),) = wanted.items()
-        if given.keys() >= bn.blankets[v]:
+        try:
             return _blanket_conditional(bn, v, x, given)
+        except KeyError:  # evidence misses part of v's blanket
+            pass
     nodes = _ancestral_set(bn, set(wanted) | set(given))
     variables, table = _run(bn, given, set(wanted), nodes)
     total = float(table.sum())

@@ -9,7 +9,9 @@ variable-elimination buckets and the chain-rule pool. All tables are
 normalized on construction and immutable afterwards.
 
 Each model is validated once, where it enters: the JointTable
-constructor checks every input. The dense kernels (bn_to_joint, linop,
+constructor checks every input, and every query, dense or on a
+network, its keys (_check_assignment) and its disjoint target and
+evidence (_check_query). The dense kernels (bn_to_joint, linop,
 logop, condition, family_pooled_joint) compute mass from valid models
 and build through _trusted_table, which normalizes as the constructor
 does and checks nothing again. _trusted, the one trusted construction
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Real
+from operator import index
 from typing import Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -27,6 +30,7 @@ import numpy as np
 from .errors import (
     CapacityExceeded,
     MalformedInstance,
+    MismatchedVariables,
     ModelFormatError,
     NegativeMass,
     UnknownVariable,
@@ -174,20 +178,75 @@ def factor_product(
     return contract(tensors, range(m - 1, -1, -1)).ravel()
 
 
-def _check_variables(m: int, variables: Iterable[int]) -> None:
-    for j in variables:
-        if not 0 <= j < m:
-            raise UnknownVariable(f"variable {j} outside range(0, {m})")
+def _shared_variable_count(models: Sequence, one: str, many: str) -> int:
+    """The variable count m of every model; MalformedInstance for no
+    models ("need at least one <one>"), MismatchedVariables unless all
+    agree ("<many> disagree on variable count")."""
+    if not models:
+        raise MalformedInstance(f"need at least one {one}")
+    m = models[0].m
+    for model in models:
+        if model.m != m:
+            raise MismatchedVariables(
+                f"{many} disagree on variable count: {model.m} != {m}"
+            )
+    return m
+
+
+_INT = frozenset({int})
+_BOOL = frozenset({bool})
+# The variable set of a dense table over m variables, indexed by m.
+_TABLE_VARIABLES = tuple(frozenset(range(m)) for m in range(MAX_DENSE_VARIABLES + 1))
+
+
+def _check_assignment(variables: frozenset[int], assignment: Assignment) -> Assignment:
+    """The assignment as {variable: state}, after checking its variables
+    against variables, the set range(0, m) of a table or network.
+
+    The common case, a dict with Python-int keys in variables and bool
+    values, comes back unchanged after three set checks; any other
+    assignment comes back as such a dict, so a missing key is a KeyError,
+    never a default. Raises UnknownVariable for a key that is not an
+    integer (a Python int or a numpy integer) or lies outside range(0, m).
+    """
+    if (
+        type(assignment) is dict
+        and _INT.issuperset(map(type, assignment))
+        and variables.issuperset(assignment)
+        and _BOOL.issuperset(map(type, assignment.values()))
+    ):
+        return assignment
+    try:
+        states = {index(v): bool(x) for v, x in assignment.items()}
+    except TypeError:
+        keys = ", ".join(repr(v) for v in assignment)
+        raise UnknownVariable(f"variables must be integers, got {keys}") from None
+    m = len(variables)
+    if states and not (0 <= min(states) and max(states) < m):
+        v = min(states) if min(states) < 0 else max(states)
+        raise UnknownVariable(f"variable {v} outside range(0, {m})")
+    return states
+
+
+def _check_query(
+    variables: frozenset[int], target: Assignment, evidence: Assignment | None
+) -> tuple[Assignment, Assignment]:
+    """Target and evidence (None for none) as _check_assignment returns
+    them; MalformedInstance unless they assign disjoint variables."""
+    wanted = _check_assignment(variables, target)
+    given = _check_assignment(variables, evidence or {})
+    if not given.keys().isdisjoint(wanted):
+        raise MalformedInstance("target and evidence must assign disjoint variables")
+    return wanted, given
 
 
 def _block(m: int, assignment: Assignment) -> tuple:
     """Index into a (2,)*m view (variable j on axis m-1-j) of the states
     consistent with the assignment."""
-    _check_variables(m, assignment)
-    index = [slice(None)] * m
-    for j, value in assignment.items():
-        index[m - 1 - j] = int(bool(value))
-    return tuple(index)
+    axes = [slice(None)] * m
+    for j, value in _check_assignment(_TABLE_VARIABLES[m], assignment).items():
+        axes[m - 1 - j] = int(value)
+    return tuple(axes)
 
 
 def marginal(table: JointTable, assignment: Assignment) -> float:
@@ -213,22 +272,17 @@ def condition(table: JointTable, evidence: Assignment) -> JointTable:
 def conditional_probability(
     table: JointTable, target: Assignment, evidence: Assignment | None = None
 ) -> float:
-    """P(target | evidence) from the dense table."""
-    evidence = {} if evidence is None else evidence
+    """P(target | evidence) from the dense table, over disjoint variables."""
+    target, evidence = _check_query(_TABLE_VARIABLES[table.m], target, evidence)
     p_evidence = marginal(table, evidence)
     if p_evidence <= 0.0:
         raise ZeroEvidence("conditioning event has probability zero")
-    merged = dict(evidence)
-    for j, value in target.items():
-        if j in merged and bool(merged[j]) != bool(value):
-            return 0.0
-        merged[j] = value
-    return marginal(table, merged) / p_evidence
+    return marginal(table, {**evidence, **target}) / p_evidence
 
 
 def pairwise_dependence_gap(table: JointTable, a: int, b: int) -> float:
     """|P(a and b) - P(a) * P(b)| with both variables true."""
-    _check_variables(table.m, (a, b))
+    _check_assignment(_TABLE_VARIABLES[table.m], {a: True, b: True})
     if a == b:
         raise MalformedInstance("pairwise independence needs two distinct variables")
     p_ab = marginal(table, {a: True, b: True})
@@ -246,9 +300,10 @@ def markov_dependence_gap(
     partition all variables, so the gap measures the full conditional
     structure around a. Empty x gives a gap of zero.
     """
+    w, x = tuple(w), tuple(x)
+    _check_assignment(_TABLE_VARIABLES[table.m], dict.fromkeys((a,) + w + x, True))
     w = tuple(sorted(set(w)))
     x = tuple(sorted(set(x)))
-    _check_variables(table.m, (a,) + w + x)
     if a in w or a in x:
         raise MalformedInstance("target variable may not appear in w or x")
     if set(w) & set(x):

@@ -29,12 +29,18 @@ import numpy as np
 from .errors import (
     CapacityExceeded,
     MalformedInstance,
-    MismatchedVariables,
     ModelFormatError,
     NotChordal,
     UnknownVariable,
 )
-from .joint import MAX_DENSE_VARIABLES, JointTable, _trusted, _trusted_table, factor_product
+from .joint import (
+    MAX_DENSE_VARIABLES,
+    JointTable,
+    _shared_variable_count,
+    _trusted,
+    _trusted_table,
+    factor_product,
+)
 
 EliminationOrder = tuple[int, ...]
 
@@ -155,18 +161,6 @@ class Dag:
                 out[p].append(j)
         return tuple(map(tuple, out))
 
-    def blankets(self) -> tuple[frozenset[int], ...]:
-        """blankets()[j] is the Markov blanket of node j: its parents,
-        children, and children's other parents."""
-        out: list[set[int]] = [set(ps) for ps in self.parents]
-        for j, ps in enumerate(self.parents):
-            for p in ps:
-                out[p].add(j)
-                out[p].update(ps)
-        for j, blanket in enumerate(out):
-            blanket.discard(j)
-        return tuple(map(frozenset, out))
-
     def skeleton(self) -> frozenset[tuple[int, int]]:
         """Undirected edge set, each pair sorted ascending."""
         return frozenset(
@@ -231,11 +225,6 @@ class BayesNet:
     def children(self) -> tuple[tuple[int, ...], ...]:
         """children[j] lists the nodes that have j as a parent; built once."""
         return self._dag.children()
-
-    @cached_property
-    def blankets(self) -> tuple[frozenset[int], ...]:
-        """blankets[j] is the Markov blanket of node j; built once."""
-        return self._dag.blankets()
 
     @cached_property
     def blanket_cpts(self) -> tuple[tuple[Cpt, ...], ...]:
@@ -332,14 +321,7 @@ def moralize(structure: BayesNet | Dag) -> MarkovNet:
 
 def mn_union(nets: Sequence[MarkovNet]) -> MarkovNet:
     """Edge union of structures over the same variable set."""
-    if not nets:
-        raise MalformedInstance("need at least one structure")
-    m = nets[0].m
-    for net in nets:
-        if net.m != m:
-            raise MismatchedVariables(
-                f"structures disagree on variable count: {net.m} != {m}"
-            )
+    m = _shared_variable_count(nets, "structure", "structures")
     edges: set[tuple[int, int]] = set()
     for net in nets:
         edges |= net.edges

@@ -12,10 +12,9 @@ from .errors import (
     DegenerateProduct,
     InvalidWeight,
     MalformedInstance,
-    MismatchedVariables,
     WeightCountMismatch,
 )
-from .joint import JointTable, _trusted_table
+from .joint import JointTable, _shared_variable_count, _trusted_table
 
 POOL_NAMES = ("linop", "logop")
 
@@ -60,14 +59,7 @@ def check_pool_name(pool: str) -> None:
 
 
 def _stack(tables: Sequence[JointTable]) -> tuple[int, np.ndarray]:
-    if not tables:
-        raise MalformedInstance("need at least one table")
-    m = tables[0].m
-    for t in tables:
-        if t.m != m:
-            raise MismatchedVariables(
-                f"tables disagree on variable count: {t.m} != {m}"
-            )
+    m = _shared_variable_count(tables, "table", "tables")
     return m, np.stack([t.probs for t in tables])
 
 

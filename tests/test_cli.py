@@ -214,23 +214,54 @@ class TestAggregate:
         )
 
     def test_zero_evidence_context_hints_dense_oracle(self, capsys, tmp_path):
-        paths = []
-        for name, cpts in (
-            ("never", (Cpt(0, (), (0.3,)), Cpt(1, (0,), (0.0, 0.0)))),
-            ("halves", (Cpt(0, (), (0.5,)), Cpt(1, (), (0.5,)))),
-        ):
-            path = tmp_path / f"{name}.json"
-            save_network(BayesNet(cpts, labels=("A1", "A2")), path)
-            paths.append(str(path))
-        code, _, err = run(capsys, "aggregate", *paths, "--pool", "logop")
+        # A strictly positive hub with 2 children nearly never true and 21
+        # nearly always true: the evidence of both contexts of the hub's
+        # consensus row underflows to zero mass.
+        labels = ("hub",) + tuple(f"c{v}" for v in range(1, 24))
+        star = BayesNet(
+            (Cpt(0, (), (0.5,)),)
+            + tuple(Cpt(v, (0,), (1e-300, 1e-300)) for v in (1, 2))
+            + tuple(Cpt(v, (0,), (1 - 1.1e-16,) * 2) for v in range(3, 24)),
+            labels=labels,
+        )
+        path = tmp_path / "star.json"
+        save_network(star, path)
+        code, _, err = run(capsys, "aggregate", str(path), "--pool", "logop")
         assert code == EXIT_DEGENERATE
         assert "zero mass" in err
         assert "--dense-oracle" in err
         # The variable and its parent row go by label, in literal syntax.
-        assert err.startswith("error: variable A1, parent row A2=1: ")
+        assert err.startswith("error: variable hub, parent row c23=0: ")
         assert "node 0" not in err
         code, _, _ = run(
-            capsys, "aggregate", *paths, "--pool", "logop", "--dense-oracle"
+            capsys, "aggregate", str(path), "--pool", "logop", "--dense-oracle"
+        )
+        assert code == EXIT_OK
+
+    def test_zero_row_names_agent_by_input_position(
+        self, capsys, tmp_path, chain_files
+    ):
+        certain = tmp_path / "certain.json"
+        save_network(
+            BayesNet((Cpt(0, (), (0.2,)), Cpt(1, (0,), (0.6, 1.0))), labels=("A1", "A2")),
+            certain,
+        )
+        inputs = (chain_files[0], str(certain), chain_files[1])
+        code, out, err = run(
+            capsys, "aggregate", *inputs, "--pool", "logop", "--weights", "0,1,1"
+        )
+        assert (code, out) == (EXIT_DEGENERATE, "")
+        assert err.splitlines() == [
+            "error: agent 1, variable A2, parent row A1=1: the row is 1.0, but "
+            "the query route needs every CPT row of a pooled agent strictly "
+            "inside (0, 1); rerun with dense_oracle=True to use the "
+            "factor-product fill",
+            "hint: --dense-oracle fills the consensus CPTs from the agents' "
+            "weighted CPT product instead",
+        ]
+        # At weight 0 the same agent is not pooled, so nothing is rejected.
+        code, _, _ = run(
+            capsys, "aggregate", *inputs, "--pool", "logop", "--weights", "1,0,1"
         )
         assert code == EXIT_OK
 

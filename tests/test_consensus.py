@@ -22,6 +22,7 @@ from beliefpool import (
     Dag,
     DegenerateCpt,
     DegenerateProduct,
+    MalformedInstance,
     MarkovNet,
     MismatchedVariables,
     NotChordal,
@@ -34,7 +35,6 @@ from beliefpool import (
     logop_consensus_bn,
     marginal,
 )
-from beliefpool.consensus import consensus_mn_structure
 from beliefpool.joint import conditional_probability
 from beliefpool.model_io import json_text, network_to_dict
 from beliefpool.networks import is_decomposable, moralize
@@ -106,9 +106,9 @@ class TestConsensusStructures:
     def test_mixed_model_kinds_union(self):
         bn = BayesNet((Cpt(0, (), (0.5,)), Cpt(1, (), (0.5,)), Cpt(2, (0, 1), (0.1,) * 4)))
         mn = MarkovNet(3, frozenset({(1, 2)}))
-        got = consensus_mn_structure([bn, mn])
+        structure, _ = consensus_bn_structure([bn, mn])
         # Moralizing the shared-child network marries 0 and 1.
-        assert got.edges == frozenset({(0, 1), (0, 2), (1, 2)})
+        assert structure.skeleton() == frozenset({(0, 1), (0, 2), (1, 2)})
 
     def test_shared_structure_moralized_once(self):
         rng = np.random.default_rng(5)
@@ -504,21 +504,66 @@ class TestLogopConsensusBn:
         )
 
     def test_zero_evidence_context_raises_and_fallback_works(self):
-        # The first agent never has variable 1 true, so its conditional
-        # for the consensus row of node 0 given variable 1 has no mass.
-        never = BayesNet((Cpt(0, (), (0.3,)), Cpt(1, (0,), (0.0, 0.0))))
-        halves = BayesNet((Cpt(0, (), (0.5,)), Cpt(1, (), (0.5,))))
-        with pytest.raises(DegenerateCpt, match="zero mass") as exc:
-            logop_consensus_bn([never, halves])
-        assert "dense_oracle=True" in str(exc.value)
-        # Without labels the variable goes by its index.
-        assert str(exc.value).startswith("variable 0, parent row 1=1: ")
-        assert isinstance(exc.value.__cause__.__cause__, ZeroEvidence)
-        fallback = logop_consensus_bn([never, halves], dense_oracle=True)
-        dense = logop([bn_to_joint(never), bn_to_joint(halves)])
-        np.testing.assert_allclose(
-            bn_to_joint(fallback.bn).probs, dense.probs, atol=1e-12
+        # A strictly positive star: node 0 with 2 children nearly never
+        # true and 21 nearly always true. Node 0's consensus row is asked
+        # given all children true, then all false, and both contexts'
+        # evidence underflows to zero mass.
+        star = BayesNet(
+            (Cpt(0, (), (0.5,)),)
+            + tuple(Cpt(v, (0,), (1e-300, 1e-300)) for v in (1, 2))
+            + tuple(Cpt(v, (0,), (1 - 1.1e-16,) * 2) for v in range(3, 24))
         )
+        assert star.strictly_positive
+        with pytest.raises(DegenerateCpt, match="zero mass") as exc:
+            logop_consensus_bn([star])
+        assert "dense_oracle=True" in str(exc.value)
+        # Without labels the variable goes by its index; node 23, the
+        # last one eliminated, is node 0's one consensus parent.
+        assert str(exc.value).startswith("variable 0, parent row 23=0: ")
+        assert isinstance(exc.value.__cause__.__cause__, ZeroEvidence)
+        # The pool of one agent is the agent: the same log-probabilities.
+        fallback = logop_consensus_bn([star], dense_oracle=True)
+        rng = np.random.default_rng(0)
+        for state in rng.integers(0, 2, (20, star.m)).tolist() + [[0] * 24, [1] * 24]:
+            assert _log_prob(fallback.bn, state) == pytest.approx(
+                _log_prob(star, state), abs=1e-9
+            )
+
+    def test_non_positive_agent_rejected_up_front(self):
+        # A row of 0 or 1 in an agent of positive weight fails before any
+        # query. The message names the agent by its position among all
+        # agents, zero-weight ones included, then the variable, the
+        # parent row as literals, and the row.
+        positive = BayesNet((
+            Cpt(0, (), (0.4,)), Cpt(1, (0, 2), (0.5, 0.2, 0.7, 0.6)), Cpt(2, (), (0.3,)),
+        ))
+        zero_row = BayesNet((
+            Cpt(0, (), (0.4,)), Cpt(1, (0, 2), (0.5, 0.2, 0.0, 0.6)), Cpt(2, (), (0.3,)),
+        ))
+        sure = BayesNet(zero_row.cpts[:1] + (Cpt(1, (), (1.0,)),) + zero_row.cpts[2:])
+        remedy = (
+            "the query route needs every CPT row of a pooled agent strictly "
+            "inside (0, 1); rerun with dense_oracle=True to use the "
+            "factor-product fill"
+        )
+        labels = ("rain", "traffic", "wind")
+        for agents, weights, message in (
+            ([sure, positive, zero_row], (0, 1, 2),
+             "agent 2, variable 1, parent row 0=0,2=1: the row is 0.0, but "),
+            ([positive, BayesNet(sure.cpts, labels=labels)], None,
+             "agent 1, variable traffic, parent row (none): the row is 1.0, but "),
+        ):
+            with mock.patch.object(
+                consensus, "query_conditional", wraps=inference.query_conditional
+            ) as query:
+                with pytest.raises(DegenerateCpt) as exc:
+                    logop_consensus_bn(agents, weights)
+            assert str(exc.value) == message + remedy
+            query.assert_not_called()
+            assert logop_consensus_bn(agents, weights, dense_oracle=True)
+        # Zero weight drops a non-positive agent, which then builds.
+        built = logop_consensus_bn([zero_row, positive, sure], (0, 1, 0))
+        assert built.bn == logop_consensus_bn([positive]).bn
 
     def test_mismatched_agents(self):
         one_node = BayesNet((Cpt(0, (), (0.5,)),))
@@ -559,6 +604,9 @@ class TestLogopConsensusBn:
 class TestLinopQuery:
     A = two_node_bn(0.5, 0.5, labels=("A1", "A2"))
     B = two_node_bn(0.8, 0.6, labels=("A1", "A2"))
+    # Event and evidence must be disjoint, as for every query; only the
+    # CLI folds literals that the evidence fixes.
+    OVERLAP = "^target and evidence must assign disjoint variables$"
 
     def test_single_variable_event(self):
         assert linop_query([self.A, self.B], {0: True}) == pytest.approx(0.65)
@@ -571,11 +619,13 @@ class TestLinopQuery:
         got = linop_query([self.A, self.B], {0: True}, {1: True})
         assert got == pytest.approx(0.365 / 0.55, abs=1e-12)
 
-    def test_contradictory_event_is_zero(self):
-        assert linop_query([self.A, self.B], {0: True}, {0: False}) == 0.0
+    def test_contradictory_event_rejected(self):
+        with pytest.raises(MalformedInstance, match=self.OVERLAP):
+            linop_query([self.A, self.B], {0: True}, {0: False})
 
     def test_event_implied_by_evidence(self):
-        assert linop_query([self.A, self.B], {0: True}, {0: True}) == 1.0
+        with pytest.raises(MalformedInstance, match=self.OVERLAP):
+            linop_query([self.A, self.B], {0: True, 1: False}, {0: True})
 
     def test_zero_evidence(self):
         certain = two_node_bn(1.0, 0.5)

@@ -24,7 +24,14 @@ from beliefpool.inference import (
     query_conditional,
     query_event_marginal,
 )
-from beliefpool.joint import conditional_probability
+from beliefpool.joint import (
+    _check_assignment,
+    condition,
+    conditional_probability,
+    markov_dependence_gap,
+    pairwise_dependence_gap,
+)
+from beliefpool.networks import moralize
 from beliefpool.sampling import random_bn
 
 CHAIN = BayesNet((Cpt(0, (), (0.2,)), Cpt(1, (0,), (0.6, 0.4))))
@@ -32,6 +39,11 @@ CHAIN = BayesNet((Cpt(0, (), (0.2,)), Cpt(1, (0,), (0.6, 0.4))))
 
 def random_assignment(rng, m, variables):
     return {int(j): bool(rng.integers(0, 2)) for j in variables}
+
+
+def blanket(net, v):
+    """The Markov blanket of v: its neighbors in the moral graph."""
+    return sorted(moralize(net.dag()).adjacency()[v])
 
 
 def descendants(net, v):
@@ -265,7 +277,7 @@ class TestPrunedQueries:
         rng = np.random.default_rng(seed)
         net = sparse_bn(rng)
         v = int(rng.integers(0, net.m))
-        evidence = random_assignment(rng, net.m, sorted(net.blankets[v]))
+        evidence = random_assignment(rng, net.m, blanket(net, v))
         target = {v: bool(rng.integers(0, 2))}
         got = query_conditional(net, target, evidence)
         want = conditional_probability(bn_to_joint(net), target, evidence)
@@ -441,7 +453,7 @@ class TestAgainstJoint:
         v = int(rng.integers(0, net.m))
         target = {v: int(rng.integers(0, 2))}
         evidence = {
-            u: int(rng.integers(0, 2)) for u in sorted(net.blankets[v])
+            u: int(rng.integers(0, 2)) for u in blanket(net, v)
         }
         self.check(net, target, evidence)
         if net.strictly_positive:
@@ -477,7 +489,7 @@ class TestBlanketConditional:
     @staticmethod
     def check(net, target, evidence):
         ((v, x),) = target.items()
-        given = inference._check_assignment(net, evidence)
+        given = _check_assignment(net.variables, evidence)
         nodes = sorted((v, *net.children[v]))
         _, table = inference._run(net, given, {v}, nodes)
         total = float(table.sum())
@@ -502,7 +514,7 @@ class TestBlanketConditional:
         ))
         assert net.strictly_positive
         v = int(rng.integers(0, net.m))
-        evidence = random_assignment(rng, net.m, sorted(net.blankets[v]))
+        evidence = random_assignment(rng, net.m, blanket(net, v))
         rest = [u for u in range(net.m) if u != v and u not in evidence]
         extra = rng.permutation(rest)[: int(rng.integers(0, len(rest) + 1))]
         evidence.update(random_assignment(rng, net.m, extra))
@@ -539,7 +551,8 @@ def answer(query, *args):
 class TestAssignmentCheck:
     """_check_assignment hands back Python-int keys with bool values as
     they are, and normalizes every other spelling; the answers must not
-    tell the two apart, on either query route."""
+    tell the two apart, on either query route. Dense and network queries
+    share it, so they reject the same keys with the same messages."""
 
     @given(
         seed=st.integers(min_value=0, max_value=100_000),
@@ -557,14 +570,15 @@ class TestAssignmentCheck:
         v = int(rng.integers(0, net.m))
         rest = [u for u in rng.permutation(net.m).tolist() if u != v]
         if cover_blanket:  # the closed-form route
-            rest = sorted(net.blankets[v]) + [u for u in rest if u not in net.blankets[v]]
-            n = int(rng.integers(len(net.blankets[v]), len(rest) + 1))
+            around = blanket(net, v)
+            rest = around + [u for u in rest if u not in around]
+            n = int(rng.integers(len(around), len(rest) + 1))
         else:  # mostly the elimination route
             n = int(rng.integers(0, len(rest) + 1))
         target = {v: bool(rng.integers(0, 2))}
         evidence = random_assignment(rng, net.m, rest[:n])
-        assert inference._check_assignment(net, evidence) is evidence
-        assert inference._check_assignment(net, target) is target
+        assert _check_assignment(net.variables, evidence) is evidence
+        assert _check_assignment(net.variables, target) is target
 
         fast = answer(query_conditional, net, target, evidence)
         event = {**target, **evidence}
@@ -572,7 +586,7 @@ class TestAssignmentCheck:
             lambda a: {np.int64(u): int(x) for u, x in a.items()},
             lambda a: {u: 2 * int(x) for u, x in a.items()},  # any truthy state is true
         ):
-            normalized = inference._check_assignment(net, respell(evidence))
+            normalized = _check_assignment(net.variables, respell(evidence))
             assert normalized == {u: int(x) for u, x in evidence.items()}
             assert all(type(u) is int for u in normalized)
             slow = answer(query_conditional, net, respell(target), respell(evidence))
@@ -583,19 +597,27 @@ class TestAssignmentCheck:
     @settings(max_examples=100, deadline=None)
     def test_bad_keys_keep_their_messages(self, m, data):
         net = random_bn(np.random.default_rng(m), m)
+        table = bn_to_joint(net)
         valid = data.draw(st.dictionaries(st.integers(0, 2), st.booleans(), max_size=3))
         for bad, message in (
             (3.0, "variables must be integers, got {keys}"),
             ("x", "variables must be integers, got {keys}"),
+            (np.float64(3.0), "variables must be integers, got {keys}"),
             (-1, f"variable -1 outside range(0, {m})"),
             (m, f"variable {m} outside range(0, {m})"),
         ):
             assignment = {**valid, bad: True}
-            keys = ", ".join(repr(u) for u in assignment)
-            expected = re.escape(message.format(keys=keys))
-            with pytest.raises(UnknownVariable, match=f"^{expected}$"):
-                query_conditional(net, assignment)
-            with pytest.raises(UnknownVariable, match=f"^{expected}$"):
-                query_conditional(net, {}, assignment)
-            with pytest.raises(UnknownVariable, match=f"^{expected}$"):
-                query_event_marginal(net, assignment)
+            for query, args, keys in (
+                (query_conditional, (net, assignment), assignment),
+                (query_conditional, (net, {}, assignment), assignment),
+                (query_event_marginal, (net, assignment), assignment),
+                (marginal, (table, assignment), assignment),
+                (condition, (table, assignment), assignment),
+                (conditional_probability, (table, assignment), assignment),
+                (conditional_probability, (table, {}, assignment), assignment),
+                (pairwise_dependence_gap, (table, bad, 0), (bad, 0)),
+                (markov_dependence_gap, (table, bad, (0,), (1,)), (bad, 0, 1)),
+            ):
+                expected = re.escape(message.format(keys=", ".join(map(repr, keys))))
+                with pytest.raises(UnknownVariable, match=f"^{expected}$"):
+                    query(*args)

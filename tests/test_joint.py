@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from beliefpool import (
     CapacityExceeded,
     JointTable,
+    MalformedInstance,
     ModelFormatError,
     NegativeMass,
     UnknownVariable,
@@ -216,6 +217,10 @@ class TestAgainstEnumeration:
 
 
 class TestConditionalProbability:
+    # Target and evidence must be disjoint, as for network queries; only
+    # the CLI folds literals that the evidence fixes.
+    OVERLAP = "^target and evidence must assign disjoint variables$"
+
     def test_basic_ratio(self):
         got = conditional_probability(PAIR, {0: True}, {1: True})
         assert got == pytest.approx(0.4 / 0.7)
@@ -223,12 +228,13 @@ class TestConditionalProbability:
     def test_no_evidence_is_marginal(self):
         assert conditional_probability(PAIR, {0: True}) == pytest.approx(0.6)
 
-    def test_contradiction_is_zero(self):
-        assert conditional_probability(PAIR, {0: True}, {0: False}) == 0.0
+    def test_contradiction_rejected(self):
+        with pytest.raises(MalformedInstance, match=self.OVERLAP):
+            conditional_probability(PAIR, {0: True}, {0: False})
 
     def test_target_implied_by_evidence(self):
-        got = conditional_probability(PAIR, {1: True}, {1: True, 0: False})
-        assert got == 1.0
+        with pytest.raises(MalformedInstance, match=self.OVERLAP):
+            conditional_probability(PAIR, {1: True}, {1: True, 0: False})
 
     def test_zero_evidence_raises(self):
         table = JointTable(2, (0.5, 0.5, 0.0, 0.0))

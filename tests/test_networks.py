@@ -7,6 +7,8 @@ NotChordal) never grades itself.
 """
 
 import itertools
+from collections import defaultdict
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -26,6 +28,9 @@ from beliefpool import (
     UnknownVariable,
     bn_to_joint,
 )
+from beliefpool import inference
+from beliefpool.inference import query_conditional
+from beliefpool.joint import conditional_probability
 from beliefpool.networks import (
     direct_by_order,
     is_decomposable,
@@ -34,7 +39,7 @@ from beliefpool.networks import (
     moralize,
     triangulate,
 )
-from beliefpool.sampling import random_bn, random_dag, random_decomposable_bn
+from beliefpool.sampling import random_bn, random_decomposable_bn
 
 CHAIN = BayesNet((Cpt(0, (), (0.2,)), Cpt(1, (0,), (0.6, 0.4))))
 # Two roots with a shared child: moralization must marry 0 and 1.
@@ -414,32 +419,32 @@ class TestDecomposability:
 
 class TestMarkovBlanket:
     def test_parents_children_coparents(self):
-        # 0 -> 2 <- 1, 2 -> 3, 4 isolated: blanket of 2 touches all but 4.
-        dag = Dag(5, ((), (), (0, 1), (2,), ()))
-        blankets = dag.blankets()
-        assert blankets[2] == frozenset({0, 1, 3})
-        assert blankets[4] == frozenset()
-        assert blankets[0] == frozenset({1, 2})
-
-    def test_matches_moral_neighbors(self):
-        rng = np.random.default_rng(31)
-        for _ in range(25):
-            dag = random_dag(rng, 6)
-            moral = moralize(dag)
-            adjacency = moral.adjacency()
-            for v in range(6):
-                assert dag.blankets()[v] == adjacency[v]
-
-    def test_network_keeps_its_blankets(self):
-        rng = np.random.default_rng(37)
-        for _ in range(25):
-            net = random_bn(rng, 7, edge_prob=0.4, max_parents=3)
-            moral = moralize(net)
-            assert net.blankets is net.blankets
-            assert net.blankets == net.dag().blankets()
-            adjacency = moral.adjacency()
-            for v in range(net.m):
-                assert net.blankets[v] == adjacency[v]
+        # 0 -> 2 <- 1, 2 -> 3, 4 isolated. The closed form for a single
+        # target reads exactly its blanket (parents, children, co-parents):
+        # {0, 1, 3} for node 2, {1, 2} for node 0, nothing for node 4.
+        # Evidence that misses one of them falls back to elimination.
+        net = BayesNet((
+            Cpt(0, (), (0.3,)),
+            Cpt(1, (), (0.6,)),
+            Cpt(2, (0, 1), (0.1, 0.7, 0.4, 0.9)),
+            Cpt(3, (2,), (0.2, 0.8)),
+            Cpt(4, (), (0.45,)),
+        ))
+        dense = bn_to_joint(net)
+        for v, evidence, closed_form in (
+            (2, {0: True, 1: False, 3: True}, True),
+            (2, {0: True, 1: False}, False),
+            # A mapping that defaults a missing key must not fill in 3.
+            (2, defaultdict(bool, {0: True, 1: False}), False),
+            (0, {1: True, 2: False}, True),
+            (0, {2: False}, False),
+            (4, {}, True),
+        ):
+            with mock.patch.object(inference, "_run", wraps=inference._run) as run:
+                got = query_conditional(net, {v: True}, evidence)
+            assert run.called is not closed_form
+            want = conditional_probability(dense, {v: True}, dict(evidence))
+            assert got == pytest.approx(want, abs=1e-12)
 
     def test_blanket_cpts_are_the_node_and_its_children(self):
         net = random_bn(np.random.default_rng(41), 7, edge_prob=0.4, max_parents=3)
