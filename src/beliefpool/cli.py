@@ -100,13 +100,7 @@ def _emit(data: dict, out: str | None) -> None:
         raise _UsageError(f"cannot write {out}: {err}") from err
 
 
-def _check_dense_oracle(args: argparse.Namespace) -> None:
-    if args.dense_oracle and args.pool == "linop":
-        raise _UsageError("--dense-oracle applies to --pool logop only")
-
-
 def cmd_aggregate(args: argparse.Namespace) -> int:
-    _check_dense_oracle(args)
     weights = _parse_weights(args.weights)
     models = _load_bayes_inputs(args.inputs)
     if args.pool == "linop":
@@ -158,7 +152,6 @@ def _resolve_query_inputs(
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    _check_dense_oracle(args)
     models, weights = _resolve_query_inputs(args)
     labels = models[0].labels
     event = _parse_literals(args.event, labels)
@@ -216,45 +209,40 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    agg = sub.add_parser(
-        "aggregate",
-        help="pool agent networks into a consensus artifact",
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument(
+        "inputs", nargs="+", metavar="NETWORK",
+        help="agent network files; query also takes one linop manifest",
     )
-    agg.add_argument("inputs", nargs="+", metavar="NETWORK")
-    agg.add_argument(
+    shared.add_argument(
         "--pool", choices=POOL_NAMES, required=True,
         help="arithmetic (linop) or geometric (logop) pooling",
     )
-    agg.add_argument(
-        "--weights", help="comma-separated agent weights (default: equal)"
+    shared.add_argument(
+        "--weights",
+        help="comma-separated agent weights (default: a manifest's, else equal)",
     )
-    agg.add_argument(
-        "--out", help="output file (default: print to stdout)"
-    )
-    agg.add_argument(
+    shared.add_argument(
         "--dense-oracle", action="store_true",
         help="logop only: fill CPTs from the agents' weighted CPT product",
     )
+
+    agg = sub.add_parser(
+        "aggregate", parents=[shared],
+        help="pool agent networks into a consensus artifact",
+    )
+    agg.add_argument("--out", help="output file (default: print to stdout)")
     agg.set_defaults(func=cmd_aggregate)
 
     qry = sub.add_parser(
-        "query", help="consensus probability of an event"
+        "query", parents=[shared], help="consensus probability of an event"
     )
-    qry.add_argument("inputs", nargs="+", metavar="NETWORK_OR_MANIFEST")
-    qry.add_argument(
-        "--pool", choices=POOL_NAMES, required=True,
-    )
-    qry.add_argument("--weights", help="comma-separated agent weights")
     qry.add_argument(
         "--event", required=True,
         help="comma-separated literals, e.g. A1=1,A2=0",
     )
     qry.add_argument(
         "--given", default="", help="evidence literals, same syntax"
-    )
-    qry.add_argument(
-        "--dense-oracle", action="store_true",
-        help="logop only: build the consensus from the weighted CPT product",
     )
     qry.set_defaults(func=cmd_query)
 
@@ -282,6 +270,8 @@ _PARSER = _build_parser()
 def main(argv: Sequence[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
+        if getattr(args, "dense_oracle", False) and args.pool == "linop":
+            raise _UsageError("--dense-oracle applies to --pool logop only")
         return args.func(args)
     except (_UsageError, ModelFormatError, WeightCountMismatch,
             InvalidWeight) as err:

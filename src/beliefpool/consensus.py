@@ -162,7 +162,7 @@ def _structured_cpts(
     elimination_order: EliminationOrder,
     labels: tuple[str, ...] | None,
 ) -> tuple[list[Cpt], int]:
-    parents, children = structure.parents, structure.children()
+    parents, children = structure.parents, structure.children
     queries = 0
 
     def agent_conditionals(node: int, context: dict[int, bool]) -> list[float]:

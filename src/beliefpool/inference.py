@@ -2,7 +2,11 @@
 
 Queries never materialize the full joint table, so they stay usable on
 networks too large for dense enumeration as long as the induced factor
-widths stay small. A query takes one of two routes:
+widths stay small. Elimination computes one number, P(assignment): it
+restricts the CPTs of the assignment's ancestral set (every other CPT
+is barren and sums to one, so a zero-probability event stays exactly
+zero) and sums out every variable left, one joint.contract call per
+bucket. A conditional takes one of two routes:
 
 - A single-target conditional on a strictly positive network (every
   CPT row inside (0, 1)) first tries the closed form: only the node's
@@ -12,17 +16,16 @@ widths stay small. A query takes one of two routes:
   node's Markov blanket, so it gates itself: a missing blanket variable
   sends the query to elimination. Each consensus CPT row asks this
   query of every agent.
-- Every other query, marginal or conditional, is pruned to the
-  ancestral set of its target and evidence: the CPTs of every other
-  node are barren and sum to one. The CPTs left give the whole
-  P(event), and a zero-probability conditioning event stays exactly
-  zero on any network. Each elimination bucket is one joint.contract
-  call, the one factor product.
+- Every other conditional is P(target and evidence) / P(evidence), as
+  joint.conditional_probability divides two marginals. ZeroEvidence is
+  raised unless P(evidence), computed first, is positive. Near a sure
+  event the ratio can exceed 1 by one rounding unit, more when
+  P(evidence) is subnormal; it is not clamped.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from .joint import Assignment, _check_assignment, _check_query, _trusted, contra
 from .networks import BayesNet, Cpt, Dag, min_fill_order
 
 
-_ALL = slice(None)  # the index that keeps an unobserved variable's axis
+_ALL = slice(None)  # the index that keeps an unassigned variable's axis
 
 
 def _expand(
@@ -54,42 +57,28 @@ def _ancestral_set(bn: BayesNet, variables: set[int]) -> list[int]:
     return sorted(seen)
 
 
-def _run(
-    bn: BayesNet, evidence: Assignment, keep: set[int], nodes: Iterable[int]
-) -> tuple[tuple[int, ...], np.ndarray]:
-    """Eliminate everything outside keep after restricting by evidence.
-
-    evidence maps each observed variable to its state, as
-    _check_assignment returns it. Only the CPTs of nodes enter. Queries
-    pass the ancestral set of keep and the evidence, whose product
-    summed over the rest is the joint probability of each
-    keep-assignment with the evidence. Each bucket is one contract call
-    that sums out its variable; the factors left are multiplied onto
-    their sorted variables. When every restricted factor lies inside
-    keep, nothing is eliminated and no elimination order is computed.
-    """
+def _probability(bn: BayesNet, assignment: Assignment) -> float:
+    """P(assignment), assignment as _check_assignment returns it: the
+    ancestral CPTs restricted by it, every variable left summed out
+    along min_fill_order, one contract call per bucket."""
     factors = []  # (variables, table) pairs, axis i = variables[i]
-    for v in nodes:
+    for v in _ancestral_set(bn, set(assignment)):
         cpt = bn.cpts[v]
         family = cpt.family
-        restrict = tuple([int(evidence[u]) if u in evidence else _ALL for u in family])
-        free = tuple([u for u in family if u not in evidence])
+        restrict = tuple([int(assignment[u]) if u in assignment else _ALL for u in family])
+        free = tuple([u for u in family if u not in assignment])
         factors.append((free, cpt.table[restrict]))
-    scope = {v for variables, _ in factors for v in variables}
-    if not scope <= keep:
-        adj: dict[int, set[int]] = {v: set() for v in scope}
-        for variables, _ in factors:
-            for u, w in itertools.combinations(variables, 2):
-                adj[u].add(w)
-                adj[w].add(u)
-        order, _ = min_fill_order(adj, keep)
-        for v in order:
-            bucket = [f for f in factors if v in f[0]]
-            factors = [f for f in factors if v not in f[0]]
-            rest = tuple(sorted({u for variables, _ in bucket for u in variables} - {v}))
-            factors.append((rest, contract(bucket, rest)))
-    variables = tuple(sorted(scope & keep))
-    return variables, contract(factors, variables)
+    adj: dict[int, set[int]] = {v: set() for variables, _ in factors for v in variables}
+    for variables, _ in factors:
+        for u, w in itertools.combinations(variables, 2):
+            adj[u].add(w)
+            adj[w].add(u)
+    for v in min_fill_order(adj)[0]:
+        bucket = [f for f in factors if v in f[0]]
+        factors = [f for f in factors if v not in f[0]]
+        rest = tuple(sorted({u for variables, _ in bucket for u in variables} - {v}))
+        factors.append((rest, contract(bucket, rest)))
+    return float(contract(factors, ()))
 
 
 def weighted_product_cpts(
@@ -152,9 +141,9 @@ def _blanket_conditional(
     Given the blanket, the answer is proportional to the product of v's
     own CPT and its children's, and the evidence leaves each of them one
     entry per state of v. The products a0 and a1 multiply those entries
-    in increasing node order, as _run multiplies the factors (1.0 times
-    the first is exact), so the answer is the same float _run returns
-    over the CPTs of v and its children, normalized.
+    in increasing node order (1.0 times the first is exact), so they are
+    bit for bit the two entries of joint.contract over those CPTs,
+    restricted by the evidence and keeping v.
     """
     a0 = a1 = 1.0
     for cpt in bn.blanket_cpts[v]:
@@ -185,9 +174,7 @@ def _blanket_conditional(
 
 def query_event_marginal(bn: BayesNet, event: Assignment) -> float:
     """Probability that every variable in event takes its given value."""
-    states = _check_assignment(bn.variables, event)
-    nodes = _ancestral_set(bn, set(states))
-    return float(_run(bn, states, set(), nodes)[1])
+    return _probability(bn, _check_assignment(bn.variables, event))
 
 
 def query_conditional(
@@ -207,11 +194,7 @@ def query_conditional(
             return _blanket_conditional(bn, v, x, given)
         except KeyError:  # evidence misses part of v's blanket
             pass
-    nodes = _ancestral_set(bn, set(wanted) | set(given))
-    variables, table = _run(bn, given, set(wanted), nodes)
-    total = float(table.sum())
+    total = _probability(bn, given)
     if total <= 0.0:
         raise ZeroEvidence("conditioning event has probability zero")
-    if not wanted:
-        return 1.0
-    return float(table[tuple(int(wanted[v]) for v in variables)]) / total
+    return _probability(bn, {**given, **wanted}) / total

@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
-from typing import Collection, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -153,8 +153,9 @@ class Dag:
         except TypeError:
             raise ModelFormatError("node count and parents must be integers") from None
 
+    @cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
-        """children()[j] lists the nodes that have j as a parent."""
+        """children[j] lists the nodes that have j as a parent; built once."""
         out: list[list[int]] = [[] for _ in range(self.m)]
         for j, ps in enumerate(self.parents):
             for p in ps:
@@ -170,7 +171,7 @@ class Dag:
     def topological_order(self) -> tuple[int, ...]:
         """Parents-before-children order, lowest index first among ties."""
         remaining = [len(ps) for ps in self.parents]
-        children = self.children()
+        children = self.children
         ready = [j for j in range(self.m) if remaining[j] == 0]
         heapq.heapify(ready)
         order: list[int] = []
@@ -222,18 +223,13 @@ class BayesNet:
         return len(self.cpts)
 
     @cached_property
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        """children[j] lists the nodes that have j as a parent; built once."""
-        return self._dag.children()
-
-    @cached_property
     def blanket_cpts(self) -> tuple[tuple[Cpt, ...], ...]:
         """blanket_cpts[j] holds the CPTs of j and of its children in
         increasing owner order: every factor that mentions j; built once."""
         cpts = self.cpts
         return tuple(
             tuple(cpts[u] for u in sorted((j, *kids)))
-            for j, kids in enumerate(self.children)
+            for j, kids in enumerate(self._dag.children)
         )
 
     @cached_property
@@ -336,11 +332,10 @@ def _fill_count(adj: Mapping[int, set[int]], v: int) -> int:
 
 
 def min_fill_order(
-    adjacency: Mapping[int, set[int]], keep: Collection[int] = ()
+    adjacency: Mapping[int, set[int]],
 ) -> tuple[EliminationOrder, frozenset[tuple[int, int]]]:
     """Greedy elimination order adding the fewest fill edges per step.
 
-    Variables in keep are never eliminated but still count toward fill.
     Ties pick the lowest variable index. Returns the order and the set
     of fill edges added (each pair sorted ascending).
 
@@ -354,7 +349,7 @@ def min_fill_order(
     and every pick is the one a full recount would make.
     """
     adj = {v: set(nbrs) for v, nbrs in adjacency.items()}
-    fill = {v: _fill_count(adj, v) for v in adj if v not in keep}
+    fill = {v: _fill_count(adj, v) for v in adj}
     order: list[int] = []
     fills: set[tuple[int, int]] = set()
     while fill:
@@ -372,7 +367,7 @@ def min_fill_order(
         stale = set(nbrs)
         for u, w in added:
             stale |= adj[u] & adj[w]
-        for u in stale.intersection(fill):
+        for u in stale:
             fill[u] = _fill_count(adj, u)
         fills.update(added)
         order.append(v)

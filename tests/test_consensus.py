@@ -356,9 +356,9 @@ class TestLogopConsensusBn:
         else:
             agents = [random_bn(rng, m, max_parents=2) for _ in range(n)]
         assert all(a.strictly_positive for a in agents)
-        with mock.patch.object(inference, "_run", wraps=inference._run) as run:
+        with mock.patch.object(inference, "_probability") as kernel:
             result = logop_consensus_bn(agents, random_weights(rng, n))
-        run.assert_not_called()
+        kernel.assert_not_called()
         assert result.agent_queries >= n * m
 
     def test_dense_oracle_path(self):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -28,6 +29,7 @@ from beliefpool.joint import (
     _check_assignment,
     condition,
     conditional_probability,
+    contract,
     markov_dependence_gap,
     pairwise_dependence_gap,
 )
@@ -47,7 +49,7 @@ def blanket(net, v):
 
 
 def descendants(net, v):
-    children = net.dag().children()
+    children = net.dag().children
     seen, stack = set(), [v]
     while stack:
         for c in children[stack.pop()]:
@@ -268,8 +270,7 @@ class TestPrunedQueries:
         assert COLLIDER.strictly_positive
         assert not ZERO_ANCESTOR.strictly_positive
         assert not ZERO_ELSEWHERE.strictly_positive
-        assert COLLIDER.children == COLLIDER.dag().children()
-        assert COLLIDER.children is COLLIDER.children
+        assert COLLIDER.dag().children is COLLIDER.dag().children
 
     @given(seed=st.integers(min_value=0, max_value=100_000))
     @settings(max_examples=80, deadline=None)
@@ -393,21 +394,7 @@ class TestQueryEventMarginal:
 
 
 class TestAgainstJoint:
-    """Both VE branches against the dense joint, on any row values."""
-
-    def test_branches(self):
-        with mock.patch.object(
-            inference, "min_fill_order", wraps=inference.min_fill_order
-        ) as order:
-            blanket = {0: True, 1: False, 3: True, 4: False}
-            query_conditional(COLLIDER, {2: True}, blanket)
-            assert order.call_count == 0
-            # Two targets take the factor route; every factor left after
-            # the evidence lies inside them, so nothing is eliminated.
-            query_conditional(COLLIDER, {2: True, 4: True}, {0: 1, 1: 0, 3: 1})
-            assert order.call_count == 0
-            query_conditional(COLLIDER, {2: True}, {3: True})
-            assert order.call_count == 1
+    """Both query routes against the dense joint, on any row values."""
 
     @staticmethod
     def check(net, target, evidence):
@@ -457,12 +444,10 @@ class TestAgainstJoint:
         }
         self.check(net, target, evidence)
         if net.strictly_positive:
-            # The closed-form route computes no elimination order.
-            with mock.patch.object(
-                inference, "min_fill_order", wraps=inference.min_fill_order
-            ) as order:
+            # The closed-form route runs no elimination.
+            with mock.patch.object(inference, "_probability") as kernel:
                 query_conditional(net, target, evidence)
-            order.assert_not_called()
+            kernel.assert_not_called()
 
     @given(
         seed=st.integers(min_value=0, max_value=100_000), extreme=st.booleans()
@@ -484,23 +469,29 @@ class TestAgainstJoint:
 
 class TestBlanketConditional:
     """Single targets given their Markov blanket on positive networks,
-    against elimination over the CPTs of the target and its children."""
+    against the product of the CPTs of the target and its children."""
 
     @staticmethod
     def check(net, target, evidence):
         ((v, x),) = target.items()
         given = _check_assignment(net.variables, evidence)
-        nodes = sorted((v, *net.children[v]))
-        _, table = inference._run(net, given, {v}, nodes)
+        # The CPTs of v and its children in increasing node order, each
+        # restricted by the evidence to a factor over v alone.
+        factors = []
+        for u in sorted((v, *net.dag().children[v])):
+            family = net.cpts[u].family
+            index = tuple(int(given[w]) if w in given else slice(None) for w in family)
+            factors.append(((v,), net.cpts[u].table[index]))
+        table = contract(factors, (v,))
         total = float(table.sum())
-        with mock.patch.object(inference, "_run") as run:
+        with mock.patch.object(inference, "_probability") as kernel:
             if total <= 0.0:
                 with pytest.raises(ZeroEvidence):
                     query_conditional(net, target, evidence)
             else:
                 got = query_conditional(net, target, evidence)
                 assert got == float(table[x]) / total
-        run.assert_not_called()
+        kernel.assert_not_called()
 
     @given(seed=st.integers(min_value=0, max_value=100_000))
     @settings(max_examples=200, deadline=None)
@@ -538,6 +529,81 @@ class TestBlanketConditional:
         # Only the false state underflows; the true one is subnormal.
         assert query_conditional(net, {0: 1}, {1: True, 2: True, 3: False}) == 1.0
         assert query_conditional(net, {0: 0}, {1: True, 2: True, 3: False}) == 0.0
+
+
+class TestConditionalRule:
+    """Outside the closed form, P(target | evidence) is P(target and
+    evidence) / P(evidence): two eliminations, P(evidence) first."""
+
+    @staticmethod
+    def kernel_calls(net, target, evidence):
+        """The answer, or ZeroEvidence, and the assignments the kernel got."""
+        with mock.patch.object(
+            inference, "_probability", wraps=inference._probability
+        ) as kernel:
+            got = answer(query_conditional, net, target, evidence)
+        return got, [dict(call.args[1]) for call in kernel.call_args_list]
+
+    def test_closed_form_makes_no_call(self):
+        blanket = {0: True, 1: False, 3: True, 4: False}
+        assert self.kernel_calls(COLLIDER, {2: True}, blanket)[1] == []
+
+    def test_two_calls_evidence_first(self):
+        for net, target, evidence in (
+            (COLLIDER, {2: True, 4: True}, {0: True, 1: False, 3: True}),
+            (COLLIDER, {2: True}, {3: True}),  # the blanket is not covered
+            (COLLIDER, {5: False}, {}),
+            (COLLIDER, {}, {3: True, 5: False}),
+            (ZERO_ELSEWHERE, {0: True}, {1: True}),  # not strictly positive
+            (ZERO_ANCESTOR, {2: True}, {0: True}),  # P(target and evidence) = 0
+        ):
+            got, calls = self.kernel_calls(net, target, evidence)
+            assert calls == [evidence, {**evidence, **target}]
+            joint = inference._probability(net, {**evidence, **target})
+            assert got == joint / inference._probability(net, evidence)
+            want = conditional_probability(bn_to_joint(net), target, evidence)
+            assert got == pytest.approx(want, abs=1e-15)
+
+    def test_zero_evidence_raises_after_first_call(self):
+        for net, target, evidence in (
+            (ZERO_ELSEWHERE, {0: True}, {3: True}),
+            (ZERO_ELSEWHERE, {}, {3: True}),
+            (ZERO_ANCESTOR, {0: True}, {2: True}),
+        ):
+            assert self.kernel_calls(net, target, evidence) == (
+                ZeroEvidence, [evidence]
+            )
+
+    @given(seed=st.integers(min_value=0, max_value=100_000))
+    @settings(max_examples=60, deadline=None)
+    def test_empty_target_is_exactly_one(self, seed):
+        rng = np.random.default_rng(seed)
+        net = with_edge_rows(rng, sparse_bn(rng))
+        k = int(rng.integers(0, net.m + 1))
+        evidence = random_assignment(rng, net.m, rng.permutation(net.m)[:k])
+        assert answer(query_conditional, net, {}, evidence) in (1.0, ZeroEvidence)
+
+    def test_many_literals_stay_small(self):
+        # 20 target literals on a sparse 40-node network: a table over the
+        # targets would hold 2**20 floats, 8 MB.
+        net = random_bn(np.random.default_rng(0), 40, edge_prob=0.05, max_parents=2)
+        target = {v: v % 3 == 0 for v in range(0, 40, 2)}
+        tracemalloc.start()
+        try:
+            got = query_conditional(net, target, {39: False})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        want = query_event_marginal(net, {**target, 39: False})
+        assert got == want / query_event_marginal(net, {39: False})
+
+    def test_many_literals_match_joint(self):
+        net = random_bn(np.random.default_rng(0), 16, edge_prob=0.1, max_parents=2)
+        target = {v: v % 3 == 0 for v in range(15)}
+        got = query_conditional(net, target, {15: False})
+        want = conditional_probability(bn_to_joint(net), target, {15: False})
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def answer(query, *args):
