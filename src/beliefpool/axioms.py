@@ -1,16 +1,20 @@
 """Checkable pooling properties, worked fixtures, and negative controls.
 
 Each property gets an instance type carrying the agent tables plus
-whatever the property quantifies over, and a checker that returns a
-violation magnitude. check_property applies one pool to many instances
-and reports pass/fail against a tolerance. Expected failures
+whatever the property quantifies over, which measures its violation
+magnitude under a pool. check_property applies one pool to many
+instances and reports pass/fail against a tolerance. Expected failures
 (independence broken by pooling, order-dependent family aggregation)
-live here too, alongside deterministic report suites for the CLI.
+live here too, alongside deterministic report suites for the CLI. Both
+pools check the same frozen instances, so each instance keeps the
+agent-side values it works out (cached_property); a check that raises
+keeps nothing, and raises again on every call.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,99 +49,8 @@ from .sampling import (
 )
 
 # ---------------------------------------------------------------------------
-# Property instances
-
-
-@dataclass(frozen=True)
-class UnanimityInstance:
-    """All agents hold the identical table."""
-
-    tables: tuple[JointTable, ...]
-    weights: tuple[float, ...] | None = None
-
-
-@dataclass(frozen=True)
-class EventPoolInstance:
-    """An event (set of state indices) to pool directly versus jointly."""
-
-    tables: tuple[JointTable, ...]
-    event: frozenset[int]
-    weights: tuple[float, ...] | None = None
-
-
-@dataclass(frozen=True)
-class EvidenceInstance:
-    """Evidence to condition on before versus after pooling."""
-
-    tables: tuple[JointTable, ...]
-    evidence: tuple[tuple[int, bool], ...]
-    weights: tuple[float, ...] | None = None
-
-
-@dataclass(frozen=True)
-class StatePairInstance:
-    """Two belief profiles agreeing on states s and t agent by agent."""
-
-    tables_p: tuple[JointTable, ...]
-    tables_q: tuple[JointTable, ...]
-    s: int
-    t: int
-    weights: tuple[float, ...] | None = None
-
-
-@dataclass(frozen=True)
-class EventPairInstance:
-    """Two events independent under every agent."""
-
-    tables: tuple[JointTable, ...]
-    event_a: frozenset[int]
-    event_b: frozenset[int]
-    weights: tuple[float, ...] | None = None
-
-
-@dataclass(frozen=True)
-class VariablePairInstance:
-    """Two variables pairwise independent under every agent."""
-
-    tables: tuple[JointTable, ...]
-    a: int
-    b: int
-    weights: tuple[float, ...] | None = None
-
-
-@dataclass(frozen=True)
-class ProductInstance:
-    """Every agent's table is a full product of its variable marginals."""
-
-    tables: tuple[JointTable, ...]
-    weights: tuple[float, ...] | None = None
-
-
-@dataclass(frozen=True)
-class MarkovInstance:
-    """Every agent has variable a independent of x given w."""
-
-    tables: tuple[JointTable, ...]
-    a: int
-    w: tuple[int, ...]
-    x: tuple[int, ...]
-    weights: tuple[float, ...] | None = None
-
-
-@dataclass(frozen=True)
-class FamilyInstance:
-    """Two chain-rule orderings along which to pool conditional rows."""
-
-    tables: tuple[JointTable, ...]
-    ordering_a: tuple[int, ...]
-    ordering_b: tuple[int, ...]
-    weights: tuple[float, ...] | None = None
-
-
-# ---------------------------------------------------------------------------
-# Checkers: each returns a violation magnitude (0 means the property held)
-
-_PRODUCT_PRECONDITION_TOL = 1e-12
+# Property instances: each measures its violation under a pool
+# (_violation; 0 means the property held)
 
 
 def _pooled(pool: str, inst, tables=None) -> JointTable:
@@ -150,8 +63,6 @@ def _event_mass(table: JointTable, states: frozenset[int]) -> float:
     for s in states:
         if not 0 <= s < table.n_states:
             raise MalformedInstance(f"state index {s} out of range")
-    if not states:
-        return 0.0
     return float(table.probs[sorted(states)].sum())
 
 
@@ -162,106 +73,238 @@ def _product_gap(table: JointTable) -> float:
     return float(np.max(np.abs(table.probs - expected)))
 
 
-def _preserved_gap(pool, inst, gap, hypothesis, tol=_PRODUCT_PRECONDITION_TOL) -> float:
-    """The pooled table's gap, once every agent's gap is within tol."""
-    if any(gap(t) > tol for t in inst.tables):
-        raise MalformedInstance(hypothesis)
-    return gap(_pooled(pool, inst))
+@dataclass(frozen=True)
+class UnanimityInstance:
+    """All agents hold the identical table."""
+
+    tables: tuple[JointTable, ...]
+    weights: tuple[float, ...] | None = None
+
+    @cached_property
+    def _shared_table(self) -> JointTable:
+        first = self.tables[0]
+        for t in self.tables[1:]:
+            if t.m != first.m or not np.array_equal(t.probs, first.probs):
+                raise MalformedInstance("unanimity needs identical agent tables")
+        return first
+
+    def _violation(self, pool: str) -> float:
+        first = self._shared_table
+        return float(np.max(np.abs(_pooled(pool, self).probs - first.probs)))
 
 
-def _unam_gap(pool: str, inst: UnanimityInstance) -> float:
-    first = inst.tables[0]
-    for t in inst.tables[1:]:
-        if t.m != first.m or not np.array_equal(t.probs, first.probs):
-            raise MalformedInstance("unanimity needs identical agent tables")
-    return float(np.max(np.abs(_pooled(pool, inst).probs - first.probs)))
+@dataclass(frozen=True)
+class EventPoolInstance:
+    """An event (set of state indices) to pool directly versus jointly."""
+
+    tables: tuple[JointTable, ...]
+    event: frozenset[int]
+    weights: tuple[float, ...] | None = None
+
+    @cached_property
+    def _normalized_weights(self) -> np.ndarray:
+        return normalize_weights(self.weights, len(self.tables))
+
+    @cached_property
+    def _event_masses(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every agent's mass off the event and on it."""
+        true = np.array([_event_mass(t, self.event) for t in self.tables])
+        rest = frozenset(range(self.tables[0].n_states)) - self.event
+        return np.array([_event_mass(t, rest) for t in self.tables]), true
+
+    def _violation(self, pool: str) -> float:
+        w = self._normalized_weights
+        joint_route = _event_mass(_pooled(pool, self), self.event)
+        false, true = self._event_masses
+        if pool == "linop":
+            return abs(joint_route - float(w @ true))
+        # No NaN here: the joint route has raised DegenerateProduct first.
+        _, event_route = logistic(pooled_log_odds(false, true, w))
+        return abs(joint_route - float(event_route))
 
 
-def _mp_gap(pool: str, inst: EventPoolInstance) -> float:
-    w = normalize_weights(inst.weights, len(inst.tables))
-    joint_route = _event_mass(_pooled(pool, inst), inst.event)
-    true = np.array([_event_mass(t, inst.event) for t in inst.tables])
-    if pool == "linop":
-        return abs(joint_route - float(w @ true))
-    rest = frozenset(range(inst.tables[0].n_states)) - inst.event
-    false = np.array([_event_mass(t, rest) for t in inst.tables])
-    # No NaN here: the joint route has raised DegenerateProduct first.
-    _, event_route = logistic(pooled_log_odds(false, true, w))
-    return abs(joint_route - float(event_route))
+@dataclass(frozen=True)
+class EvidenceInstance:
+    """Evidence to condition on before versus after pooling."""
 
+    tables: tuple[JointTable, ...]
+    evidence: tuple[tuple[int, bool], ...]
+    weights: tuple[float, ...] | None = None
 
-def _eb_gap(pool: str, inst: EvidenceInstance) -> float:
-    evidence = dict(inst.evidence)
-    try:
-        pool_then_condition = condition(_pooled(pool, inst), evidence)
-        condition_then_pool = _pooled(
-            pool, inst, [condition(t, evidence) for t in inst.tables]
+    @cached_property
+    def _conditioned(self) -> tuple[JointTable, ...]:
+        return tuple(condition(t, dict(self.evidence)) for t in self.tables)
+
+    def _violation(self, pool: str) -> float:
+        try:
+            pool_then_condition = condition(_pooled(pool, self), dict(self.evidence))
+            condition_then_pool = _pooled(pool, self, self._conditioned)
+        except ZeroEvidence as err:
+            raise MalformedInstance(
+                "evidence must have positive mass for every agent"
+            ) from err
+        return float(
+            np.max(np.abs(pool_then_condition.probs - condition_then_pool.probs))
         )
-    except ZeroEvidence as err:
-        raise MalformedInstance(
-            "evidence must have positive mass for every agent"
-        ) from err
-    return float(
-        np.max(np.abs(pool_then_condition.probs - condition_then_pool.probs))
-    )
 
 
-def _pds_gap(pool: str, inst: StatePairInstance) -> float:
-    if len(inst.tables_p) != len(inst.tables_q):
-        raise MalformedInstance("profiles must have the same agent count")
-    for tp, tq in zip(inst.tables_p, inst.tables_q):
-        for state in (inst.s, inst.t):
-            if not 0 <= state < min(tp.n_states, tq.n_states):
-                raise MalformedInstance(f"state index {state} out of range")
-            if abs(tp.probs[state] - tq.probs[state]) > 1e-15:
-                raise MalformedInstance(
-                    "profiles must agree on both distinguished states"
-                )
-    pooled_p = _pooled(pool, inst, inst.tables_p)
-    pooled_q = _pooled(pool, inst, inst.tables_q)
-    if pooled_p.probs[inst.t] <= 0.0 or pooled_q.probs[inst.t] <= 0.0:
-        raise MalformedInstance("reference state t pooled to zero mass")
-    ratio_p = pooled_p.probs[inst.s] / pooled_p.probs[inst.t]
-    ratio_q = pooled_q.probs[inst.s] / pooled_q.probs[inst.t]
-    return abs(float(ratio_p - ratio_q))
+@dataclass(frozen=True)
+class StatePairInstance:
+    """Two belief profiles agreeing on states s and t agent by agent."""
+
+    tables_p: tuple[JointTable, ...]
+    tables_q: tuple[JointTable, ...]
+    s: int
+    t: int
+    weights: tuple[float, ...] | None = None
+
+    @cached_property
+    def _profiles(self) -> tuple[tuple[JointTable, ...], tuple[JointTable, ...]]:
+        """(tables_p, tables_q), once checked to agree on s and t."""
+        if len(self.tables_p) != len(self.tables_q):
+            raise MalformedInstance("profiles must have the same agent count")
+        for tp, tq in zip(self.tables_p, self.tables_q):
+            for state in (self.s, self.t):
+                if not 0 <= state < min(tp.n_states, tq.n_states):
+                    raise MalformedInstance(f"state index {state} out of range")
+                if abs(tp.probs[state] - tq.probs[state]) > 1e-15:
+                    raise MalformedInstance(
+                        "profiles must agree on both distinguished states"
+                    )
+        return self.tables_p, self.tables_q
+
+    def _violation(self, pool: str) -> float:
+        tables_p, tables_q = self._profiles
+        pooled_p = _pooled(pool, self, tables_p)
+        pooled_q = _pooled(pool, self, tables_q)
+        if pooled_p.probs[self.t] <= 0.0 or pooled_q.probs[self.t] <= 0.0:
+            raise MalformedInstance("reference state t pooled to zero mass")
+        ratio_p = pooled_p.probs[self.s] / pooled_p.probs[self.t]
+        ratio_q = pooled_q.probs[self.s] / pooled_q.probs[self.t]
+        return abs(float(ratio_p - ratio_q))
 
 
-def _ipp_gap(pool: str, inst: EventPairInstance) -> float:
-    both = inst.event_a & inst.event_b
+class _PreservedProperty:
+    """Hypothesis: every agent's _gap is within _TOL; violation: the pool's."""
 
-    def gap(t: JointTable) -> float:
-        return abs(
-            _event_mass(t, both)
-            - _event_mass(t, inst.event_a) * _event_mass(t, inst.event_b)
-        )
+    _TOL = 1e-12
 
-    return _preserved_gap(
-        pool, inst, gap, "events must be independent under every agent"
-    )
+    @cached_property
+    def _agents_within(self) -> bool:
+        return not any(self._gap(t) > self._TOL for t in self.tables)
 
-
-def _pair_gap(pool: str, inst: VariablePairInstance) -> float:
-    return _preserved_gap(
-        pool, inst,
-        lambda t: pairwise_dependence_gap(t, inst.a, inst.b),
-        "variables must be pairwise independent under every agent",
-    )
+    def _violation(self, pool: str) -> float:
+        if not self._agents_within:
+            raise MalformedInstance(self._HYPOTHESIS)
+        return self._gap(_pooled(pool, self))
 
 
-def _meipp_gap(pool: str, inst: ProductInstance) -> float:
-    return _preserved_gap(
-        pool, inst, _product_gap,
-        "every agent table must be a full product of marginals",
-    )
+@dataclass(frozen=True)
+class EventPairInstance(_PreservedProperty):
+    """Two events independent under every agent."""
+
+    tables: tuple[JointTable, ...]
+    event_a: frozenset[int]
+    event_b: frozenset[int]
+    weights: tuple[float, ...] | None = None
+
+    _HYPOTHESIS = "events must be independent under every agent"
+
+    def _gap(self, t: JointTable) -> float:
+        both = _event_mass(t, self.event_a & self.event_b)
+        return abs(both - _event_mass(t, self.event_a) * _event_mass(t, self.event_b))
 
 
-def _mipp_gap(pool: str, inst: MarkovInstance) -> float:
-    return _preserved_gap(
-        pool, inst,
-        lambda t: markov_dependence_gap(t, inst.a, inst.w, inst.x),
-        "conditional independence must hold for every agent",
-        tol=1e-10,
-    )
+@dataclass(frozen=True)
+class VariablePairInstance(_PreservedProperty):
+    """Two variables pairwise independent under every agent."""
+
+    tables: tuple[JointTable, ...]
+    a: int
+    b: int
+    weights: tuple[float, ...] | None = None
+
+    _HYPOTHESIS = "variables must be pairwise independent under every agent"
+
+    def _gap(self, t: JointTable) -> float:
+        return pairwise_dependence_gap(t, self.a, self.b)
+
+
+@dataclass(frozen=True)
+class ProductInstance(_PreservedProperty):
+    """Every agent's table is a full product of its variable marginals."""
+
+    tables: tuple[JointTable, ...]
+    weights: tuple[float, ...] | None = None
+
+    _HYPOTHESIS = "every agent table must be a full product of marginals"
+
+    def _gap(self, t: JointTable) -> float:
+        return _product_gap(t)
+
+
+@dataclass(frozen=True)
+class MarkovInstance(_PreservedProperty):
+    """Every agent has variable a independent of x given w."""
+
+    tables: tuple[JointTable, ...]
+    a: int
+    w: tuple[int, ...]
+    x: tuple[int, ...]
+    weights: tuple[float, ...] | None = None
+
+    _TOL = 1e-10
+    _HYPOTHESIS = "conditional independence must hold for every agent"
+
+    def _gap(self, t: JointTable) -> float:
+        return markov_dependence_gap(t, self.a, self.w, self.x)
+
+
+@dataclass(frozen=True)
+class FamilyInstance:
+    """Two chain-rule orderings along which to pool conditional rows."""
+
+    tables: tuple[JointTable, ...]
+    ordering_a: tuple[int, ...]
+    ordering_b: tuple[int, ...]
+    weights: tuple[float, ...] | None = None
+
+    @cached_property
+    def _prefixes_a(self) -> list:
+        return _prefix_masses(self.tables, self.ordering_a)
+
+    @cached_property
+    def _prefixes_b(self) -> list:
+        return _prefix_masses(self.tables, self.ordering_b)
+
+    def _violation(self, pool: str) -> float:
+        prefixes_a = self._prefixes_a
+        w = normalize_weights(self.weights, len(self.tables))
+        joint_a = _chain_rule_pool(pool, prefixes_a, self.ordering_a, w)
+        joint_b = _chain_rule_pool(pool, self._prefixes_b, self.ordering_b, w)
+        return float(np.max(np.abs(joint_a.probs - joint_b.probs)))
+
+
+# ---------------------------------------------------------------------------
+# Pooling family by family
+
+
+def _prefix_masses(tables: Sequence[JointTable], ordering: Sequence[int]) -> list:
+    """Per ordering position k: each agent's mass (axis 0) of (prefix
+    context, ordering[k]) and of the context, axis i + 1 being
+    ordering[i], and which contexts some agent gives zero mass."""
+    m, stacked = _stack(tables)
+    if sorted(ordering) != list(range(m)):
+        raise MalformedInstance("ordering must be a permutation of all variables")
+    # State index bit j sits on axis m - j of the plain reshape.
+    mass = stacked.reshape((len(tables),) + (2,) * m)
+    mass = mass.transpose((0,) + tuple(m - v for v in ordering))
+    prefixes = []
+    for k in range(m):
+        family = mass.sum(axis=tuple(range(k + 2, m + 1)))
+        context = family.sum(axis=-1, keepdims=True)
+        prefixes.append((family, context, (context[..., 0] <= 0.0).any(axis=0)))
+    return prefixes
 
 
 def family_pooled_joint(
@@ -281,20 +324,14 @@ def family_pooled_joint(
     comes first in chain-rule row order.
     """
     check_pool_name(pool)
-    m, stacked = _stack(tables)
-    if sorted(ordering) != list(range(m)):
-        raise MalformedInstance("ordering must be a permutation of all variables")
-    w = normalize_weights(weights, len(tables))
-    # Axis 0 is the agent and axis k + 1 is ordering[k]: state index bit j
-    # sits on axis m - j of the plain reshape.
-    mass = stacked.reshape((len(tables),) + (2,) * m)
-    mass = mass.transpose((0,) + tuple(m - v for v in ordering))
+    prefixes = _prefix_masses(tables, ordering)
+    return _chain_rule_pool(pool, prefixes, ordering, normalize_weights(weights, len(tables)))
+
+
+def _chain_rule_pool(pool: str, prefixes: list, ordering: Sequence[int], w) -> JointTable:
+    """family_pooled_joint from _prefix_masses and normalized weights w."""
     factors = []
-    for k in range(m):
-        # Mass of (prefix context, node) per agent; axis i + 1 is ordering[i].
-        family = mass.sum(axis=tuple(range(k + 2, m + 1)))
-        context = family.sum(axis=-1, keepdims=True)
-        dead = (context[..., 0] <= 0.0).any(axis=0)
+    for k, (family, context, dead) in enumerate(prefixes):
         if pool == "linop":
             split = np.divide(family, context, out=np.zeros_like(family), where=context > 0.0)
             wk = w.reshape((-1,) + (1,) * (k + 1))
@@ -315,13 +352,8 @@ def family_pooled_joint(
             raise DegenerateProduct("event and complement both pooled to zero mass")
         factors.append((ordering[: k + 1], factor))
     # State-index layout: variable j on axis m - 1 - j.
+    m = len(prefixes)
     return _trusted_table(m, contract(factors, range(m - 1, -1, -1)).ravel())
-
-
-def _fa_gap(pool: str, inst: FamilyInstance) -> float:
-    joint_a = family_pooled_joint(pool, inst.tables, inst.ordering_a, inst.weights)
-    joint_b = family_pooled_joint(pool, inst.tables, inst.ordering_b, inst.weights)
-    return float(np.max(np.abs(joint_a.probs - joint_b.probs)))
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +395,13 @@ def _draw_pds(rng: np.random.Generator) -> StatePairInstance:
         other = np.maximum(rng.random(1 << m), 0.01)
         other[s] = base.probs[s]
         other[t] = base.probs[t]
-        # rescale the remaining states so the table still sums to 1
+        # rescale the remaining states so the table still sums to 1; its
+        # entries are positive, so it is valid by construction
         keep = base.probs[s] + base.probs[t]
         rest = [i for i in range(1 << m) if i not in (s, t)]
         other[rest] *= (1.0 - keep) / other[rest].sum()
         profile_p.append(base)
-        profile_q.append(JointTable(m, other))
+        profile_q.append(_trusted_table(m, other))
     return StatePairInstance(
         tuple(profile_p), tuple(profile_q), s, t, random_weights(rng, 2)
     )
@@ -430,29 +463,19 @@ def _draw_fa(rng: np.random.Generator) -> FamilyInstance:
     return FamilyInstance(tables, ordering_a, ordering_b, random_weights(rng, 2))
 
 
-# property name -> (instance type, checker returning a violation, suite
-# draw, then the suite's (tolerance, expectation) for linop and for logop)
+# property name -> (instance type, suite draw, then the suite's
+# (tolerance, expectation) for linop and for logop)
 _PROPERTIES: dict[str, tuple] = {
-    "unam": (UnanimityInstance, _unam_gap, _draw_unam,
-             (1e-12, "all-pass"), (1e-12, "all-pass")),
-    "mp": (EventPoolInstance, _mp_gap, _draw_mp,
-           (1e-12, "all-pass"), (1e-12, "some-fail")),
-    "eb": (EvidenceInstance, _eb_gap, _draw_eb,
-           (1e-10, "some-fail"), (1e-10, "all-pass")),
-    "pds": (StatePairInstance, _pds_gap, _draw_pds,
-            (1e-12, "all-pass"), (1e-12, "all-pass")),
-    "ipp": (EventPairInstance, _ipp_gap, _draw_ipp,
-            (1e-9, "some-fail"), (1e-9, "all-pass")),
-    "eipp": (VariablePairInstance, _pair_gap, _draw_eipp,
-             (1e-12, "some-fail"), (1e-12, "all-pass")),
-    "meipp": (ProductInstance, _meipp_gap, _draw_meipp,
-              (1e-9, "some-fail"), (1e-12, "all-pass")),
-    "nmeipp": (VariablePairInstance, _pair_gap, _draw_nmeipp,
-               (1e-6, "some-fail"), (1e-6, "some-fail")),
-    "mipp": (MarkovInstance, _mipp_gap, _draw_mipp,
-             (1e-9, "some-fail"), (1e-9, "all-pass")),
-    "fa-consistency": (FamilyInstance, _fa_gap, _draw_fa,
-                       (1e-9, "some-fail"), (1e-9, "some-fail")),
+    "unam": (UnanimityInstance, _draw_unam, (1e-12, "all-pass"), (1e-12, "all-pass")),
+    "mp": (EventPoolInstance, _draw_mp, (1e-12, "all-pass"), (1e-12, "some-fail")),
+    "eb": (EvidenceInstance, _draw_eb, (1e-10, "some-fail"), (1e-10, "all-pass")),
+    "pds": (StatePairInstance, _draw_pds, (1e-12, "all-pass"), (1e-12, "all-pass")),
+    "ipp": (EventPairInstance, _draw_ipp, (1e-9, "some-fail"), (1e-9, "all-pass")),
+    "eipp": (VariablePairInstance, _draw_eipp, (1e-12, "some-fail"), (1e-12, "all-pass")),
+    "meipp": (ProductInstance, _draw_meipp, (1e-9, "some-fail"), (1e-12, "all-pass")),
+    "nmeipp": (VariablePairInstance, _draw_nmeipp, (1e-6, "some-fail"), (1e-6, "some-fail")),
+    "mipp": (MarkovInstance, _draw_mipp, (1e-9, "some-fail"), (1e-9, "all-pass")),
+    "fa-consistency": (FamilyInstance, _draw_fa, (1e-9, "some-fail"), (1e-9, "some-fail")),
 }
 
 PROPERTY_NAMES = tuple(_PROPERTIES)
@@ -507,14 +530,14 @@ def check_property(
     name = prop.lower()
     if name not in _PROPERTIES:
         raise MalformedInstance(f"unknown property {prop!r}; choose from {PROPERTY_NAMES}")
-    kind, checker, *_ = _PROPERTIES[name]
+    kind = _PROPERTIES[name][0]
     violations = []
     for inst in instances:
         if not isinstance(inst, kind):
             raise MalformedInstance(
                 f"expected {kind.__name__}, got {type(inst).__name__}"
             )
-        violations.append(checker(pool, inst))
+        violations.append(inst._violation(pool))
     return CheckReport(name, pool, tol, tuple(violations))
 
 
@@ -702,7 +725,7 @@ def linop_eb_break_witness() -> tuple[EvidenceInstance, float]:
     rng = np.random.default_rng(0)
     tables = (random_joint(rng, 3), random_joint(rng, 3))
     instance = EvidenceInstance(tables, ((0, True),))
-    violation = _eb_gap("linop", instance)
+    violation = instance._violation("linop")
     return instance, violation
 
 
@@ -713,7 +736,7 @@ def logop_mp_break_witness() -> tuple[EventPoolInstance, float]:
     tables = (random_joint(rng, 3), random_joint(rng, 3))
     event = frozenset(s for s in range(8) if s & 1)
     instance = EventPoolInstance(tables, event)
-    violation = _mp_gap("logop", instance)
+    violation = instance._violation("logop")
     return instance, violation
 
 
@@ -729,7 +752,7 @@ def run_axioms_suite(seed: int = 0, trials: int = 20) -> tuple[tuple[str, ...], 
     """
     lines: list[str] = []
     all_ok = True
-    for prop, (_, _, draw, *expected) in _PROPERTIES.items():
+    for prop, (_, draw, *expected) in _PROPERTIES.items():
         # Rejected draws (None) are redrawn; both pools check the same
         # instances, which are immutable.
         rng = np.random.default_rng(seed)

@@ -105,13 +105,14 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     models = _load_bayes_inputs(args.inputs)
     if args.pool == "linop":
         normalized = normalize_weights(weights, len(models))
-        # query resolves a manifest's relative inputs against its folder.
-        inputs = args.inputs
+        # query resolves a manifest's relative inputs against its folder,
+        # which is unknown for stdout: there every input goes absolute.
+        inputs = [p if os.path.isabs(p) else os.path.abspath(p) for p in args.inputs]
         if args.out is not None:
             folder = os.path.dirname(os.path.abspath(args.out))
             inputs = [
                 p if os.path.isabs(p) else os.path.relpath(p, folder)
-                for p in inputs
+                for p in args.inputs
             ]
         manifest = LinopManifest(tuple(inputs), tuple(normalized))
         _emit(manifest_to_dict(manifest), args.out)

@@ -58,7 +58,6 @@ from .networks import (
     Cpt,
     Dag,
     EliminationOrder,
-    MarkovNet,
     direct_by_order,
     is_decomposable,
     mn_union,
@@ -88,20 +87,17 @@ class ConsensusBn:
 
 
 def consensus_bn_structure(
-    models: Sequence[BayesNet | Dag | MarkovNet],
+    models: Sequence[BayesNet | Dag],
 ) -> tuple[Dag, EliminationOrder]:
     """Decomposable directed structure covering every agent's structure.
 
-    Moralize the directed inputs (undirected inputs join as-is; equal
-    inputs, which compare by value, are moralized once), union,
-    triangulate, then orient each edge from the later-eliminated
-    endpoint to the earlier-eliminated one. Also returns the elimination
-    order, which is the reverse of a topological order of the result.
+    Moralize the inputs (equal inputs, which compare by value, are
+    moralized once), union, triangulate, then orient each edge from the
+    later-eliminated endpoint to the earlier-eliminated one. Also
+    returns the elimination order, which is the reverse of a
+    topological order of the result.
     """
-    nets = [
-        model if isinstance(model, MarkovNet) else moralize(model)
-        for model in dict.fromkeys(models)
-    ]
+    nets = [moralize(model) for model in dict.fromkeys(models)]
     chordal, order = triangulate(mn_union(nets))
     return direct_by_order(chordal, order), order
 

@@ -12,9 +12,9 @@ Each model is validated once, where it enters: the JointTable
 constructor checks every input, and every query, dense or on a
 network, its keys (_check_assignment) and its disjoint target and
 evidence (_check_query). The dense kernels (bn_to_joint, linop,
-logop, condition, family_pooled_joint) compute mass from valid models
-and build through _trusted_table, which normalizes as the constructor
-does and checks nothing again. _trusted, the one trusted construction
+logop, condition, family_pooled_joint), and the table samplers, whose
+mass is valid by construction, build through _trusted_table, which
+normalizes as the constructor does and checks nothing again. _trusted, the one trusted construction
 path of every model type, lives here because every model module
 imports this one.
 """
@@ -61,6 +61,22 @@ def _trusted(cls: type[T], **fields) -> T:
     return obj
 
 
+def _check_variable_count(m, capacity: int | None = MAX_DENSE_VARIABLES) -> None:
+    """JointTable's check of m: ModelFormatError unless a nonnegative
+    integer, CapacityExceeded above capacity (None for no limit)."""
+    try:
+        if not 0 <= m:
+            raise ModelFormatError(f"variable count must be nonnegative, got {m}")
+        if capacity is not None and m > capacity:
+            raise CapacityExceeded(
+                f"dense table over {m} variables exceeds the "
+                f"{MAX_DENSE_VARIABLES}-variable capacity"
+            )
+        index(m)
+    except TypeError:
+        raise ModelFormatError(f"variable count {m!r} is not an integer") from None
+
+
 @dataclass(frozen=True, eq=False)
 class JointTable:
     """Normalized probability table over 2**m binary states.
@@ -75,17 +91,8 @@ class JointTable:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            if not 0 <= self.m:
-                raise ModelFormatError(f"variable count must be nonnegative, got {self.m}")
-            if self.m > MAX_DENSE_VARIABLES:
-                raise CapacityExceeded(
-                    f"dense table over {self.m} variables exceeds the "
-                    f"{MAX_DENSE_VARIABLES}-variable capacity"
-                )
-            n_states = 1 << self.m
-        except TypeError:
-            raise ModelFormatError(f"variable count {self.m!r} is not an integer") from None
+        _check_variable_count(self.m)
+        n_states = 1 << self.m
         # Booleans, strings and other non-numbers must not reach the float
         # cast, which would turn True or "0.5" into a probability.
         try:

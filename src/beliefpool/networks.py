@@ -10,8 +10,9 @@ Each model is validated once, where it enters: these constructors and
 the file loader check every input. Package code that has already
 checked or computed every field (the loader, align_variables, the
 structure transforms moralize, mn_union, triangulate and
-direct_by_order, the consensus builders, bn_to_joint) builds through
-joint._trusted or joint._trusted_table and does not check again.
+direct_by_order, the consensus builders, bn_to_joint, and the samplers
+random_dag and random_bn) builds through joint._trusted or
+joint._trusted_table and does not check again.
 """
 from __future__ import annotations
 
@@ -288,7 +289,11 @@ class MarkovNet:
 
 
 def _as_dag(structure: BayesNet | Dag) -> Dag:
-    return structure.dag() if isinstance(structure, BayesNet) else structure
+    if isinstance(structure, Dag):
+        return structure
+    if isinstance(structure, BayesNet):
+        return structure.dag()
+    raise MalformedInstance(f"expected a Dag or a BayesNet, got {type(structure).__name__}")
 
 
 def bn_to_joint(bn: BayesNet) -> JointTable:

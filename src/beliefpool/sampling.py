@@ -2,9 +2,11 @@
 
 Everything takes a numpy Generator so callers control reproducibility.
 Probability entries stay away from zero in fixed ranges: table masses
-are floored at FLOOR, CPT rows and marginals lie in [LOW, HIGH], and
-Markov potentials in [POT_LOW, POT_HIGH]. Degenerate inputs are
-exercised through hand-built fixtures instead.
+are floored at FLOOR, and CPT rows and marginals lie in [LOW, HIGH].
+Degenerate inputs are exercised through hand-built fixtures instead.
+Every model is valid by construction: a sampler checks its arguments
+before any draw, raising what a constructor raises for the same fault,
+then builds through the trusted path with the fields it would store.
 """
 from __future__ import annotations
 
@@ -12,26 +14,27 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MalformedInstance
-from .joint import JointTable, factor_product
-from .networks import (
-    BayesNet,
-    Cpt,
-    Dag,
-    MarkovNet,
-    direct_by_order,
-    moralize,
-    triangulate,
+from .errors import MalformedInstance, MismatchedVariables
+from .joint import (
+    _TABLE_VARIABLES,
+    JointTable,
+    _check_assignment,
+    _check_variable_count,
+    _trusted,
+    _trusted_table,
+    factor_product,
 )
+from .networks import BayesNet, Cpt, Dag
 
 FLOOR = 0.01
 LOW, HIGH = 0.05, 0.95
-POT_LOW, POT_HIGH = 0.2, 5.0
+_VSTRUCTURE = Dag(3, ((), (), (0, 1)))
 
 
 def random_joint(rng: np.random.Generator, m: int) -> JointTable:
     """Positive random table: unit-uniform masses floored, then normalized."""
-    return JointTable(m, np.maximum(rng.random(1 << m), FLOOR))
+    _check_variable_count(m)
+    return _trusted_table(m, np.maximum(rng.random(1 << m), FLOOR))
 
 
 def random_weights(rng: np.random.Generator, n: int) -> tuple[float, ...]:
@@ -46,6 +49,7 @@ def random_dag(
     max_parents: int = 3,
 ) -> Dag:
     """Random acyclic structure along a random variable permutation."""
+    _check_variable_count(m, capacity=None)
     perm = [int(v) for v in rng.permutation(m)]
     parents: list[list[int]] = [[] for _ in range(m)]
     for i in range(m):
@@ -54,7 +58,7 @@ def random_dag(
                 break
             if rng.random() < edge_prob:
                 parents[perm[i]].append(perm[j])
-    return Dag(m, tuple(tuple(sorted(ps)) for ps in parents))
+    return _trusted(Dag, m=m, parents=tuple(tuple(sorted(ps)) for ps in parents))
 
 
 def random_bn(
@@ -68,34 +72,14 @@ def random_bn(
     """Random network with CPT rows drawn uniformly from [LOW, HIGH]."""
     if dag is None:
         dag = random_dag(rng, m, edge_prob, max_parents)
-    cpts = tuple(
-        Cpt(v, dag.parents[v], tuple(rng.uniform(LOW, HIGH, 1 << len(dag.parents[v]))))
-        for v in range(m)
-    )
-    return BayesNet(cpts)
-
-
-def random_decomposable_bn(rng: np.random.Generator, m: int) -> BayesNet:
-    """Random network whose moral graph is already chordal.
-
-    Built by moralizing and triangulating a random structure, then
-    orienting it back along the elimination order.
-    """
-    chordal, order = triangulate(moralize(random_dag(rng, m)))
-    return random_bn(rng, m, dag=direct_by_order(chordal, order))
-
-
-def random_common_structure_bns(
-    rng: np.random.Generator,
-    m: int,
-    n_agents: int,
-    *,
-    edge_prob: float = 0.35,
-    max_parents: int = 3,
-) -> list[BayesNet]:
-    """Agents sharing one random structure, each with its own CPTs."""
-    dag = random_dag(rng, m, edge_prob, max_parents)
-    return [random_bn(rng, m, dag=dag) for _ in range(n_agents)]
+    elif dag.m != m:
+        raise MismatchedVariables(f"dag has {dag.m} variables, the network {m}")
+    cpts = []
+    for v, ps in enumerate(dag.parents):
+        rows = tuple(rng.uniform(LOW, HIGH, 1 << len(ps)).tolist())
+        cpts.append(_trusted(Cpt, owner=v, parents=ps, rows=rows))
+    dag = _trusted(Dag, m=len(cpts), parents=dag.parents)
+    return _trusted(BayesNet, cpts=tuple(cpts), labels=None, _dag=dag)
 
 
 def random_vstructure_pair(rng: np.random.Generator) -> tuple[BayesNet, BayesNet]:
@@ -104,46 +88,29 @@ def random_vstructure_pair(rng: np.random.Generator) -> tuple[BayesNet, BayesNet
     Variables 0 and 1 are exactly independent for each agent, but
     conditionally dependent given variable 2.
     """
-
-    def one() -> BayesNet:
-        p0, p1 = rng.uniform(LOW, HIGH, 2)
-        rows = tuple(rng.uniform(LOW, HIGH, 4))
-        return BayesNet(
-            (Cpt(0, (), (p0,)), Cpt(1, (), (p1,)), Cpt(2, (0, 1), rows))
-        )
-
-    return one(), one()
+    return random_bn(rng, 3, dag=_VSTRUCTURE), random_bn(rng, 3, dag=_VSTRUCTURE)
 
 
 def random_product_table(rng: np.random.Generator, m: int) -> JointTable:
     """Table where all variables are mutually independent."""
+    _check_variable_count(m)
     factors = [((j,), (1.0 - p, p)) for j, p in enumerate(rng.uniform(LOW, HIGH, m))]
-    return JointTable(m, factor_product(m, factors))
+    return _trusted_table(m, factor_product(m, factors))
 
 
 def random_block_product_table(
     rng: np.random.Generator, m: int, block: Sequence[int]
 ) -> JointTable:
     """Table factorizing as P(block variables) * P(remaining variables)."""
+    _check_variable_count(m)
+    _check_assignment(_TABLE_VARIABLES[m], dict.fromkeys(block, True))
     block = sorted(set(block))
     rest = [v for v in range(m) if v not in block]
     q_block = np.maximum(rng.random(1 << len(block)), FLOOR)
     q_block /= q_block.sum()
     q_rest = np.maximum(rng.random(1 << len(rest)), FLOOR)
     q_rest /= q_rest.sum()
-    return JointTable(m, factor_product(m, [(block, q_block), (rest, q_rest)]))
-
-
-def random_markov_table(rng: np.random.Generator, mn: MarkovNet) -> JointTable:
-    """Positive table Markov with respect to mn.
-
-    Product of random positive node and edge potentials, so every
-    separation of the structure holds in the table exactly.
-    """
-    nodes = [((v,), rng.uniform(POT_LOW, POT_HIGH, 2)) for v in range(mn.m)]
-    # An edge's four potentials are psi[u's value, v's value] in C order.
-    edges = [((v, u), rng.uniform(POT_LOW, POT_HIGH, 4)) for u, v in sorted(mn.edges)]
-    return JointTable(mn.m, factor_product(mn.m, nodes + edges))
+    return _trusted_table(m, factor_product(m, [(block, q_block), (rest, q_rest)]))
 
 
 def random_conditional_table(
@@ -158,14 +125,15 @@ def random_conditional_table(
     The context distribution over w and x is arbitrary; the conditional
     of a reads only the w part.
     """
+    _check_variable_count(m)
     w = sorted(set(w))
     x = sorted(set(x))
     rest = w + x
-    if sorted({a, *rest}) != list(range(m)):
+    if sorted([a, *rest]) != list(range(m)):
         raise MalformedInstance("a, w, x must partition all variables")
     context_mass = np.maximum(rng.random(1 << len(rest)), FLOOR)
     context_mass /= context_mass.sum()
     cond_true = rng.uniform(LOW, HIGH, 1 << len(w))
     # P(a | w) is the CPT factor of a with parents w.
     a_given_w = np.concatenate((1.0 - cond_true, cond_true))
-    return JointTable(m, factor_product(m, [(rest, context_mass), (w + [a], a_given_w)]))
+    return _trusted_table(m, factor_product(m, [(rest, context_mass), (w + [a], a_given_w)]))

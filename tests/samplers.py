@@ -1,0 +1,49 @@
+"""Random models that only the tests draw, built on the public
+constructors and the package's samplers.
+
+Markov potentials lie in [POT_LOW, POT_HIGH].
+"""
+
+import numpy as np
+
+from beliefpool import BayesNet, JointTable, MarkovNet
+from beliefpool.joint import factor_product
+from beliefpool.networks import direct_by_order, moralize, triangulate
+from beliefpool.sampling import random_bn, random_dag
+
+POT_LOW, POT_HIGH = 0.2, 5.0
+
+
+def random_decomposable_bn(rng: np.random.Generator, m: int) -> BayesNet:
+    """Random network whose moral graph is already chordal.
+
+    Built by moralizing and triangulating a random structure, then
+    orienting it back along the elimination order.
+    """
+    chordal, order = triangulate(moralize(random_dag(rng, m)))
+    return random_bn(rng, m, dag=direct_by_order(chordal, order))
+
+
+def random_common_structure_bns(
+    rng: np.random.Generator,
+    m: int,
+    n_agents: int,
+    *,
+    edge_prob: float = 0.35,
+    max_parents: int = 3,
+) -> list[BayesNet]:
+    """Agents sharing one random structure, each with its own CPTs."""
+    dag = random_dag(rng, m, edge_prob, max_parents)
+    return [random_bn(rng, m, dag=dag) for _ in range(n_agents)]
+
+
+def random_markov_table(rng: np.random.Generator, mn: MarkovNet) -> JointTable:
+    """Positive table Markov with respect to mn.
+
+    Product of random positive node and edge potentials, so every
+    separation of the structure holds in the table exactly.
+    """
+    nodes = [((v,), rng.uniform(POT_LOW, POT_HIGH, 2)) for v in range(mn.m)]
+    # An edge's four potentials are psi[u's value, v's value] in C order.
+    edges = [((v, u), rng.uniform(POT_LOW, POT_HIGH, 4)) for u, v in sorted(mn.edges)]
+    return JointTable(mn.m, factor_product(mn.m, nodes + edges))

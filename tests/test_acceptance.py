@@ -36,13 +36,12 @@ from beliefpool.joint import (
     state_index,
 )
 from beliefpool.networks import moralize, triangulate
-from beliefpool.sampling import (
-    random_bn,
+from beliefpool.sampling import random_bn, random_product_table, random_weights
+
+from samplers import (
     random_common_structure_bns,
     random_decomposable_bn,
     random_markov_table,
-    random_product_table,
-    random_weights,
 )
 
 # Display order (TT, TF, FT, FF) over the two-variable state indices.

@@ -29,6 +29,7 @@ from beliefpool import (
     logop,
     marginal,
 )
+from beliefpool import axioms
 from beliefpool.joint import pairwise_dependence_gap
 from beliefpool.pools import normalize_weights
 from beliefpool.axioms import (
@@ -234,6 +235,31 @@ class TestCheckProperty:
         for s, t in ((-1, 0), (0, -1), (9, 0), (0, 4)):
             with pytest.raises(MalformedInstance):
                 check_property(LOGOP, "pds", [StatePairInstance(tables, tables, s, t)])
+
+    @pytest.mark.parametrize("prop, instance", [
+        ("unam", UnanimityInstance(seeded_tables(0, 2, 2))),
+        ("mp", EventPoolInstance(seeded_tables(0, 2, 2), frozenset({9}))),
+        # The pools give state 2 mass; the second agent gives its evidence none.
+        ("eb", EvidenceInstance(
+            (JointTable(2, (0.25,) * 4), JointTable(2, (0.5, 0.5, 0.0, 0.0))), ((1, True),)
+        )),
+        ("pds", StatePairInstance(seeded_tables(0, 2, 2), seeded_tables(1, 2, 2), 0, 1)),
+        ("ipp", EventPairInstance(
+            (JointTable(2, (0.4, 0.1, 0.1, 0.4)),), frozenset({1, 3}), frozenset({2, 3})
+        )),
+        ("eipp", VariablePairInstance((JointTable(2, (0.4, 0.1, 0.1, 0.4)),), 0, 1)),
+        ("meipp", ProductInstance((JointTable(2, (0.4, 0.1, 0.1, 0.4)),))),
+        ("mipp", MarkovInstance(seeded_tables(0, 3, 2), 0, (1,), (2,))),
+        ("fa-consistency", FamilyInstance(
+            (JointTable(2, (0.5, 0.5, 0.0, 0.0)),), (1, 0), (0, 1)
+        )),
+    ])
+    def test_outside_hypothesis_raises_on_every_call(self, prop, instance):
+        # Both pools check one instance, which keeps the agent-side values
+        # it has worked out; a check that failed keeps nothing.
+        for pool in (LINOP, LOGOP, LINOP):
+            with pytest.raises(MalformedInstance):
+                check_property(pool, prop, [instance])
 
     @pytest.mark.parametrize("prop, instance", [
         ("eb", EvidenceInstance(seeded_tables(0, 2, 2), ((0, True),), ())),
@@ -526,6 +552,37 @@ class TestReportSuites:
         lines, ok = run_axioms_suite(seed=0, trials=5)
         assert ok
         assert lines == AXIOMS_SEED0_TRIALS5
+
+    def test_agent_side_work_runs_once_per_instance(self, monkeypatch):
+        # The linop and logop rows check the same instances: each agent
+        # table meets its dependence gap or its conditioning once, not
+        # once per pool.
+        drawn = []
+        rows = {}
+        for prop, (kind, draw, *expected) in axioms._PROPERTIES.items():
+            def recording_draw(rng, draw=draw):
+                drawn.append(draw(rng))
+                return drawn[-1]
+            rows[prop] = (kind, recording_draw, *expected)
+        monkeypatch.setattr(axioms, "_PROPERTIES", rows)
+        spied = {
+            "markov_dependence_gap": MarkovInstance,
+            "pairwise_dependence_gap": VariablePairInstance,
+            "condition": EvidenceInstance,
+        }
+        calls = {name: [] for name in spied}
+        for name in spied:
+            def spy(table, *args, real=getattr(axioms, name), seen=calls[name]):
+                seen.append(table)
+                return real(table, *args)
+            monkeypatch.setattr(axioms, name, spy)
+        lines, ok = run_axioms_suite(seed=0, trials=5)
+        assert ok and lines == AXIOMS_SEED0_TRIALS5
+        for name, kind in spied.items():
+            agent_tables = [t for inst in drawn if isinstance(inst, kind) for t in inst.tables]
+            assert len(agent_tables) >= 10
+            for table in agent_tables:
+                assert sum(seen is table for seen in calls[name]) == 1, name
 
     def test_axioms_suite_deterministic(self):
         first = run_axioms_suite(seed=7, trials=5)

@@ -512,6 +512,26 @@ class TestQuery:
         assert (code, err) == (EXIT_OK, "")
         assert answer == direct == "0.612500\n"
 
+    def test_manifest_printed_to_stdout_queries_back(
+        self, capsys, tmp_path, monkeypatch, agent_files
+    ):
+        # A manifest redirected from stdout into another folder lists
+        # absolute inputs, so it resolves from there too.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        code, printed, _ = run(
+            capsys, "aggregate", "a.json", "b.json", "--pool", "linop", "--weights", "2,1"
+        )
+        assert code == EXIT_OK
+        inputs = json.loads(printed)["inputs"]
+        assert inputs == [os.path.abspath("a.json"), os.path.abspath("b.json")]
+        (tmp_path / "sub" / "r.json").write_text(printed)
+        query = ["--pool", "linop", "--event", "A1=1", "--given", "A2=1"]
+        _, direct, _ = run(capsys, "query", "a.json", "b.json", *query, "--weights", "2,1")
+        code, answer, err = run(capsys, "query", "sub/r.json", *query)
+        assert (code, err) == (EXIT_OK, "")
+        assert answer == direct == "0.612500\n"
+
     def test_manifest_needs_linop(self, capsys, tmp_path, monkeypatch, agent_files):
         monkeypatch.chdir(tmp_path)
         run(capsys, "aggregate", "a.json", "b.json", "--pool", "linop",

@@ -41,12 +41,9 @@ from beliefpool.networks import is_decomposable, moralize
 from beliefpool import consensus, inference
 from beliefpool.pools import logistic, normalize_weights, pooled_log_odds
 from beliefpool.axioms import chain_agents
-from beliefpool.sampling import (
-    random_bn,
-    random_common_structure_bns,
-    random_dag,
-    random_weights,
-)
+from beliefpool.sampling import random_bn, random_dag, random_weights
+
+from samplers import random_common_structure_bns
 
 CHAIN_A, CHAIN_B = chain_agents()
 
@@ -105,10 +102,15 @@ def two_node_bn(p_first, p_second, labels=None):
 class TestConsensusStructures:
     def test_mixed_model_kinds_union(self):
         bn = BayesNet((Cpt(0, (), (0.5,)), Cpt(1, (), (0.5,)), Cpt(2, (0, 1), (0.1,) * 4)))
-        mn = MarkovNet(3, frozenset({(1, 2)}))
-        structure, _ = consensus_bn_structure([bn, mn])
+        dag = Dag(3, ((), (), (1,)))
+        structure, _ = consensus_bn_structure([bn, dag])
         # Moralizing the shared-child network marries 0 and 1.
         assert structure.skeleton() == frozenset({(0, 1), (0, 2), (1, 2)})
+
+    def test_undirected_input_rejected(self):
+        # A MarkovNet is no agent structure: only Dags and BayesNets are.
+        with pytest.raises(MalformedInstance, match="expected a Dag or a BayesNet, got MarkovNet"):
+            consensus_bn_structure([CHAIN_A, MarkovNet(2, frozenset({(0, 1)}))])
 
     def test_shared_structure_moralized_once(self):
         rng = np.random.default_rng(5)
@@ -144,7 +146,7 @@ def pool_event(false, true, weights=None):
     return float(p_false), float(p_true)
 
 
-class TestSingleEventLogop:
+class TestPooledLogOdds:
     def test_half_and_point_eight(self):
         p_false, p_true = pool_event((0.5, 0.2), (0.5, 0.8))
         assert p_true == pytest.approx(2.0 / 3.0, abs=1e-12)
@@ -172,7 +174,7 @@ class TestSingleEventLogop:
         assert math.isnan(got[0]) and math.isnan(got[1])
 
 
-class TestRemoveChildConditioning:
+class TestChildLogRatios:
     """A consensus row is the logistic of the pooled log-odds plus each
     finished child's log-ratio, log P(child | node false) - log
     P(child | node true)."""

@@ -224,8 +224,8 @@ def test_markov_edge_outside_range_is_unknown_variable():
 TRUSTED_PATH = ("_trusted", "_trusted_table")
 # The functions that may build a model without its constructor's checks,
 # because they have checked or computed every field themselves: the
-# loader, the structure transforms, the consensus builders and the dense
-# kernels.
+# loader, the structure transforms, the consensus builders, the dense
+# kernels, and the samplers, whose models are valid by construction.
 TRUSTED_CALLERS = {
     "joint._trusted_table",
     "model_io.network_from_dict",
@@ -241,7 +241,14 @@ TRUSTED_CALLERS = {
     "pools.linop",
     "pools.logop",
     "joint.condition",
-    "axioms.family_pooled_joint",
+    "axioms._chain_rule_pool",
+    "axioms._draw_pds",
+    "sampling.random_bn",
+    "sampling.random_dag",
+    "sampling.random_joint",
+    "sampling.random_product_table",
+    "sampling.random_block_product_table",
+    "sampling.random_conditional_table",
 }
 
 

@@ -39,7 +39,9 @@ from beliefpool.networks import (
     moralize,
     triangulate,
 )
-from beliefpool.sampling import random_bn, random_decomposable_bn
+from beliefpool.sampling import random_bn
+
+from samplers import random_decomposable_bn
 
 CHAIN = BayesNet((Cpt(0, (), (0.2,)), Cpt(1, (0,), (0.6, 0.4))))
 # Two roots with a shared child: moralization must marry 0 and 1.

@@ -3,32 +3,45 @@
 Each generator and bn_to_joint must give exactly the entries of the
 per-variable state loops they replaced, which are kept here as
 references; the kernels (contract and factor_product) are checked
-against a plain Python product over every state.
+against a plain Python product over every state. A sampler rejects bad
+arguments before it draws anything.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from beliefpool import JointTable, MarkovNet, bn_to_joint
-from beliefpool.joint import contract, factor_product
+from beliefpool import (
+    BeliefPoolError,
+    CapacityExceeded,
+    Dag,
+    JointTable,
+    MalformedInstance,
+    MarkovNet,
+    MismatchedVariables,
+    ModelFormatError,
+    UnknownVariable,
+    bn_to_joint,
+)
+from beliefpool.joint import MAX_DENSE_VARIABLES, contract, factor_product
 from beliefpool.networks import moralize
 from beliefpool.sampling import (
     FLOOR,
     HIGH,
     LOW,
-    POT_HIGH,
-    POT_LOW,
     random_block_product_table,
     random_bn,
     random_conditional_table,
     random_dag,
-    random_markov_table,
+    random_joint,
     random_product_table,
 )
+
+from samplers import POT_HIGH, POT_LOW, random_markov_table
 
 
 def loop_product_table(rng, m):
@@ -158,6 +171,90 @@ def test_bn_to_joint_matches_loop(seed):
     rng = np.random.default_rng(seed)
     bn = random_bn(rng, seed % 9, edge_prob=0.5, max_parents=seed % 5)
     assert same_entries(bn_to_joint(bn), loop_bn_to_joint(bn))
+
+
+class NoDraws:
+    """A generator stand-in that fails on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from the generator ({name})")
+
+
+TABLE_SAMPLERS = {
+    "joint": random_joint,
+    "product": random_product_table,
+    "block": lambda rng, m: random_block_product_table(rng, m, ()),
+    "conditional": lambda rng, m: random_conditional_table(rng, m, 0, (), ()),
+}
+
+
+# An over-capacity count is checked before anything is allocated: the
+# constructor's check comes before it reads a single entry.
+@pytest.mark.parametrize("m", [-1, 2.0, "3", MAX_DENSE_VARIABLES + 1])
+@pytest.mark.parametrize("sample", TABLE_SAMPLERS.values(), ids=TABLE_SAMPLERS)
+def test_table_samplers_check_the_count_as_the_constructor_does(sample, m):
+    with pytest.raises(BeliefPoolError) as want:
+        JointTable(m, ())
+    assert isinstance(want.value, (ModelFormatError, CapacityExceeded))
+    with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+        sample(NoDraws(), m)
+
+
+THREE_NODES = Dag(3, ((), (0,), (0, 1)))
+BAD_ARGUMENTS = {
+    "dag-float": (
+        lambda rng: random_dag(rng, 2.5),
+        ModelFormatError, "variable count 2.5 is not an integer",
+    ),
+    "dag-negative": (
+        lambda rng: random_dag(rng, -1),
+        ModelFormatError, "variable count must be nonnegative, got -1",
+    ),
+    "bn-negative": (
+        lambda rng: random_bn(rng, -1),
+        ModelFormatError, "variable count must be nonnegative, got -1",
+    ),
+    "bn-dag-smaller": (
+        lambda rng: random_bn(rng, 5, dag=THREE_NODES),
+        MismatchedVariables, "dag has 3 variables, the network 5",
+    ),
+    "bn-dag-larger": (
+        lambda rng: random_bn(rng, 2, dag=THREE_NODES),
+        MismatchedVariables, "dag has 3 variables, the network 2",
+    ),
+    "block-unknown": (
+        lambda rng: random_block_product_table(rng, 3, [5]),
+        UnknownVariable, "variable 5 outside range(0, 3)",
+    ),
+    "block-negative": (
+        lambda rng: random_block_product_table(rng, 3, [0, -1]),
+        UnknownVariable, "variable -1 outside range(0, 3)",
+    ),
+    "block-not-integer": (
+        lambda rng: random_block_product_table(rng, 3, [1.5]),
+        UnknownVariable, "variables must be integers, got 1.5",
+    ),
+    "conditional-unknown": (
+        lambda rng: random_conditional_table(rng, 3, 0, [1], [5]),
+        MalformedInstance, "a, w, x must partition all variables",
+    ),
+    "conditional-overlap": (
+        lambda rng: random_conditional_table(rng, 3, 0, [1, 2], [2]),
+        MalformedInstance, "a, w, x must partition all variables",
+    ),
+    "conditional-target-in-w": (
+        lambda rng: random_conditional_table(rng, 2, 0, [0, 1], []),
+        MalformedInstance, "a, w, x must partition all variables",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call, error, message", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS
+)
+def test_bad_arguments_raise_before_any_draw(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(NoDraws())
 
 
 @st.composite

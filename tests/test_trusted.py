@@ -1,8 +1,8 @@
 """Trusted construction gives what the public constructors give.
 
-The loader, the structure transforms, the consensus builders and the
-dense kernels build their models without re-running the constructors'
-checks (joint._trusted and joint._trusted_table). Each test here runs
+The loader, the structure transforms, the consensus builders, the
+dense kernels and the samplers build their models without re-running
+the constructors' checks (joint._trusted and joint._trusted_table). Each test here runs
 such a call twice: once as the package runs it, and once with the
 trusted path swapped for the public constructors, which check and
 convert every field. The two results must agree field for field, the
@@ -30,11 +30,22 @@ from beliefpool import (
     logop,
     logop_consensus_bn,
 )
-from beliefpool import axioms, consensus, inference, joint, model_io, networks, pools
+from beliefpool import (
+    axioms, consensus, inference, joint, model_io, networks, pools, sampling,
+)
 from beliefpool.joint import condition
 from beliefpool.model_io import align_variables, json_text, network_from_dict, network_to_dict
 from beliefpool.networks import direct_by_order, mn_union, moralize, triangulate
-from beliefpool.sampling import random_bn, random_joint, random_weights
+from beliefpool.sampling import (
+    random_block_product_table,
+    random_bn,
+    random_conditional_table,
+    random_dag,
+    random_joint,
+    random_product_table,
+    random_vstructure_pair,
+    random_weights,
+)
 
 from test_model_io import labelled_bns
 
@@ -49,7 +60,9 @@ def public_constructors():
     """Every trusted construction in the package runs the public
     constructor instead, with all its checks and conversions."""
     with contextlib.ExitStack() as stack:
-        for module in (model_io, consensus, inference, networks, pools, joint, axioms):
+        for module in (
+            model_io, consensus, inference, networks, pools, joint, axioms, sampling
+        ):
             if hasattr(module, "_trusted"):
                 stack.enter_context(
                     mock.patch.object(module, "_trusted", public_construction)
@@ -177,4 +190,33 @@ def test_dense_kernel_tables(seed, m):
         lambda: family_pooled_joint("logop", tables, ordering, weights),
     ):
         trusted, public = both_routes(build)
+        assert snapshot(trusted) == snapshot(public)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 6),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_sampled_models(seed, m, data):
+    """Each sampler's model equals, bit for bit, what the constructors
+    build from the same draws."""
+    perm = data.draw(st.permutations(range(m)))
+    cut = data.draw(st.integers(0, m - 1))
+    dag = random_dag(np.random.default_rng(seed), m, edge_prob=0.5)
+    samplers = (
+        lambda rng: random_joint(rng, m),
+        lambda rng: random_product_table(rng, m),
+        lambda rng: random_block_product_table(rng, m, perm[:cut]),
+        lambda rng: random_conditional_table(
+            rng, m, perm[0], perm[1 : cut + 1], perm[cut + 1 :]
+        ),
+        lambda rng: random_dag(rng, m, edge_prob=0.5, max_parents=cut),
+        lambda rng: random_bn(rng, m, edge_prob=0.4, max_parents=2),
+        lambda rng: random_bn(rng, m, dag=dag),
+        random_vstructure_pair,
+    )
+    for sample in samplers:
+        trusted, public = both_routes(lambda: sample(np.random.default_rng(seed)))
         assert snapshot(trusted) == snapshot(public)
