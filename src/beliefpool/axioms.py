@@ -33,7 +33,7 @@ from .joint import (
     state_index,
     _trusted_table,
 )
-from .networks import BayesNet, Cpt, bn_to_joint
+from .networks import BayesNet, Cpt, _check_order, bn_to_joint
 from .pools import (
     POOL_NAMES, _stack, check_pool_name, linop, logistic, logop,
     normalize_weights, pooled_log_odds,
@@ -82,6 +82,8 @@ class UnanimityInstance:
 
     @cached_property
     def _shared_table(self) -> JointTable:
+        if not self.tables:
+            raise MalformedInstance("need at least one table")
         first = self.tables[0]
         for t in self.tables[1:]:
             if t.m != first.m or not np.array_equal(t.probs, first.probs):
@@ -294,8 +296,7 @@ def _prefix_masses(tables: Sequence[JointTable], ordering: Sequence[int]) -> lis
     context, ordering[k]) and of the context, axis i + 1 being
     ordering[i], and which contexts some agent gives zero mass."""
     m, stacked = _stack(tables)
-    if sorted(ordering) != list(range(m)):
-        raise MalformedInstance("ordering must be a permutation of all variables")
+    ordering = _check_order(m, ordering)
     # State index bit j sits on axis m - j of the plain reshape.
     mass = stacked.reshape((len(tables),) + (2,) * m)
     mass = mass.transpose((0,) + tuple(m - v for v in ordering))

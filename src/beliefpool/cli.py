@@ -282,9 +282,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_MISMATCH
     except DegenerateCpt as err:
+        # Name the agent by its input file, as format errors name a file;
+        # the hint, not the library's remedy, says what to do.
+        where = (
+            "" if err.position is None
+            else f"{args.inputs[err.position]}: agent {err.position}, "
+        )
         print(
-            f"error: {err}\nhint: --dense-oracle fills the consensus CPTs "
-            f"from the agents' weighted CPT product instead",
+            f"error: {where}{err.fault}\nhint: --dense-oracle fills the consensus "
+            f"CPTs from the agents' weighted CPT product instead",
             file=sys.stderr,
         )
         return EXIT_DEGENERATE

@@ -36,6 +36,9 @@ evidence underflows to zero, fails (DegenerateCpt).
 The dense_oracle route needs no queries: the pool is the normalized
 product of every agent CPT raised to the agent's weight, and one
 elimination pass over it along the elimination order yields the CPTs.
+
+A ConsensusBn built by hand is checked with direct_by_order; the
+builders, whose structure comes from it, build through joint._trusted.
 """
 from __future__ import annotations
 
@@ -46,20 +49,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateCpt, MismatchedVariables, NotChordal, ZeroEvidence
+from .errors import (
+    DegenerateCpt, MalformedInstance, MismatchedVariables, NotChordal, ZeroEvidence,
+)
 from .inference import (
     query_conditional,
     query_event_marginal,
     weighted_product_cpts,
 )
-from .joint import _check_query, _shared_variable_count, _trusted
+from .joint import _check_query, _conditional_ratio, _shared_variable_count, _trusted
 from .networks import (
     BayesNet,
     Cpt,
     Dag,
     EliminationOrder,
+    MarkovNet,
     direct_by_order,
-    is_decomposable,
     mn_union,
     moralize,
     triangulate,
@@ -72,9 +77,12 @@ class ConsensusBn:
     """A consensus network plus how it was built.
 
     agent_queries counts the per-agent inference calls issued while
-    filling in CPTs; the dense_oracle route issues none. Zero-weight
-    agents shape neither the structure nor any CPT, so they are never
-    asked. Raises NotChordal unless bn is decomposable.
+    filling in CPTs, a row's failed all-true attempt included; the
+    dense_oracle route issues none. Zero-weight agents shape neither
+    the structure nor any CPT, so they are never asked. direct_by_order
+    must orient bn's skeleton along elimination_order into bn's own
+    parent sets, so bn is decomposable; it raises MalformedInstance or
+    NotChordal, and so does a different orientation (NotChordal).
     """
 
     bn: BayesNet
@@ -82,8 +90,17 @@ class ConsensusBn:
     agent_queries: int = 0
 
     def __post_init__(self) -> None:
-        if not is_decomposable(self.bn):
-            raise NotChordal("consensus network must be decomposable")
+        if not isinstance(self.bn, BayesNet):
+            raise MalformedInstance(f"expected a BayesNet, got {type(self.bn).__name__}")
+        dag = self.bn.dag()
+        oriented = direct_by_order(
+            MarkovNet(dag.m, dag.skeleton()), self.elimination_order
+        )
+        # User-built parent lists need not be sorted; direct_by_order's are.
+        if list(map(set, oriented.parents)) != list(map(set, dag.parents)):
+            raise NotChordal(
+                "elimination order orients the network's edges against its parents"
+            )
 
 
 def consensus_bn_structure(
@@ -145,9 +162,10 @@ def _require_strictly_positive(position: int, bn: BayesNet) -> None:
             if not 0.0 < p < 1.0:
                 where = _row_name(bn.labels, cpt.owner, cpt.parents, row)
                 raise DegenerateCpt(
-                    f"agent {position}, {where}: the row is {p}, but the query route "
-                    f"needs every CPT row of a pooled agent strictly inside (0, 1); "
-                    f"{_RERUN}"
+                    f"{where}: the row is {p}, but the query route needs every "
+                    f"CPT row of a pooled agent strictly inside (0, 1)",
+                    position,
+                    _RERUN,
                 )
 
 
@@ -203,7 +221,8 @@ def _structured_cpts(
                     failure = err
             else:
                 raise DegenerateCpt(
-                    f"{_row_name(labels, node, parents[node], row)}: {failure}; {_RERUN}"
+                    f"{_row_name(labels, node, parents[node], row)}: {failure}",
+                    remedy=_RERUN,
                 ) from failure
 
     # Pass 2: agent on axis 0, row on axis 1.
@@ -316,16 +335,10 @@ def linop_query(
     """
     _, bns, w = _pooled_agents(bns, weights)
     event, evidence = _check_query(bns[0].variables, event, evidence)
-    denominator = float(
-        sum(
-            wi * query_event_marginal(bn, evidence)
-            for wi, bn in zip(w, bns)
+
+    def pooled(assignment):
+        return float(
+            sum(wi * query_event_marginal(bn, assignment) for wi, bn in zip(w, bns))
         )
-    )
-    if denominator <= 0.0:
-        raise ZeroEvidence("conditioning event has probability zero")
-    merged = {**evidence, **event}
-    numerator = float(
-        sum(wi * query_event_marginal(bn, merged) for wi, bn in zip(w, bns))
-    )
-    return numerator / denominator
+
+    return _conditional_ratio(pooled, event, evidence)

@@ -56,7 +56,18 @@ class DegenerateCpt(BeliefPoolError):
     cause it later, when an agent's conditional for a row rounds to 0
     or 1, or underflows to zero evidence, on both the all-true and the
     all-false children. dense_oracle=True fills such rows.
+
+    The message is "agent <position>, " when one agent is at fault, the
+    fault, and "; <remedy>"; the CLI names the agent by file instead.
     """
+
+    def __init__(
+        self, fault: str, position: int | None = None, remedy: str | None = None
+    ) -> None:
+        where = "" if position is None else f"agent {position}, "
+        super().__init__(where + fault + ("" if remedy is None else f"; {remedy}"))
+        self.fault = fault
+        self.position = position
 
 
 class NotChordal(BeliefPoolError, ValueError):

@@ -16,21 +16,25 @@ bucket. A conditional takes one of two routes:
   node's Markov blanket, so it gates itself: a missing blanket variable
   sends the query to elimination. Each consensus CPT row asks this
   query of every agent.
-- Every other conditional is P(target and evidence) / P(evidence), as
-  joint.conditional_probability divides two marginals. ZeroEvidence is
-  raised unless P(evidence), computed first, is positive. Near a sure
-  event the ratio can exceed 1 by one rounding unit, more when
-  P(evidence) is subnormal; it is not clamped.
+- Every other conditional is P(target and evidence) / P(evidence) by
+  joint._conditional_ratio, the rule conditional_probability and
+  linop_query follow too. ZeroEvidence is raised unless P(evidence),
+  computed first, is positive. Near a sure event the ratio can exceed 1
+  by one rounding unit, more when P(evidence) is subnormal; it is not
+  clamped.
 """
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateProduct, ZeroEvidence
-from .joint import Assignment, _check_assignment, _check_query, _trusted, contract
+from .joint import (
+    Assignment, _check_assignment, _check_query, _conditional_ratio, _trusted, contract,
+)
 from .networks import BayesNet, Cpt, Dag, min_fill_order
 
 
@@ -194,7 +198,4 @@ def query_conditional(
             return _blanket_conditional(bn, v, x, given)
         except KeyError:  # evidence misses part of v's blanket
             pass
-    total = _probability(bn, given)
-    if total <= 0.0:
-        raise ZeroEvidence("conditioning event has probability zero")
-    return _probability(bn, {**given, **wanted}) / total
+    return _conditional_ratio(partial(_probability, bn), wanted, given)

@@ -8,6 +8,9 @@ factor table the same way over the factor's own variables, the
 variable-elimination buckets and the chain-rule pool. All tables are
 normalized on construction and immutable afterwards.
 
+Every conditional, dense, by elimination or under the arithmetic pool,
+is _conditional_ratio over that route's mass function.
+
 Each model is validated once, where it enters: the JointTable
 constructor checks every input, and every query, dense or on a
 network, its keys (_check_assignment) and its disjoint target and
@@ -21,9 +24,10 @@ imports this one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from numbers import Real
 from operator import index
-from typing import Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -62,8 +66,9 @@ def _trusted(cls: type[T], **fields) -> T:
 
 
 def _check_variable_count(m, capacity: int | None = MAX_DENSE_VARIABLES) -> None:
-    """JointTable's check of m: ModelFormatError unless a nonnegative
-    integer, CapacityExceeded above capacity (None for no limit)."""
+    """The one check of a dense variable count m (JointTable, bn_to_joint,
+    the samplers): ModelFormatError unless a nonnegative integer,
+    CapacityExceeded above capacity (None for no limit)."""
     try:
         if not 0 <= m:
             raise ModelFormatError(f"variable count must be nonnegative, got {m}")
@@ -276,15 +281,24 @@ def condition(table: JointTable, evidence: Assignment) -> JointTable:
     return _trusted_table(table.m, kept)
 
 
+def _conditional_ratio(
+    mass: Callable[[Assignment], float], target: Assignment, evidence: Assignment
+) -> float:
+    """The one conditional rule: P(target | evidence) as mass(target and
+    evidence) / mass(evidence), for checked, disjoint target and evidence.
+    mass(evidence) comes first; ZeroEvidence unless it is positive."""
+    p_evidence = mass(evidence)
+    if p_evidence <= 0.0:
+        raise ZeroEvidence("conditioning event has probability zero")
+    return mass({**evidence, **target}) / p_evidence
+
+
 def conditional_probability(
     table: JointTable, target: Assignment, evidence: Assignment | None = None
 ) -> float:
     """P(target | evidence) from the dense table, over disjoint variables."""
     target, evidence = _check_query(_TABLE_VARIABLES[table.m], target, evidence)
-    p_evidence = marginal(table, evidence)
-    if p_evidence <= 0.0:
-        raise ZeroEvidence("conditioning event has probability zero")
-    return marginal(table, {**evidence, **target}) / p_evidence
+    return _conditional_ratio(partial(marginal, table), target, evidence)
 
 
 def pairwise_dependence_gap(table: JointTable, a: int, b: int) -> float:

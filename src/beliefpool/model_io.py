@@ -34,7 +34,7 @@ from typing import Sequence
 
 from .errors import MalformedInstance, MismatchedVariables, ModelFormatError
 from .joint import _trusted
-from .networks import BayesNet, Cpt, Dag, check_parents, parse_probability
+from .networks import BayesNet, Cpt, Dag, _check_labels, check_parents, parse_probability
 
 MANIFEST_KIND = "linop-manifest"
 
@@ -101,9 +101,9 @@ def _parse_variables(data: dict) -> tuple[str, ...]:
         raise ModelFormatError(
             "'variables' must be a nonempty list of nonempty strings"
         )
-    if len(set(variables)) != len(variables):
-        raise ModelFormatError("variable labels must be distinct")
-    return tuple(variables)
+    labels = tuple(variables)
+    _check_labels(len(labels), labels)
+    return labels
 
 
 def _parse_edges(

@@ -13,6 +13,10 @@ structure transforms moralize, mn_union, triangulate and
 direct_by_order, the consensus builders, bn_to_joint, and the samplers
 random_dag and random_bn) builds through joint._trusted or
 joint._trusted_table and does not check again.
+
+direct_by_order holds the one test that every parent set is complete
+(a perfect elimination order): consensus_bn_structure orients with it,
+and ConsensusBn checks a network against its stored order with it.
 """
 from __future__ import annotations
 
@@ -28,15 +32,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import (
-    CapacityExceeded,
     MalformedInstance,
     ModelFormatError,
     NotChordal,
     UnknownVariable,
 )
 from .joint import (
-    MAX_DENSE_VARIABLES,
     JointTable,
+    _check_variable_count,
     _shared_variable_count,
     _trusted,
     _trusted_table,
@@ -89,10 +92,10 @@ class Cpt:
             parents = tuple(map(operator.index, self.parents))
         except TypeError:
             raise ModelFormatError("owner and parents must be integers") from None
-        rows = tuple(
-            float(r) if isinstance(r, float) and 0.0 <= r <= 1.0 else parse_probability(r)
-            for r in self.rows
-        )
+        try:
+            rows = tuple(map(parse_probability, self.rows))
+        except TypeError:
+            raise ModelFormatError("rows must be a sequence of probabilities") from None
         object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "rows", rows)
         if owner < 0:
@@ -140,16 +143,13 @@ class Dag:
             if len(parents) != m:
                 raise ModelFormatError("parent lists must cover every node")
             for j, ps in enumerate(parents):
-                if not ps:
-                    continue
                 if len(set(ps)) != len(ps):
                     raise ModelFormatError(f"duplicate parents for node {j}")
-                if min(ps) < 0 or max(ps) >= m or j in ps:
-                    for p in ps:  # the first bad parent names the error
-                        if not 0 <= p < m:
-                            raise UnknownVariable(f"parent {p} outside range(0, {m})")
-                        if p == j:
-                            raise ModelFormatError(f"node {j} cannot be its own parent")
+                for p in ps:  # the first bad parent names the error
+                    if not 0 <= p < m:
+                        raise UnknownVariable(f"parent {p} outside range(0, {m})")
+                    if p == j:
+                        raise ModelFormatError(f"node {j} cannot be its own parent")
             self.topological_order()  # raises on cycles
         except TypeError:
             raise ModelFormatError("node count and parents must be integers") from None
@@ -206,6 +206,8 @@ class BayesNet:
     _dag: Dag = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not all(isinstance(c, Cpt) for c in self.cpts):
+            raise ModelFormatError("a network's CPTs must be Cpt objects")
         cpts = tuple(sorted(self.cpts, key=attrgetter("owner")))
         object.__setattr__(self, "cpts", cpts)
         if self.labels is not None:
@@ -288,20 +290,9 @@ class MarkovNet:
         return adj
 
 
-def _as_dag(structure: BayesNet | Dag) -> Dag:
-    if isinstance(structure, Dag):
-        return structure
-    if isinstance(structure, BayesNet):
-        return structure.dag()
-    raise MalformedInstance(f"expected a Dag or a BayesNet, got {type(structure).__name__}")
-
-
 def bn_to_joint(bn: BayesNet) -> JointTable:
     """Dense joint table from the network's CPT factorization."""
-    if bn.m > MAX_DENSE_VARIABLES:
-        raise CapacityExceeded(
-            f"cannot materialize a dense table over {bn.m} variables"
-        )
+    _check_variable_count(bn.m)
     factors = []
     for cpt in bn.cpts:
         rows = np.asarray(cpt.rows)
@@ -311,7 +302,14 @@ def bn_to_joint(bn: BayesNet) -> JointTable:
 
 def moralize(structure: BayesNet | Dag) -> MarkovNet:
     """Undirected structure: drop directions and marry co-parents."""
-    dag = _as_dag(structure)
+    if isinstance(structure, BayesNet):
+        dag = structure.dag()
+    elif isinstance(structure, Dag):
+        dag = structure
+    else:
+        raise MalformedInstance(
+            f"expected a Dag or a BayesNet, got {type(structure).__name__}"
+        )
     edges = set(dag.skeleton())
     for ps in dag.parents:
         for u, v in itertools.combinations(sorted(ps), 2):
@@ -391,16 +389,29 @@ def triangulate(mn: MarkovNet) -> tuple[MarkovNet, EliminationOrder]:
     return chordal, order
 
 
+def _check_order(m: int, order: Sequence[int]) -> EliminationOrder:
+    """order as Python ints; MalformedInstance unless its entries are
+    integers that permute range(0, m)."""
+    try:
+        order = tuple(map(operator.index, order))
+    except TypeError:
+        order = None
+    if order is None or sorted(order) != list(range(m)):
+        raise MalformedInstance("order must be a permutation of all variables")
+    return order
+
+
 def direct_by_order(mn: MarkovNet, order: Sequence[int]) -> Dag:
     """Orient a chordal graph along an elimination order.
 
     Each node's parents are its neighbors eliminated later, so the
     last-eliminated node becomes the first node in topological order.
-    Raises NotChordal unless every parent set comes out complete, which
-    holds exactly when order is a perfect elimination order of mn.
+    Raises MalformedInstance unless order is a permutation of mn's
+    variables, given as integers, and NotChordal unless every parent set
+    comes out complete, which holds exactly when order is a perfect
+    elimination order of mn.
     """
-    if sorted(order) != list(range(mn.m)):
-        raise MalformedInstance("order must be a permutation of all variables")
+    order = _check_order(mn.m, order)
     adj = mn.adjacency()
     pos = {v: i for i, v in enumerate(order)}
     parents = tuple(
@@ -414,9 +425,3 @@ def direct_by_order(mn: MarkovNet, order: Sequence[int]) -> Dag:
                 )
     # Every parent comes later in the order, so the result is acyclic.
     return _trusted(Dag, m=mn.m, parents=parents)
-
-
-def is_decomposable(structure: BayesNet | Dag) -> bool:
-    """Whether every node's parent set is already complete in the
-    skeleton, that is, whether moralizing adds no edge."""
-    return moralize(structure).edges == _as_dag(structure).skeleton()

@@ -233,6 +233,7 @@ class TestAggregate:
         # The variable and its parent row go by label, in literal syntax.
         assert err.startswith("error: variable hub, parent row c23=0: ")
         assert "node 0" not in err
+        assert "dense_oracle=True" not in err
         code, _, _ = run(
             capsys, "aggregate", str(path), "--pool", "logop", "--dense-oracle"
         )
@@ -251,11 +252,12 @@ class TestAggregate:
             capsys, "aggregate", *inputs, "--pool", "logop", "--weights", "0,1,1"
         )
         assert (code, out) == (EXIT_DEGENERATE, "")
+        # The error line names the input file, as format errors do; the
+        # remedy is the hint's flag, never the library's keyword.
         assert err.splitlines() == [
-            "error: agent 1, variable A2, parent row A1=1: the row is 1.0, but "
-            "the query route needs every CPT row of a pooled agent strictly "
-            "inside (0, 1); rerun with dense_oracle=True to use the "
-            "factor-product fill",
+            f"error: {certain}: agent 1, variable A2, parent row A1=1: the row "
+            "is 1.0, but the query route needs every CPT row of a pooled agent "
+            "strictly inside (0, 1)",
             "hint: --dense-oracle fills the consensus CPTs from the agents' "
             "weighted CPT product instead",
         ]

@@ -7,6 +7,7 @@ frozen decimal below was computed from that closed form (rational
 arithmetic plus one square root) before this module existed.
 """
 
+import itertools
 import math
 from unittest import mock
 
@@ -37,7 +38,7 @@ from beliefpool import (
 )
 from beliefpool.joint import conditional_probability
 from beliefpool.model_io import json_text, network_to_dict
-from beliefpool.networks import is_decomposable, moralize
+from beliefpool.networks import moralize
 from beliefpool import consensus, inference
 from beliefpool.pools import logistic, normalize_weights, pooled_log_odds
 from beliefpool.axioms import chain_agents
@@ -132,7 +133,8 @@ class TestConsensusStructures:
             m = int(rng.integers(2, 8))
             agents = [random_bn(rng, m, max_parents=3) for _ in range(3)]
             structure, order = consensus_bn_structure(agents)
-            assert is_decomposable(structure)
+            # ConsensusBn raises unless order orients structure perfectly.
+            ConsensusBn(random_bn(np.random.default_rng(0), m, dag=structure), order)
             assert set(order) == set(range(m))
             for agent in agents:
                 assert agent.dag().skeleton() <= structure.skeleton()
@@ -280,7 +282,7 @@ class TestLogopConsensusBn:
             (Cpt(0, (), (0.3,)), Cpt(1, (), (0.7,)), Cpt(2, (0, 1), (0.1, 0.6, 0.4, 0.9)))
         )
         result = logop_consensus_bn([agent])
-        assert is_decomposable(result.bn)
+        assert ConsensusBn(result.bn, result.elimination_order, result.agent_queries) == result
         np.testing.assert_allclose(
             bn_to_joint(result.bn).probs, bn_to_joint(agent).probs, atol=1e-9
         )
@@ -601,6 +603,69 @@ class TestLogopConsensusBn:
         )
         with pytest.raises(NotChordal):
             ConsensusBn(vee, (0, 1, 2))
+        # No order orients a shared child's skeleton as its parents are.
+        for order in itertools.permutations(range(3)):
+            with pytest.raises(NotChordal):
+                ConsensusBn(vee, order)
+
+    @pytest.mark.parametrize(
+        "order", [(5,), (), (1, 1), (0, 1, 2), ("a", 0), (1.0, 0.0)]
+    )
+    def test_consensus_bn_order_must_be_a_permutation(self, order):
+        with pytest.raises(MalformedInstance, match="order must be a permutation"):
+            ConsensusBn(CHAIN_A, order)
+
+    def test_consensus_bn_order_must_orient_the_parents(self):
+        # The chain's edge points 0 -> 1: eliminating 1 first makes 0 its
+        # parent, and eliminating 0 first would point the edge 1 -> 0.
+        assert ConsensusBn(CHAIN_A, (1, 0)).elimination_order == (1, 0)
+        assert ConsensusBn(CHAIN_A, (np.int64(1), np.int64(0)))
+        with pytest.raises(NotChordal, match="against its parents"):
+            ConsensusBn(CHAIN_A, (0, 1))
+        # Parents are compared as sets, so their listed order is free.
+        unsorted = BayesNet((
+            Cpt(0, (), (0.3,)), Cpt(1, (0,), (0.2, 0.7)), Cpt(2, (1, 0), (0.1, 0.6, 0.4, 0.9)),
+        ))
+        assert ConsensusBn(unsorted, (2, 1, 0))
+        with pytest.raises(MalformedInstance, match="expected a BayesNet"):
+            ConsensusBn(CHAIN_A.dag(), (1, 0))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=100_000),
+        shared=st.booleans(),
+        dense_oracle=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_consensus_bn_accepts_every_build(self, seed, shared, dense_oracle):
+        # The builders skip ConsensusBn's check; what they return passes it.
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 13))
+        n = int(rng.integers(1, 4))
+        if shared:
+            agents = random_common_structure_bns(rng, m, n, max_parents=2)
+        else:
+            agents = [random_bn(rng, m, max_parents=2) for _ in range(n)]
+        result = logop_consensus_bn(
+            agents, random_weights(rng, n), dense_oracle=dense_oracle
+        )
+        rebuilt = ConsensusBn(result.bn, result.elimination_order, result.agent_queries)
+        assert rebuilt == result
+
+    def test_agent_queries_count_retried_rows(self):
+        # Node 1's consensus row is asked given its child 0 true first. The
+        # first agent's conditional there rounds to 1, so the row is asked
+        # again given 0 false. agent_queries counts every call, the failed
+        # one included, so it exceeds the n * sum 2^|parents| rows.
+        extreme = BayesNet((Cpt(0, (1,), (1e-300, 0.5)), Cpt(1, (), (0.5,))))
+        agents = [extreme, BayesNet((Cpt(0, (1,), (0.3, 0.6)), Cpt(1, (), (0.4,))))]
+        with mock.patch.object(
+            consensus, "query_conditional", wraps=inference.query_conditional
+        ) as query:
+            result = logop_consensus_bn(agents)
+        rows = sum(1 << len(ps) for ps in result.bn.dag().parents)
+        assert result.elimination_order == (0, 1)
+        assert result.agent_queries == query.call_count == 7
+        assert result.agent_queries > len(agents) * rows == 6
 
 
 class TestLinopQuery:

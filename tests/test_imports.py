@@ -136,12 +136,14 @@ CALLER_ERRORS = {
     "cpt-row-bool": (ModelFormatError, lambda: Cpt(0, (), (True,))),
     "cpt-float-owner": (ModelFormatError, lambda: Cpt(0.5, (), (0.5,))),
     "cpt-string-parent": (ModelFormatError, lambda: Cpt(0, ("1",), (0.1, 0.9))),
+    "cpt-rows-not-a-sequence": (ModelFormatError, lambda: Cpt(0, (), 0.5)),
     "dag-float-parent": (ModelFormatError, lambda: Dag(2, ((), (0.5,)))),
     "dag-string-parent": (ModelFormatError, lambda: Dag(2, ((), ("0",)))),
     "dag-cycle": (ModelFormatError, lambda: Dag(2, ((1,), (0,)))),
     "bayes-labels": (ModelFormatError, lambda: BayesNet(CHAIN.cpts, ("A", "A"))),
     "bayes-label-count": (ModelFormatError, lambda: BayesNet(CHAIN.cpts, ("A",))),
     "bayes-owners": (ModelFormatError, lambda: BayesNet(CHAIN.cpts[:1] * 2)),
+    "bayes-non-cpt": (ModelFormatError, lambda: BayesNet((1, 2))),
     "markov-self-loop": (ModelFormatError, lambda: MarkovNet(2, frozenset({(1, 1)}))),
     "markov-string-endpoint": (ModelFormatError, lambda: MarkovNet(2, {(0, "1")})),
     "joint-entry-count": (ModelFormatError, lambda: JointTable(2, (0.5, 0.5))),
@@ -161,6 +163,10 @@ CALLER_ERRORS = {
     "wrong-instance-type": (
         MalformedInstance,
         lambda: check_property("linop", "eb", [UnanimityInstance((PAIR,))]),
+    ),
+    "unam-no-tables": (
+        MalformedInstance,
+        lambda: check_property("linop", "unam", [UnanimityInstance(())]),
     ),
     "unam-not-unanimous": (
         MalformedInstance,
@@ -188,6 +194,15 @@ CALLER_ERRORS = {
     "no-agents": (MalformedInstance, lambda: logop_consensus_bn([])),
     "no-structures": (MalformedInstance, lambda: mn_union([])),
     "bad-order": (MalformedInstance, lambda: direct_by_order(SQUARE, (0, 0, 1, 2))),
+    "string-order": (MalformedInstance, lambda: direct_by_order(SQUARE, ("a", 0, 1, 2))),
+    "float-order": (MalformedInstance, lambda: direct_by_order(SQUARE, (1.0, 0.0, 2.0, 3.0))),
+    "string-family-order": (
+        MalformedInstance, lambda: family_pooled_joint("linop", (PAIR,), ("a", 0))
+    ),
+    "float-family-order": (
+        MalformedInstance, lambda: family_pooled_joint("linop", (PAIR,), (1.0, 0.0))
+    ),
+    "consensus-bad-order": (MalformedInstance, lambda: ConsensusBn(CHAIN, (1, 1))),
     "no-models": (MalformedInstance, lambda: align_variables([])),
     "same-pair": (MalformedInstance, lambda: pairwise_dependence_gap(PAIR, 1, 1)),
     "bad-partition": (MalformedInstance, lambda: markov_dependence_gap(PAIR, 0, (0,), (1,))),
@@ -201,6 +216,7 @@ CALLER_ERRORS = {
     ),
     "not-perfect-order": (NotChordal, lambda: direct_by_order(SQUARE, (0, 1, 2, 3))),
     "not-decomposable": (NotChordal, lambda: ConsensusBn(VEE, (0, 1, 2))),
+    "consensus-reversed-order": (NotChordal, lambda: ConsensusBn(CHAIN, (0, 1))),
 }
 
 
