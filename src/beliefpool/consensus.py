@@ -17,13 +17,19 @@ three passes over the elimination order (a reverse topological order):
 1. For each node and each parent instantiation, the node's neighbors
    are fixed (parents by the instantiation, children all true, or all
    false if an agent's conditional is degenerate on that) and every
-   pooled agent is asked for its conditional on it.
+   pooled agent is asked for its conditional on it. The target and the
+   context enter query_conditional as joint._Checked, so their keys are
+   not checked again; only the row's outcome (children true or false)
+   is kept.
 2. One pooled_log_odds call pools the agents' conditionals for every
    row of the build.
 3. Each row's log-odds gains each already-filled child's log-ratio,
    log P(child | node false) - log P(child | node true) at the child's
    value in the context, which removes the conditioning on the
-   children. The ratio is read from the child's own log-odds through a
+   children. The child's row comes from bit masks worked out once per
+   (node, child) pair: its bits for the node's parents follow the
+   node's row, and its bits for the node's children are set exactly
+   when the row's outcome is true. The ratio is read from the child's own log-odds through a
    log-sigmoid, so it is finite even where the child's row rounds to 0
    or 1. One logistic call then turns every row's log-odds into a
    probability.
@@ -57,7 +63,9 @@ from .inference import (
     query_event_marginal,
     weighted_product_cpts,
 )
-from .joint import _check_query, _conditional_ratio, _shared_variable_count, _trusted
+from .joint import (
+    _Checked, _check_query, _conditional_ratio, _shared_variable_count, _trusted,
+)
 from .networks import (
     BayesNet,
     Cpt,
@@ -179,10 +187,9 @@ def _structured_cpts(
     parents, children = structure.parents, structure.children
     queries = 0
 
-    def agent_conditionals(node: int, context: dict[int, bool]) -> list[float]:
+    def agent_conditionals(target: _Checked, context: _Checked) -> list[float]:
         nonlocal queries
         conds = []
-        target = {node: True}
         for bn in bns:
             queries += 1
             try:
@@ -200,22 +207,26 @@ def _structured_cpts(
         return conds
 
     # Pass 1 (the three passes are in the module docstring); start[node]
-    # is the index of the node's first row in the build.
+    # is the index of the node's first row in the build, and outcomes[k]
+    # the value that row k's context gives the node's children. Targets
+    # and contexts hold the structure's own variables, Python ints in
+    # range, with bool values, so they are built as joint._Checked.
     start: dict[int, int] = {}
     conds: list[list[float]] = []
-    contexts: list[tuple[dict[int, bool], bool]] = []
+    outcomes: list[bool] = []
     for node in elimination_order:
         start[node] = len(conds)
         # product varies its last factor fastest, and row bit i is parent i.
         ps, kids = parents[node][::-1], children[node]
+        target = _Checked({node: True})
         for row, bits in enumerate(itertools.product((False, True), repeat=len(ps))):
             failure: DegenerateCpt | None = None
             for outcome in (True, False) if kids else (True,):
-                context = dict(zip(ps, bits))
+                context = _Checked(zip(ps, bits))
                 context.update(dict.fromkeys(kids, outcome))
                 try:
-                    conds.append(agent_conditionals(node, context))
-                    contexts.append((context, outcome))
+                    conds.append(agent_conditionals(target, context))
+                    outcomes.append(outcome)
                     break
                 except DegenerateCpt as err:
                     failure = err
@@ -235,31 +246,39 @@ def _structured_cpts(
     # log-odds x, finite for every finite x.
     exp, log1p = math.exp, math.log1p
     for node in elimination_order:
-        # Per child: its first row, node's row bit, and the row bit of
-        # each other parent, which the context covers.
-        layout = [
-            (
-                start[child],
-                1 << parents[child].index(node),
-                [(p, 1 << i) for i, p in enumerate(parents[child]) if p != node],
-            )
-            for child in children[node]
-        ]
-        for k in range(start[node], start[node] + (1 << len(parents[node]))):
-            context, outcome = contexts[k]
+        # Per child: its first row, node's row bit, the (node row bit,
+        # child row bit) pair of each other parent that is a parent of
+        # node, and the child row bits of the other parents that are
+        # children of node, which are true exactly when the outcome is.
+        ps = parents[node]
+        layout = []
+        for child in children[node]:
+            from_row, from_kids = [], 0
+            for i, p in enumerate(parents[child]):
+                if p == node:
+                    bit = 1 << i
+                elif p in ps:
+                    from_row.append((1 << ps.index(p), 1 << i))
+                else:
+                    from_kids |= 1 << i
+            layout.append((start[child], bit, from_row, from_kids))
+        first = start[node]
+        for r in range(1 << len(ps)):
+            outcome = outcomes[first + r]
             sign = 1.0 if outcome else -1.0
             log_ratio = 0.0
-            for base, bit, others in layout:
-                row = 0  # the child's row with node false; row | bit has it true
-                for p, b in others:
-                    if context[p]:
-                        row |= b
+            for base, bit, from_row, from_kids in layout:
+                # the child's row with node false; row | bit has it true
+                row = from_kids if outcome else 0
+                for b, child_bit in from_row:
+                    if r & b:
+                        row |= child_bit
                 x0 = sign * log_odds[base + row]
                 x1 = sign * log_odds[base + (row | bit)]
                 log_ratio += (min(x0, 0.0) - log1p(exp(-abs(x0)))) - (
                     min(x1, 0.0) - log1p(exp(-abs(x1)))
                 )
-            log_odds[k] += log_ratio
+            log_odds[first + r] += log_ratio
     _, p_true = logistic(np.array(log_odds))
     rows = p_true.tolist()
     # Each row is a logistic of finite log-odds, a Python float in [0, 1].

@@ -12,10 +12,12 @@ bucket. A conditional takes one of two routes:
   CPT row inside (0, 1)) first tries the closed form: only the node's
   own CPT and its children's matter, the evidence picks one row of each
   per state of the node, and the answer is the normalized product of
-  those rows. No factor is built. The evidence it reads is exactly the
-  node's Markov blanket, so it gates itself: a missing blanket variable
-  sends the query to elimination. Each consensus CPT row asks this
-  query of every agent.
+  those rows. No factor is built: BayesNet.blanket_layout holds, per
+  node and once per network, each of those CPTs' rows and the row bit
+  of every parent, so the query only reads evidence values. The
+  evidence it reads is exactly the node's Markov blanket, so it gates
+  itself: a missing blanket variable sends the query to elimination.
+  Each consensus CPT row asks this query of every agent.
 - Every other conditional is P(target and evidence) / P(evidence) by
   joint._conditional_ratio, the rule conditional_probability and
   linop_query follow too. ZeroEvidence is raised unless P(evidence),
@@ -150,21 +152,18 @@ def _blanket_conditional(
     restricted by the evidence and keeping v.
     """
     a0 = a1 = 1.0
-    for cpt in bn.blanket_cpts[v]:
+    for rows, owner, bit, others in bn.blanket_layout[v]:
         # row has v false and every other parent read from evidence;
         # row | bit has v true.
-        row = bit = 0
-        for i, p in enumerate(cpt.parents):
-            if p == v:
-                bit = 1 << i
-            elif evidence[p]:
-                row |= 1 << i
-        rows = cpt.rows
-        if cpt.owner == v:
+        row = 0
+        for p, b in others:
+            if evidence[p]:
+                row |= b
+        if owner == v:
             p1 = rows[row]
             a0 *= 1.0 - p1
             a1 *= p1
-        elif evidence[cpt.owner]:
+        elif evidence[owner]:
             a0 *= rows[row]
             a1 *= rows[row | bit]
         else:

@@ -12,14 +12,17 @@ Every conditional, dense, by elimination or under the arithmetic pool,
 is _conditional_ratio over that route's mass function.
 
 Each model is validated once, where it enters: the JointTable
-constructor checks every input, and every query, dense or on a
-network, its keys (_check_assignment) and its disjoint target and
-evidence (_check_query). The dense kernels (bn_to_joint, linop,
-logop, condition, family_pooled_joint), and the table samplers, whose
-mass is valid by construction, build through _trusted_table, which
-normalizes as the constructor does and checks nothing again. _trusted, the one trusted construction
-path of every model type, lives here because every model module
-imports this one.
+constructor checks every input. Each query is checked once, where it
+enters: every query, dense or on a network, has its keys checked
+(_check_assignment) and its target and evidence checked to be disjoint
+(_check_query), except that the keys of a _Checked assignment, which
+the consensus fill builds from its own structure, pass unchecked. The
+dense kernels (bn_to_joint, linop, logop, condition,
+family_pooled_joint), and the table samplers, whose mass is valid by
+construction, build through _trusted_table, which normalizes as the
+constructor does and checks nothing again. _trusted, the one trusted
+construction path of every model type, lives here because every model
+module imports this one.
 """
 from __future__ import annotations
 
@@ -205,6 +208,16 @@ def _shared_variable_count(models: Sequence, one: str, many: str) -> int:
     return m
 
 
+class _Checked(dict):
+    """An assignment built by package code whose keys are Python ints in
+    range(0, m) of the model it queries and whose values are bools:
+    _check_assignment returns it unchanged. It does for queries what
+    _trusted does for models; only the consensus fill builds one
+    (tests/test_imports.py holds it to that)."""
+
+    __slots__ = ()
+
+
 _INT = frozenset({int})
 _BOOL = frozenset({bool})
 # The variable set of a dense table over m variables, indexed by m.
@@ -215,12 +228,16 @@ def _check_assignment(variables: frozenset[int], assignment: Assignment) -> Assi
     """The assignment as {variable: state}, after checking its variables
     against variables, the set range(0, m) of a table or network.
 
-    The common case, a dict with Python-int keys in variables and bool
-    values, comes back unchanged after three set checks; any other
-    assignment comes back as such a dict, so a missing key is a KeyError,
-    never a default. Raises UnknownVariable for a key that is not an
-    integer (a Python int or a numpy integer) or lies outside range(0, m).
+    A _Checked assignment comes back unchanged, unchecked. The common
+    case, a dict with Python-int keys in variables and bool values, comes
+    back unchanged after three set checks; any other assignment, a dict
+    subclass included, comes back as such a dict, so a missing key is a
+    KeyError, never a default. Raises UnknownVariable for a key that is
+    not an integer (a Python int or a numpy integer) or lies outside
+    range(0, m).
     """
+    if type(assignment) is _Checked:
+        return assignment
     if (
         type(assignment) is dict
         and _INT.issuperset(map(type, assignment))

@@ -114,15 +114,21 @@ class Cpt:
 
     @cached_property
     def table(self) -> np.ndarray:
-        """Read-only P(owner | parents), axis i = family[i]; built once."""
-        # Row bit i is parents[i], so a Fortran-order reshape puts parents[i]
-        # on axis i; the view has the same axes with the owner's last.
-        p_true = np.reshape(self.rows, (2,) * len(self.parents), order="F")
-        family = self.family
-        table = np.empty((2,) * len(family))
-        view = table.transpose([family.index(u) for u in self.parents + (self.owner,)])
-        np.subtract(1.0, p_true, out=view[..., 0])
-        view[..., 1] = p_true
+        """Read-only, C-contiguous P(owner | parents), axis i = family[i];
+        built once."""
+        rows = np.array(self.rows)
+        # Row bit i is parents[i] and the owner's state follows as the top
+        # bit, so a Fortran-order reshape puts parents[i] on axis i and
+        # the owner on the last axis.
+        table = np.concatenate((1.0 - rows, rows)).reshape(
+            (2,) * (len(self.parents) + 1), order="F"
+        )
+        axes = self.parents + (self.owner,)
+        if axes != self.family:
+            table = table.transpose([axes.index(u) for u in self.family])
+        # One memory layout for every table keeps the order in which einsum
+        # and numpy's reductions visit its entries fixed.
+        table = np.ascontiguousarray(table)
         table.flags.writeable = False
         return table
 
@@ -197,6 +203,12 @@ def _check_labels(m: int, labels: tuple[str, ...] | None) -> None:
         raise ModelFormatError("variable labels must be distinct")
 
 
+# One CPT of a node's Markov blanket as the closed-form query reads it:
+# (rows, owner, the node's row bit, the (variable, row bit) pairs of the
+# owner's other parents).
+BlanketCpt = tuple[tuple[float, ...], int, int, tuple[tuple[int, int], ...]]
+
+
 @dataclass(frozen=True)
 class BayesNet:
     """Bayesian network over binary variables: one CPT per node."""
@@ -206,12 +218,19 @@ class BayesNet:
     _dag: Dag = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not all(isinstance(c, Cpt) for c in self.cpts):
+        try:
+            cpts = tuple(self.cpts)
+        except TypeError:
+            raise ModelFormatError("a network's CPTs must be a sequence") from None
+        if not all(isinstance(c, Cpt) for c in cpts):
             raise ModelFormatError("a network's CPTs must be Cpt objects")
-        cpts = tuple(sorted(self.cpts, key=attrgetter("owner")))
+        cpts = tuple(sorted(cpts, key=attrgetter("owner")))
         object.__setattr__(self, "cpts", cpts)
         if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
+            try:
+                object.__setattr__(self, "labels", tuple(self.labels))
+            except TypeError:
+                raise ModelFormatError("variable labels must be a sequence") from None
         owners = [c.owner for c in cpts]
         if owners != list(range(len(cpts))):
             raise ModelFormatError("need exactly one CPT per variable 0..m-1")
@@ -226,14 +245,27 @@ class BayesNet:
         return len(self.cpts)
 
     @cached_property
-    def blanket_cpts(self) -> tuple[tuple[Cpt, ...], ...]:
-        """blanket_cpts[j] holds the CPTs of j and of its children in
-        increasing owner order: every factor that mentions j; built once."""
+    def blanket_layout(self) -> tuple[tuple[BlanketCpt, ...], ...]:
+        """blanket_layout[j] lays out the CPT of j and of each of its
+        children, in increasing owner order: every factor that mentions j.
+        j's own CPT has row bit 0. Built once."""
         cpts = self.cpts
-        return tuple(
-            tuple(cpts[u] for u in sorted((j, *kids)))
-            for j, kids in enumerate(self._dag.children)
-        )
+        bits = [tuple([(p, 1 << i) for i, p in enumerate(c.parents)]) for c in cpts]
+        layout = []
+        for j, kids in enumerate(self._dag.children):
+            entries = []
+            for u in sorted((j, *kids)):
+                if u == j:
+                    entries.append((cpts[j].rows, j, 0, bits[j]))
+                else:
+                    entries.append((
+                        cpts[u].rows,
+                        u,
+                        1 << cpts[u].parents.index(j),
+                        tuple([pair for pair in bits[u] if pair[0] != j]),
+                    ))
+            layout.append(tuple(entries))
+        return tuple(layout)
 
     @cached_property
     def variables(self) -> frozenset[int]:

@@ -39,7 +39,7 @@ from beliefpool import (
 from beliefpool.joint import conditional_probability
 from beliefpool.model_io import json_text, network_to_dict
 from beliefpool.networks import moralize
-from beliefpool import consensus, inference
+from beliefpool import consensus, inference, joint
 from beliefpool.pools import logistic, normalize_weights, pooled_log_odds
 from beliefpool.axioms import chain_agents
 from beliefpool.sampling import random_bn, random_dag, random_weights
@@ -666,6 +666,36 @@ class TestLogopConsensusBn:
         assert result.elimination_order == (0, 1)
         assert result.agent_queries == query.call_count == 7
         assert result.agent_queries > len(agents) * rows == 6
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_agent_queries_enter_checked(self, seed):
+        # Every agent query the builder issues, all-true attempt and retry
+        # alike, is a checked target {node: True} and a checked context over
+        # exactly the node's consensus parents and children.
+        extreme = BayesNet((Cpt(0, (1,), (1e-300, 0.5)), Cpt(1, (), (0.5,))))
+        retried = [extreme, BayesNet((Cpt(0, (1,), (0.3, 0.6)), Cpt(1, (), (0.4,))))]
+        rng = np.random.default_rng(seed)
+        unshared = [random_bn(rng, 8, edge_prob=0.4, max_parents=3) for _ in range(3)]
+        outcomes = set()  # (retried agents, node, children's outcome)
+        for agents in (retried, unshared):
+            with mock.patch.object(
+                consensus, "query_conditional", wraps=inference.query_conditional
+            ) as query:
+                result = logop_consensus_bn(agents)
+            dag = result.bn.dag()
+            for (bn, target, context), _ in query.call_args_list:
+                assert type(target) is joint._Checked
+                assert type(context) is joint._Checked
+                ((node, value),) = target.items()
+                assert value is True
+                kids = dag.children[node]
+                assert set(context) == {*dag.parents[node], *kids}
+                assert all(type(v) is int for v in context)
+                assert all(type(x) is bool for x in context.values())
+                if kids:
+                    outcomes.add((agents is retried, node, context[kids[0]]))
+            assert query.call_count == result.agent_queries
+        assert {(True, 1, True), (True, 1, False)} <= outcomes
 
 
 class TestLinopQuery:

@@ -144,6 +144,8 @@ CALLER_ERRORS = {
     "bayes-label-count": (ModelFormatError, lambda: BayesNet(CHAIN.cpts, ("A",))),
     "bayes-owners": (ModelFormatError, lambda: BayesNet(CHAIN.cpts[:1] * 2)),
     "bayes-non-cpt": (ModelFormatError, lambda: BayesNet((1, 2))),
+    "bayes-cpts-not-iterable": (ModelFormatError, lambda: BayesNet(5)),
+    "bayes-labels-not-iterable": (ModelFormatError, lambda: BayesNet(CHAIN.cpts, labels=5)),
     "markov-self-loop": (ModelFormatError, lambda: MarkovNet(2, frozenset({(1, 1)}))),
     "markov-string-endpoint": (ModelFormatError, lambda: MarkovNet(2, {(0, "1")})),
     "joint-entry-count": (ModelFormatError, lambda: JointTable(2, (0.5, 0.5))),
@@ -317,6 +319,20 @@ def test_only_validating_functions_call_the_trusted_path():
     ]
     assert all(is_call for _, is_call in uses)
     assert {function for function, _ in uses} == TRUSTED_CALLERS
+
+
+def test_only_the_consensus_fill_builds_checked_assignments():
+    """joint._Checked skips the key checks of a query, so only the
+    consensus fill, which builds every target and context from its own
+    structure, may construct one; other code may only name the type."""
+    uses = [
+        use
+        for path in MODULES + sorted(TESTS.glob("*.py"))
+        for use in trusted_uses(path.read_text(), path.stem, names=("_Checked",))
+    ]
+    assert {function for function, is_call in uses if is_call} == {
+        "consensus._structured_cpts"
+    }
 
 
 def test_one_factor_product():

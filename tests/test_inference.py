@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 from beliefpool import (
     BayesNet,
     Cpt,
+    MalformedInstance,
     UnknownVariable,
     ZeroEvidence,
     bn_to_joint,
     marginal,
 )
-from beliefpool import inference
+from beliefpool import inference, joint
 from beliefpool.inference import (
     _ancestral_set,
     query_conditional,
@@ -298,6 +299,8 @@ class TestCptFactor:
             p_true = cpt.rows[row]
             want = p_true if assignment[owner] else 1.0 - p_true
             assert cpt.table[bits] == want
+        # One layout for every table, so reductions over it run in one order.
+        assert cpt.table.flags.c_contiguous
 
     def test_unsorted_parents(self):
         cpt = Cpt(2, (4, 0, 3), tuple(np.linspace(0.05, 0.95, 8)))
@@ -309,6 +312,7 @@ class TestCptFactor:
     def test_table_rejects_writes(self):
         cpt = Cpt(1, (0,), (0.6, 0.4))
         assert cpt.table is cpt.table
+        assert cpt.table.flags.c_contiguous  # family order needs no transpose
         with pytest.raises(ValueError):
             cpt.table[0, 0] = 0.5
         assert cpt.table[0, 0] == pytest.approx(0.4)
@@ -687,3 +691,56 @@ class TestAssignmentCheck:
                 expected = re.escape(message.format(keys=", ".join(map(repr, keys))))
                 with pytest.raises(UnknownVariable, match=f"^{expected}$"):
                     query(*args)
+
+    @given(
+        m=st.integers(4, 9),
+        data=st.data(),
+        mapping=st.sampled_from(["dict", "subclass", "checked-subclass"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_public_queries_check_every_mapping(self, m, data, mapping):
+        # Only the consensus fill's own joint._Checked skips the key checks;
+        # a plain dict, a user dict subclass, even a subclass of _Checked,
+        # keeps every check and message, and numpy-integer keys normalize.
+        class UserAssignment(dict):
+            pass
+
+        class Sneaky(joint._Checked):
+            pass
+
+        kind = {"dict": dict, "subclass": UserAssignment, "checked-subclass": Sneaky}[mapping]
+        net = random_bn(np.random.default_rng(m), m)
+        target = data.draw(st.dictionaries(st.integers(0, m - 1), st.booleans(), max_size=2))
+        evidence = data.draw(st.dictionaries(
+            st.integers(0, m - 1).filter(lambda v: v not in target), st.booleans(), max_size=3
+        ))
+        for bad, message in (
+            # Float keys that equal no valid key, which a dict would merge.
+            (2.5, "variables must be integers, got {keys}"),
+            (np.float64(0.5), "variables must be integers, got {keys}"),
+            (-1, f"variable -1 outside range(0, {m})"),
+            (m, f"variable {m} outside range(0, {m})"),
+        ):
+            assignment = kind({**evidence, bad: True})
+            expected = re.escape(message.format(keys=", ".join(map(repr, assignment))))
+            for query, args in (
+                (query_conditional, (net, kind(target), assignment)),
+                (query_conditional, (net, assignment, kind())),
+                (query_event_marginal, (net, assignment)),
+            ):
+                with pytest.raises(UnknownVariable, match=f"^{expected}$"):
+                    query(*args)
+        if target:
+            overlap = kind({**evidence, next(iter(target)): True})
+            with pytest.raises(
+                MalformedInstance,
+                match="^target and evidence must assign disjoint variables$",
+            ):
+                query_conditional(net, kind(target), overlap)
+        want = answer(query_conditional, net, target, evidence)
+        for spell in (kind, lambda a: kind({np.int64(v): x for v, x in a.items()})):
+            got = answer(query_conditional, net, spell(target), spell(evidence))
+            assert got is want if want is ZeroEvidence else got == want
+            assert query_event_marginal(net, spell({**target, **evidence})) == (
+                query_event_marginal(net, {**target, **evidence})
+            )

@@ -457,9 +457,22 @@ class TestMarkovBlanket:
 
     def test_blanket_cpts_are_the_node_and_its_children(self):
         net = random_bn(np.random.default_rng(41), 7, edge_prob=0.4, max_parents=3)
-        assert net.blanket_cpts is net.blanket_cpts
+        assert net.blanket_layout is net.blanket_layout
+        assert any(len(parents) > 1 for parents in net.dag().parents)
         for v in range(net.m):
-            owners = [cpt.owner for cpt in net.blanket_cpts[v]]
+            layout = net.blanket_layout[v]
+            owners = [owner for _, owner, _, _ in layout]
             assert owners == sorted((v, *net.dag().children[v]))
-            assert all(cpt is net.cpts[u] for cpt, u in zip(net.blanket_cpts[v], owners))
+            for rows, owner, bit, others in layout:
+                cpt = net.cpts[owner]
+                assert rows is cpt.rows
+                # v's row bit in its child's CPT; v's own CPT has none.
+                if owner == v:
+                    assert bit == 0
+                else:
+                    assert bit == 1 << cpt.parents.index(v)
+                assert others == tuple(
+                    (p, 1 << cpt.parents.index(p)) for p in cpt.parents if p != v
+                )
+                assert bit | sum(b for _, b in others) == (1 << len(cpt.parents)) - 1
         assert net.variables == frozenset(range(7))
