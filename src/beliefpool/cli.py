@@ -60,6 +60,11 @@ class _UsageError(Exception):
 def _parse_weights(text: str | None) -> tuple[float, ...] | None:
     if text is None:
         return None
+    # float() also reads "1_0" as 10 and non-ASCII digits such as "\u0661".
+    if "_" in text or not text.isascii():
+        raise _UsageError(
+            f"bad weight list {text!r}: weights are ASCII numbers without '_'"
+        )
     try:
         return tuple(float(part) for part in text.split(","))
     except ValueError as err:

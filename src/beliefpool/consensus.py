@@ -26,13 +26,14 @@ three passes over the elimination order (a reverse topological order):
 3. Each row's log-odds gains each already-filled child's log-ratio,
    log P(child | node false) - log P(child | node true) at the child's
    value in the context, which removes the conditioning on the
-   children. The child's row comes from bit masks worked out once per
-   (node, child) pair: its bits for the node's parents follow the
-   node's row, and its bits for the node's children are set exactly
-   when the row's outcome is true. The ratio is read from the child's own log-odds through a
-   log-sigmoid, so it is finite even where the child's row rounds to 0
-   or 1. One logistic call then turns every row's log-odds into a
-   probability.
+   children. Per (node, child) pair, a table built once gives, for
+   each of the node's rows, the child's row: its bits for the node's
+   parents follow the node's row, and its bits for the node's children
+   are set exactly when the row's outcome is true. The ratio is read
+   from the child's log-sigmoids, log P(true) and log P(false) from its
+   log-odds, taken once when the child's row is finished, so it is
+   finite even where the child's row rounds to 0 or 1. One logistic
+   call then turns every row's log-odds into a probability.
 The route needs strictly positive agents: before any query it raises
 DegenerateCpt for an agent of positive weight with a CPT row of 0 or 1,
 naming the agent by its position, the variable and the row. After that,
@@ -187,25 +188,6 @@ def _structured_cpts(
     parents, children = structure.parents, structure.children
     queries = 0
 
-    def agent_conditionals(target: _Checked, context: _Checked) -> list[float]:
-        nonlocal queries
-        conds = []
-        for bn in bns:
-            queries += 1
-            try:
-                c = query_conditional(bn, target, context)
-            except ZeroEvidence as err:
-                raise DegenerateCpt(
-                    "an agent gives zero mass to a neighborhood instantiation"
-                ) from err
-            if not 0.0 < c < 1.0:
-                raise DegenerateCpt(
-                    f"an agent's conditional hit {c} on a neighborhood "
-                    f"instantiation"
-                )
-            conds.append(c)
-        return conds
-
     # Pass 1 (the three passes are in the module docstring); start[node]
     # is the index of the node's first row in the build, and outcomes[k]
     # the value that row k's context gives the node's children. Targets
@@ -219,17 +201,40 @@ def _structured_cpts(
         # product varies its last factor fastest, and row bit i is parent i.
         ps, kids = parents[node][::-1], children[node]
         target = _Checked({node: True})
+        attempts = (
+            ((True, dict.fromkeys(kids, True)), (False, dict.fromkeys(kids, False)))
+            if kids else ((True, {}),)
+        )
         for row, bits in enumerate(itertools.product((False, True), repeat=len(ps))):
             failure: DegenerateCpt | None = None
-            for outcome in (True, False) if kids else (True,):
+            for outcome, kid_values in attempts:
                 context = _Checked(zip(ps, bits))
-                context.update(dict.fromkeys(kids, outcome))
+                context.update(kid_values)
+                row_conds = []
                 try:
-                    conds.append(agent_conditionals(target, context))
-                    outcomes.append(outcome)
-                    break
+                    for bn in bns:
+                        try:
+                            c = query_conditional(bn, target, context)
+                        except ZeroEvidence as err:
+                            raise DegenerateCpt(
+                                "an agent gives zero mass to a neighborhood "
+                                "instantiation"
+                            ) from err
+                        if not 0.0 < c < 1.0:
+                            raise DegenerateCpt(
+                                f"an agent's conditional hit {c} on a "
+                                f"neighborhood instantiation"
+                            )
+                        row_conds.append(c)
                 except DegenerateCpt as err:
+                    # the agents before the one at fault, and that one
+                    queries += len(row_conds) + 1
                     failure = err
+                    continue
+                queries += len(bns)
+                conds.append(row_conds)
+                outcomes.append(outcome)
+                break
             else:
                 raise DegenerateCpt(
                     f"{_row_name(labels, node, parents[node], row)}: {failure}",
@@ -241,44 +246,57 @@ def _structured_cpts(
     log_odds = pooled_log_odds(1.0 - c, c, w).tolist()
 
     # Pass 3. Elimination order is a reverse topological order, so every
-    # child's log-odds are finished before its parents read them.
-    # A log-sigmoid, min(x, 0) - log1p(exp(-|x|)), is log P(event) for
-    # log-odds x, finite for every finite x.
+    # child's rows are finished before its parents read them. When a row
+    # with log-odds x is finished, its two log-sigmoids are kept:
+    # log P(true) = min(x, 0) - log1p(exp(-|x|)) in on_true, and
+    # log P(false), the same at -x, in on_false; both are finite for
+    # every finite x. A row whose outcome is true reads the children's
+    # on_true, one whose outcome is false their on_false.
     exp, log1p = math.exp, math.log1p
+    on_true = [0.0] * len(log_odds)
+    on_false = [0.0] * len(log_odds)
     for node in elimination_order:
-        # Per child: its first row, node's row bit, the (node row bit,
-        # child row bit) pair of each other parent that is a parent of
-        # node, and the child row bits of the other parents that are
-        # children of node, which are true exactly when the outcome is.
+        # Per child: child_rows[r], the build index of the child's row
+        # with node false, for node row r and the node's children false;
+        # node's bit in the child's row; and the child row bits of the
+        # other parents, which are children of node, set exactly when
+        # the outcome is true.
         ps = parents[node]
         layout = []
         for child in children[node]:
-            from_row, from_kids = [], 0
-            for i, p in enumerate(parents[child]):
-                if p == node:
-                    bit = 1 << i
-                elif p in ps:
-                    from_row.append((1 << ps.index(p), 1 << i))
+            cps = parents[child]
+            bit = 1 << cps.index(node)
+            from_kids = sum(
+                1 << i for i, p in enumerate(cps) if p != node and p not in ps
+            )
+            # Node row bit i is ps[i]: doubling the table once per bit
+            # adds that parent's child row bit (none if it is not one of
+            # the child's parents) to the second half.
+            child_rows = [start[child]]
+            for p in ps:
+                if p in cps:
+                    child_bit = 1 << cps.index(p)
+                    child_rows += [j + child_bit for j in child_rows]
                 else:
-                    from_kids |= 1 << i
-            layout.append((start[child], bit, from_row, from_kids))
+                    child_rows += child_rows
+            layout.append((child_rows, bit, from_kids))
         first = start[node]
         for r in range(1 << len(ps)):
-            outcome = outcomes[first + r]
-            sign = 1.0 if outcome else -1.0
+            k = first + r
             log_ratio = 0.0
-            for base, bit, from_row, from_kids in layout:
-                # the child's row with node false; row | bit has it true
-                row = from_kids if outcome else 0
-                for b, child_bit in from_row:
-                    if r & b:
-                        row |= child_bit
-                x0 = sign * log_odds[base + row]
-                x1 = sign * log_odds[base + (row | bit)]
-                log_ratio += (min(x0, 0.0) - log1p(exp(-abs(x0)))) - (
-                    min(x1, 0.0) - log1p(exp(-abs(x1)))
-                )
-            log_odds[first + r] += log_ratio
+            if outcomes[k]:
+                for child_rows, bit, from_kids in layout:
+                    row = child_rows[r] + from_kids
+                    log_ratio += on_true[row] - on_true[row + bit]
+            else:
+                for child_rows, bit, _ in layout:
+                    row = child_rows[r]
+                    log_ratio += on_false[row] - on_false[row + bit]
+            x = log_odds[k] + log_ratio
+            log_odds[k] = x
+            tail = log1p(exp(-abs(x)))
+            on_true[k] = min(x, 0.0) - tail
+            on_false[k] = min(-x, 0.0) - tail
     _, p_true = logistic(np.array(log_odds))
     rows = p_true.tolist()
     # Each row is a logistic of finite log-odds, a Python float in [0, 1].

@@ -12,6 +12,13 @@ with Python's shortest-repr float serialization.
 Saved text is exactly json.dumps(data, indent=2) plus a newline, written
 by json_text without the pure-Python encoder an indent otherwise forces.
 
+Loading and saving both work from a row-key table: for one parent
+count, every valid key in sorted order, mapped to its row index. Each
+call builds one table per parent count its network holds. The loader
+looks each key up in it (a miss is a malformed key), and network_to_dict
+writes each CPT's rows in the table's order, so no key is parsed,
+formatted or sorted per row.
+
 Loading checks a file in one pass per CPT and raises ModelFormatError,
 naming the file, for anything malformed, including text that is not
 UTF-8, integers too large for a float, nesting too deep for the JSON
@@ -59,12 +66,15 @@ def _require_labels(model: BayesNet) -> tuple[str, ...]:
     return model.labels
 
 
-def _row_keys(n_parents: int) -> list[str]:
-    """Key of every row index in order: character i is bit i of the index."""
-    if not n_parents:
-        return [""]
-    spec = f"0{n_parents}b"
-    return [format(r, spec)[::-1] for r in range(1 << n_parents)]
+def _row_key_table(n_parents: int) -> dict[str, int]:
+    """Row index of every valid key, in sorted key order: character i of
+    a key is bit i of its row index."""
+    keys, rows = [""], [0]
+    for _ in range(n_parents):
+        # Putting one more character in front shifts every row index.
+        keys = ["0" + key for key in keys] + ["1" + key for key in keys]
+        rows = [2 * r for r in rows] + [2 * r + 1 for r in rows]
+    return dict(zip(keys, rows))
 
 
 def network_to_dict(model: BayesNet, provenance: dict | None = None) -> dict:
@@ -73,12 +83,15 @@ def network_to_dict(model: BayesNet, provenance: dict | None = None) -> dict:
     edges = sorted(
         (labels[p], labels[c.owner]) for c in model.cpts for p in c.parents
     )
+    tables: dict[int, dict[str, int]] = {}
     cpts = {}
     for cpt in model.cpts:
-        rows = sorted(zip(_row_keys(len(cpt.parents)), cpt.rows))
+        k = len(cpt.parents)
+        table = tables.get(k) or tables.setdefault(k, _row_key_table(k))
+        rows = cpt.rows
         cpts[labels[cpt.owner]] = {
             "parents": [labels[p] for p in cpt.parents],
-            "rows": dict(rows),
+            "rows": {key: rows[r] for key, r in table.items()},
         }
     data = {
         "kind": "bayes",
@@ -165,6 +178,7 @@ def network_from_dict(data) -> BayesNet:
         raise ModelFormatError(
             "'cpts' must have exactly one entry per variable"
         )
+    tables: dict[int, dict[str, int]] = {}
     cpts = []
     for owner, label in enumerate(labels):
         entry = cpts_data[label]
@@ -183,14 +197,15 @@ def network_from_dict(data) -> BayesNet:
             raise ModelFormatError(
                 f"cpt for {label!r} needs exactly {1 << k} rows"
             )
+        table = tables.get(k) or tables.setdefault(k, _row_key_table(k))
         rows = [0.0] * (1 << k)
         # Dict keys are distinct and a valid key names exactly one row, so
         # with 2^k keys every row is set once and no key can repeat a row.
         for key, value in rows_raw.items():
-            # strip leaves nothing only when every character is "0" or "1";
-            # int(key, 2) alone would take signs, spaces, "_" and any digit.
-            if not (isinstance(key, str) and len(key) == k
-                    and not key.strip("01")):
+            # The table holds exactly the valid keys; int(key, 2) alone
+            # would take signs, spaces, "_" and any digit.
+            r = table.get(key)
+            if r is None:
                 if not isinstance(key, str):
                     raise ModelFormatError(f"row key {key!r} must be a string")
                 raise ModelFormatError(
@@ -198,7 +213,7 @@ def network_from_dict(data) -> BayesNet:
                 )
             if type(value) is not float or not 0.0 <= value <= 1.0:
                 value = parse_probability(value)
-            rows[int(key[::-1], 2) if k else 0] = value
+            rows[r] = value
         check_parents(owner, parents)
         cpts.append(_trusted(Cpt, owner=owner, parents=parents, rows=tuple(rows)))
 

@@ -689,6 +689,33 @@ class TestParsing:
         )
         assert code == EXIT_PARSE
 
+    # float() reads "1_0" as 10 and "\u0661" (Arabic-Indic one) as 1.
+    @pytest.mark.parametrize(
+        "weights", ["1_0,1", "1,0_5", "\u0661,1", "1,\uff12", "1,1\u00a0"]
+    )
+    def test_weights_are_ascii_without_underscores(self, capsys, agent_files, weights):
+        for command in (
+            ["aggregate", *agent_files, "--pool", "linop"],
+            ["query", *agent_files, "--pool", "linop", "--event", "A2=1"],
+        ):
+            code, out, err = run(capsys, *command, "--weights", weights)
+            assert code == EXIT_PARSE
+            assert out == ""
+            assert err.startswith(f"error: bad weight list {weights!r}")
+
+    @pytest.mark.parametrize("weights", ["2,1", " 2, 1 ", "2.0,1e0", "+2,.5e1"])
+    def test_ascii_weight_spellings(self, capsys, agent_files, weights):
+        code, out, _ = run(
+            capsys, "query", *agent_files, "--pool", "linop", "--event", "A2=1",
+            "--weights", weights,
+        )
+        assert code == EXIT_OK
+        reference = ",".join(str(float(w)) for w in weights.split(","))
+        assert out == run(
+            capsys, "query", *agent_files, "--pool", "linop", "--event", "A2=1",
+            "--weights", reference,
+        )[1]
+
     @pytest.mark.parametrize("weights", ["1,2,3", "0,0"])
     def test_rejected_weights(self, capsys, agent_files, weights):
         code, _, err = run(

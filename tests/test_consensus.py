@@ -44,6 +44,7 @@ from beliefpool.pools import logistic, normalize_weights, pooled_log_odds
 from beliefpool.axioms import chain_agents
 from beliefpool.sampling import random_bn, random_dag, random_weights
 
+from reference_fill import reference_fill
 from samplers import random_common_structure_bns
 
 CHAIN_A, CHAIN_B = chain_agents()
@@ -666,6 +667,39 @@ class TestLogopConsensusBn:
         assert result.elimination_order == (0, 1)
         assert result.agent_queries == query.call_count == 7
         assert result.agent_queries > len(agents) * rows == 6
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        m=st.integers(min_value=2, max_value=14),
+        shared=st.booleans(),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_fill_is_the_reference_bit_for_bit(self, seed, m, shared):
+        # The builder's memoized log-sigmoids and child-row tables give
+        # the rows and query count of a fill that works each out per read.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 4))
+        if shared:
+            agents = random_common_structure_bns(rng, m, n)
+        else:
+            agents = [random_bn(rng, m) for _ in range(n)]
+        weights = random_weights(rng, n)
+        result = logop_consensus_bn(agents, weights)
+        rows, queries = reference_fill(agents, normalize_weights(weights, n))
+        assert [tuple(map(float.hex, c.rows)) for c in result.bn.cpts] == [
+            tuple(map(float.hex, r)) for r in rows
+        ]
+        assert result.agent_queries == queries
+
+    def test_retried_row_is_the_reference_bit_for_bit(self):
+        # Node 1's all-true attempt fails on the first agent (see
+        # test_agent_queries_count_retried_rows) and the row is refilled.
+        extreme = BayesNet((Cpt(0, (1,), (1e-300, 0.5)), Cpt(1, (), (0.5,))))
+        agents = [extreme, BayesNet((Cpt(0, (1,), (0.3, 0.6)), Cpt(1, (), (0.4,))))]
+        result = logop_consensus_bn(agents)
+        rows, queries = reference_fill(agents, normalize_weights(None, 2))
+        assert [c.rows for c in result.bn.cpts] == rows
+        assert result.agent_queries == queries == 7
 
     @pytest.mark.parametrize("seed", range(3))
     def test_agent_queries_enter_checked(self, seed):

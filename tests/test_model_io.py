@@ -192,6 +192,58 @@ class TestNetworkRoundTrip:
             save_manifest(manifest, path)
             assert path.read_text() == json.dumps(data, indent=2) + "\n"
 
+    def test_wide_cpt_round_trip(self, tmp_path):
+        # A 10-parent CPT (1,024 rows), parents listed out of index order
+        # and row keys in shuffled order, loads bit for bit and saves as
+        # json.dumps(indent=2) writes it, keys sorted.
+        rng = np.random.default_rng(10)
+        labels = tuple(f"v{i}" for i in range(11))
+        parents = tuple(int(p) for p in rng.permutation(10))
+        rows = rng.uniform(0.0, 1.0, 1 << 10).tolist()
+        rows[:4] = [0.0, 1.0, 0.1 + 0.2, 5e-324]
+        keys = [
+            "".join("1" if r >> i & 1 else "0" for i in range(10))
+            for r in range(1 << 10)
+        ]
+        order = rng.permutation(1 << 10).tolist()
+        data = {
+            "kind": "bayes",
+            "variables": list(labels),
+            "edges": sorted([labels[p], "v10"] for p in parents),
+            "cpts": {
+                **{label: {"parents": [], "rows": {"": 0.5}} for label in labels[:10]},
+                "v10": {
+                    "parents": [labels[p] for p in parents],
+                    "rows": {keys[r]: rows[r] for r in order},
+                },
+            },
+        }
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(data))
+        bn = load_network(path)
+        assert bn.cpts[10].parents == parents
+        assert [p.hex() for p in bn.cpts[10].rows] == [p.hex() for p in rows]
+        save_network(bn, path)
+        saved = network_to_dict(bn)
+        assert list(saved["cpts"]["v10"]["rows"]) == sorted(keys)
+        assert path.read_text() == json.dumps(saved, indent=2) + "\n"
+        assert path.read_text() == reference_text(bn)
+        assert load_network(path) == bn
+
+        # A bad key among 1,024 keeps the loader's messages.
+        for bad, message in [
+            ("0" * 9, "row key '000000000' is not a 10-character outcome string"),
+            ("0" * 11, "row key '00000000000' is not a 10-character outcome string"),
+            ("01_0000000", "row key '01_0000000' is not a 10-character outcome string"),
+            (7, "row key 7 must be a string"),
+        ]:
+            mutated = json.loads(json.dumps(data))
+            table = mutated["cpts"]["v10"]["rows"]
+            del table[keys[order[-1]]]
+            table[bad] = 0.5
+            with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
+                network_from_dict(mutated)
+
     def test_non_string_labels_are_not_saved(self, tmp_path):
         # The loader rejects such labels, so a file holding them is never
         # written.
@@ -333,9 +385,13 @@ class TestFormatValidation:
     def test_row_key_grammar(self, key):
         # Only "0"/"1" strings of the parent count name a row: int(key, 2)
         # would also take a sign, a space, "_" or another script's digit.
-        data = valid_bayes_dict()
-        data["cpts"]["A2"]["rows"] = {"00": 0.6, key: 0.4}
-        with pytest.raises(ModelFormatError, match="outcome string"):
+        # The other three keys are valid, so the error is key's.
+        cpts = (Cpt(0, (), (0.2,)), Cpt(1, (), (0.5,)), Cpt(2, (0, 1), (0.1,) * 4))
+        net = BayesNet(cpts, labels=("A1", "A2", "A3"))
+        data = network_to_dict(net)
+        data["cpts"]["A3"]["rows"] = {"00": 0.1, "10": 0.2, "01": 0.3, key: 0.4}
+        message = f"row key {key!r} is not a 2-character outcome string"
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
             network_from_dict(data)
 
     def test_non_string_row_key(self):
