@@ -11,7 +11,8 @@ the examples suite, --dense-oracle given with --pool linop, a file that
 is not UTF-8, holds an integer too large for a float or nests too
 deeply, and an --out path that cannot be written), 3 variable mismatch
 across inputs, 4 degenerate CPT or zero-mass pool in consensus building,
-5 zero-probability evidence.
+5 zero-probability evidence, 6 a logop consensus too wide to fill (its
+CPT rows, times the pooled agents on the query route, over 2^24).
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from typing import Sequence
 from .axioms import run_axioms_suite, run_examples_suite, run_oracle_suite
 from .consensus import linop_query, logop_consensus_bn
 from .errors import (
+    CapacityExceeded,
     DegenerateCpt,
     DegenerateProduct,
     InvalidWeight,
@@ -51,6 +53,7 @@ EXIT_PARSE = 2
 EXIT_MISMATCH = 3
 EXIT_DEGENERATE = 4
 EXIT_ZERO_EVIDENCE = 5
+EXIT_CAPACITY = 6
 
 
 class _UsageError(Exception):
@@ -305,6 +308,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ZeroEvidence as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ZERO_EVIDENCE
+    except CapacityExceeded as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_CAPACITY
 
 
 if __name__ == "__main__":

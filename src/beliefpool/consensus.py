@@ -44,6 +44,10 @@ The dense_oracle route needs no queries: the pool is the normalized
 product of every agent CPT raised to the agent's weight, and one
 elimination pass over it along the elimination order yields the CPTs.
 
+Before either fill, _check_capacity raises CapacityExceeded when the
+structure's CPT rows, sum 2**|parents|, times the pooled agents on the
+query route (one conditional each per row), exceed 2**MAX_DENSE_VARIABLES.
+
 A ConsensusBn built by hand is checked with direct_by_order; the
 builders, whose structure comes from it, build through joint._trusted.
 """
@@ -57,15 +61,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    DegenerateCpt, MalformedInstance, MismatchedVariables, NotChordal, ZeroEvidence,
+    CapacityExceeded, DegenerateCpt, MalformedInstance, MismatchedVariables, NotChordal,
+    ZeroEvidence,
 )
-from .inference import (
-    query_conditional,
-    query_event_marginal,
-    weighted_product_cpts,
-)
+from .inference import _probability, query_conditional, weighted_product_cpts
 from .joint import (
-    _Checked, _check_query, _conditional_ratio, _shared_variable_count, _trusted,
+    MAX_DENSE_VARIABLES, _Checked, _check_query, _conditional_ratio,
+    _shared_variable_count, _trusted,
 )
 from .networks import (
     BayesNet,
@@ -161,6 +163,23 @@ def _row_name(
     name = str if labels is None else labels.__getitem__
     literals = ",".join(f"{name(p)}={row >> i & 1}" for i, p in enumerate(parents))
     return f"variable {name(owner)}, parent row {literals or '(none)'}"
+
+
+def _check_capacity(structure: Dag, copies: int, labels: tuple[str, ...] | None) -> None:
+    """CapacityExceeded, naming the row count and the largest family,
+    unless copies times structure's CPT rows fit 2**MAX_DENSE_VARIABLES."""
+    parents = structure.parents
+    size = sum(1 << len(ps) for ps in parents)
+    if copies * size > 1 << MAX_DENSE_VARIABLES:
+        widest = max(range(structure.m), key=lambda v: len(parents[v]))
+        name = widest if labels is None else labels[widest]
+        count = f"{size} CPT rows"
+        if copies > 1:
+            count = f"{copies} agents x {count} = {copies * size} rows"
+        raise CapacityExceeded(
+            f"the consensus needs {count}, over the capacity of 2^{MAX_DENSE_VARIABLES} "
+            f"rows; its largest family is variable {name} with {len(parents[widest])} parents"
+        )
 
 
 def _require_strictly_positive(position: int, bn: BayesNet) -> None:
@@ -330,6 +349,8 @@ def logop_consensus_bn(
     dense_oracle=True instead fills the CPTs by one elimination pass
     over the agents' weighted CPT product, which handles such agents at
     any size and raises DegenerateProduct when the pool has zero mass.
+    Either route raises CapacityExceeded, before its fill, for a
+    structure too large to fill (see the module docstring).
 
     Agents of weight 0 are checked for their variable count and then
     dropped: the structure, the CPTs and agent_queries come from the
@@ -341,6 +362,7 @@ def logop_consensus_bn(
             _require_strictly_positive(position, bn)
     labels = bns[0].labels
     structure, order = consensus_bn_structure([bn.dag() for bn in agents])
+    _check_capacity(structure, 1 if dense_oracle else len(agents), labels)
     if dense_oracle:
         cpts = weighted_product_cpts(agents, w, structure, order)
         queries = 0
@@ -368,14 +390,13 @@ def linop_query(
     conditional is the ratio of weighted sums of per-agent event
     probabilities; no pooled model is ever constructed. Agents of
     weight 0 add nothing to either sum, so they are never queried. Event
-    and evidence must assign disjoint variables.
+    and evidence must assign disjoint variables; each is checked once,
+    whatever the number of agents.
     """
     _, bns, w = _pooled_agents(bns, weights)
-    event, evidence = _check_query(bns[0].variables, event, evidence)
+    event, evidence = _check_query(bns[0].m, event, evidence)
 
     def pooled(assignment):
-        return float(
-            sum(wi * query_event_marginal(bn, assignment) for wi, bn in zip(w, bns))
-        )
+        return float(sum(wi * _probability(bn, assignment) for wi, bn in zip(w, bns)))
 
     return _conditional_ratio(pooled, event, evidence)

@@ -24,6 +24,10 @@ bucket. A conditional takes one of two routes:
   computed first, is positive. Near a sure event the ratio can exceed 1
   by one rounding unit, more when P(evidence) is subnormal; it is not
   clamped.
+
+Each public query checks each mapping it takes once, with joint's
+check; the kernels (_probability, _blanket_conditional) and
+consensus.linop_query's pool of _probability read it unchecked.
 """
 from __future__ import annotations
 
@@ -177,7 +181,7 @@ def _blanket_conditional(
 
 def query_event_marginal(bn: BayesNet, event: Assignment) -> float:
     """Probability that every variable in event takes its given value."""
-    return _probability(bn, _check_assignment(bn.variables, event))
+    return _probability(bn, _check_assignment(bn.m, event))
 
 
 def query_conditional(
@@ -185,12 +189,12 @@ def query_conditional(
 ) -> float:
     """P(target | evidence), in closed form or by variable elimination.
 
-    Target and evidence must assign disjoint variables, and their keys
-    pass joint's checks, as for the dense queries. An empty target is
-    the sure event. Raises ZeroEvidence when the evidence itself has
+    Target and evidence (None for none) are each checked once by joint's
+    check, as for the dense queries, and must assign disjoint variables.
+    An empty target is the sure event. Raises ZeroEvidence when the evidence itself has
     probability zero, or underflows to zero.
     """
-    wanted, given = _check_query(bn.variables, target, evidence)
+    wanted, given = _check_query(bn.m, target, evidence)
     if len(wanted) == 1 and bn.strictly_positive:
         ((v, x),) = wanted.items()
         try:

@@ -9,15 +9,18 @@ variable-elimination buckets and the chain-rule pool. All tables are
 normalized on construction and immutable afterwards.
 
 Every conditional, dense, by elimination or under the arithmetic pool,
-is _conditional_ratio over that route's mass function.
+is _conditional_ratio over that route's mass function: _mass here,
+inference._probability on a network.
 
 Each model is validated once, where it enters: the JointTable
 constructor checks every input. Each query is checked once, where it
-enters: every query, dense or on a network, has its keys checked
-(_check_assignment) and its target and evidence checked to be disjoint
-(_check_query), except that the keys of a _Checked assignment, which
-the consensus fill builds from its own structure, pass unchecked. The
-dense kernels (bn_to_joint, linop, logop, condition,
+enters: every public query, dense or on a network, checks each mapping
+it takes once (_check_assignment: a mapping whose keys are integers in
+range(0, m) and whose states are bools, 0 or 1; _check_query adds that
+target and evidence are disjoint) and hands what the check returns to
+unchecked kernels. A _Checked assignment, which only the consensus fill
+builds, from its own structure, comes back from the check unchanged.
+The dense kernels (bn_to_joint, linop, logop, condition,
 family_pooled_joint), and the table samplers, whose mass is valid by
 construction, build through _trusted_table, which normalizes as the
 constructor does and checks nothing again. _trusted, the one trusted
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from numbers import Real
+from numbers import Integral, Real
 from operator import index
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
@@ -218,39 +221,40 @@ class _Checked(dict):
     __slots__ = ()
 
 
-_INT = frozenset({int})
-_BOOL = frozenset({bool})
-# The variable set of a dense table over m variables, indexed by m.
-_TABLE_VARIABLES = tuple(frozenset(range(m)) for m in range(MAX_DENSE_VARIABLES + 1))
+def _state(v: int, x) -> bool:
+    """x as a bool; MalformedInstance, naming v, unless x is a bool or an
+    integer 0 or 1, Python or numpy (numpy bools included)."""
+    if isinstance(x, (Integral, np.bool_)) and x in (0, 1):
+        return bool(x)
+    raise MalformedInstance(f"variable {v}: state {x!r} is not a bool, 0 or 1")
 
 
-def _check_assignment(variables: frozenset[int], assignment: Assignment) -> Assignment:
-    """The assignment as {variable: state}, after checking its variables
-    against variables, the set range(0, m) of a table or network.
+def _check_assignment(m: int, assignment: Assignment) -> Assignment:
+    """The assignment as {variable: state}, after checking it against a
+    table or network over m variables.
 
-    A _Checked assignment comes back unchanged, unchecked. The common
-    case, a dict with Python-int keys in variables and bool values, comes
-    back unchanged after three set checks; any other assignment, a dict
-    subclass included, comes back as such a dict, so a missing key is a
-    KeyError, never a default. Raises UnknownVariable for a key that is
-    not an integer (a Python int or a numpy integer) or lies outside
-    range(0, m).
+    A _Checked assignment comes back unchanged, unchecked. Any other
+    mapping, a dict subclass included, comes back as a new dict with
+    Python-int keys and bool values, so a missing key is a KeyError,
+    never a default. Raises MalformedInstance for a non-mapping or a
+    state that is not a bool, 0 or 1 (see _state), and UnknownVariable
+    for a key that is not an integer (a Python int or a numpy integer)
+    or lies outside range(0, m).
     """
     if type(assignment) is _Checked:
         return assignment
-    if (
-        type(assignment) is dict
-        and _INT.issuperset(map(type, assignment))
-        and variables.issuperset(assignment)
-        and _BOOL.issuperset(map(type, assignment.values()))
-    ):
-        return assignment
     try:
-        states = {index(v): bool(x) for v, x in assignment.items()}
+        items = assignment.items()
+    except AttributeError:
+        raise MalformedInstance(
+            f"an assignment must be a mapping of variables to states, "
+            f"got {type(assignment).__name__}"
+        ) from None
+    try:
+        states = {index(v): x if type(x) is bool else _state(v, x) for v, x in items}
     except TypeError:
         keys = ", ".join(repr(v) for v in assignment)
         raise UnknownVariable(f"variables must be integers, got {keys}") from None
-    m = len(variables)
     if states and not (0 <= min(states) and max(states) < m):
         v = min(states) if min(states) < 0 else max(states)
         raise UnknownVariable(f"variable {v} outside range(0, {m})")
@@ -258,24 +262,32 @@ def _check_assignment(variables: frozenset[int], assignment: Assignment) -> Assi
 
 
 def _check_query(
-    variables: frozenset[int], target: Assignment, evidence: Assignment | None
+    m: int, target: Assignment, evidence: Assignment | None
 ) -> tuple[Assignment, Assignment]:
     """Target and evidence (None for none) as _check_assignment returns
     them; MalformedInstance unless they assign disjoint variables."""
-    wanted = _check_assignment(variables, target)
-    given = _check_assignment(variables, evidence or {})
+    wanted = _check_assignment(m, target)
+    given = _check_assignment(m, {} if evidence is None else evidence)
     if not given.keys().isdisjoint(wanted):
         raise MalformedInstance("target and evidence must assign disjoint variables")
     return wanted, given
 
 
-def _block(m: int, assignment: Assignment) -> tuple:
+def _block(m: int, checked: Assignment) -> tuple:
     """Index into a (2,)*m view (variable j on axis m-1-j) of the states
-    consistent with the assignment."""
+    consistent with an assignment as _check_assignment returns it."""
     axes = [slice(None)] * m
-    for j, value in _check_assignment(_TABLE_VARIABLES[m], assignment).items():
+    for j, value in checked.items():
         axes[m - 1 - j] = int(value)
     return tuple(axes)
+
+
+def _mass(table: JointTable, checked: Assignment) -> float:
+    """P(checked) from the dense table, for an assignment as
+    _check_assignment returns it; the empty one gives 1.0."""
+    view = table.probs.reshape((2,) * table.m)
+    # C order lists the block's states by increasing index, as a mask would.
+    return float(np.ravel(view[_block(table.m, checked)]).sum())
 
 
 def marginal(table: JointTable, assignment: Assignment) -> float:
@@ -283,14 +295,12 @@ def marginal(table: JointTable, assignment: Assignment) -> float:
 
     An empty assignment is the sure event and returns 1.0.
     """
-    view = table.probs.reshape((2,) * table.m)
-    # C order lists the block's states by increasing index, as a mask would.
-    return float(np.ravel(view[_block(table.m, assignment)]).sum())
+    return _mass(table, _check_assignment(table.m, assignment))
 
 
 def condition(table: JointTable, evidence: Assignment) -> JointTable:
     """Table conditioned on the evidence; inconsistent states get mass zero."""
-    block = _block(table.m, evidence)
+    block = _block(table.m, _check_assignment(table.m, evidence))
     kept = np.zeros_like(table.probs)
     kept.reshape((2,) * table.m)[block] = table.probs.reshape((2,) * table.m)[block]
     if kept.sum() <= 0.0:
@@ -314,18 +324,19 @@ def conditional_probability(
     table: JointTable, target: Assignment, evidence: Assignment | None = None
 ) -> float:
     """P(target | evidence) from the dense table, over disjoint variables."""
-    target, evidence = _check_query(_TABLE_VARIABLES[table.m], target, evidence)
-    return _conditional_ratio(partial(marginal, table), target, evidence)
+    target, evidence = _check_query(table.m, target, evidence)
+    return _conditional_ratio(partial(_mass, table), target, evidence)
 
 
 def pairwise_dependence_gap(table: JointTable, a: int, b: int) -> float:
     """|P(a and b) - P(a) * P(b)| with both variables true."""
-    _check_assignment(_TABLE_VARIABLES[table.m], {a: True, b: True})
+    both = _check_assignment(table.m, {a: True, b: True})
     if a == b:
         raise MalformedInstance("pairwise independence needs two distinct variables")
-    p_ab = marginal(table, {a: True, b: True})
-    p_a = marginal(table, {a: True})
-    p_b = marginal(table, {b: True})
+    a, b = both
+    p_ab = _mass(table, both)
+    p_a = _mass(table, {a: True})
+    p_b = _mass(table, {b: True})
     return abs(p_ab - p_a * p_b)
 
 
@@ -339,7 +350,7 @@ def markov_dependence_gap(
     structure around a. Empty x gives a gap of zero.
     """
     w, x = tuple(w), tuple(x)
-    _check_assignment(_TABLE_VARIABLES[table.m], dict.fromkeys((a,) + w + x, True))
+    _check_assignment(table.m, dict.fromkeys((a,) + w + x, True))
     w = tuple(sorted(set(w)))
     x = tuple(sorted(set(x)))
     if a in w or a in x:

@@ -240,8 +240,9 @@ class BayesNet:
             self, "_dag", Dag(len(cpts), tuple(c.parents for c in cpts))
         )
 
-    @property
+    @cached_property
     def m(self) -> int:
+        """The variable count, which every query's check reads; built once."""
         return len(self.cpts)
 
     @cached_property
@@ -266,11 +267,6 @@ class BayesNet:
                     ))
             layout.append(tuple(entries))
         return tuple(layout)
-
-    @cached_property
-    def variables(self) -> frozenset[int]:
-        """The variable indices, range(0, m), as a set; built once."""
-        return frozenset(range(self.m))
 
     @cached_property
     def strictly_positive(self) -> bool:

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import MalformedInstance, MismatchedVariables
 from .joint import (
-    _TABLE_VARIABLES,
     JointTable,
     _check_assignment,
     _check_variable_count,
@@ -103,7 +102,7 @@ def random_block_product_table(
 ) -> JointTable:
     """Table factorizing as P(block variables) * P(remaining variables)."""
     _check_variable_count(m)
-    _check_assignment(_TABLE_VARIABLES[m], dict.fromkeys(block, True))
+    _check_assignment(m, dict.fromkeys(block, True))
     block = sorted(set(block))
     rest = [v for v in range(m) if v not in block]
     q_block = np.maximum(rng.random(1 << len(block)), FLOOR)

@@ -37,6 +37,17 @@ def random_common_structure_bns(
     return [random_bn(rng, m, dag=dag) for _ in range(n_agents)]
 
 
+def wide_agents(labels=None) -> list[BayesNet]:
+    """Three unrelated agents over 64 variables whose consensus structure,
+    built in milliseconds, holds 1,450,461,135 CPT rows and a family of
+    29 parents (variable 34): far over the consensus fill's capacity."""
+    rng = np.random.default_rng(0)
+    return [
+        BayesNet(random_bn(rng, 64, max_parents=2, edge_prob=0.15).cpts, labels)
+        for _ in range(3)
+    ]
+
+
 def random_markov_table(rng: np.random.Generator, mn: MarkovNet) -> JointTable:
     """Positive table Markov with respect to mn.
 

@@ -21,6 +21,7 @@ from beliefpool import (
 )
 from beliefpool.model_io import network_from_dict, save_network
 from beliefpool.cli import (
+    EXIT_CAPACITY,
     EXIT_DEGENERATE,
     EXIT_MISMATCH,
     EXIT_OK,
@@ -29,6 +30,8 @@ from beliefpool.cli import (
     main,
 )
 from beliefpool.sampling import random_bn
+
+from samplers import wide_agents
 
 AGENT_A = BayesNet(
     (Cpt(0, (), (0.5,)), Cpt(1, (), (0.5,))), labels=("A1", "A2")
@@ -312,6 +315,27 @@ class TestAggregate:
         np.testing.assert_allclose(
             bn_to_joint(consensus).probs, bn_to_joint(CHAIN_A).probs, atol=1e-12
         )
+
+
+class TestCapacity:
+    def test_wide_consensus_exits_6(self, capsys, tmp_path):
+        paths = []
+        for k, agent in enumerate(wide_agents(tuple(f"x{i}" for i in range(64)))):
+            paths.append(str(tmp_path / f"wide{k}.json"))
+            save_network(agent, paths[-1])
+        for flags, size in (
+            ((), "3 agents x 1450461135 CPT rows = 4351383405 rows"),
+            (("--dense-oracle",), "1450461135 CPT rows"),
+        ):
+            for command in (["aggregate"], ["query", "--event", "x0=1"]):
+                code, out, err = run(
+                    capsys, command[0], *paths, "--pool", "logop", *command[1:], *flags
+                )
+                assert (code, out) == (EXIT_CAPACITY, "")
+                assert err == (
+                    f"error: the consensus needs {size}, over the capacity of "
+                    f"2^24 rows; its largest family is variable x34 with 29 parents\n"
+                )
 
 
 class TestQuery:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from beliefpool import (
     BayesNet,
+    CapacityExceeded,
     ConsensusBn,
     Cpt,
     Dag,
@@ -45,7 +46,7 @@ from beliefpool.axioms import chain_agents
 from beliefpool.sampling import random_bn, random_dag, random_weights
 
 from reference_fill import reference_fill
-from samplers import random_common_structure_bns
+from samplers import random_common_structure_bns, wide_agents
 
 CHAIN_A, CHAIN_B = chain_agents()
 
@@ -99,6 +100,43 @@ def two_node_bn(p_first, p_second, labels=None):
     return BayesNet(
         (Cpt(0, (), (p_first,)), Cpt(1, (), (p_second,))), labels=labels
     )
+
+
+class TestCapacity:
+    """Either fill starts only when the consensus rows, times the pooled
+    agents on the query route, fit 2**MAX_DENSE_VARIABLES."""
+
+    def test_wide_consensus_raises_before_either_fill(self):
+        agents = wide_agents()
+        for dense_oracle, size in (
+            (False, "3 agents x 1450461135 CPT rows = 4351383405 rows"),
+            (True, "1450461135 CPT rows"),
+        ):
+            # Stubbed fills: a missing check fails the test, never allocates.
+            with mock.patch.object(consensus, "_structured_cpts") as by_query, \
+                    mock.patch.object(consensus, "weighted_product_cpts") as by_product:
+                with pytest.raises(CapacityExceeded) as exc:
+                    logop_consensus_bn(agents, dense_oracle=dense_oracle)
+            by_query.assert_not_called()
+            by_product.assert_not_called()
+            assert str(exc.value) == (
+                f"the consensus needs {size}, over the capacity of 2^24 rows; "
+                f"its largest family is variable 34 with 29 parents"
+            )
+
+    def test_agents_multiply_the_query_route_rows(self):
+        # 24 roots and one node with 23 of them as parents: 2**23 + 24 rows,
+        # under the capacity once, over it twice.
+        structure = Dag(25, ((),) * 24 + (tuple(range(23)),))
+        labels = tuple(f"v{i}" for i in range(25))
+        consensus._check_capacity(structure, 1, labels)
+        with pytest.raises(CapacityExceeded) as exc:
+            consensus._check_capacity(structure, 2, labels)
+        assert str(exc.value) == (
+            "the consensus needs 2 agents x 8388632 CPT rows = 16777264 rows, over "
+            "the capacity of 2^24 rows; its largest family is variable v24 with "
+            "23 parents"
+        )
 
 
 class TestConsensusStructures:
@@ -782,7 +820,7 @@ class TestLinopQuery:
         event = {variables[0]: bool(rng.integers(0, 2))}
         evidence = {variables[1]: bool(rng.integers(0, 2))}
         with mock.patch.object(
-            consensus, "query_event_marginal", wraps=inference.query_event_marginal
+            consensus, "_probability", wraps=inference._probability
         ) as marginal_query:
             got = linop_query(
                 agents[:at] + [zero] + agents[at:], event, evidence,

@@ -40,7 +40,14 @@ from beliefpool import (
 )
 from beliefpool.axioms import reproduce_example
 from beliefpool.inference import query_conditional
-from beliefpool.joint import markov_dependence_gap, pairwise_dependence_gap
+from beliefpool.consensus import linop_query
+from beliefpool.joint import (
+    condition,
+    conditional_probability,
+    marginal,
+    markov_dependence_gap,
+    pairwise_dependence_gap,
+)
 from beliefpool.model_io import (
     align_variables,
     manifest_from_dict,
@@ -192,6 +199,23 @@ CALLER_ERRORS = {
     "unknown-example": (MalformedInstance, lambda: reproduce_example("ex9")),
     "target-in-evidence": (
         MalformedInstance, lambda: query_conditional(CHAIN, {0: 1}, {0: 1})
+    ),
+    "marginal-pairs": (MalformedInstance, lambda: marginal(PAIR, [(0, True)])),
+    "condition-pairs": (MalformedInstance, lambda: condition(PAIR, ((0, True),))),
+    "conditional-set": (MalformedInstance, lambda: conditional_probability(PAIR, {0}, {})),
+    "query-none-target": (MalformedInstance, lambda: query_conditional(CHAIN, None)),
+    "query-list-evidence": (
+        MalformedInstance, lambda: query_conditional(CHAIN, {0: True}, [1])
+    ),
+    "linop-pair-evidence": (
+        MalformedInstance, lambda: linop_query([CHAIN], {0: True}, [(1, True)])
+    ),
+    "string-state": (MalformedInstance, lambda: marginal(PAIR, {0: "0"})),
+    "none-state": (MalformedInstance, lambda: marginal(PAIR, {0: None})),
+    "nan-state": (MalformedInstance, lambda: marginal(PAIR, {0: float("nan")})),
+    "two-state": (MalformedInstance, lambda: query_conditional(CHAIN, {0: 2})),
+    "float-state": (
+        MalformedInstance, lambda: linop_query([CHAIN], {0: True}, {1: np.float64(1.0)})
     ),
     "no-agents": (MalformedInstance, lambda: logop_consensus_bn([])),
     "no-structures": (MalformedInstance, lambda: mn_union([])),

@@ -1,7 +1,10 @@
 """Exact network queries checked against dense-table enumeration."""
 
+import contextlib
+import importlib
 import itertools
 import math
+import pkgutil
 import re
 import tracemalloc
 from unittest import mock
@@ -20,7 +23,9 @@ from beliefpool import (
     bn_to_joint,
     marginal,
 )
+import beliefpool
 from beliefpool import inference, joint
+from beliefpool.consensus import linop_query
 from beliefpool.inference import (
     _ancestral_set,
     query_conditional,
@@ -478,7 +483,7 @@ class TestBlanketConditional:
     @staticmethod
     def check(net, target, evidence):
         ((v, x),) = target.items()
-        given = _check_assignment(net.variables, evidence)
+        given = _check_assignment(net.m, evidence)
         # The CPTs of v and its children in increasing node order, each
         # restricted by the evidence to a factor over v alone.
         factors = []
@@ -619,10 +624,12 @@ def answer(query, *args):
 
 
 class TestAssignmentCheck:
-    """_check_assignment hands back Python-int keys with bool values as
-    they are, and normalizes every other spelling; the answers must not
-    tell the two apart, on either query route. Dense and network queries
-    share it, so they reject the same keys with the same messages."""
+    """_check_assignment hands back every mapping but the consensus fill's
+    _Checked as a new dict of Python-int keys and bool values; the
+    answers must not tell spellings apart, on either query route. Dense
+    and network queries share it, so they reject the same keys and
+    states with the same messages, and each public query checks each
+    mapping it takes once."""
 
     @given(
         seed=st.integers(min_value=0, max_value=100_000),
@@ -647,18 +654,17 @@ class TestAssignmentCheck:
             n = int(rng.integers(0, len(rest) + 1))
         target = {v: bool(rng.integers(0, 2))}
         evidence = random_assignment(rng, net.m, rest[:n])
-        assert _check_assignment(net.variables, evidence) is evidence
-        assert _check_assignment(net.variables, target) is target
 
         fast = answer(query_conditional, net, target, evidence)
         event = {**target, **evidence}
         for respell in (
             lambda a: {np.int64(u): int(x) for u, x in a.items()},
-            lambda a: {u: 2 * int(x) for u, x in a.items()},  # any truthy state is true
+            lambda a: {u: np.bool_(x) for u, x in a.items()},
+            lambda a: {np.uint8(u): np.uint8(x) for u, x in a.items()},
         ):
-            normalized = _check_assignment(net.variables, respell(evidence))
-            assert normalized == {u: int(x) for u, x in evidence.items()}
-            assert all(type(u) is int for u in normalized)
+            normalized = _check_assignment(net.m, respell(evidence))
+            assert normalized == evidence
+            assert all(type(u) is int and type(x) is bool for u, x in normalized.items())
             slow = answer(query_conditional, net, respell(target), respell(evidence))
             assert fast is slow if fast is ZeroEvidence else fast == slow
             assert query_event_marginal(net, event) == query_event_marginal(net, respell(event))
@@ -744,3 +750,89 @@ class TestAssignmentCheck:
             assert query_event_marginal(net, spell({**target, **evidence})) == (
                 query_event_marginal(net, {**target, **evidence})
             )
+
+    def test_one_check_per_mapping(self):
+        # One spy at every binding of the name, so a check made through
+        # any module counts.
+        modules = [
+            importlib.import_module(f"beliefpool.{info.name}")
+            for info in pkgutil.iter_modules(beliefpool.__path__)
+        ]
+        bound = [mod for mod in modules if hasattr(mod, "_check_assignment")]
+        assert {joint, inference} <= set(bound)
+        rng = np.random.default_rng(3)
+        agents = [random_bn(rng, 5, max_parents=2) for _ in range(5)]
+        net, table = agents[0], bn_to_joint(agents[0])
+        blanket_of_0 = {v: True for v in range(1, 5)}  # the closed form
+        cases = [
+            (1, marginal, (table, {0: True})),
+            (1, condition, (table, {0: True})),
+            (1, query_event_marginal, (net, {0: True, 2: False})),
+            (1, pairwise_dependence_gap, (table, 0, 1)),
+            (1, markov_dependence_gap, (table, 0, (1, 2), (3, 4))),
+            (2, conditional_probability, (table, {0: True}, {1: False})),
+            (2, conditional_probability, (table, {0: True})),
+            (2, query_conditional, (net, {0: True}, {1: False})),
+            (2, query_conditional, (net, {0: True}, blanket_of_0)),
+            (2, query_conditional, (net, {0: True})),
+        ] + [(2, linop_query, (agents[:n], {0: True}, {1: False})) for n in (1, 2, 5)]
+        spy = mock.Mock(wraps=joint._check_assignment)
+        with contextlib.ExitStack() as stack:
+            for mod in bound:
+                stack.enter_context(mock.patch.object(mod, "_check_assignment", spy))
+            for calls, query, args in cases:
+                spy.reset_mock()
+                query(*args)
+                assert spy.call_count == calls, (query.__name__, args)
+
+    @pytest.mark.parametrize(
+        "state",
+        ["0", "1", None, float("nan"), 1.0, np.float64(0.0), 2, -1, np.int64(2), [1]],
+        ids=repr,
+    )
+    def test_states_are_bools_or_0_1(self, state):
+        net = random_bn(np.random.default_rng(4), 4)
+        table = bn_to_joint(net)
+        bad = {0: True, 2: state}
+        message = f"^variable 2: state {re.escape(repr(state))} is not a bool, 0 or 1$"
+        for query, args in (
+            (marginal, (table, bad)),
+            (condition, (table, bad)),
+            (conditional_probability, (table, bad)),
+            (conditional_probability, (table, {1: True}, bad)),
+            (query_event_marginal, (net, bad)),
+            (query_conditional, (net, bad)),
+            (query_conditional, (net, {1: True}, bad)),
+            (linop_query, ([net, net], {1: True}, bad)),
+        ):
+            with pytest.raises(MalformedInstance, match=message):
+                query(*args)
+
+    def test_assignments_are_mappings_and_none_evidence_is_none(self):
+        net = random_bn(np.random.default_rng(5), 4)
+        table = bn_to_joint(net)
+        for bad in ([(0, True)], ((0, True),), {0}, None, 1):
+            message = (
+                "^an assignment must be a mapping of variables to states, "
+                f"got {type(bad).__name__}$"
+            )
+            for query, args in (
+                (marginal, (table, bad)),
+                (condition, (table, bad)),
+                (conditional_probability, (table, bad)),
+                (query_event_marginal, (net, bad)),
+                (query_conditional, (net, bad)),
+                (linop_query, ([net], bad)),
+            ) + (() if bad is None else (
+                (conditional_probability, (table, {1: True}, bad)),
+                (query_conditional, (net, {1: True}, bad)),
+                (linop_query, ([net], {1: True}, bad)),
+            )):
+                with pytest.raises(MalformedInstance, match=message):
+                    query(*args)
+        for query, model in (
+            (conditional_probability, table),
+            (query_conditional, net),
+            (lambda bn, t, e: linop_query([bn], t, e), net),
+        ):
+            assert query(model, {1: True}, None) == query(model, {1: True}, {})

@@ -475,4 +475,3 @@ class TestMarkovBlanket:
                     (p, 1 << cpt.parents.index(p)) for p in cpt.parents if p != v
                 )
                 assert bit | sum(b for _, b in others) == (1 << len(cpt.parents)) - 1
-        assert net.variables == frozenset(range(7))
