@@ -30,6 +30,7 @@ from .consensus import (
     consensus_bn_structure,
     linop_query,
     logop_consensus_bn,
+    logop_query,
 )
 from .errors import (
     BeliefPoolError,

@@ -12,7 +12,9 @@ is not UTF-8, holds an integer too large for a float or nests too
 deeply, and an --out path that cannot be written), 3 variable mismatch
 across inputs, 4 degenerate CPT or zero-mass pool in consensus building,
 5 zero-probability evidence, 6 a logop consensus too wide to fill (its
-CPT rows, times the pooled agents on the query route, over 2^24).
+CPT rows, times the pooled agents on the query route, over 2^24) or a
+query whose elimination needs a bucket over 2^24 entries (times the
+agents that share it).
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .axioms import run_axioms_suite, run_examples_suite, run_oracle_suite
-from .consensus import linop_query, logop_consensus_bn
+from .consensus import linop_query, logop_consensus_bn, logop_query
 from .errors import (
     CapacityExceeded,
     DegenerateCpt,
@@ -34,7 +36,6 @@ from .errors import (
     WeightCountMismatch,
     ZeroEvidence,
 )
-from .inference import query_conditional
 from .model_io import (
     LinopManifest,
     align_variables,
@@ -174,10 +175,9 @@ def cmd_query(args: argparse.Namespace) -> int:
     if args.pool == "linop":
         value = linop_query(models, event, evidence, weights)
     else:
-        consensus = logop_consensus_bn(
-            models, weights, dense_oracle=args.dense_oracle
+        value = logop_query(
+            models, event, evidence, weights, dense_oracle=args.dense_oracle
         )
-        value = query_conditional(consensus.bn, event, evidence)
     print(f"{0.0 if contradicted else value:.6f}")
     return EXIT_OK
 

@@ -1,9 +1,10 @@
 """Consensus structures and consensus networks for groups of agents.
 
 The pool decides who shapes the consensus: an agent of weight 0 is not
-pooled (its factor is P**0 = 1), so logop_consensus_bn and linop_query
-drop it once, up front, and neither the structure, any CPT, nor any
-agent query sees it.
+pooled (its factor is P**0 = 1), so logop_consensus_bn, logop_query and
+linop_query drop it once, up front, and neither the structure, any CPT,
+nor any agent query sees it. A pool of one agent is that agent, so
+logop_query, like linop_query, then asks it directly.
 
 Structure side: moralize every distinct agent structure, union the
 undirected structures, triangulate, and orient along the elimination
@@ -64,7 +65,7 @@ from .errors import (
     CapacityExceeded, DegenerateCpt, MalformedInstance, MismatchedVariables, NotChordal,
     ZeroEvidence,
 )
-from .inference import _probability, query_conditional, weighted_product_cpts
+from .inference import _probabilities, query_conditional, weighted_product_cpts
 from .joint import (
     MAX_DENSE_VARIABLES, _Checked, _check_query, _conditional_ratio,
     _shared_variable_count, _trusted,
@@ -130,8 +131,15 @@ def consensus_bn_structure(
     return direct_by_order(chordal, order), order
 
 
+class _Pooled(tuple):
+    """What _pooled_agents returns for some agents. Given back to it as
+    the weights of the same agents, it comes back unchanged, so a caller
+    that pools first, as logop_query does, pools and checks once; it
+    does for weights what joint._Checked does for assignments."""
+
+
 def _pooled_agents(
-    bns: Sequence[BayesNet], weights: Sequence[float] | None
+    bns: Sequence[BayesNet], weights: Sequence[float] | _Pooled | None
 ) -> tuple[list[int], list[BayesNet], np.ndarray]:
     """The positions in bns of the agents of positive weight, those
     agents, and their normalized weights.
@@ -140,7 +148,9 @@ def _pooled_agents(
     the same label order where both carry labels (agents are pooled by
     index), and that the weights are valid for all of them.
     """
-    _shared_variable_count(bns, "agent network", "agents")
+    if type(weights) is _Pooled:
+        return weights
+    _shared_variable_count(bns, BayesNet, "agent network", "agents")
     orders = list(dict.fromkeys(bn.labels for bn in bns if bn.labels is not None))
     if len(orders) > 1:
         raise MismatchedVariables(
@@ -149,7 +159,7 @@ def _pooled_agents(
         )
     w = normalize_weights(weights, len(bns))
     positions = np.flatnonzero(w > 0.0).tolist()
-    return positions, [bns[i] for i in positions], w[positions]
+    return _Pooled((positions, [bns[i] for i in positions], w[positions]))
 
 
 _RERUN = "rerun with dense_oracle=True to use the factor-product fill"
@@ -378,6 +388,28 @@ def logop_consensus_bn(
     )
 
 
+def logop_query(
+    bns: Sequence[BayesNet],
+    event: dict[int, bool],
+    evidence: dict[int, bool] | None = None,
+    weights: Sequence[float] | None = None,
+    *,
+    dense_oracle: bool = False,
+) -> float:
+    """Consensus conditional probability under geometric pooling:
+    query_conditional on the network of logop_consensus_bn.
+
+    The pool of a single agent of positive weight is that agent, so
+    then the query goes to it directly: no structure is built, its rows
+    need not be strictly positive, and dense_oracle changes nothing.
+    """
+    pooled = _pooled_agents(bns, weights)
+    agents = pooled[1]
+    if len(agents) > 1:
+        agents = [logop_consensus_bn(bns, pooled, dense_oracle=dense_oracle).bn]
+    return query_conditional(agents[0], event, evidence)
+
+
 def linop_query(
     bns: Sequence[BayesNet],
     event: dict[int, bool],
@@ -389,14 +421,23 @@ def linop_query(
     The arithmetic pool commutes with marginalization, so the pooled
     conditional is the ratio of weighted sums of per-agent event
     probabilities; no pooled model is ever constructed. Agents of
-    weight 0 add nothing to either sum, so they are never queried. Event
-    and evidence must assign disjoint variables; each is checked once,
-    whatever the number of agents.
+    weight 0 add nothing to either sum, so they are never queried. The
+    other agents are grouped by DAG, and each assignment is planned once
+    per group: one elimination serves every agent of the group, and the
+    pool is one dot product with the weights. Event and evidence must
+    assign disjoint variables; each is checked once, whatever the number
+    of agents.
     """
     _, bns, w = _pooled_agents(bns, weights)
     event, evidence = _check_query(bns[0].m, event, evidence)
+    groups: dict[Dag, list[int]] = {}
+    for i, bn in enumerate(bns):
+        groups.setdefault(bn.dag(), []).append(i)
 
     def pooled(assignment):
-        return float(sum(wi * _probability(bn, assignment) for wi, bn in zip(w, bns)))
+        p = np.empty(len(bns))
+        for positions in groups.values():
+            p[positions] = _probabilities([bns[i] for i in positions], assignment)
+        return float(w @ p)
 
     return _conditional_ratio(pooled, event, evidence)

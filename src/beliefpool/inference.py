@@ -2,11 +2,18 @@
 
 Queries never materialize the full joint table, so they stay usable on
 networks too large for dense enumeration as long as the induced factor
-widths stay small. Elimination computes one number, P(assignment): it
-restricts the CPTs of the assignment's ancestral set (every other CPT
-is barren and sums to one, so a zero-probability event stays exactly
-zero) and sums out every variable left, one joint.contract call per
-bucket. A conditional takes one of two routes:
+widths stay small. Elimination has one kernel, _probabilities: it
+computes P(assignment) under every network of a group that shares one
+DAG, with one plan for the group. It restricts the CPTs of the
+assignment's ancestral set (every other CPT is barren and sums to one,
+so a zero-probability event stays exactly zero), builds each restricted
+CPT once for the group, from the agents' rows, with an agent axis, and
+sums out every variable left along min_fill_order, one joint.contract
+call per bucket. Before any contract call it raises CapacityExceeded
+when the widest bucket, times the agents, exceeds 2**MAX_DENSE_VARIABLES
+entries. The single-network queries call it with a group of one, and
+consensus.linop_query with each group of agents that share a DAG.
+A conditional takes one of two routes:
 
 - A single-target conditional on a strictly positive network (every
   CPT row inside (0, 1)) first tries the closed form: only the node's
@@ -26,25 +33,23 @@ bucket. A conditional takes one of two routes:
   clamped.
 
 Each public query checks each mapping it takes once, with joint's
-check; the kernels (_probability, _blanket_conditional) and
-consensus.linop_query's pool of _probability read it unchecked.
+check; the kernels (_probabilities, _blanket_conditional) read it
+unchecked.
 """
 from __future__ import annotations
 
 import itertools
 from functools import partial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateProduct, ZeroEvidence
+from .errors import CapacityExceeded, DegenerateProduct, ZeroEvidence
 from .joint import (
-    Assignment, _check_assignment, _check_query, _conditional_ratio, _trusted, contract,
+    MAX_DENSE_VARIABLES, Assignment, _check_assignment, _check_query, _conditional_ratio,
+    _trusted, contract,
 )
 from .networks import BayesNet, Cpt, Dag, min_fill_order
-
-
-_ALL = slice(None)  # the index that keeps an unassigned variable's axis
 
 
 def _expand(
@@ -55,7 +60,7 @@ def _expand(
     return table.reshape(tuple(2 if v in variables else 1 for v in out))
 
 
-def _ancestral_set(bn: BayesNet, variables: set[int]) -> list[int]:
+def _ancestral_set(bn: BayesNet, variables: Iterable[int]) -> list[int]:
     """The variables together with all of their ancestors."""
     seen = set(variables)
     stack = list(variables)
@@ -67,28 +72,69 @@ def _ancestral_set(bn: BayesNet, variables: set[int]) -> list[int]:
     return sorted(seen)
 
 
-def _probability(bn: BayesNet, assignment: Assignment) -> float:
-    """P(assignment), assignment as _check_assignment returns it: the
-    ancestral CPTs restricted by it, every variable left summed out
-    along min_fill_order, one contract call per bucket."""
-    factors = []  # (variables, table) pairs, axis i = variables[i]
-    for v in _ancestral_set(bn, set(assignment)):
-        cpt = bn.cpts[v]
-        family = cpt.family
-        restrict = tuple([int(assignment[u]) if u in assignment else _ALL for u in family])
-        free = tuple([u for u in family if u not in assignment])
-        factors.append((free, cpt.table[restrict]))
-    adj: dict[int, set[int]] = {v: set() for variables, _ in factors for v in variables}
-    for variables, _ in factors:
-        for u, w in itertools.combinations(variables, 2):
+_AGENT = -1  # contract's label of the agent axis; variables are 0..m-1
+_ALL = slice(None)  # the index that keeps an axis whole
+
+
+def _probabilities(group: Sequence[BayesNet], assignment: Assignment) -> np.ndarray:
+    """P(assignment) under each network of group, which share one DAG,
+    for an assignment as _check_assignment returns it.
+
+    One plan serves the whole group: the ancestral set of the
+    assignment, the restriction of each of its CPTs, min_fill_order over
+    what is left, and the variables of every bucket along that order.
+    CapacityExceeded is raised before any contract call when a bucket,
+    over every agent, holds more than 2**MAX_DENSE_VARIABLES entries.
+    Each restricted CPT is one factor, built from the agents' rows, with
+    the agent axis first; each bucket is one contract call.
+    """
+    n = len(group)
+    if not assignment:
+        return np.ones(n)  # the sure event: no CPT to read
+    cpts = group[0].cpts
+    scopes: list[tuple[int, ...]] = []  # scopes[i]: the axes of tables[i]
+    tables: list[np.ndarray] = []
+    for v in _ancestral_set(group[0], assignment):
+        rows = np.array([bn.cpts[v].rows for bn in group])
+        # Row bit i is parents[i], so a C-order reshape puts the last
+        # parent first; the owner's state, when free, goes before them.
+        axes = cpts[v].parents[::-1]
+        if v in assignment:
+            table = rows if assignment[v] else 1.0 - rows
+        else:
+            table = np.concatenate((1.0 - rows, rows), axis=1)
+            axes = (v,) + axes
+        table = table.reshape((n,) + (2,) * len(axes))
+        restrict = tuple([int(assignment[u]) if u in assignment else _ALL for u in axes])
+        scopes.append((_AGENT, *[u for u in axes if u not in assignment]))
+        tables.append(table[(_ALL,) + restrict])
+    adj: dict[int, set[int]] = {v: set() for variables in scopes for v in variables[1:]}
+    for variables in scopes:
+        for u, w in itertools.combinations(variables[1:], 2):
             adj[u].add(w)
             adj[w].add(u)
+    # The plan: per eliminated variable, the positions of its bucket's
+    # factors and the variables of the factor it leaves.
+    live = list(range(len(scopes)))
+    plan = []
+    width = 0  # the most variables in one bucket: len(rest), _AGENT standing for v
     for v in min_fill_order(adj)[0]:
-        bucket = [f for f in factors if v in f[0]]
-        factors = [f for f in factors if v not in f[0]]
-        rest = tuple(sorted({u for variables, _ in bucket for u in variables} - {v}))
-        factors.append((rest, contract(bucket, rest)))
-    return float(contract(factors, ()))
+        bucket = [i for i in live if v in scopes[i]]
+        live = [i for i in live if v not in scopes[i]]
+        rest = (_AGENT, *sorted({u for i in bucket for u in scopes[i][1:]} - {v}))
+        width = max(width, len(rest))
+        plan.append((bucket, rest))
+        live.append(len(scopes))
+        scopes.append(rest)
+    if n << width > 1 << MAX_DENSE_VARIABLES:
+        size = f"2^{width}" if n == 1 else f"{n} agents x 2^{width}"
+        raise CapacityExceeded(
+            f"the query's elimination needs a bucket of {width} variables, "
+            f"{size} entries, over the capacity of 2^{MAX_DENSE_VARIABLES} entries"
+        )
+    for bucket, rest in plan:
+        tables.append(contract([(scopes[i], tables[i]) for i in bucket], rest))
+    return contract([(scopes[i], tables[i]) for i in live], (_AGENT,))
 
 
 def weighted_product_cpts(
@@ -177,6 +223,11 @@ def _blanket_conditional(
     if total <= 0.0:
         raise ZeroEvidence("conditioning event has probability zero")
     return (a1 if x else a0) / total
+
+
+def _probability(bn: BayesNet, assignment: Assignment) -> float:
+    """P(assignment) on one network: the kernel on a group of one."""
+    return float(_probabilities((bn,), assignment)[0])
 
 
 def query_event_marginal(bn: BayesNet, event: Assignment) -> float:

@@ -10,7 +10,7 @@ normalized on construction and immutable afterwards.
 
 Every conditional, dense, by elimination or under the arithmetic pool,
 is _conditional_ratio over that route's mass function: _mass here,
-inference._probability on a network.
+inference._probabilities on networks.
 
 Each model is validated once, where it enters: the JointTable
 constructor checks every input. Each query is checked once, where it
@@ -196,14 +196,19 @@ def factor_product(
     return contract(tensors, range(m - 1, -1, -1)).ravel()
 
 
-def _shared_variable_count(models: Sequence, one: str, many: str) -> int:
+def _shared_variable_count(models: Sequence, cls: type, one: str, many: str) -> int:
     """The variable count m of every model; MalformedInstance for no
-    models ("need at least one <one>"), MismatchedVariables unless all
+    models ("need at least one <one>") or a model that is not a cls
+    ("expected a <cls>, got <type>"), MismatchedVariables unless all
     agree ("<many> disagree on variable count")."""
     if not models:
         raise MalformedInstance(f"need at least one {one}")
-    m = models[0].m
     for model in models:
+        if not isinstance(model, cls):
+            raise MalformedInstance(
+                f"expected a {cls.__name__}, got {type(model).__name__}"
+            )
+        m = models[0].m  # the first model passed its check first
         if model.m != m:
             raise MismatchedVariables(
                 f"{many} disagree on variable count: {model.m} != {m}"

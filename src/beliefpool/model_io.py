@@ -13,20 +13,27 @@ Saved text is exactly json.dumps(data, indent=2) plus a newline, written
 by json_text without the pure-Python encoder an indent otherwise forces.
 
 Loading and saving both work from a row-key table: for one parent
-count, every valid key in sorted order, mapped to its row index. Each
-call builds one table per parent count its network holds. The loader
-looks each key up in it (a miss is a malformed key), and network_to_dict
-writes each CPT's rows in the table's order, so no key is parsed,
+count, every valid key. Each call builds one table per parent count its
+network holds. The loader compares each CPT's key set with the table's
+and reads the rows in row order through it, and network_to_dict writes
+each CPT's rows in the table's sorted key order, so no key is parsed,
 formatted or sorted per row.
 
-Loading checks a file in one pass per CPT and raises ModelFormatError,
-naming the file, for anything malformed, including text that is not
-UTF-8, integers too large for a float, nesting too deep for the JSON
-parser, and any kind but "bayes" or "linop-manifest". The loader is
-where a file's model is validated: it makes every check the network
-constructors would, with their messages, then builds the network
-without running those checks again. The one check it leaves to the
-structure is acyclicity (Dag.topological_order).
+Loading raises ModelFormatError, naming the file, for anything
+malformed, including text that is not UTF-8, integers too large for a
+float, nesting too deep for the JSON parser, and any kind but "bayes"
+or "linop-manifest". The loader is where a file's model is validated:
+it makes every check the network constructors would, with their
+messages, then builds the network without running those checks again.
+Each check runs over the whole file at once: the types of the entries
+and of their parent and row fields as one set of types, the parents
+resolved in one pass, each CPT's key set against the table's, every row
+value in one pass (all floats, between 0 and 1, no NaN), and acyclicity
+by Kahn's algorithm over the parent lists. Only when one of them fails
+does _check_cpts walk the entries one CPT at a time, in variable order
+and each one's rows in file order, to raise the message of the first
+fault; it builds nothing. A walk that finds no fault leaves rows that
+are numbers but not all floats, such as 0 and 1, which load as floats.
 
 A manifest file ("kind": "linop-manifest") names input network files
 plus weights instead of storing a pooled model, because an arithmetic
@@ -34,7 +41,10 @@ pool of networks generally has no compact network form.
 """
 from __future__ import annotations
 
+import itertools
 import json
+import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -66,15 +76,14 @@ def _require_labels(model: BayesNet) -> tuple[str, ...]:
     return model.labels
 
 
-def _row_key_table(n_parents: int) -> dict[str, int]:
-    """Row index of every valid key, in sorted key order: character i of
-    a key is bit i of its row index."""
-    keys, rows = [""], [0]
+def _row_keys(n_parents: int) -> dict[str, None]:
+    """Every valid row key for n_parents parents, in row order: character
+    i of a key is bit i of its row index."""
+    keys = [""]
     for _ in range(n_parents):
-        # Putting one more character in front shifts every row index.
-        keys = ["0" + key for key in keys] + ["1" + key for key in keys]
-        rows = [2 * r for r in rows] + [2 * r + 1 for r in rows]
-    return dict(zip(keys, rows))
+        # One more character at the end is the next bit of the row index.
+        keys = [key + "0" for key in keys] + [key + "1" for key in keys]
+    return dict.fromkeys(keys)
 
 
 def network_to_dict(model: BayesNet, provenance: dict | None = None) -> dict:
@@ -83,15 +92,17 @@ def network_to_dict(model: BayesNet, provenance: dict | None = None) -> dict:
     edges = sorted(
         (labels[p], labels[c.owner]) for c in model.cpts for p in c.parents
     )
-    tables: dict[int, dict[str, int]] = {}
+    tables: dict[int, list[tuple[str, int]]] = {}
     cpts = {}
     for cpt in model.cpts:
         k = len(cpt.parents)
-        table = tables.get(k) or tables.setdefault(k, _row_key_table(k))
+        table = tables.get(k) or tables.setdefault(
+            k, sorted((key, r) for r, key in enumerate(_row_keys(k)))
+        )
         rows = cpt.rows
         cpts[labels[cpt.owner]] = {
             "parents": [labels[p] for p in cpt.parents],
-            "rows": {key: rows[r] for key, r in table.items()},
+            "rows": {key: rows[r] for key, r in table},
         }
     data = {
         "kind": "bayes",
@@ -104,12 +115,18 @@ def network_to_dict(model: BayesNet, provenance: dict | None = None) -> dict:
     return data
 
 
+def _all_instances(items: list, cls: type) -> bool:
+    """Whether every item is a cls, checked once per distinct type."""
+    return all(issubclass(t, cls) for t in set(map(type, items)))
+
+
 def _parse_variables(data: dict) -> tuple[str, ...]:
     variables = data.get("variables")
     if (
         not isinstance(variables, list)
         or not variables
-        or not all(isinstance(v, str) and v for v in variables)
+        or not _all_instances(variables, str)
+        or not all(variables)
     ):
         raise ModelFormatError(
             "'variables' must be a nonempty list of nonempty strings"
@@ -119,48 +136,126 @@ def _parse_variables(data: dict) -> tuple[str, ...]:
     return labels
 
 
-def _parse_edges(
-    data: dict, index: dict[str, int]
-) -> list[tuple[int, int]]:
+def _parse_edges(data: dict, index: dict[str, int]) -> set[tuple[int, int]]:
     edges = data.get("edges")
     if not isinstance(edges, list):
         raise ModelFormatError("'edges' must be a list of label pairs")
-    parsed = []
-    for e in edges:
-        if not isinstance(e, list) or len(e) != 2:
-            raise ModelFormatError(f"edge {e!r} is not a pair of labels")
+    if _all_instances(edges, list) and set(map(len, edges)) <= {2}:
         try:
-            parsed.append((index[e[0]], index[e[1]]))
+            return {(index[p], index[c]) for p, c in edges}
         except (KeyError, TypeError):
-            if not all(isinstance(x, str) for x in e):
+            pass
+    # Some edge is at fault: the first one names it.
+    for e in edges:
+        if not isinstance(e, list) or len(e) != 2 or not all(isinstance(x, str) for x in e):
+            raise ModelFormatError(f"edge {e!r} is not a pair of labels")
+        for x in e:
+            if x not in index:
+                raise ModelFormatError(f"edge references unknown variable {x!r}")
+
+
+def _read_cpts(
+    entries: list, index: dict[str, int]
+) -> tuple[list[tuple[int, ...]], list[tuple]] | None:
+    """Each entry's parent indices and its row values in row order, or
+    None when some entry is not an object, its parents are not a list of
+    known labels, or its rows are not an object of 2^k rows keyed by
+    exactly the valid keys. The values are not checked here."""
+    if not _all_instances(entries, dict):
+        return None
+    parent_lists = [entry.get("parents") for entry in entries]
+    row_maps = [entry.get("rows") for entry in entries]
+    if not (_all_instances(parent_lists, list) and _all_instances(row_maps, dict)):
+        return None
+    try:
+        parents = [tuple(map(index.__getitem__, ps)) for ps in parent_lists]
+    except (KeyError, TypeError):
+        return None
+    # Per parent count: the valid keys and a getter of the rows in row order.
+    tables: dict[int, tuple] = {}
+    rows = []
+    for ps, row_map in zip(parents, row_maps):
+        k = len(ps)
+        if k not in tables:
+            # A table is built only for a row count that fits it: a short
+            # file can repeat one parent too often for 2^k keys to fit in
+            # memory.
+            if len(row_map) != 1 << k:
+                return None
+            keys = _row_keys(k)
+            tables[k] = keys.keys(), operator.itemgetter(*keys)
+        keys, get = tables[k]
+        if row_map.keys() != keys:
+            return None
+        rows.append(get(row_map) if k else (row_map[""],))  # one key: no tuple
+    return parents, rows
+
+
+def _check_cpts(labels: tuple[str, ...], entries: list, index: dict[str, int]) -> None:
+    """Raise the ModelFormatError of the first fault in a CPT entry,
+    walking the entries in owner order and each one's rows in file
+    order; return when no entry has a fault. It builds nothing."""
+    tables: dict[int, dict[str, None]] = {}
+    for owner, (label, entry) in enumerate(zip(labels, entries)):
+        if not isinstance(entry, dict):
+            raise ModelFormatError(f"cpt for {label!r} must be an object")
+        parents_raw = entry.get("parents")
+        if not isinstance(parents_raw, list) or not all(
+            isinstance(p, str) for p in parents_raw
+        ):
+            raise ModelFormatError(f"cpt for {label!r} needs a parent label list")
+        for p in parents_raw:
+            if p not in index:
                 raise ModelFormatError(
-                    f"edge {e!r} is not a pair of labels"
-                ) from None
-            unknown = next(x for x in e if x not in index)
+                    f"cpt for {label!r} references unknown parent {p!r}"
+                )
+        k = len(parents_raw)
+        rows_raw = entry.get("rows")
+        if not isinstance(rows_raw, dict) or len(rows_raw) != 1 << k:
             raise ModelFormatError(
-                f"edge references unknown variable {unknown!r}"
-            ) from None
-    return parsed
+                f"cpt for {label!r} needs exactly {1 << k} rows"
+            )
+        table = tables.get(k) or tables.setdefault(k, _row_keys(k))
+        # Dict keys are distinct, so 2^k valid keys name every row once.
+        for key, value in rows_raw.items():
+            # The table holds exactly the valid keys; int(key, 2) alone
+            # would take signs, spaces, "_" and any digit.
+            if key not in table:
+                if not isinstance(key, str):
+                    raise ModelFormatError(f"row key {key!r} must be a string")
+                raise ModelFormatError(
+                    f"row key {key!r} is not a {k}-character outcome string"
+                )
+            parse_probability(value)
+        check_parents(owner, tuple(map(index.__getitem__, parents_raw)))
 
 
-def _parent_error(
-    label: str, parents_raw: list, index: dict[str, int]
-) -> ModelFormatError:
-    """Why a parent list failed to resolve: a non-label or an unknown one."""
-    if not all(isinstance(p, str) for p in parents_raw):
-        return ModelFormatError(f"cpt for {label!r} needs a parent label list")
-    unknown = next(p for p in parents_raw if p not in index)
-    return ModelFormatError(
-        f"cpt for {label!r} references unknown parent {unknown!r}"
-    )
+def _acyclic(m: int, edges: set[tuple[int, int]]) -> bool:
+    """Whether the (parent, child) edges over m nodes hold no directed
+    cycle, by Kahn's algorithm: a node is ready once all of its parents
+    are, and every node gets ready exactly when there is no cycle."""
+    children: list[list[int]] = [[] for _ in range(m)]
+    waiting = [0] * m
+    for p, c in edges:
+        children[p].append(c)
+        waiting[c] += 1
+    ready = [j for j, n in enumerate(waiting) if not n]
+    for j in ready:  # the list grows while it is read
+        for c in children[j]:
+            waiting[c] -= 1
+            if not waiting[c]:
+                ready.append(c)
+    return len(ready) == m
 
 
 def network_from_dict(data) -> BayesNet:
     """Reconstruct a Bayesian network from its JSON representation.
 
     Raises ModelFormatError for any malformed input: a kind other than
-    "bayes", the checks here (a repeated or self parent with the Cpt
-    constructor's messages), or a cycle from Dag.topological_order.
+    "bayes", a field check, a repeated or self parent with the Cpt
+    constructor's messages, a cycle, or edges that disagree with the
+    parent lists. Each check runs over the whole file at once; when one
+    fails, _check_cpts names the first faulty entry.
     """
     if not isinstance(data, dict):
         raise ModelFormatError("top level must be a JSON object")
@@ -169,67 +264,51 @@ def network_from_dict(data) -> BayesNet:
         raise ModelFormatError(f"'kind' must be 'bayes', got {kind!r}")
     labels = _parse_variables(data)
     index = {label: i for i, label in enumerate(labels)}
-    edges = _parse_edges(data, index)
+    declared = _parse_edges(data, index)
 
     cpts_data = data.get("cpts")
     if not isinstance(cpts_data, dict):
         raise ModelFormatError("'cpts' must map each variable to its table")
-    if set(cpts_data) != set(labels):
+    if cpts_data.keys() != index.keys():
         raise ModelFormatError(
             "'cpts' must have exactly one entry per variable"
         )
-    tables: dict[int, dict[str, int]] = {}
-    cpts = []
-    for owner, label in enumerate(labels):
-        entry = cpts_data[label]
-        if not isinstance(entry, dict):
-            raise ModelFormatError(f"cpt for {label!r} must be an object")
-        parents_raw = entry.get("parents")
-        if not isinstance(parents_raw, list):
-            raise ModelFormatError(f"cpt for {label!r} needs a parent label list")
-        try:
-            parents = tuple([index[p] for p in parents_raw])
-        except (KeyError, TypeError):
-            raise _parent_error(label, parents_raw, index) from None
-        rows_raw = entry.get("rows")
-        k = len(parents)
-        if not isinstance(rows_raw, dict) or len(rows_raw) != (1 << k):
-            raise ModelFormatError(
-                f"cpt for {label!r} needs exactly {1 << k} rows"
-            )
-        table = tables.get(k) or tables.setdefault(k, _row_key_table(k))
-        rows = [0.0] * (1 << k)
-        # Dict keys are distinct and a valid key names exactly one row, so
-        # with 2^k keys every row is set once and no key can repeat a row.
-        for key, value in rows_raw.items():
-            # The table holds exactly the valid keys; int(key, 2) alone
-            # would take signs, spaces, "_" and any digit.
-            r = table.get(key)
-            if r is None:
-                if not isinstance(key, str):
-                    raise ModelFormatError(f"row key {key!r} must be a string")
-                raise ModelFormatError(
-                    f"row key {key!r} is not a {k}-character outcome string"
-                )
-            if type(value) is not float or not 0.0 <= value <= 1.0:
-                value = parse_probability(value)
-            rows[r] = value
-        check_parents(owner, parents)
-        cpts.append(_trusted(Cpt, owner=owner, parents=parents, rows=tuple(rows)))
+    entries = list(map(cpts_data.__getitem__, labels))
+    read = _read_cpts(entries, index)
+    if read is None:
+        _check_cpts(labels, entries, index)  # raises: some entry is at fault
+    parents, rows = read
+    values = list(itertools.chain.from_iterable(rows))
+    derived = {(p, c) for c, ps in enumerate(parents) for p in ps}
+    acyclic = _acyclic(len(labels), derived)
+    if not (
+        set(map(type, values)) == {float}
+        and 0.0 <= min(values)
+        and max(values) <= 1.0
+        and not math.isnan(sum(values))  # min and max can step over a NaN
+        and len(derived) == sum(map(len, parents))  # no repeated parent
+        and acyclic  # no self parent either
+    ):
+        # A faulty entry comes first, then a cycle. With neither, each row
+        # is a number in [0, 1] and some are not floats, such as 0 or 1.
+        _check_cpts(labels, entries, index)
+        if not acyclic:
+            raise ModelFormatError("parent structure contains a directed cycle")
+        rows = [tuple(map(float, r)) for r in rows]
 
-    # Every Cpt and BayesNet check has passed: one CPT per variable in
-    # owner order, known distinct labels, known parents that are distinct
-    # and not the owner, 2^k Python floats in [0, 1]. Only a cycle is left.
-    dag = _trusted(Dag, m=len(labels), parents=tuple(c.parents for c in cpts))
-    dag.topological_order()
-    bn = _trusted(BayesNet, cpts=tuple(cpts), labels=labels, _dag=dag)
-    declared = {(p, c) for p, c in edges}
-    derived = {(p, c.owner) for c in bn.cpts for p in c.parents}
     if declared != derived:
         raise ModelFormatError(
             "'edges' disagree with the parent lists in 'cpts'"
         )
-    return bn
+    # Every Cpt, Dag and BayesNet check has passed: one CPT per variable
+    # in owner order, known distinct labels, known parents that are
+    # distinct and not the owner, 2^k Python floats in [0, 1], no cycle.
+    cpts = tuple(
+        _trusted(Cpt, owner=owner, parents=ps, rows=r)
+        for owner, (ps, r) in enumerate(zip(parents, rows))
+    )
+    dag = _trusted(Dag, m=len(labels), parents=tuple(parents))
+    return _trusted(BayesNet, cpts=cpts, labels=labels, _dag=dag)
 
 
 def manifest_to_dict(manifest: LinopManifest) -> dict:

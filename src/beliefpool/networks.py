@@ -348,7 +348,7 @@ def moralize(structure: BayesNet | Dag) -> MarkovNet:
 
 def mn_union(nets: Sequence[MarkovNet]) -> MarkovNet:
     """Edge union of structures over the same variable set."""
-    m = _shared_variable_count(nets, "structure", "structures")
+    m = _shared_variable_count(nets, MarkovNet, "structure", "structures")
     edges: set[tuple[int, int]] = set()
     for net in nets:
         edges |= net.edges

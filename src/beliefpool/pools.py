@@ -4,6 +4,7 @@ in POOL_NAMES, which check_pool_name checks."""
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -24,14 +25,29 @@ def normalize_weights(
 ) -> np.ndarray:
     """Validated weight vector summing to one; None means equal weights.
 
-    Weights must be finite and nonnegative with a positive total. When
-    the total overflows, the weights are first divided by the largest.
+    Weights must be a sequence of numbers, finite and nonnegative with a
+    positive total (InvalidWeight otherwise). When the total overflows,
+    the weights are first divided by the largest.
     """
     if n_agents <= 0:
         raise MalformedInstance("need at least one agent")
     if weights is None:
         return np.full(n_agents, 1.0 / n_agents)
-    w = np.asarray(list(weights), dtype=np.float64)
+    # A string, None or another object must not reach the float cast,
+    # which reads "0.5" as a number. Numbers numpy holds only as objects
+    # (a Fraction, a Decimal, an int past 64 bits) are cast one by one.
+    try:
+        w = np.asarray(list(weights))
+        if w.dtype != np.float64:
+            if w.dtype == object and all(isinstance(x, numbers.Number) for x in w.flat):
+                w = w.astype(np.float64)
+            if w.dtype.kind not in "biuf":
+                raise TypeError
+            w = w.astype(np.float64)
+    except (TypeError, ValueError):  # not iterable, ragged, or not numbers
+        raise InvalidWeight("weights must be a sequence of numbers") from None
+    except OverflowError:  # an int too large for a float
+        raise InvalidWeight("weights must be finite and nonnegative") from None
     if w.shape != (n_agents,):
         raise WeightCountMismatch(
             f"got {w.shape[0] if w.ndim == 1 else 'malformed'} weights "
@@ -59,7 +75,7 @@ def check_pool_name(pool: str) -> None:
 
 
 def _stack(tables: Sequence[JointTable]) -> tuple[int, np.ndarray]:
-    m = _shared_variable_count(tables, "table", "tables")
+    m = _shared_variable_count(tables, JointTable, "table", "tables")
     return m, np.stack([t.probs for t in tables])
 
 

@@ -6,7 +6,7 @@ Markov potentials lie in [POT_LOW, POT_HIGH].
 
 import numpy as np
 
-from beliefpool import BayesNet, JointTable, MarkovNet
+from beliefpool import BayesNet, Cpt, JointTable, MarkovNet
 from beliefpool.joint import factor_product
 from beliefpool.networks import direct_by_order, moralize, triangulate
 from beliefpool.sampling import random_bn, random_dag
@@ -46,6 +46,19 @@ def wide_agents(labels=None) -> list[BayesNet]:
         BayesNet(random_bn(rng, 64, max_parents=2, edge_prob=0.15).cpts, labels)
         for _ in range(3)
     ]
+
+
+def grid_bn(side: int) -> BayesNet:
+    """A side x side grid whose node (i, j), index i * side + j, has the
+    nodes above and to the left as parents: at most four CPT rows each,
+    but min-fill's widest bucket for the far corner grows with the side
+    (22 variables at side 15, 42 at side 26)."""
+    cpts = []
+    for i in range(side):
+        for j in range(side):
+            parents = ((i - 1) * side + j,) * (i > 0) + (i * side + j - 1,) * (j > 0)
+            cpts.append(Cpt(i * side + j, parents, (0.3, 0.6, 0.2, 0.7)[: 1 << len(parents)]))
+    return BayesNet(tuple(cpts))
 
 
 def random_markov_table(rng: np.random.Generator, mn: MarkovNet) -> JointTable:

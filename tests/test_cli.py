@@ -338,6 +338,59 @@ class TestCapacity:
                 )
 
 
+class TestPoolOfOne:
+    """A query whose pool holds one agent of positive weight is answered
+    by that agent under either pool, so a saved consensus queries back."""
+
+    LABELS = ("rain", "traffic", "late")
+    A = BayesNet(
+        (Cpt(0, (), (0.5,)), Cpt(1, (0,), (0.3, 0.8)), Cpt(2, (1,), (0.1, 0.6))), LABELS
+    )
+    # Traffic never comes without rain, so the pool puts zero mass there.
+    B = BayesNet(
+        (Cpt(0, (), (0.7,)), Cpt(1, (0,), (0.0, 0.9)), Cpt(2, (1,), (0.2, 0.5))), LABELS
+    )
+
+    def test_oracle_consensus_queries_back_under_both_pools(self, capsys, tmp_path):
+        paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+        save_network(self.A, paths[0])
+        save_network(self.B, paths[1])
+        consensus = str(tmp_path / "c.json")
+        code, _, _ = run(
+            capsys, "aggregate", *paths, "--pool", "logop", "--dense-oracle",
+            "--out", consensus,
+        )
+        assert code == EXIT_OK
+        # The consensus holds a row of 1.0, which the query route would
+        # reject were it to build a consensus of the consensus.
+        cpts = model_io.load_network(consensus).cpts
+        assert any(r == 1.0 for cpt in cpts for r in cpt.rows)
+        lines = set()
+        for flags in (("--pool", "linop"), ("--pool", "logop"),
+                      ("--pool", "logop", "--dense-oracle")):
+            code, out, err = run(
+                capsys, "query", consensus, *flags, "--event", "late=1",
+                "--given", "rain=0",
+            )
+            assert (code, err) == (EXIT_OK, "")
+            lines.add(out)
+        assert lines == {"0.142857\n"}
+
+    def test_zero_weight_agents_leave_a_pool_of_one(self, capsys, tmp_path):
+        paths = [str(tmp_path / "b.json"), str(tmp_path / "a.json")]
+        save_network(self.B, paths[0])
+        save_network(self.A, paths[1])
+        outs = []
+        for pool in ("linop", "logop"):
+            code, out, _ = run(
+                capsys, "query", *paths, "--pool", pool, "--weights", "1,0",
+                "--event", "traffic=1", "--given", "late=1",
+            )
+            assert code == EXIT_OK
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+
 class TestQuery:
     def test_linop_single_event(self, capsys, agent_files):
         code, out, _ = run(

@@ -35,8 +35,10 @@ from beliefpool import (
     linop_query,
     logop,
     logop_consensus_bn,
+    logop_query,
     marginal,
 )
+from beliefpool.inference import query_conditional
 from beliefpool.joint import conditional_probability
 from beliefpool.model_io import json_text, network_to_dict
 from beliefpool.networks import moralize
@@ -399,7 +401,7 @@ class TestLogopConsensusBn:
         else:
             agents = [random_bn(rng, m, max_parents=2) for _ in range(n)]
         assert all(a.strictly_positive for a in agents)
-        with mock.patch.object(inference, "_probability") as kernel:
+        with mock.patch.object(inference, "_probabilities") as kernel:
             result = logop_consensus_bn(agents, random_weights(rng, n))
         kernel.assert_not_called()
         assert result.agent_queries >= n * m
@@ -770,6 +772,61 @@ class TestLogopConsensusBn:
         assert {(True, 1, True), (True, 1, False)} <= outcomes
 
 
+class TestLogopQuery:
+    @given(
+        seed=st.integers(min_value=0, max_value=100_000),
+        n_zero=st.integers(min_value=0, max_value=3),
+        at=st.integers(min_value=0, max_value=3),
+        dense_oracle=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pool_of_one_is_its_agent(self, seed, n_zero, at, dense_oracle):
+        # One agent of positive weight, rows of 0 and 1 included, among
+        # zero-weight agents: the logop query is that agent's conditional.
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 7))
+        agent = random_bn(rng, m, max_parents=3)
+        agent = BayesNet(tuple(
+            Cpt(c.owner, c.parents, rng.choice((0.0, 0.2, 0.5, 1.0), len(c.rows)))
+            for c in agent.cpts
+        ))
+        others = [random_bn(rng, m, max_parents=3) for _ in range(n_zero)]
+        at = min(at, n_zero)
+        agents = others[:at] + [agent] + others[at:]
+        weights = [0.0] * at + [float(rng.uniform(0.1, 2.0))] + [0.0] * (n_zero - at)
+        variables = [int(v) for v in rng.permutation(m)]
+        event = {variables[0]: bool(rng.integers(0, 2))}
+        evidence = {v: bool(rng.integers(0, 2)) for v in variables[1:int(rng.integers(1, m + 1))]}
+        try:
+            want = query_conditional(agent, event, evidence)
+        except ZeroEvidence:
+            with pytest.raises(ZeroEvidence):
+                logop_query(agents, event, evidence, weights, dense_oracle=dense_oracle)
+            return
+        got = logop_query(agents, event, evidence, weights, dense_oracle=dense_oracle)
+        assert got == pytest.approx(want, abs=1e-12)
+
+    def test_pools_are_built_for_two_agents(self):
+        got = logop_query([CHAIN_A, CHAIN_B], {0: True})
+        assert got == pytest.approx(P_NODE0, abs=1e-12)
+        with pytest.raises(DegenerateCpt):
+            logop_query([CHAIN_A, two_node_bn(1.0, 0.5)], {0: True})
+
+    @pytest.mark.parametrize("weights", [None, (0.3, 0.0, 0.7)])
+    def test_agents_are_pooled_once(self, weights, monkeypatch):
+        # The consensus takes the query's pooling as it is: one weight
+        # check per query, and the network logop_consensus_bn builds.
+        agents = [CHAIN_A, CHAIN_B, CHAIN_A]
+        want = query_conditional(logop_consensus_bn(agents, weights).bn, {0: True}, {1: False})
+        calls = []
+        original = consensus.normalize_weights
+        monkeypatch.setattr(
+            consensus, "normalize_weights", lambda *a: calls.append(a) or original(*a)
+        )
+        assert logop_query(agents, {0: True}, {1: False}, weights) == want
+        assert len(calls) == 1
+
+
 class TestLinopQuery:
     A = two_node_bn(0.5, 0.5, labels=("A1", "A2"))
     B = two_node_bn(0.8, 0.6, labels=("A1", "A2"))
@@ -820,14 +877,74 @@ class TestLinopQuery:
         event = {variables[0]: bool(rng.integers(0, 2))}
         evidence = {variables[1]: bool(rng.integers(0, 2))}
         with mock.patch.object(
-            consensus, "_probability", wraps=inference._probability
-        ) as marginal_query:
+            consensus, "_probabilities", wraps=inference._probabilities
+        ) as kernel:
             got = linop_query(
                 agents[:at] + [zero] + agents[at:], event, evidence,
                 w[:at] + [0.0] + w[at:],
             )
-        assert all(call.args[0] is not zero for call in marginal_query.call_args_list)
+        assert kernel.called
+        assert all(
+            all(bn is not zero for bn in call.args[0]) for call in kernel.call_args_list
+        )
         assert got == linop_query(agents, event, evidence, w)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=100_000),
+        dags=st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=5),
+        zero=st.lists(st.booleans(), min_size=5, max_size=5),
+        empty_evidence=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_groups_match_dense_pool(self, seed, dags, zero, empty_evidence):
+        # Agent i has structure dags[i], so some agents share a DAG and some
+        # do not; rows include 0 and 1, and some weights are zero.
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 7))
+        structures = [random_dag(rng, m, edge_prob=0.5, max_parents=3) for _ in range(3)]
+        agents = []
+        for d in dags:
+            bn = random_bn(rng, m, dag=structures[d])
+            agents.append(BayesNet(tuple(
+                Cpt(c.owner, c.parents, rng.choice((0.0, 0.3, 0.5, 0.9, 1.0), len(c.rows)))
+                for c in bn.cpts
+            )))
+        w = [0.0 if z else float(x) for z, x in zip(zero, random_weights(rng, len(agents)))]
+        if not any(w):
+            w[-1] = 1.0
+        variables = [int(v) for v in rng.permutation(m)]
+        n_event = int(rng.integers(1, min(m, 2) + 1))
+        event = {v: bool(rng.integers(0, 2)) for v in variables[:n_event]}
+        rest = variables[n_event:]
+        evidence = {} if empty_evidence else {
+            v: bool(rng.integers(0, 2)) for v in rest[: int(rng.integers(0, len(rest) + 1))]
+        }
+        dense = linop([bn_to_joint(a) for a in agents], w)
+        try:
+            want = conditional_probability(dense, event, evidence)
+        except ZeroEvidence:
+            with pytest.raises(ZeroEvidence):
+                linop_query(agents, event, evidence, w)
+            return
+        assert linop_query(agents, event, evidence, w) == pytest.approx(want, abs=1e-12)
+
+    def test_one_plan_per_assignment_and_dag(self):
+        rng = np.random.default_rng(3)
+        shared = random_common_structure_bns(rng, 6, 3)
+        other = random_common_structure_bns(rng, 6, 2)
+        assert shared[0].dag() != other[0].dag()
+        event, evidence = {0: True}, {5: False}
+        for agents, plans in ((shared, 2), (shared + other, 4), (other + shared[:1], 4)):
+            with mock.patch.object(
+                inference, "min_fill_order", wraps=inference.min_fill_order
+            ) as order:
+                got = linop_query(agents, event, evidence)
+            # One plan per assignment (the evidence, then event and
+            # evidence) and per distinct DAG, whatever the agent count.
+            assert order.call_count == plans
+            dense = linop([bn_to_joint(a) for a in agents])
+            want = conditional_probability(dense, event, evidence)
+            assert got == pytest.approx(want, abs=1e-12)
 
     @given(seed=st.integers(min_value=0, max_value=100_000))
     @settings(max_examples=40, deadline=None)

@@ -25,6 +25,7 @@ from beliefpool import (
     Dag,
     EventPoolInstance,
     EvidenceInstance,
+    InvalidWeight,
     JointTable,
     MalformedInstance,
     MarkovNet,
@@ -252,6 +253,61 @@ def test_caller_errors_are_typed_value_errors(error, call):
         call()
     assert isinstance(exc.value, BeliefPoolError)
     assert isinstance(exc.value, ValueError)
+
+
+# Pooling calls given a weight list that is not a sequence of numbers, or
+# a model of the wrong kind: each is checked where every such call passes,
+# pools.normalize_weights (InvalidWeight) and joint._shared_variable_count
+# (MalformedInstance). InvalidWeight is not a ValueError, so these are not
+# CALLER_ERRORS rows.
+CHOKE_POINT_ERRORS = {
+    "logop-scalar-weights": (
+        InvalidWeight, "weights must be a sequence of numbers",
+        lambda: logop_consensus_bn([CHAIN, CHAIN], 0.5),
+    ),
+    "linop-query-scalar-weights": (
+        InvalidWeight, "weights must be a sequence of numbers",
+        lambda: linop_query([CHAIN, CHAIN], {0: True}, weights=0.5),
+    ),
+    "logop-string-weight": (
+        InvalidWeight, "weights must be a sequence of numbers",
+        lambda: logop_consensus_bn([CHAIN, CHAIN], ["a", 1]),
+    ),
+    "linop-numeric-string-weights": (
+        InvalidWeight, "weights must be a sequence of numbers",
+        lambda: linop([PAIR, PAIR], ["0.5", "0.5"]),
+    ),
+    "linop-query-tables": (
+        MalformedInstance, "expected a BayesNet, got JointTable",
+        lambda: linop_query([PAIR, PAIR], {0: True}),
+    ),
+    "linop-query-none-agent": (
+        MalformedInstance, "expected a BayesNet, got NoneType",
+        lambda: linop_query([CHAIN, None], {0: True}),
+    ),
+    "logop-consensus-tables": (
+        MalformedInstance, "expected a BayesNet, got JointTable",
+        lambda: logop_consensus_bn([PAIR, PAIR]),
+    ),
+    "linop-networks": (
+        MalformedInstance, "expected a JointTable, got BayesNet",
+        lambda: linop([CHAIN, CHAIN]),
+    ),
+    "union-networks": (
+        MalformedInstance, "expected a MarkovNet, got BayesNet",
+        lambda: mn_union([CHAIN, CHAIN]),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "error, message, call", CHOKE_POINT_ERRORS.values(), ids=CHOKE_POINT_ERRORS
+)
+def test_choke_point_errors_are_typed(error, message, call):
+    with pytest.raises(error) as exc:
+        call()
+    assert isinstance(exc.value, BeliefPoolError)
+    assert str(exc.value) == message
 
 
 def test_markov_edge_outside_range_is_unknown_variable():

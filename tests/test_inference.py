@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from beliefpool import (
     BayesNet,
+    CapacityExceeded,
     Cpt,
     MalformedInstance,
     UnknownVariable,
@@ -41,6 +42,7 @@ from beliefpool.joint import (
 )
 from beliefpool.networks import moralize
 from beliefpool.sampling import random_bn
+from samplers import grid_bn
 
 CHAIN = BayesNet((Cpt(0, (), (0.2,)), Cpt(1, (0,), (0.6, 0.4))))
 
@@ -322,23 +324,35 @@ class TestCptFactor:
             cpt.table[0, 0] = 0.5
         assert cpt.table[0, 0] == pytest.approx(0.4)
 
-    def test_query_builds_only_ancestral_tables(self):
+    @staticmethod
+    def contracted_variables(net, target, evidence):
+        """The variables of every factor that elimination contracts."""
+        with mock.patch.object(inference, "contract", wraps=inference.contract) as spy:
+            got = query_conditional(net, target, evidence)
+        seen = {v for call in spy.call_args_list for vs, _ in call.args[0] for v in vs}
+        return got, seen - {inference._AGENT}
+
+    def test_query_reads_only_ancestral_cpts(self):
         net = BayesNet(tuple(
             Cpt(c.owner, c.parents, c.rows) for c in ZERO_ANCESTOR.cpts
         ))
-        assert query_conditional(net, {2: True}) == 0.0
-        built = [v for v, cpt in enumerate(net.cpts) if "table" in vars(cpt)]
-        assert built == [0, 1, 2]  # node 3 is barren
+        got, seen = self.contracted_variables(net, {2: True}, {})
+        assert got == 0.0
+        assert seen == {0, 1}  # node 3 is barren, node 2 assigned
+        # Elimination reads rows; it builds no CPT's table.
+        assert not any("table" in vars(cpt) for cpt in net.cpts)
 
-    def test_positive_query_builds_only_ancestral_tables(self):
+    def test_positive_query_reads_only_ancestral_cpts(self):
         net = BayesNet(tuple(
             Cpt(c.owner, c.parents, c.rows) for c in COLLIDER.cpts
         ))
         # Two targets take the factor route on a positive network too.
         target, evidence = {2: True, 4: True}, {0: True, 1: False, 3: True}
-        query_conditional(net, target, evidence)
-        built = [v for v, cpt in enumerate(net.cpts) if "table" in vars(cpt)]
-        assert built == [0, 1, 2, 3, 4]  # node 5 is barren
+        got, seen = self.contracted_variables(net, target, evidence)
+        assert seen == {2, 4}  # summed out of P(evidence); node 5 is barren
+        assert not any("table" in vars(cpt) for cpt in net.cpts)
+        want = conditional_probability(bn_to_joint(net), target, evidence)
+        assert got == pytest.approx(want, abs=1e-15)
 
     def test_blanket_query_builds_no_table(self):
         net = BayesNet(tuple(
@@ -454,7 +468,7 @@ class TestAgainstJoint:
         self.check(net, target, evidence)
         if net.strictly_positive:
             # The closed-form route runs no elimination.
-            with mock.patch.object(inference, "_probability") as kernel:
+            with mock.patch.object(inference, "_probabilities") as kernel:
                 query_conditional(net, target, evidence)
             kernel.assert_not_called()
 
@@ -493,7 +507,7 @@ class TestBlanketConditional:
             factors.append(((v,), net.cpts[u].table[index]))
         table = contract(factors, (v,))
         total = float(table.sum())
-        with mock.patch.object(inference, "_probability") as kernel:
+        with mock.patch.object(inference, "_probabilities") as kernel:
             if total <= 0.0:
                 with pytest.raises(ZeroEvidence):
                     query_conditional(net, target, evidence)
@@ -548,7 +562,7 @@ class TestConditionalRule:
     def kernel_calls(net, target, evidence):
         """The answer, or ZeroEvidence, and the assignments the kernel got."""
         with mock.patch.object(
-            inference, "_probability", wraps=inference._probability
+            inference, "_probabilities", wraps=inference._probabilities
         ) as kernel:
             got = answer(query_conditional, net, target, evidence)
         return got, [dict(call.args[1]) for call in kernel.call_args_list]
@@ -568,8 +582,8 @@ class TestConditionalRule:
         ):
             got, calls = self.kernel_calls(net, target, evidence)
             assert calls == [evidence, {**evidence, **target}]
-            joint = inference._probability(net, {**evidence, **target})
-            assert got == joint / inference._probability(net, evidence)
+            joint = inference._probabilities((net,), {**evidence, **target})[0]
+            assert got == joint / inference._probabilities((net,), evidence)[0]
             want = conditional_probability(bn_to_joint(net), target, evidence)
             assert got == pytest.approx(want, abs=1e-15)
 
@@ -836,3 +850,60 @@ class TestAssignmentCheck:
             (lambda bn, t, e: linop_query([bn], t, e), net),
         ):
             assert query(model, {1: True}, None) == query(model, {1: True}, {})
+
+
+class Contracted(Exception):
+    """Raised by a stubbed contract: the capacity check let the plan run."""
+
+
+def contract_per_agent_only(factors, out):
+    """contract over factors that hold the agent axis alone, as for an
+    assignment with nothing to sum out; Contracted for any other call."""
+    factors = list(factors)
+    if any(len(variables) > 1 for variables, _ in factors):
+        raise Contracted
+    return contract(factors, out)
+
+
+class TestCapacity:
+    """Elimination checks its widest bucket, over every agent it answers
+    for, against 2**MAX_DENSE_VARIABLES before any contract call. The
+    grids have CPTs of at most four rows; contract is stubbed, so a
+    missing check fails the test instead of allocating."""
+
+    CORNER = 26 * 26 - 1
+
+    def test_far_corner_of_a_wide_grid_raises_before_contracting(self):
+        grid = grid_bn(26)
+        for query, args in (
+            (query_event_marginal, (grid, {self.CORNER: True})),
+            (query_conditional, (grid, {self.CORNER: True}, {0: False})),
+            (linop_query, ([grid], {self.CORNER: True})),
+        ):
+            with mock.patch.object(
+                inference, "contract", side_effect=contract_per_agent_only
+            ) as stub:
+                with pytest.raises(CapacityExceeded) as exc:
+                    query(*args)
+            # Only P(evidence) ran, which sums nothing out.
+            calls = stub.call_args_list
+            assert all(len(vs) == 1 for call in calls for vs, _ in call.args[0])
+            assert str(exc.value) == (
+                "the query's elimination needs a bucket of 42 variables, 2^42 "
+                "entries, over the capacity of 2^24 entries"
+            )
+
+    def test_agents_multiply_the_bucket(self):
+        # The far corner of a 15 x 15 grid needs a bucket of 22 variables:
+        # 4 agents sharing the grid fill 2^24 entries, 5 are over.
+        grid = grid_bn(15)
+        corner = {15 * 15 - 1: True}
+        with mock.patch.object(inference, "contract", side_effect=contract_per_agent_only):
+            with pytest.raises(Contracted):
+                linop_query([grid] * 4, corner)
+            with pytest.raises(CapacityExceeded) as exc:
+                linop_query([grid] * 5, corner)
+        assert str(exc.value) == (
+            "the query's elimination needs a bucket of 22 variables, 5 agents x "
+            "2^22 entries, over the capacity of 2^24 entries"
+        )

@@ -20,6 +20,7 @@ from beliefpool import (
     bn_to_joint,
     marginal,
 )
+from beliefpool import model_io
 from beliefpool.model_io import (
     LinopManifest,
     align_variables,
@@ -552,6 +553,114 @@ class TestFormatValidation:
         path.write_text("[" * 100_000)
         with pytest.raises(ModelFormatError, match="nests too deeply"):
             load_model_file(path)
+
+
+VEE = BayesNet(
+    (Cpt(0, (), (0.2,)), Cpt(1, (), (0.7,)), Cpt(2, (0, 1), (0.1, 0.6, 0.4, 0.9))),
+    labels=("A1", "A2", "A3"),
+)
+
+
+def _set_rows(label, rows):
+    return lambda d: d["cpts"][label].update(rows=rows)
+
+
+def _set_row(label, key, value):
+    return lambda d: d["cpts"][label]["rows"].update({key: value})
+
+
+def _rewire(label, parents):
+    """Give label new parents, a full row set, and matching edges."""
+    def mutate(d):
+        keys = map("".join, itertools.product("01", repeat=len(parents)))
+        d["cpts"][label] = {"parents": parents, "rows": dict.fromkeys(keys, 0.5)}
+        d["edges"] = [[p, c] for c, cpt in d["cpts"].items() for p in cpt["parents"]]
+    return mutate
+
+
+def _both(first, second):
+    return lambda d: (first(d), second(d))
+
+
+# Each malformed file and the exact message the loader raises for it. The
+# loader checks the whole file at once, so the rows where two faults meet
+# pin which one is named: the first CPT in variable order, and within a
+# CPT, the first row in file order.
+MALFORMED = {
+    "bad-row-key": (_set_rows("A3", {"00": 0.1, "10": 0.2, "01": 0.3, "12": 0.4}),
+                    "row key '12' is not a 2-character outcome string"),
+    "missing-row-key": (_set_rows("A3", {"00": 0.1, "10": 0.2, "01": 0.3}),
+                        "cpt for 'A3' needs exactly 4 rows"),
+    "extra-row-key": (_set_row("A1", "0", 0.5), "cpt for 'A1' needs exactly 1 rows"),
+    "non-string-row-key": (_set_rows("A3", {"00": 0.1, "10": 0.2, "01": 0.3, 3: 0.4}),
+                           "row key 3 must be a string"),
+    "nan-row": (_set_row("A3", "01", float("nan")), "probability nan outside [0, 1]"),
+    "inf-row": (_set_row("A3", "01", float("inf")), "probability inf outside [0, 1]"),
+    "minus-inf-row": (_set_row("A2", "", float("-inf")), "probability -inf outside [0, 1]"),
+    "negative-row": (_set_row("A2", "", -0.5), "probability -0.5 outside [0, 1]"),
+    "bool-row": (_set_row("A3", "11", True), "probability True is not a number"),
+    "string-row": (_set_row("A3", "11", "0.5"), "probability '0.5' is not a number"),
+    "null-row": (_set_row("A1", "", None), "probability None is not a number"),
+    "int-row-out-of-range": (_set_row("A1", "", 2), "probability 2.0 outside [0, 1]"),
+    "huge-int-row": (_set_row("A1", "", 10**400),
+                     "probability is an integer too large for a float"),
+    "duplicate-parent": (_rewire("A3", ["A1", "A1"]), "duplicate parent indices"),
+    "self-parent": (_rewire("A3", ["A3"]), "node cannot be its own parent"),
+    "unknown-parent": (lambda d: d["cpts"]["A3"].update(parents=["A1", "A9"]),
+                       "cpt for 'A3' references unknown parent 'A9'"),
+    "non-string-parent": (lambda d: d["cpts"]["A3"].update(parents=["A1", 2]),
+                          "cpt for 'A3' needs a parent label list"),
+    # Forty copies of one known parent and one row: the row count is
+    # checked before a table of 2^40 keys could be built.
+    "many-repeated-parents": (
+        lambda d: d["cpts"]["A3"].update(parents=["A1"] * 40, rows={"": 0.5}),
+        "cpt for 'A3' needs exactly 1099511627776 rows",
+    ),
+    "cycle": (_rewire("A1", ["A3"]), "parent structure contains a directed cycle"),
+    "mismatched-edges": (lambda d: d["edges"].pop(), "'edges' disagree with the parent lists in 'cpts'"),
+    "non-object-entry": (lambda d: d["cpts"].update(A2=[0.7]), "cpt for 'A2' must be an object"),
+    # Two faults: the earlier CPT, then the earlier row in file order.
+    "value-before-key": (_both(_set_row("A2", "", 1.5), _set_row("A3", "2", 0.5)),
+                         "probability 1.5 outside [0, 1]"),
+    "key-before-value": (_both(_set_row("A2", "0", 0.5), _set_row("A3", "11", 1.5)),
+                         "cpt for 'A2' needs exactly 1 rows"),
+    "first-row-in-file-order": (_set_rows("A3", {"11": "x", "00": True, "10": 0.2, "01": 0.3}),
+                                "probability 'x' is not a number"),
+    "value-before-own-duplicate": (_both(_rewire("A3", ["A2", "A2"]), _set_row("A3", "10", -1.0)),
+                                   "probability -1.0 outside [0, 1]"),
+    "duplicate-before-later-value": (_both(_rewire("A2", ["A1", "A1"]), _set_row("A3", "10", -1.0)),
+                                     "duplicate parent indices"),
+    "self-parent-before-later-value": (_both(_rewire("A2", ["A2"]), _set_row("A3", "10", -1.0)),
+                                       "node cannot be its own parent"),
+    "value-before-cycle": (_both(_rewire("A1", ["A3"]), _set_row("A3", "10", -1.0)),
+                           "probability -1.0 outside [0, 1]"),
+    "int-rows-then-cycle": (_both(_rewire("A1", ["A3"]), _set_row("A2", "", 1)),
+                            "parent structure contains a directed cycle"),
+    "cycle-before-edges": (_both(_rewire("A1", ["A3"]), lambda d: d["edges"].pop()),
+                           "parent structure contains a directed cycle"),
+    # A NaN between in-range values, which min and max alone step over.
+    "nan-among-rows": (_set_rows("A3", {"00": 0.5, "10": float("nan"), "01": 0.3, "11": 0.4}),
+                       "probability nan outside [0, 1]"),
+}
+
+
+class TestMalformedCatalogue:
+    @pytest.mark.parametrize("mutate, message", MALFORMED.values(), ids=MALFORMED)
+    def test_message(self, mutate, message, monkeypatch):
+        data = network_to_dict(VEE)
+        mutate(data)
+        # No file here needs a key table past VEE's two parents; a larger
+        # one fails the test before it is built.
+        row_keys = model_io._row_keys
+
+        def small_row_keys(k):
+            assert k <= 2, f"a key table for {k} parents"
+            return row_keys(k)
+
+        monkeypatch.setattr(model_io, "_row_keys", small_row_keys)
+        with pytest.raises(ModelFormatError) as exc:
+            network_from_dict(data)
+        assert str(exc.value) == message
 
 
 class TestManifest:

@@ -448,7 +448,7 @@ class TestMarkovBlanket:
             (4, {}, True),
         ):
             with mock.patch.object(
-                inference, "_probability", wraps=inference._probability
+                inference, "_probabilities", wraps=inference._probabilities
             ) as kernel:
                 got = query_conditional(net, {v: True}, evidence)
             assert kernel.call_count == (0 if closed_form else 2)

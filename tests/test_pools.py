@@ -7,6 +7,8 @@ forms before the pools were written.
 """
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,6 +84,34 @@ class TestNormalizeWeights:
     def test_non_finite_rejected(self, weights):
         with pytest.raises(InvalidWeight, match="finite and nonnegative"):
             normalize_weights(weights, 2)
+
+    @pytest.mark.parametrize(
+        "weights, expect",
+        [
+            ((Fraction(1, 4), Fraction(3, 4)), [0.25, 0.75]),
+            ((Decimal("0.25"), Decimal("0.75")), [0.25, 0.75]),
+            ((2**70, 2**70), [0.5, 0.5]),
+            ((2**70, Fraction(0)), [1.0, 0.0]),
+            ((True, False), [1.0, 0.0]),
+        ],
+    )
+    def test_any_real_number_is_a_weight(self, weights, expect):
+        # Numbers numpy keeps as objects are cast to float, as floats are.
+        assert normalize_weights(weights, 2).tolist() == expect
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ((Fraction(1, 2), "0.5"), "weights must be a sequence of numbers"),
+            ((Fraction(1, 2), None), "weights must be a sequence of numbers"),
+            ((1j, 1), "weights must be a sequence of numbers"),
+            ((10**400, 1), "weights must be finite and nonnegative"),
+        ],
+    )
+    def test_non_numbers_and_overflow_rejected(self, weights, message):
+        with pytest.raises(InvalidWeight) as exc:
+            normalize_weights(weights, 2)
+        assert str(exc.value) == message
 
     @given(
         st.lists(
