@@ -7,12 +7,13 @@ computes P(assignment) under every network of a group that shares one
 DAG, with one plan for the group. It restricts the CPTs of the
 assignment's ancestral set (every other CPT is barren and sums to one,
 so a zero-probability event stays exactly zero), builds each restricted
-CPT once for the group, from the agents' rows, with an agent axis, and
-sums out every variable left along min_fill_order, one joint.contract
-call per bucket. Before any contract call it raises CapacityExceeded
-when the widest bucket, times the agents, exceeds 2**MAX_DENSE_VARIABLES
-entries. The single-network queries call it with a group of one, and
-consensus.linop_query with each group of agents that share a DAG.
+CPT once for the group, by networks._cpt_factor from the agents' stacked
+rows, with an agent axis, and sums out every variable left along
+min_fill_order, one joint.contract call per bucket. Before any contract
+call it raises CapacityExceeded when the widest bucket, times the
+agents, exceeds 2**MAX_DENSE_VARIABLES entries. The single-network
+queries call it with a group of one, and consensus.linop_query with
+each group of agents that share a DAG.
 A conditional takes one of two routes:
 
 - A single-target conditional on a strictly positive network (every
@@ -49,7 +50,7 @@ from .joint import (
     MAX_DENSE_VARIABLES, Assignment, _check_assignment, _check_query, _conditional_ratio,
     _trusted, contract,
 )
-from .networks import BayesNet, Cpt, Dag, min_fill_order
+from .networks import BayesNet, Cpt, Dag, _cpt_factor, min_fill_order
 
 
 def _expand(
@@ -95,16 +96,9 @@ def _probabilities(group: Sequence[BayesNet], assignment: Assignment) -> np.ndar
     scopes: list[tuple[int, ...]] = []  # scopes[i]: the axes of tables[i]
     tables: list[np.ndarray] = []
     for v in _ancestral_set(group[0], assignment):
-        rows = np.array([bn.cpts[v].rows for bn in group])
-        # Row bit i is parents[i], so a C-order reshape puts the last
-        # parent first; the owner's state, when free, goes before them.
-        axes = cpts[v].parents[::-1]
-        if v in assignment:
-            table = rows if assignment[v] else 1.0 - rows
-        else:
-            table = np.concatenate((1.0 - rows, rows), axis=1)
-            axes = (v,) + axes
-        table = table.reshape((n,) + (2,) * len(axes))
+        axes, table = _cpt_factor(
+            [bn.cpts[v].rows for bn in group], v, cpts[v].parents, assignment.get(v)
+        )
         restrict = tuple([int(assignment[u]) if u in assignment else _ALL for u in axes])
         scopes.append((_AGENT, *[u for u in axes if u not in assignment]))
         tables.append(table[(_ALL,) + restrict])
@@ -153,13 +147,15 @@ def weighted_product_cpts(
     every bucket inside a family. Rows of zero mass get 0.5; zero mass
     on every state raises DegenerateProduct.
     """
+    factors = []
     # Log space keeps 1e-300 rows from underflowing.
     with np.errstate(divide="ignore"):
-        factors = [
-            (cpt.family, w * np.log(cpt.table))
-            for bn, w in zip(bns, weights)
-            for cpt in bn.cpts
-        ]
+        for bn, w in zip(bns, weights):
+            for cpt in bn.cpts:
+                axes, table = _cpt_factor(cpt.rows, cpt.owner, cpt.parents)
+                family = tuple(sorted(axes))  # _expand aligns sorted axes
+                table = table.transpose([axes.index(u) for u in family])
+                factors.append((family, w * np.log(table)))
     cpts: dict[int, Cpt] = {}
     for v in elimination_order:
         parents = structure.parents[v]

@@ -4,8 +4,8 @@ A table over m variables holds 2**m state probabilities. State index
 encoding: bit j of the index (least significant bit = variable 0) is 1
 exactly when variable j is true. contract is the one factor product:
 one einsum call that serves factor_product, which indexes each flat
-factor table the same way over the factor's own variables, the
-variable-elimination buckets and the chain-rule pool. All tables are
+factor table the same way over the factor's own variables, bn_to_joint,
+the variable-elimination buckets and the chain-rule pool. All tables are
 normalized on construction and immutable afterwards.
 
 Every conditional, dense, by elimination or under the arithmetic pool,
@@ -182,8 +182,9 @@ def factor_product(
 ) -> np.ndarray:
     """Product over the 2**m states of factors (variables, flat table), in
     the order given, where bit i of a table's index is the value of
-    variables[i]: a CPT is the factor (parents + (owner,), 1 - rows then
-    rows). Entries equal a running product from ones; no factors give ones."""
+    variables[i], as in CPT rows: networks._cpt_factor's table, raveled,
+    is the factor (parents + (owner,), table). Entries equal a running
+    product from ones; no factors give ones."""
     # A Fortran reshape puts index bit i on axis i, so axis i is variables[i].
     tensors = [
         (vs, np.reshape(np.asarray(t, dtype=np.float64), (2,) * len(vs), order="F"))
@@ -196,18 +197,24 @@ def factor_product(
     return contract(tensors, range(m - 1, -1, -1)).ravel()
 
 
+def _check_kind(model, cls: type) -> None:
+    """MalformedInstance ("expected a <cls>, got <type>") unless model is
+    a cls: the one check that a function got the kind of model it takes."""
+    if not isinstance(model, cls):
+        raise MalformedInstance(
+            f"expected a {cls.__name__}, got {type(model).__name__}"
+        )
+
+
 def _shared_variable_count(models: Sequence, cls: type, one: str, many: str) -> int:
     """The variable count m of every model; MalformedInstance for no
     models ("need at least one <one>") or a model that is not a cls
-    ("expected a <cls>, got <type>"), MismatchedVariables unless all
-    agree ("<many> disagree on variable count")."""
+    (_check_kind), MismatchedVariables unless all agree ("<many>
+    disagree on variable count")."""
     if not models:
         raise MalformedInstance(f"need at least one {one}")
     for model in models:
-        if not isinstance(model, cls):
-            raise MalformedInstance(
-                f"expected a {cls.__name__}, got {type(model).__name__}"
-            )
+        _check_kind(model, cls)
         m = models[0].m  # the first model passed its check first
         if model.m != m:
             raise MismatchedVariables(
@@ -300,11 +307,13 @@ def marginal(table: JointTable, assignment: Assignment) -> float:
 
     An empty assignment is the sure event and returns 1.0.
     """
+    _check_kind(table, JointTable)
     return _mass(table, _check_assignment(table.m, assignment))
 
 
 def condition(table: JointTable, evidence: Assignment) -> JointTable:
     """Table conditioned on the evidence; inconsistent states get mass zero."""
+    _check_kind(table, JointTable)
     block = _block(table.m, _check_assignment(table.m, evidence))
     kept = np.zeros_like(table.probs)
     kept.reshape((2,) * table.m)[block] = table.probs.reshape((2,) * table.m)[block]
@@ -329,12 +338,14 @@ def conditional_probability(
     table: JointTable, target: Assignment, evidence: Assignment | None = None
 ) -> float:
     """P(target | evidence) from the dense table, over disjoint variables."""
+    _check_kind(table, JointTable)
     target, evidence = _check_query(table.m, target, evidence)
     return _conditional_ratio(partial(_mass, table), target, evidence)
 
 
 def pairwise_dependence_gap(table: JointTable, a: int, b: int) -> float:
     """|P(a and b) - P(a) * P(b)| with both variables true."""
+    _check_kind(table, JointTable)
     both = _check_assignment(table.m, {a: True, b: True})
     if a == b:
         raise MalformedInstance("pairwise independence needs two distinct variables")
@@ -354,6 +365,7 @@ def markov_dependence_gap(
     partition all variables, so the gap measures the full conditional
     structure around a. Empty x gives a gap of zero.
     """
+    _check_kind(table, JointTable)
     w, x = tuple(w), tuple(x)
     _check_assignment(table.m, dict.fromkeys((a,) + w + x, True))
     w = tuple(sorted(set(w)))

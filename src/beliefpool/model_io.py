@@ -29,11 +29,12 @@ Each check runs over the whole file at once: the types of the entries
 and of their parent and row fields as one set of types, the parents
 resolved in one pass, each CPT's key set against the table's, every row
 value in one pass (all floats, between 0 and 1, no NaN), and acyclicity
-by Kahn's algorithm over the parent lists. Only when one of them fails
-does _check_cpts walk the entries one CPT at a time, in variable order
-and each one's rows in file order, to raise the message of the first
-fault; it builds nothing. A walk that finds no fault leaves rows that
-are numbers but not all floats, such as 0 and 1, which load as floats.
+over the parent lists by Dag's own check, networks._acyclic. Only when
+one of them fails does _check_cpts walk the entries one CPT at a time,
+in variable order and each one's rows in file order, to raise the
+message of the first fault; it builds nothing. A walk that finds no
+fault leaves rows that are numbers but not all floats, such as 0 and 1,
+which load as floats.
 
 A manifest file ("kind": "linop-manifest") names input network files
 plus weights instead of storing a pooled model, because an arithmetic
@@ -51,7 +52,9 @@ from typing import Sequence
 
 from .errors import MalformedInstance, MismatchedVariables, ModelFormatError
 from .joint import _trusted
-from .networks import BayesNet, Cpt, Dag, _check_labels, check_parents, parse_probability
+from .networks import (
+    BayesNet, Cpt, Dag, _acyclic, _check_labels, check_parents, parse_probability,
+)
 
 MANIFEST_KIND = "linop-manifest"
 
@@ -230,24 +233,6 @@ def _check_cpts(labels: tuple[str, ...], entries: list, index: dict[str, int]) -
         check_parents(owner, tuple(map(index.__getitem__, parents_raw)))
 
 
-def _acyclic(m: int, edges: set[tuple[int, int]]) -> bool:
-    """Whether the (parent, child) edges over m nodes hold no directed
-    cycle, by Kahn's algorithm: a node is ready once all of its parents
-    are, and every node gets ready exactly when there is no cycle."""
-    children: list[list[int]] = [[] for _ in range(m)]
-    waiting = [0] * m
-    for p, c in edges:
-        children[p].append(c)
-        waiting[c] += 1
-    ready = [j for j, n in enumerate(waiting) if not n]
-    for j in ready:  # the list grows while it is read
-        for c in children[j]:
-            waiting[c] -= 1
-            if not waiting[c]:
-                ready.append(c)
-    return len(ready) == m
-
-
 def network_from_dict(data) -> BayesNet:
     """Reconstruct a Bayesian network from its JSON representation.
 
@@ -280,7 +265,7 @@ def network_from_dict(data) -> BayesNet:
     parents, rows = read
     values = list(itertools.chain.from_iterable(rows))
     derived = {(p, c) for c, ps in enumerate(parents) for p in ps}
-    acyclic = _acyclic(len(labels), derived)
+    acyclic = _acyclic(parents)
     if not (
         set(map(type, values)) == {float}
         and 0.0 <= min(values)

@@ -17,10 +17,12 @@ joint._trusted_table and does not check again.
 direct_by_order holds the one test that every parent set is complete
 (a perfect elimination order): consensus_bn_structure orients with it,
 and ConsensusBn checks a network against its stored order with it.
+_acyclic is the one cycle check, of Dag and the file loader, and
+_cpt_factor the one layout of CPT rows as a factor, which bn_to_joint
+and both of inference's exact routes read.
 """
 from __future__ import annotations
 
-import heapq
 import itertools
 import numbers
 import operator
@@ -39,11 +41,12 @@ from .errors import (
 )
 from .joint import (
     JointTable,
+    _check_kind,
     _check_variable_count,
     _shared_variable_count,
     _trusted,
     _trusted_table,
-    factor_product,
+    contract,
 )
 
 EliminationOrder = tuple[int, ...]
@@ -72,6 +75,45 @@ def check_parents(owner: int, parents: tuple[int, ...]) -> None:
         raise ModelFormatError("duplicate parent indices")
     if owner in parents:
         raise ModelFormatError("node cannot be its own parent")
+
+
+def _acyclic(parents: Sequence[Sequence[int]]) -> bool:
+    """Whether the parent lists, parents[j] those of node j, hold no
+    directed cycle, by Kahn's algorithm: a node is ready once all of its
+    parents are, and every node gets ready exactly when there is no
+    cycle. Dag and the file loader both check with it."""
+    children: list[list[int]] = [[] for _ in parents]
+    waiting = list(map(len, parents))
+    for j, ps in enumerate(parents):
+        for p in ps:
+            children[p].append(j)
+    ready = [j for j, n in enumerate(waiting) if not n]
+    for j in ready:  # the list grows while it is read
+        for c in children[j]:
+            waiting[c] -= 1
+            if not waiting[c]:
+                ready.append(c)
+    return len(ready) == len(parents)
+
+
+def _cpt_factor(
+    rows, owner: int, parents: tuple[int, ...], state: bool | None = None
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """The CPT with these rows as a factor (axes, table): the one layout
+    of a CPT as an array. rows holds 2^k entries, or one such row per
+    agent stacked on a leading agent axis. The table's axes after that
+    one are axes, (owner,) + parents[::-1], in C order; a state of True
+    or False fixes the owner, whose axis is then dropped."""
+    rows = np.asarray(rows, dtype=np.float64)
+    # Row bit i is parents[i], so a C-order reshape puts the last parent
+    # first; the owner's state, when free, is the bit above them all.
+    axes = parents[::-1]
+    if state is None:
+        rows = np.concatenate((1.0 - rows, rows), axis=-1)
+        axes = (owner,) + axes
+    elif not state:
+        rows = 1.0 - rows
+    return axes, rows.reshape(rows.shape[:-1] + (2,) * len(axes))
 
 
 @dataclass(frozen=True)
@@ -107,31 +149,6 @@ class Cpt:
                 f"{len(parents)} parents, got {len(rows)}"
             )
 
-    @cached_property
-    def family(self) -> tuple[int, ...]:
-        """Owner and parents in increasing order: the axes of table."""
-        return tuple(sorted(self.parents + (self.owner,)))
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        """Read-only, C-contiguous P(owner | parents), axis i = family[i];
-        built once."""
-        rows = np.array(self.rows)
-        # Row bit i is parents[i] and the owner's state follows as the top
-        # bit, so a Fortran-order reshape puts parents[i] on axis i and
-        # the owner on the last axis.
-        table = np.concatenate((1.0 - rows, rows)).reshape(
-            (2,) * (len(self.parents) + 1), order="F"
-        )
-        axes = self.parents + (self.owner,)
-        if axes != self.family:
-            table = table.transpose([axes.index(u) for u in self.family])
-        # One memory layout for every table keeps the order in which einsum
-        # and numpy's reductions visit its entries fixed.
-        table = np.ascontiguousarray(table)
-        table.flags.writeable = False
-        return table
-
 
 @dataclass(frozen=True)
 class Dag:
@@ -156,7 +173,9 @@ class Dag:
                         raise UnknownVariable(f"parent {p} outside range(0, {m})")
                     if p == j:
                         raise ModelFormatError(f"node {j} cannot be its own parent")
-            self.topological_order()  # raises on cycles
+            operator.index(m)  # a float count passes every comparison
+            if not _acyclic(parents):
+                raise ModelFormatError("parent structure contains a directed cycle")
         except TypeError:
             raise ModelFormatError("node count and parents must be integers") from None
 
@@ -174,24 +193,6 @@ class Dag:
         return frozenset(
             (min(p, j), max(p, j)) for j, ps in enumerate(self.parents) for p in ps
         )
-
-    def topological_order(self) -> tuple[int, ...]:
-        """Parents-before-children order, lowest index first among ties."""
-        remaining = [len(ps) for ps in self.parents]
-        children = self.children
-        ready = [j for j in range(self.m) if remaining[j] == 0]
-        heapq.heapify(ready)
-        order: list[int] = []
-        while ready:
-            j = heapq.heappop(ready)
-            order.append(j)
-            for c in children[j]:
-                remaining[c] -= 1
-                if remaining[c] == 0:
-                    heapq.heappush(ready, c)
-        if len(order) != self.m:
-            raise ModelFormatError("parent structure contains a directed cycle")
-        return tuple(order)
 
 
 def _check_labels(m: int, labels: tuple[str, ...] | None) -> None:
@@ -320,12 +321,12 @@ class MarkovNet:
 
 def bn_to_joint(bn: BayesNet) -> JointTable:
     """Dense joint table from the network's CPT factorization."""
+    _check_kind(bn, BayesNet)
     _check_variable_count(bn.m)
-    factors = []
-    for cpt in bn.cpts:
-        rows = np.asarray(cpt.rows)
-        factors.append((cpt.parents + (cpt.owner,), np.concatenate((1.0 - rows, rows))))
-    return _trusted_table(bn.m, factor_product(bn.m, factors))
+    factors = [_cpt_factor(c.rows, c.owner, c.parents) for c in bn.cpts]
+    # Every variable owns a factor, so no axis is summed out; variable j
+    # on axis m - 1 - j lists the states by index in C order.
+    return _trusted_table(bn.m, contract(factors, range(bn.m - 1, -1, -1)).ravel())
 
 
 def moralize(structure: BayesNet | Dag) -> MarkovNet:
@@ -411,6 +412,7 @@ def triangulate(mn: MarkovNet) -> tuple[MarkovNet, EliminationOrder]:
     The returned order is a perfect elimination order of the chordal
     graph; running it again adds no further fill.
     """
+    _check_kind(mn, MarkovNet)
     order, fills = min_fill_order(mn.adjacency())
     # Fill edges are sorted pairs of mn's nodes.
     chordal = _trusted(MarkovNet, m=mn.m, edges=mn.edges | fills)
@@ -439,6 +441,7 @@ def direct_by_order(mn: MarkovNet, order: Sequence[int]) -> Dag:
     comes out complete, which holds exactly when order is a perfect
     elimination order of mn.
     """
+    _check_kind(mn, MarkovNet)
     order = _check_order(mn.m, order)
     adj = mn.adjacency()
     pos = {v: i for i, v in enumerate(order)}

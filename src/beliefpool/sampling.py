@@ -23,7 +23,7 @@ from .joint import (
     _trusted_table,
     factor_product,
 )
-from .networks import BayesNet, Cpt, Dag
+from .networks import BayesNet, Cpt, Dag, _cpt_factor
 
 FLOOR = 0.01
 LOW, HIGH = 0.05, 0.95
@@ -133,6 +133,7 @@ def random_conditional_table(
     context_mass = np.maximum(rng.random(1 << len(rest)), FLOOR)
     context_mass /= context_mass.sum()
     cond_true = rng.uniform(LOW, HIGH, 1 << len(w))
-    # P(a | w) is the CPT factor of a with parents w.
-    a_given_w = np.concatenate((1.0 - cond_true, cond_true))
+    # P(a | w) is the CPT factor of a with parents w: raveled in C order,
+    # its index bit i is variable i of w + [a].
+    a_given_w = _cpt_factor(cond_true, a, tuple(w))[1].ravel()
     return _trusted_table(m, factor_product(m, [(rest, context_mass), (w + [a], a_given_w)]))

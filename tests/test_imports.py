@@ -34,6 +34,7 @@ from beliefpool import (
     StatePairInstance,
     UnanimityInstance,
     UnknownVariable,
+    bn_to_joint,
     check_property,
     family_pooled_joint,
     linop,
@@ -55,7 +56,7 @@ from beliefpool.model_io import (
     network_from_dict,
     network_to_dict,
 )
-from beliefpool.networks import direct_by_order, mn_union
+from beliefpool.networks import direct_by_order, mn_union, triangulate
 from beliefpool.pools import normalize_weights
 from beliefpool.sampling import random_conditional_table
 
@@ -241,6 +242,24 @@ CALLER_ERRORS = {
         MalformedInstance,
         lambda: random_conditional_table(np.random.default_rng(0), 3, 0, (1,), ()),
     ),
+    # A model of the wrong kind: _check_kind names both kinds.
+    "wrong-kind-bn-to-joint": (MalformedInstance, lambda: bn_to_joint(PAIR)),
+    "wrong-kind-marginal": (MalformedInstance, lambda: marginal(CHAIN, {0: True})),
+    "wrong-kind-condition": (MalformedInstance, lambda: condition(CHAIN, {0: True})),
+    "wrong-kind-conditional": (
+        MalformedInstance, lambda: conditional_probability(CHAIN, {0: True})
+    ),
+    "wrong-kind-pairwise-gap": (
+        MalformedInstance, lambda: pairwise_dependence_gap(CHAIN, 0, 1)
+    ),
+    "wrong-kind-markov-gap": (
+        MalformedInstance, lambda: markov_dependence_gap(CHAIN, 0, (1,), ())
+    ),
+    "wrong-kind-triangulate-network": (MalformedInstance, lambda: triangulate(CHAIN)),
+    "wrong-kind-triangulate-dag": (MalformedInstance, lambda: triangulate(CHAIN.dag())),
+    "wrong-kind-direct-network": (
+        MalformedInstance, lambda: direct_by_order(CHAIN, (0, 1))
+    ),
     "not-perfect-order": (NotChordal, lambda: direct_by_order(SQUARE, (0, 1, 2, 3))),
     "not-decomposable": (NotChordal, lambda: ConsensusBn(VEE, (0, 1, 2))),
     "consensus-reversed-order": (NotChordal, lambda: ConsensusBn(CHAIN, (0, 1))),
@@ -253,6 +272,19 @@ def test_caller_errors_are_typed_value_errors(error, call):
         call()
     assert isinstance(exc.value, BeliefPoolError)
     assert isinstance(exc.value, ValueError)
+
+
+WRONG_KIND = {
+    name: call for name, (_, call) in CALLER_ERRORS.items() if name.startswith("wrong-kind-")
+}
+
+
+@pytest.mark.parametrize("call", WRONG_KIND.values(), ids=WRONG_KIND)
+def test_wrong_kind_names_both_kinds(call):
+    with pytest.raises(MalformedInstance) as exc:
+        call()
+    kinds = r"expected a (JointTable|BayesNet|MarkovNet), got (BayesNet|JointTable|Dag)"
+    assert re.fullmatch(kinds, str(exc.value))
 
 
 # Pooling calls given a weight list that is not a sequence of numbers, or
@@ -430,3 +462,28 @@ def test_one_factor_product():
         for name in ("_Factor", "_product", "_sum_out"):
             assert not re.search(rf"\b{name}\b", text), (path.name, name)
         assert "np.arange(1 << m)" not in text, path.name
+
+
+def test_one_cpt_factor_layout():
+    """networks._cpt_factor is the one layout of CPT rows as a factor, the
+    only np.concatenate call, and networks._acyclic the one acyclicity
+    check; the cached Cpt tables and the heap order they replaced stay
+    gone."""
+    uses = [
+        use
+        for path in MODULES
+        for use in trusted_uses(path.read_text(), path.stem, names=("concatenate",))
+    ]
+    assert uses == [("networks._cpt_factor", True)]
+    defined = [
+        f"{path.stem}.{node.name}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+    ]
+    assert [f for f in defined if "acyclic" in f] == ["networks._acyclic"]
+    assert {"table", "family", "topological_order"}.isdisjoint(
+        f.split(".")[1] for f in defined
+    )
+    for path in MODULES:
+        assert "heapq" not in path.read_text(), path.name

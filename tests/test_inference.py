@@ -40,7 +40,7 @@ from beliefpool.joint import (
     markov_dependence_gap,
     pairwise_dependence_gap,
 )
-from beliefpool.networks import moralize
+from beliefpool.networks import _cpt_factor, moralize
 from beliefpool.sampling import random_bn
 from samplers import grid_bn
 
@@ -299,30 +299,58 @@ class TestCptFactor:
         rng = np.random.default_rng(k)
         owner, *parents = (int(v) for v in rng.permutation(k + 3)[: k + 1])
         cpt = Cpt(owner, tuple(parents), tuple(rng.random(1 << k)))
-        assert cpt.family == tuple(sorted(parents + [owner]))
+        axes, table = _cpt_factor(cpt.rows, cpt.owner, cpt.parents)
+        assert axes == (owner, *parents[::-1])
+        assert table.shape == (2,) * (k + 1)
         for bits in itertools.product((0, 1), repeat=k + 1):
-            assignment = dict(zip(cpt.family, bits))
+            assignment = dict(zip(axes, bits))
             row = sum(1 << i for i, p in enumerate(parents) if assignment[p])
             p_true = cpt.rows[row]
             want = p_true if assignment[owner] else 1.0 - p_true
-            assert cpt.table[bits] == want
-        # One layout for every table, so reductions over it run in one order.
-        assert cpt.table.flags.c_contiguous
+            assert table[bits] == want
+        # One layout for every factor, so reductions over it run in one order.
+        assert table.flags.c_contiguous
 
     def test_unsorted_parents(self):
         cpt = Cpt(2, (4, 0, 3), tuple(np.linspace(0.05, 0.95, 8)))
-        assert cpt.family == (0, 2, 3, 4)
+        axes, table = _cpt_factor(cpt.rows, cpt.owner, cpt.parents)
+        assert axes == (2, 3, 0, 4)
         # Row 0b011 sets parents 4 and 0 true and parent 3 false.
-        assert cpt.table[1, 1, 0, 1] == cpt.rows[0b011]
-        assert cpt.table[1, 0, 0, 1] == 1.0 - cpt.rows[0b011]
+        assert table[1, 0, 1, 1] == cpt.rows[0b011]
+        assert table[0, 0, 1, 1] == 1.0 - cpt.rows[0b011]
 
-    def test_table_rejects_writes(self):
-        cpt = Cpt(1, (0,), (0.6, 0.4))
-        assert cpt.table is cpt.table
-        assert cpt.table.flags.c_contiguous  # family order needs no transpose
-        with pytest.raises(ValueError):
-            cpt.table[0, 0] = 0.5
-        assert cpt.table[0, 0] == pytest.approx(0.4)
+    def test_leading_agent_axis(self):
+        stacked = [(0.1, 0.2, 0.3, 0.4), (0.5, 0.6, 0.7, 0.8), (0.9, 0.25, 0.75, 0.05)]
+        axes, table = _cpt_factor(stacked, 0, (2, 1))
+        assert axes == (0, 1, 2)
+        assert table.shape == (3, 2, 2, 2)
+        for agent, rows in enumerate(stacked):
+            one_axes, one = _cpt_factor(rows, 0, (2, 1))
+            assert one_axes == axes and np.array_equal(table[agent], one)
+
+    @pytest.mark.parametrize("state", [True, False])
+    def test_state_drops_the_owner_axis(self, state):
+        stacked = [(0.1, 0.2, 0.3, 0.4), (0.5, 0.6, 0.7, 0.8)]
+        for rows in (stacked[0], stacked):
+            axes, free = _cpt_factor(rows, 3, (0, 5))
+            fixed_axes, fixed = _cpt_factor(rows, 3, (0, 5), state)
+            assert axes == (3, 5, 0)
+            assert fixed_axes == (5, 0)
+            # The owner's axis is the first after any agent axis.
+            assert np.array_equal(fixed, np.take(free, int(state), axis=-3))
+        # A parentless node keeps only the agent axis, if any.
+        axes, table = _cpt_factor((0.3,), 0, (), state)
+        assert axes == () and table.shape == ()
+        assert table == (0.3 if state else 1.0 - 0.3)
+        assert _cpt_factor([(0.3,), (0.6,)], 0, (), state)[1].shape == (2,)
+
+    def test_cpt_holds_plain_data(self):
+        net = BayesNet(tuple(
+            Cpt(c.owner, c.parents, c.rows) for c in COLLIDER.cpts
+        ))
+        query_conditional(net, {2: True, 4: True}, {0: True})
+        bn_to_joint(net)
+        assert all(vars(cpt).keys() == {"owner", "parents", "rows"} for cpt in net.cpts)
 
     @staticmethod
     def contracted_variables(net, target, evidence):
@@ -350,7 +378,6 @@ class TestCptFactor:
         target, evidence = {2: True, 4: True}, {0: True, 1: False, 3: True}
         got, seen = self.contracted_variables(net, target, evidence)
         assert seen == {2, 4}  # summed out of P(evidence); node 5 is barren
-        assert not any("table" in vars(cpt) for cpt in net.cpts)
         want = conditional_probability(bn_to_joint(net), target, evidence)
         assert got == pytest.approx(want, abs=1e-15)
 
@@ -358,8 +385,9 @@ class TestCptFactor:
         net = BayesNet(tuple(
             Cpt(c.owner, c.parents, c.rows) for c in COLLIDER.cpts
         ))
-        query_conditional(net, {2: True}, {0: True, 1: False, 3: True, 4: False})
-        assert not any("table" in vars(cpt) for cpt in net.cpts)
+        with mock.patch.object(inference, "_cpt_factor") as factor:
+            query_conditional(net, {2: True}, {0: True, 1: False, 3: True, 4: False})
+        factor.assert_not_called()
 
 
 class TestQueryEventMarginal:
@@ -502,9 +530,9 @@ class TestBlanketConditional:
         # restricted by the evidence to a factor over v alone.
         factors = []
         for u in sorted((v, *net.dag().children[v])):
-            family = net.cpts[u].family
-            index = tuple(int(given[w]) if w in given else slice(None) for w in family)
-            factors.append(((v,), net.cpts[u].table[index]))
+            axes, table = _cpt_factor(net.cpts[u].rows, u, net.cpts[u].parents)
+            index = tuple(int(given[w]) if w in given else slice(None) for w in axes)
+            factors.append(((v,), table[index]))
         table = contract(factors, (v,))
         total = float(table.sum())
         with mock.patch.object(inference, "_probabilities") as kernel:

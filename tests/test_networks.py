@@ -152,13 +152,28 @@ class TestCpt:
 
 
 class TestDag:
-    def test_topological_order_prefers_low_index(self):
-        dag = Dag(4, ((), (), (0, 1), (2,)))
-        assert dag.topological_order() == (0, 1, 2, 3)
-
     def test_cycle_rejected(self):
         with pytest.raises(ValueError):
             Dag(2, ((1,), (0,)))
+
+    @given(seed=st.integers(min_value=0, max_value=100_000))
+    @settings(max_examples=100, deadline=None)
+    def test_cycle_check_matches_networkx(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 8))
+        edge_prob = float(rng.uniform(0.0, 0.4))
+        parents = tuple(
+            tuple(p for p in range(m) if p != j and rng.random() < edge_prob)
+            for j in range(m)
+        )
+        graph = nx.DiGraph()
+        graph.add_nodes_from(range(m))
+        graph.add_edges_from((p, j) for j, ps in enumerate(parents) for p in ps)
+        if nx.is_directed_acyclic_graph(graph):
+            assert Dag(m, parents).parents == parents
+        else:
+            with pytest.raises(ModelFormatError, match="directed cycle"):
+                Dag(m, parents)
 
     @pytest.mark.parametrize(
         "parents, error, message",
@@ -246,6 +261,29 @@ class TestBnToJoint:
                 p = prob_true(cpt, bits)
                 expect *= p if bits[cpt.owner] else 1.0 - p
             assert table.probs[index] == pytest.approx(expect, abs=1e-12)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=100_000),
+        m=st.integers(min_value=0, max_value=9),
+        max_parents=st.integers(min_value=0, max_value=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical_to_a_fold_in_owner_order(self, seed, m, max_parents):
+        # Each state's mass is its CPT entries folded left in owner order,
+        # in Python floats, normalized by np.sum as _trusted_table does.
+        rng = np.random.default_rng(seed)
+        edge_prob = float(rng.uniform(0.2, 0.8))
+        net = random_bn(rng, m, edge_prob=edge_prob, max_parents=max_parents)
+        mass = []
+        for index in range(1 << m):
+            bits = {j: bool((index >> j) & 1) for j in range(m)}
+            product = 1.0
+            for cpt in net.cpts:
+                p = prob_true(cpt, bits)
+                product *= p if bits[cpt.owner] else 1.0 - p
+            mass.append(product)
+        mass = np.array(mass)
+        assert np.array_equal(bn_to_joint(net).probs, mass / np.sum(mass))
 
 
 class TestMarkovNet:
