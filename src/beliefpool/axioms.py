@@ -13,9 +13,9 @@ keeps nothing, and raises again on every call.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -525,12 +525,17 @@ def check_property(
 
     Each instance pools with its own weights (None weights the agents
     equally). Raises MalformedInstance for an unknown pool or property,
-    or an instance not of the property's type or outside its hypothesis.
+    instances that are not a sequence, or an instance not of the
+    property's type or outside its hypothesis.
     """
     check_pool_name(pool)
-    name = prop.lower()
+    name = prop.lower() if isinstance(prop, str) else None
     if name not in _PROPERTIES:
         raise MalformedInstance(f"unknown property {prop!r}; choose from {PROPERTY_NAMES}")
+    if not isinstance(instances, Sequence):
+        raise MalformedInstance(
+            f"instances must be a sequence, got {type(instances).__name__}"
+        )
     kind = _PROPERTIES[name][0]
     violations = []
     for inst in instances:

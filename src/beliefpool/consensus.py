@@ -62,12 +62,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    CapacityExceeded, DegenerateCpt, MalformedInstance, MismatchedVariables, NotChordal,
-    ZeroEvidence,
+    CapacityExceeded, DegenerateCpt, MismatchedVariables, NotChordal, ZeroEvidence,
 )
 from .inference import _probabilities, query_conditional, weighted_product_cpts
 from .joint import (
-    MAX_DENSE_VARIABLES, _Checked, _check_query, _conditional_ratio,
+    MAX_DENSE_VARIABLES, _Checked, _check_kind, _check_query, _conditional_ratio,
     _shared_variable_count, _trusted,
 )
 from .networks import (
@@ -102,8 +101,7 @@ class ConsensusBn:
     agent_queries: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.bn, BayesNet):
-            raise MalformedInstance(f"expected a BayesNet, got {type(self.bn).__name__}")
+        _check_kind(self.bn, BayesNet)
         dag = self.bn.dag()
         oriented = direct_by_order(
             MarkovNet(dag.m, dag.skeleton()), self.elimination_order
@@ -124,8 +122,11 @@ def consensus_bn_structure(
     moralized once), union, triangulate, then orient each edge from the
     later-eliminated endpoint to the earlier-eliminated one. Also
     returns the elimination order, which is the reverse of a
-    topological order of the result.
+    topological order of the result. Raises MalformedInstance unless
+    models is a nonempty sequence of Dags and BayesNets, and
+    MismatchedVariables unless they agree on the variable count.
     """
+    _shared_variable_count(models, (Dag, BayesNet), "structure", "structures")
     nets = [moralize(model) for model in dict.fromkeys(models)]
     chordal, order = triangulate(mn_union(nets))
     return direct_by_order(chordal, order), order

@@ -33,9 +33,9 @@ A conditional takes one of two routes:
   by one rounding unit, more when P(evidence) is subnormal; it is not
   clamped.
 
-Each public query checks each mapping it takes once, with joint's
-check; the kernels (_probabilities, _blanket_conditional) read it
-unchecked.
+Each public query checks its network's kind and each mapping it takes
+once, with joint's checks; the kernels (_probabilities,
+_blanket_conditional) read them unchecked.
 """
 from __future__ import annotations
 
@@ -47,8 +47,8 @@ import numpy as np
 
 from .errors import CapacityExceeded, DegenerateProduct, ZeroEvidence
 from .joint import (
-    MAX_DENSE_VARIABLES, Assignment, _check_assignment, _check_query, _conditional_ratio,
-    _trusted, contract,
+    MAX_DENSE_VARIABLES, Assignment, _check_assignment, _check_kind, _check_query,
+    _conditional_ratio, _trusted, contract,
 )
 from .networks import BayesNet, Cpt, Dag, _cpt_factor, min_fill_order
 
@@ -228,6 +228,7 @@ def _probability(bn: BayesNet, assignment: Assignment) -> float:
 
 def query_event_marginal(bn: BayesNet, event: Assignment) -> float:
     """Probability that every variable in event takes its given value."""
+    _check_kind(bn, BayesNet)
     return _probability(bn, _check_assignment(bn.m, event))
 
 
@@ -241,6 +242,7 @@ def query_conditional(
     An empty target is the sure event. Raises ZeroEvidence when the evidence itself has
     probability zero, or underflows to zero.
     """
+    _check_kind(bn, BayesNet)
     wanted, given = _check_query(bn.m, target, evidence)
     if len(wanted) == 1 and bn.strictly_positive:
         ((v, x),) = wanted.items()

@@ -13,7 +13,10 @@ is _conditional_ratio over that route's mass function: _mass here,
 inference._probabilities on networks.
 
 Each model is validated once, where it enters: the JointTable
-constructor checks every input. Each query is checked once, where it
+constructor checks every input. _check_variable_count is the one check
+of a variable count, which it returns as the Python int that JointTable,
+the samplers and networks' Dag and MarkovNet store, and _check_kind the
+one check of a model's kind. Each query is checked once, where it
 enters: every public query, dense or on a network, checks each mapping
 it takes once (_check_assignment: a mapping whose keys are integers in
 range(0, m) and whose states are bools, 0 or 1; _check_query adds that
@@ -29,11 +32,12 @@ module imports this one.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from numbers import Integral, Real
 from operator import index
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, TypeVar
 
 import numpy as np
 
@@ -71,21 +75,22 @@ def _trusted(cls: type[T], **fields) -> T:
     return obj
 
 
-def _check_variable_count(m, capacity: int | None = MAX_DENSE_VARIABLES) -> None:
-    """The one check of a dense variable count m (JointTable, bn_to_joint,
-    the samplers): ModelFormatError unless a nonnegative integer,
-    CapacityExceeded above capacity (None for no limit)."""
+def _check_variable_count(m, capacity: int | None = MAX_DENSE_VARIABLES) -> int:
+    """The one check of a variable count m: m as a Python int;
+    ModelFormatError unless a nonnegative integer, CapacityExceeded above
+    capacity (None, which Dag and MarkovNet pass, for no limit)."""
     try:
-        if not 0 <= m:
-            raise ModelFormatError(f"variable count must be nonnegative, got {m}")
-        if capacity is not None and m > capacity:
-            raise CapacityExceeded(
-                f"dense table over {m} variables exceeds the "
-                f"{MAX_DENSE_VARIABLES}-variable capacity"
-            )
-        index(m)
+        count = index(m)
     except TypeError:
         raise ModelFormatError(f"variable count {m!r} is not an integer") from None
+    if count < 0:
+        raise ModelFormatError(f"variable count must be nonnegative, got {count}")
+    if capacity is not None and count > capacity:
+        raise CapacityExceeded(
+            f"dense table over {count} variables exceeds the "
+            f"{MAX_DENSE_VARIABLES}-variable capacity"
+        )
+    return count
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +107,7 @@ class JointTable:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_variable_count(self.m)
+        object.__setattr__(self, "m", _check_variable_count(self.m))
         n_states = 1 << self.m
         # Booleans, strings and other non-numbers must not reach the float
         # cast, which would turn True or "0.5" into a probability.
@@ -197,20 +202,23 @@ def factor_product(
     return contract(tensors, range(m - 1, -1, -1)).ravel()
 
 
-def _check_kind(model, cls: type) -> None:
-    """MalformedInstance ("expected a <cls>, got <type>") unless model is
-    a cls: the one check that a function got the kind of model it takes."""
+def _check_kind(model, cls: type | tuple[type, ...]) -> None:
+    """MalformedInstance ("expected a <cls>, got <type>"; a tuple of kinds
+    reads "a <A> or a <B>") unless model is a cls: the one kind check."""
     if not isinstance(model, cls):
-        raise MalformedInstance(
-            f"expected a {cls.__name__}, got {type(model).__name__}"
-        )
+        kinds = cls if type(cls) is tuple else (cls,)
+        names = " or a ".join(k.__name__ for k in kinds)
+        raise MalformedInstance(f"expected a {names}, got {type(model).__name__}")
 
 
-def _shared_variable_count(models: Sequence, cls: type, one: str, many: str) -> int:
-    """The variable count m of every model; MalformedInstance for no
-    models ("need at least one <one>") or a model that is not a cls
-    (_check_kind), MismatchedVariables unless all agree ("<many>
-    disagree on variable count")."""
+def _shared_variable_count(models: Sequence, cls: type | tuple, one: str, many: str) -> int:
+    """The variable count m of every model; MalformedInstance unless
+    models is a sequence ("<many> must be a sequence, got <type>"), for
+    no models ("need at least one <one>") or a model that is not a cls,
+    a kind or a tuple of kinds (_check_kind), MismatchedVariables unless
+    all agree ("<many> disagree on variable count")."""
+    if not isinstance(models, Sequence):
+        raise MalformedInstance(f"{many} must be a sequence, got {type(models).__name__}")
     if not models:
         raise MalformedInstance(f"need at least one {one}")
     for model in models:

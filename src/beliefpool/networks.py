@@ -5,6 +5,9 @@ parents (p_0, ..., p_{k-1}), row index bit i (least significant bit =
 p_0) is 1 exactly when p_i is true, and each row stores the probability
 that the owner is true. The constructors raise ModelFormatError for a
 model that breaks this contract, as the file loader does for a file.
+Dag and MarkovNet store their node count as joint._check_variable_count
+returns it, a Python int, and every function here that takes a model
+checks its kind with joint._check_kind.
 
 Each model is validated once, where it enters: these constructors and
 the file loader check every input. Package code that has already
@@ -158,26 +161,25 @@ class Dag:
     parents: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        m = self.m
-        # A parent that is not an integer fails index(), a count a comparison.
+        m = _check_variable_count(self.m, capacity=None)
+        object.__setattr__(self, "m", m)
         try:
             parents = tuple(tuple(map(operator.index, ps)) for ps in self.parents)
-            object.__setattr__(self, "parents", parents)
-            if len(parents) != m:
-                raise ModelFormatError("parent lists must cover every node")
-            for j, ps in enumerate(parents):
-                if len(set(ps)) != len(ps):
-                    raise ModelFormatError(f"duplicate parents for node {j}")
-                for p in ps:  # the first bad parent names the error
-                    if not 0 <= p < m:
-                        raise UnknownVariable(f"parent {p} outside range(0, {m})")
-                    if p == j:
-                        raise ModelFormatError(f"node {j} cannot be its own parent")
-            operator.index(m)  # a float count passes every comparison
-            if not _acyclic(parents):
-                raise ModelFormatError("parent structure contains a directed cycle")
         except TypeError:
-            raise ModelFormatError("node count and parents must be integers") from None
+            raise ModelFormatError("parents must be integers") from None
+        object.__setattr__(self, "parents", parents)
+        if len(parents) != m:
+            raise ModelFormatError("parent lists must cover every node")
+        for j, ps in enumerate(parents):
+            if len(set(ps)) != len(ps):
+                raise ModelFormatError(f"duplicate parents for node {j}")
+            for p in ps:  # the first bad parent names the error
+                if not 0 <= p < m:
+                    raise UnknownVariable(f"parent {p} outside range(0, {m})")
+                if p == j:
+                    raise ModelFormatError(f"node {j} cannot be its own parent")
+        if not _acyclic(parents):
+            raise ModelFormatError("parent structure contains a directed cycle")
 
     @cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
@@ -291,20 +293,18 @@ class MarkovNet:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
+        m = _check_variable_count(self.m, capacity=None)
+        object.__setattr__(self, "m", m)
         # index() rejects a float or a string endpoint; unpacking rejects
         # an edge of another length.
         try:
             pairs = [(operator.index(u), operator.index(v)) for u, v in self.edges]
         except (TypeError, ValueError):
             raise ModelFormatError("edges must be pairs of integers") from None
-        try:
-            operator.index(self.m)
-        except TypeError:
-            raise ModelFormatError(f"node count {self.m!r} is not an integer") from None
         canonical = set()
         for u, v in pairs:
-            if not (0 <= u < self.m and 0 <= v < self.m):
-                raise UnknownVariable(f"edge ({u}, {v}) outside range(0, {self.m})")
+            if not (0 <= u < m and 0 <= v < m):
+                raise UnknownVariable(f"edge ({u}, {v}) outside range(0, {m})")
             if u == v:
                 raise ModelFormatError(f"self-loop on node {u}")
             canonical.add((min(u, v), max(u, v)))
@@ -331,14 +331,8 @@ def bn_to_joint(bn: BayesNet) -> JointTable:
 
 def moralize(structure: BayesNet | Dag) -> MarkovNet:
     """Undirected structure: drop directions and marry co-parents."""
-    if isinstance(structure, BayesNet):
-        dag = structure.dag()
-    elif isinstance(structure, Dag):
-        dag = structure
-    else:
-        raise MalformedInstance(
-            f"expected a Dag or a BayesNet, got {type(structure).__name__}"
-        )
+    _check_kind(structure, (Dag, BayesNet))
+    dag = structure.dag() if isinstance(structure, BayesNet) else structure
     edges = set(dag.skeleton())
     for ps in dag.parents:
         for u, v in itertools.combinations(sorted(ps), 2):

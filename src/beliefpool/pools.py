@@ -69,8 +69,8 @@ def normalize_weights(
 
 
 def check_pool_name(pool: str) -> None:
-    """Raise MalformedInstance unless pool names a pool in POOL_NAMES."""
-    if pool not in POOL_NAMES:
+    """Raise MalformedInstance unless pool is a string in POOL_NAMES."""
+    if not isinstance(pool, str) or pool not in POOL_NAMES:
         raise MalformedInstance(f"pool must be one of {POOL_NAMES}, got {pool!r}")
 
 

@@ -32,7 +32,7 @@ _VSTRUCTURE = Dag(3, ((), (), (0, 1)))
 
 def random_joint(rng: np.random.Generator, m: int) -> JointTable:
     """Positive random table: unit-uniform masses floored, then normalized."""
-    _check_variable_count(m)
+    m = _check_variable_count(m)
     return _trusted_table(m, np.maximum(rng.random(1 << m), FLOOR))
 
 
@@ -48,7 +48,7 @@ def random_dag(
     max_parents: int = 3,
 ) -> Dag:
     """Random acyclic structure along a random variable permutation."""
-    _check_variable_count(m, capacity=None)
+    m = _check_variable_count(m, capacity=None)
     perm = [int(v) for v in rng.permutation(m)]
     parents: list[list[int]] = [[] for _ in range(m)]
     for i in range(m):
@@ -71,7 +71,7 @@ def random_bn(
     """Random network with CPT rows drawn uniformly from [LOW, HIGH]."""
     if dag is None:
         dag = random_dag(rng, m, edge_prob, max_parents)
-    elif dag.m != m:
+    elif dag.m != _check_variable_count(m, capacity=None):
         raise MismatchedVariables(f"dag has {dag.m} variables, the network {m}")
     cpts = []
     for v, ps in enumerate(dag.parents):
@@ -92,7 +92,7 @@ def random_vstructure_pair(rng: np.random.Generator) -> tuple[BayesNet, BayesNet
 
 def random_product_table(rng: np.random.Generator, m: int) -> JointTable:
     """Table where all variables are mutually independent."""
-    _check_variable_count(m)
+    m = _check_variable_count(m)
     factors = [((j,), (1.0 - p, p)) for j, p in enumerate(rng.uniform(LOW, HIGH, m))]
     return _trusted_table(m, factor_product(m, factors))
 
@@ -101,7 +101,7 @@ def random_block_product_table(
     rng: np.random.Generator, m: int, block: Sequence[int]
 ) -> JointTable:
     """Table factorizing as P(block variables) * P(remaining variables)."""
-    _check_variable_count(m)
+    m = _check_variable_count(m)
     _check_assignment(m, dict.fromkeys(block, True))
     block = sorted(set(block))
     rest = [v for v in range(m) if v not in block]
@@ -124,7 +124,7 @@ def random_conditional_table(
     The context distribution over w and x is arbitrary; the conditional
     of a reads only the w part.
     """
-    _check_variable_count(m)
+    m = _check_variable_count(m)
     w = sorted(set(w))
     x = sorted(set(x))
     rest = w + x

@@ -7,7 +7,9 @@ no module raises a bare ValueError, and the caller errors that replace
 it are BeliefPoolErrors that a caller's `except ValueError` still
 catches. Only the functions that have already validated their
 input call the trusted construction path. And there is one factor
-product, joint.contract, the only caller of np.einsum.
+product, joint.contract, the only caller of np.einsum. One check reads
+every variable count (joint._check_variable_count) and one every model's
+kind (joint._check_kind).
 """
 
 import ast
@@ -41,7 +43,7 @@ from beliefpool import (
     logop_consensus_bn,
 )
 from beliefpool.axioms import reproduce_example
-from beliefpool.inference import query_conditional
+from beliefpool.inference import query_conditional, query_event_marginal
 from beliefpool.consensus import linop_query
 from beliefpool.joint import (
     condition,
@@ -58,7 +60,12 @@ from beliefpool.model_io import (
 )
 from beliefpool.networks import direct_by_order, mn_union, triangulate
 from beliefpool.pools import normalize_weights
-from beliefpool.sampling import random_conditional_table
+from beliefpool.sampling import (
+    random_bn,
+    random_conditional_table,
+    random_dag,
+    random_joint,
+)
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "beliefpool"
@@ -260,6 +267,12 @@ CALLER_ERRORS = {
     "wrong-kind-direct-network": (
         MalformedInstance, lambda: direct_by_order(CHAIN, (0, 1))
     ),
+    "wrong-kind-query-conditional": (
+        MalformedInstance, lambda: query_conditional(PAIR, {0: True})
+    ),
+    "wrong-kind-query-marginal": (
+        MalformedInstance, lambda: query_event_marginal(SQUARE, {0: True})
+    ),
     "not-perfect-order": (NotChordal, lambda: direct_by_order(SQUARE, (0, 1, 2, 3))),
     "not-decomposable": (NotChordal, lambda: ConsensusBn(VEE, (0, 1, 2))),
     "consensus-reversed-order": (NotChordal, lambda: ConsensusBn(CHAIN, (0, 1))),
@@ -283,7 +296,9 @@ WRONG_KIND = {
 def test_wrong_kind_names_both_kinds(call):
     with pytest.raises(MalformedInstance) as exc:
         call()
-    kinds = r"expected a (JointTable|BayesNet|MarkovNet), got (BayesNet|JointTable|Dag)"
+    kinds = (
+        r"expected a (JointTable|BayesNet|MarkovNet), got (BayesNet|JointTable|MarkovNet|Dag)"
+    )
     assert re.fullmatch(kinds, str(exc.value))
 
 
@@ -487,3 +502,120 @@ def test_one_cpt_factor_layout():
     )
     for path in MODULES:
         assert "heapq" not in path.read_text(), path.name
+
+
+def enclosing_calls(source, module, match):
+    """The enclosing function ("module.name", None at module level) of
+    every call in source for which match(call) holds."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = f"{module}.{node.name}"
+        if isinstance(node, ast.Call) and match(node):
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def indexes_a_count(call):
+    """Whether call is index(m), operator.index(m) or either on an
+    attribute .m."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name != "index" or len(call.args) != 1:
+        return False
+    (arg,) = call.args
+    return (isinstance(arg, ast.Name) and arg.id == "m") or (
+        isinstance(arg, ast.Attribute) and arg.attr == "m"
+    )
+
+
+def raises_expected_a(call):
+    """Whether call is MalformedInstance("expected a ...") or its f-string
+    form."""
+    if not (isinstance(call.func, ast.Name) and call.func.id == "MalformedInstance"):
+        return False
+    message = call.args[0] if call.args else None
+    if isinstance(message, ast.JoinedStr) and message.values:
+        message = message.values[0]
+    return (
+        isinstance(message, ast.Constant)
+        and isinstance(message.value, str)
+        and message.value.startswith("expected a")
+    )
+
+
+def test_checkers_find_count_indexes_and_kind_messages():
+    source = (
+        "def a(self, m, ps):\n"
+        "    operator.index(self.m)\n"
+        "    index(m)\n"
+        "    ps.index(p)\n"
+        "def b(model):\n"
+        "    raise MalformedInstance(f'expected a {cls}, got {model}')\n"
+        "def c():\n"
+        "    raise MalformedInstance('expected an order')\n"
+        "    raise MalformedInstance(f'{many} must be a sequence')\n"
+    )
+    assert enclosing_calls(source, "m", indexes_a_count) == ["m.a", "m.a"]
+    assert enclosing_calls(source, "m", raises_expected_a) == ["m.b", "m.c"]
+
+
+def test_one_count_check_and_one_kind_check():
+    """joint._check_variable_count is the one check of a variable count,
+    the only index() call on one, and joint._check_kind the one check of
+    a model's kind, the only raise of its "expected a" message; Dag,
+    MarkovNet, ConsensusBn and moralize keep no copy of either."""
+    for match, function in (
+        (indexes_a_count, "joint._check_variable_count"),
+        (raises_expected_a, "joint._check_kind"),
+    ):
+        found = [
+            f for path in MODULES for f in enclosing_calls(path.read_text(), path.stem, match)
+        ]
+        assert found == [function]
+
+
+def nodes(m):
+    """m where it is a nonnegative int, else 3: the size of the other
+    arguments."""
+    return m if isinstance(m, int) and m >= 0 else 3
+
+
+COUNT_BUILDERS = {
+    "Dag": lambda m: Dag(m, ((),) * nodes(m)),
+    "MarkovNet": lambda m: MarkovNet(m, frozenset()),
+    "JointTable": lambda m: JointTable(m, np.ones(2 ** nodes(m))),
+    "random_dag": lambda m: random_dag(np.random.default_rng(0), m),
+    "random_joint": lambda m: random_joint(np.random.default_rng(0), m),
+    "random_bn-dag": lambda m: random_bn(
+        np.random.default_rng(0), m, dag=Dag(nodes(m), ((),) * nodes(m))
+    ),
+}
+NOT_AN_INTEGER = "variable count {!r} is not an integer"
+# Each count with the message of the one count check, or None if it builds.
+COUNTS = {
+    "-1": (-1, "variable count must be nonnegative, got -1"),
+    "0": (0, None),
+    "3": (3, None),
+    "3.0": (3.0, NOT_AN_INTEGER.format(3.0)),
+    "'3'": ("3", NOT_AN_INTEGER.format("3")),
+    "None": (None, NOT_AN_INTEGER.format(None)),
+    "True": (True, None),
+    "int64": (np.int64(3), None),
+}
+
+
+@pytest.mark.parametrize("m, message", COUNTS.values(), ids=COUNTS)
+@pytest.mark.parametrize("build", COUNT_BUILDERS.values(), ids=COUNT_BUILDERS)
+def test_every_count_is_checked_once_and_stored_as_an_int(build, m, message):
+    if message is None:
+        model = build(m)
+        assert type(model.m) is int and model.m == m
+    else:
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
+            build(m)

@@ -300,7 +300,7 @@ class TestMarkovNet:
     @pytest.mark.parametrize("m", ["3", 3.0, None])
     def test_rejects_a_count_that_is_not_an_integer(self, m):
         # 3.0 used to build, and triangulate then failed with a bare TypeError.
-        with pytest.raises(ModelFormatError, match=f"node count {m!r} is not an integer"):
+        with pytest.raises(ModelFormatError, match=f"variable count {m!r} is not an integer"):
             MarkovNet(m, {(0, 1)})
 
     def test_edges_become_sorted_python_int_pairs(self):
