@@ -1,21 +1,24 @@
 """Checkable pooling properties, worked fixtures, and negative controls.
 
 Each property gets an instance type carrying the agent tables plus
-whatever the property quantifies over, which measures its violation
-magnitude under a pool. check_property applies one pool to many
-instances and reports pass/fail against a tolerance. Expected failures
-(independence broken by pooling, order-dependent family aggregation)
-live here too, alongside deterministic report suites for the CLI. Both
-pools check the same frozen instances, so each instance keeps the
-agent-side values it works out (cached_property); a check that raises
-keeps nothing, and raises again on every call.
+whatever the property quantifies over, which checks each field where it
+reads it and measures its violation magnitude under a pool.
+check_property applies one pool to many instances and reports pass/fail
+against a tolerance. Expected failures (independence broken by pooling,
+order-dependent family aggregation) live here too, with deterministic
+report suites for the CLI. Both pools check the same frozen instances,
+so each instance keeps the agent-side values it works out
+(cached_property); a check that raises keeps nothing and raises again.
 """
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
+from sys import float_info
 
 import numpy as np
 
@@ -23,6 +26,9 @@ from .consensus import linop_query, logop_consensus_bn
 from .errors import DegenerateProduct, MalformedInstance, ZeroEvidence
 from .joint import (
     JointTable,
+    _check_kind,
+    _mass,
+    _shared_variable_count,
     condition,
     conditional_probability,
     contract,
@@ -59,16 +65,26 @@ def _pooled(pool: str, inst, tables=None) -> JointTable:
     return rule(inst.tables if tables is None else tables, inst.weights)
 
 
+def _state_indices(n_states: int, states) -> list[int]:
+    """states as Python ints, in their order: the one check of state
+    indices, MalformedInstance unless each is an integer in range."""
+    try:
+        indices = list(map(operator.index, states))
+    except TypeError:
+        raise MalformedInstance(f"state indices must be integers, got {states!r}") from None
+    if indices and not (0 <= min(indices) and max(indices) < n_states):
+        bad = min(indices) if min(indices) < 0 else max(indices)
+        raise MalformedInstance(f"state index {bad} out of range")
+    return indices
+
+
 def _event_mass(table: JointTable, states: frozenset[int]) -> float:
-    for s in states:
-        if not 0 <= s < table.n_states:
-            raise MalformedInstance(f"state index {s} out of range")
-    return float(table.probs[sorted(states)].sum())
+    return float(table.probs[sorted(_state_indices(table.n_states, states))].sum())
 
 
 def _product_gap(table: JointTable) -> float:
     """Largest deviation from the product of single-variable marginals."""
-    p_true = [marginal(table, {j: True}) for j in range(table.m)]
+    p_true = [_mass(table, {j: True}) for j in range(table.m)]  # table is checked
     expected = factor_product(table.m, [((j,), (1.0 - p, p)) for j, p in enumerate(p_true)])
     return float(np.max(np.abs(table.probs - expected)))
 
@@ -82,13 +98,10 @@ class UnanimityInstance:
 
     @cached_property
     def _shared_table(self) -> JointTable:
-        if not self.tables:
-            raise MalformedInstance("need at least one table")
-        first = self.tables[0]
-        for t in self.tables[1:]:
-            if t.m != first.m or not np.array_equal(t.probs, first.probs):
-                raise MalformedInstance("unanimity needs identical agent tables")
-        return first
+        _, stacked = _stack(self.tables)
+        if (stacked != stacked[0]).any():
+            raise MalformedInstance("unanimity needs identical agent tables")
+        return self.tables[0]
 
     def _violation(self, pool: str) -> float:
         first = self._shared_table
@@ -104,20 +117,16 @@ class EventPoolInstance:
     weights: tuple[float, ...] | None = None
 
     @cached_property
-    def _normalized_weights(self) -> np.ndarray:
-        return normalize_weights(self.weights, len(self.tables))
-
-    @cached_property
     def _event_masses(self) -> tuple[np.ndarray, np.ndarray]:
         """Every agent's mass off the event and on it."""
         true = np.array([_event_mass(t, self.event) for t in self.tables])
-        rest = frozenset(range(self.tables[0].n_states)) - self.event
+        rest = set(range(self.tables[0].n_states)).difference(self.event)
         return np.array([_event_mass(t, rest) for t in self.tables]), true
 
     def _violation(self, pool: str) -> float:
-        w = self._normalized_weights
         joint_route = _event_mass(_pooled(pool, self), self.event)
         false, true = self._event_masses
+        w = normalize_weights(self.weights, len(self.tables))
         if pool == "linop":
             return abs(joint_route - float(w @ true))
         # No NaN here: the joint route has raised DegenerateProduct first.
@@ -134,13 +143,20 @@ class EvidenceInstance:
     weights: tuple[float, ...] | None = None
 
     @cached_property
-    def _conditioned(self) -> tuple[JointTable, ...]:
-        return tuple(condition(t, dict(self.evidence)) for t in self.tables)
+    def _conditioned(self) -> tuple[dict, tuple[JointTable, ...]]:
+        """The evidence as a mapping, and each agent's table conditioned on it."""
+        try:
+            evidence = dict(self.evidence)
+        except (TypeError, ValueError):
+            raise MalformedInstance("evidence must be (variable, state) pairs") from None
+        return evidence, tuple(condition(t, evidence) for t in self.tables)
 
     def _violation(self, pool: str) -> float:
         try:
-            pool_then_condition = condition(_pooled(pool, self), dict(self.evidence))
-            condition_then_pool = _pooled(pool, self, self._conditioned)
+            pooled = _pooled(pool, self)
+            evidence, conditioned = self._conditioned
+            pool_then_condition = condition(pooled, evidence)
+            condition_then_pool = _pooled(pool, self, conditioned)
         except ZeroEvidence as err:
             raise MalformedInstance(
                 "evidence must have positive mass for every agent"
@@ -161,29 +177,24 @@ class StatePairInstance:
     weights: tuple[float, ...] | None = None
 
     @cached_property
-    def _profiles(self) -> tuple[tuple[JointTable, ...], tuple[JointTable, ...]]:
-        """(tables_p, tables_q), once checked to agree on s and t."""
+    def _states(self) -> tuple[int, int]:
+        """(s, t) as Python ints, once both profiles agree on them."""
+        m_p = _shared_variable_count(self.tables_p, JointTable, "table", "tables")
+        m_q = _shared_variable_count(self.tables_q, JointTable, "table", "tables")
         if len(self.tables_p) != len(self.tables_q):
             raise MalformedInstance("profiles must have the same agent count")
+        s, t = _state_indices(1 << min(m_p, m_q), (self.s, self.t))
         for tp, tq in zip(self.tables_p, self.tables_q):
-            for state in (self.s, self.t):
-                if not 0 <= state < min(tp.n_states, tq.n_states):
-                    raise MalformedInstance(f"state index {state} out of range")
-                if abs(tp.probs[state] - tq.probs[state]) > 1e-15:
-                    raise MalformedInstance(
-                        "profiles must agree on both distinguished states"
-                    )
-        return self.tables_p, self.tables_q
+            if any(abs(tp.probs[v] - tq.probs[v]) > 1e-15 for v in (s, t)):
+                raise MalformedInstance("profiles must agree on both distinguished states")
+        return s, t
 
     def _violation(self, pool: str) -> float:
-        tables_p, tables_q = self._profiles
-        pooled_p = _pooled(pool, self, tables_p)
-        pooled_q = _pooled(pool, self, tables_q)
-        if pooled_p.probs[self.t] <= 0.0 or pooled_q.probs[self.t] <= 0.0:
+        s, t = self._states
+        p, q = (_pooled(pool, self, tables).probs for tables in (self.tables_p, self.tables_q))
+        if p[t] <= 0.0 or q[t] <= 0.0:
             raise MalformedInstance("reference state t pooled to zero mass")
-        ratio_p = pooled_p.probs[self.s] / pooled_p.probs[self.t]
-        ratio_q = pooled_q.probs[self.s] / pooled_q.probs[self.t]
-        return abs(float(ratio_p - ratio_q))
+        return abs(float(p[s] / p[t] - q[s] / q[t]))
 
 
 class _PreservedProperty:
@@ -193,6 +204,7 @@ class _PreservedProperty:
 
     @cached_property
     def _agents_within(self) -> bool:
+        _shared_variable_count(self.tables, JointTable, "table", "tables")
         return not any(self._gap(t) > self._TOL for t in self.tables)
 
     def _violation(self, pool: str) -> float:
@@ -213,8 +225,8 @@ class EventPairInstance(_PreservedProperty):
     _HYPOTHESIS = "events must be independent under every agent"
 
     def _gap(self, t: JointTable) -> float:
-        both = _event_mass(t, self.event_a & self.event_b)
-        return abs(both - _event_mass(t, self.event_a) * _event_mass(t, self.event_b))
+        p_a, p_b = _event_mass(t, self.event_a), _event_mass(t, self.event_b)
+        return abs(_event_mass(t, set(self.event_a).intersection(self.event_b)) - p_a * p_b)
 
 
 @dataclass(frozen=True)
@@ -524,27 +536,25 @@ def check_property(
     """Measure one property of the named pool across many instances.
 
     Each instance pools with its own weights (None weights the agents
-    equally). Raises MalformedInstance for an unknown pool or property,
-    instances that are not a sequence, or an instance not of the
-    property's type or outside its hypothesis.
+    equally). Raises MalformedInstance for an unknown pool, property or
+    tol (a finite nonnegative number), instances that are not a sequence,
+    or an instance of another type, outside its hypothesis or malformed.
     """
     check_pool_name(pool)
     name = prop.lower() if isinstance(prop, str) else None
     if name not in _PROPERTIES:
         raise MalformedInstance(f"unknown property {prop!r}; choose from {PROPERTY_NAMES}")
+    if isinstance(tol, bool) or not (isinstance(tol, Real) and 0 <= tol <= float_info.max):
+        raise MalformedInstance(f"tol must be a finite nonnegative number, got {tol!r}")
     if not isinstance(instances, Sequence):
         raise MalformedInstance(
             f"instances must be a sequence, got {type(instances).__name__}"
         )
-    kind = _PROPERTIES[name][0]
     violations = []
     for inst in instances:
-        if not isinstance(inst, kind):
-            raise MalformedInstance(
-                f"expected {kind.__name__}, got {type(inst).__name__}"
-            )
+        _check_kind(inst, _PROPERTIES[name][0])
         violations.append(inst._violation(pool))
-    return CheckReport(name, pool, tol, tuple(violations))
+    return CheckReport(name, pool, float(tol), tuple(violations))
 
 
 # ---------------------------------------------------------------------------

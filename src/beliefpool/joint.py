@@ -13,16 +13,16 @@ is _conditional_ratio over that route's mass function: _mass here,
 inference._probabilities on networks.
 
 Each model is validated once, where it enters: the JointTable
-constructor checks every input. _check_variable_count is the one check
-of a variable count, which it returns as the Python int that JointTable,
-the samplers and networks' Dag and MarkovNet store, and _check_kind the
-one check of a model's kind. Each query is checked once, where it
-enters: every public query, dense or on a network, checks each mapping
-it takes once (_check_assignment: a mapping whose keys are integers in
-range(0, m) and whose states are bools, 0 or 1; _check_query adds that
-target and evidence are disjoint) and hands what the check returns to
-unchecked kernels. A _Checked assignment, which only the consensus fill
-builds, from its own structure, comes back from the check unchanged.
+constructor checks every input. Each input rule has one function:
+_check_variable_count for a count (the Python int that JointTable, the
+samplers, Dag and MarkovNet store), _check_kind for a model's or a
+property instance's kind, _check_variables for variable indices and
+_check_partition for markov_dependence_gap's and the samplers' a, w, x.
+Each query is checked once, where it enters: every public query checks
+each mapping once (_check_assignment: keys by _check_variables, states
+bools, 0 or 1; _check_query adds that target and evidence are disjoint)
+and hands the result to unchecked kernels; a _Checked assignment, which
+only the consensus fill builds, comes back unchanged.
 The dense kernels (bn_to_joint, linop, logop, condition,
 family_pooled_joint), and the table samplers, whose mass is valid by
 construction, build through _trusted_table, which normalizes as the
@@ -203,12 +203,12 @@ def factor_product(
 
 
 def _check_kind(model, cls: type | tuple[type, ...]) -> None:
-    """MalformedInstance ("expected a <cls>, got <type>"; a tuple of kinds
-    reads "a <A> or a <B>") unless model is a cls: the one kind check."""
+    """The one kind check: MalformedInstance ("expected a <cls>, got <type>",
+    "an" before A, E, I or O; "or" joins a tuple's kinds) unless model is a cls."""
     if not isinstance(model, cls):
         kinds = cls if type(cls) is tuple else (cls,)
-        names = " or a ".join(k.__name__ for k in kinds)
-        raise MalformedInstance(f"expected a {names}, got {type(model).__name__}")
+        names = " or ".join(f"a{'n' * (k.__name__[0] in 'AEIO')} {k.__name__}" for k in kinds)
+        raise MalformedInstance(f"expected {names}, got {type(model).__name__}")
 
 
 def _shared_variable_count(models: Sequence, cls: type | tuple, one: str, many: str) -> int:
@@ -258,27 +258,48 @@ def _check_assignment(m: int, assignment: Assignment) -> Assignment:
     Python-int keys and bool values, so a missing key is a KeyError,
     never a default. Raises MalformedInstance for a non-mapping or a
     state that is not a bool, 0 or 1 (see _state), and UnknownVariable
-    for a key that is not an integer (a Python int or a numpy integer)
-    or lies outside range(0, m).
+    for a key that _check_variables rejects, before any state.
     """
     if type(assignment) is _Checked:
         return assignment
     try:
-        items = assignment.items()
+        values = assignment.values()
     except AttributeError:
         raise MalformedInstance(
             f"an assignment must be a mapping of variables to states, "
             f"got {type(assignment).__name__}"
         ) from None
+    variables = _check_variables(m, assignment)
+    return {v: x if type(x) is bool else _state(v, x) for v, x in zip(variables, values)}
+
+
+def _check_variables(m: int, variables: Iterable) -> tuple[int, ...]:
+    """The variables of a collection as Python ints: the one check of variable
+    indices, UnknownVariable unless each is an integer (numpy's too) in range(0, m)."""
     try:
-        states = {index(v): x if type(x) is bool else _state(v, x) for v, x in items}
+        checked = tuple(map(index, variables))
     except TypeError:
-        keys = ", ".join(repr(v) for v in assignment)
-        raise UnknownVariable(f"variables must be integers, got {keys}") from None
-    if states and not (0 <= min(states) and max(states) < m):
-        v = min(states) if min(states) < 0 else max(states)
+        got = ", ".join(map(repr, variables)) if isinstance(variables, Iterable) else variables
+        raise UnknownVariable(f"variables must be integers, got {got}") from None
+    if checked and not (0 <= min(checked) and max(checked) < m):
+        v = min(checked) if min(checked) < 0 else max(checked)
         raise UnknownVariable(f"variable {v} outside range(0, {m})")
-    return states
+    return checked
+
+
+def _check_partition(m: int, a, w, x) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """a, w and x as Python ints, w and x sorted without repeats: the one check
+    that {a}, w and x partition range(0, m), else MalformedInstance (or
+    UnknownVariable for a variable that _check_variables rejects)."""
+    try:
+        w, x = tuple(w), tuple(x)
+    except TypeError:
+        raise MalformedInstance("w and x must be collections of variables") from None
+    a, *rest = _check_variables(m, (a, *w, *x))
+    w, x = tuple(sorted(set(rest[: len(w)]))), tuple(sorted(set(rest[len(w) :])))
+    if sorted((a, *w, *x)) != list(range(m)):
+        raise MalformedInstance("a, w, x must partition all variables")
+    return a, w, x
 
 
 def _check_query(
@@ -354,14 +375,11 @@ def conditional_probability(
 def pairwise_dependence_gap(table: JointTable, a: int, b: int) -> float:
     """|P(a and b) - P(a) * P(b)| with both variables true."""
     _check_kind(table, JointTable)
-    both = _check_assignment(table.m, {a: True, b: True})
+    a, b = _check_variables(table.m, (a, b))
     if a == b:
         raise MalformedInstance("pairwise independence needs two distinct variables")
-    a, b = both
-    p_ab = _mass(table, both)
-    p_a = _mass(table, {a: True})
-    p_b = _mass(table, {b: True})
-    return abs(p_ab - p_a * p_b)
+    p_ab = _mass(table, {a: True, b: True})
+    return abs(p_ab - _mass(table, {a: True}) * _mass(table, {b: True}))
 
 
 def markov_dependence_gap(
@@ -370,20 +388,11 @@ def markov_dependence_gap(
     """Largest gap |P(a=T | w, x) - P(a=T | w)| over instantiable contexts.
 
     Zero-probability contexts are skipped. The sets {a}, w, x must
-    partition all variables, so the gap measures the full conditional
-    structure around a. Empty x gives a gap of zero.
+    partition all variables (_check_partition), so the gap measures the
+    full conditional structure around a. Empty x gives a gap of zero.
     """
     _check_kind(table, JointTable)
-    w, x = tuple(w), tuple(x)
-    _check_assignment(table.m, dict.fromkeys((a,) + w + x, True))
-    w = tuple(sorted(set(w)))
-    x = tuple(sorted(set(x)))
-    if a in w or a in x:
-        raise MalformedInstance("target variable may not appear in w or x")
-    if set(w) & set(x):
-        raise MalformedInstance("w and x must be disjoint")
-    if {a, *w, *x} != set(range(table.m)):
-        raise MalformedInstance("a, w, x together must cover all variables")
+    a, w, x = _check_partition(table.m, a, w, x)
     if not x:
         return 0.0
 

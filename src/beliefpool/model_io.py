@@ -23,8 +23,9 @@ Loading raises ModelFormatError, naming the file, for anything
 malformed, including text that is not UTF-8, integers too large for a
 float, nesting too deep for the JSON parser, and any kind but "bayes"
 or "linop-manifest". The loader is where a file's model is validated:
-it makes every check the network constructors would, with their
-messages, then builds the network without running those checks again.
+it makes every check the network constructors would, through the same
+functions (networks._check_labels for the labels, _check_parents for a
+faulty entry's parents), then builds the network without checking again.
 Each check runs over the whole file at once: the types of the entries
 and of their parent and row fields as one set of types, the parents
 resolved in one pass, each CPT's key set against the table's, every row
@@ -51,9 +52,9 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import MalformedInstance, MismatchedVariables, ModelFormatError
-from .joint import _trusted
+from .joint import _check_kind, _trusted
 from .networks import (
-    BayesNet, Cpt, Dag, _acyclic, _check_labels, check_parents, parse_probability,
+    BayesNet, Cpt, Dag, _acyclic, _check_labels, _check_parents, parse_probability,
 )
 
 MANIFEST_KIND = "linop-manifest"
@@ -68,14 +69,9 @@ class LinopManifest:
 
 
 def _require_labels(model: BayesNet) -> tuple[str, ...]:
-    if not isinstance(model, BayesNet):
-        raise ModelFormatError(
-            f"only a BayesNet has a file form, got {type(model).__name__}"
-        )
+    _check_kind(model, BayesNet)
     if model.labels is None:
         raise ModelFormatError("serializing a network requires variable labels")
-    if not all(isinstance(label, str) for label in model.labels):
-        raise ModelFormatError("variable labels must be strings")
     return model.labels
 
 
@@ -121,22 +117,6 @@ def network_to_dict(model: BayesNet, provenance: dict | None = None) -> dict:
 def _all_instances(items: list, cls: type) -> bool:
     """Whether every item is a cls, checked once per distinct type."""
     return all(issubclass(t, cls) for t in set(map(type, items)))
-
-
-def _parse_variables(data: dict) -> tuple[str, ...]:
-    variables = data.get("variables")
-    if (
-        not isinstance(variables, list)
-        or not variables
-        or not _all_instances(variables, str)
-        or not all(variables)
-    ):
-        raise ModelFormatError(
-            "'variables' must be a nonempty list of nonempty strings"
-        )
-    labels = tuple(variables)
-    _check_labels(len(labels), labels)
-    return labels
 
 
 def _parse_edges(data: dict, index: dict[str, int]) -> set[tuple[int, int]]:
@@ -230,15 +210,15 @@ def _check_cpts(labels: tuple[str, ...], entries: list, index: dict[str, int]) -
                     f"row key {key!r} is not a {k}-character outcome string"
                 )
             parse_probability(value)
-        check_parents(owner, tuple(map(index.__getitem__, parents_raw)))
+        _check_parents(owner, tuple(map(index.__getitem__, parents_raw)))
 
 
 def network_from_dict(data) -> BayesNet:
     """Reconstruct a Bayesian network from its JSON representation.
 
     Raises ModelFormatError for any malformed input: a kind other than
-    "bayes", a field check, a repeated or self parent with the Cpt
-    constructor's messages, a cycle, or edges that disagree with the
+    "bayes", a field check, a repeated or self parent with _check_parents'
+    messages (the node by index), a cycle, or edges that disagree with the
     parent lists. Each check runs over the whole file at once; when one
     fails, _check_cpts names the first faulty entry.
     """
@@ -247,7 +227,10 @@ def network_from_dict(data) -> BayesNet:
     kind = data.get("kind")
     if kind != "bayes":
         raise ModelFormatError(f"'kind' must be 'bayes', got {kind!r}")
-    labels = _parse_variables(data)
+    variables = data.get("variables")
+    if not isinstance(variables, list) or not variables:
+        raise ModelFormatError("'variables' must be a nonempty list of labels")
+    labels = _check_labels(len(variables), variables)
     index = {label: i for i, label in enumerate(labels)}
     declared = _parse_edges(data, index)
 

@@ -7,7 +7,9 @@ that the owner is true. The constructors raise ModelFormatError for a
 model that breaks this contract, as the file loader does for a file.
 Dag and MarkovNet store their node count as joint._check_variable_count
 returns it, a Python int, and every function here that takes a model
-checks its kind with joint._check_kind.
+checks its kind with joint._check_kind. _check_parents is the one check
+of a parent list (Cpt, Dag node by node, the loader) and _check_labels
+the one check of a label list (BayesNet and the loader).
 
 Each model is validated once, where it enters: these constructors and
 the file loader check every input. Package code that has already
@@ -18,10 +20,9 @@ random_dag and random_bn) builds through joint._trusted or
 joint._trusted_table and does not check again.
 
 direct_by_order holds the one test that every parent set is complete
-(a perfect elimination order): consensus_bn_structure orients with it,
-and ConsensusBn checks a network against its stored order with it.
-_acyclic is the one cycle check, of Dag and the file loader, and
-_cpt_factor the one layout of CPT rows as a factor, which bn_to_joint
+(a perfect elimination order), which consensus_bn_structure and
+ConsensusBn use; _acyclic is the one cycle check, of Dag and the loader,
+and _cpt_factor the one layout of CPT rows as a factor, which bn_to_joint
 and both of inference's exact routes read.
 """
 from __future__ import annotations
@@ -69,15 +70,17 @@ def parse_probability(value) -> float:
     return value
 
 
-def check_parents(owner: int, parents: tuple[int, ...]) -> None:
-    """Raise ModelFormatError for a repeated parent or the owner among
-    its own parents."""
-    if not parents:
-        return
+def _check_parents(owner: int, parents: tuple[int, ...], m: int | None = None) -> None:
+    """The one check of a parent list: ModelFormatError for a repeat, then
+    for the first bad parent: UnknownVariable outside range(0, m) when Dag
+    gives its count m, ModelFormatError for the owner itself."""
     if len(set(parents)) != len(parents):
-        raise ModelFormatError("duplicate parent indices")
-    if owner in parents:
-        raise ModelFormatError("node cannot be its own parent")
+        raise ModelFormatError(f"duplicate parents for node {owner}")
+    for p in parents:
+        if m is not None and not 0 <= p < m:
+            raise UnknownVariable(f"parent {p} outside range(0, {m})")
+        if p == owner:
+            raise ModelFormatError(f"node {owner} cannot be its own parent")
 
 
 def _acyclic(parents: Sequence[Sequence[int]]) -> bool:
@@ -145,7 +148,7 @@ class Cpt:
         object.__setattr__(self, "rows", rows)
         if owner < 0:
             raise ModelFormatError(f"owner index must be nonnegative, got {owner}")
-        check_parents(owner, parents)
+        _check_parents(owner, parents)
         if len(rows) != 1 << len(parents):
             raise ModelFormatError(
                 f"expected {1 << len(parents)} rows for "
@@ -171,13 +174,7 @@ class Dag:
         if len(parents) != m:
             raise ModelFormatError("parent lists must cover every node")
         for j, ps in enumerate(parents):
-            if len(set(ps)) != len(ps):
-                raise ModelFormatError(f"duplicate parents for node {j}")
-            for p in ps:  # the first bad parent names the error
-                if not 0 <= p < m:
-                    raise UnknownVariable(f"parent {p} outside range(0, {m})")
-                if p == j:
-                    raise ModelFormatError(f"node {j} cannot be its own parent")
+            _check_parents(j, ps, m)
         if not _acyclic(parents):
             raise ModelFormatError("parent structure contains a directed cycle")
 
@@ -197,13 +194,22 @@ class Dag:
         )
 
 
-def _check_labels(m: int, labels: tuple[str, ...] | None) -> None:
+def _check_labels(m: int, labels) -> tuple[str, ...] | None:
+    """labels (None for none) as a tuple: the one label check, of BayesNet and
+    the loader. ModelFormatError unless a sequence of m distinct nonempty strings."""
     if labels is None:
-        return
+        return None
+    try:
+        labels = tuple(labels)
+    except TypeError:
+        raise ModelFormatError("variable labels must be a sequence") from None
     if len(labels) != m:
         raise ModelFormatError(f"expected {m} labels, got {len(labels)}")
+    if not all(isinstance(label, str) and label for label in labels):
+        raise ModelFormatError("variable labels must be nonempty strings")
     if len(set(labels)) != len(labels):
         raise ModelFormatError("variable labels must be distinct")
+    return labels
 
 
 # One CPT of a node's Markov blanket as the closed-form query reads it:
@@ -229,15 +235,10 @@ class BayesNet:
             raise ModelFormatError("a network's CPTs must be Cpt objects")
         cpts = tuple(sorted(cpts, key=attrgetter("owner")))
         object.__setattr__(self, "cpts", cpts)
-        if self.labels is not None:
-            try:
-                object.__setattr__(self, "labels", tuple(self.labels))
-            except TypeError:
-                raise ModelFormatError("variable labels must be a sequence") from None
         owners = [c.owner for c in cpts]
         if owners != list(range(len(cpts))):
             raise ModelFormatError("need exactly one CPT per variable 0..m-1")
-        _check_labels(self.m, self.labels)
+        object.__setattr__(self, "labels", _check_labels(self.m, self.labels))
         # Validates parent ranges and acyclicity; dag() hands out this one.
         object.__setattr__(
             self, "_dag", Dag(len(cpts), tuple(c.parents for c in cpts))

@@ -14,11 +14,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MalformedInstance, MismatchedVariables
+from .errors import MismatchedVariables
 from .joint import (
     JointTable,
-    _check_assignment,
+    _check_partition,
     _check_variable_count,
+    _check_variables,
     _trusted,
     _trusted_table,
     factor_product,
@@ -102,8 +103,7 @@ def random_block_product_table(
 ) -> JointTable:
     """Table factorizing as P(block variables) * P(remaining variables)."""
     m = _check_variable_count(m)
-    _check_assignment(m, dict.fromkeys(block, True))
-    block = sorted(set(block))
+    block = sorted(set(_check_variables(m, block)))
     rest = [v for v in range(m) if v not in block]
     q_block = np.maximum(rng.random(1 << len(block)), FLOOR)
     q_block /= q_block.sum()
@@ -125,15 +125,12 @@ def random_conditional_table(
     of a reads only the w part.
     """
     m = _check_variable_count(m)
-    w = sorted(set(w))
-    x = sorted(set(x))
+    a, w, x = _check_partition(m, a, w, x)
     rest = w + x
-    if sorted([a, *rest]) != list(range(m)):
-        raise MalformedInstance("a, w, x must partition all variables")
     context_mass = np.maximum(rng.random(1 << len(rest)), FLOOR)
     context_mass /= context_mass.sum()
     cond_true = rng.uniform(LOW, HIGH, 1 << len(w))
     # P(a | w) is the CPT factor of a with parents w: raveled in C order,
-    # its index bit i is variable i of w + [a].
-    a_given_w = _cpt_factor(cond_true, a, tuple(w))[1].ravel()
-    return _trusted_table(m, factor_product(m, [(rest, context_mass), (w + [a], a_given_w)]))
+    # its index bit i is variable i of w + (a,).
+    a_given_w = _cpt_factor(cond_true, a, w)[1].ravel()
+    return _trusted_table(m, factor_product(m, [(rest, context_mass), (w + (a,), a_given_w)]))

@@ -2,10 +2,14 @@
 
 Each call has one valid argument list. Every test puts one value of a
 catalogue of wrong values in one positional argument: the call must
-return or raise a BeliefPoolError, never an untyped error. Which error
-a given fault raises is pinned in test_imports.CALLER_ERRORS and the
-modules' own tests; this test only holds every call to the contract.
+return or raise a BeliefPoolError, never an untyped error. The property
+instances are held to the same contract field by field: each wrong
+value in one field of a valid instance, checked under both pools. Which
+error a given fault raises is pinned in test_imports.CALLER_ERRORS and
+the modules' own tests; this test only holds every call to the contract.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -14,9 +18,17 @@ from beliefpool import (
     BayesNet,
     BeliefPoolError,
     Cpt,
+    EventPairInstance,
+    EventPoolInstance,
+    EvidenceInstance,
+    FamilyInstance,
     JointTable,
+    MarkovInstance,
     MarkovNet,
+    ProductInstance,
+    StatePairInstance,
     UnanimityInstance,
+    VariablePairInstance,
     bn_to_joint,
     check_property,
     consensus_bn_structure,
@@ -28,6 +40,7 @@ from beliefpool import (
     logop_query,
     marginal,
 )
+from beliefpool.axioms import PROPERTY_NAMES
 from beliefpool.inference import query_conditional, query_event_marginal
 
 CHAIN = BayesNet((Cpt(0, (), (0.2,)), Cpt(1, (0,), (0.6, 0.4))))
@@ -70,7 +83,11 @@ WRONG_VALUES = {
     "MarkovNet": lambda: MarkovNet(2, frozenset({(0, 1)})),
     "Dag": lambda: CHAIN.dag(),
     "negative": lambda: -1,
+    "int": lambda: 3,
     "dict": lambda: {0: 1},
+    "float-set": lambda: frozenset({1.5}),
+    "str-set": lambda: {"a"},
+    "short-pairs": lambda: ((0,),),
 }
 
 
@@ -90,3 +107,46 @@ def test_returns_or_raises_a_belief_pool_error(name, position, value):
         function(*args)
     except BeliefPoolError:
         pass
+
+
+# P(x0) = 0.2 and P(x1) = 0.6, independently: within every hypothesis.
+PRODUCT = JointTable(2, (0.32, 0.08, 0.48, 0.12))
+# One valid instance per property, each within its hypothesis.
+INSTANCES = {
+    "unam": UnanimityInstance((PAIR, PAIR)),
+    "mp": EventPoolInstance((PAIR, PAIR), frozenset({0, 3})),
+    "eb": EvidenceInstance((PAIR, PAIR), ((0, True),)),
+    "pds": StatePairInstance((PAIR, PAIR), (PAIR, PAIR), 0, 1),
+    "ipp": EventPairInstance((PRODUCT, PRODUCT), frozenset({1, 3}), frozenset({2, 3})),
+    "eipp": VariablePairInstance((PRODUCT, PRODUCT), 0, 1),
+    "meipp": ProductInstance((PRODUCT, PRODUCT)),
+    "nmeipp": VariablePairInstance((PRODUCT, PRODUCT), 0, 1),
+    "mipp": MarkovInstance((PRODUCT, PRODUCT), 0, (), (1,)),
+    "fa-consistency": FamilyInstance((PAIR, PAIR), (0, 1), (1, 0)),
+}
+FIELDS = {
+    f"{prop}-{field.name}": (prop, field.name)
+    for prop, instance in INSTANCES.items()
+    for field in dataclasses.fields(instance)
+}
+
+
+def test_every_property_has_an_instance():
+    assert tuple(INSTANCES) == PROPERTY_NAMES
+
+
+@pytest.mark.parametrize("pool", ["linop", "logop"])
+@pytest.mark.parametrize("prop", INSTANCES)
+def test_valid_instances_check(prop, pool):
+    check_property(pool, prop, [INSTANCES[prop]])
+
+
+@pytest.mark.parametrize("value", WRONG_VALUES.values(), ids=WRONG_VALUES)
+@pytest.mark.parametrize("prop, field", FIELDS.values(), ids=FIELDS)
+def test_instance_field_returns_or_raises_a_belief_pool_error(prop, field, value):
+    instance = dataclasses.replace(INSTANCES[prop], **{field: value()})
+    for pool in ("linop", "logop"):
+        try:
+            check_property(pool, prop, [instance])
+        except BeliefPoolError:
+            pass

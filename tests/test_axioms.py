@@ -7,6 +7,8 @@ frozen here so future edits cannot quietly change them.
 """
 
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -280,6 +282,28 @@ class TestCheckProperty:
         assert report.tol == 1e-6
         assert len(report.violations) == 1
         assert "property=unam" in report.summary()
+
+    BAD_TOLS = {
+        "str": "x", "None": None, "bool": True, "negative": -1e-9, "nan": math.nan,
+        "inf": math.inf, "huge-int": 10**400, "complex": 1j,
+    }
+
+    @pytest.mark.parametrize("tol", BAD_TOLS.values(), ids=BAD_TOLS)
+    def test_tol_must_be_a_finite_nonnegative_number(self, tol):
+        # A tol of "x" once built a report whose all_passed raised
+        # TypeError, and a NaN one failed every case.
+        instances = [UnanimityInstance(seeded_tables(0, 2, 2)[:1] * 2)]
+        message = f"tol must be a finite nonnegative number, got {tol!r}"
+        for pool in (LINOP, LOGOP):
+            with pytest.raises(MalformedInstance, match=f"^{re.escape(message)}$"):
+                check_property(pool, "unam", instances, tol)
+
+    @pytest.mark.parametrize("tol", [0, 1, np.float64(1e-9), Fraction(1, 4)], ids=repr)
+    def test_tol_is_kept_as_a_float(self, tol):
+        instances = [UnanimityInstance(seeded_tables(0, 2, 2)[:1] * 2)]
+        report = check_property(LINOP, "unam", instances, tol)
+        assert type(report.tol) is float and report.tol == tol
+        assert report.all_passed
 
     def test_violation_at_tol_passes(self):
         report = CheckReport("unam", "linop", 0.5, (0.5, 0.0, 0.6, math.nan))

@@ -7,9 +7,10 @@ no module raises a bare ValueError, and the caller errors that replace
 it are BeliefPoolErrors that a caller's `except ValueError` still
 catches. Only the functions that have already validated their
 input call the trusted construction path. And there is one factor
-product, joint.contract, the only caller of np.einsum. One check reads
-every variable count (joint._check_variable_count) and one every model's
-kind (joint._check_kind).
+product, joint.contract, the only caller of np.einsum. Each input rule
+that more than one caller needs (a variable count, a model's kind, a
+parent list, a label list, the a, w, x partition, state indices) raises
+its messages from one function (RULES).
 """
 
 import ast
@@ -42,6 +43,7 @@ from beliefpool import (
     linop,
     logop_consensus_bn,
 )
+from beliefpool import errors
 from beliefpool.axioms import reproduce_example
 from beliefpool.inference import query_conditional, query_event_marginal
 from beliefpool.consensus import linop_query
@@ -162,6 +164,8 @@ CALLER_ERRORS = {
     "bayes-non-cpt": (ModelFormatError, lambda: BayesNet((1, 2))),
     "bayes-cpts-not-iterable": (ModelFormatError, lambda: BayesNet(5)),
     "bayes-labels-not-iterable": (ModelFormatError, lambda: BayesNet(CHAIN.cpts, labels=5)),
+    "bayes-non-string-labels": (ModelFormatError, lambda: BayesNet(CHAIN.cpts, labels=(1, 2))),
+    "bayes-empty-label": (ModelFormatError, lambda: BayesNet(CHAIN.cpts, labels=("", "B"))),
     "markov-self-loop": (ModelFormatError, lambda: MarkovNet(2, frozenset({(1, 1)}))),
     "markov-string-endpoint": (ModelFormatError, lambda: MarkovNet(2, {(0, "1")})),
     "joint-entry-count": (ModelFormatError, lambda: JointTable(2, (0.5, 0.5))),
@@ -241,6 +245,7 @@ CALLER_ERRORS = {
     "no-models": (MalformedInstance, lambda: align_variables([])),
     "same-pair": (MalformedInstance, lambda: pairwise_dependence_gap(PAIR, 1, 1)),
     "bad-partition": (MalformedInstance, lambda: markov_dependence_gap(PAIR, 0, (0,), (1,))),
+    "none-partition": (MalformedInstance, lambda: markov_dependence_gap(PAIR, 0, None, (1,))),
     "overlapping-partition": (
         MalformedInstance,
         lambda: markov_dependence_gap(JointTable(3, (0.125,) * 8), 0, (1,), (1,)),
@@ -306,7 +311,9 @@ def test_wrong_kind_names_both_kinds(call):
 # a model of the wrong kind: each is checked where every such call passes,
 # pools.normalize_weights (InvalidWeight) and joint._shared_variable_count
 # (MalformedInstance). InvalidWeight is not a ValueError, so these are not
-# CALLER_ERRORS rows.
+# CALLER_ERRORS rows. The file writer's kind check, the property
+# instances' field checks and the dependence gaps' variable check are
+# pinned here too, by message.
 CHOKE_POINT_ERRORS = {
     "logop-scalar-weights": (
         InvalidWeight, "weights must be a sequence of numbers",
@@ -343,6 +350,34 @@ CHOKE_POINT_ERRORS = {
     "union-networks": (
         MalformedInstance, "expected a MarkovNet, got BayesNet",
         lambda: mn_union([CHAIN, CHAIN]),
+    ),
+    "save-table": (
+        MalformedInstance, "expected a BayesNet, got JointTable",
+        lambda: network_to_dict(PAIR),
+    ),
+    "check-wrong-instance": (
+        MalformedInstance, "expected an EventPoolInstance, got UnanimityInstance",
+        lambda: check_property("linop", "mp", [UnanimityInstance((PAIR,))]),
+    ),
+    "unam-table-count": (
+        MalformedInstance, "tables must be a sequence, got int",
+        lambda: check_property("linop", "unam", [UnanimityInstance(5)]),
+    ),
+    "eb-evidence-not-pairs": (
+        MalformedInstance, "evidence must be (variable, state) pairs",
+        lambda: check_property("linop", "eb", [EvidenceInstance((PAIR,), ((0,),))]),
+    ),
+    "pds-string-state": (
+        MalformedInstance, "state indices must be integers, got ('a', 1)",
+        lambda: check_property("linop", "pds", [StatePairInstance((PAIR,), (PAIR,), "a", 1)]),
+    ),
+    "mp-float-state": (
+        MalformedInstance, "state indices must be integers, got frozenset({1.5})",
+        lambda: check_property("linop", "mp", [EventPoolInstance((PAIR,), frozenset({1.5}))]),
+    ),
+    "gap-unhashable-variable": (
+        UnknownVariable, "variables must be integers, got [0], 1",
+        lambda: pairwise_dependence_gap(PAIR, [0], 1),
     ),
 }
 
@@ -534,19 +569,48 @@ def indexes_a_count(call):
     )
 
 
-def raises_expected_a(call):
-    """Whether call is MalformedInstance("expected a ...") or its f-string
-    form."""
-    if not (isinstance(call.func, ast.Name) and call.func.id == "MalformedInstance"):
-        return False
-    message = call.args[0] if call.args else None
-    if isinstance(message, ast.JoinedStr) and message.values:
-        message = message.values[0]
-    return (
-        isinstance(message, ast.Constant)
-        and isinstance(message.value, str)
-        and message.value.startswith("expected a")
-    )
+ERRORS = {
+    name for name, value in vars(errors).items()
+    if isinstance(value, type) and issubclass(value, errors.BeliefPoolError)
+}
+
+
+def message_template(call):
+    """The message of a typed error built by call, its formatted values
+    written {}, or None if call builds no error from a literal message."""
+    if not (isinstance(call.func, ast.Name) and call.func.id in ERRORS and call.args):
+        return None
+    message = call.args[0]
+    if isinstance(message, ast.Constant) and isinstance(message.value, str):
+        return message.value
+    if isinstance(message, ast.JoinedStr):
+        return "".join(
+            v.value if isinstance(v, ast.Constant) else "{}" for v in message.values
+        )
+    return None
+
+
+def raises_message(pattern):
+    """A match for enclosing_calls: a call that builds a typed error whose
+    message matches pattern."""
+    return lambda call: re.search(pattern, message_template(call) or "") is not None
+
+
+# Each input rule that more than one caller needs, as a pattern matching
+# every wording of its messages, past ones included, with the one
+# function allowed to raise them.
+RULES = {
+    "count": (r"^variable count", "joint._check_variable_count"),
+    "kind": (r"^expected (an? |\{\}, got)|has a file form", "joint._check_kind"),
+    "parent list": (
+        r"duplicate parent|\bown parent|^parent \{\} outside", "networks._check_parents"
+    ),
+    "labels": (r"labels must be|labels, got|nonempty strings", "networks._check_labels"),
+    "partition": (
+        r"partition|w and x|cover all variables|may not appear", "joint._check_partition"
+    ),
+    "state index": (r"state ind", "axioms._state_indices"),
+}
 
 
 def test_checkers_find_count_indexes_and_kind_messages():
@@ -558,26 +622,53 @@ def test_checkers_find_count_indexes_and_kind_messages():
         "def b(model):\n"
         "    raise MalformedInstance(f'expected a {cls}, got {model}')\n"
         "def c():\n"
+        "    raise ModelFormatError('duplicate parent indices')\n"
+        "    raise MalformedInstance(message)\n"
+        "    raise KeyError('state index')\n"
+        "def d(m, x):\n"
         "    raise MalformedInstance('expected an order')\n"
-        "    raise MalformedInstance(f'{many} must be a sequence')\n"
+        "    raise MalformedInstance(f'expected a Dag or a BayesNet, got {m}')\n"
+        "    raise ModelFormatError(f'expected a BayesNet, got {type(x).__name__}')\n"
+        "    raise ModelFormatError(f'expected {m} labels, got {len(x)}')\n"
     )
     assert enclosing_calls(source, "m", indexes_a_count) == ["m.a", "m.a"]
-    assert enclosing_calls(source, "m", raises_expected_a) == ["m.b", "m.c"]
+    found = {
+        rule: enclosing_calls(source, "m", raises_message(pattern))
+        for rule, (pattern, _) in RULES.items()
+    }
+    assert found == {
+        "count": [], "kind": ["m.b", "m.d", "m.d", "m.d"], "parent list": ["m.c"],
+        "labels": ["m.d"], "partition": [], "state index": [],
+    }
+    templates = [
+        message_template(node)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+    ]
+    assert {"expected a {}, got {}", "expected a Dag or a BayesNet, got {}"} <= set(templates)
 
 
-def test_one_count_check_and_one_kind_check():
-    """joint._check_variable_count is the one check of a variable count,
-    the only index() call on one, and joint._check_kind the one check of
-    a model's kind, the only raise of its "expected a" message; Dag,
-    MarkovNet, ConsensusBn and moralize keep no copy of either."""
-    for match, function in (
-        (indexes_a_count, "joint._check_variable_count"),
-        (raises_expected_a, "joint._check_kind"),
-    ):
-        found = [
-            f for path in MODULES for f in enclosing_calls(path.read_text(), path.stem, match)
-        ]
-        assert found == [function]
+@pytest.mark.parametrize("pattern, function", RULES.values(), ids=RULES)
+def test_one_function_per_input_rule(pattern, function):
+    """Each rule's messages are raised by its one function, which every
+    caller goes through; no constructor, loader, sampler or property
+    instance keeps a copy."""
+    found = {
+        f
+        for path in MODULES
+        for f in enclosing_calls(path.read_text(), path.stem, raises_message(pattern))
+    }
+    assert found == {function}
+
+
+def test_one_count_index():
+    """joint._check_variable_count is the only index() call on a count."""
+    found = [
+        f
+        for path in MODULES
+        for f in enclosing_calls(path.read_text(), path.stem, indexes_a_count)
+    ]
+    assert found == ["joint._check_variable_count"]
 
 
 def nodes(m):

@@ -794,14 +794,16 @@ class TestAssignmentCheck:
             )
 
     def test_one_check_per_mapping(self):
-        # One spy at every binding of the name, so a check made through
-        # any module counts.
+        # Every mapping's keys, and the variables of the two dependence
+        # gaps, go through joint._check_variables once: _check_assignment
+        # calls it. One spy at every binding of the name, so a check made
+        # through any module counts.
         modules = [
             importlib.import_module(f"beliefpool.{info.name}")
             for info in pkgutil.iter_modules(beliefpool.__path__)
         ]
-        bound = [mod for mod in modules if hasattr(mod, "_check_assignment")]
-        assert {joint, inference} <= set(bound)
+        bound = [mod for mod in modules if hasattr(mod, "_check_variables")]
+        assert joint in bound
         rng = np.random.default_rng(3)
         agents = [random_bn(rng, 5, max_parents=2) for _ in range(5)]
         net, table = agents[0], bn_to_joint(agents[0])
@@ -818,10 +820,10 @@ class TestAssignmentCheck:
             (2, query_conditional, (net, {0: True}, blanket_of_0)),
             (2, query_conditional, (net, {0: True})),
         ] + [(2, linop_query, (agents[:n], {0: True}, {1: False})) for n in (1, 2, 5)]
-        spy = mock.Mock(wraps=joint._check_assignment)
+        spy = mock.Mock(wraps=joint._check_variables)
         with contextlib.ExitStack() as stack:
             for mod in bound:
-                stack.enter_context(mock.patch.object(mod, "_check_assignment", spy))
+                stack.enter_context(mock.patch.object(mod, "_check_variables", spy))
             for calls, query, args in cases:
                 spy.reset_mock()
                 query(*args)

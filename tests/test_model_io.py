@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from beliefpool import (
     BayesNet,
     Cpt,
+    MalformedInstance,
     MarkovNet,
     MismatchedVariables,
     ModelFormatError,
@@ -246,12 +247,11 @@ class TestNetworkRoundTrip:
                 network_from_dict(mutated)
 
     def test_non_string_labels_are_not_saved(self, tmp_path):
-        # The loader rejects such labels, so a file holding them is never
-        # written.
-        net = BayesNet(CHAIN.cpts, labels=(1, 2.5))
+        # The loader rejects such labels, and so does the constructor, so
+        # a network holding them is never built and never written.
         path = tmp_path / "net.json"
-        with pytest.raises(ValueError, match="strings"):
-            save_network(net, path)
+        with pytest.raises(ModelFormatError, match="^variable labels must be nonempty strings$"):
+            save_network(BayesNet(CHAIN.cpts, labels=(1, 2.5)), path)
         assert not path.exists()
 
     def test_serializing_needs_labels(self):
@@ -259,8 +259,8 @@ class TestNetworkRoundTrip:
             network_to_dict(BayesNet(CHAIN.cpts))
 
     def test_markov_structure_has_no_file_form(self, tmp_path):
-        # Only a BayesNet has a file kind; a MarkovNet gets a typed error,
-        # not an AttributeError.
+        # Only a BayesNet has a file kind; a MarkovNet gets the kind
+        # check's typed error, not an AttributeError.
         net = MarkovNet(2, frozenset({(0, 1)}))
         path = tmp_path / "net.json"
         for write in (
@@ -269,7 +269,7 @@ class TestNetworkRoundTrip:
             lambda: align_variables([CHAIN, net]),
             lambda: align_variables([net]),
         ):
-            with pytest.raises(ModelFormatError, match="MarkovNet"):
+            with pytest.raises(MalformedInstance, match="^expected a BayesNet, got MarkovNet$"):
                 write()
         assert not path.exists()
 
@@ -415,9 +415,9 @@ class TestFormatValidation:
             (lambda d: d["cpts"]["A2"].update(
                 parents=["A1", "A1"], rows=dict.fromkeys(["00", "01", "10", "11"], 0.5)
             ),
-             "duplicate parent indices"),
+             "duplicate parents for node 1"),
             (lambda d: d["cpts"]["A2"].update(parents=["A2"]),
-             "node cannot be its own parent"),
+             "node 1 cannot be its own parent"),
             (lambda d: d.update(edges=[["A1", 3]]),
              "edge ['A1', 3] is not a pair of labels"),
             (lambda d: d.update(edges=[[["A1"], "A9"]]),
@@ -604,8 +604,8 @@ MALFORMED = {
     "int-row-out-of-range": (_set_row("A1", "", 2), "probability 2.0 outside [0, 1]"),
     "huge-int-row": (_set_row("A1", "", 10**400),
                      "probability is an integer too large for a float"),
-    "duplicate-parent": (_rewire("A3", ["A1", "A1"]), "duplicate parent indices"),
-    "self-parent": (_rewire("A3", ["A3"]), "node cannot be its own parent"),
+    "duplicate-parent": (_rewire("A3", ["A1", "A1"]), "duplicate parents for node 2"),
+    "self-parent": (_rewire("A3", ["A3"]), "node 2 cannot be its own parent"),
     "unknown-parent": (lambda d: d["cpts"]["A3"].update(parents=["A1", "A9"]),
                        "cpt for 'A3' references unknown parent 'A9'"),
     "non-string-parent": (lambda d: d["cpts"]["A3"].update(parents=["A1", 2]),
@@ -629,9 +629,9 @@ MALFORMED = {
     "value-before-own-duplicate": (_both(_rewire("A3", ["A2", "A2"]), _set_row("A3", "10", -1.0)),
                                    "probability -1.0 outside [0, 1]"),
     "duplicate-before-later-value": (_both(_rewire("A2", ["A1", "A1"]), _set_row("A3", "10", -1.0)),
-                                     "duplicate parent indices"),
+                                     "duplicate parents for node 1"),
     "self-parent-before-later-value": (_both(_rewire("A2", ["A2"]), _set_row("A3", "10", -1.0)),
-                                       "node cannot be its own parent"),
+                                       "node 1 cannot be its own parent"),
     "value-before-cycle": (_both(_rewire("A1", ["A3"]), _set_row("A3", "10", -1.0)),
                            "probability -1.0 outside [0, 1]"),
     "int-rows-then-cycle": (_both(_rewire("A1", ["A3"]), _set_row("A2", "", 1)),

@@ -236,7 +236,7 @@ BAD_ARGUMENTS = {
     ),
     "conditional-unknown": (
         lambda rng: random_conditional_table(rng, 3, 0, [1], [5]),
-        MalformedInstance, "a, w, x must partition all variables",
+        UnknownVariable, "variable 5 outside range(0, 3)",
     ),
     "conditional-overlap": (
         lambda rng: random_conditional_table(rng, 3, 0, [1, 2], [2]),
