@@ -27,6 +27,8 @@ from .errors import DegenerateProduct, MalformedInstance, ZeroEvidence
 from .joint import (
     JointTable,
     _check_kind,
+    _check_partition,
+    _check_sequence,
     _mass,
     _shared_variable_count,
     condition,
@@ -78,8 +80,9 @@ def _state_indices(n_states: int, states) -> list[int]:
     return indices
 
 
-def _event_mass(table: JointTable, states: frozenset[int]) -> float:
-    return float(table.probs[sorted(_state_indices(table.n_states, states))].sum())
+def _event_mass(table: JointTable, states) -> float:
+    """The table's mass on states, state indices _state_indices has checked."""
+    return float(table.probs[sorted(states)].sum())
 
 
 def _product_gap(table: JointTable) -> float:
@@ -117,14 +120,21 @@ class EventPoolInstance:
     weights: tuple[float, ...] | None = None
 
     @cached_property
+    def _event(self) -> frozenset[int]:
+        """The event's state indices as a set, read once: the field may be
+        an iterator, and a state listed twice is one state."""
+        return frozenset(_state_indices(self.tables[0].n_states, self.event))
+
+    @cached_property
     def _event_masses(self) -> tuple[np.ndarray, np.ndarray]:
         """Every agent's mass off the event and on it."""
-        true = np.array([_event_mass(t, self.event) for t in self.tables])
-        rest = set(range(self.tables[0].n_states)).difference(self.event)
+        true = np.array([_event_mass(t, self._event) for t in self.tables])
+        rest = set(range(self.tables[0].n_states)).difference(self._event)
         return np.array([_event_mass(t, rest) for t in self.tables]), true
 
     def _violation(self, pool: str) -> float:
-        joint_route = _event_mass(_pooled(pool, self), self.event)
+        # The pool checks the tables before the event is read against them.
+        joint_route = _event_mass(_pooled(pool, self), self._event)
         false, true = self._event_masses
         w = normalize_weights(self.weights, len(self.tables))
         if pool == "linop":
@@ -224,9 +234,18 @@ class EventPairInstance(_PreservedProperty):
 
     _HYPOTHESIS = "events must be independent under every agent"
 
+    @cached_property
+    def _events(self) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+        """The state indices of event_a, event_b and both as sets, each
+        field read once: either may be an iterator."""
+        n_states = self.tables[0].n_states
+        a, b = (frozenset(_state_indices(n_states, e)) for e in (self.event_a, self.event_b))
+        return a, b, a & b
+
     def _gap(self, t: JointTable) -> float:
-        p_a, p_b = _event_mass(t, self.event_a), _event_mass(t, self.event_b)
-        return abs(_event_mass(t, set(self.event_a).intersection(self.event_b)) - p_a * p_b)
+        a, b, both = self._events
+        p_a, p_b = _event_mass(t, a), _event_mass(t, b)
+        return abs(_event_mass(t, both) - p_a * p_b)
 
 
 @dataclass(frozen=True)
@@ -270,8 +289,14 @@ class MarkovInstance(_PreservedProperty):
     _TOL = 1e-10
     _HYPOTHESIS = "conditional independence must hold for every agent"
 
+    @cached_property
+    def _partition(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """a, w and x as _check_partition returns them, each field read
+        once: w or x may be an iterator."""
+        return _check_partition(self.tables[0].m, self.a, self.w, self.x)
+
     def _gap(self, t: JointTable) -> float:
-        return markov_dependence_gap(t, self.a, self.w, self.x)
+        return markov_dependence_gap(t, *self._partition)
 
 
 @dataclass(frozen=True)
@@ -546,10 +571,7 @@ def check_property(
         raise MalformedInstance(f"unknown property {prop!r}; choose from {PROPERTY_NAMES}")
     if isinstance(tol, bool) or not (isinstance(tol, Real) and 0 <= tol <= float_info.max):
         raise MalformedInstance(f"tol must be a finite nonnegative number, got {tol!r}")
-    if not isinstance(instances, Sequence):
-        raise MalformedInstance(
-            f"instances must be a sequence, got {type(instances).__name__}"
-        )
+    _check_sequence(instances, "instances")
     violations = []
     for inst in instances:
         _check_kind(inst, _PROPERTIES[name][0])

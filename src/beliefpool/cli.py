@@ -38,6 +38,7 @@ from .errors import (
 )
 from .model_io import (
     LinopManifest,
+    _Loader,
     align_variables,
     json_text,
     load_model_file,
@@ -95,7 +96,11 @@ def _parse_literals(text: str, labels: Sequence[str]) -> dict[int, bool]:
 
 
 def _load_bayes_inputs(paths: Sequence[str]) -> list[BayesNet]:
-    return align_variables([load_network(p) for p in paths])
+    # One loader state per command: files that repeat the structure of
+    # the file before them skip its checks, and every load shares the
+    # row-key tables.
+    loader = _Loader()
+    return align_variables([load_network(p, loader) for p in paths])
 
 
 def _emit(data: dict, out: str | None) -> None:

@@ -211,14 +211,21 @@ def _check_kind(model, cls: type | tuple[type, ...]) -> None:
         raise MalformedInstance(f"expected {names}, got {type(model).__name__}")
 
 
+def _check_sequence(items, many: str) -> None:
+    """The one check that a list of models or instances is a sequence:
+    MalformedInstance("<many> must be a sequence, got <type>") for a
+    generator, an array or any other non-sequence. An empty one passes."""
+    if not isinstance(items, Sequence):
+        raise MalformedInstance(f"{many} must be a sequence, got {type(items).__name__}")
+
+
 def _shared_variable_count(models: Sequence, cls: type | tuple, one: str, many: str) -> int:
     """The variable count m of every model; MalformedInstance unless
-    models is a sequence ("<many> must be a sequence, got <type>"), for
-    no models ("need at least one <one>") or a model that is not a cls,
-    a kind or a tuple of kinds (_check_kind), MismatchedVariables unless
-    all agree ("<many> disagree on variable count")."""
-    if not isinstance(models, Sequence):
-        raise MalformedInstance(f"{many} must be a sequence, got {type(models).__name__}")
+    models is a sequence (_check_sequence), for no models ("need at
+    least one <one>") or a model that is not a cls, a kind or a tuple of
+    kinds (_check_kind), MismatchedVariables unless all agree ("<many>
+    disagree on variable count")."""
+    _check_sequence(models, many)
     if not models:
         raise MalformedInstance(f"need at least one {one}")
     for model in models:

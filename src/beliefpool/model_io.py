@@ -13,11 +13,27 @@ Saved text is exactly json.dumps(data, indent=2) plus a newline, written
 by json_text without the pure-Python encoder an indent otherwise forces.
 
 Loading and saving both work from a row-key table: for one parent
-count, every valid key. Each call builds one table per parent count its
-network holds. The loader compares each CPT's key set with the table's
-and reads the rows in row order through it, and network_to_dict writes
-each CPT's rows in the table's sorted key order, so no key is parsed,
-formatted or sorted per row.
+count, every valid key. The loads of one command share one _Loader
+(cli._load_bayes_inputs makes it and passes it to load_network, one
+call per file), so each table is built once per parent count and
+command; any other load, and each network_to_dict call, builds its own.
+The loader compares each CPT's key set with the table's and reads the
+rows in row order through it, and network_to_dict writes each CPT's
+rows in the table's sorted key order, so no key is parsed, formatted or
+sorted per row.
+
+The _Loader also keeps the structure of the last file it checked in
+full: its "variables", "edges" and per-CPT "parents" as written, with
+the labels, label index, parent tuples and Dag they checked to. A file
+whose three fields equal those as JSON values skips the label, edge,
+parent and acyclicity checks and shares that file's labels, parent
+tuples and Dag; its rows still go through the same row reader, key-set
+check and value check. Equality is proof enough: each of those fields
+of a checked file is a string or a list of strings, and only an equal
+string compares equal to a string. A file that differs anywhere, or
+whose rows the row reader or the value check turns down (a fault, or
+integer rows such as 0 and 1), takes the full check, so it raises the
+message and loads the network that it would alone.
 
 Loading raises ModelFormatError, naming the file, for anything
 malformed, including text that is not UTF-8, integers too large for a
@@ -25,7 +41,8 @@ float, nesting too deep for the JSON parser, and any kind but "bayes"
 or "linop-manifest". The loader is where a file's model is validated:
 it makes every check the network constructors would, through the same
 functions (networks._check_labels for the labels, _check_parents for a
-faulty entry's parents), then builds the network without checking again.
+faulty entry's parents, which then names the node by its label), then
+builds the network without checking again.
 Each check runs over the whole file at once: the types of the entries
 and of their parent and row fields as one set of types, the parents
 resolved in one pass, each CPT's key set against the table's, every row
@@ -119,8 +136,26 @@ def _all_instances(items: list, cls: type) -> bool:
     return all(issubclass(t, cls) for t in set(map(type, items)))
 
 
-def _parse_edges(data: dict, index: dict[str, int]) -> set[tuple[int, int]]:
-    edges = data.get("edges")
+class _Loader:
+    """What the loads of one command share: the row-key tables, each
+    built once per parent count, and the structure of the last file that
+    passed the full check. cli._load_bayes_inputs makes one per command
+    and hands it to every load_network call; a load given none makes its
+    own."""
+
+    __slots__ = ("tables", "raw", "checked")
+
+    def __init__(self) -> None:
+        # Per parent count: the valid keys and a getter of the rows in row order.
+        self.tables: dict[int, tuple] = {}
+        # The last checked file's "variables", "edges" and per-CPT
+        # "parents" as it wrote them, and the labels, label index, parent
+        # tuples and Dag they checked to.
+        self.raw: tuple | None = None
+        self.checked: tuple | None = None
+
+
+def _parse_edges(edges, index: dict[str, int]) -> set[tuple[int, int]]:
     if not isinstance(edges, list):
         raise ModelFormatError("'edges' must be a list of label pairs")
     if _all_instances(edges, list) and set(map(len, edges)) <= {2}:
@@ -137,25 +172,29 @@ def _parse_edges(data: dict, index: dict[str, int]) -> set[tuple[int, int]]:
                 raise ModelFormatError(f"edge references unknown variable {x!r}")
 
 
-def _read_cpts(
-    entries: list, index: dict[str, int]
-) -> tuple[list[tuple[int, ...]], list[tuple]] | None:
-    """Each entry's parent indices and its row values in row order, or
-    None when some entry is not an object, its parents are not a list of
-    known labels, or its rows are not an object of 2^k rows keyed by
-    exactly the valid keys. The values are not checked here."""
+def _read_parents(entries: list, index: dict[str, int]) -> list[tuple[int, ...]] | None:
+    """Each entry's parent indices, or None when some entry is not an
+    object or its parents are not a list of known labels."""
     if not _all_instances(entries, dict):
         return None
     parent_lists = [entry.get("parents") for entry in entries]
-    row_maps = [entry.get("rows") for entry in entries]
-    if not (_all_instances(parent_lists, list) and _all_instances(row_maps, dict)):
+    if not _all_instances(parent_lists, list):
         return None
     try:
-        parents = [tuple(map(index.__getitem__, ps)) for ps in parent_lists]
+        return [tuple(map(index.__getitem__, ps)) for ps in parent_lists]
     except (KeyError, TypeError):
         return None
-    # Per parent count: the valid keys and a getter of the rows in row order.
-    tables: dict[int, tuple] = {}
+
+
+def _read_rows(
+    entries: list, parents: list[tuple[int, ...]], tables: dict[int, tuple]
+) -> list[tuple] | None:
+    """Each entry's row values in row order, or None when its rows are
+    not an object of 2^k rows keyed by exactly the valid keys. The
+    entries are objects; the values are not checked here."""
+    row_maps = [entry.get("rows") for entry in entries]
+    if not _all_instances(row_maps, dict):
+        return None
     rows = []
     for ps, row_map in zip(parents, row_maps):
         k = len(ps)
@@ -171,7 +210,18 @@ def _read_cpts(
         if row_map.keys() != keys:
             return None
         rows.append(get(row_map) if k else (row_map[""],))  # one key: no tuple
-    return parents, rows
+    return rows
+
+
+def _floats_in_range(rows: list[tuple]) -> bool:
+    """Whether every row value is a float in [0, 1], in one pass."""
+    values = list(itertools.chain.from_iterable(rows))
+    return (
+        set(map(type, values)) == {float}
+        and 0.0 <= min(values)
+        and max(values) <= 1.0
+        and not math.isnan(sum(values))  # min and max can step over a NaN
+    )
 
 
 def _check_cpts(labels: tuple[str, ...], entries: list, index: dict[str, int]) -> None:
@@ -210,31 +260,45 @@ def _check_cpts(labels: tuple[str, ...], entries: list, index: dict[str, int]) -
                     f"row key {key!r} is not a {k}-character outcome string"
                 )
             parse_probability(value)
-        _check_parents(owner, tuple(map(index.__getitem__, parents_raw)))
+        _check_parents(owner, tuple(map(index.__getitem__, parents_raw)), labels=labels)
 
 
-def network_from_dict(data) -> BayesNet:
-    """Reconstruct a Bayesian network from its JSON representation.
+def _reused_structure(loader: _Loader, variables, edges, cpts_data) -> tuple | None:
+    """(labels, parents, Dag, rows) of a file whose "variables", "edges"
+    and per-CPT "parents" equal, as JSON values, those of the last file
+    the loader checked, and whose rows pass the row reader and the value
+    check; None for any other file.
 
-    Raises ModelFormatError for any malformed input: a kind other than
-    "bayes", a field check, a repeated or self parent with _check_parents'
-    messages (the node by index), a cycle, or edges that disagree with the
-    parent lists. Each check runs over the whole file at once; when one
-    fails, _check_cpts names the first faulty entry.
-    """
-    if not isinstance(data, dict):
-        raise ModelFormatError("top level must be a JSON object")
-    kind = data.get("kind")
-    if kind != "bayes":
-        raise ModelFormatError(f"'kind' must be 'bayes', got {kind!r}")
-    variables = data.get("variables")
+    Every structural field of a checked file is a string or a list of
+    strings, and only an equal string compares equal to a string, so an
+    equal file passes every structural check the first one passed."""
+    if loader.raw is None or variables != loader.raw[0] or edges != loader.raw[1]:
+        return None
+    labels, index, parents, dag = loader.checked
+    if not isinstance(cpts_data, dict) or cpts_data.keys() != index.keys():
+        return None
+    entries = list(map(cpts_data.__getitem__, labels))
+    if not _all_instances(entries, dict) or [
+        entry.get("parents") for entry in entries
+    ] != loader.raw[2]:
+        return None
+    rows = _read_rows(entries, parents, loader.tables)
+    if rows is None or not _floats_in_range(rows):
+        return None
+    return labels, parents, dag, rows
+
+
+def _check_network(variables, edges, cpts_data, tables: dict[int, tuple]) -> tuple:
+    """(labels, label index, parents, rows, entries) of a network's
+    structural and CPT fields after every check; each check runs over
+    the whole file at once, and when one fails, _check_cpts names the
+    first faulty entry."""
     if not isinstance(variables, list) or not variables:
         raise ModelFormatError("'variables' must be a nonempty list of labels")
     labels = _check_labels(len(variables), variables)
     index = {label: i for i, label in enumerate(labels)}
-    declared = _parse_edges(data, index)
+    declared = _parse_edges(edges, index)
 
-    cpts_data = data.get("cpts")
     if not isinstance(cpts_data, dict):
         raise ModelFormatError("'cpts' must map each variable to its table")
     if cpts_data.keys() != index.keys():
@@ -242,18 +306,14 @@ def network_from_dict(data) -> BayesNet:
             "'cpts' must have exactly one entry per variable"
         )
     entries = list(map(cpts_data.__getitem__, labels))
-    read = _read_cpts(entries, index)
-    if read is None:
+    parents = _read_parents(entries, index)
+    rows = None if parents is None else _read_rows(entries, parents, tables)
+    if rows is None:
         _check_cpts(labels, entries, index)  # raises: some entry is at fault
-    parents, rows = read
-    values = list(itertools.chain.from_iterable(rows))
     derived = {(p, c) for c, ps in enumerate(parents) for p in ps}
     acyclic = _acyclic(parents)
     if not (
-        set(map(type, values)) == {float}
-        and 0.0 <= min(values)
-        and max(values) <= 1.0
-        and not math.isnan(sum(values))  # min and max can step over a NaN
+        _floats_in_range(rows)
         and len(derived) == sum(map(len, parents))  # no repeated parent
         and acyclic  # no self parent either
     ):
@@ -268,6 +328,39 @@ def network_from_dict(data) -> BayesNet:
         raise ModelFormatError(
             "'edges' disagree with the parent lists in 'cpts'"
         )
+    return labels, index, parents, rows, entries
+
+
+def network_from_dict(data, loader: _Loader | None = None) -> BayesNet:
+    """Reconstruct a Bayesian network from its JSON representation.
+
+    Raises ModelFormatError for any malformed input: a kind other than
+    "bayes", a field check, a repeated or self parent with _check_parents'
+    messages (the node by label), a cycle, or edges that disagree with the
+    parent lists. Each check runs over the whole file at once; when one
+    fails, _check_cpts names the first faulty entry. A file whose
+    structure equals the last one loader checked reuses that check and
+    its labels, parent tuples and Dag; any other file, and any fault,
+    takes the full check.
+    """
+    if loader is None:
+        loader = _Loader()
+    if not isinstance(data, dict):
+        raise ModelFormatError("top level must be a JSON object")
+    kind = data.get("kind")
+    if kind != "bayes":
+        raise ModelFormatError(f"'kind' must be 'bayes', got {kind!r}")
+    variables, edges, cpts_data = data.get("variables"), data.get("edges"), data.get("cpts")
+    reused = _reused_structure(loader, variables, edges, cpts_data)
+    if reused is not None:
+        labels, parents, dag, rows = reused
+    else:
+        labels, index, parents, rows, entries = _check_network(
+            variables, edges, cpts_data, loader.tables
+        )
+        dag = _trusted(Dag, m=len(labels), parents=tuple(parents))
+        loader.raw = variables, edges, [entry["parents"] for entry in entries]
+        loader.checked = labels, index, parents, dag
     # Every Cpt, Dag and BayesNet check has passed: one CPT per variable
     # in owner order, known distinct labels, known parents that are
     # distinct and not the owner, 2^k Python floats in [0, 1], no cycle.
@@ -275,7 +368,6 @@ def network_from_dict(data) -> BayesNet:
         _trusted(Cpt, owner=owner, parents=ps, rows=r)
         for owner, (ps, r) in enumerate(zip(parents, rows))
     )
-    dag = _trusted(Dag, m=len(labels), parents=tuple(parents))
     return _trusted(BayesNet, cpts=cpts, labels=labels, _dag=dag)
 
 
@@ -327,10 +419,12 @@ def _load_json(path: str | Path):
         raise ModelFormatError(f"{path} nests too deeply to parse") from None
 
 
-def load_network(path: str | Path) -> BayesNet:
+def load_network(path: str | Path, loader: _Loader | None = None) -> BayesNet:
+    """The network in a file. Loads that pass one loader share its
+    row-key tables and its last checked structure (network_from_dict)."""
     data = _load_json(path)
     try:
-        return network_from_dict(data)
+        return network_from_dict(data, loader)
     except ModelFormatError as err:
         raise ModelFormatError(f"{path}: {err}") from err
 

@@ -70,17 +70,25 @@ def parse_probability(value) -> float:
     return value
 
 
-def _check_parents(owner: int, parents: tuple[int, ...], m: int | None = None) -> None:
+def _check_parents(
+    owner: int,
+    parents: tuple[int, ...],
+    m: int | None = None,
+    labels: Sequence[str] | None = None,
+) -> None:
     """The one check of a parent list: ModelFormatError for a repeat, then
     for the first bad parent: UnknownVariable outside range(0, m) when Dag
-    gives its count m, ModelFormatError for the owner itself."""
+    gives its count m, ModelFormatError for the owner itself. A message
+    names the node by its label when the loader gives the labels, else
+    by index."""
+    node = owner if labels is None else repr(labels[owner])
     if len(set(parents)) != len(parents):
-        raise ModelFormatError(f"duplicate parents for node {owner}")
+        raise ModelFormatError(f"duplicate parents for node {node}")
     for p in parents:
         if m is not None and not 0 <= p < m:
             raise UnknownVariable(f"parent {p} outside range(0, {m})")
         if p == owner:
-            raise ModelFormatError(f"node {owner} cannot be its own parent")
+            raise ModelFormatError(f"node {node} cannot be its own parent")
 
 
 def _acyclic(parents: Sequence[Sequence[int]]) -> bool:

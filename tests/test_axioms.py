@@ -263,6 +263,35 @@ class TestCheckProperty:
             with pytest.raises(MalformedInstance):
                 check_property(pool, prop, [instance])
 
+    # Each instance whose event or variable-set fields come from one
+    # factory: a frozenset, a tuple, a one-shot iterator or a list that
+    # names every member twice.
+    ITERATOR_FIELDS = {
+        "mp": lambda f: EventPoolInstance(seeded_tables(5, 2, 2), f((0, 1))),
+        "ipp": lambda f: EventPairInstance(
+            tuple(random_product_table(np.random.default_rng(4), 3) for _ in range(2)),
+            f(s for s in range(8) if s & 1),
+            f(s for s in range(8) if s & 2),
+        ),
+        "mipp": lambda f: MarkovInstance(
+            tuple(random_product_table(np.random.default_rng(7), 2) for _ in range(2)),
+            0, f(()), f((1,)),
+        ),
+    }
+
+    @pytest.mark.parametrize("prop, build", ITERATOR_FIELDS.items(), ids=ITERATOR_FIELDS)
+    @pytest.mark.parametrize("pool", [LINOP, LOGOP], ids=["linop", "logop"])
+    def test_iterator_fields_are_read_once(self, pool, prop, build):
+        # An instance reads each such field once, as a set, so an iterator
+        # gives the violation its collection gives; once it was read again
+        # and seen empty, which moved the mp violation and broke the mipp
+        # partition, and a repeated state counted its mass twice.
+        expected = check_property(pool, prop, [build(frozenset)]).violations
+        assert check_property(pool, prop, [build(tuple)]).violations == expected
+        assert check_property(pool, prop, [build(iter)]).violations == expected
+        twice = check_property(pool, prop, [build(lambda v: list(v) * 2)])
+        assert twice.violations == expected
+
     @pytest.mark.parametrize("prop, instance", [
         ("eb", EvidenceInstance(seeded_tables(0, 2, 2), ((0, True),), ())),
         ("mp", EventPoolInstance(seeded_tables(0, 2, 2), frozenset({1}), ())),
@@ -273,6 +302,11 @@ class TestCheckProperty:
         # weights=() lists no weight for either agent; only None means equal.
         with pytest.raises(WeightCountMismatch, match="got 0 weights for 2 agents"):
             check_property(pool, prop, [instance])
+
+    @pytest.mark.parametrize("instances", [[], ()], ids=["list", "tuple"])
+    def test_no_instances_is_an_empty_report(self, instances):
+        report = check_property(LOGOP, "mp", instances)
+        assert report.violations == () and report.all_passed
 
     def test_report_shape(self):
         instances = [UnanimityInstance(seeded_tables(0, 2, 2)[:1] * 2)]

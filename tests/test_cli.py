@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beliefpool import model_io
+from beliefpool import cli, model_io
 from beliefpool import (
     BayesNet,
     Cpt,
@@ -652,6 +652,33 @@ class TestQuery:
         assert code == EXIT_OK
         assert out.strip() == "0.800000"
         assert reads == [agent_files[1]]
+
+    @pytest.mark.parametrize("command", ["aggregate", "query", "manifest"])
+    def test_each_agent_file_loads_once(
+        self, capsys, tmp_path, monkeypatch, chain_files, command
+    ):
+        # Files that share one structure still load one call each, so a
+        # wrapper of load_network (the benchmark traces it and counts the
+        # bytes of each file it reads) sees every file.
+        third = tmp_path / "chain_c.json"
+        save_network(BayesNet(CHAIN_A.cpts[:1] + CHAIN_B.cpts[1:], CHAIN_A.labels), third)
+        paths = [*chain_files, str(third)]
+        loads = []
+        load_network = model_io.load_network
+        spy = lambda path, *rest: loads.append(path) or load_network(path, *rest)
+        monkeypatch.setattr(model_io, "load_network", spy)
+        monkeypatch.setattr(cli, "load_network", spy)
+        if command == "aggregate":
+            argv = ["aggregate", *paths, "--pool", "logop"]
+        elif command == "query":
+            argv = ["query", *paths, "--pool", "linop", "--event", "A2=1"]
+        else:
+            manifest = tmp_path / "panel.json"
+            manifest.write_text(json.dumps({"kind": "linop-manifest", "inputs": paths}))
+            argv = ["query", str(manifest), "--pool", "linop", "--event", "A2=1"]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_OK, err
+        assert loads == paths
 
     def test_single_markov_file_rejected(self, capsys, tmp_path):
         path = markov_file(tmp_path)

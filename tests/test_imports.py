@@ -363,6 +363,10 @@ CHOKE_POINT_ERRORS = {
         MalformedInstance, "tables must be a sequence, got int",
         lambda: check_property("linop", "unam", [UnanimityInstance(5)]),
     ),
+    "check-instances-generator": (
+        MalformedInstance, "instances must be a sequence, got generator",
+        lambda: check_property("linop", "unam", (i for i in [UnanimityInstance((PAIR,))])),
+    ),
     "eb-evidence-not-pairs": (
         MalformedInstance, "evidence must be (variable, state) pairs",
         lambda: check_property("linop", "eb", [EvidenceInstance((PAIR,), ((0,),))]),
@@ -610,6 +614,7 @@ RULES = {
         r"partition|w and x|cover all variables|may not appear", "joint._check_partition"
     ),
     "state index": (r"state ind", "axioms._state_indices"),
+    "sequence": (r"must be a sequence, got", "joint._check_sequence"),
 }
 
 
@@ -630,6 +635,7 @@ def test_checkers_find_count_indexes_and_kind_messages():
         "    raise MalformedInstance(f'expected a Dag or a BayesNet, got {m}')\n"
         "    raise ModelFormatError(f'expected a BayesNet, got {type(x).__name__}')\n"
         "    raise ModelFormatError(f'expected {m} labels, got {len(x)}')\n"
+        "    raise MalformedInstance(f'instances must be a sequence, got {m}')\n"
     )
     assert enclosing_calls(source, "m", indexes_a_count) == ["m.a", "m.a"]
     found = {
@@ -638,7 +644,7 @@ def test_checkers_find_count_indexes_and_kind_messages():
     }
     assert found == {
         "count": [], "kind": ["m.b", "m.d", "m.d", "m.d"], "parent list": ["m.c"],
-        "labels": ["m.d"], "partition": [], "state index": [],
+        "labels": ["m.d"], "partition": [], "state index": [], "sequence": ["m.d"],
     }
     templates = [
         message_template(node)

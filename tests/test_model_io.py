@@ -21,7 +21,7 @@ from beliefpool import (
     bn_to_joint,
     marginal,
 )
-from beliefpool import model_io
+from beliefpool import cli, model_io
 from beliefpool.model_io import (
     LinopManifest,
     align_variables,
@@ -415,9 +415,9 @@ class TestFormatValidation:
             (lambda d: d["cpts"]["A2"].update(
                 parents=["A1", "A1"], rows=dict.fromkeys(["00", "01", "10", "11"], 0.5)
             ),
-             "duplicate parents for node 1"),
+             "duplicate parents for node 'A2'"),
             (lambda d: d["cpts"]["A2"].update(parents=["A2"]),
-             "node 1 cannot be its own parent"),
+             "node 'A2' cannot be its own parent"),
             (lambda d: d.update(edges=[["A1", 3]]),
              "edge ['A1', 3] is not a pair of labels"),
             (lambda d: d.update(edges=[[["A1"], "A9"]]),
@@ -604,8 +604,8 @@ MALFORMED = {
     "int-row-out-of-range": (_set_row("A1", "", 2), "probability 2.0 outside [0, 1]"),
     "huge-int-row": (_set_row("A1", "", 10**400),
                      "probability is an integer too large for a float"),
-    "duplicate-parent": (_rewire("A3", ["A1", "A1"]), "duplicate parents for node 2"),
-    "self-parent": (_rewire("A3", ["A3"]), "node 2 cannot be its own parent"),
+    "duplicate-parent": (_rewire("A3", ["A1", "A1"]), "duplicate parents for node 'A3'"),
+    "self-parent": (_rewire("A3", ["A3"]), "node 'A3' cannot be its own parent"),
     "unknown-parent": (lambda d: d["cpts"]["A3"].update(parents=["A1", "A9"]),
                        "cpt for 'A3' references unknown parent 'A9'"),
     "non-string-parent": (lambda d: d["cpts"]["A3"].update(parents=["A1", 2]),
@@ -629,9 +629,9 @@ MALFORMED = {
     "value-before-own-duplicate": (_both(_rewire("A3", ["A2", "A2"]), _set_row("A3", "10", -1.0)),
                                    "probability -1.0 outside [0, 1]"),
     "duplicate-before-later-value": (_both(_rewire("A2", ["A1", "A1"]), _set_row("A3", "10", -1.0)),
-                                     "duplicate parents for node 1"),
+                                     "duplicate parents for node 'A2'"),
     "self-parent-before-later-value": (_both(_rewire("A2", ["A2"]), _set_row("A3", "10", -1.0)),
-                                       "node 1 cannot be its own parent"),
+                                       "node 'A2' cannot be its own parent"),
     "value-before-cycle": (_both(_rewire("A1", ["A3"]), _set_row("A3", "10", -1.0)),
                            "probability -1.0 outside [0, 1]"),
     "int-rows-then-cycle": (_both(_rewire("A1", ["A3"]), _set_row("A2", "", 1)),
@@ -645,10 +645,8 @@ MALFORMED = {
 
 
 class TestMalformedCatalogue:
-    @pytest.mark.parametrize("mutate, message", MALFORMED.values(), ids=MALFORMED)
-    def test_message(self, mutate, message, monkeypatch):
-        data = network_to_dict(VEE)
-        mutate(data)
+    @pytest.fixture(autouse=True)
+    def small_row_keys(self, monkeypatch):
         # No file here needs a key table past VEE's two parents; a larger
         # one fails the test before it is built.
         row_keys = model_io._row_keys
@@ -658,9 +656,121 @@ class TestMalformedCatalogue:
             return row_keys(k)
 
         monkeypatch.setattr(model_io, "_row_keys", small_row_keys)
+
+    @pytest.mark.parametrize("mutate, message", MALFORMED.values(), ids=MALFORMED)
+    def test_message(self, mutate, message):
+        data = network_to_dict(VEE)
+        mutate(data)
         with pytest.raises(ModelFormatError) as exc:
             network_from_dict(data)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("mutate, message", MALFORMED.values(), ids=MALFORMED)
+    def test_message_after_a_file_of_the_same_structure(self, mutate, message, tmp_path):
+        # A loader that has checked VEE's structure, which every entry
+        # starts from, names the fault as a fresh one does.
+        data = network_to_dict(VEE)
+        mutate(data)
+        loader = model_io._Loader()
+        network_from_dict(network_to_dict(VEE), loader)
+        with pytest.raises(ModelFormatError) as exc:
+            network_from_dict(data, loader)
+        assert str(exc.value) == message
+        # Through the command's loads, the message names the second file.
+        # (A file cannot hold every entry as written: JSON keys are strings.)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_network(VEE, first)
+        second.write_text(json.dumps(data))
+        with pytest.raises(ModelFormatError) as alone:
+            load_network(second)
+        with pytest.raises(ModelFormatError) as grouped:
+            cli._load_bayes_inputs([str(first), str(second)])
+        assert str(grouped.value) == str(alone.value)
+        assert str(grouped.value).startswith(f"{second}: ")
+
+
+def structure(path):
+    """A saved network's structural fields as its file writes them."""
+    data = json.loads(Path(path).read_text())
+    parents = [cpt["parents"] for cpt in data["cpts"].values()]
+    return data["variables"], data["edges"], parents
+
+
+@st.composite
+def network_groups(draw):
+    """One to four labelled networks: the first a new draw, each other
+    one a new draw, the first one's structure with new rows, or the
+    first one with its variables listed in another order."""
+    first = draw(labelled_bns())
+    group = [first]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        kind = draw(st.sampled_from(("new", "same", "permuted")))
+        if kind == "new":
+            group.append(draw(labelled_bns()))
+        elif kind == "same":
+            cpts = tuple(
+                Cpt(c.owner, c.parents, tuple(draw(st.lists(
+                    st.sampled_from(EDGE_ROWS), min_size=len(c.rows), max_size=len(c.rows)
+                ))))
+                for c in first.cpts
+            )
+            group.append(BayesNet(cpts, first.labels))
+        else:
+            order = draw(st.permutations(range(first.m)))
+            new = {old: i for i, old in enumerate(order)}
+            cpts = tuple(
+                Cpt(new[c.owner], tuple(new[p] for p in c.parents), c.rows)
+                for c in first.cpts
+            )
+            group.append(BayesNet(cpts, tuple(first.labels[v] for v in order)))
+    return group
+
+
+class TestGroupLoader:
+    """The loads of one command share one loader, which checks a
+    structure that repeats the file before it only once."""
+
+    @given(group=network_groups())
+    @settings(max_examples=150, deadline=None)
+    def test_group_loads_equal_one_file_loads(self, group):
+        with tempfile.TemporaryDirectory() as folder:
+            paths = [str(Path(folder) / f"a{i}.json") for i in range(len(group))]
+            for net, path in zip(group, paths):
+                save_network(net, path)
+            loader = model_io._Loader()
+            shared = [load_network(path, loader) for path in paths]
+            alone = [load_network(path) for path in paths]
+            structures = list(map(structure, paths))
+            command = cli._load_bayes_inputs(paths) if len(
+                {frozenset(net.labels) for net in group}
+            ) == 1 else None
+        for got, want, net in zip(shared, alone, group):
+            assert got == want == net
+            assert got.dag() == want.dag()
+            assert all(type(r) is float for c in got.cpts for r in c.rows)
+        # A file shares the Dag of the file before it exactly when it
+        # repeats that file's structure.
+        for i in range(1, len(group)):
+            same = structures[i] == structures[i - 1]
+            assert (shared[i].dag() is shared[i - 1].dag()) == same
+        if command is not None:
+            assert command == align_variables(alone)
+
+    def test_reordered_edges_and_integer_rows_load_as_alone(self, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_network(VEE, first)
+        for mutate in (
+            lambda d: d["edges"].reverse(),
+            lambda d: d["cpts"]["A3"].update(rows={"00": 0, "10": 1, "01": 0, "11": 1}),
+        ):
+            data = network_to_dict(VEE)
+            mutate(data)
+            second.write_text(json.dumps(data))
+            loader = model_io._Loader()
+            load_network(first, loader)
+            got = load_network(second, loader)
+            assert got == load_network(second)
+            assert all(type(r) is float for c in got.cpts for r in c.rows)
 
 
 class TestManifest:
