@@ -3,10 +3,11 @@
 Subcommands: aggregate (pool agent network files into a consensus
 artifact), query (consensus probability of an event, optionally
 conditioned), and check (built-in verification suites; every randomized
-row runs exactly --trials cases).
+row runs exactly --trials cases, at most MAX_TRIALS).
 
 Exit codes: 0 success, 1 unexpected check outcome, 2 parse, usage or
-weight error (a negative --seed, --trials below 1, either flag given to
+weight error (a negative --seed, --trials below 1 or above MAX_TRIALS
+= 10,000, checked before the first draw, either flag given to
 the examples suite, --dense-oracle given with --pool linop, a file that
 is not UTF-8, holds an integer too large for a float or nests too
 deeply, and an --out path that cannot be written), 3 variable mismatch
@@ -56,6 +57,10 @@ EXIT_MISMATCH = 3
 EXIT_DEGENERATE = 4
 EXIT_ZERO_EVIDENCE = 5
 EXIT_CAPACITY = 6
+
+# The most cases a check row may run. On a 2-core host, 200 trials of the
+# axioms suite took 0.43-0.68 s, so the largest count ends in 20-35 s.
+MAX_TRIALS = 10_000
 
 
 class _UsageError(Exception):
@@ -192,6 +197,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
     if args.trials is not None and args.trials < 1:
         raise _UsageError(f"--trials must be at least 1, got {args.trials}")
+    if args.trials is not None and args.trials > MAX_TRIALS:
+        raise _UsageError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
     # Without --seed the randomized suites use seed 0; without --trials,
     # each runs its own default count.
     seed = 0 if args.seed is None else args.seed

@@ -132,15 +132,8 @@ def consensus_bn_structure(
     return direct_by_order(chordal, order), order
 
 
-class _Pooled(tuple):
-    """What _pooled_agents returns for some agents. Given back to it as
-    the weights of the same agents, it comes back unchanged, so a caller
-    that pools first, as logop_query does, pools and checks once; it
-    does for weights what joint._Checked does for assignments."""
-
-
 def _pooled_agents(
-    bns: Sequence[BayesNet], weights: Sequence[float] | _Pooled | None
+    bns: Sequence[BayesNet], weights: Sequence[float] | None
 ) -> tuple[list[int], list[BayesNet], np.ndarray]:
     """The positions in bns of the agents of positive weight, those
     agents, and their normalized weights.
@@ -149,8 +142,6 @@ def _pooled_agents(
     the same label order where both carry labels (agents are pooled by
     index), and that the weights are valid for all of them.
     """
-    if type(weights) is _Pooled:
-        return weights
     _shared_variable_count(bns, BayesNet, "agent network", "agents")
     orders = list(dict.fromkeys(bn.labels for bn in bns if bn.labels is not None))
     if len(orders) > 1:
@@ -160,7 +151,7 @@ def _pooled_agents(
         )
     w = normalize_weights(weights, len(bns))
     positions = np.flatnonzero(w > 0.0).tolist()
-    return _Pooled((positions, [bns[i] for i in positions], w[positions]))
+    return positions, [bns[i] for i in positions], w[positions]
 
 
 _RERUN = "rerun with dense_oracle=True to use the factor-product fill"
@@ -367,7 +358,19 @@ def logop_consensus_bn(
     dropped: the structure, the CPTs and agent_queries come from the
     positive-weight agents alone. The labels are the first agent's.
     """
-    positions, agents, w = _pooled_agents(bns, weights)
+    return _logop_consensus(bns, *_pooled_agents(bns, weights), dense_oracle)
+
+
+def _logop_consensus(
+    bns: Sequence[BayesNet],
+    positions: list[int],
+    agents: list[BayesNet],
+    w: np.ndarray,
+    dense_oracle: bool,
+) -> ConsensusBn:
+    """logop_consensus_bn of bns, given what _pooled_agents returns for
+    them: the positions of the pooled agents, those agents and their
+    weights."""
     if not dense_oracle:
         for position, bn in zip(positions, agents):
             _require_strictly_positive(position, bn)
@@ -407,7 +410,7 @@ def logop_query(
     pooled = _pooled_agents(bns, weights)
     agents = pooled[1]
     if len(agents) > 1:
-        agents = [logop_consensus_bn(bns, pooled, dense_oracle=dense_oracle).bn]
+        agents = [_logop_consensus(bns, *pooled, dense_oracle).bn]
     return query_conditional(agents[0], event, evidence)
 
 

@@ -9,7 +9,10 @@ assignment's ancestral set (every other CPT is barren and sums to one,
 so a zero-probability event stays exactly zero), builds each restricted
 CPT once for the group, by networks._cpt_factor from the agents' stacked
 rows, with an agent axis, and sums out every variable left along
-min_fill_order, one joint.contract call per bucket. Before any contract
+min_fill_order, one joint.contract call per bucket. _buckets plans every
+bucket, for this kernel and for weighted_product_cpts' elimination
+pass: it files each factor under its first variable in the order, so
+no bucket scans the live factors. Before any contract
 call it raises CapacityExceeded when the widest bucket, times the
 agents, exceeds 2**MAX_DENSE_VARIABLES entries. The single-network
 queries call it with a group of one, and consensus.linop_query with
@@ -45,7 +48,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapacityExceeded, DegenerateProduct, ZeroEvidence
+from .errors import CapacityExceeded, DegenerateProduct, MalformedInstance, ZeroEvidence
 from .joint import (
     MAX_DENSE_VARIABLES, Assignment, _check_assignment, _check_kind, _check_query,
     _conditional_ratio, _trusted, contract,
@@ -77,13 +80,43 @@ _AGENT = -1  # contract's label of the agent axis; variables are 0..m-1
 _ALL = slice(None)  # the index that keeps an axis whole
 
 
+def _buckets(
+    scopes: Sequence[tuple[int, ...]], order: Sequence[int]
+) -> tuple[list[tuple[list[int], tuple[int, ...]]], list[int]]:
+    """Bucket elimination's plan (Dechter 1999) to sum order's variables
+    out of factors over scopes: per variable, its bucket's factor
+    positions, oldest first, and the sorted scope of the factor that the
+    bucket leaves, numbered next; and the factors that read no variable.
+
+    A factor joins the bucket of its first variable in order. Labels
+    outside order, such as _AGENT, are never summed out.
+    """
+    none = len(order)  # buckets[none] holds the factors that read no variable
+    rank = {v: k for k, v in enumerate(order)}
+    buckets: list[list[int]] = [[] for _ in range(none + 1)]
+    scopes = list(scopes)
+
+    def file(i: int) -> None:
+        buckets[min([rank.get(u, none) for u in scopes[i]], default=none)].append(i)
+
+    for i in range(len(scopes)):
+        file(i)
+    plan = []
+    for v, bucket in zip(order, buckets):
+        rest = tuple(sorted({u for i in bucket for u in scopes[i]} - {v}))
+        plan.append((bucket, rest))
+        scopes.append(rest)
+        file(len(scopes) - 1)
+    return plan, buckets[none]
+
+
 def _probabilities(group: Sequence[BayesNet], assignment: Assignment) -> np.ndarray:
     """P(assignment) under each network of group, which share one DAG,
     for an assignment as _check_assignment returns it.
 
     One plan serves the whole group: the ancestral set of the
     assignment, the restriction of each of its CPTs, min_fill_order over
-    what is left, and the variables of every bucket along that order.
+    what is left, and _buckets along that order.
     CapacityExceeded is raised before any contract call when a bucket,
     over every agent, holds more than 2**MAX_DENSE_VARIABLES entries.
     Each restricted CPT is one factor, built from the agents' rows, with
@@ -107,19 +140,9 @@ def _probabilities(group: Sequence[BayesNet], assignment: Assignment) -> np.ndar
         for u, w in itertools.combinations(variables[1:], 2):
             adj[u].add(w)
             adj[w].add(u)
-    # The plan: per eliminated variable, the positions of its bucket's
-    # factors and the variables of the factor it leaves.
-    live = list(range(len(scopes)))
-    plan = []
-    width = 0  # the most variables in one bucket: len(rest), _AGENT standing for v
-    for v in min_fill_order(adj)[0]:
-        bucket = [i for i in live if v in scopes[i]]
-        live = [i for i in live if v not in scopes[i]]
-        rest = (_AGENT, *sorted({u for i in bucket for u in scopes[i][1:]} - {v}))
-        width = max(width, len(rest))
-        plan.append((bucket, rest))
-        live.append(len(scopes))
-        scopes.append(rest)
+    plan, leftover = _buckets(scopes, min_fill_order(adj)[0])
+    # The most variables in one bucket: len(rest), _AGENT standing for v.
+    width = max([len(rest) for _, rest in plan], default=0)
     if n << width > 1 << MAX_DENSE_VARIABLES:
         size = f"2^{width}" if n == 1 else f"{n} agents x 2^{width}"
         raise CapacityExceeded(
@@ -128,7 +151,8 @@ def _probabilities(group: Sequence[BayesNet], assignment: Assignment) -> np.ndar
         )
     for bucket, rest in plan:
         tables.append(contract([(scopes[i], tables[i]) for i in bucket], rest))
-    return contract([(scopes[i], tables[i]) for i in live], (_AGENT,))
+        scopes.append(rest)
+    return contract([(scopes[i], tables[i]) for i in leftover], (_AGENT,))
 
 
 def weighted_product_cpts(
@@ -141,11 +165,14 @@ def weighted_product_cpts(
 
     That pool is the normalized product of every agent's CPT factors,
     each raised to the agent's weight. Every weight is positive: the
-    caller drops zero-weight agents, which the pool ignores. Each node's
-    parents must be its neighbors eliminated later, as
-    consensus_bn_structure returns them, so one elimination pass finds
-    every bucket inside a family. Rows of zero mass get 0.5; zero mass
-    on every state raises DegenerateProduct.
+    caller drops zero-weight agents, which the pool ignores. _buckets
+    plans one elimination pass over those factors along
+    elimination_order. Each node's parents must be the variables of the
+    factor its bucket leaves, its neighbors eliminated later, as
+    consensus_bn_structure returns them for these agents
+    (MalformedInstance otherwise), so every bucket is one family. Rows
+    of zero mass get 0.5; zero mass on every state raises
+    DegenerateProduct.
     """
     factors = []
     # Log space keeps 1e-300 rows from underflowing.
@@ -156,17 +183,20 @@ def weighted_product_cpts(
                 family = tuple(sorted(axes))  # _expand aligns sorted axes
                 table = table.transpose([axes.index(u) for u in family])
                 factors.append((family, w * np.log(table)))
+    plan, _ = _buckets([family for family, _ in factors], elimination_order)
     cpts: dict[int, Cpt] = {}
-    for v in elimination_order:
+    for v, (bucket, rest) in zip(elimination_order, plan):
         parents = structure.parents[v]
+        if sorted(parents) != list(rest):
+            raise MalformedInstance(
+                f"variable {v} has parents {list(parents)}, but its bucket "
+                f"leaves a factor over {list(rest)}"
+            )
         family = tuple(sorted((v,) + parents))
         table = np.zeros((2,) * len(family))
-        for variables, log_table in factors:
-            if v in variables:
-                table = table + _expand(variables, log_table, family)
-        factors = [f for f in factors if v not in f[0]]
+        for i in bucket:
+            table = table + _expand(*factors[i], family)
         axis = family.index(v)
-        rest = family[:axis] + family[axis + 1 :]
         log_mass = np.logaddexp.reduce(table, axis=axis)
         reachable = log_mass > -np.inf
         if not np.any(reachable):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -26,9 +27,14 @@ def normalize_weights(
     """Validated weight vector summing to one; None means equal weights.
 
     Weights must be a sequence of numbers, finite and nonnegative with a
-    positive total (InvalidWeight otherwise). When the total overflows,
+    positive total (InvalidWeight otherwise), and n_agents a positive
+    integer (MalformedInstance otherwise). When the total overflows,
     the weights are first divided by the largest.
     """
+    try:
+        n_agents = operator.index(n_agents)
+    except TypeError:
+        raise MalformedInstance(f"agent count {n_agents!r} is not an integer") from None
     if n_agents <= 0:
         raise MalformedInstance("need at least one agent")
     if weights is None:

@@ -732,6 +732,28 @@ class TestCheck:
         assert err.startswith("error:")
         assert out == ""
 
+    @pytest.mark.parametrize("suite", ["axioms", "oracle"])
+    def test_trials_above_the_maximum_run_no_draw(self, capsys, monkeypatch, suite):
+        def suite_not_run(seed, trials):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(cli, f"run_{suite}_suite", suite_not_run)
+        for trials in (cli.MAX_TRIALS + 1, 99999999999999999999):
+            code, out, err = run(capsys, "check", "--suite", suite, "--trials", str(trials))
+            assert code == EXIT_PARSE
+            assert err == f"error: --trials must be at most 10000, got {trials}\n"
+            assert out == ""
+
+    def test_trials_at_the_maximum_reach_the_suite(self, capsys, monkeypatch):
+        # The suite is stubbed: the maximum itself runs for tens of seconds.
+        calls = []
+        monkeypatch.setattr(
+            cli, "run_axioms_suite", lambda seed, trials: calls.append(trials) or ([], True)
+        )
+        code, _, _ = run(capsys, "check", "--suite", "axioms", "--trials", "10000")
+        assert code == EXIT_OK
+        assert calls == [cli.MAX_TRIALS]
+
     @pytest.mark.parametrize(
         "flags, named",
         [

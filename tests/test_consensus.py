@@ -41,7 +41,7 @@ from beliefpool import (
 from beliefpool.inference import query_conditional
 from beliefpool.joint import conditional_probability
 from beliefpool.model_io import json_text, network_to_dict
-from beliefpool.networks import moralize
+from beliefpool.networks import mn_union, moralize
 from beliefpool import consensus, inference, joint
 from beliefpool.pools import logistic, normalize_weights, pooled_log_odds
 from beliefpool.axioms import chain_agents
@@ -961,3 +961,33 @@ class TestLinopQuery:
         dense = linop([bn_to_joint(a) for a in agents], w)
         want = conditional_probability(dense, event, evidence)
         assert got == pytest.approx(want, abs=1e-12)
+
+
+class TestFillEdges:
+    """The logop pool is a product of the agents' CPT factors, so it is
+    Markov to the union of their moral graphs. The consensus network
+    shows that graph plus the fill edges that triangulation adds, and
+    its rows must give no fill edge a dependence: for a fill edge
+    (u, v), u is independent of v given u's neighbors in the union."""
+
+    @given(seed=st.integers(min_value=0, max_value=100_000))
+    @settings(max_examples=30, deadline=None)
+    def test_fill_edges_carry_no_dependence(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(4, 21))
+        n = int(rng.integers(2, 4))
+        agents = [random_bn(rng, m, edge_prob=0.3, max_parents=2) for _ in range(n)]
+        w = random_weights(rng, n)
+        union = mn_union([moralize(bn.dag()) for bn in agents])
+        neighbors = union.adjacency()
+        for dense_oracle in (False, True):
+            bn = logop_consensus_bn(agents, w, dense_oracle=dense_oracle).bn
+            fills = sorted(bn.dag().skeleton() - union.edges)
+            # At most 40 statements per draw: each fill edge, both ways.
+            for u, v in [pair for a, b in fills for pair in ((a, b), (b, a))][:40]:
+                context = {s: bool(rng.integers(0, 2)) for s in neighbors[u]}
+                p0, p1 = (
+                    query_conditional(bn, {u: True}, {**context, v: x})
+                    for x in (False, True)
+                )
+                assert abs(p0 - p1) <= 1e-12, (dense_oracle, u, v)

@@ -45,7 +45,9 @@ from beliefpool import (
 )
 from beliefpool import errors
 from beliefpool.axioms import reproduce_example
-from beliefpool.inference import query_conditional, query_event_marginal
+from beliefpool.inference import (
+    query_conditional, query_event_marginal, weighted_product_cpts,
+)
 from beliefpool.consensus import linop_query
 from beliefpool.joint import (
     condition,
@@ -176,6 +178,14 @@ CALLER_ERRORS = {
     "load-non-object": (ModelFormatError, lambda: network_from_dict([])),
     "manifest-kind": (ModelFormatError, lambda: manifest_from_dict({"kind": "bayes"})),
     "no-weights-agents": (MalformedInstance, lambda: normalize_weights(None, 0)),
+    "string-agent-count": (MalformedInstance, lambda: normalize_weights(None, "a")),
+    "float-agent-count": (MalformedInstance, lambda: normalize_weights(None, 2.0)),
+    "none-agent-count": (MalformedInstance, lambda: normalize_weights(None, None)),
+    "list-agent-count": (MalformedInstance, lambda: normalize_weights(None, [1])),
+    "product-parents-not-bucket": (
+        MalformedInstance,
+        lambda: weighted_product_cpts([CHAIN], [1.0], Dag(2, ((), ())), (0, 1)),
+    ),
     "unknown-pool-check": (MalformedInstance, lambda: check_property("mean", "unam", [])),
     "no-tables": (MalformedInstance, lambda: linop(())),
     "unknown-pool-family": (
@@ -419,7 +429,7 @@ TRUSTED_CALLERS = {
     "networks.triangulate",
     "networks.direct_by_order",
     "consensus._structured_cpts",
-    "consensus.logop_consensus_bn",
+    "consensus._logop_consensus",
     "inference.weighted_product_cpts",
     "networks.bn_to_joint",
     "pools.linop",
@@ -499,6 +509,19 @@ def test_only_the_consensus_fill_builds_checked_assignments():
     assert {function for function, is_call in uses if is_call} == {
         "consensus._structured_cpts"
     }
+
+
+def test_one_bucket_planner():
+    """inference._buckets decides every bucket's factors, for the
+    elimination kernel and for the factor route's pass alike."""
+    uses = [
+        use
+        for path in MODULES
+        for use in trusted_uses(path.read_text(), path.stem, names=("_buckets",))
+    ]
+    assert sorted(uses) == [
+        ("inference._probabilities", True), ("inference.weighted_product_cpts", True)
+    ]
 
 
 def test_one_factor_product():
