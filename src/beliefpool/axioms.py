@@ -29,22 +29,21 @@ from .joint import (
     _check_kind,
     _check_partition,
     _check_sequence,
+    _contract,
+    _factor_product,
     _mass,
     _shared_variable_count,
     condition,
     conditional_probability,
-    contract,
-    factor_product,
     marginal,
     pairwise_dependence_gap,
     markov_dependence_gap,
-    state_index,
     _trusted_table,
 )
 from .networks import BayesNet, Cpt, _check_order, bn_to_joint
 from .pools import (
-    POOL_NAMES, _stack, check_pool_name, linop, logistic, logop,
-    normalize_weights, pooled_log_odds,
+    POOL_NAMES, _logistic, _pooled_log_odds, _stack, check_pool_name, linop,
+    logop, normalize_weights,
 )
 from .sampling import (
     random_block_product_table,
@@ -88,7 +87,7 @@ def _event_mass(table: JointTable, states) -> float:
 def _product_gap(table: JointTable) -> float:
     """Largest deviation from the product of single-variable marginals."""
     p_true = [_mass(table, {j: True}) for j in range(table.m)]  # table is checked
-    expected = factor_product(table.m, [((j,), (1.0 - p, p)) for j, p in enumerate(p_true)])
+    expected = _factor_product(table.m, [((j,), (1.0 - p, p)) for j, p in enumerate(p_true)])
     return float(np.max(np.abs(table.probs - expected)))
 
 
@@ -140,7 +139,7 @@ class EventPoolInstance:
         if pool == "linop":
             return abs(joint_route - float(w @ true))
         # No NaN here: the joint route has raised DegenerateProduct first.
-        _, event_route = logistic(pooled_log_odds(false, true, w))
+        _, event_route = _logistic(_pooled_log_odds(false, true, w))
         return abs(joint_route - float(event_route))
 
 
@@ -377,7 +376,7 @@ def _chain_rule_pool(pool: str, prefixes: list, ordering: Sequence[int], w) -> J
             factor = np.minimum((wk * split).sum(axis=0), 1.0)
             bad = dead
         else:
-            p_false, p_true = logistic(pooled_log_odds(family[..., 0], family[..., 1], w))
+            p_false, p_true = _logistic(_pooled_log_odds(family[..., 0], family[..., 1], w))
             factor = np.stack([p_false, p_true], axis=-1)
             bad = dead | np.isnan(p_true)
         # Row r's bit i is ordering[i], so Fortran order is row order.
@@ -391,7 +390,7 @@ def _chain_rule_pool(pool: str, prefixes: list, ordering: Sequence[int], w) -> J
         factors.append((ordering[: k + 1], factor))
     # State-index layout: variable j on axis m - 1 - j.
     m = len(prefixes)
-    return _trusted_table(m, contract(factors, range(m - 1, -1, -1)).ravel())
+    return _trusted_table(m, _contract(factors, range(m - 1, -1, -1)).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -582,12 +581,8 @@ def check_property(
 # ---------------------------------------------------------------------------
 # Worked fixtures
 
-_STATE_ORDER = (
-    state_index((True, True)),
-    state_index((True, False)),
-    state_index((False, True)),
-    state_index((False, False)),
-)
+# The states (TT, TF, FT, FF) of two variables; bit j of a state is variable j.
+_STATE_ORDER = (3, 1, 2, 0)
 
 
 def independent_pair_agents() -> tuple[JointTable, JointTable]:

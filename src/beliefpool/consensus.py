@@ -22,7 +22,7 @@ three passes over the elimination order (a reverse topological order):
    context enter query_conditional as joint._Checked, so their keys are
    not checked again; only the row's outcome (children true or false)
    is kept.
-2. One pooled_log_odds call pools the agents' conditionals for every
+2. One _pooled_log_odds call pools the agents' conditionals for every
    row of the build.
 3. Each row's log-odds gains each already-filled child's log-ratio,
    log P(child | node false) - log P(child | node true) at the child's
@@ -33,7 +33,7 @@ three passes over the elimination order (a reverse topological order):
    are set exactly when the row's outcome is true. The ratio is read
    from the child's log-sigmoids, log P(true) and log P(false) from its
    log-odds, taken once when the child's row is finished, so it is
-   finite even where the child's row rounds to 0 or 1. One logistic
+   finite even where the child's row rounds to 0 or 1. One _logistic
    call then turns every row's log-odds into a probability.
 The route needs strictly positive agents: before any query it raises
 DegenerateCpt for an agent of positive weight with a CPT row of 0 or 1,
@@ -51,6 +51,7 @@ query route (one conditional each per row), exceed 2**MAX_DENSE_VARIABLES.
 
 A ConsensusBn built by hand is checked with direct_by_order; the
 builders, whose structure comes from it, build through joint._trusted.
+Every public name here checks its arguments; the fill's steps are private.
 """
 from __future__ import annotations
 
@@ -64,7 +65,7 @@ import numpy as np
 from .errors import (
     CapacityExceeded, DegenerateCpt, MismatchedVariables, NotChordal, ZeroEvidence,
 )
-from .inference import _probabilities, query_conditional, weighted_product_cpts
+from .inference import _probabilities, _weighted_product_cpts, query_conditional
 from .joint import (
     MAX_DENSE_VARIABLES, _Checked, _check_kind, _check_query, _conditional_ratio,
     _shared_variable_count, _trusted,
@@ -80,7 +81,7 @@ from .networks import (
     moralize,
     triangulate,
 )
-from .pools import logistic, normalize_weights, pooled_log_odds
+from .pools import _logistic, _pooled_log_odds, normalize_weights
 
 
 @dataclass(frozen=True)
@@ -264,7 +265,7 @@ def _structured_cpts(
 
     # Pass 2: agent on axis 0, row on axis 1.
     c = np.array(conds).T
-    log_odds = pooled_log_odds(1.0 - c, c, w).tolist()
+    log_odds = _pooled_log_odds(1.0 - c, c, w).tolist()
 
     # Pass 3. Elimination order is a reverse topological order, so every
     # child's rows are finished before its parents read them. When a row
@@ -318,9 +319,9 @@ def _structured_cpts(
             tail = log1p(exp(-abs(x)))
             on_true[k] = min(x, 0.0) - tail
             on_false[k] = min(-x, 0.0) - tail
-    _, p_true = logistic(np.array(log_odds))
+    _, p_true = _logistic(np.array(log_odds))
     rows = p_true.tolist()
-    # Each row is a logistic of finite log-odds, a Python float in [0, 1].
+    # Each row is the sigmoid of finite log-odds, a Python float in [0, 1].
     cpts = {
         node: _trusted(
             Cpt,
@@ -343,7 +344,7 @@ def logop_consensus_bn(
 
     The default path parameterizes the consensus structure from
     per-agent inference queries alone, in the three passes of the
-    module docstring: each CPT row is the logistic of the agents'
+    module docstring: each CPT row is the sigmoid of the agents'
     pooled log-odds plus the child log-ratios. It raises DegenerateCpt
     up front when an agent of positive weight has a CPT row of 0 or 1,
     naming the agent by its position in bns, and later when an agent's
@@ -378,7 +379,7 @@ def _logop_consensus(
     structure, order = consensus_bn_structure([bn.dag() for bn in agents])
     _check_capacity(structure, 1 if dense_oracle else len(agents), labels)
     if dense_oracle:
-        cpts = weighted_product_cpts(agents, w, structure, order)
+        cpts = _weighted_product_cpts(agents, w, structure, order)
         queries = 0
     else:
         cpts, queries = _structured_cpts(agents, w, structure, order, labels)

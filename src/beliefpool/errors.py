@@ -83,6 +83,6 @@ class MalformedInstance(BeliefPoolError, ValueError):
 
 
 class ModelFormatError(BeliefPoolError, ValueError):
-    """A model breaks the format contract, whether it was read from a
+    """A model breaks the format rules, whether it was read from a
     file or built in memory (a CPT, DAG, network, label list or joint
     table)."""

@@ -9,10 +9,10 @@ assignment's ancestral set (every other CPT is barren and sums to one,
 so a zero-probability event stays exactly zero), builds each restricted
 CPT once for the group, by networks._cpt_factor from the agents' stacked
 rows, with an agent axis, and sums out every variable left along
-min_fill_order, one joint.contract call per bucket. _buckets plans every
-bucket, for this kernel and for weighted_product_cpts' elimination
+_min_fill_order, one joint._contract call per bucket. _buckets plans every
+bucket, for this kernel and for _weighted_product_cpts' elimination
 pass: it files each factor under its first variable in the order, so
-no bucket scans the live factors. Before any contract
+no bucket scans the live factors. Before any _contract
 call it raises CapacityExceeded when the widest bucket, times the
 agents, exceeds 2**MAX_DENSE_VARIABLES entries. The single-network
 queries call it with a group of one, and consensus.linop_query with
@@ -38,7 +38,8 @@ A conditional takes one of two routes:
 
 Each public query checks its network's kind and each mapping it takes
 once, with joint's checks; the kernels (_probabilities,
-_blanket_conditional) read them unchecked.
+_blanket_conditional, and _weighted_product_cpts on agents that the
+consensus builder has checked) are private and read them unchecked.
 """
 from __future__ import annotations
 
@@ -51,9 +52,9 @@ import numpy as np
 from .errors import CapacityExceeded, DegenerateProduct, MalformedInstance, ZeroEvidence
 from .joint import (
     MAX_DENSE_VARIABLES, Assignment, _check_assignment, _check_kind, _check_query,
-    _conditional_ratio, _trusted, contract,
+    _conditional_ratio, _contract, _trusted,
 )
-from .networks import BayesNet, Cpt, Dag, _cpt_factor, min_fill_order
+from .networks import BayesNet, Cpt, Dag, _cpt_factor, _min_fill_order
 
 
 def _expand(
@@ -76,7 +77,7 @@ def _ancestral_set(bn: BayesNet, variables: Iterable[int]) -> list[int]:
     return sorted(seen)
 
 
-_AGENT = -1  # contract's label of the agent axis; variables are 0..m-1
+_AGENT = -1  # _contract's label of the agent axis; variables are 0..m-1
 _ALL = slice(None)  # the index that keeps an axis whole
 
 
@@ -115,12 +116,12 @@ def _probabilities(group: Sequence[BayesNet], assignment: Assignment) -> np.ndar
     for an assignment as _check_assignment returns it.
 
     One plan serves the whole group: the ancestral set of the
-    assignment, the restriction of each of its CPTs, min_fill_order over
+    assignment, the restriction of each of its CPTs, _min_fill_order over
     what is left, and _buckets along that order.
-    CapacityExceeded is raised before any contract call when a bucket,
+    CapacityExceeded is raised before any _contract call when a bucket,
     over every agent, holds more than 2**MAX_DENSE_VARIABLES entries.
     Each restricted CPT is one factor, built from the agents' rows, with
-    the agent axis first; each bucket is one contract call.
+    the agent axis first; each bucket is one _contract call.
     """
     n = len(group)
     if not assignment:
@@ -140,7 +141,7 @@ def _probabilities(group: Sequence[BayesNet], assignment: Assignment) -> np.ndar
         for u, w in itertools.combinations(variables[1:], 2):
             adj[u].add(w)
             adj[w].add(u)
-    plan, leftover = _buckets(scopes, min_fill_order(adj)[0])
+    plan, leftover = _buckets(scopes, _min_fill_order(adj)[0])
     # The most variables in one bucket: len(rest), _AGENT standing for v.
     width = max([len(rest) for _, rest in plan], default=0)
     if n << width > 1 << MAX_DENSE_VARIABLES:
@@ -150,12 +151,12 @@ def _probabilities(group: Sequence[BayesNet], assignment: Assignment) -> np.ndar
             f"{size} entries, over the capacity of 2^{MAX_DENSE_VARIABLES} entries"
         )
     for bucket, rest in plan:
-        tables.append(contract([(scopes[i], tables[i]) for i in bucket], rest))
+        tables.append(_contract([(scopes[i], tables[i]) for i in bucket], rest))
         scopes.append(rest)
-    return contract([(scopes[i], tables[i]) for i in leftover], (_AGENT,))
+    return _contract([(scopes[i], tables[i]) for i in leftover], (_AGENT,))
 
 
-def weighted_product_cpts(
+def _weighted_product_cpts(
     bns: Sequence[BayesNet],
     weights: Sequence[float],
     structure: Dag,
@@ -224,7 +225,7 @@ def _blanket_conditional(
     own CPT and its children's, and the evidence leaves each of them one
     entry per state of v. The products a0 and a1 multiply those entries
     in increasing node order (1.0 times the first is exact), so they are
-    bit for bit the two entries of joint.contract over those CPTs,
+    bit for bit the two entries of joint._contract over those CPTs,
     restricted by the evidence and keeping v.
     """
     a0 = a1 = 1.0

@@ -2,11 +2,14 @@
 
 A table over m variables holds 2**m state probabilities. State index
 encoding: bit j of the index (least significant bit = variable 0) is 1
-exactly when variable j is true. contract is the one factor product:
-one einsum call that serves factor_product, which indexes each flat
+exactly when variable j is true. _contract is the one factor product:
+one einsum call that serves _factor_product, which indexes each flat
 factor table the same way over the factor's own variables, bn_to_joint,
 the variable-elimination buckets and the chain-rule pool. All tables are
-normalized on construction and immutable afterwards.
+normalized on construction and immutable afterwards. A name without a
+leading underscore, here and in networks, inference, pools and consensus,
+is a checked entry point; a kernel, as _contract and _factor_product
+here, checks nothing and is private.
 
 Every conditional, dense, by elimination or under the arithmetic pool,
 is _conditional_ratio over that route's mass function: _mass here,
@@ -149,16 +152,7 @@ def _trusted_table(m: int, mass: np.ndarray) -> JointTable:
     return _trusted(JointTable, m=m, probs=probs)
 
 
-def state_index(bits: Sequence[bool]) -> int:
-    """Index of the state where variable j takes bits[j]."""
-    idx = 0
-    for j, value in enumerate(bits):
-        if value:
-            idx |= 1 << j
-    return idx
-
-
-def contract(
+def _contract(
     factors: Iterable[tuple[Sequence[int], np.ndarray]], out: Sequence[int]
 ) -> np.ndarray:
     """The one factor product: factors (variables, table), axis i of a
@@ -174,7 +168,7 @@ def contract(
         return np.ones(())
     while len(factors) > 31:  # einsum's operand limit: 31 in numpy 1.x, 63 in 2.x
         scope = tuple(dict.fromkeys(v for variables, _ in factors[:31] for v in variables))
-        factors[:31] = [(scope, contract(factors[:31], scope))]
+        factors[:31] = [(scope, _contract(factors[:31], scope))]
     labels: dict[int, int] = {}
     operands: list = []
     for variables, table in factors:
@@ -182,7 +176,7 @@ def contract(
     return np.einsum(*operands, [labels[v] for v in out])
 
 
-def factor_product(
+def _factor_product(
     m: int, factors: Iterable[tuple[Sequence[int], np.ndarray]]
 ) -> np.ndarray:
     """Product over the 2**m states of factors (variables, flat table), in
@@ -199,7 +193,7 @@ def factor_product(
     if unread:
         tensors.append((unread, np.ones((2,) * len(unread))))
     # Variable j on axis m - 1 - j: C order lists the states by index.
-    return contract(tensors, range(m - 1, -1, -1)).ravel()
+    return _contract(tensors, range(m - 1, -1, -1)).ravel()
 
 
 def _check_kind(model, cls: type | tuple[type, ...]) -> None:

@@ -69,7 +69,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import MalformedInstance, MismatchedVariables, ModelFormatError
-from .joint import _check_kind, _trusted
+from .joint import _check_kind, _check_sequence, _trusted
 from .networks import (
     BayesNet, Cpt, Dag, _acyclic, _check_labels, _check_parents, parse_probability,
 )
@@ -85,10 +85,10 @@ class LinopManifest:
     weights: tuple[float, ...] | None = None
 
 
-def _require_labels(model: BayesNet) -> tuple[str, ...]:
+def _require_labels(model: BayesNet, task: str) -> tuple[str, ...]:
     _check_kind(model, BayesNet)
     if model.labels is None:
-        raise ModelFormatError("serializing a network requires variable labels")
+        raise ModelFormatError(f"{task} requires variable labels")
     return model.labels
 
 
@@ -104,7 +104,7 @@ def _row_keys(n_parents: int) -> dict[str, None]:
 
 def network_to_dict(model: BayesNet, provenance: dict | None = None) -> dict:
     """JSON-ready representation of a network."""
-    labels = _require_labels(model)
+    labels = _require_labels(model, "serializing a network")
     edges = sorted(
         (labels[p], labels[c.owner]) for c in model.cpts for p in c.parents
     )
@@ -540,17 +540,18 @@ def save_manifest(manifest: LinopManifest, path: str | Path) -> None:
 def align_variables(models: Sequence[BayesNet]) -> list[BayesNet]:
     """Reindex all models to the first model's variable order.
 
-    Models must carry labels and agree on the label set; structures and
-    CPT rows are preserved under the renaming. Models already in that
-    order come back as they are.
+    Models must be a sequence (joint._check_sequence), carry labels and
+    agree on the label set; structures and CPT rows are preserved under
+    the renaming. Models already in that order come back as they are.
     """
+    _check_sequence(models, "models")
     if not models:
         raise MalformedInstance("need at least one model")
-    reference = _require_labels(models[0])
+    reference = _require_labels(models[0], "aligning networks")
     aligned: list[BayesNet] = []
     target = {label: i for i, label in enumerate(reference)}
     for model in models:
-        labels = _require_labels(model)
+        labels = _require_labels(model, "aligning networks")
         if set(labels) != set(reference):
             raise MismatchedVariables(
                 f"variable sets differ: {sorted(labels)} vs {sorted(reference)}"

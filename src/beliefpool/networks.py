@@ -4,7 +4,7 @@ Variables are integer indices 0..m-1. CPT row encoding: for a node with
 parents (p_0, ..., p_{k-1}), row index bit i (least significant bit =
 p_0) is 1 exactly when p_i is true, and each row stores the probability
 that the owner is true. The constructors raise ModelFormatError for a
-model that breaks this contract, as the file loader does for a file.
+model that breaks these rules, as the file loader does for a file.
 Dag and MarkovNet store their node count as joint._check_variable_count
 returns it, a Python int, and every function here that takes a model
 checks its kind with joint._check_kind. _check_parents is the one check
@@ -23,10 +23,12 @@ direct_by_order holds the one test that every parent set is complete
 (a perfect elimination order), which consensus_bn_structure and
 ConsensusBn use; _acyclic is the one cycle check, of Dag and the loader,
 and _cpt_factor the one layout of CPT rows as a factor, which bn_to_joint
-and both of inference's exact routes read.
+and both of inference's exact routes read. _min_fill_order, the one
+unchecked kernel here, is private: triangulate checks the graph it reads.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import numbers
 import operator
@@ -47,10 +49,10 @@ from .joint import (
     JointTable,
     _check_kind,
     _check_variable_count,
+    _contract,
     _shared_variable_count,
     _trusted,
     _trusted_table,
-    contract,
 )
 
 EliminationOrder = tuple[int, ...]
@@ -335,7 +337,7 @@ def bn_to_joint(bn: BayesNet) -> JointTable:
     factors = [_cpt_factor(c.rows, c.owner, c.parents) for c in bn.cpts]
     # Every variable owns a factor, so no axis is summed out; variable j
     # on axis m - 1 - j lists the states by index in C order.
-    return _trusted_table(bn.m, contract(factors, range(bn.m - 1, -1, -1)).ravel())
+    return _trusted_table(bn.m, _contract(factors, range(bn.m - 1, -1, -1)).ravel())
 
 
 def moralize(structure: BayesNet | Dag) -> MarkovNet:
@@ -366,7 +368,7 @@ def _fill_count(adj: Mapping[int, set[int]], v: int) -> int:
     )
 
 
-def min_fill_order(
+def _min_fill_order(
     adjacency: Mapping[int, set[int]],
 ) -> tuple[EliminationOrder, frozenset[tuple[int, int]]]:
     """Greedy elimination order adding the fewest fill edges per step.
@@ -382,13 +384,23 @@ def min_fill_order(
     neighbors and their pairs. So after each step only v's neighbors and
     the common neighbors of each new fill edge's endpoints are recounted,
     and every pick is the one a full recount would make.
+
+    The picks come from a heap of (count, vertex) entries with lazy
+    deletion: a recount that changes a count pushes a new entry, and a
+    pop whose count is stale or whose vertex is gone is skipped. So each
+    pick is the least (count, vertex), as a scan finds it, in O(log m)
+    amortized rather than a scan's O(m): O(m log m) on a chain.
     """
     adj = {v: set(nbrs) for v, nbrs in adjacency.items()}
     fill = {v: _fill_count(adj, v) for v in adj}
+    heap = [(count, v) for v, count in fill.items()]
+    heapq.heapify(heap)
     order: list[int] = []
     fills: set[tuple[int, int]] = set()
-    while fill:
-        v = min(fill, key=lambda u: (fill[u], u))
+    while heap:
+        count, v = heapq.heappop(heap)
+        if fill.get(v) != count:
+            continue
         nbrs = sorted(adj[v])
         added = []
         for u, w in itertools.combinations(nbrs, 2):
@@ -403,7 +415,10 @@ def min_fill_order(
         for u, w in added:
             stale |= adj[u] & adj[w]
         for u in stale:
-            fill[u] = _fill_count(adj, u)
+            count = _fill_count(adj, u)
+            if count != fill[u]:
+                fill[u] = count
+                heapq.heappush(heap, (count, u))
         fills.update(added)
         order.append(v)
     return tuple(order), frozenset(fills)
@@ -416,7 +431,7 @@ def triangulate(mn: MarkovNet) -> tuple[MarkovNet, EliminationOrder]:
     graph; running it again adds no further fill.
     """
     _check_kind(mn, MarkovNet)
-    order, fills = min_fill_order(mn.adjacency())
+    order, fills = _min_fill_order(mn.adjacency())
     # Fill edges are sorted pairs of mn's nodes.
     chordal = _trusted(MarkovNet, m=mn.m, edges=mn.edges | fills)
     return chordal, order

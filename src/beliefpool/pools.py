@@ -1,6 +1,8 @@
 """Arithmetic (linop) and geometric (logop) pooling of dense joint tables,
 and the logop of a single binary event. Callers name a pool by its string
-in POOL_NAMES, which check_pool_name checks."""
+in POOL_NAMES, which check_pool_name checks. The event's kernels,
+_pooled_log_odds and _logistic, check nothing and are private: the
+consensus fill and the axioms call them on arrays they have built."""
 from __future__ import annotations
 
 import math
@@ -113,7 +115,7 @@ def logop(
     return _trusted_table(m, raw)
 
 
-def pooled_log_odds(
+def _pooled_log_odds(
     false: np.ndarray, true: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
     """Log-odds of one binary event under the logop of its two masses.
@@ -131,7 +133,7 @@ def pooled_log_odds(
         return (w @ terms.reshape(w.size, -1)).reshape(terms.shape[1:])
 
 
-def logistic(log_odds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _logistic(log_odds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(P(false), P(true)) of an event with the given log-odds.
 
     Neither side is one minus the other, so each keeps its own digits

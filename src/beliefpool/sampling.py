@@ -20,9 +20,9 @@ from .joint import (
     _check_partition,
     _check_variable_count,
     _check_variables,
+    _factor_product,
     _trusted,
     _trusted_table,
-    factor_product,
 )
 from .networks import BayesNet, Cpt, Dag, _cpt_factor
 
@@ -95,7 +95,7 @@ def random_product_table(rng: np.random.Generator, m: int) -> JointTable:
     """Table where all variables are mutually independent."""
     m = _check_variable_count(m)
     factors = [((j,), (1.0 - p, p)) for j, p in enumerate(rng.uniform(LOW, HIGH, m))]
-    return _trusted_table(m, factor_product(m, factors))
+    return _trusted_table(m, _factor_product(m, factors))
 
 
 def random_block_product_table(
@@ -109,7 +109,7 @@ def random_block_product_table(
     q_block /= q_block.sum()
     q_rest = np.maximum(rng.random(1 << len(rest)), FLOOR)
     q_rest /= q_rest.sum()
-    return _trusted_table(m, factor_product(m, [(block, q_block), (rest, q_rest)]))
+    return _trusted_table(m, _factor_product(m, [(block, q_block), (rest, q_rest)]))
 
 
 def random_conditional_table(
@@ -133,4 +133,4 @@ def random_conditional_table(
     # P(a | w) is the CPT factor of a with parents w: raveled in C order,
     # its index bit i is variable i of w + (a,).
     a_given_w = _cpt_factor(cond_true, a, w)[1].ravel()
-    return _trusted_table(m, factor_product(m, [(rest, context_mass), (w + (a,), a_given_w)]))
+    return _trusted_table(m, _factor_product(m, [(rest, context_mass), (w + (a,), a_given_w)]))

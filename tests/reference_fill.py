@@ -16,7 +16,7 @@ import numpy as np
 from beliefpool import DegenerateCpt, ZeroEvidence
 from beliefpool.consensus import consensus_bn_structure
 from beliefpool.inference import query_conditional
-from beliefpool.pools import logistic, pooled_log_odds
+from beliefpool.pools import _logistic, _pooled_log_odds
 
 
 def _log_sigmoid(x):
@@ -60,7 +60,7 @@ def reference_fill(agents, w):
 
     # Pass 2: every row of the build in one pool.
     c = np.array(conds).T
-    log_odds = pooled_log_odds(1.0 - c, c, w).tolist()
+    log_odds = _pooled_log_odds(1.0 - c, c, w).tolist()
 
     # Pass 3: children before parents; each child's row found bit by bit.
     for node in order:
@@ -82,7 +82,7 @@ def reference_fill(agents, w):
                 x1 = sign * log_odds[start[child] + (row | bit)]
                 log_ratio += _log_sigmoid(x0) - _log_sigmoid(x1)
             log_odds[first + r] += log_ratio
-    _, p_true = logistic(np.array(log_odds))
+    _, p_true = _logistic(np.array(log_odds))
     rows = p_true.tolist()
     return [
         tuple(rows[start[v]:start[v] + (1 << len(parents[v]))])

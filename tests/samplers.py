@@ -6,8 +6,8 @@ Markov potentials lie in [POT_LOW, POT_HIGH].
 
 import numpy as np
 
-from beliefpool import BayesNet, Cpt, JointTable, MarkovNet
-from beliefpool.joint import factor_product
+from beliefpool import BayesNet, Cpt, Dag, JointTable, MarkovNet
+from beliefpool.joint import _factor_product
 from beliefpool.networks import direct_by_order, moralize, triangulate
 from beliefpool.sampling import random_bn, random_dag
 
@@ -48,6 +48,11 @@ def wide_agents(labels=None) -> list[BayesNet]:
     ]
 
 
+def chain_bn(rng: np.random.Generator, m: int) -> BayesNet:
+    """A random network over the chain 0 -> 1 -> ... -> m-1."""
+    return random_bn(rng, m, dag=Dag(m, ((),) + tuple((v - 1,) for v in range(1, m))))
+
+
 def grid_bn(side: int) -> BayesNet:
     """A side x side grid whose node (i, j), index i * side + j, has the
     nodes above and to the left as parents: at most four CPT rows each,
@@ -70,4 +75,4 @@ def random_markov_table(rng: np.random.Generator, mn: MarkovNet) -> JointTable:
     nodes = [((v,), rng.uniform(POT_LOW, POT_HIGH, 2)) for v in range(mn.m)]
     # An edge's four potentials are psi[u's value, v's value] in C order.
     edges = [((v, u), rng.uniform(POT_LOW, POT_HIGH, 4)) for u, v in sorted(mn.edges)]
-    return JointTable(mn.m, factor_product(mn.m, nodes + edges))
+    return JointTable(mn.m, _factor_product(mn.m, nodes + edges))

@@ -30,11 +30,7 @@ from beliefpool.axioms import (
     logop_mp_break_witness,
     reproduce_example,
 )
-from beliefpool.joint import (
-    markov_dependence_gap,
-    pairwise_dependence_gap,
-    state_index,
-)
+from beliefpool.joint import markov_dependence_gap, pairwise_dependence_gap
 from beliefpool.networks import moralize, triangulate
 from beliefpool.sampling import random_bn, random_product_table, random_weights
 
@@ -44,13 +40,9 @@ from samplers import (
     random_markov_table,
 )
 
-# Display order (TT, TF, FT, FF) over the two-variable state indices.
-DISPLAY = (
-    state_index((True, True)),
-    state_index((True, False)),
-    state_index((False, True)),
-    state_index((False, False)),
-)
+# Display order (TT, TF, FT, FF) over the two-variable state indices;
+# bit j of a state is variable j.
+DISPLAY = (3, 1, 2, 0)
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:

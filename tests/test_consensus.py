@@ -9,6 +9,7 @@ arithmetic plus one square root) before this module existed.
 
 import itertools
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -43,12 +44,12 @@ from beliefpool.joint import conditional_probability
 from beliefpool.model_io import json_text, network_to_dict
 from beliefpool.networks import mn_union, moralize
 from beliefpool import consensus, inference, joint
-from beliefpool.pools import logistic, normalize_weights, pooled_log_odds
+from beliefpool.pools import _logistic, _pooled_log_odds, normalize_weights
 from beliefpool.axioms import chain_agents
 from beliefpool.sampling import random_bn, random_dag, random_weights
 
 from reference_fill import reference_fill
-from samplers import random_common_structure_bns, wide_agents
+from samplers import chain_bn, random_common_structure_bns, wide_agents
 
 CHAIN_A, CHAIN_B = chain_agents()
 
@@ -116,7 +117,7 @@ class TestCapacity:
         ):
             # Stubbed fills: a missing check fails the test, never allocates.
             with mock.patch.object(consensus, "_structured_cpts") as by_query, \
-                    mock.patch.object(consensus, "weighted_product_cpts") as by_product:
+                    mock.patch.object(consensus, "_weighted_product_cpts") as by_product:
                 with pytest.raises(CapacityExceeded) as exc:
                     logop_consensus_bn(agents, dense_oracle=dense_oracle)
             by_query.assert_not_called()
@@ -180,12 +181,51 @@ class TestConsensusStructures:
             for agent in agents:
                 assert agent.dag().skeleton() <= structure.skeleton()
 
+    def test_long_chain_builds_and_answers(self):
+        # Two agents over a chain of 20,000 variables: the structure is
+        # the chain again, and linop_query of the last variable given the
+        # first equals the agents' own forward pass.
+        m = 20_000
+        rng = np.random.default_rng(3)
+        agents = [chain_bn(rng, m) for _ in range(2)]
+        structure, order = consensus_bn_structure([a.dag() for a in agents])
+        assert structure.skeleton() == agents[0].dag().skeleton()
+        joint_mass, first_mass = [], []
+        for agent in agents:
+            p = 1.0  # P(x_v = 1 | x_0 = 1) along the chain
+            for cpt in agent.cpts[1:]:
+                p = p * cpt.rows[1] + (1.0 - p) * cpt.rows[0]
+            first = agent.cpts[0].rows[0]
+            joint_mass.append(first * p)
+            first_mass.append(first)
+        got = linop_query(agents, {m - 1: True}, {0: True}, (0.3, 0.7))
+        expected = (0.3 * joint_mass[0] + 0.7 * joint_mass[1]) / (
+            0.3 * first_mass[0] + 0.7 * first_mass[1]
+        )
+        assert got == pytest.approx(expected, rel=1e-9)
+
+    def test_chain_structure_time_grows_about_linearly(self):
+        # min-fill's pick scanned every vertex, so the structure was
+        # quadratic on a chain: 13-16x from m=2,000 to m=8,000. Both
+        # sizes run in this process, so the host's speed cancels out.
+        rng = np.random.default_rng(0)
+        best = {}
+        for m in (2000, 8000):
+            dags = [chain_bn(rng, m).dag() for _ in range(2)]
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                consensus_bn_structure(dags)
+                times.append(time.perf_counter() - start)
+            best[m] = min(times)
+        assert best[8000] < 8 * best[2000], best
+
 
 def pool_event(false, true, weights=None):
     """(P(false), P(true)) of the logop of the agents' event masses."""
     false, true = np.asarray(false, float), np.asarray(true, float)
     w = normalize_weights(weights, false.size)
-    p_false, p_true = logistic(pooled_log_odds(false, true, w))
+    p_false, p_true = _logistic(_pooled_log_odds(false, true, w))
     return float(p_false), float(p_true)
 
 
@@ -223,17 +263,17 @@ class TestChildLogRatios:
     P(child | node true)."""
 
     def test_no_children_even_odds(self):
-        assert logistic(np.float64(0.0)) == (0.5, 0.5)
+        assert _logistic(np.float64(0.0)) == (0.5, 0.5)
 
     def test_neutral_child_changes_nothing(self):
         log_odds = math.log(3.0)
-        _, got = logistic(np.float64(log_odds + math.log(0.4) - math.log(0.4)))
+        _, got = _logistic(np.float64(log_odds + math.log(0.4) - math.log(0.4)))
         assert got == pytest.approx(0.75, abs=1e-12)
 
     def test_zero_odds_is_a_sure_false(self):
         # Zero or infinite odds give a sure row, not a failure.
-        assert logistic(np.float64(-math.inf)) == (1.0, 0.0)
-        assert logistic(np.float64(math.inf)) == (0.0, 1.0)
+        assert _logistic(np.float64(-math.inf)) == (1.0, 0.0)
+        assert _logistic(np.float64(math.inf)) == (0.0, 1.0)
 
     def test_extreme_child_rows_build(self):
         # Two agents from the extreme-row draws. A finished consensus
@@ -263,13 +303,13 @@ class TestChildLogRatios:
         # Fix the child true, pool the agents' masses for node 0, then
         # add the child's consensus log-ratio. The result must equal the
         # pooled joint's node-0 marginal.
-        log_odds = pooled_log_odds(
+        log_odds = _pooled_log_odds(
             np.array([1.0 - COND_A, 1.0 - COND_B]),
             np.array([COND_A, COND_B]),
             np.array([0.5, 0.5]),
         )
         log_odds += math.log(P_NODE1_GIVEN_FALSE) - math.log(P_NODE1_GIVEN_TRUE)
-        _, got = logistic(log_odds)
+        _, got = _logistic(log_odds)
         assert got == pytest.approx(P_NODE0, abs=1e-12)
 
 
@@ -366,17 +406,17 @@ class TestLogopConsensusBn:
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_one_pool_and_one_logistic_per_build(self, shared):
-        # Every row of the build goes through one pooled_log_odds call and
-        # one logistic call, and every agent query is counted.
+        # Every row of the build goes through one _pooled_log_odds call and
+        # one _logistic call, and every agent query is counted.
         rng = np.random.default_rng(31)
         if shared:
             agents = random_common_structure_bns(rng, 20, 3, edge_prob=0.1, max_parents=2)
         else:
             agents = [random_bn(rng, 8, max_parents=2) for _ in range(3)]
         with mock.patch.object(
-            consensus, "pooled_log_odds", wraps=pooled_log_odds
+            consensus, "_pooled_log_odds", wraps=_pooled_log_odds
         ) as pool, mock.patch.object(
-            consensus, "logistic", wraps=logistic
+            consensus, "_logistic", wraps=_logistic
         ) as squash, mock.patch.object(
             consensus, "query_conditional", wraps=inference.query_conditional
         ) as query:
@@ -936,7 +976,7 @@ class TestLinopQuery:
         event, evidence = {0: True}, {5: False}
         for agents, plans in ((shared, 2), (shared + other, 4), (other + shared[:1], 4)):
             with mock.patch.object(
-                inference, "min_fill_order", wraps=inference.min_fill_order
+                inference, "_min_fill_order", wraps=inference._min_fill_order
             ) as order:
                 got = linop_query(agents, event, evidence)
             # One plan per assignment (the evidence, then event and

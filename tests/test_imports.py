@@ -7,7 +7,7 @@ no module raises a bare ValueError, and the caller errors that replace
 it are BeliefPoolErrors that a caller's `except ValueError` still
 catches. Only the functions that have already validated their
 input call the trusted construction path. And there is one factor
-product, joint.contract, the only caller of np.einsum. Each input rule
+product, joint._contract, the only caller of np.einsum. Each input rule
 that more than one caller needs (a variable count, a model's kind, a
 parent list, a label list, the a, w, x partition, state indices) raises
 its messages from one function (RULES).
@@ -46,7 +46,7 @@ from beliefpool import (
 from beliefpool import errors
 from beliefpool.axioms import reproduce_example
 from beliefpool.inference import (
-    query_conditional, query_event_marginal, weighted_product_cpts,
+    _weighted_product_cpts, query_conditional, query_event_marginal,
 )
 from beliefpool.consensus import linop_query
 from beliefpool.joint import (
@@ -184,7 +184,7 @@ CALLER_ERRORS = {
     "list-agent-count": (MalformedInstance, lambda: normalize_weights(None, [1])),
     "product-parents-not-bucket": (
         MalformedInstance,
-        lambda: weighted_product_cpts([CHAIN], [1.0], Dag(2, ((), ())), (0, 1)),
+        lambda: _weighted_product_cpts([CHAIN], [1.0], Dag(2, ((), ())), (0, 1)),
     ),
     "unknown-pool-check": (MalformedInstance, lambda: check_property("mean", "unam", [])),
     "no-tables": (MalformedInstance, lambda: linop(())),
@@ -322,8 +322,9 @@ def test_wrong_kind_names_both_kinds(call):
 # pools.normalize_weights (InvalidWeight) and joint._shared_variable_count
 # (MalformedInstance). InvalidWeight is not a ValueError, so these are not
 # CALLER_ERRORS rows. The file writer's kind check, the property
-# instances' field checks and the dependence gaps' variable check are
-# pinned here too, by message.
+# instances' field checks, the dependence gaps' variable check and
+# align_variables' sequence and label checks are pinned here too, by
+# message.
 CHOKE_POINT_ERRORS = {
     "logop-scalar-weights": (
         InvalidWeight, "weights must be a sequence of numbers",
@@ -389,6 +390,18 @@ CHOKE_POINT_ERRORS = {
         MalformedInstance, "state indices must be integers, got frozenset({1.5})",
         lambda: check_property("linop", "mp", [EventPoolInstance((PAIR,), frozenset({1.5}))]),
     ),
+    "align-int": (
+        MalformedInstance, "models must be a sequence, got int",
+        lambda: align_variables(5),
+    ),
+    "align-generator": (
+        MalformedInstance, "models must be a sequence, got generator",
+        lambda: align_variables(model for model in [CHAIN]),
+    ),
+    "align-unlabeled": (
+        ModelFormatError, "aligning networks requires variable labels",
+        lambda: align_variables([CHAIN]),
+    ),
     "gap-unhashable-variable": (
         UnknownVariable, "variables must be integers, got [0], 1",
         lambda: pairwise_dependence_gap(PAIR, [0], 1),
@@ -430,7 +443,7 @@ TRUSTED_CALLERS = {
     "networks.direct_by_order",
     "consensus._structured_cpts",
     "consensus._logop_consensus",
-    "inference.weighted_product_cpts",
+    "inference._weighted_product_cpts",
     "networks.bn_to_joint",
     "pools.linop",
     "pools.logop",
@@ -520,12 +533,12 @@ def test_one_bucket_planner():
         for use in trusted_uses(path.read_text(), path.stem, names=("_buckets",))
     ]
     assert sorted(uses) == [
-        ("inference._probabilities", True), ("inference.weighted_product_cpts", True)
+        ("inference._probabilities", True), ("inference._weighted_product_cpts", True)
     ]
 
 
 def test_one_factor_product():
-    """joint.contract is the one factor product: the only einsum call,
+    """joint._contract is the one factor product: the only einsum call,
     and the per-record VE factors and per-state index arrays it replaced
     stay gone."""
     uses = [
@@ -533,7 +546,7 @@ def test_one_factor_product():
         for path in MODULES
         for use in trusted_uses(path.read_text(), path.stem, names=("einsum",))
     ]
-    assert uses == [("joint.contract", True)]
+    assert uses == [("joint._contract", True)]
     for path in MODULES:
         text = path.read_text()
         for name in ("_Factor", "_product", "_sum_out"):
@@ -544,8 +557,9 @@ def test_one_factor_product():
 def test_one_cpt_factor_layout():
     """networks._cpt_factor is the one layout of CPT rows as a factor, the
     only np.concatenate call, and networks._acyclic the one acyclicity
-    check; the cached Cpt tables and the heap order they replaced stay
-    gone."""
+    check; the cached Cpt tables and the heap-based topological order
+    they replaced stay gone. heapq serves networks._min_fill_order's
+    priority queue alone."""
     uses = [
         use
         for path in MODULES
@@ -562,8 +576,13 @@ def test_one_cpt_factor_layout():
     assert {"table", "family", "topological_order"}.isdisjoint(
         f.split(".")[1] for f in defined
     )
-    for path in MODULES:
-        assert "heapq" not in path.read_text(), path.name
+    assert [path.stem for path in MODULES if "heapq" in path.read_text()] == ["networks"]
+    heap_uses = {
+        function
+        for path in MODULES
+        for function, _ in trusted_uses(path.read_text(), path.stem, names=("heapq",))
+    }
+    assert heap_uses == {"networks._min_fill_order"}
 
 
 def enclosing_calls(source, module, match):

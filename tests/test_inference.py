@@ -19,7 +19,6 @@ from beliefpool import (
     BayesNet,
     CapacityExceeded,
     Cpt,
-    Dag,
     MalformedInstance,
     UnknownVariable,
     ZeroEvidence,
@@ -33,21 +32,21 @@ from beliefpool.inference import (
     _AGENT,
     _ancestral_set,
     _buckets,
+    _weighted_product_cpts,
     query_conditional,
     query_event_marginal,
-    weighted_product_cpts,
 )
 from beliefpool.joint import (
     _check_assignment,
+    _contract,
     condition,
     conditional_probability,
-    contract,
     markov_dependence_gap,
     pairwise_dependence_gap,
 )
-from beliefpool.networks import _cpt_factor, min_fill_order, moralize
+from beliefpool.networks import _cpt_factor, _min_fill_order, moralize
 from beliefpool.sampling import random_bn
-from samplers import grid_bn
+from samplers import chain_bn, grid_bn
 
 CHAIN = BayesNet((Cpt(0, (), (0.2,)), Cpt(1, (0,), (0.6, 0.4))))
 
@@ -167,10 +166,6 @@ def factor_scopes(draw):
     return [lead + tuple(sorted(vs)) for vs in draw(st.lists(variables, max_size=15))]
 
 
-def chain_bn(rng, m):
-    return random_bn(rng, m, dag=Dag(m, ((),) + tuple((v - 1,) for v in range(1, m))))
-
-
 class TestBuckets:
     def test_chain_by_hand(self):
         # Bucket 0 leaves factor 3, over (1,); bucket 1 factor 4, over
@@ -187,7 +182,7 @@ class TestBuckets:
             for u, w in itertools.combinations([v for v in scope if v != _AGENT], 2):
                 adj[u].add(w)
                 adj[w].add(u)
-        orders = [min_fill_order(adj)[0], data.draw(st.permutations(sorted(adj)))]
+        orders = [_min_fill_order(adj)[0], data.draw(st.permutations(sorted(adj)))]
         for order in orders:
             assert _buckets(scopes, order) == buckets_by_scan(scopes, order)
 
@@ -203,7 +198,7 @@ class TestBuckets:
             times = []
             for _ in range(3):
                 start = time.perf_counter()
-                weighted_product_cpts(agents, np.array([0.5, 0.5]), structure, order)
+                _weighted_product_cpts(agents, np.array([0.5, 0.5]), structure, order)
                 times.append(time.perf_counter() - start)
             best[m] = min(times)
         assert best[4000] < 8 * best[1000], best
@@ -428,7 +423,7 @@ class TestCptFactor:
     @staticmethod
     def contracted_variables(net, target, evidence):
         """The variables of every factor that elimination contracts."""
-        with mock.patch.object(inference, "contract", wraps=inference.contract) as spy:
+        with mock.patch.object(inference, "_contract", wraps=inference._contract) as spy:
             got = query_conditional(net, target, evidence)
         seen = {v for call in spy.call_args_list for vs, _ in call.args[0] for v in vs}
         return got, seen - {inference._AGENT}
@@ -606,7 +601,7 @@ class TestBlanketConditional:
             axes, table = _cpt_factor(net.cpts[u].rows, u, net.cpts[u].parents)
             index = tuple(int(given[w]) if w in given else slice(None) for w in axes)
             factors.append(((v,), table[index]))
-        table = contract(factors, (v,))
+        table = _contract(factors, (v,))
         total = float(table.sum())
         with mock.patch.object(inference, "_probabilities") as kernel:
             if total <= 0.0:
@@ -956,22 +951,22 @@ class TestAssignmentCheck:
 
 
 class Contracted(Exception):
-    """Raised by a stubbed contract: the capacity check let the plan run."""
+    """Raised by a stubbed _contract: the capacity check let the plan run."""
 
 
 def contract_per_agent_only(factors, out):
-    """contract over factors that hold the agent axis alone, as for an
+    """_contract over factors that hold the agent axis alone, as for an
     assignment with nothing to sum out; Contracted for any other call."""
     factors = list(factors)
     if any(len(variables) > 1 for variables, _ in factors):
         raise Contracted
-    return contract(factors, out)
+    return _contract(factors, out)
 
 
 class TestCapacity:
     """Elimination checks its widest bucket, over every agent it answers
-    for, against 2**MAX_DENSE_VARIABLES before any contract call. The
-    grids have CPTs of at most four rows; contract is stubbed, so a
+    for, against 2**MAX_DENSE_VARIABLES before any _contract call. The
+    grids have CPTs of at most four rows; _contract is stubbed, so a
     missing check fails the test instead of allocating."""
 
     CORNER = 26 * 26 - 1
@@ -984,7 +979,7 @@ class TestCapacity:
             (linop_query, ([grid], {self.CORNER: True})),
         ):
             with mock.patch.object(
-                inference, "contract", side_effect=contract_per_agent_only
+                inference, "_contract", side_effect=contract_per_agent_only
             ) as stub:
                 with pytest.raises(CapacityExceeded) as exc:
                     query(*args)
@@ -1001,7 +996,7 @@ class TestCapacity:
         # 4 agents sharing the grid fill 2^24 entries, 5 are over.
         grid = grid_bn(15)
         corner = {15 * 15 - 1: True}
-        with mock.patch.object(inference, "contract", side_effect=contract_per_agent_only):
+        with mock.patch.object(inference, "_contract", side_effect=contract_per_agent_only):
             with pytest.raises(Contracted):
                 linop_query([grid] * 4, corner)
             with pytest.raises(CapacityExceeded) as exc:

@@ -24,7 +24,6 @@ from beliefpool.joint import (
     conditional_probability,
     markov_dependence_gap,
     pairwise_dependence_gap,
-    state_index,
 )
 from beliefpool.sampling import (
     random_conditional_table,
@@ -87,17 +86,6 @@ class TestConstruction:
     def test_always_sums_to_one(self, m, data):
         table = JointTable(m, data.draw(entries(m)))
         assert table.probs.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-class TestStateIndexing:
-    def test_bit_j_is_variable_j(self):
-        assert state_index((True, False, True)) == 0b101
-        assert state_index((False, True)) == 0b10
-
-    @given(st.integers(min_value=0, max_value=2**8 - 1))
-    def test_round_trip(self, index):
-        bits = tuple(bool((index >> j) & 1) for j in range(8))
-        assert state_index(bits) == index
 
 
 class TestMarginal:

@@ -328,6 +328,70 @@ def mutated_network_dicts(draw):
     return data
 
 
+@st.composite
+def manifest_dicts(draw):
+    inputs = draw(st.lists(paths, min_size=1, max_size=3))
+    data = {"kind": "linop-manifest", "inputs": inputs}
+    if draw(st.booleans()):
+        data["weights"] = draw(st.lists(st.floats(0.0, 1.0), min_size=len(inputs),
+                                        max_size=len(inputs)))
+    return data
+
+
+# One mutation of a valid dict each: drop a key or an item, retype a
+# value, replace a string (a label, an input path, the kind), rename a key
+# (a row key, a CPT's label), replace a number (a row value, a weight), or
+# nest a value one level down.
+MUTATIONS = ("drop", "retype", "string", "key", "number", "nest")
+RETYPED = (None, True, 0, 1.5, "x", [], {})
+NUMBERS = (-0.5, 1.5, 2**70, 10**400, float("nan"), float("inf"), -0.0, 5e-324)
+
+
+def _at(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+def _fits(mutation, data, path):
+    """Whether mutation has a place to apply at path."""
+    if mutation == "string":
+        return isinstance(_at(data, path), str)
+    if mutation == "number":
+        return type(_at(data, path)) in (int, float)
+    if mutation == "key":
+        return isinstance(_at(data, path[:-1]), dict)
+    return True
+
+
+@st.composite
+def once_mutated_dicts(draw):
+    """A valid bayes or manifest dict with exactly one mutation applied,
+    or none when the drawn mutation has no place to apply."""
+    data = draw(st.one_of(labelled_bns().map(network_to_dict), manifest_dicts()))
+    data = json.loads(json.dumps(data))  # a deep copy the draw may change
+    strings = list(data.get("variables", [])) + ["", "zz", "0", "01", "2"]
+    mutation = draw(st.sampled_from(MUTATIONS))
+    spots = [p for p in list(json_positions(data))[1:] if _fits(mutation, data, p)]
+    if not spots:
+        return data
+    path = draw(st.sampled_from(spots))
+    parent, key = _at(data, path[:-1]), path[-1]
+    if mutation == "drop":
+        del parent[key]
+    elif mutation == "retype":
+        parent[key] = draw(st.sampled_from(RETYPED))
+    elif mutation == "string":
+        parent[key] = draw(st.sampled_from(strings))
+    elif mutation == "key":
+        parent[draw(st.sampled_from(strings))] = parent.pop(key)
+    elif mutation == "number":
+        parent[key] = draw(st.sampled_from(NUMBERS))
+    else:
+        parent[key] = draw(st.sampled_from(([parent[key]], {"v": parent[key]})))
+    return data
+
+
 class TestFormatValidation:
     @given(data=mutated_network_dicts())
     @settings(max_examples=400, deadline=None)
@@ -339,6 +403,17 @@ class TestFormatValidation:
         except ModelFormatError:
             return
         assert isinstance(model, BayesNet)
+
+    @given(data=once_mutated_dicts())
+    @settings(max_examples=150, deadline=None)
+    def test_one_mutation_gives_a_model_or_a_model_format_error(self, data):
+        # Both parsers see every dict, so a mutated kind reaches the other.
+        for parse, kind in ((network_from_dict, BayesNet), (manifest_from_dict, LinopManifest)):
+            try:
+                model = parse(data)
+            except ModelFormatError:
+                continue
+            assert isinstance(model, kind)
 
     def test_unknown_kind(self):
         with pytest.raises(ModelFormatError):

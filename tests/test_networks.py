@@ -32,8 +32,8 @@ from beliefpool import inference
 from beliefpool.inference import query_conditional
 from beliefpool.joint import conditional_probability
 from beliefpool.networks import (
+    _min_fill_order,
     direct_by_order,
-    min_fill_order,
     mn_union,
     moralize,
     triangulate,
@@ -88,7 +88,7 @@ def prob_true(cpt, assignment):
 
 
 def min_fill_by_full_recount(adjacency):
-    """Oracle for min_fill_order: the plain greedy loop that recounts the
+    """Oracle for _min_fill_order: the plain greedy loop that recounts the
     fill of every remaining vertex before each pick."""
     def fill_count(v):
         return sum(
@@ -345,7 +345,7 @@ class TestTriangulate:
 
     def test_min_fill_order_reports_fill_edges(self):
         square = mn(4, (0, 1), (1, 2), (2, 3), (0, 3))
-        order, fills = min_fill_order(square.adjacency())
+        order, fills = _min_fill_order(square.adjacency())
         assert len(order) == 4
         assert fills == frozenset({(1, 3)})  # node 0 goes first, joining 1 and 3
 
@@ -353,14 +353,14 @@ class TestTriangulate:
         # The 4-cycle 0-2-1-3: eliminating 0 joins 2 and 3, so 1, which is
         # not adjacent to 0, drops to fill 0 and wins the tie with 2.
         square = mn(4, (0, 2), (1, 2), (1, 3), (0, 3))
-        order, fills = min_fill_order(square.adjacency())
+        order, fills = _min_fill_order(square.adjacency())
         assert order == (0, 1, 2, 3)
         assert fills == frozenset({(2, 3)})
 
     @given(adjacency=graphs())
     @settings(max_examples=300, deadline=None)
     def test_min_fill_order_matches_full_recount(self, adjacency):
-        assert min_fill_order(adjacency) == min_fill_by_full_recount(adjacency)
+        assert _min_fill_order(adjacency) == min_fill_by_full_recount(adjacency)
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)

@@ -27,7 +27,7 @@ from beliefpool import (
 )
 from beliefpool.joint import pairwise_dependence_gap
 from beliefpool.axioms import independent_pair_agents
-from beliefpool.pools import logistic, normalize_weights, pooled_log_odds
+from beliefpool.pools import _logistic, _pooled_log_odds, normalize_weights
 from beliefpool.sampling import random_joint, random_weights
 
 # State order by index: (FF, TF, FT, TT) with bit 0 the first variable.
@@ -255,7 +255,7 @@ class TestPooledLogOdds:
             .filter(lambda ws: sum(ws) > 0.0)
         )
         w = normalize_weights(weights, n)
-        p_false, p_true = logistic(pooled_log_odds(false, true, w))
+        p_false, p_true = _logistic(_pooled_log_odds(false, true, w))
         assert p_false.shape == p_true.shape == (rows,)
         for r in range(rows):
             kept = [i for i in range(n) if w[i] > 0.0]

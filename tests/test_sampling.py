@@ -2,7 +2,7 @@
 
 Each generator and bn_to_joint must give exactly the entries of the
 per-variable state loops they replaced, which are kept here as
-references; the kernels (contract and factor_product) are checked
+references; the kernels (_contract and _factor_product) are checked
 against a plain Python product over every state. A sampler rejects bad
 arguments before it draws anything.
 """
@@ -27,7 +27,7 @@ from beliefpool import (
     UnknownVariable,
     bn_to_joint,
 )
-from beliefpool.joint import MAX_DENSE_VARIABLES, contract, factor_product
+from beliefpool.joint import MAX_DENSE_VARIABLES, _contract, _factor_product
 from beliefpool.networks import moralize
 from beliefpool.sampling import (
     FLOOR,
@@ -293,7 +293,7 @@ def per_state_product(m, factors):
 @example((3, [((2, 0), np.array([1.0, 2.0, 3.0, 5.0]))]))
 def test_factor_product_matches_per_state_product(case):
     m, factors = case
-    assert np.array_equal(factor_product(m, factors), per_state_product(m, factors))
+    assert np.array_equal(_factor_product(m, factors), per_state_product(m, factors))
 
 
 @st.composite
@@ -342,7 +342,7 @@ def per_state_contract(factors, out):
 @example(([((0,), np.array([1.25, 0.25])), ((), np.array(0.65309152))], ()))
 def test_contract_matches_per_state_product(case):
     factors, out = case
-    got = contract(factors, out)
+    got = _contract(factors, out)
     want = per_state_contract(factors, out)
     summed = {v for variables, _ in factors for v in variables} - set(out)
     assert got.shape == want.shape
