@@ -57,13 +57,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (
-    CapacityExceeded, DegenerateCpt, MismatchedVariables, NotChordal, ZeroEvidence,
+    CapacityExceeded, DegenerateCpt, MalformedInstance, MismatchedVariables, NotChordal,
+    ZeroEvidence,
 )
 from .inference import _probabilities, _weighted_product_cpts, query_conditional
 from .joint import (
@@ -90,11 +92,13 @@ class ConsensusBn:
 
     agent_queries counts the per-agent inference calls issued while
     filling in CPTs, a row's failed all-true attempt included; the
-    dense_oracle route issues none. Zero-weight agents shape neither
-    the structure nor any CPT, so they are never asked. direct_by_order
-    must orient bn's skeleton along elimination_order into bn's own
-    parent sets, so bn is decomposable; it raises MalformedInstance or
-    NotChordal, and so does a different orientation (NotChordal).
+    dense_oracle route issues none; it must be a nonnegative integer
+    other than a bool (MalformedInstance) and is kept as a Python int.
+    Zero-weight agents shape neither the structure nor any CPT, so they
+    are never asked. direct_by_order must orient bn's skeleton along
+    elimination_order into bn's own parent sets, so bn is decomposable;
+    it raises MalformedInstance or NotChordal, and so does a different
+    orientation (NotChordal).
     """
 
     bn: BayesNet
@@ -103,6 +107,15 @@ class ConsensusBn:
 
     def __post_init__(self) -> None:
         _check_kind(self.bn, BayesNet)
+        try:
+            queries = operator.index(self.agent_queries)
+        except TypeError:
+            queries = -1
+        if queries < 0 or isinstance(self.agent_queries, bool):
+            raise MalformedInstance(
+                f"agent_queries must be a nonnegative integer, got {self.agent_queries!r}"
+            )
+        object.__setattr__(self, "agent_queries", queries)
         dag = self.bn.dag()
         oriented = direct_by_order(
             MarkovNet(dag.m, dag.skeleton()), self.elimination_order

@@ -22,37 +22,37 @@ rows in row order through it, and network_to_dict writes each CPT's
 rows in the table's sorted key order, so no key is parsed, formatted or
 sorted per row.
 
-The _Loader also keeps the structure of the last file it checked in
-full: its "variables", "edges" and per-CPT "parents" as written, with
-the labels, label index, parent tuples and Dag they checked to. A file
-whose three fields equal those as JSON values skips the label, edge,
-parent and acyclicity checks and shares that file's labels, parent
-tuples and Dag; its rows still go through the same row reader, key-set
-check and value check. Equality is proof enough: each of those fields
-of a checked file is a string or a list of strings, and only an equal
-string compares equal to a string. A file that differs anywhere, or
-whose rows the row reader or the value check turns down (a fault, or
-integer rows such as 0 and 1), takes the full check, so it raises the
-message and loads the network that it would alone.
+Every network file takes one path. First the structure: the _Loader
+keeps the last structure it checked in full, its "variables", "edges"
+and per-CPT "parents" as written with the labels, label index, parent
+tuples and Dag they checked to. A file whose three fields equal those
+as JSON values takes that check and shares those labels, parent tuples
+and Dag; equality is proof enough, since each of those fields of a
+checked file is a string or a list of strings, and only an equal string
+compares equal to a string. Any other file takes the full structural
+check, which the loader then remembers. Then the rows: every file's go
+through the same row reader, key-set check and value check, so a file
+raises the message and loads the network that it would alone.
 
 Loading raises ModelFormatError, naming the file, for anything
 malformed, including text that is not UTF-8, integers too large for a
 float, nesting too deep for the JSON parser, and any kind but "bayes"
-or "linop-manifest". The loader is where a file's model is validated:
-it makes every check the network constructors would, through the same
-functions (networks._check_labels for the labels, _check_parents for a
-faulty entry's parents, which then names the node by its label), then
-builds the network without checking again.
+or "linop-manifest"; a path that is not a str or an os.PathLike is a
+MalformedInstance, as it is for saving. The loader is where a file's
+model is validated: it makes every check the network constructors
+would, through the same functions (networks._check_labels for the
+labels, _check_parents for a faulty entry's parents, which then names
+the node by its label), then builds the network without checking again.
 Each check runs over the whole file at once: the types of the entries
 and of their parent and row fields as one set of types, the parents
-resolved in one pass, each CPT's key set against the table's, every row
-value in one pass (all floats, between 0 and 1, no NaN), and acyclicity
-over the parent lists by Dag's own check, networks._acyclic. Only when
-one of them fails does _check_cpts walk the entries one CPT at a time,
-in variable order and each one's rows in file order, to raise the
-message of the first fault; it builds nothing. A walk that finds no
-fault leaves rows that are numbers but not all floats, such as 0 and 1,
-which load as floats.
+resolved in one pass, acyclicity over the parent lists by Dag's own
+check, networks._acyclic, the edges against the parent lists, each
+CPT's key set against the table's, and every row value in one pass (all
+floats, between 0 and 1, no NaN). Only when one of them fails does
+_check_cpts walk the entries one CPT at a time, in variable order and
+each one's rows in file order, to raise the message of the first fault;
+it builds nothing. A walk that finds no fault leaves rows that are
+numbers but not all floats, such as 0 and 1, which load as floats.
 
 A manifest file ("kind": "linop-manifest") names input network files
 plus weights instead of storing a pooled model, because an arithmetic
@@ -64,6 +64,7 @@ import itertools
 import json
 import math
 import operator
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -138,21 +139,20 @@ def _all_instances(items: list, cls: type) -> bool:
 
 class _Loader:
     """What the loads of one command share: the row-key tables, each
-    built once per parent count, and the structure of the last file that
-    passed the full check. cli._load_bayes_inputs makes one per command
+    built once per parent count, and the last structure that passed the
+    full check (_structure). cli._load_bayes_inputs makes one per command
     and hands it to every load_network call; a load given none makes its
     own."""
 
-    __slots__ = ("tables", "raw", "checked")
+    __slots__ = ("tables", "memo")
 
     def __init__(self) -> None:
         # Per parent count: the valid keys and a getter of the rows in row order.
         self.tables: dict[int, tuple] = {}
         # The last checked file's "variables", "edges" and per-CPT
-        # "parents" as it wrote them, and the labels, label index, parent
+        # "parents" as it wrote them, then the labels, label index, parent
         # tuples and Dag they checked to.
-        self.raw: tuple | None = None
-        self.checked: tuple | None = None
+        self.memo: tuple | None = None
 
 
 def _parse_edges(edges, index: dict[str, int]) -> set[tuple[int, int]]:
@@ -200,8 +200,7 @@ def _read_rows(
         k = len(ps)
         if k not in tables:
             # A table is built only for a row count that fits it: a short
-            # file can repeat one parent too often for 2^k keys to fit in
-            # memory.
+            # file can list too many parents for 2^k keys to fit in memory.
             if len(row_map) != 1 << k:
                 return None
             keys = _row_keys(k)
@@ -263,72 +262,54 @@ def _check_cpts(labels: tuple[str, ...], entries: list, index: dict[str, int]) -
         _check_parents(owner, tuple(map(index.__getitem__, parents_raw)), labels=labels)
 
 
-def _reused_structure(loader: _Loader, variables, edges, cpts_data) -> tuple | None:
-    """(labels, parents, Dag, rows) of a file whose "variables", "edges"
-    and per-CPT "parents" equal, as JSON values, those of the last file
-    the loader checked, and whose rows pass the row reader and the value
-    check; None for any other file.
+def _structure(loader: _Loader, variables, edges, cpts_data) -> tuple:
+    """(labels, label index, parents, Dag, entries) of a network after
+    every structural check: the loader's remembered one when "variables",
+    "edges" and each entry's "parents" equal the remembered ones as JSON
+    values, else the full check, which the loader then remembers. Those
+    fields of a checked file are strings and lists of strings, and only an
+    equal string compares equal to a string, so equality is proof enough.
 
-    Every structural field of a checked file is a string or a list of
-    strings, and only an equal string compares equal to a string, so an
-    equal file passes every structural check the first one passed."""
-    if loader.raw is None or variables != loader.raw[0] or edges != loader.raw[1]:
-        return None
-    labels, index, parents, dag = loader.checked
-    if not isinstance(cpts_data, dict) or cpts_data.keys() != index.keys():
-        return None
-    entries = list(map(cpts_data.__getitem__, labels))
-    if not _all_instances(entries, dict) or [
-        entry.get("parents") for entry in entries
-    ] != loader.raw[2]:
-        return None
-    rows = _read_rows(entries, parents, loader.tables)
-    if rows is None or not _floats_in_range(rows):
-        return None
-    return labels, parents, dag, rows
+    On a structural fault, _check_cpts names the first faulty entry, its
+    rows included, before a cycle and before edges that disagree."""
+    memo = loader.memo
+    if memo is not None and variables == memo[0] and edges == memo[1]:
+        labels, index, parents, dag = memo[3:]
+        if isinstance(cpts_data, dict) and cpts_data.keys() == index.keys():
+            entries = list(map(cpts_data.__getitem__, labels))
+            if _all_instances(entries, dict) and [e.get("parents") for e in entries] == memo[2]:
+                return labels, index, parents, dag, entries
 
-
-def _check_network(variables, edges, cpts_data, tables: dict[int, tuple]) -> tuple:
-    """(labels, label index, parents, rows, entries) of a network's
-    structural and CPT fields after every check; each check runs over
-    the whole file at once, and when one fails, _check_cpts names the
-    first faulty entry."""
     if not isinstance(variables, list) or not variables:
         raise ModelFormatError("'variables' must be a nonempty list of labels")
     labels = _check_labels(len(variables), variables)
     index = {label: i for i, label in enumerate(labels)}
     declared = _parse_edges(edges, index)
-
     if not isinstance(cpts_data, dict):
         raise ModelFormatError("'cpts' must map each variable to its table")
     if cpts_data.keys() != index.keys():
-        raise ModelFormatError(
-            "'cpts' must have exactly one entry per variable"
-        )
+        raise ModelFormatError("'cpts' must have exactly one entry per variable")
     entries = list(map(cpts_data.__getitem__, labels))
     parents = _read_parents(entries, index)
-    rows = None if parents is None else _read_rows(entries, parents, tables)
-    if rows is None:
+    if parents is None:
         _check_cpts(labels, entries, index)  # raises: some entry is at fault
     derived = {(p, c) for c, ps in enumerate(parents) for p in ps}
     acyclic = _acyclic(parents)
     if not (
-        _floats_in_range(rows)
-        and len(derived) == sum(map(len, parents))  # no repeated parent
+        len(derived) == sum(map(len, parents))  # no repeated parent
         and acyclic  # no self parent either
+        and declared == derived
     ):
-        # A faulty entry comes first, then a cycle. With neither, each row
-        # is a number in [0, 1] and some are not floats, such as 0 or 1.
         _check_cpts(labels, entries, index)
         if not acyclic:
             raise ModelFormatError("parent structure contains a directed cycle")
-        rows = [tuple(map(float, r)) for r in rows]
-
-    if declared != derived:
-        raise ModelFormatError(
-            "'edges' disagree with the parent lists in 'cpts'"
-        )
-    return labels, index, parents, rows, entries
+        raise ModelFormatError("'edges' disagree with the parent lists in 'cpts'")
+    dag = _trusted(Dag, m=len(labels), parents=tuple(parents))
+    # Copies, so that a caller who changes a loaded dict in place does not
+    # change what the loader remembers.
+    raw = list(variables), list(map(list, edges)), [list(e["parents"]) for e in entries]
+    loader.memo = *raw, labels, index, parents, dag
+    return labels, index, parents, dag, entries
 
 
 def network_from_dict(data, loader: _Loader | None = None) -> BayesNet:
@@ -337,11 +318,10 @@ def network_from_dict(data, loader: _Loader | None = None) -> BayesNet:
     Raises ModelFormatError for any malformed input: a kind other than
     "bayes", a field check, a repeated or self parent with _check_parents'
     messages (the node by label), a cycle, or edges that disagree with the
-    parent lists. Each check runs over the whole file at once; when one
-    fails, _check_cpts names the first faulty entry. A file whose
-    structure equals the last one loader checked reuses that check and
-    its labels, parent tuples and Dag; any other file, and any fault,
-    takes the full check.
+    parent lists. The structure comes from _structure, which reuses the
+    loader's check of an equal structure; every file's rows then take the
+    same read and value check, and when either fails, _check_cpts names
+    the first faulty entry.
     """
     if loader is None:
         loader = _Loader()
@@ -350,17 +330,15 @@ def network_from_dict(data, loader: _Loader | None = None) -> BayesNet:
     kind = data.get("kind")
     if kind != "bayes":
         raise ModelFormatError(f"'kind' must be 'bayes', got {kind!r}")
-    variables, edges, cpts_data = data.get("variables"), data.get("edges"), data.get("cpts")
-    reused = _reused_structure(loader, variables, edges, cpts_data)
-    if reused is not None:
-        labels, parents, dag, rows = reused
-    else:
-        labels, index, parents, rows, entries = _check_network(
-            variables, edges, cpts_data, loader.tables
-        )
-        dag = _trusted(Dag, m=len(labels), parents=tuple(parents))
-        loader.raw = variables, edges, [entry["parents"] for entry in entries]
-        loader.checked = labels, index, parents, dag
+    labels, index, parents, dag, entries = _structure(
+        loader, data.get("variables"), data.get("edges"), data.get("cpts")
+    )
+    rows = _read_rows(entries, parents, loader.tables)
+    if rows is None or not _floats_in_range(rows):
+        # _check_cpts raises for any faulty entry. With none, each row is
+        # a number in [0, 1] and some are not floats, such as 0 or 1.
+        _check_cpts(labels, entries, index)
+        rows = [tuple(map(float, r)) for r in rows]
     # Every Cpt, Dag and BayesNet check has passed: one CPT per variable
     # in owner order, known distinct labels, known parents that are
     # distinct and not the owner, 2^k Python floats in [0, 1], no cycle.
@@ -404,7 +382,15 @@ def manifest_from_dict(data) -> LinopManifest:
     return LinopManifest(tuple(inputs), weights)
 
 
+def _check_path(path) -> None:
+    """MalformedInstance, naming the type, unless path is a str or an
+    os.PathLike: the one path check of the loads and the saves."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise MalformedInstance(f"path must be a str or an os.PathLike, got {type(path).__name__}")
+
+
 def _load_json(path: str | Path):
+    _check_path(path)
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
@@ -524,6 +510,7 @@ def json_text(data: dict) -> str:
 
 
 def _dump(data: dict, path: str | Path) -> None:
+    _check_path(path)
     Path(path).write_text(json_text(data))
 
 

@@ -711,6 +711,15 @@ class TestLogopConsensusBn:
         with pytest.raises(MalformedInstance, match="expected a BayesNet"):
             ConsensusBn(CHAIN_A.dag(), (1, 0))
 
+    @pytest.mark.parametrize("queries", ["many", -5, 2.0, True, None])
+    def test_consensus_bn_agent_queries_must_be_a_count(self, queries):
+        with pytest.raises(MalformedInstance, match="agent_queries must be a nonnegative integer"):
+            ConsensusBn(CHAIN_A, (1, 0), agent_queries=queries)
+
+    def test_consensus_bn_keeps_agent_queries_as_an_int(self):
+        kept = ConsensusBn(CHAIN_A, (1, 0), agent_queries=np.int64(6)).agent_queries
+        assert kept == 6 and type(kept) is int
+
     @given(
         seed=st.integers(min_value=0, max_value=100_000),
         shared=st.booleans(),

@@ -58,9 +58,11 @@ from beliefpool.joint import (
 )
 from beliefpool.model_io import (
     align_variables,
+    load_network,
     manifest_from_dict,
     network_from_dict,
     network_to_dict,
+    save_network,
 )
 from beliefpool.networks import direct_by_order, mn_union, triangulate
 from beliefpool.pools import normalize_weights
@@ -176,6 +178,12 @@ CALLER_ERRORS = {
     "joint-string-entries": (ModelFormatError, lambda: JointTable(1, ["a", "b"])),
     "save-unlabeled": (ModelFormatError, lambda: network_to_dict(CHAIN)),
     "load-non-object": (ModelFormatError, lambda: network_from_dict([])),
+    "load-none-path": (MalformedInstance, lambda: load_network(None)),
+    "load-int-path": (MalformedInstance, lambda: load_network(5)),
+    "load-bytes-path": (MalformedInstance, lambda: load_network(b"x")),
+    "save-none-path": (
+        MalformedInstance, lambda: save_network(BayesNet(CHAIN.cpts, ("A", "B")), None)
+    ),
     "manifest-kind": (ModelFormatError, lambda: manifest_from_dict({"kind": "bayes"})),
     "no-weights-agents": (MalformedInstance, lambda: normalize_weights(None, 0)),
     "string-agent-count": (MalformedInstance, lambda: normalize_weights(None, "a")),
@@ -252,6 +260,12 @@ CALLER_ERRORS = {
         MalformedInstance, lambda: family_pooled_joint("linop", (PAIR,), (1.0, 0.0))
     ),
     "consensus-bad-order": (MalformedInstance, lambda: ConsensusBn(CHAIN, (1, 1))),
+    "consensus-string-queries": (
+        MalformedInstance, lambda: ConsensusBn(CHAIN, (1, 0), agent_queries="many")
+    ),
+    "consensus-negative-queries": (
+        MalformedInstance, lambda: ConsensusBn(CHAIN, (1, 0), agent_queries=-5)
+    ),
     "no-models": (MalformedInstance, lambda: align_variables([])),
     "same-pair": (MalformedInstance, lambda: pairwise_dependence_gap(PAIR, 1, 1)),
     "bad-partition": (MalformedInstance, lambda: markov_dependence_gap(PAIR, 0, (0,), (1,))),
@@ -436,6 +450,7 @@ TRUSTED_PATH = ("_trusted", "_trusted_table")
 TRUSTED_CALLERS = {
     "joint._trusted_table",
     "model_io.network_from_dict",
+    "model_io._structure",
     "model_io.align_variables",
     "networks.moralize",
     "networks.mn_union",

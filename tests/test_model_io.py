@@ -365,16 +365,17 @@ def _fits(mutation, data, path):
 
 
 @st.composite
-def once_mutated_dicts(draw):
-    """A valid bayes or manifest dict with exactly one mutation applied,
-    or none when the drawn mutation has no place to apply."""
-    data = draw(st.one_of(labelled_bns().map(network_to_dict), manifest_dicts()))
-    data = json.loads(json.dumps(data))  # a deep copy the draw may change
+def once_mutated_pairs(draw, originals):
+    """A valid dict drawn from originals and a copy of it with exactly
+    one mutation applied, or none when the drawn mutation has no place to
+    apply."""
+    original = draw(originals)
+    data = json.loads(json.dumps(original))  # a deep copy the draw may change
     strings = list(data.get("variables", [])) + ["", "zz", "0", "01", "2"]
     mutation = draw(st.sampled_from(MUTATIONS))
     spots = [p for p in list(json_positions(data))[1:] if _fits(mutation, data, p)]
     if not spots:
-        return data
+        return original, data
     path = draw(st.sampled_from(spots))
     parent, key = _at(data, path[:-1]), path[-1]
     if mutation == "drop":
@@ -389,7 +390,14 @@ def once_mutated_dicts(draw):
         parent[key] = draw(st.sampled_from(NUMBERS))
     else:
         parent[key] = draw(st.sampled_from(([parent[key]], {"v": parent[key]})))
-    return data
+    return original, data
+
+
+def once_mutated_dicts():
+    """A valid bayes or manifest dict with exactly one mutation applied,
+    or none when the drawn mutation has no place to apply."""
+    originals = st.one_of(labelled_bns().map(network_to_dict), manifest_dicts())
+    return once_mutated_pairs(originals).map(lambda pair: pair[1])
 
 
 class TestFormatValidation:
@@ -414,6 +422,22 @@ class TestFormatValidation:
             except ModelFormatError:
                 continue
             assert isinstance(model, kind)
+
+    @given(pair=once_mutated_pairs(labelled_bns().map(network_to_dict)))
+    @settings(max_examples=150, deadline=None)
+    def test_one_mutation_loads_alike_after_its_original(self, pair):
+        # A loader that remembers the unmutated structure gives the mutated
+        # dict the network, or the message, that a fresh loader gives it.
+        original, data = pair
+        loader = model_io._Loader()
+        network_from_dict(original, loader)
+        outcomes = []
+        for shared in (loader, None):
+            try:
+                outcomes.append(network_from_dict(data, shared))
+            except ModelFormatError as err:
+                outcomes.append(str(err))
+        assert outcomes[0] == outcomes[1]
 
     def test_unknown_kind(self):
         with pytest.raises(ModelFormatError):
@@ -846,6 +870,19 @@ class TestGroupLoader:
             got = load_network(second, loader)
             assert got == load_network(second)
             assert all(type(r) is float for c in got.cpts for r in c.rows)
+
+    def test_a_dict_changed_after_its_load_is_checked_again(self):
+        # The loader remembers copies of the structural fields, so a loaded
+        # dict given a cycle in place raises as it would alone.
+        data = network_to_dict(VEE)
+        loader = model_io._Loader()
+        network_from_dict(data, loader)
+        data["cpts"]["A1"]["parents"].append("A3")
+        data["cpts"]["A1"]["rows"].update({"0": 0.3, "1": 0.3})
+        del data["cpts"]["A1"]["rows"][""]
+        data["edges"].append(["A3", "A1"])
+        with pytest.raises(ModelFormatError, match="^parent structure contains a directed cycle$"):
+            network_from_dict(data, loader)
 
 
 class TestManifest:
