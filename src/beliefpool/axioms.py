@@ -8,7 +8,10 @@ against a tolerance. Expected failures (independence broken by pooling,
 order-dependent family aggregation) live here too, with deterministic
 report suites for the CLI. Both pools check the same frozen instances,
 so each instance keeps the agent-side values it works out
-(cached_property); a check that raises keeps nothing and raises again.
+(cached_property): each profile it pools stacked once, its weights
+normalized once, its events as index arrays; both pools' kernels
+(pools._linop_table, pools._logop_table) read them. A check that raises
+keeps nothing and raises again. The suites check seed and trials first.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Real
+from numbers import Integral, Real
 from sys import float_info
 
 import numpy as np
@@ -32,7 +35,6 @@ from .joint import (
     _contract,
     _factor_product,
     _mass,
-    _shared_variable_count,
     condition,
     conditional_probability,
     marginal,
@@ -42,8 +44,8 @@ from .joint import (
 )
 from .networks import BayesNet, Cpt, _check_order, bn_to_joint
 from .pools import (
-    POOL_NAMES, _logistic, _pooled_log_odds, _stack, check_pool_name, linop,
-    logop, normalize_weights,
+    POOL_NAMES, _linop_table, _logistic, _logop_table, _pooled_log_odds, _stack,
+    check_pool_name, linop, logop, normalize_weights,
 )
 from .sampling import (
     random_block_product_table,
@@ -60,10 +62,21 @@ from .sampling import (
 # (_violation; 0 means the property held)
 
 
-def _pooled(pool: str, inst, tables=None) -> JointTable:
-    """Pool inst.tables (or tables) by pool with the instance's weights."""
-    rule = linop if pool == "linop" else logop
-    return rule(inst.tables if tables is None else tables, inst.weights)
+class _Agents:
+    """The agents' profile, as _stack returns it, and normalized weights."""
+
+    @cached_property
+    def _profile(self) -> tuple[int, np.ndarray]:
+        return _stack(self.tables)
+
+    @cached_property
+    def _w(self) -> np.ndarray:
+        return normalize_weights(self.weights, len(self._profile[1]))
+
+    def _pooled(self, pool: str, profile=None) -> JointTable:
+        """The pool's table of a profile (m, stacked), the agents' by default."""
+        m, stacked = self._profile if profile is None else profile
+        return (_linop_table if pool == "linop" else _logop_table)(m, stacked, self._w)
 
 
 def _state_indices(n_states: int, states) -> list[int]:
@@ -79,20 +92,25 @@ def _state_indices(n_states: int, states) -> list[int]:
     return indices
 
 
-def _event_mass(table: JointTable, states) -> float:
-    """The table's mass on states, state indices _state_indices has checked."""
-    return float(table.probs[sorted(states)].sum())
+def _index_arrays(*events: set[int]) -> tuple[np.ndarray, ...]:
+    """Each event, a set of checked state indices, as a sorted index array."""
+    return tuple(np.array(sorted(event), dtype=np.intp) for event in events)
+
+
+def _event_mass(table: JointTable, event: np.ndarray) -> float:
+    """The table's mass on an event as _index_arrays returns it."""
+    return float(table.probs[event].sum())
 
 
 def _product_gap(table: JointTable) -> float:
     """Largest deviation from the product of single-variable marginals."""
     p_true = [_mass(table, {j: True}) for j in range(table.m)]  # table is checked
     expected = _factor_product(table.m, [((j,), (1.0 - p, p)) for j, p in enumerate(p_true)])
-    return float(np.max(np.abs(table.probs - expected)))
+    return float(np.abs(table.probs - expected).max())
 
 
 @dataclass(frozen=True)
-class UnanimityInstance:
+class UnanimityInstance(_Agents):
     """All agents hold the identical table."""
 
     tables: tuple[JointTable, ...]
@@ -100,18 +118,18 @@ class UnanimityInstance:
 
     @cached_property
     def _shared_table(self) -> JointTable:
-        _, stacked = _stack(self.tables)
+        _, stacked = self._profile
         if (stacked != stacked[0]).any():
             raise MalformedInstance("unanimity needs identical agent tables")
         return self.tables[0]
 
     def _violation(self, pool: str) -> float:
         first = self._shared_table
-        return float(np.max(np.abs(_pooled(pool, self).probs - first.probs)))
+        return float(np.abs(self._pooled(pool).probs - first.probs).max())
 
 
 @dataclass(frozen=True)
-class EventPoolInstance:
+class EventPoolInstance(_Agents):
     """An event (set of state indices) to pool directly versus jointly."""
 
     tables: tuple[JointTable, ...]
@@ -119,32 +137,29 @@ class EventPoolInstance:
     weights: tuple[float, ...] | None = None
 
     @cached_property
-    def _event(self) -> frozenset[int]:
-        """The event's state indices as a set, read once: the field may be
-        an iterator, and a state listed twice is one state."""
-        return frozenset(_state_indices(self.tables[0].n_states, self.event))
-
-    @cached_property
-    def _event_masses(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every agent's mass off the event and on it."""
-        true = np.array([_event_mass(t, self._event) for t in self.tables])
-        rest = set(range(self.tables[0].n_states)).difference(self._event)
-        return np.array([_event_mass(t, rest) for t in self.tables]), true
+    def _event_masses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The event as _index_arrays returns it, read once (the field may
+        be an iterator), and every agent's mass off it and on it."""
+        n_states = self.tables[0].n_states
+        event = set(_state_indices(n_states, self.event))
+        event, rest = _index_arrays(event, set(range(n_states)) - event)
+        true = np.array([_event_mass(t, event) for t in self.tables])
+        return event, np.array([_event_mass(t, rest) for t in self.tables]), true
 
     def _violation(self, pool: str) -> float:
         # The pool checks the tables before the event is read against them.
-        joint_route = _event_mass(_pooled(pool, self), self._event)
-        false, true = self._event_masses
-        w = normalize_weights(self.weights, len(self.tables))
+        pooled = self._pooled(pool)
+        event, false, true = self._event_masses
+        joint_route = _event_mass(pooled, event)
         if pool == "linop":
-            return abs(joint_route - float(w @ true))
+            return abs(joint_route - float(self._w @ true))
         # No NaN here: the joint route has raised DegenerateProduct first.
-        _, event_route = _logistic(_pooled_log_odds(false, true, w))
+        _, event_route = _logistic(_pooled_log_odds(false, true, self._w))
         return abs(joint_route - float(event_route))
 
 
 @dataclass(frozen=True)
-class EvidenceInstance:
+class EvidenceInstance(_Agents):
     """Evidence to condition on before versus after pooling."""
 
     tables: tuple[JointTable, ...]
@@ -152,31 +167,29 @@ class EvidenceInstance:
     weights: tuple[float, ...] | None = None
 
     @cached_property
-    def _conditioned(self) -> tuple[dict, tuple[JointTable, ...]]:
-        """The evidence as a mapping, and each agent's table conditioned on it."""
+    def _conditioned(self) -> tuple[dict, tuple[int, np.ndarray]]:
+        """The evidence as a mapping, and the conditioned agents' profile."""
         try:
             evidence = dict(self.evidence)
         except (TypeError, ValueError):
             raise MalformedInstance("evidence must be (variable, state) pairs") from None
-        return evidence, tuple(condition(t, evidence) for t in self.tables)
+        return evidence, _stack([condition(t, evidence) for t in self.tables])
 
     def _violation(self, pool: str) -> float:
         try:
-            pooled = _pooled(pool, self)
+            pooled = self._pooled(pool)
             evidence, conditioned = self._conditioned
             pool_then_condition = condition(pooled, evidence)
-            condition_then_pool = _pooled(pool, self, conditioned)
+            condition_then_pool = self._pooled(pool, conditioned)
         except ZeroEvidence as err:
             raise MalformedInstance(
                 "evidence must have positive mass for every agent"
             ) from err
-        return float(
-            np.max(np.abs(pool_then_condition.probs - condition_then_pool.probs))
-        )
+        return float(np.abs(pool_then_condition.probs - condition_then_pool.probs).max())
 
 
 @dataclass(frozen=True)
-class StatePairInstance:
+class StatePairInstance(_Agents):
     """Two belief profiles agreeing on states s and t agent by agent."""
 
     tables_p: tuple[JointTable, ...]
@@ -186,40 +199,46 @@ class StatePairInstance:
     weights: tuple[float, ...] | None = None
 
     @cached_property
+    def _profile(self) -> tuple[int, np.ndarray]:
+        return _stack(self.tables_p)
+
+    @cached_property
+    def _profile_q(self) -> tuple[int, np.ndarray]:
+        return _stack(self.tables_q)
+
+    @cached_property
     def _states(self) -> tuple[int, int]:
         """(s, t) as Python ints, once both profiles agree on them."""
-        m_p = _shared_variable_count(self.tables_p, JointTable, "table", "tables")
-        m_q = _shared_variable_count(self.tables_q, JointTable, "table", "tables")
-        if len(self.tables_p) != len(self.tables_q):
+        (m_p, p), (m_q, q) = self._profile, self._profile_q
+        if len(p) != len(q):
             raise MalformedInstance("profiles must have the same agent count")
         s, t = _state_indices(1 << min(m_p, m_q), (self.s, self.t))
-        for tp, tq in zip(self.tables_p, self.tables_q):
-            if any(abs(tp.probs[v] - tq.probs[v]) > 1e-15 for v in (s, t)):
-                raise MalformedInstance("profiles must agree on both distinguished states")
+        if (np.abs(p[:, [s, t]] - q[:, [s, t]]) > 1e-15).any():
+            raise MalformedInstance("profiles must agree on both distinguished states")
         return s, t
 
     def _violation(self, pool: str) -> float:
         s, t = self._states
-        p, q = (_pooled(pool, self, tables).probs for tables in (self.tables_p, self.tables_q))
+        p, q = self._pooled(pool).probs, self._pooled(pool, self._profile_q).probs
         if p[t] <= 0.0 or q[t] <= 0.0:
             raise MalformedInstance("reference state t pooled to zero mass")
         return abs(float(p[s] / p[t] - q[s] / q[t]))
 
 
-class _PreservedProperty:
+class _PreservedProperty(_Agents):
     """Hypothesis: every agent's _gap is within _TOL; violation: the pool's."""
 
     _TOL = 1e-12
 
     @cached_property
     def _agents_within(self) -> bool:
-        _shared_variable_count(self.tables, JointTable, "table", "tables")
+        self._profile  # checks the tables
         return not any(self._gap(t) > self._TOL for t in self.tables)
 
     def _violation(self, pool: str) -> float:
         if not self._agents_within:
             raise MalformedInstance(self._HYPOTHESIS)
-        return self._gap(_pooled(pool, self))
+        return self._gap(self._pooled(pool))
 
 
 @dataclass(frozen=True)
@@ -234,12 +253,12 @@ class EventPairInstance(_PreservedProperty):
     _HYPOTHESIS = "events must be independent under every agent"
 
     @cached_property
-    def _events(self) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-        """The state indices of event_a, event_b and both as sets, each
+    def _events(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """event_a, event_b and both as _index_arrays returns them, each
         field read once: either may be an iterator."""
         n_states = self.tables[0].n_states
-        a, b = (frozenset(_state_indices(n_states, e)) for e in (self.event_a, self.event_b))
-        return a, b, a & b
+        a, b = (set(_state_indices(n_states, e)) for e in (self.event_a, self.event_b))
+        return _index_arrays(a, b, a & b)
 
     def _gap(self, t: JointTable) -> float:
         a, b, both = self._events
@@ -299,7 +318,7 @@ class MarkovInstance(_PreservedProperty):
 
 
 @dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(_Agents):
     """Two chain-rule orderings along which to pool conditional rows."""
 
     tables: tuple[JointTable, ...]
@@ -309,32 +328,30 @@ class FamilyInstance:
 
     @cached_property
     def _prefixes_a(self) -> list:
-        return _prefix_masses(self.tables, self.ordering_a)
+        return _prefix_masses(*self._profile, self.ordering_a)
 
     @cached_property
     def _prefixes_b(self) -> list:
-        return _prefix_masses(self.tables, self.ordering_b)
+        return _prefix_masses(*self._profile, self.ordering_b)
 
     def _violation(self, pool: str) -> float:
         prefixes_a = self._prefixes_a
-        w = normalize_weights(self.weights, len(self.tables))
-        joint_a = _chain_rule_pool(pool, prefixes_a, self.ordering_a, w)
-        joint_b = _chain_rule_pool(pool, self._prefixes_b, self.ordering_b, w)
-        return float(np.max(np.abs(joint_a.probs - joint_b.probs)))
+        joint_a = _chain_rule_pool(pool, prefixes_a, self.ordering_a, self._w)
+        joint_b = _chain_rule_pool(pool, self._prefixes_b, self.ordering_b, self._w)
+        return float(np.abs(joint_a.probs - joint_b.probs).max())
 
 
 # ---------------------------------------------------------------------------
 # Pooling family by family
 
 
-def _prefix_masses(tables: Sequence[JointTable], ordering: Sequence[int]) -> list:
+def _prefix_masses(m: int, stacked: np.ndarray, ordering: Sequence[int]) -> list:
     """Per ordering position k: each agent's mass (axis 0) of (prefix
     context, ordering[k]) and of the context, axis i + 1 being
     ordering[i], and which contexts some agent gives zero mass."""
-    m, stacked = _stack(tables)
     ordering = _check_order(m, ordering)
     # State index bit j sits on axis m - j of the plain reshape.
-    mass = stacked.reshape((len(tables),) + (2,) * m)
+    mass = stacked.reshape((len(stacked),) + (2,) * m)
     mass = mass.transpose((0,) + tuple(m - v for v in ordering))
     prefixes = []
     for k in range(m):
@@ -361,7 +378,7 @@ def family_pooled_joint(
     comes first in chain-rule row order.
     """
     check_pool_name(pool)
-    prefixes = _prefix_masses(tables, ordering)
+    prefixes = _prefix_masses(*_stack(tables), ordering)
     return _chain_rule_pool(pool, prefixes, ordering, normalize_weights(weights, len(tables)))
 
 
@@ -370,22 +387,21 @@ def _chain_rule_pool(pool: str, prefixes: list, ordering: Sequence[int], w) -> J
     factors = []
     for k, (family, context, dead) in enumerate(prefixes):
         if pool == "linop":
-            split = np.divide(family, context, out=np.zeros_like(family), where=context > 0.0)
+            split = np.divide(family, context, out=np.zeros(family.shape), where=context > 0.0)
             wk = w.reshape((-1,) + (1,) * (k + 1))
             # The weights' sum, and so a row of sure nodes, may round above 1.
             factor = np.minimum((wk * split).sum(axis=0), 1.0)
             bad = dead
         else:
-            p_false, p_true = _logistic(_pooled_log_odds(family[..., 0], family[..., 1], w))
-            factor = np.stack([p_false, p_true], axis=-1)
-            bad = dead | np.isnan(p_true)
-        # Row r's bit i is ordering[i], so Fortran order is row order.
-        bad_rows = np.flatnonzero(bad.ravel(order="F"))
-        if bad_rows.size:
-            if dead.ravel(order="F")[bad_rows[0]]:
-                raise MalformedInstance(
-                    "every chain-rule context must have positive mass"
-                )
+            factor = np.empty(family.shape[1:])
+            log_odds = _pooled_log_odds(family[..., 0], family[..., 1], w)
+            factor[..., 0], factor[..., 1] = _logistic(log_odds)
+            bad = dead | np.isnan(factor[..., 1])
+        if bad.any():
+            # Row r's bit i is ordering[i], so Fortran order is row order.
+            first = np.flatnonzero(bad.ravel(order="F"))[0]
+            if dead.ravel(order="F")[first]:
+                raise MalformedInstance("every chain-rule context must have positive mass")
             raise DegenerateProduct("event and complement both pooled to zero mass")
         factors.append((ordering[: k + 1], factor))
     # State-index layout: variable j on axis m - 1 - j.
@@ -741,11 +757,13 @@ EXAMPLE_IDS = tuple(_EXAMPLES)
 
 def reproduce_example(example_id: str) -> ExampleReport:
     """Rebuild one of the worked fixtures and verify its frozen values."""
-    if example_id not in _EXAMPLES:
+    try:
+        build = _EXAMPLES[example_id]
+    except (KeyError, TypeError):  # TypeError: an unhashable id
         raise MalformedInstance(
             f"unknown example {example_id!r}; choose from {EXAMPLE_IDS}"
-        )
-    return _EXAMPLES[example_id]()
+        ) from None
+    return build()
 
 
 # ---------------------------------------------------------------------------
@@ -777,12 +795,21 @@ def logop_mp_break_witness() -> tuple[EventPoolInstance, float]:
 # Deterministic report suites (used by the CLI check command)
 
 
+def _check_run(seed, trials) -> None:
+    """The one check of a suite's arguments: MalformedInstance unless
+    seed >= 0 and trials >= 1 are integers, a bool being neither."""
+    for name, value, least in (("seed", seed, 0), ("trials", trials, 1)):
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+            raise MalformedInstance(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def run_axioms_suite(seed: int = 0, trials: int = 20) -> tuple[tuple[str, ...], bool]:
     """Property table for both pools plus the fixed negative controls.
 
     Returns deterministic report lines and whether every row matched
-    its expected outcome.
+    its expected outcome. Raises MalformedInstance as _check_run does.
     """
+    _check_run(seed, trials)
     lines: list[str] = []
     all_ok = True
     for prop, (_, draw, *expected) in _PROPERTIES.items():
@@ -834,10 +861,10 @@ def run_examples_suite() -> tuple[tuple[str, ...], bool]:
     return tuple(lines), all_ok
 
 
-def run_oracle_suite(
-    seed: int = 0, trials: int = 25
-) -> tuple[tuple[str, ...], bool]:
-    """Structured consensus and pooled queries versus dense recomputation."""
+def run_oracle_suite(seed: int = 0, trials: int = 25) -> tuple[tuple[str, ...], bool]:
+    """Structured consensus and pooled queries versus dense recomputation.
+    Raises MalformedInstance as _check_run does."""
+    _check_run(seed, trials)
     rng = np.random.default_rng(seed)
     max_consensus_err = 0.0
     max_query_err = 0.0

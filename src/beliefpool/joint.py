@@ -26,7 +26,7 @@ each mapping once (_check_assignment: keys by _check_variables, states
 bools, 0 or 1; _check_query adds that target and evidence are disjoint)
 and hands the result to unchecked kernels; a _Checked assignment, which
 only the consensus fill builds, comes back unchanged.
-The dense kernels (bn_to_joint, linop, logop, condition,
+The dense kernels (bn_to_joint, the pool kernels, condition,
 family_pooled_joint), and the table samplers, whose mass is valid by
 construction, build through _trusted_table, which normalizes as the
 constructor does and checks nothing again. _trusted, the one trusted
@@ -147,7 +147,7 @@ def _trusted_table(m: int, mass: np.ndarray) -> JointTable:
     mass is already a float64 array of shape (2**m,), m within capacity,
     nonnegative with a positive finite total. Normalizes exactly as the
     constructor does, so every entry is the same."""
-    probs = mass / mass.sum()
+    probs = mass / np.add.reduce(mass)
     probs.flags.writeable = False
     return _trusted(JointTable, m=m, probs=probs)
 
@@ -186,7 +186,7 @@ def _factor_product(
     product from ones; no factors give ones."""
     # A Fortran reshape puts index bit i on axis i, so axis i is variables[i].
     tensors = [
-        (vs, np.reshape(np.asarray(t, dtype=np.float64), (2,) * len(vs), order="F"))
+        (vs, np.asarray(t, dtype=np.float64).reshape((2,) * len(vs), order="F"))
         for vs, t in factors
     ]
     unread = tuple(sorted(set(range(m)).difference(*(vs for vs, _ in tensors))))
@@ -329,7 +329,7 @@ def _mass(table: JointTable, checked: Assignment) -> float:
     _check_assignment returns it; the empty one gives 1.0."""
     view = table.probs.reshape((2,) * table.m)
     # C order lists the block's states by increasing index, as a mask would.
-    return float(np.ravel(view[_block(table.m, checked)]).sum())
+    return float(view[_block(table.m, checked)].ravel().sum())
 
 
 def marginal(table: JointTable, assignment: Assignment) -> float:

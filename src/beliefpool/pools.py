@@ -1,8 +1,9 @@
 """Arithmetic (linop) and geometric (logop) pooling of dense joint tables,
 and the logop of a single binary event. Callers name a pool by its string
-in POOL_NAMES, which check_pool_name checks. The event's kernels,
-_pooled_log_odds and _logistic, check nothing and are private: the
-consensus fill and the axioms call them on arrays they have built."""
+in POOL_NAMES, which check_pool_name checks. The kernels check nothing
+and are private: _linop_table and _logop_table, each pool's arithmetic,
+serve linop, logop and the axioms; the event's, _pooled_log_odds and
+_logistic, serve the consensus fill and the axioms."""
 from __future__ import annotations
 
 import math
@@ -84,7 +85,7 @@ def check_pool_name(pool: str) -> None:
 
 def _stack(tables: Sequence[JointTable]) -> tuple[int, np.ndarray]:
     m = _shared_variable_count(tables, JointTable, "table", "tables")
-    return m, np.stack([t.probs for t in tables])
+    return m, np.array([t.probs for t in tables])
 
 
 def linop(
@@ -92,8 +93,7 @@ def linop(
 ) -> JointTable:
     """Weighted arithmetic mean of the agents' state probabilities."""
     m, stacked = _stack(tables)
-    w = normalize_weights(weights, len(tables))
-    return _trusted_table(m, w @ stacked)
+    return _linop_table(m, stacked, normalize_weights(weights, len(tables)))
 
 
 def logop(
@@ -106,12 +106,19 @@ def logop(
     zero mass.
     """
     m, stacked = _stack(tables)
-    w = normalize_weights(weights, len(tables))
-    raw = np.prod(stacked ** w[:, None], axis=0)
-    if raw.sum() <= 0.0:
-        raise DegenerateProduct(
-            "geometric pooling left zero mass on every state"
-        )
+    return _logop_table(m, stacked, normalize_weights(weights, len(tables)))
+
+
+def _linop_table(m: int, stacked: np.ndarray, w: np.ndarray) -> JointTable:
+    """linop of the tables _stack returns, under normalized weights w."""
+    return _trusted_table(m, w @ stacked)
+
+
+def _logop_table(m: int, stacked: np.ndarray, w: np.ndarray) -> JointTable:
+    """logop of the tables _stack returns, under normalized weights w."""
+    raw = np.multiply.reduce(stacked ** w[:, None], axis=0)
+    if np.add.reduce(raw) <= 0.0:
+        raise DegenerateProduct("geometric pooling left zero mass on every state")
     return _trusted_table(m, raw)
 
 

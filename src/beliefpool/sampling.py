@@ -38,8 +38,9 @@ def random_joint(rng: np.random.Generator, m: int) -> JointTable:
 
 
 def random_weights(rng: np.random.Generator, n: int) -> tuple[float, ...]:
+    """n weights drawn from [0.1, 1.0] and normalized, as Python floats."""
     w = rng.uniform(0.1, 1.0, n)
-    return tuple(w / w.sum())
+    return tuple((w / w.sum()).tolist())
 
 
 def random_dag(

@@ -6,6 +6,7 @@ brute force over dense tables before the checkers were written and are
 frozen here so future edits cannot quietly change them.
 """
 
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from beliefpool import (
     BayesNet,
+    BeliefPoolError,
     CheckReport,
     Cpt,
     DegenerateProduct,
@@ -527,6 +529,83 @@ class TestFamilyPooledJoint:
             return
         got = family_pooled_joint(pool, tables, ordering, weights)
         np.testing.assert_allclose(got.probs, want.probs, rtol=0.0, atol=1e-12)
+
+
+def suite_instances(prop, seed, first_weight):
+    """Three fresh instances of a property, drawn as its suite row draws
+    them; with first_weight set, the first agent gets that weight and
+    every other agent weight 1."""
+    draw = axioms._PROPERTIES[prop][1]
+    rng = np.random.default_rng(seed)
+    instances = []
+    while len(instances) < 3:
+        inst = draw(rng)
+        if inst is None:
+            continue
+        if first_weight is not None:
+            n = len(inst.tables_p if prop == "pds" else inst.tables)
+            inst = dataclasses.replace(inst, weights=(first_weight,) + (1.0,) * (n - 1))
+        instances.append(inst)
+    return instances
+
+
+def outcome(pool, prop, instances):
+    """The report's violations, or the error that the check raised."""
+    try:
+        return check_property(pool, prop, instances).violations
+    except BeliefPoolError as err:
+        return type(err), str(err)
+
+
+class TestStackedInputs:
+    """Each instance stacks its agents and normalizes its weights once,
+    and both pools read them: the violations equal those of an instance
+    that serves one pool only, bit for bit, in either order."""
+
+    @given(
+        prop=st.sampled_from(PROPERTY_NAMES),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        first_weight=st.sampled_from((None, 0.0, 0.25, 3.0)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_either_order_matches_a_fresh_instance(self, prop, seed, first_weight):
+        def fresh():
+            return suite_instances(prop, seed, first_weight)
+
+        alone = {pool: outcome(pool, prop, fresh()) for pool in (LINOP, LOGOP)}
+        for order in ((LINOP, LOGOP), (LOGOP, LINOP)):
+            shared = fresh()
+            assert {pool: outcome(pool, prop, shared) for pool in order} == alone
+
+    @given(
+        m=st.integers(min_value=1, max_value=6),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_kernels_fed_from_the_cache_match_the_pools(self, m, data):
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        entry = st.sampled_from((0.0, 1e-300, 1e-12, 0.3, 0.5, 1.0))
+        tables = tuple(
+            JointTable(m, np.array(data.draw(
+                st.lists(entry, min_size=1 << m, max_size=1 << m)
+                .filter(lambda xs: sum(xs) > 0.0)
+            )))
+            for _ in range(n)
+        )
+        weights = data.draw(st.none() | st.lists(
+            st.sampled_from((0.0, 0.25, 1.0, 3.0)), min_size=n, max_size=n
+        ).filter(lambda ws: sum(ws) > 0.0))
+        inst = UnanimityInstance(tables, None if weights is None else tuple(weights))
+        for pool, dense in ((LINOP, linop), (LOGOP, logop)):
+            try:
+                want = dense(tables, weights)
+            except DegenerateProduct:
+                with pytest.raises(DegenerateProduct):
+                    inst._pooled(pool)
+                continue
+            got = inst._pooled(pool)
+            assert got.m == want.m
+            assert np.array_equal(got.probs, want.probs)
 
 
 class TestWorkedFixtures:

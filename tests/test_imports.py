@@ -44,7 +44,7 @@ from beliefpool import (
     logop_consensus_bn,
 )
 from beliefpool import errors
-from beliefpool.axioms import reproduce_example
+from beliefpool.axioms import reproduce_example, run_axioms_suite, run_oracle_suite
 from beliefpool.inference import (
     _weighted_product_cpts, query_conditional, query_event_marginal,
 )
@@ -228,6 +228,14 @@ CALLER_ERRORS = {
         lambda: check_property("linop", "mp", [EventPoolInstance((PAIR,), frozenset({9}))]),
     ),
     "unknown-example": (MalformedInstance, lambda: reproduce_example("ex9")),
+    "unhashable-example": (MalformedInstance, lambda: reproduce_example([])),
+    # A suite's seed and trials are checked before any draw.
+    "suite-zero-trials": (MalformedInstance, lambda: run_oracle_suite(0, 0)),
+    "suite-float-trials": (MalformedInstance, lambda: run_axioms_suite(0, 2.5)),
+    "suite-bool-trials": (MalformedInstance, lambda: run_axioms_suite(0, True)),
+    "suite-negative-seed": (MalformedInstance, lambda: run_axioms_suite(-1)),
+    "suite-string-seed": (MalformedInstance, lambda: run_oracle_suite("a")),
+    "suite-bool-seed": (MalformedInstance, lambda: run_axioms_suite(False, 1)),
     "target-in-evidence": (
         MalformedInstance, lambda: query_conditional(CHAIN, {0: 1}, {0: 1})
     ),
@@ -460,8 +468,8 @@ TRUSTED_CALLERS = {
     "consensus._logop_consensus",
     "inference._weighted_product_cpts",
     "networks.bn_to_joint",
-    "pools.linop",
-    "pools.logop",
+    "pools._linop_table",
+    "pools._logop_table",
     "joint.condition",
     "axioms._chain_rule_pool",
     "axioms._draw_pds",

@@ -1,5 +1,6 @@
 """The README's Python quick start runs and gives the values its
-comments print, and README names every top-level export."""
+comments print, its axioms suite lines are printed verbatim, and README
+names every top-level export."""
 
 import re
 import types
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import beliefpool
 from beliefpool import BeliefPoolError, bn_to_joint, marginal
+from beliefpool.axioms import run_axioms_suite
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -35,3 +37,20 @@ def test_every_export_is_documented():
         and not re.search(rf"\b{name}\b", text)
     ]
     assert undocumented == []
+
+
+def test_axioms_suite_lines():
+    """Every property= and negative-control line of README's axioms
+    session is a line that run_axioms_suite(7, 40) prints, verbatim."""
+    session = re.search(
+        r"^\$ beliefpool check --suite axioms --seed 7 --trials 40\n(.*?)^```",
+        README.read_text(), re.S | re.M,
+    )
+    documented = [
+        line for line in session.group(1).splitlines()
+        if line.startswith(("property=", "negative-control"))
+    ]
+    assert len(documented) == 5
+    lines, ok = run_axioms_suite(7, 40)
+    assert ok
+    assert [line for line in documented if line not in lines] == []

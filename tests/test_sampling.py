@@ -39,6 +39,7 @@ from beliefpool.sampling import (
     random_dag,
     random_joint,
     random_product_table,
+    random_weights,
 )
 
 from samplers import POT_HIGH, POT_LOW, random_markov_table
@@ -354,3 +355,15 @@ def test_contract_matches_per_state_product(case):
         # einsum may regroup: it moves a factor that is constant along a
         # summed variable out of that sum.
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_random_weights_are_python_floats(n):
+    """The weights are Python floats, equal to the numpy scalars of the
+    same normalized draw, and the generator's stream is unchanged."""
+    rng, twin = np.random.default_rng(n), np.random.default_rng(n)
+    got = random_weights(rng, n)
+    w = twin.uniform(0.1, 1.0, n)
+    assert [type(x) for x in got] == [float] * n
+    assert got == tuple(w / w.sum())
+    assert rng.random() == twin.random()
