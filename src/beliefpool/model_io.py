@@ -13,32 +13,31 @@ Saved text is exactly json.dumps(data, indent=2) plus a newline, written
 by json_text without the pure-Python encoder an indent otherwise forces.
 
 Loading and saving both work from a row-key table: for one parent
-count, every valid key. The loads of one command share one _Loader
-(cli._load_bayes_inputs makes it and passes it to load_network, one
-call per file), so each table is built once per parent count and
-command; any other load, and each network_to_dict call, builds its own.
-The loader compares each CPT's key set with the table's and reads the
-rows in row order through it, and network_to_dict writes each CPT's
-rows in the table's sorted key order, so no key is parsed, formatted or
-sorted per row.
+count, every valid key. The files of one command load in one
+load_networks call (cli._load_bayes_inputs), so each table is built once
+per parent count and command; any other load, and each network_to_dict
+call, builds its own. A load compares each CPT's key set with the
+table's and reads the rows in row order through it, and network_to_dict
+writes each CPT's rows in the table's sorted key order, so no key is
+parsed, formatted or sorted per row.
 
-Every network file takes one path. First the structure: the _Loader
-keeps the last structure it checked in full, its "variables", "edges"
-and per-CPT "parents" as written with the labels, label index, parent
-tuples and Dag they checked to. A file whose three fields equal those
-as JSON values takes that check and shares those labels, parent tuples
-and Dag; equality is proof enough, since each of those fields of a
-checked file is a string or a list of strings, and only an equal string
-compares equal to a string. Any other file takes the full structural
-check, which the loader then remembers. Then the rows: every file's go
-through the same row reader, key-set check and value check, so a file
-raises the message and loads the network that it would alone.
+Every network file takes one path (_network). First the structure
+(_structure): within one load_networks call, a file whose "variables",
+"edges" and per-CPT "parents" equal the file before it as JSON values
+takes that file's check and shares its labels, parent tuples and Dag;
+equality is proof enough, since each of those fields of a checked file
+is a string or a list of strings, and only an equal string compares
+equal to a string. Any other file takes the full structural check. The
+check holds the fields as parsed, not copies: nothing outside the call
+holds the dicts it parsed. Then the rows: every file's go through the
+same row reader, key-set check and value check, so a file raises the
+message and loads the network that it would alone.
 
 Loading raises ModelFormatError, naming the file, for anything
 malformed, including text that is not UTF-8, integers too large for a
 float, nesting too deep for the JSON parser, and any kind but "bayes"
 or "linop-manifest"; a path that is not a str or an os.PathLike is a
-MalformedInstance, as it is for saving. The loader is where a file's
+MalformedInstance, as it is for saving. Loading is where a file's
 model is validated: it makes every check the network constructors
 would, through the same functions (networks._check_labels for the
 labels, _check_parents for a faulty entry's parents, which then names
@@ -104,8 +103,12 @@ def _row_keys(n_parents: int) -> dict[str, None]:
 
 
 def network_to_dict(model: BayesNet, provenance: dict | None = None) -> dict:
-    """JSON-ready representation of a network."""
+    """JSON-ready representation of a network. A provenance is None or a
+    dict that json can encode (MalformedInstance otherwise)."""
     labels = _require_labels(model, "serializing a network")
+    if provenance is not None:
+        _check_kind(provenance, dict)
+        _dumps(provenance, "provenance")
     edges = sorted(
         (labels[p], labels[c.owner]) for c in model.cpts for p in c.parents
     )
@@ -135,24 +138,6 @@ def network_to_dict(model: BayesNet, provenance: dict | None = None) -> dict:
 def _all_instances(items: list, cls: type) -> bool:
     """Whether every item is a cls, checked once per distinct type."""
     return all(issubclass(t, cls) for t in set(map(type, items)))
-
-
-class _Loader:
-    """What the loads of one command share: the row-key tables, each
-    built once per parent count, and the last structure that passed the
-    full check (_structure). cli._load_bayes_inputs makes one per command
-    and hands it to every load_network call; a load given none makes its
-    own."""
-
-    __slots__ = ("tables", "memo")
-
-    def __init__(self) -> None:
-        # Per parent count: the valid keys and a getter of the rows in row order.
-        self.tables: dict[int, tuple] = {}
-        # The last checked file's "variables", "edges" and per-CPT
-        # "parents" as it wrote them, then the labels, label index, parent
-        # tuples and Dag they checked to.
-        self.memo: tuple | None = None
 
 
 def _parse_edges(edges, index: dict[str, int]) -> set[tuple[int, int]]:
@@ -262,23 +247,23 @@ def _check_cpts(labels: tuple[str, ...], entries: list, index: dict[str, int]) -
         _check_parents(owner, tuple(map(index.__getitem__, parents_raw)), labels=labels)
 
 
-def _structure(loader: _Loader, variables, edges, cpts_data) -> tuple:
-    """(labels, label index, parents, Dag, entries) of a network after
-    every structural check: the loader's remembered one when "variables",
-    "edges" and each entry's "parents" equal the remembered ones as JSON
-    values, else the full check, which the loader then remembers. Those
-    fields of a checked file are strings and lists of strings, and only an
-    equal string compares equal to a string, so equality is proof enough.
+def _structure(previous: tuple | None, variables, edges, cpts_data) -> tuple[tuple, list]:
+    """A network's structural check and its CPT entries in variable
+    order. The check is ("variables", "edges", the per-CPT "parents" as
+    written, labels, label index, parent tuples, Dag): previous, the
+    check of the file before, when those three fields equal its own as
+    JSON values, else the full check. Those fields of a checked file are
+    strings and lists of strings, and only an equal string compares equal
+    to a string, so equality is proof enough.
 
     On a structural fault, _check_cpts names the first faulty entry, its
     rows included, before a cycle and before edges that disagree."""
-    memo = loader.memo
-    if memo is not None and variables == memo[0] and edges == memo[1]:
-        labels, index, parents, dag = memo[3:]
+    if previous is not None and variables == previous[0] and edges == previous[1]:
+        index = previous[4]
         if isinstance(cpts_data, dict) and cpts_data.keys() == index.keys():
-            entries = list(map(cpts_data.__getitem__, labels))
-            if _all_instances(entries, dict) and [e.get("parents") for e in entries] == memo[2]:
-                return labels, index, parents, dag, entries
+            entries = list(map(cpts_data.__getitem__, previous[3]))
+            if _all_instances(entries, dict) and [e.get("parents") for e in entries] == previous[2]:
+                return previous, entries
 
     if not isinstance(variables, list) or not variables:
         raise ModelFormatError("'variables' must be a nonempty list of labels")
@@ -305,35 +290,24 @@ def _structure(loader: _Loader, variables, edges, cpts_data) -> tuple:
             raise ModelFormatError("parent structure contains a directed cycle")
         raise ModelFormatError("'edges' disagree with the parent lists in 'cpts'")
     dag = _trusted(Dag, m=len(labels), parents=tuple(parents))
-    # Copies, so that a caller who changes a loaded dict in place does not
-    # change what the loader remembers.
-    raw = list(variables), list(map(list, edges)), [list(e["parents"]) for e in entries]
-    loader.memo = *raw, labels, index, parents, dag
-    return labels, index, parents, dag, entries
+    return (variables, edges, [e["parents"] for e in entries], labels, index, parents, dag), entries
 
 
-def network_from_dict(data, loader: _Loader | None = None) -> BayesNet:
-    """Reconstruct a Bayesian network from its JSON representation.
-
-    Raises ModelFormatError for any malformed input: a kind other than
-    "bayes", a field check, a repeated or self parent with _check_parents'
-    messages (the node by label), a cycle, or edges that disagree with the
-    parent lists. The structure comes from _structure, which reuses the
-    loader's check of an equal structure; every file's rows then take the
-    same read and value check, and when either fails, _check_cpts names
-    the first faulty entry.
-    """
-    if loader is None:
-        loader = _Loader()
+def _network(data, tables: dict[int, tuple], previous: tuple | None) -> tuple[BayesNet, tuple]:
+    """The network in a parsed file and its structural check (_structure,
+    given previous). tables maps a parent count to its valid row keys and a
+    getter of the rows in row order. When the row read or the value check
+    fails, _check_cpts names the first faulty entry."""
     if not isinstance(data, dict):
         raise ModelFormatError("top level must be a JSON object")
     kind = data.get("kind")
     if kind != "bayes":
         raise ModelFormatError(f"'kind' must be 'bayes', got {kind!r}")
-    labels, index, parents, dag, entries = _structure(
-        loader, data.get("variables"), data.get("edges"), data.get("cpts")
+    check, entries = _structure(
+        previous, data.get("variables"), data.get("edges"), data.get("cpts")
     )
-    rows = _read_rows(entries, parents, loader.tables)
+    labels, index, parents, dag = check[3:]
+    rows = _read_rows(entries, parents, tables)
     if rows is None or not _floats_in_range(rows):
         # _check_cpts raises for any faulty entry. With none, each row is
         # a number in [0, 1] and some are not floats, such as 0 or 1.
@@ -346,10 +320,22 @@ def network_from_dict(data, loader: _Loader | None = None) -> BayesNet:
         _trusted(Cpt, owner=owner, parents=ps, rows=r)
         for owner, (ps, r) in enumerate(zip(parents, rows))
     )
-    return _trusted(BayesNet, cpts=cpts, labels=labels, _dag=dag)
+    return _trusted(BayesNet, cpts=cpts, labels=labels, _dag=dag), check
+
+
+def network_from_dict(data) -> BayesNet:
+    """Reconstruct a Bayesian network from its JSON representation.
+
+    Raises ModelFormatError for any malformed input: a kind other than
+    "bayes", a field check, a repeated or self parent with _check_parents'
+    messages (the node by label), a cycle, or edges that disagree with the
+    parent lists.
+    """
+    return _network(data, {}, None)[0]
 
 
 def manifest_to_dict(manifest: LinopManifest) -> dict:
+    _check_kind(manifest, LinopManifest)
     data: dict = {"kind": MANIFEST_KIND, "inputs": list(manifest.inputs)}
     if manifest.weights is not None:
         data["weights"] = list(manifest.weights)
@@ -405,14 +391,27 @@ def _load_json(path: str | Path):
         raise ModelFormatError(f"{path} nests too deeply to parse") from None
 
 
-def load_network(path: str | Path, loader: _Loader | None = None) -> BayesNet:
-    """The network in a file. Loads that pass one loader share its
-    row-key tables and its last checked structure (network_from_dict)."""
-    data = _load_json(path)
-    try:
-        return network_from_dict(data, loader)
-    except ModelFormatError as err:
-        raise ModelFormatError(f"{path}: {err}") from err
+def load_network(path: str | Path) -> BayesNet:
+    """The network in a file."""
+    return load_networks([path])[0]
+
+
+def load_networks(paths: Sequence[str | Path]) -> list[BayesNet]:
+    """The networks in the files of one command, in order: paths is a
+    sequence of paths (_check_path). The files share the row-key tables and
+    a repeated structure's check (_structure); an error names its file."""
+    _check_sequence(paths, "paths")
+    tables: dict[int, tuple] = {}
+    check = None
+    networks = []
+    for path in paths:
+        data = _load_json(path)
+        try:
+            network, check = _network(data, tables, check)
+        except ModelFormatError as err:
+            raise ModelFormatError(f"{path}: {err}") from err
+        networks.append(network)
+    return networks
 
 
 def load_model_file(path: str | Path) -> BayesNet | LinopManifest:
@@ -424,6 +423,16 @@ def load_model_file(path: str | Path) -> BayesNet | LinopManifest:
         return network_from_dict(data)
     except ModelFormatError as err:
         raise ModelFormatError(f"{path}: {err}") from err
+
+
+def _dumps(value, what: str, indent: int | None = None) -> str:
+    """json.dumps(value, indent=indent); MalformedInstance, naming what,
+    when json cannot encode value (a type it does not know, a circular
+    reference, nesting too deep)."""
+    try:
+        return json.dumps(value, indent=indent)
+    except (TypeError, ValueError, RecursionError) as err:
+        raise MalformedInstance(f"{what} is not JSON-encodable: {err}") from None
 
 
 # json.dumps escapes every string with this one (the C version where the
@@ -494,16 +503,20 @@ def json_text(data: dict) -> str:
     """The saved text of network_to_dict or manifest_to_dict output:
     exactly json.dumps(data, indent=2) + "\\n".
 
-    Labels, edges, parent lists and CPT rows are formatted here (labels
-    are strings, as network_to_dict requires); every other field goes
-    through json.dumps re-indented.
+    data is a dict with string keys (MalformedInstance otherwise). Labels,
+    edges, parent lists and CPT rows are formatted here (labels are
+    strings, as network_to_dict requires); every other field goes through
+    json.dumps re-indented.
     """
+    _check_kind(data, dict)
+    if not _all_instances(list(data), str):
+        raise MalformedInstance("json_text needs a dict with string keys")
     fields = []
     for key, value in data.items():
         field_text = _FIELD_TEXT.get(key)
         text = (
             field_text(value, 1) if field_text is not None
-            else json.dumps(value, indent=2).replace("\n", "\n  ")
+            else _dumps(value, f"field {key!r}", 2).replace("\n", "\n  ")
         )
         fields.append(f"{_string(key)}: {text}")
     return _container("{}", fields, 0) + "\n"

@@ -24,22 +24,29 @@ from .joint import JointTable, _shared_variable_count, _trusted_table
 POOL_NAMES = ("linop", "logop")
 
 
+def _check_agent_count(n) -> int:
+    """The one agent-count check: n as a Python int, MalformedInstance
+    unless n is a positive integer."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise MalformedInstance(f"agent count {n!r} is not an integer") from None
+    if n <= 0:
+        raise MalformedInstance("need at least one agent")
+    return n
+
+
 def normalize_weights(
     weights: Sequence[float] | None, n_agents: int
 ) -> np.ndarray:
     """Validated weight vector summing to one; None means equal weights.
 
-    Weights must be a sequence of numbers, finite and nonnegative with a
-    positive total (InvalidWeight otherwise), and n_agents a positive
-    integer (MalformedInstance otherwise). When the total overflows,
-    the weights are first divided by the largest.
+    Weights must be a sequence of numbers other than bools, finite and
+    nonnegative with a positive total (InvalidWeight otherwise), and
+    n_agents a positive integer (MalformedInstance otherwise). When the
+    total overflows, the weights are first divided by the largest.
     """
-    try:
-        n_agents = operator.index(n_agents)
-    except TypeError:
-        raise MalformedInstance(f"agent count {n_agents!r} is not an integer") from None
-    if n_agents <= 0:
-        raise MalformedInstance("need at least one agent")
+    n_agents = _check_agent_count(n_agents)
     if weights is None:
         return np.full(n_agents, 1.0 / n_agents)
     # A string, None or another object must not reach the float cast,
@@ -48,9 +55,11 @@ def normalize_weights(
     try:
         w = np.asarray(list(weights))
         if w.dtype != np.float64:
-            if w.dtype == object and all(isinstance(x, numbers.Number) for x in w.flat):
+            if w.dtype == object and all(
+                isinstance(x, numbers.Number) and not isinstance(x, bool) for x in w.flat
+            ):
                 w = w.astype(np.float64)
-            if w.dtype.kind not in "biuf":
+            if w.dtype.kind not in "iuf":  # bools are not weights
                 raise TypeError
             w = w.astype(np.float64)
     except (TypeError, ValueError):  # not iterable, ragged, or not numbers

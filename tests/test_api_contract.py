@@ -1,11 +1,13 @@
 """The public calls fail only with a BeliefPoolError.
 
-A name without a leading underscore in joint, networks, inference, pools
-or consensus is a checked entry point, and so is every top-level export;
-the unchecked kernels are private. PUBLIC finds each such function and
-class by introspection, and each must have an entry here: in CALLS, or
-in INSTANCES for a property instance type. The error classes are left
-out: they are what the contract raises, and building one runs no check.
+A name without a leading underscore in a package module is a checked
+entry point, and so is every top-level export; the unchecked kernels are
+private. The modules are every one but cli, whose functions take a
+command line and map each error to an exit code (test_cli.py). PUBLIC
+finds each such function and class by introspection, and each must have
+an entry here: in CALLS, or in INSTANCES for a property instance type.
+The error classes are left out: they are what the contract raises, and
+building one runs no check. No public signature names a private type.
 
 Each call has one valid argument list. Every test puts one value of a
 catalogue of wrong values in one positional argument: the call must
@@ -17,7 +19,10 @@ the modules' own tests; this test only holds every call to the contract.
 """
 
 import dataclasses
+import importlib
 import inspect
+import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -52,8 +57,18 @@ from beliefpool import (
     logop_query,
     marginal,
 )
-from beliefpool import consensus, inference, joint, networks, pools
-from beliefpool.axioms import PROPERTY_NAMES
+from beliefpool.axioms import (
+    PROPERTY_NAMES,
+    ExampleReport,
+    chain_agents,
+    independent_pair_agents,
+    linop_eb_break_witness,
+    logop_mp_break_witness,
+    reproduce_example,
+    run_axioms_suite,
+    run_examples_suite,
+    run_oracle_suite,
+)
 from beliefpool.inference import query_conditional, query_event_marginal
 from beliefpool.joint import (
     condition,
@@ -68,11 +83,50 @@ from beliefpool.networks import (
     parse_probability,
     triangulate,
 )
+from beliefpool.model_io import (
+    LinopManifest,
+    align_variables,
+    json_text,
+    load_model_file,
+    load_network,
+    load_networks,
+    manifest_from_dict,
+    manifest_to_dict,
+    network_from_dict,
+    network_to_dict,
+    save_manifest,
+    save_network,
+)
 from beliefpool.pools import check_pool_name, normalize_weights
+from beliefpool.sampling import (
+    random_block_product_table,
+    random_bn,
+    random_conditional_table,
+    random_dag,
+    random_joint,
+    random_product_table,
+    random_vstructure_pair,
+    random_weights,
+)
 
 CHAIN = BayesNet((Cpt(0, (), (0.2,)), Cpt(1, (0,), (0.6, 0.4))))
+LABELLED = BayesNet(CHAIN.cpts, ("a", "b"))
 PAIR = JointTable(2, (0.1, 0.2, 0.3, 0.4))
 EDGE = MarkovNet(2, frozenset({(0, 1)}))
+MANIFEST = LinopManifest(("net.json", "net.json"), (0.5, 0.5))
+RNG = np.random.default_rng(0)
+# Written into the folder every test here runs in.
+NETWORK_FILE = "net.json"
+
+
+@pytest.fixture(autouse=True, scope="module")
+def in_a_folder_with_a_network_file(tmp_path_factory):
+    """Run the module's tests in a new folder holding NETWORK_FILE, which
+    the loads read; the saves write there too."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp_path_factory.mktemp("files"))
+        save_network(LABELLED, NETWORK_FILE)
+        yield
 
 # Each call with a valid value for every argument it takes by position.
 CALLS = {
@@ -108,6 +162,35 @@ CALLS = {
     "MarkovNet": (MarkovNet, (2, frozenset({(0, 1)}))),
     "ConsensusBn": (ConsensusBn, (CHAIN, (1, 0), 0)),
     "CheckReport": (CheckReport, ("unam", "linop", 1e-9, (0.0,))),
+    "LinopManifest": (LinopManifest, (MANIFEST.inputs, MANIFEST.weights)),
+    "network_to_dict": (network_to_dict, (LABELLED, {"pool": "logop"})),
+    "network_from_dict": (network_from_dict, (network_to_dict(LABELLED),)),
+    "manifest_to_dict": (manifest_to_dict, (MANIFEST,)),
+    "manifest_from_dict": (manifest_from_dict, (manifest_to_dict(MANIFEST),)),
+    "load_network": (load_network, (NETWORK_FILE,)),
+    "load_networks": (load_networks, ([NETWORK_FILE, NETWORK_FILE],)),
+    "load_model_file": (load_model_file, (NETWORK_FILE,)),
+    "json_text": (json_text, (network_to_dict(LABELLED),)),
+    "save_network": (save_network, (LABELLED, "saved.json", {"pool": "logop"})),
+    "save_manifest": (save_manifest, (MANIFEST, "manifest.json")),
+    "align_variables": (align_variables, ([LABELLED, LABELLED],)),
+    "random_joint": (random_joint, (RNG, 2)),
+    "random_weights": (random_weights, (RNG, 2)),
+    "random_dag": (random_dag, (RNG, 3, 0.5, 2)),
+    "random_bn": (random_bn, (RNG, 3)),
+    "random_vstructure_pair": (random_vstructure_pair, (RNG,)),
+    "random_product_table": (random_product_table, (RNG, 2)),
+    "random_block_product_table": (random_block_product_table, (RNG, 3, (0,))),
+    "random_conditional_table": (random_conditional_table, (RNG, 3, 0, (1,), (2,))),
+    "independent_pair_agents": (independent_pair_agents, ()),
+    "chain_agents": (chain_agents, ()),
+    "ExampleReport": (ExampleReport, ("ex1-linop", True, ("line",))),
+    "reproduce_example": (reproduce_example, ("ex1-linop",)),
+    "linop_eb_break_witness": (linop_eb_break_witness, ()),
+    "logop_mp_break_witness": (logop_mp_break_witness, ()),
+    "run_axioms_suite": (run_axioms_suite, (0, 1)),
+    "run_examples_suite": (run_examples_suite, ()),
+    "run_oracle_suite": (run_oracle_suite, (0, 1)),
 }
 ARGUMENTS = {
     f"{name}-{position}": (name, position)
@@ -223,16 +306,25 @@ def public_callables(modules, exports):
     }
 
 
-PUBLIC = public_callables((joint, networks, inference, pools, consensus), beliefpool)
+MODULES = [
+    importlib.import_module(f"beliefpool.{info.name}")
+    for info in pkgutil.iter_modules(beliefpool.__path__)
+    if info.name != "cli"
+]
+PUBLIC = public_callables(MODULES, beliefpool)
 
 
 def test_public_callables_are_found():
     """The finder sees entry points of every module and the exports,
     and no kernel: those are private."""
     assert {"marginal", "Cpt", "moralize", "query_conditional", "normalize_weights",
-            "ConsensusBn", "check_property", "CheckReport"} <= PUBLIC.keys()
+            "ConsensusBn", "check_property", "CheckReport", "load_networks",
+            "random_bn", "run_axioms_suite"} <= PUBLIC.keys()
     assert not {"BeliefPoolError", "MalformedInstance", "Assignment"} & PUBLIC.keys()
-    assert not {"_contract", "_min_fill_order", "_logistic"} & PUBLIC.keys()
+    assert not {"_contract", "_min_fill_order", "_logistic", "_network"} & PUBLIC.keys()
+    names = {module.__name__ for module in MODULES}
+    assert {"beliefpool.model_io", "beliefpool.sampling", "beliefpool.axioms"} <= names
+    assert "beliefpool.cli" not in names
 
 
 @pytest.mark.parametrize("name", sorted(PUBLIC))
@@ -240,3 +332,57 @@ def test_every_public_callable_is_held_to_the_contract(name):
     covered = {function for function, _ in CALLS.values()}
     covered |= {type(instance) for instance in INSTANCES.values()}
     assert PUBLIC[name] in covered, f"{name} has no CALLS entry"
+
+
+def private_types(function) -> list[str]:
+    """The _-prefixed names in function's parameter and return
+    annotations, each read as text (postponed or not)."""
+    signature = inspect.signature(function)
+    annotations = [p.annotation for p in signature.parameters.values()]
+    annotations.append(signature.return_annotation)
+    return [
+        name
+        for annotation in annotations
+        if annotation is not inspect.Parameter.empty
+        for name in re.findall(
+            r"\w+",
+            annotation if isinstance(annotation, str) else inspect.formatannotation(annotation),
+        )
+        if name.startswith("_")
+    ]
+
+
+def public_signatures(callables) -> dict:
+    """{name: function} of every public function, of every public class
+    (its constructor) and of every public method or property getter."""
+    found = {}
+    for name, value in callables.items():
+        found[name] = value
+        if inspect.isclass(value):
+            for attr, member in vars(value).items():
+                member = getattr(member, "fget", getattr(member, "__func__", member))
+                if not attr.startswith("_") and inspect.isfunction(member):
+                    found[f"{name}.{attr}"] = member
+    return found
+
+
+class _Hidden:
+    def shown(self, x: "_Hidden | None") -> "list[int]":
+        return []
+
+
+def test_private_type_finder():
+    def f(a: "_Hidden | None", b: "int" = 0) -> "tuple[_Hidden, ...]":
+        return ()
+
+    assert private_types(f) == ["_Hidden", "_Hidden"]
+    assert private_types(len) == []
+    assert public_signatures({"Hidden": _Hidden}) == {
+        "Hidden": _Hidden, "Hidden.shown": _Hidden.shown
+    }
+    assert private_types(_Hidden.shown) == ["_Hidden"]
+
+
+@pytest.mark.parametrize("name", sorted(public_signatures(PUBLIC)))
+def test_no_public_signature_names_a_private_type(name):
+    assert private_types(public_signatures(PUBLIC)[name]) == []

@@ -657,17 +657,19 @@ class TestQuery:
     def test_each_agent_file_loads_once(
         self, capsys, tmp_path, monkeypatch, chain_files, command
     ):
-        # Files that share one structure still load one call each, so a
-        # wrapper of load_network (the benchmark traces it and counts the
-        # bytes of each file it reads) sees every file.
+        # The agent files load in one load_networks call, which reads each
+        # file once, in order, though they share one structure.
         third = tmp_path / "chain_c.json"
         save_network(BayesNet(CHAIN_A.cpts[:1] + CHAIN_B.cpts[1:], CHAIN_A.labels), third)
         paths = [*chain_files, str(third)]
-        loads = []
-        load_network = model_io.load_network
-        spy = lambda path, *rest: loads.append(path) or load_network(path, *rest)
-        monkeypatch.setattr(model_io, "load_network", spy)
-        monkeypatch.setattr(cli, "load_network", spy)
+        groups, reads = [], []
+        load_networks, load_json = model_io.load_networks, model_io._load_json
+        monkeypatch.setattr(
+            cli, "load_networks", lambda ps: groups.append(ps) or load_networks(ps)
+        )
+        monkeypatch.setattr(
+            model_io, "_load_json", lambda path: reads.append(path) or load_json(path)
+        )
         if command == "aggregate":
             argv = ["aggregate", *paths, "--pool", "logop"]
         elif command == "query":
@@ -678,7 +680,8 @@ class TestQuery:
             argv = ["query", str(manifest), "--pool", "linop", "--event", "A2=1"]
         code, _, err = run(capsys, *argv)
         assert code == EXIT_OK, err
-        assert loads == paths
+        assert groups == [paths]
+        assert reads[-3:] == paths and len(reads) == 3 + (command == "manifest")
 
     def test_single_markov_file_rejected(self, capsys, tmp_path):
         path = markov_file(tmp_path)

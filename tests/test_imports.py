@@ -14,6 +14,7 @@ its messages from one function (RULES).
 """
 
 import ast
+import os
 import re
 from pathlib import Path
 
@@ -58,10 +59,14 @@ from beliefpool.joint import (
 )
 from beliefpool.model_io import (
     align_variables,
+    json_text,
     load_network,
+    load_networks,
     manifest_from_dict,
+    manifest_to_dict,
     network_from_dict,
     network_to_dict,
+    save_manifest,
     save_network,
 )
 from beliefpool.networks import direct_by_order, mn_union, triangulate
@@ -71,6 +76,8 @@ from beliefpool.sampling import (
     random_conditional_table,
     random_dag,
     random_joint,
+    random_vstructure_pair,
+    random_weights,
 )
 
 TESTS = Path(__file__).resolve().parent
@@ -147,6 +154,14 @@ SQUARE = MarkovNet(4, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
 VEE = BayesNet(
     (Cpt(0, (), (0.3,)), Cpt(1, (), (0.7,)), Cpt(2, (0, 1), (0.1, 0.6, 0.4, 0.9)))
 )
+LABELLED = BayesNet(CHAIN.cpts, ("A", "B"))
+# A table with no mass on state 1: a pool of it has none there either.
+NO_MASS_AT_ONE = JointTable(1, (1.0, 0.0))
+
+
+def rng():
+    return np.random.default_rng(0)
+
 
 # One call per retyped raise site group, with the type it must raise.
 CALLER_ERRORS = {
@@ -181,9 +196,19 @@ CALLER_ERRORS = {
     "load-none-path": (MalformedInstance, lambda: load_network(None)),
     "load-int-path": (MalformedInstance, lambda: load_network(5)),
     "load-bytes-path": (MalformedInstance, lambda: load_network(b"x")),
-    "save-none-path": (
-        MalformedInstance, lambda: save_network(BayesNet(CHAIN.cpts, ("A", "B")), None)
+    "save-none-path": (MalformedInstance, lambda: save_network(LABELLED, None)),
+    # A save checks its model and provenance before it opens the file.
+    "provenance-bytes": (MalformedInstance, lambda: network_to_dict(LABELLED, b"x")),
+    "provenance-not-encodable": (
+        MalformedInstance, lambda: save_network(LABELLED, os.devnull, {"a": b"x"})
     ),
+    "manifest-to-dict-none": (MalformedInstance, lambda: manifest_to_dict(None)),
+    "save-manifest-network": (MalformedInstance, lambda: save_manifest(LABELLED, os.devnull)),
+    "json-text-none": (MalformedInstance, lambda: json_text(None)),
+    "json-text-int-key": (MalformedInstance, lambda: json_text({0: 1})),
+    "json-text-not-encodable": (MalformedInstance, lambda: json_text({"a": {1.5}})),
+    "load-networks-generator": (MalformedInstance, lambda: load_networks(p for p in ["a"])),
+    "load-networks-int-path": (MalformedInstance, lambda: load_networks([5])),
     "manifest-kind": (ModelFormatError, lambda: manifest_from_dict({"kind": "bayes"})),
     "no-weights-agents": (MalformedInstance, lambda: normalize_weights(None, 0)),
     "string-agent-count": (MalformedInstance, lambda: normalize_weights(None, "a")),
@@ -236,6 +261,29 @@ CALLER_ERRORS = {
     "suite-negative-seed": (MalformedInstance, lambda: run_axioms_suite(-1)),
     "suite-string-seed": (MalformedInstance, lambda: run_oracle_suite("a")),
     "suite-bool-seed": (MalformedInstance, lambda: run_axioms_suite(False, 1)),
+    "pds-agent-counts": (
+        MalformedInstance,
+        lambda: check_property("linop", "pds", [StatePairInstance((PAIR, PAIR), (PAIR,), 0, 1)]),
+    ),
+    "pds-zero-reference": (
+        MalformedInstance,
+        lambda: check_property(
+            "linop", "pds", [StatePairInstance((NO_MASS_AT_ONE,), (NO_MASS_AT_ONE,), 0, 1)]
+        ),
+    ),
+    # A sampler checks every argument, the rng first, before any draw.
+    "none-rng": (MalformedInstance, lambda: random_joint(None, 2)),
+    "legacy-rng": (MalformedInstance, lambda: random_vstructure_pair(np.random.RandomState(0))),
+    "string-weight-count": (MalformedInstance, lambda: random_weights(rng(), "3")),
+    "zero-weight-count": (MalformedInstance, lambda: random_weights(rng(), 0)),
+    "string-edge-prob": (MalformedInstance, lambda: random_dag(rng(), 3, "0.5")),
+    "bool-edge-prob": (MalformedInstance, lambda: random_dag(rng(), 3, True)),
+    "edge-prob-above-one": (MalformedInstance, lambda: random_dag(rng(), 3, 1.5)),
+    "nan-edge-prob": (MalformedInstance, lambda: random_bn(rng(), 3, edge_prob=float("nan"))),
+    "float-max-parents": (MalformedInstance, lambda: random_dag(rng(), 3, 0.5, 2.0)),
+    "bool-max-parents": (MalformedInstance, lambda: random_dag(rng(), 3, 0.5, False)),
+    "negative-max-parents": (MalformedInstance, lambda: random_bn(rng(), 3, max_parents=-1)),
+    "network-as-dag": (MalformedInstance, lambda: random_bn(rng(), 2, dag=CHAIN)),
     "target-in-evidence": (
         MalformedInstance, lambda: query_conditional(CHAIN, {0: 1}, {0: 1})
     ),
@@ -420,6 +468,14 @@ CHOKE_POINT_ERRORS = {
         MalformedInstance, "models must be a sequence, got generator",
         lambda: align_variables(model for model in [CHAIN]),
     ),
+    "bool-weights": (
+        InvalidWeight, "weights must be a sequence of numbers",
+        lambda: normalize_weights((True, True), 2),
+    ),
+    "numpy-bool-weights": (
+        InvalidWeight, "weights must be a sequence of numbers",
+        lambda: linop([PAIR, PAIR], np.array([True, False])),
+    ),
     "align-unlabeled": (
         ModelFormatError, "aligning networks requires variable labels",
         lambda: align_variables([CHAIN]),
@@ -457,7 +513,7 @@ TRUSTED_PATH = ("_trusted", "_trusted_table")
 # kernels, and the samplers, whose models are valid by construction.
 TRUSTED_CALLERS = {
     "joint._trusted_table",
-    "model_io.network_from_dict",
+    "model_io._network",
     "model_io._structure",
     "model_io.align_variables",
     "networks.moralize",
@@ -680,6 +736,8 @@ RULES = {
     ),
     "state index": (r"state ind", "axioms._state_indices"),
     "sequence": (r"must be a sequence, got", "joint._check_sequence"),
+    "agent count": (r"^agent count|^need at least one agent$", "pools._check_agent_count"),
+    "rng": (r"^rng must be", "sampling._check_rng"),
 }
 
 
@@ -710,6 +768,7 @@ def test_checkers_find_count_indexes_and_kind_messages():
     assert found == {
         "count": [], "kind": ["m.b", "m.d", "m.d", "m.d"], "parent list": ["m.c"],
         "labels": ["m.d"], "partition": [], "state index": [], "sequence": ["m.d"],
+        "agent count": [], "rng": [],
     }
     templates = [
         message_template(node)

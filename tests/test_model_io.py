@@ -27,6 +27,7 @@ from beliefpool.model_io import (
     align_variables,
     load_model_file,
     load_network,
+    load_networks,
     manifest_from_dict,
     manifest_to_dict,
     network_from_dict,
@@ -426,15 +427,15 @@ class TestFormatValidation:
     @given(pair=once_mutated_pairs(labelled_bns().map(network_to_dict)))
     @settings(max_examples=150, deadline=None)
     def test_one_mutation_loads_alike_after_its_original(self, pair):
-        # A loader that remembers the unmutated structure gives the mutated
-        # dict the network, or the message, that a fresh loader gives it.
+        # After the unmutated dict, as in one load_networks call, the
+        # mutated dict loads the network, or raises the message, that it
+        # does alone.
         original, data = pair
-        loader = model_io._Loader()
-        network_from_dict(original, loader)
+        _, check = model_io._network(original, {}, None)
         outcomes = []
-        for shared in (loader, None):
+        for previous in (check, None):
             try:
-                outcomes.append(network_from_dict(data, shared))
+                outcomes.append(model_io._network(data, {}, previous)[0])
             except ModelFormatError as err:
                 outcomes.append(str(err))
         assert outcomes[0] == outcomes[1]
@@ -766,16 +767,15 @@ class TestMalformedCatalogue:
 
     @pytest.mark.parametrize("mutate, message", MALFORMED.values(), ids=MALFORMED)
     def test_message_after_a_file_of_the_same_structure(self, mutate, message, tmp_path):
-        # A loader that has checked VEE's structure, which every entry
-        # starts from, names the fault as a fresh one does.
+        # After VEE, which every entry starts from, the fault is named as
+        # it is alone.
         data = network_to_dict(VEE)
         mutate(data)
-        loader = model_io._Loader()
-        network_from_dict(network_to_dict(VEE), loader)
+        _, check = model_io._network(network_to_dict(VEE), {}, None)
         with pytest.raises(ModelFormatError) as exc:
-            network_from_dict(data, loader)
+            model_io._network(data, {}, check)
         assert str(exc.value) == message
-        # Through the command's loads, the message names the second file.
+        # Through one group load, the message names the second file.
         # (A file cannot hold every entry as written: JSON keys are strings.)
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         save_network(VEE, first)
@@ -783,7 +783,7 @@ class TestMalformedCatalogue:
         with pytest.raises(ModelFormatError) as alone:
             load_network(second)
         with pytest.raises(ModelFormatError) as grouped:
-            cli._load_bayes_inputs([str(first), str(second)])
+            load_networks([str(first), str(second)])
         assert str(grouped.value) == str(alone.value)
         assert str(grouped.value).startswith(f"{second}: ")
 
@@ -826,8 +826,8 @@ def network_groups(draw):
 
 
 class TestGroupLoader:
-    """The loads of one command share one loader, which checks a
-    structure that repeats the file before it only once."""
+    """The files of one command load in one load_networks call, which
+    checks a structure that repeats the file before it only once."""
 
     @given(group=network_groups())
     @settings(max_examples=150, deadline=None)
@@ -836,8 +836,7 @@ class TestGroupLoader:
             paths = [str(Path(folder) / f"a{i}.json") for i in range(len(group))]
             for net, path in zip(group, paths):
                 save_network(net, path)
-            loader = model_io._Loader()
-            shared = [load_network(path, loader) for path in paths]
+            shared = load_networks(paths)
             alone = [load_network(path) for path in paths]
             structures = list(map(structure, paths))
             command = cli._load_bayes_inputs(paths) if len(
@@ -865,24 +864,9 @@ class TestGroupLoader:
             data = network_to_dict(VEE)
             mutate(data)
             second.write_text(json.dumps(data))
-            loader = model_io._Loader()
-            load_network(first, loader)
-            got = load_network(second, loader)
+            got = load_networks([first, second])[1]
             assert got == load_network(second)
             assert all(type(r) is float for c in got.cpts for r in c.rows)
-
-    def test_a_dict_changed_after_its_load_is_checked_again(self):
-        # The loader remembers copies of the structural fields, so a loaded
-        # dict given a cycle in place raises as it would alone.
-        data = network_to_dict(VEE)
-        loader = model_io._Loader()
-        network_from_dict(data, loader)
-        data["cpts"]["A1"]["parents"].append("A3")
-        data["cpts"]["A1"]["rows"].update({"0": 0.3, "1": 0.3})
-        del data["cpts"]["A1"]["rows"][""]
-        data["edges"].append(["A3", "A1"])
-        with pytest.raises(ModelFormatError, match="^parent structure contains a directed cycle$"):
-            network_from_dict(data, loader)
 
 
 class TestManifest:

@@ -92,7 +92,6 @@ class TestNormalizeWeights:
             ((Decimal("0.25"), Decimal("0.75")), [0.25, 0.75]),
             ((2**70, 2**70), [0.5, 0.5]),
             ((2**70, Fraction(0)), [1.0, 0.0]),
-            ((True, False), [1.0, 0.0]),
         ],
     )
     def test_any_real_number_is_a_weight(self, weights, expect):
@@ -106,6 +105,10 @@ class TestNormalizeWeights:
             ((Fraction(1, 2), None), "weights must be a sequence of numbers"),
             ((1j, 1), "weights must be a sequence of numbers"),
             ((10**400, 1), "weights must be finite and nonnegative"),
+            # Bools are not weights, as they are not JointTable entries.
+            ((True, False), "weights must be a sequence of numbers"),
+            (np.array([True, True]), "weights must be a sequence of numbers"),
+            ((Fraction(1, 2), True), "weights must be a sequence of numbers"),
         ],
     )
     def test_non_numbers_and_overflow_rejected(self, weights, message):

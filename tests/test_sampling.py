@@ -174,10 +174,13 @@ def test_bn_to_joint_matches_loop(seed):
     assert same_entries(bn_to_joint(bn), loop_bn_to_joint(bn))
 
 
-class NoDraws:
-    """A generator stand-in that fails on any draw."""
+class NoDraws(np.random.Generator):
+    """A generator that fails on any draw."""
 
-    def __getattr__(self, name):
+    def __init__(self):
+        super().__init__(np.random.PCG64(0))
+
+    def __getattribute__(self, name):
         raise AssertionError(f"drew from the generator ({name})")
 
 
