@@ -10,7 +10,8 @@ parentless node uses the single key "". Each row value is a number in
 with Python's shortest-repr float serialization.
 
 Saved text is exactly json.dumps(data, indent=2) plus a newline, written
-by json_text without the pure-Python encoder an indent otherwise forces.
+by json_text without the pure-Python encoder an indent otherwise forces
+for the fields in network_to_dict's layout.
 
 Loading and saving both work from a row-key table: for one parent
 count, every valid key. The files of one command load in one
@@ -33,19 +34,27 @@ holds the dicts it parsed. Then the rows: every file's go through the
 same row reader, key-set check and value check, so a file raises the
 message and loads the network that it would alone.
 
+Every file's text is parsed once by orjson, and the model is built from
+its value (_load_file). A file that orjson refuses, or whose value fails
+to build, is parsed again by json.loads and built from that value: the
+stdlib path, which gives each failing file its error and message. So a
+file loads the model, or raises the error, that json.loads alone gives,
+except that a field the loader ignores, such as "provenance", may nest
+deeper than json.loads reaches: orjson has no depth limit.
+
 Loading raises ModelFormatError, naming the file, for anything
 malformed, including text that is not UTF-8, integers too large for a
-float, nesting too deep for the JSON parser, and any kind but "bayes"
-or "linop-manifest"; a path that is not a str or an os.PathLike is a
-MalformedInstance, as it is for saving. Loading is where a file's
-model is validated: it makes every check the network constructors
-would, through the same functions (networks._check_labels for the
-labels, _check_parents for a faulty entry's parents, which then names
-the node by its label), then builds the network without checking again.
-Each check runs over the whole file at once: the types of the entries
-and of their parent and row fields as one set of types, the parents
-resolved in one pass, acyclicity over the parent lists by Dag's own
-check, networks._acyclic, the edges against the parent lists, each
+float, nesting too deep for json.loads in a field the loader reads, and
+any kind but "bayes" or "linop-manifest"; a path that is not a str or an
+os.PathLike is a MalformedInstance, as it is for saving. Loading is
+where a file's model is validated: it makes every check the network
+constructors would, through the same functions (networks._check_labels
+for the labels, _check_parents for a faulty entry's parents, which then
+names the node by its label), then builds the network without checking
+again. Each check runs over the whole file at once: the types of the
+entries and of their parent and row fields as one set of types, the
+parents resolved in one pass, acyclicity over the parent lists by Dag's
+own check, networks._acyclic, the edges against the parent lists, each
 CPT's key set against the table's, and every row value in one pass (all
 floats, between 0 and 1, no NaN). Only when one of them fails does
 _check_cpts walk the entries one CPT at a time, in variable order and
@@ -68,7 +77,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .errors import MalformedInstance, MismatchedVariables, ModelFormatError
+import orjson
+
+from .errors import BeliefPoolError, MalformedInstance, MismatchedVariables, ModelFormatError
 from .joint import _check_kind, _check_sequence, _trusted
 from .networks import (
     BayesNet, Cpt, Dag, _acyclic, _check_labels, _check_parents, parse_probability,
@@ -77,12 +88,43 @@ from .networks import (
 MANIFEST_KIND = "linop-manifest"
 
 
+def _nonempty_paths(inputs: Sequence) -> bool:
+    """Whether inputs holds at least one path and each is a nonempty str."""
+    return bool(inputs) and all(isinstance(p, str) and p for p in inputs)
+
+
+def _manifest_weights(weights, error: type) -> tuple[float, ...]:
+    """A manifest's weights as floats: error unless each is an int or a
+    float, not a bool, that fits a float."""
+    if not all(isinstance(w, (int, float)) and not isinstance(w, bool) for w in weights):
+        raise error("'weights' must be a list of numbers")
+    try:
+        return tuple(map(float, weights))
+    except OverflowError as err:
+        raise error("'weights' holds an integer too large for a float") from err
+
+
 @dataclass(frozen=True)
 class LinopManifest:
-    """Pointer to input networks pooled arithmetically with weights."""
+    """Pointer to input networks pooled arithmetically with weights.
+
+    inputs is a nonempty sequence of nonempty path strings and weights
+    None or a sequence of numbers (_manifest_weights), each kept as a
+    tuple; MalformedInstance otherwise, so every manifest saves a file
+    that manifest_from_dict reads back."""
 
     inputs: tuple[str, ...]
     weights: tuple[float, ...] | None = None
+
+    def __post_init__(self) -> None:
+        _check_sequence(self.inputs, "inputs")
+        if isinstance(self.inputs, str) or not _nonempty_paths(self.inputs):
+            raise MalformedInstance("'inputs' must be a nonempty list of paths")
+        object.__setattr__(self, "inputs", tuple(self.inputs))
+        if self.weights is not None:
+            _check_sequence(self.weights, "weights")
+            _manifest_weights(self.weights, MalformedInstance)
+            object.__setattr__(self, "weights", tuple(self.weights))
 
 
 def _require_labels(model: BayesNet, task: str) -> tuple[str, ...]:
@@ -346,25 +388,13 @@ def manifest_from_dict(data) -> LinopManifest:
     if not isinstance(data, dict) or data.get("kind") != MANIFEST_KIND:
         raise ModelFormatError(f"manifest must have kind {MANIFEST_KIND!r}")
     inputs = data.get("inputs")
-    if (
-        not isinstance(inputs, list)
-        or not inputs
-        or not all(isinstance(p, str) and p for p in inputs)
-    ):
+    if not isinstance(inputs, list) or not _nonempty_paths(inputs):
         raise ModelFormatError("'inputs' must be a nonempty list of paths")
     weights = data.get("weights")
     if weights is not None:
-        if not isinstance(weights, list) or not all(
-            isinstance(w, (int, float)) and not isinstance(w, bool)
-            for w in weights
-        ):
+        if not isinstance(weights, list):
             raise ModelFormatError("'weights' must be a list of numbers")
-        try:
-            weights = tuple(float(w) for w in weights)
-        except OverflowError as err:
-            raise ModelFormatError(
-                "'weights' holds an integer too large for a float"
-            ) from err
+        weights = _manifest_weights(weights, ModelFormatError)
     return LinopManifest(tuple(inputs), weights)
 
 
@@ -375,7 +405,17 @@ def _check_path(path) -> None:
         raise MalformedInstance(f"path must be a str or an os.PathLike, got {type(path).__name__}")
 
 
-def _load_json(path: str | Path):
+def _load_file(path: str | Path, build, *args):
+    """build(data, *args) for the JSON value data in the file at path (a
+    str or an os.PathLike, _check_path); a ModelFormatError that build
+    raises gets the prefix "<path>: ".
+
+    orjson parses the text first. When it refuses the text, or build
+    raises a BeliefPoolError or a RecursionError on its value, json.loads
+    parses the text again and build runs on that value: the stdlib path,
+    which gives every failing file its error and message. orjson has no
+    depth limit and reads an integer of 2^64 or more as a float, so only
+    a value that builds is taken from it."""
     _check_path(path)
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -384,11 +424,19 @@ def _load_json(path: str | Path):
     except UnicodeDecodeError as err:
         raise ModelFormatError(f"{path} is not UTF-8 text: {err}") from err
     try:
-        return json.loads(text)
+        return build(orjson.loads(text), *args)
+    except (orjson.JSONDecodeError, BeliefPoolError, RecursionError):
+        pass
+    try:
+        data = json.loads(text)
     except ValueError as err:  # bad JSON, or an integer past the digit limit
         raise ModelFormatError(f"{path} is not valid JSON: {err}") from err
     except RecursionError:
         raise ModelFormatError(f"{path} nests too deeply to parse") from None
+    try:
+        return build(data, *args)
+    except ModelFormatError as err:
+        raise ModelFormatError(f"{path}: {err}") from err
 
 
 def load_network(path: str | Path) -> BayesNet:
@@ -405,24 +453,20 @@ def load_networks(paths: Sequence[str | Path]) -> list[BayesNet]:
     check = None
     networks = []
     for path in paths:
-        data = _load_json(path)
-        try:
-            network, check = _network(data, tables, check)
-        except ModelFormatError as err:
-            raise ModelFormatError(f"{path}: {err}") from err
+        network, check = _load_file(path, _network, tables, check)
         networks.append(network)
     return networks
 
 
+def _model(data) -> BayesNet | LinopManifest:
+    if isinstance(data, dict) and data.get("kind") == MANIFEST_KIND:
+        return manifest_from_dict(data)
+    return network_from_dict(data)
+
+
 def load_model_file(path: str | Path) -> BayesNet | LinopManifest:
     """Load a network or manifest, dispatching on the file's kind."""
-    data = _load_json(path)
-    try:
-        if isinstance(data, dict) and data.get("kind") == MANIFEST_KIND:
-            return manifest_from_dict(data)
-        return network_from_dict(data)
-    except ModelFormatError as err:
-        raise ModelFormatError(f"{path}: {err}") from err
+    return _load_file(path, _model)
 
 
 def _dumps(value, what: str, indent: int | None = None) -> str:
@@ -490,32 +534,76 @@ def _cpts_text(cpts: dict, depth: int) -> str:
     return _container("{}", entries, depth)
 
 
-# The network schema's bulky fields, written without the pure-Python
-# encoder that an indent forces json.dumps to use.
+def _strings(items) -> bool:
+    """Whether items is a list of strings."""
+    return isinstance(items, list) and _all_instances(items, str)
+
+
+def _lists_of_strings(items: list) -> bool:
+    """Whether every item is a list of strings."""
+    return _all_instances(items, list) and _all_instances(
+        list(itertools.chain.from_iterable(items)), str
+    )
+
+
+def _fits_edges(edges) -> bool:
+    """Whether edges is a list of nonempty lists of strings."""
+    return isinstance(edges, list) and all(edges) and _lists_of_strings(edges)
+
+
+_CPT_FIELDS = ("parents", "rows")
+
+
+def _fits_cpts(cpts) -> bool:
+    """Whether cpts maps strings to objects holding exactly "parents", a
+    list of strings, then "rows", a nonempty object of strings to finite
+    floats."""
+    if not isinstance(cpts, dict) or not _all_instances(list(cpts), str):
+        return False
+    entries = list(cpts.values())
+    if not _all_instances(entries, dict) or set(map(tuple, entries)) - {_CPT_FIELDS}:
+        return False
+    rows = [entry["rows"] for entry in entries]
+    if not (
+        _lists_of_strings([entry["parents"] for entry in entries])
+        and _all_instances(rows, dict)
+        and all(rows)
+        and _all_instances(list(itertools.chain.from_iterable(rows)), str)
+    ):
+        return False
+    values = list(itertools.chain.from_iterable(r.values() for r in rows))
+    # json writes a float subclass, NaN or an infinity its own way.
+    return set(map(type, values)) <= {float} and all(map(math.isfinite, values))
+
+
+# The network schema's bulky fields, each with the check that a value has
+# network_to_dict's layout, written without the pure-Python encoder that
+# an indent forces json.dumps to use.
 _FIELD_TEXT = {
-    "variables": _labels_text,
-    "edges": _edges_text,
-    "cpts": _cpts_text,
+    "variables": (_strings, _labels_text),
+    "edges": (_fits_edges, _edges_text),
+    "cpts": (_fits_cpts, _cpts_text),
 }
 
 
 def json_text(data: dict) -> str:
-    """The saved text of network_to_dict or manifest_to_dict output:
-    exactly json.dumps(data, indent=2) + "\\n".
+    """Exactly json.dumps(data, indent=2) + "\\n", the saved text of
+    network_to_dict or manifest_to_dict output.
 
     data is a dict with string keys (MalformedInstance otherwise). Labels,
-    edges, parent lists and CPT rows are formatted here (labels are
-    strings, as network_to_dict requires); every other field goes through
-    json.dumps re-indented.
+    edges, parent lists and CPT rows in network_to_dict's layout are
+    formatted here; every other field, and one of those that does not
+    have that layout, goes through json.dumps re-indented, and a value
+    json cannot encode is a MalformedInstance.
     """
     _check_kind(data, dict)
     if not _all_instances(list(data), str):
         raise MalformedInstance("json_text needs a dict with string keys")
     fields = []
     for key, value in data.items():
-        field_text = _FIELD_TEXT.get(key)
+        fits, field_text = _FIELD_TEXT.get(key, (None, None))
         text = (
-            field_text(value, 1) if field_text is not None
+            field_text(value, 1) if fits is not None and fits(value)
             else _dumps(value, f"field {key!r}", 2).replace("\n", "\n  ")
         )
         fields.append(f"{_string(key)}: {text}")

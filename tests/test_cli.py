@@ -642,9 +642,10 @@ class TestQuery:
 
     def test_single_network_read_once(self, capsys, monkeypatch, agent_files):
         reads = []
-        load_json = model_io._load_json
+        load_file = model_io._load_file
         monkeypatch.setattr(
-            model_io, "_load_json", lambda path: reads.append(path) or load_json(path)
+            model_io, "_load_file",
+            lambda path, *build: reads.append(path) or load_file(path, *build),
         )
         code, out, _ = run(
             capsys, "query", agent_files[1], "--pool", "logop", "--event", "A1=1"
@@ -663,12 +664,13 @@ class TestQuery:
         save_network(BayesNet(CHAIN_A.cpts[:1] + CHAIN_B.cpts[1:], CHAIN_A.labels), third)
         paths = [*chain_files, str(third)]
         groups, reads = [], []
-        load_networks, load_json = model_io.load_networks, model_io._load_json
+        load_networks, load_file = model_io.load_networks, model_io._load_file
         monkeypatch.setattr(
             cli, "load_networks", lambda ps: groups.append(ps) or load_networks(ps)
         )
         monkeypatch.setattr(
-            model_io, "_load_json", lambda path: reads.append(path) or load_json(path)
+            model_io, "_load_file",
+            lambda path, *build: reads.append(path) or load_file(path, *build),
         )
         if command == "aggregate":
             argv = ["aggregate", *paths, "--pool", "logop"]

@@ -58,6 +58,7 @@ from beliefpool.joint import (
     pairwise_dependence_gap,
 )
 from beliefpool.model_io import (
+    LinopManifest,
     align_variables,
     json_text,
     load_network,
@@ -203,6 +204,20 @@ CALLER_ERRORS = {
         MalformedInstance, lambda: save_network(LABELLED, os.devnull, {"a": b"x"})
     ),
     "manifest-to-dict-none": (MalformedInstance, lambda: manifest_to_dict(None)),
+    # A manifest checks its fields where they enter, so one that saves
+    # reads back.
+    "manifest-none-inputs": (MalformedInstance, lambda: LinopManifest(None)),
+    "manifest-int-inputs": (MalformedInstance, lambda: LinopManifest(5)),
+    "manifest-string-inputs": (MalformedInstance, lambda: LinopManifest("a.json")),
+    "manifest-no-inputs": (MalformedInstance, lambda: LinopManifest(())),
+    "manifest-empty-input": (MalformedInstance, lambda: LinopManifest(("",))),
+    "manifest-int-input": (MalformedInstance, lambda: LinopManifest(("a.json", 1))),
+    "manifest-scalar-weights": (MalformedInstance, lambda: LinopManifest(("a.json",), 0.5)),
+    "manifest-bool-weight": (MalformedInstance, lambda: LinopManifest(("a.json",), (True,))),
+    "manifest-string-weight": (MalformedInstance, lambda: LinopManifest(("a.json",), ("0.5",))),
+    "manifest-overflowing-weight": (
+        MalformedInstance, lambda: LinopManifest(("a.json",), (10**400,))
+    ),
     "save-manifest-network": (MalformedInstance, lambda: save_manifest(LABELLED, os.devnull)),
     "json-text-none": (MalformedInstance, lambda: json_text(None)),
     "json-text-int-key": (MalformedInstance, lambda: json_text({0: 1})),
@@ -663,6 +678,19 @@ def test_one_cpt_factor_layout():
     }
     assert heap_uses == {"networks._min_fill_order"}
 
+
+
+def test_one_parse_site():
+    """orjson and json.loads parse a file's text in model_io._load_file
+    alone, the package's one parse site: every load takes orjson's value
+    or the stdlib path's there."""
+    assert [path.stem for path in MODULES if "orjson" in path.read_text()] == ["model_io"]
+    uses = {
+        function
+        for path in MODULES
+        for function, _ in trusted_uses(path.read_text(), path.stem, names=("orjson", "loads"))
+    }
+    assert uses == {"model_io._load_file"}
 
 def enclosing_calls(source, module, match):
     """The enclosing function ("module.name", None at module level) of

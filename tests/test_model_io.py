@@ -7,6 +7,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from beliefpool import cli, model_io
 from beliefpool.model_io import (
     LinopManifest,
     align_variables,
+    json_text,
     load_model_file,
     load_network,
     load_networks,
@@ -869,6 +871,218 @@ class TestGroupLoader:
             assert all(type(r) is float for c in got.cpts for r in c.rows)
 
 
+def load_outcome(load, *args):
+    """What a load gives: each model's labels, structure and rows as float
+    bits (a manifest's inputs and weight bits), or any error's type and
+    message."""
+    try:
+        result = load(*args)
+    except Exception as err:  # an untyped error must show up too
+        return type(err), str(err)
+    models = result if isinstance(result, list) else [result]
+    return [
+        (
+            model.labels,
+            model.dag(),
+            [(c.owner, c.parents, [r.hex() for r in c.rows]) for c in model.cpts],
+        )
+        if isinstance(model, BayesNet)
+        else (model.inputs, model.weights and [w.hex() for w in model.weights])
+        for model in models
+    ]
+
+
+def _refuse(text):
+    raise orjson.JSONDecodeError("refused", text, 0)
+
+
+def stdlib_outcome(load, *args):
+    """load_outcome with orjson refusing every text: the stdlib path
+    alone."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orjson, "loads", _refuse)
+        return load_outcome(load, *args)
+
+
+def assert_parsers_agree(folder, text):
+    """A file holding text loads alike with orjson and on the stdlib path,
+    alone, as a model file, and after a valid network in one group."""
+    path, valid = Path(folder) / "net.json", Path(folder) / "valid.json"
+    path.write_text(text, encoding="utf-8")
+    save_network(CHAIN, valid)
+    for load, args in (
+        (load_network, (path,)),
+        (load_model_file, (path,)),
+        (load_networks, ([valid, path],)),
+    ):
+        assert load_outcome(load, *args) == stdlib_outcome(load, *args)
+
+
+# Tokens where orjson and json.loads differ, or that break the JSON around them.
+TOKENS = (
+    "NaN", "-Infinity", "1e400", "9" * 400, "9" * 5000, str(2**64), str(-(2**63) - 1),
+    '"\\ud800"', "\ufeff", "[", "]", "{", "}", ",", ":", '"', "\\", "-0", "1.5e-400",
+)
+
+
+@st.composite
+def mutated_texts(draw):
+    """A saved network's or manifest's text with one to three spans
+    replaced by a token or a short text."""
+    data = draw(st.one_of(labelled_bns().map(network_to_dict), manifest_dicts()))
+    text = json.dumps(data, indent=draw(st.sampled_from((None, 2))))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        start = draw(st.integers(min_value=0, max_value=len(text)))
+        end = draw(st.integers(min_value=start, max_value=min(len(text), start + 8)))
+        token = draw(st.sampled_from(TOKENS) | st.text(max_size=3))
+        text = text[:start] + token + text[end:]
+    return text
+
+
+def with_row(value_text):
+    """CHAIN's saved text with the row of A1 written as value_text."""
+    return json.dumps(valid_bayes_dict()).replace('{"": 0.2}', '{"": ' + value_text + "}")
+
+
+def nested(depth):
+    return "[" * depth + "]" * depth
+
+
+class TestParsers:
+    """orjson parses a file first; a file that it refuses, or whose value
+    does not build, takes the stdlib path. Either way a file loads the
+    model, or raises the error and message, that the stdlib path alone
+    gives."""
+
+    @given(value=json_values | st.sampled_from((2**64, -(2**64), 10**400, float("nan"))))
+    @settings(max_examples=100, deadline=None)
+    def test_json_values_load_alike(self, value):
+        with tempfile.TemporaryDirectory() as folder:
+            assert_parsers_agree(folder, json.dumps(value))
+
+    @given(data=mutated_network_dicts() | once_mutated_dicts())
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_dicts_load_alike(self, data):
+        with tempfile.TemporaryDirectory() as folder:
+            assert_parsers_agree(folder, json.dumps(data))
+
+    @given(text=mutated_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_texts_load_alike(self, text):
+        with tempfile.TemporaryDirectory() as folder:
+            assert_parsers_agree(folder, text)
+
+    @pytest.mark.parametrize("text", [
+        with_row("NaN"),
+        with_row("9" * 400),
+        with_row("9" * 5000),
+        with_row(str(2**64)),
+        with_row(nested(1200)),
+        json.dumps(valid_bayes_dict()).replace('"A1"', '"\\ud800"'),
+        "\ufeff" + json.dumps(valid_bayes_dict()),
+        json.dumps(valid_bayes_dict()).replace('{"": 0.2}', '{"": 0.7, "": 0.2}'),
+        json.dumps(valid_bayes_dict()).replace('"bayes"', nested(1200)),
+        json.dumps(valid_bayes_dict()).replace('[["A1", "A2"]]', "[" + nested(1200) + "]"),
+        '{"kind": "linop-manifest", "inputs": ["a.json"], "weights": [%d]}' % 2**64,
+        '{"kind": "linop-manifest", "inputs": ["a.json"], "weights": [1%s]}' % ("0" * 400),
+        "[" * 100_000,
+    ], ids=[
+        "nan-row", "400-digit-row", "5000-digit-row", "2**64-row", "deep-row",
+        "lone-surrogate-label", "bom", "duplicate-row-keys", "deep-kind", "deep-edge",
+        "2**64-weight", "400-digit-weight", "unterminated",
+    ])
+    def test_fixed_cases_load_alike(self, tmp_path, text):
+        assert_parsers_agree(tmp_path, text)
+
+    def test_duplicate_keys_keep_the_last(self, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(valid_bayes_dict()).replace('{"": 0.2}', '{"": 0.7, "": 0.2}'))
+        assert load_network(path) == CHAIN
+
+    def test_deep_ignored_field_loads(self, tmp_path):
+        # orjson has no depth limit: a field the loader ignores may nest
+        # deeper than json.loads reaches, and the file still loads.
+        path = tmp_path / "net.json"
+        text = json.dumps(valid_bayes_dict())
+        path.write_text(text[:-1] + ', "provenance": ' + nested(5000) + "}")
+        assert load_network(path) == CHAIN
+        assert load_model_file(path) == CHAIN
+        assert stdlib_outcome(load_network, path) == (
+            ModelFormatError, f"{path} nests too deeply to parse"
+        )
+        manifest = tmp_path / "pool.json"
+        manifest.write_text(
+            '{"kind": "linop-manifest", "inputs": ["net.json"], "extra": %s}' % nested(5000)
+        )
+        assert load_model_file(manifest) == LinopManifest(("net.json",))
+
+# Values at and near network_to_dict's layout of "variables", "edges" and
+# "cpts": strings, lists of strings, lists of lists, CPT-like objects.
+short_text = st.text(max_size=2)
+cpt_entries = st.fixed_dictionaries({
+    "parents": st.lists(short_text, max_size=2) | json_values,
+    "rows": st.dictionaries(short_text, st.floats() | st.integers() | json_values, max_size=3),
+})
+layout_values = st.one_of(
+    json_values,
+    st.text(),
+    st.lists(short_text, max_size=3),
+    st.lists(st.lists(short_text, max_size=3) | json_values, max_size=3),
+    st.dictionaries(short_text, cpt_entries | json_values, max_size=3),
+)
+field_names = st.sampled_from(("kind", "variables", "edges", "cpts", "provenance")) | short_text
+
+
+class TestJsonText:
+    @given(data=st.dictionaries(field_names, layout_values, max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, data):
+        assert json_text(data) == json.dumps(data, indent=2) + "\n"
+
+    @given(pair=once_mutated_pairs(labelled_bns().map(network_to_dict)))
+    @settings(max_examples=100, deadline=None)
+    def test_mutated_networks_match_json_dumps(self, pair):
+        for data in pair:
+            assert json_text(data) == json.dumps(data, indent=2) + "\n"
+
+    @pytest.mark.parametrize("data", [
+        {"variables": 5},
+        {"variables": "A1"},
+        {"cpts": [1]},
+        {"edges": [[1, 2]]},
+        {"edges": [[]]},
+        {"cpts": {"A": {"rows": {"": 0.5}, "parents": []}}},
+        {"cpts": {"A": {"parents": [], "rows": {}}}},
+        {"cpts": {"A": {"parents": [], "rows": {"": float("nan")}}}},
+        {"cpts": {"A": {"parents": [], "rows": {"": np.float64(0.5)}}}},
+        {"cpts": {"A": {"parents": [], "rows": {"": 1}}}},
+        {"cpts": {"A": {"parents": [1], "rows": {"": 0.5}}}},
+    ])
+    def test_other_layouts_match_json_dumps(self, data):
+        assert json_text(data) == json.dumps(data, indent=2) + "\n"
+
+    @pytest.mark.parametrize("data", [
+        {"variables": [b"A"]},
+        {"edges": [["A", {1.5}]]},
+        {"cpts": {"A": {"parents": [], "rows": {"": {1.5}}}}},
+        {"cpts": {"A": {"parents": [], "rows": {("a",): 0.5}}}},
+    ])
+    def test_unencodable_values_raise(self, data):
+        with pytest.raises(MalformedInstance, match="is not JSON-encodable"):
+            json_text(data)
+
+    def test_network_fields_are_formatted_without_json_dumps(self, monkeypatch):
+        dumped = []
+        dumps = model_io._dumps
+        monkeypatch.setattr(
+            model_io, "_dumps",
+            lambda value, what, *rest: dumped.append(what) or dumps(value, what, *rest),
+        )
+        data = network_to_dict(VEE)
+        assert json_text(data) == json.dumps(data, indent=2) + "\n"
+        assert dumped == ["field 'kind'"]
+
+
 class TestManifest:
     def test_round_trip(self):
         manifest = LinopManifest(("a.json", "b.json"), (0.25, 0.75))
@@ -897,6 +1111,12 @@ class TestManifest:
             manifest_from_dict(
                 {"kind": "linop-manifest", "inputs": ["a"], "weights": [10**400]}
             )
+
+    def test_fields_are_kept_as_tuples(self, tmp_path):
+        manifest = LinopManifest(["a.json", "b.json"], [2, 0.5])
+        assert manifest == LinopManifest(("a.json", "b.json"), (2, 0.5))
+        save_manifest(manifest, tmp_path / "pool.json")
+        assert load_model_file(tmp_path / "pool.json") == manifest
 
     def test_bad_weights_rejected(self):
         with pytest.raises(ModelFormatError):
