@@ -30,16 +30,18 @@ from .errors import DegenerateProduct, MalformedInstance, ZeroEvidence
 from .joint import (
     JointTable,
     _check_kind,
+    _check_pair,
     _check_partition,
     _check_sequence,
     _contract,
     _factor_product,
+    _markov_gap,
     _mass,
+    _pairwise_gap,
     condition,
     conditional_probability,
     marginal,
     pairwise_dependence_gap,
-    markov_dependence_gap,
     _trusted_table,
 )
 from .networks import BayesNet, Cpt, _check_order, bn_to_joint
@@ -277,8 +279,13 @@ class VariablePairInstance(_PreservedProperty):
 
     _HYPOTHESIS = "variables must be pairwise independent under every agent"
 
+    @cached_property
+    def _pair(self) -> tuple[int, int]:
+        """a and b as _check_pair returns them."""
+        return _check_pair(self.tables[0].m, self.a, self.b)
+
     def _gap(self, t: JointTable) -> float:
-        return pairwise_dependence_gap(t, self.a, self.b)
+        return _pairwise_gap(t, *self._pair)
 
 
 @dataclass(frozen=True)
@@ -314,7 +321,7 @@ class MarkovInstance(_PreservedProperty):
         return _check_partition(self.tables[0].m, self.a, self.w, self.x)
 
     def _gap(self, t: JointTable) -> float:
-        return markov_dependence_gap(t, *self._partition)
+        return _markov_gap(t, *self._partition)
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,8 @@ from .model_io import (
     load_networks,
     manifest_to_dict,
     network_to_dict,
+    save_manifest,
+    save_network,
 )
 from .networks import BayesNet
 from .pools import POOL_NAMES, normalize_weights
@@ -103,17 +105,6 @@ def _load_bayes_inputs(paths: Sequence[str]) -> list[BayesNet]:
     return align_variables(load_networks(paths))
 
 
-def _emit(data: dict, out: str | None) -> None:
-    text = json_text(data)
-    if out is None:
-        sys.stdout.write(text)
-        return
-    try:
-        Path(out).write_text(text)
-    except OSError as err:
-        raise _UsageError(f"cannot write {out}: {err}") from err
-
-
 def cmd_aggregate(args: argparse.Namespace) -> int:
     weights = _parse_weights(args.weights)
     models = _load_bayes_inputs(args.inputs)
@@ -129,7 +120,10 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
                 for p in args.inputs
             ]
         manifest = LinopManifest(tuple(inputs), tuple(normalized))
-        _emit(manifest_to_dict(manifest), args.out)
+        if args.out is None:
+            sys.stdout.write(json_text(manifest_to_dict(manifest)))
+        else:
+            save_manifest(manifest, args.out)
         return EXIT_OK
     consensus = logop_consensus_bn(
         models, weights, dense_oracle=args.dense_oracle
@@ -137,12 +131,15 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     labels = consensus.bn.labels
     provenance = {
         "pool": "logop",
-        "weights": list(normalize_weights(weights, len(models))),
+        "weights": normalize_weights(weights, len(models)).tolist(),
         "inputs": list(args.inputs),
         "elimination_order": [labels[v] for v in consensus.elimination_order],
         "agent_queries": consensus.agent_queries,
     }
-    _emit(network_to_dict(consensus.bn, provenance), args.out)
+    if args.out is None:
+        sys.stdout.write(json_text(network_to_dict(consensus.bn, provenance)))
+    else:
+        save_network(consensus.bn, args.out, provenance)
     return EXIT_OK
 
 

@@ -373,14 +373,25 @@ def conditional_probability(
     return _conditional_ratio(partial(_mass, table), target, evidence)
 
 
+def _check_pair(m: int, a, b) -> tuple[int, int]:
+    """a and b as Python ints: the one check of a variable pair, two
+    distinct variables in range(0, m)."""
+    a, b = _check_variables(m, (a, b))
+    if a == b:
+        raise MalformedInstance("pairwise independence needs two distinct variables")
+    return a, b
+
+
+def _pairwise_gap(table: JointTable, a: int, b: int) -> float:
+    """pairwise_dependence_gap for a pair that _check_pair returned."""
+    p_ab = _mass(table, {a: True, b: True})
+    return abs(p_ab - _mass(table, {a: True}) * _mass(table, {b: True}))
+
+
 def pairwise_dependence_gap(table: JointTable, a: int, b: int) -> float:
     """|P(a and b) - P(a) * P(b)| with both variables true."""
     _check_kind(table, JointTable)
-    a, b = _check_variables(table.m, (a, b))
-    if a == b:
-        raise MalformedInstance("pairwise independence needs two distinct variables")
-    p_ab = _mass(table, {a: True, b: True})
-    return abs(p_ab - _mass(table, {a: True}) * _mass(table, {b: True}))
+    return _pairwise_gap(table, *_check_pair(table.m, a, b))
 
 
 def markov_dependence_gap(
@@ -393,7 +404,13 @@ def markov_dependence_gap(
     full conditional structure around a. Empty x gives a gap of zero.
     """
     _check_kind(table, JointTable)
-    a, w, x = _check_partition(table.m, a, w, x)
+    return _markov_gap(table, *_check_partition(table.m, a, w, x))
+
+
+def _markov_gap(
+    table: JointTable, a: int, w: tuple[int, ...], x: tuple[int, ...]
+) -> float:
+    """markov_dependence_gap for a partition that _check_partition returned."""
     if not x:
         return 0.0
 

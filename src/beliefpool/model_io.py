@@ -9,9 +9,9 @@ parentless node uses the single key "". Each row value is a number in
 [0, 1]. Probabilities round-trip bit-exactly since values are written
 with Python's shortest-repr float serialization.
 
-Saved text is exactly json.dumps(data, indent=2) plus a newline, written
-by json_text without the pure-Python encoder an indent otherwise forces
-for the fields in network_to_dict's layout.
+Saved text is exactly json.dumps(data, indent=2) plus a newline. json_text
+has orjson write it when orjson's compact text equals json's own, and
+json.dumps otherwise: the two lay out indented text by the same rule.
 
 Loading and saving both work from a row-key table: for one parent
 count, every valid key. The files of one command load in one
@@ -109,9 +109,10 @@ class LinopManifest:
     """Pointer to input networks pooled arithmetically with weights.
 
     inputs is a nonempty sequence of nonempty path strings and weights
-    None or a sequence of numbers (_manifest_weights), each kept as a
-    tuple; MalformedInstance otherwise, so every manifest saves a file
-    that manifest_from_dict reads back."""
+    None or a sequence of numbers (_manifest_weights), kept as a tuple
+    of strings and a tuple of Python floats; MalformedInstance
+    otherwise, so every manifest saves a file that manifest_from_dict
+    reads back."""
 
     inputs: tuple[str, ...]
     weights: tuple[float, ...] | None = None
@@ -123,8 +124,8 @@ class LinopManifest:
         object.__setattr__(self, "inputs", tuple(self.inputs))
         if self.weights is not None:
             _check_sequence(self.weights, "weights")
-            _manifest_weights(self.weights, MalformedInstance)
-            object.__setattr__(self, "weights", tuple(self.weights))
+            weights = _manifest_weights(self.weights, MalformedInstance)
+            object.__setattr__(self, "weights", weights)
 
 
 def _require_labels(model: BayesNet, task: str) -> tuple[str, ...]:
@@ -146,11 +147,11 @@ def _row_keys(n_parents: int) -> dict[str, None]:
 
 def network_to_dict(model: BayesNet, provenance: dict | None = None) -> dict:
     """JSON-ready representation of a network. A provenance is None or a
-    dict that json can encode (MalformedInstance otherwise)."""
+    dict (MalformedInstance otherwise), kept as given: json_text raises
+    MalformedInstance for one that json cannot encode."""
     labels = _require_labels(model, "serializing a network")
     if provenance is not None:
         _check_kind(provenance, dict)
-        _dumps(provenance, "provenance")
     edges = sorted(
         (labels[p], labels[c.owner]) for c in model.cpts for p in c.parents
     )
@@ -469,150 +470,60 @@ def load_model_file(path: str | Path) -> BayesNet | LinopManifest:
     return _load_file(path, _model)
 
 
-def _dumps(value, what: str, indent: int | None = None) -> str:
-    """json.dumps(value, indent=indent); MalformedInstance, naming what,
-    when json cannot encode value (a type it does not know, a circular
+def _dumps(value, what: str) -> str:
+    """json.dumps(value, indent=2); MalformedInstance, naming what, when
+    json cannot encode value (a type it does not know, a circular
     reference, nesting too deep)."""
     try:
-        return json.dumps(value, indent=indent)
+        return json.dumps(value, indent=2)
     except (TypeError, ValueError, RecursionError) as err:
         raise MalformedInstance(f"{what} is not JSON-encodable: {err}") from None
 
 
-# json.dumps escapes every string with this one (the C version where the
-# interpreter has it) and writes each finite float as float.__repr__.
-_string = json.encoder.encode_basestring_ascii
-
-
-def _container(brackets: str, items: list[str], depth: int) -> str:
-    """json.dumps(..., indent=2) layout of a list or object at the given
-    depth whose items are already encoded."""
-    if not items:
-        return brackets
-    pad = "\n" + "  " * depth
-    inner = pad + "  "
-    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
-
-
-def _labels_text(labels: list[str], depth: int) -> str:
-    return _container("[]", list(map(_string, labels)), depth)
-
-
-def _edges_text(edges: list[list[str]], depth: int) -> str:
-    close = "\n" + "  " * (depth + 1)
-    inner = close + "  "
-    sep = "," + inner
-    return _container("[]", [
-        f"[{inner}{sep.join(map(_string, edge))}{close}]" for edge in edges
-    ], depth)
-
-
-_row = "{}: {}".format
-
-
-def _cpts_text(cpts: dict, depth: int) -> str:
-    # Each entry is an object at depth + 1 holding a parent list and a
-    # row object at depth + 2, whose items sit at depth + 3.
-    close = "\n" + "  " * (depth + 1)
-    field = close + "  "
-    inner = field + "  "
-    sep = "," + inner
-    entries = []
-    for label, cpt in cpts.items():
-        parents, rows = cpt["parents"], cpt["rows"]
-        parents_text = (
-            f"[{inner}{sep.join(map(_string, parents))}{field}]" if parents
-            else "[]"
-        )
-        rows_text = sep.join(
-            map(_row, map(_string, rows), map(float.__repr__, rows.values()))
-        )
-        entries.append(
-            f'{_string(label)}: {{{field}"parents": {parents_text},'
-            f'{field}"rows": {{{inner}{rows_text}{field}}}{close}}}'
-        )
-    return _container("{}", entries, depth)
-
-
-def _strings(items) -> bool:
-    """Whether items is a list of strings."""
-    return isinstance(items, list) and _all_instances(items, str)
-
-
-def _lists_of_strings(items: list) -> bool:
-    """Whether every item is a list of strings."""
-    return _all_instances(items, list) and _all_instances(
-        list(itertools.chain.from_iterable(items)), str
-    )
-
-
-def _fits_edges(edges) -> bool:
-    """Whether edges is a list of nonempty lists of strings."""
-    return isinstance(edges, list) and all(edges) and _lists_of_strings(edges)
-
-
-_CPT_FIELDS = ("parents", "rows")
-
-
-def _fits_cpts(cpts) -> bool:
-    """Whether cpts maps strings to objects holding exactly "parents", a
-    list of strings, then "rows", a nonempty object of strings to finite
-    floats."""
-    if not isinstance(cpts, dict) or not _all_instances(list(cpts), str):
-        return False
-    entries = list(cpts.values())
-    if not _all_instances(entries, dict) or set(map(tuple, entries)) - {_CPT_FIELDS}:
-        return False
-    rows = [entry["rows"] for entry in entries]
-    if not (
-        _lists_of_strings([entry["parents"] for entry in entries])
-        and _all_instances(rows, dict)
-        and all(rows)
-        and _all_instances(list(itertools.chain.from_iterable(rows)), str)
-    ):
-        return False
-    values = list(itertools.chain.from_iterable(r.values() for r in rows))
-    # json writes a float subclass, NaN or an infinity its own way.
-    return set(map(type, values)) <= {float} and all(map(math.isfinite, values))
-
-
-# The network schema's bulky fields, each with the check that a value has
-# network_to_dict's layout, written without the pure-Python encoder that
-# an indent forces json.dumps to use.
-_FIELD_TEXT = {
-    "variables": (_strings, _labels_text),
-    "edges": (_fits_edges, _edges_text),
-    "cpts": (_fits_cpts, _cpts_text),
-}
+# json.dumps(value) without the spaces after separators, by json's C
+# encoder where the interpreter has it.
+_compact = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def json_text(data: dict) -> str:
     """Exactly json.dumps(data, indent=2) + "\\n", the saved text of
     network_to_dict or manifest_to_dict output.
 
-    data is a dict with string keys (MalformedInstance otherwise). Labels,
-    edges, parent lists and CPT rows in network_to_dict's layout are
-    formatted here; every other field, and one of those that does not
-    have that layout, goes through json.dumps re-indented, and a value
-    json cannot encode is a MalformedInstance.
+    data is a dict with string keys (MalformedInstance otherwise). When
+    orjson's compact text of data equals json's byte for byte, orjson
+    writes the indented text: both lay out indent=2 text by the same
+    rule. Otherwise, for a value that either cannot encode or that they
+    write differently (a float below 1e-4 or from 1e16 up, NaN, an
+    infinity, a non-ASCII character or DEL, an integer from 2^64 up, a
+    numpy scalar), each field goes through json.dumps re-indented, and a
+    value json cannot encode is a MalformedInstance naming its field.
     """
     _check_kind(data, dict)
     if not _all_instances(list(data), str):
         raise MalformedInstance("json_text needs a dict with string keys")
-    fields = []
-    for key, value in data.items():
-        fits, field_text = _FIELD_TEXT.get(key, (None, None))
-        text = (
-            field_text(value, 1) if fits is not None and fits(value)
-            else _dumps(value, f"field {key!r}", 2).replace("\n", "\n  ")
-        )
-        fields.append(f"{_string(key)}: {text}")
-    return _container("{}", fields, 0) + "\n"
+    try:
+        # orjson.JSONEncodeError is a TypeError.
+        same = orjson.dumps(data) == _compact(data).encode()
+    except (TypeError, ValueError, RecursionError):
+        same = False
+    if same:
+        return orjson.dumps(data, option=orjson.OPT_INDENT_2).decode() + "\n"
+    # json.dumps escapes every string with this one.
+    string = json.encoder.encode_basestring_ascii
+    fields = ",\n  ".join(
+        f"{string(key)}: " + _dumps(value, f"field {key!r}").replace("\n", "\n  ")
+        for key, value in data.items()
+    )
+    return "{\n  " + fields + "\n}\n"
 
 
 def _dump(data: dict, path: str | Path) -> None:
     _check_path(path)
-    Path(path).write_text(json_text(data))
+    text = json_text(data)
+    try:
+        Path(path).write_text(text)
+    except OSError as err:
+        raise ModelFormatError(f"cannot write {path}: {err}") from err
 
 
 def save_network(

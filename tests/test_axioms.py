@@ -703,8 +703,8 @@ class TestReportSuites:
             rows[prop] = (kind, recording_draw, *expected)
         monkeypatch.setattr(axioms, "_PROPERTIES", rows)
         spied = {
-            "markov_dependence_gap": MarkovInstance,
-            "pairwise_dependence_gap": VariablePairInstance,
+            "_markov_gap": MarkovInstance,
+            "_pairwise_gap": VariablePairInstance,
             "condition": EvidenceInstance,
         }
         calls = {name: [] for name in spied}

@@ -159,6 +159,34 @@ class TestAggregate:
         assert err.startswith(f"error: cannot write {out}: ")
         assert "Traceback" not in err
 
+    def test_unwritable_manifest_out_path(self, capsys, tmp_path, chain_files):
+        out = tmp_path / "missing" / "m.json"
+        code, printed, err = run(
+            capsys, "aggregate", *chain_files, "--pool", "linop", "--out", str(out)
+        )
+        assert (code, printed) == (EXIT_PARSE, "")
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("pool", ["logop", "linop"])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_output_never_takes_the_stdlib_path(
+        self, capsys, monkeypatch, tmp_path, chain_files, pool, to_file
+    ):
+        # Every field aggregate writes is one that orjson and json encode
+        # alike, so json_text never formats a field with json.dumps.
+        dumped = []
+        dumps = model_io._dumps
+        monkeypatch.setattr(
+            model_io, "_dumps", lambda value, what: dumped.append(what) or dumps(value, what)
+        )
+        out = ["--out", str(tmp_path / "c.json")] if to_file else []
+        code, printed, _ = run(capsys, "aggregate", *chain_files, "--pool", pool, *out)
+        assert code == EXIT_OK
+        text = (tmp_path / "c.json").read_text() if to_file else printed
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert dumped == []
+
     def test_markov_input_rejected(self, capsys, tmp_path, chain_files):
         path = markov_file(tmp_path)
         code, printed, err = run(

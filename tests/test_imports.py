@@ -219,6 +219,19 @@ CALLER_ERRORS = {
         MalformedInstance, lambda: LinopManifest(("a.json",), (10**400,))
     ),
     "save-manifest-network": (MalformedInstance, lambda: save_manifest(LABELLED, os.devnull)),
+    # A save that cannot write its path names it, as a load that cannot
+    # read one does.
+    "save-to-directory": (ModelFormatError, lambda: save_network(LABELLED, TESTS)),
+    "save-to-missing-folder": (
+        ModelFormatError, lambda: save_network(LABELLED, TESTS / "missing" / "a.json")
+    ),
+    "save-manifest-to-directory": (
+        ModelFormatError, lambda: save_manifest(LinopManifest(("a.json",)), TESTS)
+    ),
+    "save-manifest-to-missing-folder": (
+        ModelFormatError,
+        lambda: save_manifest(LinopManifest(("a.json",)), TESTS / "missing" / "a.json"),
+    ),
     "json-text-none": (MalformedInstance, lambda: json_text(None)),
     "json-text-int-key": (MalformedInstance, lambda: json_text({0: 1})),
     "json-text-not-encodable": (MalformedInstance, lambda: json_text({"a": {1.5}})),
@@ -683,14 +696,19 @@ def test_one_cpt_factor_layout():
 def test_one_parse_site():
     """orjson and json.loads parse a file's text in model_io._load_file
     alone, the package's one parse site: every load takes orjson's value
-    or the stdlib path's there."""
+    or the stdlib path's there. The one other use of orjson is
+    model_io.json_text, the one encode site."""
     assert [path.stem for path in MODULES if "orjson" in path.read_text()] == ["model_io"]
-    uses = {
-        function
-        for path in MODULES
-        for function, _ in trusted_uses(path.read_text(), path.stem, names=("orjson", "loads"))
-    }
-    assert uses == {"model_io._load_file"}
+
+    def uses(name):
+        return {
+            function
+            for path in MODULES
+            for function, _ in trusted_uses(path.read_text(), path.stem, names=(name,))
+        }
+
+    assert uses("loads") == {"model_io._load_file"}
+    assert uses("orjson") == {"model_io._load_file", "model_io.json_text"}
 
 def enclosing_calls(source, module, match):
     """The enclosing function ("module.name", None at module level) of

@@ -1,9 +1,13 @@
 """JSON round trips, format validation, and label-based alignment."""
 
+import dataclasses
+import datetime
+import enum
 import itertools
 import json
 import re
 import tempfile
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -88,17 +92,17 @@ labels_text = st.text(min_size=1, max_size=4)
 
 
 @st.composite
-def labelled_bns(draw):
+def labelled_bns(draw, rows=EDGE_ROWS, labels=labels_text):
     m = draw(st.integers(min_value=1, max_value=8))
-    labels = draw(st.lists(labels_text, min_size=m, max_size=m, unique=True))
+    labels = draw(st.lists(labels, min_size=m, max_size=m, unique=True))
     order = draw(st.permutations(range(m)))
     cpts = []
     for pos, v in enumerate(order):
         parents = draw(st.lists(st.sampled_from(order[:pos]), max_size=6,
                                 unique=True)) if pos else []
-        rows = draw(st.lists(st.sampled_from(EDGE_ROWS), min_size=1 << len(parents),
-                             max_size=1 << len(parents)))
-        cpts.append(Cpt(v, tuple(parents), tuple(rows)))
+        cpt_rows = draw(st.lists(st.sampled_from(rows), min_size=1 << len(parents),
+                                 max_size=1 << len(parents)))
+        cpts.append(Cpt(v, tuple(parents), tuple(cpt_rows)))
     return BayesNet(tuple(cpts), tuple(labels))
 
 
@@ -1080,7 +1084,126 @@ class TestJsonText:
         )
         data = network_to_dict(VEE)
         assert json_text(data) == json.dumps(data, indent=2) + "\n"
-        assert dumped == ["field 'kind'"]
+        assert dumped == []
+
+
+class Color(enum.Enum):
+    RED = "red"
+
+
+class Size(enum.IntEnum):
+    SMALL = 1
+
+
+class Label(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+@dataclasses.dataclass
+class Point:
+    x: int
+
+
+# Values that orjson and json encode differently, or that one of them
+# refuses: each sends json_text down the stdlib path.
+ENCODER_SPLITS = {
+    "enum": Color.RED,
+    "int-enum": Size.SMALL,
+    "uuid": uuid.UUID(int=7),
+    "dataclass": Point(1),
+    "datetime": datetime.datetime(2020, 1, 2, 3, 4, 5),
+    "numpy-float-in-list": [np.float64(0.5)],
+    "numpy-float-row": {"A": {"parents": [], "rows": {"": np.float64(0.5)}}},
+    "str-subclass": Label("A"),
+    "int-subclass": Count(3),
+    "del": "\x7f",
+    "lone-surrogate": "\ud800",
+    "two-to-the-64": 2**64,
+    "nested-int-key": {"x": {1: 2}},
+    "small-float": 5e-5,
+    "large-float": 1e16,
+    "nan": float("nan"),
+}
+
+# Leaves json may encode as orjson does, differently, or not at all.
+odd_leaves = st.one_of(
+    json_values,
+    st.sampled_from([
+        5e-324, 1e-5, 9.99e-5, 1e-4, 1e16, 1e300, float("inf"), -float("inf"),
+        2**63, 2**64, 10**30, "é", "\x7f", "\x1f", "\ud800",
+        Color.RED, Size.SMALL, uuid.UUID(int=1), Point(2), np.float64(0.25),
+        Label("b"), Count(4), [], {}, [[]], {"a": {}},
+    ]),
+    st.dictionaries(st.integers(), st.integers(), min_size=1, max_size=2),
+)
+odd_values = st.recursive(
+    odd_leaves,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def dumps_outcome(data):
+    """json.dumps(data, indent=2) + "\\n", or MalformedInstance when json
+    cannot encode data."""
+    try:
+        return json.dumps(data, indent=2) + "\n"
+    except (TypeError, ValueError, RecursionError):
+        return MalformedInstance
+
+
+def json_text_outcome(data):
+    """json_text(data), or MalformedInstance when it raises one."""
+    try:
+        return json_text(data)
+    except MalformedInstance:
+        return MalformedInstance
+
+
+class TestEncoderSplits:
+    """json_text against json.dumps where orjson and json part ways."""
+
+    @pytest.mark.parametrize("value", ENCODER_SPLITS.values(), ids=ENCODER_SPLITS)
+    def test_fixed_case(self, value):
+        data = {"kind": "bayes", "cpts": value}
+        assert json_text_outcome(data) == dumps_outcome(data)
+
+    @given(data=st.dictionaries(st.text(max_size=3), odd_values, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps_or_raises_where_it_does(self, data):
+        assert json_text_outcome(data) == dumps_outcome(data)
+
+    @given(bn=labelled_bns(
+        rows=(5e-324, 1e-300, 5e-5, 1e-4, 0.5, 1.0 - 1e-16),
+        labels=st.text("aé✓\x7f", min_size=1, max_size=3),
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_save_load_save_round_trip(self, bn):
+        with tempfile.TemporaryDirectory() as folder:
+            first, second = Path(folder, "first.json"), Path(folder, "second.json")
+            save_network(bn, first)
+            save_network(load_network(first), second)
+            assert second.read_text() == first.read_text() == reference_text(bn)
+
+    @pytest.mark.parametrize("where", ["directory", "missing folder"])
+    @pytest.mark.parametrize("save", ["network", "manifest"])
+    def test_unwritable_path(self, tmp_path, where, save):
+        path = tmp_path if where == "directory" else tmp_path / "missing" / "a.json"
+        with pytest.raises(ModelFormatError, match=f"^cannot write {re.escape(str(path))}: "):
+            if save == "network":
+                save_network(CHAIN, path)
+            else:
+                save_manifest(LinopManifest(("a.json",)), path)
+
+    def test_manifest_keeps_python_floats(self):
+        weights = LinopManifest(("a.json",), tuple(np.array([0.25, 0.75]))).weights
+        assert weights == (0.25, 0.75)
+        assert {type(w) for w in weights} == {float}
 
 
 class TestManifest:
