@@ -11,7 +11,8 @@ so each instance keeps the agent-side values it works out
 (cached_property): each profile it pools stacked once, its weights
 normalized once, its events as index arrays; both pools' kernels
 (pools._linop_table, pools._logop_table) read them. A check that raises
-keeps nothing and raises again. The suites check seed and trials first.
+keeps nothing and raises again. The suites check seed and trials first;
+run_axioms_suite keeps one drawn instance at a time.
 """
 from __future__ import annotations
 
@@ -820,16 +821,17 @@ def run_axioms_suite(seed: int = 0, trials: int = 20) -> tuple[tuple[str, ...], 
     lines: list[str] = []
     all_ok = True
     for prop, (_, draw, *expected) in _PROPERTIES.items():
-        # Rejected draws (None) are redrawn; both pools check the same
-        # instances, which are immutable.
+        # Rejected draws (None) are redrawn; each instance is checked under
+        # both pools as it is drawn, and only its violations are kept.
         rng = np.random.default_rng(seed)
-        instances = []
-        while len(instances) < trials:
+        violations = {pool: [] for pool in POOL_NAMES}
+        while len(violations["linop"]) < trials:
             instance = draw(rng)
             if instance is not None:
-                instances.append(instance)
+                for pool, found in violations.items():
+                    found.append(instance._violation(pool))
         for pool, (tol, expect) in zip(POOL_NAMES, expected):
-            report = check_property(pool, prop, instances, tol)
+            report = CheckReport(prop, pool, tol, tuple(violations[pool]))
             ok = report.all_passed if expect == "all-pass" else not report.all_passed
             all_ok &= ok
             lines.append(

@@ -12,10 +12,10 @@ the examples suite, --dense-oracle given with --pool linop, a file that
 is not UTF-8, holds an integer too large for a float or nests too
 deeply, and an --out path that cannot be written), 3 variable mismatch
 across inputs, 4 degenerate CPT or zero-mass pool in consensus building,
-5 zero-probability evidence, 6 a logop consensus too wide to fill (its
-CPT rows, times the pooled agents on the query route, over 2^24) or a
-query whose elimination needs a bucket over 2^24 entries (times the
-agents that share it).
+5 zero-probability evidence, 6 a logop consensus whose CPT rows (times
+the pooled agents on the query route) or a query whose elimination
+bucket (times the agents that share it) passes 2^24, named at the first
+such family or bucket, where min-fill stops.
 """
 from __future__ import annotations
 
@@ -59,8 +59,8 @@ EXIT_DEGENERATE = 4
 EXIT_ZERO_EVIDENCE = 5
 EXIT_CAPACITY = 6
 
-# The most cases a check row may run. On a 2-core host, the axioms suite
-# at 10,000 trials took 19.5-21.3 s with an 88 MB peak, the oracle suite 13.4 s.
+# The most cases a check row may run. On a 2-core host, the axioms suite at
+# 10,000 trials took 19.5-26 s with a 39 MB peak, as at 1,000; the oracle suite 13.4 s.
 MAX_TRIALS = 10_000
 
 

@@ -7,9 +7,11 @@ nor any agent query sees it. A pool of one agent is that agent, so
 logop_query, like linop_query, then asks it directly.
 
 Structure side: moralize every distinct agent structure, union the
-undirected structures, triangulate, and orient along the elimination
-order. The result is a decomposable directed structure that can
-represent any geometric-mean consensus of the agents.
+undirected structures, and eliminate by min-fill; each variable's
+parents are its neighbors at its step. The result is a decomposable
+directed structure that can represent any geometric-mean consensus.
+Its builder, _structure, stops min-fill with CapacityExceeded at the
+first family over the capacity, before either fill.
 
 Numeric side: fill in that structure's CPTs so the implied joint equals
 the normalized weighted geometric mean of the agent joints, using only
@@ -45,12 +47,8 @@ The dense_oracle route needs no queries: the pool is the normalized
 product of every agent CPT raised to the agent's weight, and one
 elimination pass over it along the elimination order yields the CPTs.
 
-Before either fill, _check_capacity raises CapacityExceeded when the
-structure's CPT rows, sum 2**|parents|, times the pooled agents on the
-query route (one conditional each per row), exceed 2**MAX_DENSE_VARIABLES.
-
 A ConsensusBn built by hand is checked with direct_by_order; the
-builders, whose structure comes from it, build through joint._trusted.
+builders, whose structure _structure builds chordal, use joint._trusted.
 Every public name here checks its arguments; the fill's steps are private.
 """
 from __future__ import annotations
@@ -78,10 +76,10 @@ from .networks import (
     Dag,
     EliminationOrder,
     MarkovNet,
+    _min_fill_order,
     direct_by_order,
     mn_union,
     moralize,
-    triangulate,
 )
 from .pools import _logistic, _pooled_log_odds, normalize_weights
 
@@ -133,17 +131,40 @@ def consensus_bn_structure(
     """Decomposable directed structure covering every agent's structure.
 
     Moralize the inputs (equal inputs, which compare by value, are
-    moralized once), union, triangulate, then orient each edge from the
-    later-eliminated endpoint to the earlier-eliminated one. Also
-    returns the elimination order, which is the reverse of a
-    topological order of the result. Raises MalformedInstance unless
-    models is a nonempty sequence of Dags and BayesNets, and
-    MismatchedVariables unless they agree on the variable count.
+    moralized once), union, and eliminate by min-fill: each variable's
+    parents are its neighbors at its step. Also returns the elimination
+    order, the reverse of a topological order of the result. Raises
+    MalformedInstance unless models is a nonempty sequence of Dags and
+    BayesNets, and MismatchedVariables unless they agree on the variable count.
     """
     _shared_variable_count(models, (Dag, BayesNet), "structure", "structures")
-    nets = [moralize(model) for model in dict.fromkeys(models)]
-    chordal, order = triangulate(mn_union(nets))
-    return direct_by_order(chordal, order), order
+    return _structure(models)
+
+
+def _structure(
+    models: Sequence[BayesNet | Dag], copies: int = 0, labels: tuple[str, ...] | None = None
+) -> tuple[Dag, EliminationOrder]:
+    """consensus_bn_structure of checked models, one family per min-fill
+    step. CapacityExceeded at the first family that takes copies times the
+    CPT rows so far, sum 2**|parents|, past 2**MAX_DENSE_VARIABLES."""
+    union = mn_union([moralize(model) for model in dict.fromkeys(models)])
+    parents: dict[int, tuple[int, ...]] = {}  # in elimination order
+    rows = 0
+    for v, nbrs in _min_fill_order(union.adjacency()):
+        rows += 1 << len(nbrs)
+        if copies * rows > 1 << MAX_DENSE_VARIABLES:
+            count = f"{rows} CPT rows"
+            if copies > 1:
+                count = f"{copies} agents x {count} = {copies * rows} rows"
+            raise CapacityExceeded(
+                f"the consensus is over the capacity of 2^{MAX_DENSE_VARIABLES} rows: "
+                f"its first {len(parents) + 1} of {union.m} families need {count}; "
+                f"the last is variable {labels[v] if labels else v} with {len(nbrs)} parents"
+            )
+        parents[v] = nbrs
+    # Each family is a clique of later steps' variables: decomposable, acyclic.
+    dag = _trusted(Dag, m=union.m, parents=tuple(parents[v] for v in range(union.m)))
+    return dag, tuple(parents)
 
 
 def _pooled_agents(
@@ -179,23 +200,6 @@ def _row_name(
     name = str if labels is None else labels.__getitem__
     literals = ",".join(f"{name(p)}={row >> i & 1}" for i, p in enumerate(parents))
     return f"variable {name(owner)}, parent row {literals or '(none)'}"
-
-
-def _check_capacity(structure: Dag, copies: int, labels: tuple[str, ...] | None) -> None:
-    """CapacityExceeded, naming the row count and the largest family,
-    unless copies times structure's CPT rows fit 2**MAX_DENSE_VARIABLES."""
-    parents = structure.parents
-    size = sum(1 << len(ps) for ps in parents)
-    if copies * size > 1 << MAX_DENSE_VARIABLES:
-        widest = max(range(structure.m), key=lambda v: len(parents[v]))
-        name = widest if labels is None else labels[widest]
-        count = f"{size} CPT rows"
-        if copies > 1:
-            count = f"{copies} agents x {count} = {copies * size} rows"
-        raise CapacityExceeded(
-            f"the consensus needs {count}, over the capacity of 2^{MAX_DENSE_VARIABLES} "
-            f"rows; its largest family is variable {name} with {len(parents[widest])} parents"
-        )
 
 
 def _require_strictly_positive(position: int, bn: BayesNet) -> None:
@@ -389,15 +393,16 @@ def _logop_consensus(
         for position, bn in zip(positions, agents):
             _require_strictly_positive(position, bn)
     labels = bns[0].labels
-    structure, order = consensus_bn_structure([bn.dag() for bn in agents])
-    _check_capacity(structure, 1 if dense_oracle else len(agents), labels)
+    structure, order = _structure(
+        [bn.dag() for bn in agents], 1 if dense_oracle else len(agents), labels
+    )
     if dense_oracle:
         cpts = _weighted_product_cpts(agents, w, structure, order)
         queries = 0
     else:
         cpts, queries = _structured_cpts(agents, w, structure, order, labels)
-    # direct_by_order has validated structure (acyclic, and decomposable
-    # by its chordality check) and the CPTs follow it node by node.
+    # _structure's families are cliques along the order (acyclic and
+    # decomposable), and the CPTs follow it node by node.
     consensus = _trusted(
         BayesNet, cpts=tuple(cpts), labels=labels, _dag=structure
     )

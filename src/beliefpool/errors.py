@@ -19,7 +19,7 @@ class ZeroMass(BeliefPoolError):
 
 
 class CapacityExceeded(BeliefPoolError):
-    """A dense operation was asked for more variables than it supports."""
+    """A dense table, consensus or elimination bucket would exceed capacity."""
 
 
 class UnknownVariable(BeliefPoolError):

@@ -9,14 +9,12 @@ assignment's ancestral set (every other CPT is barren and sums to one,
 so a zero-probability event stays exactly zero), builds each restricted
 CPT once for the group, by networks._cpt_factor from the agents' stacked
 rows, with an agent axis, and sums out every variable left along
-_min_fill_order, one joint._contract call per bucket. _buckets plans every
-bucket, for this kernel and for _weighted_product_cpts' elimination
-pass: it files each factor under its first variable in the order, so
-no bucket scans the live factors. Before any _contract
-call it raises CapacityExceeded when the widest bucket, times the
-agents, exceeds 2**MAX_DENSE_VARIABLES entries. The single-network
-queries call it with a group of one, and consensus.linop_query with
-each group of agents that share a DAG.
+_min_fill_order, one joint._contract call per bucket, as _buckets plans
+them (for _weighted_product_cpts' pass too). At the first bucket over
+2**MAX_DENSE_VARIABLES entries, times the agents, min-fill stops with
+CapacityExceeded, before any _contract call. The single-network queries
+call it with a group of one, and consensus.linop_query with each group
+of agents that share a DAG.
 A conditional takes one of two routes:
 
 - A single-target conditional on a strictly positive network (every
@@ -117,9 +115,8 @@ def _probabilities(group: Sequence[BayesNet], assignment: Assignment) -> np.ndar
 
     One plan serves the whole group: the ancestral set of the
     assignment, the restriction of each of its CPTs, _min_fill_order over
-    what is left, and _buckets along that order.
-    CapacityExceeded is raised before any _contract call when a bucket,
-    over every agent, holds more than 2**MAX_DENSE_VARIABLES entries.
+    what is left, and _buckets along that order, stopped with
+    CapacityExceeded at the first bucket over capacity, over every agent.
     Each restricted CPT is one factor, built from the agents' rows, with
     the agent axis first; each bucket is one _contract call.
     """
@@ -141,15 +138,19 @@ def _probabilities(group: Sequence[BayesNet], assignment: Assignment) -> np.ndar
         for u, w in itertools.combinations(variables[1:], 2):
             adj[u].add(w)
             adj[w].add(u)
-    plan, leftover = _buckets(scopes, _min_fill_order(adj)[0])
-    # The most variables in one bucket: len(rest), _AGENT standing for v.
-    width = max([len(rest) for _, rest in plan], default=0)
-    if n << width > 1 << MAX_DENSE_VARIABLES:
-        size = f"2^{width}" if n == 1 else f"{n} agents x 2^{width}"
-        raise CapacityExceeded(
-            f"the query's elimination needs a bucket of {width} variables, "
-            f"{size} entries, over the capacity of 2^{MAX_DENSE_VARIABLES} entries"
-        )
+    order = []
+    for v, nbrs in _min_fill_order(adj):
+        width = len(nbrs) + 1  # v's bucket: v, its neighbors now, the agent axis
+        if n << width > 1 << MAX_DENSE_VARIABLES:
+            size = f"2^{width}" if n == 1 else f"{n} agents x 2^{width}"
+            name = group[0].labels[v] if group[0].labels else v
+            raise CapacityExceeded(
+                f"the query's elimination is over the capacity of "
+                f"2^{MAX_DENSE_VARIABLES} entries at bucket {len(order) + 1} of "
+                f"{len(adj)}: variable {name}'s bucket needs {width} variables, {size} entries"
+            )
+        order.append(v)
+    plan, leftover = _buckets(scopes, order)
     for bucket, rest in plan:
         tables.append(_contract([(scopes[i], tables[i]) for i in bucket], rest))
         scopes.append(rest)

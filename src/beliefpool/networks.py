@@ -13,18 +13,15 @@ the one check of a label list (BayesNet and the loader).
 
 Each model is validated once, where it enters: these constructors and
 the file loader check every input. Package code that has already
-checked or computed every field (the loader, align_variables, the
-structure transforms moralize, mn_union, triangulate and
-direct_by_order, the consensus builders, bn_to_joint, and the samplers
-random_dag and random_bn) builds through joint._trusted or
-joint._trusted_table and does not check again.
+checked or computed every field (tests/test_imports.py lists it) builds
+through joint._trusted or joint._trusted_table and does not check again.
 
 direct_by_order holds the one test that every parent set is complete
-(a perfect elimination order), which consensus_bn_structure and
-ConsensusBn use; _acyclic is the one cycle check, of Dag and the loader,
-and _cpt_factor the one layout of CPT rows as a factor, which bn_to_joint
-and both of inference's exact routes read. _min_fill_order, the one
-unchecked kernel here, is private: triangulate checks the graph it reads.
+(a perfect elimination order), which ConsensusBn uses; _acyclic is the
+one cycle check, of Dag and the loader, and _cpt_factor the one layout
+of CPT rows as a factor, which bn_to_joint and both of inference's exact
+routes read. _min_fill_order, the one unchecked kernel here, is private:
+triangulate checks the graph it reads.
 """
 from __future__ import annotations
 
@@ -35,7 +32,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -368,13 +365,12 @@ def _fill_count(adj: Mapping[int, set[int]], v: int) -> int:
     )
 
 
-def _min_fill_order(
-    adjacency: Mapping[int, set[int]],
-) -> tuple[EliminationOrder, frozenset[tuple[int, int]]]:
-    """Greedy elimination order adding the fewest fill edges per step.
-
-    Ties pick the lowest variable index. Returns the order and the set
-    of fill edges added (each pair sorted ascending).
+def _min_fill_order(adjacency: Mapping[int, set[int]]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Greedy elimination adding the fewest fill edges per step, yielded
+    as it goes: (v, nbrs), v's neighbors sorted, before the step's fill
+    edges join them; ties pick the lowest index. nbrs are v's family (and
+    bucket scope), its neighbors eliminated later in the chordal graph of
+    the steps. A caller with a budget stops iterating where it runs out.
 
     Fill counts are kept between steps and recounted only where they can
     change. A vertex's count is the number of non-adjacent pairs among
@@ -395,13 +391,12 @@ def _min_fill_order(
     fill = {v: _fill_count(adj, v) for v in adj}
     heap = [(count, v) for v, count in fill.items()]
     heapq.heapify(heap)
-    order: list[int] = []
-    fills: set[tuple[int, int]] = set()
     while heap:
         count, v = heapq.heappop(heap)
         if fill.get(v) != count:
             continue
-        nbrs = sorted(adj[v])
+        nbrs = tuple(sorted(adj[v]))
+        yield v, nbrs
         added = []
         for u, w in itertools.combinations(nbrs, 2):
             if w not in adj[u]:
@@ -419,9 +414,6 @@ def _min_fill_order(
             if count != fill[u]:
                 fill[u] = count
                 heapq.heappush(heap, (count, u))
-        fills.update(added)
-        order.append(v)
-    return tuple(order), frozenset(fills)
 
 
 def triangulate(mn: MarkovNet) -> tuple[MarkovNet, EliminationOrder]:
@@ -431,10 +423,10 @@ def triangulate(mn: MarkovNet) -> tuple[MarkovNet, EliminationOrder]:
     graph; running it again adds no further fill.
     """
     _check_kind(mn, MarkovNet)
-    order, fills = _min_fill_order(mn.adjacency())
-    # Fill edges are sorted pairs of mn's nodes.
-    chordal = _trusted(MarkovNet, m=mn.m, edges=mn.edges | fills)
-    return chordal, order
+    steps = list(_min_fill_order(mn.adjacency()))
+    # mn's edges and the fill edges, as sorted pairs of mn's nodes.
+    edges = frozenset((min(u, v), max(u, v)) for v, nbrs in steps for u in nbrs)
+    return _trusted(MarkovNet, m=mn.m, edges=edges), tuple(v for v, _ in steps)
 
 
 def _check_order(m: int, order: Sequence[int]) -> EliminationOrder:

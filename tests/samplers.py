@@ -38,9 +38,9 @@ def random_common_structure_bns(
 
 
 def wide_agents(labels=None) -> list[BayesNet]:
-    """Three unrelated agents over 64 variables whose consensus structure,
-    built in milliseconds, holds 1,450,461,135 CPT rows and a family of
-    29 parents (variable 34): far over the consensus fill's capacity."""
+    """Three unrelated agents over 64 variables whose consensus structure
+    holds 1,450,461,135 CPT rows and a family of 29 parents (variable 34):
+    far over the consensus fill's capacity."""
     rng = np.random.default_rng(0)
     return [
         BayesNet(random_bn(rng, 64, max_parents=2, edge_prob=0.15).cpts, labels)
@@ -51,6 +51,14 @@ def wide_agents(labels=None) -> list[BayesNet]:
 def chain_bn(rng: np.random.Generator, m: int) -> BayesNet:
     """A random network over the chain 0 -> 1 -> ... -> m-1."""
     return random_bn(rng, m, dag=Dag(m, ((),) + tuple((v - 1,) for v in range(1, m))))
+
+
+def random_tree_bn(rng: np.random.Generator, m: int) -> BayesNet:
+    """A random network over a random tree: each node v > 0 has one
+    parent, drawn uniformly from 0..v-1. Two such agents on unrelated
+    trees have a consensus far over capacity already at m=250."""
+    tree = Dag(m, ((),) + tuple((int(rng.integers(0, v)),) for v in range(1, m)))
+    return random_bn(rng, m, dag=tree)
 
 
 def grid_bn(side: int) -> BayesNet:

@@ -9,6 +9,7 @@ frozen here so future edits cannot quietly change them.
 import dataclasses
 import math
 import re
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -720,6 +721,27 @@ class TestReportSuites:
             assert len(agent_tables) >= 10
             for table in agent_tables:
                 assert sum(seen is table for seen in calls[name]) == 1, name
+
+    def test_axioms_suite_holds_one_drawn_instance_at_a_time(self, monkeypatch):
+        # Each instance is checked under both pools as it is drawn and then
+        # dropped: when a draw starts, at most one instance drawn before it
+        # is still alive, so the suite's memory does not grow with trials.
+        drawn = []
+        alive_at_draw = []
+        rows = {}
+        for prop, (kind, draw, *expected) in axioms._PROPERTIES.items():
+            def tracking_draw(rng, draw=draw):
+                alive_at_draw.append(sum(ref() is not None for ref in drawn))
+                instance = draw(rng)
+                if instance is not None:
+                    drawn.append(weakref.ref(instance))
+                return instance
+            rows[prop] = (kind, tracking_draw, *expected)
+        monkeypatch.setattr(axioms, "_PROPERTIES", rows)
+        lines, ok = run_axioms_suite(seed=0, trials=5)
+        assert ok and lines == AXIOMS_SEED0_TRIALS5
+        assert len(drawn) == 5 * len(rows)
+        assert max(alive_at_draw) == 1
 
     def test_axioms_suite_deterministic(self):
         first = run_axioms_suite(seed=7, trials=5)

@@ -31,7 +31,7 @@ from beliefpool.cli import (
 )
 from beliefpool.sampling import random_bn
 
-from samplers import wide_agents
+from samplers import grid_bn, wide_agents
 
 AGENT_A = BayesNet(
     (Cpt(0, (), (0.5,)), Cpt(1, (), (0.5,))), labels=("A1", "A2")
@@ -351,9 +351,9 @@ class TestCapacity:
         for k, agent in enumerate(wide_agents(tuple(f"x{i}" for i in range(64)))):
             paths.append(str(tmp_path / f"wide{k}.json"))
             save_network(agent, paths[-1])
-        for flags, size in (
-            ((), "3 agents x 1450461135 CPT rows = 4351383405 rows"),
-            (("--dense-oracle",), "1450461135 CPT rows"),
+        for flags, families, size, last in (
+            ((), 30, "3 agents x 6571984 CPT rows = 19715952 rows", "x39 with 22"),
+            (("--dense-oracle",), 31, "73680848 CPT rows", "x59 with 26"),
         ):
             for command in (["aggregate"], ["query", "--event", "x0=1"]):
                 code, out, err = run(
@@ -361,9 +361,24 @@ class TestCapacity:
                 )
                 assert (code, out) == (EXIT_CAPACITY, "")
                 assert err == (
-                    f"error: the consensus needs {size}, over the capacity of "
-                    f"2^24 rows; its largest family is variable x34 with 29 parents\n"
+                    f"error: the consensus is over the capacity of 2^24 rows: its "
+                    f"first {families} of 64 families need {size}; the last is "
+                    f"variable {last} parents\n"
                 )
+
+
+    def test_wide_query_exits_6_naming_the_bucket_by_label(self, capsys, tmp_path):
+        # The far corner of a 26 x 26 grid: the planner stops at the first
+        # bucket over 2^24 entries, the 500th of 675.
+        labels = tuple(f"cell{i}" for i in range(26 * 26))
+        path = str(tmp_path / "grid.json")
+        save_network(BayesNet(grid_bn(26).cpts, labels), path)
+        code, out, err = run(capsys, "query", path, "--pool", "linop", "--event", "cell675=1")
+        assert (code, out) == (EXIT_CAPACITY, "")
+        assert err == (
+            "error: the query's elimination is over the capacity of 2^24 entries at "
+            "bucket 500 of 675: variable cell165's bucket needs 25 variables, 2^25 entries\n"
+        )
 
 
 class TestPoolOfOne:

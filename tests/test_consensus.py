@@ -42,14 +42,14 @@ from beliefpool import (
 from beliefpool.inference import query_conditional
 from beliefpool.joint import conditional_probability
 from beliefpool.model_io import json_text, network_to_dict
-from beliefpool.networks import mn_union, moralize
+from beliefpool.networks import _min_fill_order, mn_union, moralize
 from beliefpool import consensus, inference, joint
 from beliefpool.pools import _logistic, _pooled_log_odds, normalize_weights
 from beliefpool.axioms import chain_agents
 from beliefpool.sampling import random_bn, random_dag, random_weights
 
 from reference_fill import reference_fill
-from samplers import chain_bn, random_common_structure_bns, wide_agents
+from samplers import chain_bn, random_common_structure_bns, random_tree_bn, wide_agents
 
 CHAIN_A, CHAIN_B = chain_agents()
 
@@ -105,15 +105,30 @@ def two_node_bn(p_first, p_second, labels=None):
     )
 
 
+def counted_planner(steps):
+    """_min_fill_order, appending every step it yields to steps."""
+    def planner(adjacency):
+        for step in _min_fill_order(adjacency):
+            steps.append(step)
+            yield step
+    return planner
+
+
+class Filled(Exception):
+    """Raised by a stubbed fill: the build got past its capacity check."""
+
+
 class TestCapacity:
-    """Either fill starts only when the consensus rows, times the pooled
-    agents on the query route, fit 2**MAX_DENSE_VARIABLES."""
+    """The structure stops at the first min-fill step whose consensus rows
+    so far, times the pooled agents on the query route, pass
+    2**MAX_DENSE_VARIABLES, so no fill starts and min-fill does not run
+    to the end."""
 
     def test_wide_consensus_raises_before_either_fill(self):
         agents = wide_agents()
-        for dense_oracle, size in (
-            (False, "3 agents x 1450461135 CPT rows = 4351383405 rows"),
-            (True, "1450461135 CPT rows"),
+        for dense_oracle, families, size, owner, parents in (
+            (False, 30, "3 agents x 6571984 CPT rows = 19715952 rows", 39, 22),
+            (True, 31, "73680848 CPT rows", 59, 26),
         ):
             # Stubbed fills: a missing check fails the test, never allocates.
             with mock.patch.object(consensus, "_structured_cpts") as by_query, \
@@ -123,22 +138,54 @@ class TestCapacity:
             by_query.assert_not_called()
             by_product.assert_not_called()
             assert str(exc.value) == (
-                f"the consensus needs {size}, over the capacity of 2^24 rows; "
-                f"its largest family is variable 34 with 29 parents"
+                f"the consensus is over the capacity of 2^24 rows: its first "
+                f"{families} of 64 families need {size}; the last is variable "
+                f"{owner} with {parents} parents"
             )
 
-    def test_agents_multiply_the_query_route_rows(self):
-        # 24 roots and one node with 23 of them as parents: 2**23 + 24 rows,
-        # under the capacity once, over it twice.
-        structure = Dag(25, ((),) * 24 + (tuple(range(23)),))
-        labels = tuple(f"v{i}" for i in range(25))
-        consensus._check_capacity(structure, 1, labels)
-        with pytest.raises(CapacityExceeded) as exc:
-            consensus._check_capacity(structure, 2, labels)
+    def test_random_trees_stop_before_the_last_step(self):
+        # Two agents on unrelated random trees over 1,000 variables: their
+        # union triangulates into families of hundreds of parents, and the
+        # build stops at step 769 rather than eliminating all 1,000.
+        rng = np.random.default_rng(2)
+        agents = [random_tree_bn(rng, 1000) for _ in range(2)]
+        steps = []
+        with mock.patch.object(consensus, "_min_fill_order", counted_planner(steps)):
+            with pytest.raises(CapacityExceeded) as exc:
+                logop_consensus_bn(agents)
+        assert len(steps) == 769 < 1000
+        rows = sum(1 << len(nbrs) for _, nbrs in steps)
+        assert 2 * (rows - (1 << len(steps[-1][1]))) <= 1 << 24 < 2 * rows
+        v, nbrs = steps[-1]
         assert str(exc.value) == (
-            "the consensus needs 2 agents x 8388632 CPT rows = 16777264 rows, over "
-            "the capacity of 2^24 rows; its largest family is variable v24 with "
-            "23 parents"
+            f"the consensus is over the capacity of 2^24 rows: its first 769 of "
+            f"1000 families need 2 agents x {rows} CPT rows = {2 * rows} rows; "
+            f"the last is variable {v} with {len(nbrs)} parents"
+        )
+
+    def test_agents_multiply_the_query_route_rows(self):
+        # 24 roots, then one node with 23 of them as parents: the consensus
+        # marries those parents into a clique of 24, whose families hold
+        # 2**24 - 1 rows, and the last root adds one: 2**24 rows, exactly
+        # the capacity of one copy, the factor route's. The query route's
+        # two agents are over it at the clique's second family.
+        labels = tuple(f"v{i}" for i in range(25))
+        wide = random_bn(
+            np.random.default_rng(0), 25, dag=Dag(25, ((),) * 24 + (tuple(range(23)),))
+        )
+        roots = random_bn(np.random.default_rng(1), 25, dag=Dag(25, ((),) * 25))
+        agents = [BayesNet(bn.cpts, labels) for bn in (wide, roots)]
+        with mock.patch.object(consensus, "_weighted_product_cpts", side_effect=Filled):
+            with pytest.raises(Filled):
+                logop_consensus_bn(agents, dense_oracle=True)
+        with mock.patch.object(consensus, "_structured_cpts") as by_query:
+            with pytest.raises(CapacityExceeded) as exc:
+                logop_consensus_bn(agents)
+        by_query.assert_not_called()
+        assert str(exc.value) == (
+            "the consensus is over the capacity of 2^24 rows: its first 2 of 25 "
+            "families need 2 agents x 12582912 CPT rows = 25165824 rows; the last "
+            "is variable v1 with 22 parents"
         )
 
 

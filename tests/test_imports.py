@@ -548,6 +548,7 @@ TRUSTED_CALLERS = {
     "networks.mn_union",
     "networks.triangulate",
     "networks.direct_by_order",
+    "consensus._structure",
     "consensus._structured_cpts",
     "consensus._logop_consensus",
     "inference._weighted_product_cpts",

@@ -182,7 +182,7 @@ class TestBuckets:
             for u, w in itertools.combinations([v for v in scope if v != _AGENT], 2):
                 adj[u].add(w)
                 adj[w].add(u)
-        orders = [_min_fill_order(adj)[0], data.draw(st.permutations(sorted(adj)))]
+        orders = [[v for v, _ in _min_fill_order(adj)], data.draw(st.permutations(sorted(adj)))]
         for order in orders:
             assert _buckets(scopes, order) == buckets_by_scan(scopes, order)
 
@@ -963,20 +963,32 @@ def contract_per_agent_only(factors, out):
     return _contract(factors, out)
 
 
+def counted_planner(steps):
+    """_min_fill_order, appending every step it yields to steps."""
+    def planner(adjacency):
+        for step in _min_fill_order(adjacency):
+            steps.append(step)
+            yield step
+    return planner
+
+
 class TestCapacity:
-    """Elimination checks its widest bucket, over every agent it answers
-    for, against 2**MAX_DENSE_VARIABLES before any _contract call. The
-    grids have CPTs of at most four rows; _contract is stubbed, so a
-    missing check fails the test instead of allocating."""
+    """Elimination checks each bucket, over every agent it answers for,
+    against 2**MAX_DENSE_VARIABLES as min-fill forms it, so it stops at
+    the first bucket over, before any _contract call. The grids have
+    CPTs of at most four rows; _contract is stubbed, so a missing check
+    fails the test instead of allocating."""
 
     CORNER = 26 * 26 - 1
 
     def test_far_corner_of_a_wide_grid_raises_before_contracting(self):
         grid = grid_bn(26)
-        for query, args in (
-            (query_event_marginal, (grid, {self.CORNER: True})),
-            (query_conditional, (grid, {self.CORNER: True}, {0: False})),
-            (linop_query, ([grid], {self.CORNER: True})),
+        # P(evidence) reads variable 0 alone, so the conditional's second
+        # elimination plans one variable fewer.
+        for query, args, step, total in (
+            (query_event_marginal, (grid, {self.CORNER: True}), 500, 675),
+            (query_conditional, (grid, {self.CORNER: True}, {0: False}), 499, 674),
+            (linop_query, ([grid], {self.CORNER: True}), 500, 675),
         ):
             with mock.patch.object(
                 inference, "_contract", side_effect=contract_per_agent_only
@@ -987,9 +999,26 @@ class TestCapacity:
             calls = stub.call_args_list
             assert all(len(vs) == 1 for call in calls for vs, _ in call.args[0])
             assert str(exc.value) == (
-                "the query's elimination needs a bucket of 42 variables, 2^42 "
-                "entries, over the capacity of 2^24 entries"
+                f"the query's elimination is over the capacity of 2^24 entries at "
+                f"bucket {step} of {total}: variable 165's bucket needs 25 "
+                f"variables, 2^25 entries"
             )
+
+    def test_planner_stops_at_the_first_bucket_over(self):
+        # The far corner of a 40 x 40 grid: the planner stops at bucket
+        # 1,063 of the 1,599 variables left once the corner is assigned.
+        steps = []
+        with mock.patch.object(inference, "_min_fill_order", counted_planner(steps)):
+            with pytest.raises(CapacityExceeded) as exc:
+                query_event_marginal(grid_bn(40), {40 * 40 - 1: True})
+        assert len(steps) == 1063 < 40 * 40 - 1
+        v, nbrs = steps[-1]
+        assert len(nbrs) + 1 == 28
+        assert all(len(nbrs) + 1 <= 24 for _, nbrs in steps[:-1])
+        assert str(exc.value) == (
+            f"the query's elimination is over the capacity of 2^24 entries at "
+            f"bucket 1063 of 1599: variable {v}'s bucket needs 28 variables, 2^28 entries"
+        )
 
     def test_agents_multiply_the_bucket(self):
         # The far corner of a 15 x 15 grid needs a bucket of 22 variables:
@@ -1002,6 +1031,6 @@ class TestCapacity:
             with pytest.raises(CapacityExceeded) as exc:
                 linop_query([grid] * 5, corner)
         assert str(exc.value) == (
-            "the query's elimination needs a bucket of 22 variables, 5 agents x "
-            "2^22 entries, over the capacity of 2^24 entries"
+            "the query's elimination is over the capacity of 2^24 entries at bucket "
+            "193 of 224: variable 115's bucket needs 22 variables, 5 agents x 2^22 entries"
         )

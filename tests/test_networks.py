@@ -28,7 +28,7 @@ from beliefpool import (
     UnknownVariable,
     bn_to_joint,
 )
-from beliefpool import inference
+from beliefpool import inference, networks
 from beliefpool.inference import query_conditional
 from beliefpool.joint import conditional_probability
 from beliefpool.networks import (
@@ -89,7 +89,8 @@ def prob_true(cpt, assignment):
 
 def min_fill_by_full_recount(adjacency):
     """Oracle for _min_fill_order: the plain greedy loop that recounts the
-    fill of every remaining vertex before each pick."""
+    fill of every remaining vertex before each pick. Returns its steps,
+    (vertex, sorted neighbors before the step's fill), and the fill edges."""
     def fill_count(v):
         return sum(
             1 for u, w in itertools.combinations(adj[v], 2) if w not in adj[u]
@@ -97,10 +98,11 @@ def min_fill_by_full_recount(adjacency):
 
     adj = {v: set(nbrs) for v, nbrs in adjacency.items()}
     remaining = set(adj)
-    order, fills = [], set()
+    steps, fills = [], set()
     while remaining:
         v = min(remaining, key=lambda u: (fill_count(u), u))
-        nbrs = sorted(adj[v])
+        nbrs = tuple(sorted(adj[v]))
+        steps.append((v, nbrs))
         for u, w in itertools.combinations(nbrs, 2):
             if w not in adj[u]:
                 adj[u].add(w)
@@ -110,8 +112,7 @@ def min_fill_by_full_recount(adjacency):
             adj[u].discard(v)
         del adj[v]
         remaining.discard(v)
-        order.append(v)
-    return tuple(order), frozenset(fills)
+    return steps, frozenset(fills)
 
 
 @st.composite
@@ -119,7 +120,7 @@ def graphs(draw):
     m = draw(st.integers(min_value=1, max_value=24))
     density = draw(st.sampled_from((0.05, 0.15, 0.3, 0.6)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return random_mn(rng, m, density).adjacency()
+    return random_mn(rng, m, density)
 
 
 class TestCpt:
@@ -343,24 +344,44 @@ class TestTriangulate:
             chordal, _ = triangulate(net)
             assert chordal.edges == net.edges
 
-    def test_min_fill_order_reports_fill_edges(self):
+    def test_min_fill_order_yields_each_step_before_its_fill(self):
         square = mn(4, (0, 1), (1, 2), (2, 3), (0, 3))
-        order, fills = _min_fill_order(square.adjacency())
-        assert len(order) == 4
-        assert fills == frozenset({(1, 3)})  # node 0 goes first, joining 1 and 3
+        # Node 0 goes first, with neighbors 1 and 3, and its step joins them.
+        assert list(_min_fill_order(square.adjacency())) == [
+            (0, (1, 3)), (1, (2, 3)), (2, (3,)), (3, ()),
+        ]
+        chordal, order = triangulate(square)
+        assert chordal.edges - square.edges == {(1, 3)}
+        assert order == (0, 1, 2, 3)
 
     def test_fill_edge_lowers_count_of_a_non_neighbor(self):
         # The 4-cycle 0-2-1-3: eliminating 0 joins 2 and 3, so 1, which is
         # not adjacent to 0, drops to fill 0 and wins the tie with 2.
         square = mn(4, (0, 2), (1, 2), (1, 3), (0, 3))
-        order, fills = _min_fill_order(square.adjacency())
+        chordal, order = triangulate(square)
         assert order == (0, 1, 2, 3)
-        assert fills == frozenset({(2, 3)})
+        assert chordal.edges - square.edges == {(2, 3)}
 
-    @given(adjacency=graphs())
+    @given(net=graphs())
     @settings(max_examples=300, deadline=None)
-    def test_min_fill_order_matches_full_recount(self, adjacency):
-        assert _min_fill_order(adjacency) == min_fill_by_full_recount(adjacency)
+    def test_min_fill_order_matches_full_recount(self, net):
+        steps, fills = min_fill_by_full_recount(net.adjacency())
+        assert list(_min_fill_order(net.adjacency())) == steps
+        chordal, order = triangulate(net)
+        assert order == tuple(v for v, _ in steps)
+        assert chordal.edges == net.edges | fills
+
+    def test_min_fill_order_computes_no_step_it_is_not_asked_for(self):
+        # A clique's first step fills nothing; stopping there leaves the
+        # remaining vertices uneliminated and their counts unread.
+        clique = mn(4, *itertools.combinations(range(4), 2))
+        with mock.patch(
+            "beliefpool.networks._fill_count", wraps=networks._fill_count
+        ) as counts:
+            steps = _min_fill_order(clique.adjacency())
+            assert counts.call_count == 0
+            assert next(steps) == (0, (1, 2, 3))
+            assert counts.call_count == 4  # the initial counts, nothing after
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60, deadline=None)
