@@ -1,5 +1,6 @@
 """Random models that only the tests draw, built on the public
-constructors and the package's samplers.
+constructors and the package's samplers, and a min-fill planner that
+counts its steps.
 
 Markov potentials lie in [POT_LOW, POT_HIGH].
 """
@@ -8,7 +9,7 @@ import numpy as np
 
 from beliefpool import BayesNet, Cpt, Dag, JointTable, MarkovNet
 from beliefpool.joint import _factor_product
-from beliefpool.networks import direct_by_order, moralize, triangulate
+from beliefpool.networks import _min_fill_order, direct_by_order, moralize, triangulate
 from beliefpool.sampling import random_bn, random_dag
 
 POT_LOW, POT_HIGH = 0.2, 5.0
@@ -84,3 +85,12 @@ def random_markov_table(rng: np.random.Generator, mn: MarkovNet) -> JointTable:
     # An edge's four potentials are psi[u's value, v's value] in C order.
     edges = [((v, u), rng.uniform(POT_LOW, POT_HIGH, 4)) for u, v in sorted(mn.edges)]
     return JointTable(mn.m, _factor_product(mn.m, nodes + edges))
+
+
+def counted_planner(steps):
+    """_min_fill_order, appending every step it yields to steps."""
+    def planner(adjacency):
+        for step in _min_fill_order(adjacency):
+            steps.append(step)
+            yield step
+    return planner

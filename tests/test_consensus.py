@@ -42,14 +42,16 @@ from beliefpool import (
 from beliefpool.inference import query_conditional
 from beliefpool.joint import conditional_probability
 from beliefpool.model_io import json_text, network_to_dict
-from beliefpool.networks import _min_fill_order, mn_union, moralize
+from beliefpool.networks import mn_union, moralize
 from beliefpool import consensus, inference, joint
 from beliefpool.pools import _logistic, _pooled_log_odds, normalize_weights
 from beliefpool.axioms import chain_agents
 from beliefpool.sampling import random_bn, random_dag, random_weights
 
 from reference_fill import reference_fill
-from samplers import chain_bn, random_common_structure_bns, random_tree_bn, wide_agents
+from samplers import (
+    chain_bn, counted_planner, random_common_structure_bns, random_tree_bn, wide_agents,
+)
 
 CHAIN_A, CHAIN_B = chain_agents()
 
@@ -103,15 +105,6 @@ def two_node_bn(p_first, p_second, labels=None):
     return BayesNet(
         (Cpt(0, (), (p_first,)), Cpt(1, (), (p_second,))), labels=labels
     )
-
-
-def counted_planner(steps):
-    """_min_fill_order, appending every step it yields to steps."""
-    def planner(adjacency):
-        for step in _min_fill_order(adjacency):
-            steps.append(step)
-            yield step
-    return planner
 
 
 class Filled(Exception):

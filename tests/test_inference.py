@@ -46,7 +46,7 @@ from beliefpool.joint import (
 )
 from beliefpool.networks import _cpt_factor, _min_fill_order, moralize
 from beliefpool.sampling import random_bn
-from samplers import chain_bn, grid_bn
+from samplers import chain_bn, counted_planner, grid_bn
 
 CHAIN = BayesNet((Cpt(0, (), (0.2,)), Cpt(1, (0,), (0.6, 0.4))))
 
@@ -961,15 +961,6 @@ def contract_per_agent_only(factors, out):
     if any(len(variables) > 1 for variables, _ in factors):
         raise Contracted
     return _contract(factors, out)
-
-
-def counted_planner(steps):
-    """_min_fill_order, appending every step it yields to steps."""
-    def planner(adjacency):
-        for step in _min_fill_order(adjacency):
-            steps.append(step)
-            yield step
-    return planner
 
 
 class TestCapacity:
