@@ -366,7 +366,6 @@ class TestCapacity:
                     f"variable {last} parents\n"
                 )
 
-
     def test_wide_query_exits_6_naming_the_bucket_by_label(self, capsys, tmp_path):
         # The far corner of a 26 x 26 grid: the planner stops at the first
         # bucket over 2^24 entries, the 500th of 675.

@@ -138,7 +138,7 @@ class TestCapacity:
 
     def test_random_trees_stop_before_the_last_step(self):
         # Two agents on unrelated random trees over 1,000 variables: their
-        # union triangulates into families of hundreds of parents, and the
+        # union triangulates into families of over a hundred parents, and the
         # build stops at step 769 rather than eliminating all 1,000.
         rng = np.random.default_rng(2)
         agents = [random_tree_bn(rng, 1000) for _ in range(2)]
