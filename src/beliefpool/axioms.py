@@ -8,11 +8,21 @@ against a tolerance. Expected failures (independence broken by pooling,
 order-dependent family aggregation) live here too, with deterministic
 report suites for the CLI. Both pools check the same frozen instances,
 so each instance keeps the agent-side values it works out
-(cached_property): each profile it pools stacked once, its weights
-normalized once, its events as index arrays; both pools' kernels
-(pools._linop_table, pools._logop_table) read them. A check that raises
-keeps nothing and raises again. The suites check seed and trials first;
-run_axioms_suite keeps one drawn instance at a time.
+(cached_property): the hypothesis check, the conditioned agent tables,
+the agents' event and prefix masses, each profile it pools stacked
+once, its weights normalized once, its events as index arrays; both
+pools' kernels (pools._linop_table, pools._logop_table) read them. A
+check that raises keeps nothing and raises again. The suites check seed
+and trials first; run_axioms_suite keeps one drawn instance at a time.
+
+State indices, of the events and of StatePairInstance's two states,
+have one check, _state_indices. Each event or variable-set field is
+read once, as a set, into a cached property, so a generator there gives
+what its frozenset gives and a state listed twice counts once.
+family_pooled_joint makes one whole-array pass per ordering position,
+for every agent and prefix context at once (_prefix_masses), and one
+joint._contract call multiplies the positions' factors onto the state
+axes.
 """
 from __future__ import annotations
 

@@ -3,7 +3,10 @@
 Subcommands: aggregate (pool agent network files into a consensus
 artifact), query (consensus probability of an event, optionally
 conditioned), and check (built-in verification suites; every randomized
-row runs exactly --trials cases, at most MAX_TRIALS).
+row runs exactly --trials cases, at most MAX_TRIALS). The argument
+parser is built once, at import, and every main call reuses it;
+aggregate and query declare the options they share (the inputs,
+--pool, --weights and --dense-oracle) once, in a parent parser.
 
 Exit codes: 0 success, 1 unexpected check outcome, 2 parse, usage or
 weight error (a negative --seed, --trials below 1 or above MAX_TRIALS

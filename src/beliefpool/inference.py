@@ -10,7 +10,11 @@ so a zero-probability event stays exactly zero), builds each restricted
 CPT once for the group, by networks._cpt_factor from the agents' stacked
 rows, with an agent axis, and sums out every variable left along
 _min_fill_order, one joint._contract call per bucket, as _buckets plans
-them (for _weighted_product_cpts' pass too). At the first bucket over
+them (for _weighted_product_cpts' pass too). As in bucket elimination,
+_buckets files each factor once, under its first variable in the
+order, and each bucket's product under the first variable it has left,
+so no bucket scans the live factors; every bucket's scope is known
+before the first _contract call. At the first bucket over
 2**MAX_DENSE_VARIABLES entries, times the agents, min-fill stops with
 CapacityExceeded, before any _contract call. The single-network queries
 call it with a group of one, and consensus.linop_query with each group

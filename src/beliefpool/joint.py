@@ -19,8 +19,11 @@ Each model is validated once, where it enters: the JointTable
 constructor checks every input. Each input rule has one function:
 _check_variable_count for a count (the Python int that JointTable, the
 samplers, Dag and MarkovNet store), _check_kind for a model's or a
-property instance's kind, _check_variables for variable indices and
-_check_partition for markov_dependence_gap's and the samplers' a, w, x.
+property instance's kind, _check_sequence for a list of models or
+instances, _check_variables for variable indices and _check_partition
+for markov_dependence_gap's and the samplers' a, w, x;
+tests/test_imports.py (RULES) holds each rule's messages to its one
+function.
 Each query is checked once, where it enters: every public query checks
 each mapping once (_check_assignment: keys by _check_variables, states
 bools, 0 or 1; _check_query adds that target and evidence are disjoint)

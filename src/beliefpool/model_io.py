@@ -11,7 +11,8 @@ with Python's shortest-repr float serialization.
 
 Saved text is exactly json.dumps(data, indent=2) plus a newline. json_text
 has orjson write it when orjson's compact text equals json's own, and
-json.dumps otherwise: the two lay out indented text by the same rule.
+json.dumps, field by field and about three times slower, otherwise: the
+two lay out indented text by the same rule.
 
 Loading and saving both work from a row-key table: for one parent
 count, every valid key. The files of one command load in one

@@ -8,8 +8,10 @@ model that breaks these rules, as the file loader does for a file.
 Dag and MarkovNet store their node count as joint._check_variable_count
 returns it, a Python int, and every function here that takes a model
 checks its kind with joint._check_kind. _check_parents is the one check
-of a parent list (Cpt, Dag node by node, the loader) and _check_labels
-the one check of a label list (BayesNet and the loader).
+of a parent list (Cpt, Dag node by node, the loader), _check_labels
+the one check of a label list (BayesNet and the loader) and
+_check_order the one check of an order (direct_by_order and
+axioms.family_pooled_joint).
 
 Each model is validated once, where it enters: these constructors and
 the file loader check every input. Package code that has already

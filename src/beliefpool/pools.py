@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from typing import Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -41,14 +41,19 @@ def normalize_weights(
 ) -> np.ndarray:
     """Validated weight vector summing to one; None means equal weights.
 
-    Weights must be a sequence of numbers other than bools, finite and
-    nonnegative with a positive total (InvalidWeight otherwise), and
-    n_agents a positive integer (MalformedInstance otherwise). When the
-    total overflows, the weights are first divided by the largest.
+    Weights must be a sequence or a numpy array of numbers other than
+    bools, finite and nonnegative with a positive total (InvalidWeight
+    otherwise), and n_agents a positive integer (MalformedInstance
+    otherwise). When the total overflows, the weights are first divided
+    by the largest.
     """
     n_agents = _check_agent_count(n_agents)
     if weights is None:
         return np.full(n_agents, 1.0 / n_agents)
+    # A set has no order, a mapping would be read by its keys, and an
+    # iterator would be used up.
+    if not isinstance(weights, (Sequence, np.ndarray)):
+        raise InvalidWeight("weights must be a sequence of numbers")
     # A string, None or another object must not reach the float cast,
     # which reads "0.5" as a number. Numbers numpy holds only as objects
     # (a Fraction, a Decimal, an int past 64 bits) are cast one by one.

@@ -7,7 +7,10 @@ Degenerate inputs are exercised through hand-built fixtures instead.
 Every model is valid by construction: a sampler checks its arguments
 before any draw, raising what a constructor raises for the same fault
 (the rng first, _check_rng), then builds through the trusted path with
-the fields it would store.
+the fields it would store. Each structured table (independent
+variables, two independent blocks, a variable independent of others
+given a set) is one joint._factor_product of its factors. Generators
+that only the tests use live in tests/samplers.py.
 """
 from __future__ import annotations
 

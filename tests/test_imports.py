@@ -166,7 +166,6 @@ def rng():
 
 # One call per retyped raise site group, with the type it must raise.
 CALLER_ERRORS = {
-    "cpt-own-parent": (ModelFormatError, lambda: Cpt(0, (0,), (0.1, 0.9))),
     "cpt-negative-owner": (ModelFormatError, lambda: Cpt(-1, (), (0.5,))),
     "cpt-row-count": (ModelFormatError, lambda: Cpt(0, (1,), (0.1,))),
     "cpt-row-not-a-number": (ModelFormatError, lambda: Cpt(0, (), ("abc",))),
@@ -177,7 +176,6 @@ CALLER_ERRORS = {
     "cpt-rows-not-a-sequence": (ModelFormatError, lambda: Cpt(0, (), 0.5)),
     "dag-float-parent": (ModelFormatError, lambda: Dag(2, ((), (0.5,)))),
     "dag-string-parent": (ModelFormatError, lambda: Dag(2, ((), ("0",)))),
-    "dag-cycle": (ModelFormatError, lambda: Dag(2, ((1,), (0,)))),
     "bayes-labels": (ModelFormatError, lambda: BayesNet(CHAIN.cpts, ("A", "A"))),
     "bayes-label-count": (ModelFormatError, lambda: BayesNet(CHAIN.cpts, ("A",))),
     "bayes-owners": (ModelFormatError, lambda: BayesNet(CHAIN.cpts[:1] * 2)),
@@ -435,6 +433,10 @@ CHOKE_POINT_ERRORS = {
     "logop-string-weight": (
         InvalidWeight, "weights must be a sequence of numbers",
         lambda: logop_consensus_bn([CHAIN, CHAIN], ["a", 1]),
+    ),
+    "logop-set-weights": (
+        InvalidWeight, "weights must be a sequence of numbers",
+        lambda: logop_consensus_bn([CHAIN, CHAIN], {0.7, 0.3}),
     ),
     "linop-numeric-string-weights": (
         InvalidWeight, "weights must be a sequence of numbers",

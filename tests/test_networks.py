@@ -129,8 +129,9 @@ class TestCpt:
             Cpt(0, (1, 2), (0.1, 0.9))
 
     def test_rejects_self_parent(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelFormatError) as exc:
             Cpt(0, (0,), (0.1, 0.9))
+        assert str(exc.value) == "node 0 cannot be its own parent"
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
@@ -154,8 +155,9 @@ class TestCpt:
 
 class TestDag:
     def test_cycle_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelFormatError) as exc:
             Dag(2, ((1,), (0,)))
+        assert str(exc.value) == "parent structure contains a directed cycle"
 
     @given(seed=st.integers(min_value=0, max_value=100_000))
     @settings(max_examples=100, deadline=None)

@@ -109,6 +109,14 @@ class TestNormalizeWeights:
             ((True, False), "weights must be a sequence of numbers"),
             (np.array([True, True]), "weights must be a sequence of numbers"),
             ((Fraction(1, 2), True), "weights must be a sequence of numbers"),
+            # A set has no order, a mapping holds its weights as values and
+            # an iterator is used up: none is read, in any order.
+            ({2, 1}, "weights must be a sequence of numbers"),
+            (frozenset({0.25, 0.75}), "weights must be a sequence of numbers"),
+            ({0.7: "w", 0.2: "v"}, "weights must be a sequence of numbers"),
+            ({0: 0.7, 1: 0.3}, "weights must be a sequence of numbers"),
+            (iter((0.5, 0.5)), "weights must be a sequence of numbers"),
+            ((w for w in (0.5, 0.5)), "weights must be a sequence of numbers"),
         ],
     )
     def test_non_numbers_and_overflow_rejected(self, weights, message):

@@ -1,6 +1,6 @@
 """The README's Python quick start runs and gives the values its
 comments print, its axioms suite lines are printed verbatim, and README
-names every top-level export."""
+names every top-level export and no private name."""
 
 import re
 import types
@@ -54,3 +54,11 @@ def test_axioms_suite_lines():
     lines, ok = run_axioms_suite(7, 40)
     assert ok
     assert [line for line in documented if line not in lines] == []
+
+
+def test_no_private_name():
+    """README documents the public surface: no backticked `name` or
+    `module.name` whose last part starts with an underscore and a letter.
+    The internals live in the module docstrings."""
+    names = re.findall(r"`([A-Za-z0-9_.]+)`", README.read_text())
+    assert [n for n in names if re.match(r"_[A-Za-z]", n.split(".")[-1])] == []
