@@ -31,7 +31,7 @@ import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral, Real
+from numbers import Integral
 from sys import float_info
 
 import numpy as np
@@ -43,6 +43,7 @@ from .joint import (
     _check_kind,
     _check_pair,
     _check_partition,
+    _check_reals,
     _check_sequence,
     _contract,
     _factor_product,
@@ -602,14 +603,15 @@ def check_property(
     name = prop.lower() if isinstance(prop, str) else None
     if name not in _PROPERTIES:
         raise MalformedInstance(f"unknown property {prop!r}; choose from {PROPERTY_NAMES}")
-    if isinstance(tol, bool) or not (isinstance(tol, Real) and 0 <= tol <= float_info.max):
-        raise MalformedInstance(f"tol must be a finite nonnegative number, got {tol!r}")
+    (tol,) = _check_reals((tol,), MalformedInstance, "tol", one=True).tolist()
+    if not 0.0 <= tol <= float_info.max:
+        raise MalformedInstance(f"tol must be finite and nonnegative, got {tol!r}")
     _check_sequence(instances, "instances")
     violations = []
     for inst in instances:
         _check_kind(inst, _PROPERTIES[name][0])
         violations.append(inst._violation(pool))
-    return CheckReport(name, pool, float(tol), tuple(violations))
+    return CheckReport(name, pool, tol, tuple(violations))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .errors import (
     DegenerateCpt,
     DegenerateProduct,
     InvalidWeight,
+    MalformedInstance,
     MismatchedVariables,
     ModelFormatError,
     WeightCountMismatch,
@@ -188,10 +189,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    if args.seed is not None and args.seed < 0:
-        raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
-    if args.trials is not None and args.trials < 1:
-        raise _UsageError(f"--trials must be at least 1, got {args.trials}")
+    # The suites check seed >= 0 and trials >= 1 before any draw.
     if args.trials is not None and args.trials > MAX_TRIALS:
         raise _UsageError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
     # Without --seed the randomized suites use seed 0; without --trials,
@@ -289,7 +287,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "dense_oracle", False) and args.pool == "linop":
             raise _UsageError("--dense-oracle applies to --pool logop only")
         return args.func(args)
-    except (_UsageError, ModelFormatError, WeightCountMismatch,
+    except (_UsageError, ModelFormatError, MalformedInstance, WeightCountMismatch,
             InvalidWeight) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE

@@ -18,10 +18,11 @@ inference._probabilities on networks.
 Each model is validated once, where it enters: the JointTable
 constructor checks every input. Each input rule has one function:
 _check_variable_count for a count (the Python int that JointTable, the
-samplers, Dag and MarkovNet store), _check_kind for a model's or a
-property instance's kind, _check_sequence for a list of models or
-instances, _check_variables for variable indices and _check_partition
-for markov_dependence_gap's and the samplers' a, w, x;
+samplers, Dag and MarkovNet store), _check_reals for every real-valued
+input (table entries, CPT rows, weights, tol, edge_prob), _check_kind
+for a model's or a property instance's kind, _check_sequence for a list
+of models or instances, _check_variables for variable indices and
+_check_partition for markov_dependence_gap's and the samplers' a, w, x;
 tests/test_imports.py (RULES) holds each rule's messages to its one
 function.
 Each query is checked once, where it enters: every public query checks
@@ -39,6 +40,7 @@ module imports this one.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from decimal import Decimal
 from dataclasses import dataclass
 from functools import partial
 from numbers import Integral, Real
@@ -99,6 +101,48 @@ def _check_variable_count(m, capacity: int | None = MAX_DENSE_VARIABLES) -> int:
     return count
 
 
+def _check_reals(values, error: type, what: str, one: bool = False) -> np.ndarray:
+    """The one number rule: values as a new 1-D float64 array.
+
+    values is a sequence or a 1-D numpy array, not a str, a bytes-like
+    object, a set, a mapping or an iterator, and each entry a Python or
+    numpy real number (a Fraction or a Decimal too), not a bool, that a
+    float holds: error(f"{what} must be a sequence of numbers") otherwise.
+    A caller of one number x passes (x,) and one=True, and the error names
+    x: f"{what} {x!r} is not a number" or f"{what} is too large for a
+    float". The caller keeps its own shape, range and sign rules.
+    """
+    entries = None
+    if isinstance(values, np.ndarray) and values.ndim == 1:
+        if values.dtype.kind in "iuf":
+            try:
+                with np.errstate(over="raise"):  # a long double past the float range
+                    return values.astype(np.float64)
+            except FloatingPointError:
+                pass
+        elif values.dtype == object:
+            entries = values.tolist()
+    elif isinstance(values, Sequence) and not isinstance(
+        values, (str, bytes, bytearray, memoryview)
+    ):
+        entries = values
+    if entries is not None:
+        types = set(map(type, entries))
+        if types <= {float}:
+            return np.array(entries, dtype=np.float64)
+        if all(t is not bool and issubclass(t, (Real, Decimal)) for t in types):
+            try:
+                return np.array([float(x) for x in entries], dtype=np.float64)
+            except OverflowError:
+                if one:
+                    raise error(f"{what} is too large for a float") from None
+            except ValueError:  # a signaling NaN
+                pass
+        if one:
+            raise error(f"{what} {entries[0]!r} is not a number")
+    raise error(f"{what} must be a sequence of numbers")
+
+
 @dataclass(frozen=True, eq=False)
 class JointTable:
     """Normalized probability table over 2**m binary states.
@@ -115,18 +159,7 @@ class JointTable:
     def __post_init__(self) -> None:
         object.__setattr__(self, "m", _check_variable_count(self.m))
         n_states = 1 << self.m
-        # Booleans, strings and other non-numbers must not reach the float
-        # cast, which would turn True or "0.5" into a probability.
-        try:
-            raw = np.asarray(self.probs)
-            if raw.dtype.kind not in "iuf" and not (
-                raw.dtype.kind == "O"
-                and all(isinstance(x, Real) and not isinstance(x, bool) for x in raw.flat)
-            ):
-                raise TypeError
-            probs = raw.astype(np.float64, copy=False)
-        except (TypeError, ValueError, OverflowError):
-            raise ModelFormatError("probability entries must be numbers") from None
+        probs = _check_reals(self.probs, ModelFormatError, "probability entries")
         if probs.shape != (n_states,):
             raise ModelFormatError(
                 f"expected {n_states} entries for m={self.m}, got shape {probs.shape}"

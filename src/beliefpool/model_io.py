@@ -81,7 +81,7 @@ from typing import Sequence
 import orjson
 
 from .errors import BeliefPoolError, MalformedInstance, MismatchedVariables, ModelFormatError
-from .joint import _check_kind, _check_sequence, _trusted
+from .joint import _check_kind, _check_reals, _check_sequence, _trusted
 from .networks import (
     BayesNet, Cpt, Dag, _acyclic, _check_labels, _check_parents, parse_probability,
 )
@@ -94,26 +94,14 @@ def _nonempty_paths(inputs: Sequence) -> bool:
     return bool(inputs) and all(isinstance(p, str) and p for p in inputs)
 
 
-def _manifest_weights(weights, error: type) -> tuple[float, ...]:
-    """A manifest's weights as floats: error unless each is an int or a
-    float, not a bool, that fits a float."""
-    if not all(isinstance(w, (int, float)) and not isinstance(w, bool) for w in weights):
-        raise error("'weights' must be a list of numbers")
-    try:
-        return tuple(map(float, weights))
-    except OverflowError as err:
-        raise error("'weights' holds an integer too large for a float") from err
-
-
 @dataclass(frozen=True)
 class LinopManifest:
     """Pointer to input networks pooled arithmetically with weights.
 
     inputs is a nonempty sequence of nonempty path strings and weights
-    None or a sequence of numbers (_manifest_weights), kept as a tuple
-    of strings and a tuple of Python floats; MalformedInstance
-    otherwise, so every manifest saves a file that manifest_from_dict
-    reads back."""
+    None or numbers that pass joint._check_reals, kept as a tuple of
+    strings and a tuple of Python floats; MalformedInstance otherwise, so
+    every manifest saves a file that manifest_from_dict reads back."""
 
     inputs: tuple[str, ...]
     weights: tuple[float, ...] | None = None
@@ -124,9 +112,8 @@ class LinopManifest:
             raise MalformedInstance("'inputs' must be a nonempty list of paths")
         object.__setattr__(self, "inputs", tuple(self.inputs))
         if self.weights is not None:
-            _check_sequence(self.weights, "weights")
-            weights = _manifest_weights(self.weights, MalformedInstance)
-            object.__setattr__(self, "weights", weights)
+            weights = _check_reals(self.weights, MalformedInstance, "'weights'")
+            object.__setattr__(self, "weights", tuple(weights.tolist()))
 
 
 def _require_labels(model: BayesNet, task: str) -> tuple[str, ...]:
@@ -394,9 +381,7 @@ def manifest_from_dict(data) -> LinopManifest:
         raise ModelFormatError("'inputs' must be a nonempty list of paths")
     weights = data.get("weights")
     if weights is not None:
-        if not isinstance(weights, list):
-            raise ModelFormatError("'weights' must be a list of numbers")
-        weights = _manifest_weights(weights, ModelFormatError)
+        weights = _check_reals(weights, ModelFormatError, "'weights'")
     return LinopManifest(tuple(inputs), weights)
 
 

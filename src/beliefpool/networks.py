@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -47,6 +46,7 @@ from .errors import (
 from .joint import (
     JointTable,
     _check_kind,
+    _check_reals,
     _check_variable_count,
     _contract,
     _shared_variable_count,
@@ -58,14 +58,9 @@ EliminationOrder = tuple[int, ...]
 
 
 def parse_probability(value) -> float:
-    """value as a Python float; ModelFormatError unless it is a number, not a
-    bool, in [0, 1] (NaN is not) that a float can hold."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ModelFormatError(f"probability {value!r} is not a number")
-    try:
-        value = float(value)
-    except OverflowError as err:
-        raise ModelFormatError("probability is an integer too large for a float") from err
+    """value as a Python float; ModelFormatError unless it is a number
+    (joint._check_reals) in [0, 1] (NaN is not)."""
+    (value,) = _check_reals((value,), ModelFormatError, "probability", one=True).tolist()
     if not 0.0 <= value <= 1.0:  # also false for NaN
         raise ModelFormatError(f"probability {value} outside [0, 1]")
     return value
@@ -149,10 +144,8 @@ class Cpt:
             parents = tuple(map(operator.index, self.parents))
         except TypeError:
             raise ModelFormatError("owner and parents must be integers") from None
-        try:
-            rows = tuple(map(parse_probability, self.rows))
-        except TypeError:
-            raise ModelFormatError("rows must be a sequence of probabilities") from None
+        rows = _check_reals(self.rows, ModelFormatError, "rows").tolist()
+        rows = tuple(map(parse_probability, rows))
         object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "rows", rows)
         if owner < 0:

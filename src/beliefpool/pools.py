@@ -7,7 +7,6 @@ _logistic, serve the consensus fill and the axioms."""
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from collections.abc import Sequence
 
@@ -19,7 +18,7 @@ from .errors import (
     MalformedInstance,
     WeightCountMismatch,
 )
-from .joint import JointTable, _shared_variable_count, _trusted_table
+from .joint import JointTable, _check_reals, _shared_variable_count, _trusted_table
 
 POOL_NAMES = ("linop", "logop")
 
@@ -41,41 +40,18 @@ def normalize_weights(
 ) -> np.ndarray:
     """Validated weight vector summing to one; None means equal weights.
 
-    Weights must be a sequence or a numpy array of numbers other than
-    bools, finite and nonnegative with a positive total (InvalidWeight
-    otherwise), and n_agents a positive integer (MalformedInstance
-    otherwise). When the total overflows, the weights are first divided
-    by the largest.
+    Weights must pass joint._check_reals, the one number rule, and be
+    finite and nonnegative with a positive total (InvalidWeight
+    otherwise), one per agent (WeightCountMismatch otherwise), and
+    n_agents a positive integer (MalformedInstance otherwise). When the
+    total overflows, the weights are first divided by the largest.
     """
     n_agents = _check_agent_count(n_agents)
     if weights is None:
         return np.full(n_agents, 1.0 / n_agents)
-    # A set has no order, a mapping would be read by its keys, and an
-    # iterator would be used up.
-    if not isinstance(weights, (Sequence, np.ndarray)):
-        raise InvalidWeight("weights must be a sequence of numbers")
-    # A string, None or another object must not reach the float cast,
-    # which reads "0.5" as a number. Numbers numpy holds only as objects
-    # (a Fraction, a Decimal, an int past 64 bits) are cast one by one.
-    try:
-        w = np.asarray(list(weights))
-        if w.dtype != np.float64:
-            if w.dtype == object and all(
-                isinstance(x, numbers.Number) and not isinstance(x, bool) for x in w.flat
-            ):
-                w = w.astype(np.float64)
-            if w.dtype.kind not in "iuf":  # bools are not weights
-                raise TypeError
-            w = w.astype(np.float64)
-    except (TypeError, ValueError):  # not iterable, ragged, or not numbers
-        raise InvalidWeight("weights must be a sequence of numbers") from None
-    except OverflowError:  # an int too large for a float
-        raise InvalidWeight("weights must be finite and nonnegative") from None
+    w = _check_reals(weights, InvalidWeight, "weights")
     if w.shape != (n_agents,):
-        raise WeightCountMismatch(
-            f"got {w.shape[0] if w.ndim == 1 else 'malformed'} weights "
-            f"for {n_agents} agents"
-        )
+        raise WeightCountMismatch(f"got {w.size} weights for {n_agents} agents")
     # min is NaN when any weight is; a sum that overflows is rescaled below.
     if not w.min() >= 0.0:
         raise InvalidWeight("weights must be finite and nonnegative")

@@ -14,7 +14,7 @@ that only the tests use live in tests/samplers.py.
 """
 from __future__ import annotations
 
-from numbers import Integral, Real
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ from .joint import (
     JointTable,
     _check_kind,
     _check_partition,
+    _check_reals,
     _check_variable_count,
     _check_variables,
     _factor_product,
@@ -69,8 +70,9 @@ def random_dag(
     neither a bool (MalformedInstance otherwise)."""
     _check_rng(rng)
     m = _check_variable_count(m, capacity=None)
-    if isinstance(edge_prob, bool) or not (isinstance(edge_prob, Real) and 0 <= edge_prob <= 1):
-        raise MalformedInstance(f"edge_prob must be a number in [0, 1], got {edge_prob!r}")
+    (edge_prob,) = _check_reals((edge_prob,), MalformedInstance, "edge_prob", one=True).tolist()
+    if not 0.0 <= edge_prob <= 1.0:
+        raise MalformedInstance(f"edge_prob {edge_prob} outside [0, 1]")
     if isinstance(max_parents, bool) or not (
         isinstance(max_parents, Integral) and max_parents >= 0
     ):

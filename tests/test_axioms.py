@@ -320,17 +320,23 @@ class TestCheckProperty:
         assert len(report.violations) == 1
         assert "property=unam" in report.summary()
 
+    # Each bad tol with its message: the number rule's, then the range's.
     BAD_TOLS = {
-        "str": "x", "None": None, "bool": True, "negative": -1e-9, "nan": math.nan,
-        "inf": math.inf, "huge-int": 10**400, "complex": 1j,
+        "str": ("x", "tol 'x' is not a number"),
+        "None": (None, "tol None is not a number"),
+        "bool": (True, "tol True is not a number"),
+        "complex": (1j, "tol 1j is not a number"),
+        "huge-int": (10**400, "tol is too large for a float"),
+        "negative": (-1e-9, "tol must be finite and nonnegative, got -1e-09"),
+        "nan": (math.nan, "tol must be finite and nonnegative, got nan"),
+        "inf": (math.inf, "tol must be finite and nonnegative, got inf"),
     }
 
-    @pytest.mark.parametrize("tol", BAD_TOLS.values(), ids=BAD_TOLS)
-    def test_tol_must_be_a_finite_nonnegative_number(self, tol):
+    @pytest.mark.parametrize("tol, message", BAD_TOLS.values(), ids=BAD_TOLS)
+    def test_tol_must_be_a_finite_nonnegative_number(self, tol, message):
         # A tol of "x" once built a report whose all_passed raised
         # TypeError, and a NaN one failed every case.
         instances = [UnanimityInstance(seeded_tables(0, 2, 2)[:1] * 2)]
-        message = f"tol must be a finite nonnegative number, got {tol!r}"
         for pool in (LINOP, LOGOP):
             with pytest.raises(MalformedInstance, match=f"^{re.escape(message)}$"):
                 check_property(pool, "unam", instances, tol)

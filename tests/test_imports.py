@@ -9,13 +9,16 @@ catches. Only the functions that have already validated their
 input call the trusted construction path. And there is one factor
 product, joint._contract, the only caller of np.einsum. Each input rule
 that more than one caller needs (a variable count, a model's kind, a
-parent list, a label list, the a, w, x partition, state indices) raises
-its messages from one function (RULES).
+parent list, a label list, the a, w, x partition, state indices, a real
+number) raises its messages from one function (RULES).
 """
 
 import ast
 import os
 import re
+import warnings
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -751,8 +754,10 @@ ERRORS = {
 
 def message_template(call):
     """The message of a typed error built by call, its formatted values
-    written {}, or None if call builds no error from a literal message."""
-    if not (isinstance(call.func, ast.Name) and call.func.id in ERRORS and call.args):
+    written {}, or None if call builds no error from a literal message. A
+    call of `error`, the error class a caller hands a rule, builds one too."""
+    typed = ERRORS | {"error"}
+    if not (isinstance(call.func, ast.Name) and call.func.id in typed and call.args):
         return None
     message = call.args[0]
     if isinstance(message, ast.Constant) and isinstance(message.value, str):
@@ -787,6 +792,9 @@ RULES = {
     "sequence": (r"must be a sequence, got", "joint._check_sequence"),
     "agent count": (r"^agent count|^need at least one agent$", "pools._check_agent_count"),
     "rng": (r"^rng must be", "sampling._check_rng"),
+    "number": (
+        r"\bnumbers?\b|too large for a float|sequence of probabilities", "joint._check_reals"
+    ),
 }
 
 
@@ -808,6 +816,12 @@ def test_checkers_find_count_indexes_and_kind_messages():
         "    raise ModelFormatError(f'expected a BayesNet, got {type(x).__name__}')\n"
         "    raise ModelFormatError(f'expected {m} labels, got {len(x)}')\n"
         "    raise MalformedInstance(f'instances must be a sequence, got {m}')\n"
+        "def e(w, p, error):\n"
+        "    raise error(f'{w} must be a sequence of numbers')\n"
+        "    raise ModelFormatError(f'probability {p!r} is not a number')\n"
+        "    raise ModelFormatError('probability is an integer too large for a float')\n"
+        "    raise InvalidWeight('weights must be finite and nonnegative')\n"
+        "    raise ModelFormatError(f'probability {p} outside [0, 1]')\n"
     )
     assert enclosing_calls(source, "m", indexes_a_count) == ["m.a", "m.a"]
     found = {
@@ -817,7 +831,7 @@ def test_checkers_find_count_indexes_and_kind_messages():
     assert found == {
         "count": [], "kind": ["m.b", "m.d", "m.d", "m.d"], "parent list": ["m.c"],
         "labels": ["m.d"], "partition": [], "state index": [], "sequence": ["m.d"],
-        "agent count": [], "rng": [],
+        "agent count": [], "rng": [], "number": ["m.e", "m.e", "m.e"],
     }
     templates = [
         message_template(node)
@@ -889,3 +903,65 @@ def test_every_count_is_checked_once_and_stored_as_an_int(build, m, message):
     else:
         with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
             build(m)
+
+
+def beside_a_float(x):
+    """x as a sequence builder gets it: a str or bytes whole, as a caller
+    might pass one, any other value next to 0.25."""
+    return x if isinstance(x, (str, bytes)) else [x, 0.25]
+
+
+# Each builder of a real-valued input with its error class, returning what
+# it made of x.
+NUMBER_BUILDERS = {
+    "JointTable": (ModelFormatError, lambda x: JointTable(1, beside_a_float(x)).probs.tolist()),
+    "Cpt": (ModelFormatError, lambda x: Cpt(0, (1,), beside_a_float(x)).rows),
+    "normalize_weights": (InvalidWeight, lambda x: normalize_weights(beside_a_float(x), 2).tolist()),
+    "LinopManifest": (
+        MalformedInstance, lambda x: LinopManifest(("a.json", "b.json"), beside_a_float(x)).weights
+    ),
+    "check_property-tol": (MalformedInstance, lambda x: check_property("linop", "unam", [], x).tol),
+    "random_dag-edge_prob": (
+        MalformedInstance, lambda x: random_dag(np.random.default_rng(0), 6, edge_prob=x)
+    ),
+}
+# Each value with the float every builder reads it as, or None where
+# every builder must reject it by the number rule.
+NUMBERS = {
+    "bool": (True, None),
+    "numpy-bool": (np.True_, None),
+    "fraction": (Fraction(1, 3), 1 / 3),
+    "decimal": (Decimal("0.1"), 0.1),
+    "int64": (np.int64(1), 1.0),
+    "float32": (np.float32(0.1), float(np.float32(0.1))),
+    "2**70": (2**70, float(2**70)),
+    "10**400": (10**400, None),
+    "complex": (1j, None),
+    "numpy-complex": (np.complex128(1), None),
+    "string": ("0.5", None),
+    "bytes": (b"\x01", None),
+}
+
+
+def outcome(build, x):
+    """repr of what build makes of x, or of its error's class and message."""
+    try:
+        return repr(build(x))
+    except BeliefPoolError as err:
+        return repr((type(err), str(err)))
+
+
+@pytest.mark.parametrize("x, number", NUMBERS.values(), ids=NUMBERS)
+@pytest.mark.parametrize("error, build", NUMBER_BUILDERS.values(), ids=NUMBER_BUILDERS)
+def test_every_real_number_is_read_as_one_float(error, build, x, number):
+    """Every real-valued input goes through the one number rule: a number
+    builds what its float builds, bit for bit and with the same range
+    errors, and anything else raises the builder's own error class with
+    a message of the rule, without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if number is None:
+            with pytest.raises(error, match=RULES["number"][0]):
+                build(x)
+        else:
+            assert outcome(build, x) == outcome(build, number)

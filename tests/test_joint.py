@@ -1,6 +1,7 @@
 """Dense joint-table behavior: construction, indexing, conditioning,
 and the two independence gap measures."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -63,15 +64,20 @@ class TestConstruction:
 
     @pytest.mark.parametrize(
         "probs",
-        [["0.5", "0.5"], [True, False], np.array([True, False]), [0.5, None], [1j, 1.0]],
-        ids=["strings", "bools", "bool-array", "none", "complex"],
+        [["0.5", "0.5"], [True, False], [True, 0.5], np.array([True, False]), [0.5, None],
+         [1j, 1.0], b"\x01\x03"],
+        ids=["strings", "bools", "mixed-bool", "bool-array", "none", "complex", "bytes"],
     )
     def test_rejects_entries_that_are_not_numbers(self, probs):
-        with pytest.raises(ModelFormatError, match="probability entries must be numbers"):
+        message = "probability entries must be a sequence of numbers"
+        with pytest.raises(ModelFormatError, match=f"^{message}$"):
             JointTable(1, probs)
 
     def test_integer_and_object_number_entries_accepted(self):
-        for probs in ([1, 3], np.array([1, 3], dtype=np.uint8), [Fraction(1, 4), 0.75]):
+        for probs in (
+            [1, 3], np.array([1, 3], dtype=np.uint8), [Fraction(1, 4), 0.75],
+            [Decimal("0.25"), 0.75],
+        ):
             assert JointTable(1, probs).probs.tolist() == [0.25, 0.75]
 
     def test_rejects_too_many_variables(self):

@@ -8,6 +8,8 @@ import json
 import re
 import tempfile
 import uuid
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -708,8 +710,7 @@ MALFORMED = {
     "string-row": (_set_row("A3", "11", "0.5"), "probability '0.5' is not a number"),
     "null-row": (_set_row("A1", "", None), "probability None is not a number"),
     "int-row-out-of-range": (_set_row("A1", "", 2), "probability 2.0 outside [0, 1]"),
-    "huge-int-row": (_set_row("A1", "", 10**400),
-                     "probability is an integer too large for a float"),
+    "huge-int-row": (_set_row("A1", "", 10**400), "probability is too large for a float"),
     "duplicate-parent": (_rewire("A3", ["A1", "A1"]), "duplicate parents for node 'A3'"),
     "self-parent": (_rewire("A3", ["A3"]), "node 'A3' cannot be its own parent"),
     "unknown-parent": (lambda d: d["cpts"]["A3"].update(parents=["A1", "A9"]),
@@ -1246,6 +1247,26 @@ class TestManifest:
             manifest_from_dict(
                 {"kind": "linop-manifest", "inputs": ["a"], "weights": ["x"]}
             )
+
+    @pytest.mark.parametrize(
+        "weights", [b"\x01\x03", bytearray(b"\x01\x03"), "13", (True, 2.0)], ids=repr
+    )
+    def test_bytes_and_bools_are_not_weights(self, weights):
+        # Bytes are a sequence of ints, but not of weights, as a str is not.
+        with pytest.raises(MalformedInstance, match="^'weights' must be a sequence of numbers$"):
+            LinopManifest(("a.json", "b.json"), weights)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [(np.int64(1), 3), (Fraction(1, 4), Decimal("0.75")), np.array([1, 3], dtype=np.uint8)],
+        ids=["int64", "fraction-decimal", "uint8-array"],
+    )
+    def test_any_real_number_is_a_weight(self, weights, tmp_path):
+        manifest = LinopManifest(("a.json", "b.json"), weights)
+        assert manifest.weights == tuple(map(float, weights))
+        assert {type(w) for w in manifest.weights} == {float}
+        save_manifest(manifest, tmp_path / "pool.json")
+        assert load_model_file(tmp_path / "pool.json") == manifest
 
 
 class TestAlignVariables:

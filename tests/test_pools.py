@@ -104,11 +104,12 @@ class TestNormalizeWeights:
             ((Fraction(1, 2), "0.5"), "weights must be a sequence of numbers"),
             ((Fraction(1, 2), None), "weights must be a sequence of numbers"),
             ((1j, 1), "weights must be a sequence of numbers"),
-            ((10**400, 1), "weights must be finite and nonnegative"),
+            ((10**400, 1), "weights must be a sequence of numbers"),
             # Bools are not weights, as they are not JointTable entries.
             ((True, False), "weights must be a sequence of numbers"),
             (np.array([True, True]), "weights must be a sequence of numbers"),
             ((Fraction(1, 2), True), "weights must be a sequence of numbers"),
+            ((True, 2.0), "weights must be a sequence of numbers"),
             # A set has no order, a mapping holds its weights as values and
             # an iterator is used up: none is read, in any order.
             ({2, 1}, "weights must be a sequence of numbers"),
@@ -117,6 +118,9 @@ class TestNormalizeWeights:
             ({0: 0.7, 1: 0.3}, "weights must be a sequence of numbers"),
             (iter((0.5, 0.5)), "weights must be a sequence of numbers"),
             ((w for w in (0.5, 0.5)), "weights must be a sequence of numbers"),
+            # Bytes are a sequence of ints, but not of weights, as a str is not.
+            (b"\x01\x03", "weights must be a sequence of numbers"),
+            (bytearray(b"\x01\x03"), "weights must be a sequence of numbers"),
         ],
     )
     def test_non_numbers_and_overflow_rejected(self, weights, message):
