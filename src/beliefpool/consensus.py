@@ -53,6 +53,7 @@ Every public name here checks its arguments; the fill's steps are private.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -72,10 +73,10 @@ from .joint import (
 )
 from .networks import (
     BayesNet,
-    Cpt,
     Dag,
     EliminationOrder,
     MarkovNet,
+    _from_rows,
     _min_fill_order,
     direct_by_order,
     mn_union,
@@ -130,24 +131,25 @@ def consensus_bn_structure(
 ) -> tuple[Dag, EliminationOrder]:
     """Decomposable directed structure covering every agent's structure.
 
-    Moralize the inputs (equal inputs, which compare by value, are
-    moralized once), union, and eliminate by min-fill: each variable's
-    parents are its neighbors at its step. Also returns the elimination
-    order, the reverse of a topological order of the result. Raises
-    MalformedInstance unless models is a nonempty sequence of Dags and
-    BayesNets, and MismatchedVariables unless they agree on the variable count.
+    Moralize each distinct structure once (a network's is its dag();
+    Dags compare by value), union, and eliminate by min-fill: each
+    variable's parents are its neighbors at its step. Also returns the
+    elimination order, the reverse of a topological order of the result.
+    Raises MalformedInstance unless models is a nonempty sequence of Dags
+    and BayesNets, and MismatchedVariables unless they agree on the
+    variable count.
     """
     _shared_variable_count(models, (Dag, BayesNet), "structure", "structures")
-    return _structure(models)
+    return _structure([m.dag() if isinstance(m, BayesNet) else m for m in models])
 
 
 def _structure(
-    models: Sequence[BayesNet | Dag], copies: int = 0, labels: tuple[str, ...] | None = None
+    dags: Sequence[Dag], copies: int = 0, labels: tuple[str, ...] | None = None
 ) -> tuple[Dag, EliminationOrder]:
-    """consensus_bn_structure of checked models, one family per min-fill
+    """consensus_bn_structure of checked Dags, one family per min-fill
     step. CapacityExceeded at the first family that takes copies times the
     CPT rows so far, sum 2**|parents|, past 2**MAX_DENSE_VARIABLES."""
-    union = mn_union([moralize(model) for model in dict.fromkeys(models)])
+    union = mn_union([moralize(dag) for dag in dict.fromkeys(dags)])
     parents: dict[int, tuple[int, ...]] = {}  # in elimination order
     rows = 0
     for v, nbrs in _min_fill_order(union.adjacency()):
@@ -205,16 +207,18 @@ def _row_name(
 def _require_strictly_positive(position: int, bn: BayesNet) -> None:
     """Raise DegenerateCpt, naming the agent by position, for bn's first
     CPT row of 0 or 1: the query route needs strictly positive agents."""
-    for cpt in () if bn.strictly_positive else bn.cpts:
-        for row, p in enumerate(cpt.rows):
-            if not 0.0 < p < 1.0:
-                where = _row_name(bn.labels, cpt.owner, cpt.parents, row)
-                raise DegenerateCpt(
-                    f"{where}: the row is {p}, but the query route needs every "
-                    f"CPT row of a pooled agent strictly inside (0, 1)",
-                    position,
-                    _RERUN,
-                )
+    if bn.strictly_positive:
+        return
+    rows, offsets = bn._rows.tolist(), bn._dag._offsets
+    i = next(i for i, p in enumerate(rows) if not 0.0 < p < 1.0)
+    owner = bisect.bisect_right(offsets, i) - 1
+    where = _row_name(bn.labels, owner, bn._dag.parents[owner], i - offsets[owner])
+    raise DegenerateCpt(
+        f"{where}: the row is {rows[i]}, but the query route needs every "
+        f"CPT row of a pooled agent strictly inside (0, 1)",
+        position,
+        _RERUN,
+    )
 
 
 def _structured_cpts(
@@ -223,7 +227,10 @@ def _structured_cpts(
     structure: Dag,
     elimination_order: EliminationOrder,
     labels: tuple[str, ...] | None,
-) -> tuple[list[Cpt], int]:
+) -> tuple[np.ndarray, int]:
+    """The CPT rows over structure, in owner order as BayesNet holds
+    them, by the query route's three passes (see the module docstring),
+    and the agent queries they took."""
     parents, children = structure.parents, structure.children
     queries = 0
 
@@ -336,19 +343,14 @@ def _structured_cpts(
             tail = log1p(exp(-abs(x)))
             on_true[k] = min(x, 0.0) - tail
             on_false[k] = min(-x, 0.0) - tail
+    # Each row is the sigmoid of finite log-odds, in [0, 1]. Build row
+    # start[v] + r is row r of node v, which owner order puts at
+    # offsets[v] + r.
     _, p_true = _logistic(np.array(log_odds))
-    rows = p_true.tolist()
-    # Each row is the sigmoid of finite log-odds, a Python float in [0, 1].
-    cpts = {
-        node: _trusted(
-            Cpt,
-            owner=node,
-            parents=parents[node],
-            rows=tuple(rows[k:k + (1 << len(parents[node]))]),
-        )
-        for node, k in start.items()
-    }
-    return [cpts[v] for v in range(structure.m)], queries
+    gather = [
+        k for v, ps in enumerate(parents) for k in range(start[v], start[v] + (1 << len(ps)))
+    ]
+    return p_true[gather], queries
 
 
 def logop_consensus_bn(
@@ -397,15 +399,13 @@ def _logop_consensus(
         [bn.dag() for bn in agents], 1 if dense_oracle else len(agents), labels
     )
     if dense_oracle:
-        cpts = _weighted_product_cpts(agents, w, structure, order)
+        rows = _weighted_product_cpts(agents, w, structure, order)
         queries = 0
     else:
-        cpts, queries = _structured_cpts(agents, w, structure, order, labels)
+        rows, queries = _structured_cpts(agents, w, structure, order, labels)
     # _structure's families are cliques along the order (acyclic and
-    # decomposable), and the CPTs follow it node by node.
-    consensus = _trusted(
-        BayesNet, cpts=tuple(cpts), labels=labels, _dag=structure
-    )
+    # decomposable), and the rows follow it node by node.
+    consensus = _from_rows(structure, rows, labels)
     return _trusted(
         ConsensusBn, bn=consensus, elimination_order=order, agent_queries=queries
     )

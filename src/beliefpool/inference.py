@@ -8,7 +8,8 @@ DAG, with one plan for the group. It restricts the CPTs of the
 assignment's ancestral set (every other CPT is barren and sums to one,
 so a zero-probability event stays exactly zero), builds each restricted
 CPT once for the group, by networks._cpt_factor from the agents' stacked
-rows, with an agent axis, and sums out every variable left along
+rows (their row arrays, stacked once per call and sliced per CPT), with
+an agent axis, and sums out every variable left along
 _min_fill_order, one joint._contract call per bucket, as _buckets plans
 them (for _weighted_product_cpts' pass too). As in bucket elimination,
 _buckets files each factor once, under its first variable in the
@@ -54,9 +55,9 @@ import numpy as np
 from .errors import CapacityExceeded, DegenerateProduct, MalformedInstance, ZeroEvidence
 from .joint import (
     MAX_DENSE_VARIABLES, Assignment, _check_assignment, _check_kind, _check_query,
-    _conditional_ratio, _contract, _trusted,
+    _conditional_ratio, _contract,
 )
-from .networks import BayesNet, Cpt, Dag, _cpt_factor, _min_fill_order
+from .networks import BayesNet, Dag, _cpt_factor, _min_fill_order
 
 
 def _expand(
@@ -71,8 +72,9 @@ def _ancestral_set(bn: BayesNet, variables: Iterable[int]) -> list[int]:
     """The variables together with all of their ancestors."""
     seen = set(variables)
     stack = list(variables)
+    parents = bn._dag.parents
     while stack:
-        for parent in bn.cpts[stack.pop()].parents:
+        for parent in parents[stack.pop()]:
             if parent not in seen:
                 seen.add(parent)
                 stack.append(parent)
@@ -121,18 +123,20 @@ def _probabilities(group: Sequence[BayesNet], assignment: Assignment) -> np.ndar
     assignment, the restriction of each of its CPTs, _min_fill_order over
     what is left, and _buckets along that order, stopped with
     CapacityExceeded at the first bucket over capacity, over every agent.
-    Each restricted CPT is one factor, built from the agents' rows, with
-    the agent axis first; each bucket is one _contract call.
+    Each restricted CPT is one factor, a slice of the agents' stacked
+    row arrays, with the agent axis first; each bucket is one _contract
+    call.
     """
     n = len(group)
     if not assignment:
         return np.ones(n)  # the sure event: no CPT to read
-    cpts = group[0].cpts
+    parents, offsets = group[0]._dag.parents, group[0]._dag._offsets
+    rows = np.array([bn._rows for bn in group])  # agent on axis 0
     scopes: list[tuple[int, ...]] = []  # scopes[i]: the axes of tables[i]
     tables: list[np.ndarray] = []
     for v in _ancestral_set(group[0], assignment):
         axes, table = _cpt_factor(
-            [bn.cpts[v].rows for bn in group], v, cpts[v].parents, assignment.get(v)
+            rows[:, offsets[v]:offsets[v + 1]], v, parents[v], assignment.get(v)
         )
         restrict = tuple([int(assignment[u]) if u in assignment else _ALL for u in axes])
         scopes.append((_AGENT, *[u for u in axes if u not in assignment]))
@@ -166,8 +170,9 @@ def _weighted_product_cpts(
     weights: Sequence[float],
     structure: Dag,
     elimination_order: Sequence[int],
-) -> list[Cpt]:
-    """CPTs over structure for the geometric pool of the agents.
+) -> np.ndarray:
+    """The CPT rows over structure, in owner order as BayesNet holds
+    them, of the geometric pool of the agents.
 
     That pool is the normalized product of every agent's CPT factors,
     each raised to the agent's weight. Every weight is positive: the
@@ -184,13 +189,15 @@ def _weighted_product_cpts(
     # Log space keeps 1e-300 rows from underflowing.
     with np.errstate(divide="ignore"):
         for bn, w in zip(bns, weights):
-            for cpt in bn.cpts:
-                axes, table = _cpt_factor(cpt.rows, cpt.owner, cpt.parents)
+            offsets = bn._dag._offsets
+            for v, ps in enumerate(bn._dag.parents):
+                axes, table = _cpt_factor(bn._rows[offsets[v]:offsets[v + 1]], v, ps)
                 family = tuple(sorted(axes))  # _expand aligns sorted axes
                 table = table.transpose([axes.index(u) for u in family])
                 factors.append((family, w * np.log(table)))
     plan, _ = _buckets([family for family, _ in factors], elimination_order)
-    cpts: dict[int, Cpt] = {}
+    offsets = structure._offsets
+    out = np.empty(offsets[-1])
     for v, (bucket, rest) in zip(elimination_order, plan):
         parents = structure.parents[v]
         if sorted(parents) != list(rest):
@@ -211,13 +218,11 @@ def _weighted_product_cpts(
         p_true = np.full_like(log_mass, 0.5)
         np.exp(np.take(table, 1, axis=axis) - shift, out=p_true, where=reachable)
         # Row index bit i is parents[i], so parents[0] varies fastest.
-        rows = p_true.transpose([rest.index(p) for p in parents])
         # Each row is a share of its log-mass, exp(<= 0), or 0.5: in [0, 1].
-        cpts[v] = _trusted(
-            Cpt, owner=v, parents=parents, rows=tuple(rows.ravel(order="F").tolist())
-        )
+        rows = p_true.transpose([rest.index(p) for p in parents])
+        out[offsets[v]:offsets[v + 1]] = rows.ravel(order="F")
         factors.append((rest, log_mass))
-    return [cpts[v] for v in range(structure.m)]
+    return out
 
 
 def _blanket_conditional(

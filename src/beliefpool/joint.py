@@ -39,6 +39,7 @@ module imports this one.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from decimal import Decimal
 from dataclasses import dataclass
@@ -76,7 +77,10 @@ def _trusted(cls: type[T], **fields) -> T:
     public constructor would may call it (tests/test_imports.py lists
     the callers). Fields must be what the constructor would store, every
     field with a default included: tuples of Python ints and floats,
-    never numpy scalars, so that ==, hashing and saved text match.
+    never numpy scalars, so that ==, hashing and saved text match. The
+    one non-tuple field is BayesNet's private row array, a read-only
+    float64 array; its cpts may be an iterable of the CPTs, which
+    BayesNet stores as the tuple on the first read (networks._from_rows).
     """
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
@@ -132,7 +136,12 @@ def _check_reals(values, error: type, what: str, one: bool = False) -> np.ndarra
             return np.array(entries, dtype=np.float64)
         if all(t is not bool and issubclass(t, (Real, Decimal)) for t in types):
             try:
-                return np.array([float(x) for x in entries], dtype=np.float64)
+                floats = [float(x) for x in entries]
+                # float() reads a Decimal or a long double past the float
+                # range as an infinity, where an int raises.
+                if any(math.isinf(f) and x != f for x, f in zip(entries, floats)):
+                    raise OverflowError
+                return np.array(floats, dtype=np.float64)
             except OverflowError:
                 if one:
                     raise error(f"{what} is too large for a float") from None

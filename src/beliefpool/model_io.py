@@ -18,22 +18,29 @@ Loading and saving both work from a row-key table: for one parent
 count, every valid key. The files of one command load in one
 load_networks call (cli._load_bayes_inputs), so each table is built once
 per parent count and command; any other load, and each network_to_dict
-call, builds its own. A load compares each CPT's key set with the
-table's and reads the rows in row order through it, and network_to_dict
-writes each CPT's rows in the table's sorted key order, so no key is
-parsed, formatted or sorted per row.
+call, builds its own. A load reads each CPT's rows in row order through
+the table's getter, which must find every valid key, so a CPT of 2^k
+rows has exactly the valid keys; network_to_dict writes each CPT's rows
+in the table's sorted key order. So no key is parsed, formatted or
+sorted per row. Both work on the network's row array
+(networks.BayesNet._rows): a load reads every CPT's rows, in owner
+order, into one list that becomes that array, and a save writes each
+CPT's rows from it, so neither builds a Cpt object.
 
 Every network file takes one path (_network). First the structure
 (_structure): within one load_networks call, a file whose "variables",
 "edges" and per-CPT "parents" equal the file before it as JSON values
-takes that file's check and shares its labels, parent tuples and Dag;
+takes that file's check and shares its labels, parent tuples and Dag,
+and with the Dag the offsets of each CPT's rows in the row array;
 equality is proof enough, since each of those fields of a checked file
 is a string or a list of strings, and only an equal string compares
 equal to a string. Any other file takes the full structural check. The
 check holds the fields as parsed, not copies: nothing outside the call
 holds the dicts it parsed. Then the rows: every file's go through the
-same row reader, key-set check and value check, so a file raises the
-message and loads the network that it would alone.
+same row reader and key check, and the same value check (one check of
+the types, then one vectorized check of the range over the whole
+list), so a file raises the message and loads the network that it
+would alone.
 
 Every file's text is parsed once by orjson, and the model is built from
 its value (_load_file). A file that orjson refuses, or whose value fails
@@ -56,8 +63,9 @@ again. Each check runs over the whole file at once: the types of the
 entries and of their parent and row fields as one set of types, the
 parents resolved in one pass, acyclicity over the parent lists by Dag's
 own check, networks._acyclic, the edges against the parent lists, each
-CPT's key set against the table's, and every row value in one pass (all
-floats, between 0 and 1, no NaN). Only when one of them fails does
+CPT's keys against the table's, and every row value at once (all
+floats, then between 0 and 1 and no NaN, on the row array that the
+network keeps). Only when one of them fails does
 _check_cpts walk the entries one CPT at a time, in variable order and
 each one's rows in file order, to raise the message of the first fault;
 it builds nothing. A walk that finds no fault leaves rows that are
@@ -69,21 +77,20 @@ pool of networks generally has no compact network form.
 """
 from __future__ import annotations
 
-import itertools
 import json
-import math
 import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
+import numpy as np
 import orjson
 
 from .errors import BeliefPoolError, MalformedInstance, MismatchedVariables, ModelFormatError
 from .joint import _check_kind, _check_reals, _check_sequence, _trusted
 from .networks import (
-    BayesNet, Cpt, Dag, _acyclic, _check_labels, _check_parents, parse_probability,
+    BayesNet, Dag, _acyclic, _check_labels, _check_parents, _from_rows, parse_probability,
 )
 
 MANIFEST_KIND = "linop-manifest"
@@ -140,20 +147,20 @@ def network_to_dict(model: BayesNet, provenance: dict | None = None) -> dict:
     labels = _require_labels(model, "serializing a network")
     if provenance is not None:
         _check_kind(provenance, dict)
-    edges = sorted(
-        (labels[p], labels[c.owner]) for c in model.cpts for p in c.parents
-    )
+    parents, offsets = model._dag.parents, model._dag._offsets
+    edges = sorted((labels[p], labels[v]) for v, ps in enumerate(parents) for p in ps)
+    values = model._rows.tolist()
     tables: dict[int, list[tuple[str, int]]] = {}
     cpts = {}
-    for cpt in model.cpts:
-        k = len(cpt.parents)
+    for v, ps in enumerate(parents):
+        k = len(ps)
         table = tables.get(k) or tables.setdefault(
             k, sorted((key, r) for r, key in enumerate(_row_keys(k)))
         )
-        rows = cpt.rows
-        cpts[labels[cpt.owner]] = {
-            "parents": [labels[p] for p in cpt.parents],
-            "rows": {key: rows[r] for key, r in table},
+        start = offsets[v]
+        cpts[labels[v]] = {
+            "parents": [labels[p] for p in ps],
+            "rows": {key: values[start + r] for key, r in table},
         }
     data = {
         "kind": "bayes",
@@ -203,40 +210,44 @@ def _read_parents(entries: list, index: dict[str, int]) -> list[tuple[int, ...]]
 
 
 def _read_rows(
-    entries: list, parents: list[tuple[int, ...]], tables: dict[int, tuple]
-) -> list[tuple] | None:
-    """Each entry's row values in row order, or None when its rows are
-    not an object of 2^k rows keyed by exactly the valid keys. The
-    entries are objects; the values are not checked here."""
+    entries: list, parents: list[tuple[int, ...]], tables: dict[int, Callable]
+) -> list | None:
+    """Every entry's row values as one list, the entries in order and
+    each one's rows in row order, or None when some entry's rows are not
+    an object of 2^k rows keyed by exactly the valid keys. The entries
+    are objects; the values are not checked here. tables maps a parent
+    count to the getter of its rows in row order."""
     row_maps = [entry.get("rows") for entry in entries]
     if not _all_instances(row_maps, dict):
         return None
-    rows = []
-    for ps, row_map in zip(parents, row_maps):
-        k = len(ps)
-        if k not in tables:
-            # A table is built only for a row count that fits it: a short
-            # file can list too many parents for 2^k keys to fit in memory.
+    values: list = []
+    try:
+        for ps, row_map in zip(parents, row_maps):
+            k = len(ps)
+            # 2^k keys of which the getter finds every valid one are
+            # exactly the valid keys. A getter is built only for a row
+            # count that fits: a short file can list too many parents
+            # for 2^k keys to fit in memory.
             if len(row_map) != 1 << k:
                 return None
-            keys = _row_keys(k)
-            tables[k] = keys.keys(), operator.itemgetter(*keys)
-        keys, get = tables[k]
-        if row_map.keys() != keys:
-            return None
-        rows.append(get(row_map) if k else (row_map[""],))  # one key: no tuple
-    return rows
+            get = tables.get(k) or tables.setdefault(k, operator.itemgetter(*_row_keys(k)))
+            if k:
+                values += get(row_map)
+            else:
+                values.append(get(row_map))  # one key: the getter gives no tuple
+    except KeyError:
+        return None
+    return values
 
 
-def _floats_in_range(rows: list[tuple]) -> bool:
-    """Whether every row value is a float in [0, 1], in one pass."""
-    values = list(itertools.chain.from_iterable(rows))
-    return (
-        set(map(type, values)) == {float}
-        and 0.0 <= min(values)
-        and max(values) <= 1.0
-        and not math.isnan(sum(values))  # min and max can step over a NaN
-    )
+def _probability_rows(values: list) -> np.ndarray | None:
+    """values as a new float64 array when every one is a float in [0, 1],
+    else None: one check of the types, then one of the range, which also
+    fails on a NaN, since numpy's min and max propagate it."""
+    if set(map(type, values)) != {float}:
+        return None
+    rows = np.fromiter(values, np.float64, len(values))
+    return rows if 0.0 <= rows.min() and rows.max() <= 1.0 else None
 
 
 def _check_cpts(labels: tuple[str, ...], entries: list, index: dict[str, int]) -> None:
@@ -324,10 +335,10 @@ def _structure(previous: tuple | None, variables, edges, cpts_data) -> tuple[tup
     return (variables, edges, [e["parents"] for e in entries], labels, index, parents, dag), entries
 
 
-def _network(data, tables: dict[int, tuple], previous: tuple | None) -> tuple[BayesNet, tuple]:
+def _network(data, tables: dict[int, Callable], previous: tuple | None) -> tuple[BayesNet, tuple]:
     """The network in a parsed file and its structural check (_structure,
-    given previous). tables maps a parent count to its valid row keys and a
-    getter of the rows in row order. When the row read or the value check
+    given previous). tables maps a parent count to the getter of its rows
+    in row order (_read_rows). When the row read or the value check
     fails, _check_cpts names the first faulty entry."""
     if not isinstance(data, dict):
         raise ModelFormatError("top level must be a JSON object")
@@ -338,20 +349,17 @@ def _network(data, tables: dict[int, tuple], previous: tuple | None) -> tuple[Ba
         previous, data.get("variables"), data.get("edges"), data.get("cpts")
     )
     labels, index, parents, dag = check[3:]
-    rows = _read_rows(entries, parents, tables)
-    if rows is None or not _floats_in_range(rows):
+    values = _read_rows(entries, parents, tables)
+    rows = None if values is None else _probability_rows(values)
+    if rows is None:
         # _check_cpts raises for any faulty entry. With none, each row is
         # a number in [0, 1] and some are not floats, such as 0 or 1.
         _check_cpts(labels, entries, index)
-        rows = [tuple(map(float, r)) for r in rows]
+        rows = np.array(list(map(float, values)), dtype=np.float64)
     # Every Cpt, Dag and BayesNet check has passed: one CPT per variable
     # in owner order, known distinct labels, known parents that are
-    # distinct and not the owner, 2^k Python floats in [0, 1], no cycle.
-    cpts = tuple(
-        _trusted(Cpt, owner=owner, parents=ps, rows=r)
-        for owner, (ps, r) in enumerate(zip(parents, rows))
-    )
-    return _trusted(BayesNet, cpts=cpts, labels=labels, _dag=dag), check
+    # distinct and not the owner, 2^k floats in [0, 1], no cycle.
+    return _from_rows(dag, rows, labels), check
 
 
 def network_from_dict(data) -> BayesNet:
@@ -436,7 +444,7 @@ def load_networks(paths: Sequence[str | Path]) -> list[BayesNet]:
     sequence of paths (_check_path). The files share the row-key tables and
     a repeated structure's check (_structure); an error names its file."""
     _check_sequence(paths, "paths")
-    tables: dict[int, tuple] = {}
+    tables: dict[int, Callable] = {}
     check = None
     networks = []
     for path in paths:
@@ -544,18 +552,16 @@ def align_variables(models: Sequence[BayesNet]) -> list[BayesNet]:
         if labels == reference:
             aligned.append(model)
             continue
-        perm = {i: target[label] for i, label in enumerate(labels)}
-        # Renaming a valid network's variables keeps it valid; the CPTs
-        # are taken in their new owner order.
-        cpts = tuple(
-            _trusted(
-                Cpt,
-                owner=perm[c.owner],
-                parents=tuple(perm[p] for p in c.parents),
-                rows=c.rows,
-            )
-            for c in sorted(model.cpts, key=lambda c: perm[c.owner])
+        # perm[i] is the new index of variable i, and inverse[j] the old
+        # index of variable j. Renaming a valid network's variables keeps
+        # it valid; each CPT keeps its rows and its parent order, so the
+        # rows are gathered in their new owner order.
+        perm = [target[label] for label in labels]
+        inverse = sorted(range(len(perm)), key=perm.__getitem__)
+        parents, offsets = model._dag.parents, model._dag._offsets
+        dag = _trusted(
+            Dag, m=model.m, parents=tuple(tuple(perm[p] for p in parents[i]) for i in inverse)
         )
-        dag = _trusted(Dag, m=model.m, parents=tuple(c.parents for c in cpts))
-        aligned.append(_trusted(BayesNet, cpts=cpts, labels=reference, _dag=dag))
+        gather = [r for i in inverse for r in range(offsets[i], offsets[i + 1])]
+        aligned.append(_from_rows(dag, model._rows[gather], reference))
     return aligned

@@ -18,6 +18,16 @@ the file loader check every input. Package code that has already
 checked or computed every field (tests/test_imports.py lists it) builds
 through joint._trusted or joint._trusted_table and does not check again.
 
+A BayesNet holds its CPT rows once, as one read-only float64 array,
+_rows: every CPT's rows in owner order, node j's from its Dag's
+_offsets[j]. That array is the one representation. Every producer (the
+loader, align_variables, random_bn and both consensus fills) writes it
+and builds the network through _from_rows, and every kernel reads it:
+_probabilities, _weighted_product_cpts, bn_to_joint, blanket_layout,
+strictly_positive and network_to_dict. No Cpt object is built until
+bn.cpts is read; the constructor, given Cpt objects, fills the array
+from them.
+
 direct_by_order holds the one test that every parent set is complete
 (a perfect elimination order), which ConsensusBn uses; _acyclic is the
 one cycle check, of Dag and the loader, and _cpt_factor the one layout
@@ -181,6 +191,13 @@ class Dag:
             raise ModelFormatError("parent structure contains a directed cycle")
 
     @cached_property
+    def _offsets(self) -> tuple[int, ...]:
+        """_offsets[j] is where node j's CPT rows start in a network's row
+        array over this structure, in owner order, and _offsets[m] their
+        count; built once, and shared by every network that shares the Dag."""
+        return tuple(itertools.accumulate((1 << len(ps) for ps in self.parents), initial=0))
+
+    @cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
         """children[j] lists the nodes that have j as a parent; built once."""
         out: list[list[int]] = [[] for _ in range(self.m)]
@@ -220,13 +237,36 @@ def _check_labels(m: int, labels) -> tuple[str, ...] | None:
 BlanketCpt = tuple[tuple[float, ...], int, int, tuple[tuple[int, int], ...]]
 
 
+class _BuiltOnRead:
+    """BayesNet.cpts, a field that a trusted construction gives as an
+    iterable of the CPTs (_Cpts): its first read stores them as the
+    tuple. A data descriptor, so the read comes here even once the
+    instance holds the value; dataclass sees it as a field without a
+    default, because its read on the class raises AttributeError."""
+
+    def __get__(self, bn, owner=None):
+        if bn is None:
+            raise AttributeError("cpts")
+        cpts = bn.__dict__["cpts"]
+        if type(cpts) is not tuple:
+            cpts = bn.__dict__["cpts"] = tuple(cpts)
+        return cpts
+
+    def __set__(self, bn, cpts) -> None:
+        bn.__dict__["cpts"] = cpts
+
+
 @dataclass(frozen=True)
 class BayesNet:
-    """Bayesian network over binary variables: one CPT per node."""
+    """Bayesian network over binary variables: one CPT per node.
 
-    cpts: tuple[Cpt, ...]
+    The constructor fills the row array (the module docstring) from the
+    CPTs; a network from _from_rows builds its CPTs on the first read."""
+
+    cpts: tuple[Cpt, ...] = _BuiltOnRead()
     labels: tuple[str, ...] | None = None
     _dag: Dag = field(init=False, repr=False, compare=False)
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         try:
@@ -240,35 +280,40 @@ class BayesNet:
         owners = [c.owner for c in cpts]
         if owners != list(range(len(cpts))):
             raise ModelFormatError("need exactly one CPT per variable 0..m-1")
-        object.__setattr__(self, "labels", _check_labels(self.m, self.labels))
+        object.__setattr__(self, "labels", _check_labels(len(cpts), self.labels))
         # Validates parent ranges and acyclicity; dag() hands out this one.
         object.__setattr__(
             self, "_dag", Dag(len(cpts), tuple(c.parents for c in cpts))
         )
+        rows = np.array([r for c in cpts for r in c.rows], dtype=np.float64)
+        rows.flags.writeable = False
+        object.__setattr__(self, "_rows", rows)
 
     @cached_property
     def m(self) -> int:
         """The variable count, which every query's check reads; built once."""
-        return len(self.cpts)
+        return self._dag.m
 
     @cached_property
     def blanket_layout(self) -> tuple[tuple[BlanketCpt, ...], ...]:
         """blanket_layout[j] lays out the CPT of j and of each of its
         children, in increasing owner order: every factor that mentions j.
         j's own CPT has row bit 0. Built once."""
-        cpts = self.cpts
-        bits = [tuple([(p, 1 << i) for i, p in enumerate(c.parents)]) for c in cpts]
+        parents, offsets = self._dag.parents, self._dag._offsets
+        values = self._rows.tolist()
+        rows = [tuple(values[a:b]) for a, b in zip(offsets, offsets[1:])]
+        bits = [tuple([(p, 1 << i) for i, p in enumerate(ps)]) for ps in parents]
         layout = []
         for j, kids in enumerate(self._dag.children):
             entries = []
             for u in sorted((j, *kids)):
                 if u == j:
-                    entries.append((cpts[j].rows, j, 0, bits[j]))
+                    entries.append((rows[j], j, 0, bits[j]))
                 else:
                     entries.append((
-                        cpts[u].rows,
+                        rows[u],
                         u,
-                        1 << cpts[u].parents.index(j),
+                        1 << parents[u].index(j),
                         tuple([pair for pair in bits[u] if pair[0] != j]),
                     ))
             layout.append(tuple(entries))
@@ -281,11 +326,42 @@ class BayesNet:
         Then every full assignment, and so every event, has positive
         probability.
         """
-        return all(0.0 < r < 1.0 for cpt in self.cpts for r in cpt.rows)
+        return all(0.0 < r < 1.0 for r in self._rows.tolist())
 
     def dag(self) -> Dag:
         """The network's structure, built and validated once."""
         return self._dag
+
+    def __reduce__(self):
+        # A copy or an unpickled network is built by the constructor, so
+        # it gets its own read-only rows, even while cpts is unbuilt.
+        return BayesNet, (self.cpts, self.labels)
+
+
+class _Cpts:
+    """The CPTs over dag with these rows in owner order, as _from_rows
+    gives them to BayesNet for cpts. Each iteration builds them afresh,
+    so first reads of bn.cpts in two threads at once each get them."""
+
+    def __init__(self, dag: Dag, rows: np.ndarray) -> None:
+        self.dag, self.rows = dag, rows
+
+    def __iter__(self) -> Iterator[Cpt]:
+        values = self.rows.tolist()
+        offsets = self.dag._offsets
+        for owner, ps in enumerate(self.dag.parents):
+            row = tuple(values[offsets[owner]:offsets[owner + 1]])
+            yield _trusted(Cpt, owner=owner, parents=ps, rows=row)
+
+
+def _from_rows(dag: Dag, rows: np.ndarray, labels: tuple[str, ...] | None) -> BayesNet:
+    """The network over dag with these CPT rows and labels, which the
+    caller has checked as the constructor would: rows a new float64 array
+    of probabilities in owner order (node j's 2^|parents| rows from
+    dag._offsets[j]), which this makes read-only, and labels None or
+    what _check_labels returns. No Cpt is built until cpts is read."""
+    rows.flags.writeable = False
+    return _trusted(BayesNet, cpts=_Cpts(dag, rows), labels=labels, _dag=dag, _rows=rows)
 
 
 @dataclass(frozen=True)
@@ -326,7 +402,11 @@ def bn_to_joint(bn: BayesNet) -> JointTable:
     """Dense joint table from the network's CPT factorization."""
     _check_kind(bn, BayesNet)
     _check_variable_count(bn.m)
-    factors = [_cpt_factor(c.rows, c.owner, c.parents) for c in bn.cpts]
+    offsets = bn._dag._offsets
+    factors = [
+        _cpt_factor(bn._rows[offsets[v]:offsets[v + 1]], v, ps)
+        for v, ps in enumerate(bn._dag.parents)
+    ]
     # Every variable owns a factor, so no axis is summed out; variable j
     # on axis m - 1 - j lists the states by index in C order.
     return _trusted_table(bn.m, _contract(factors, range(bn.m - 1, -1, -1)).ravel())

@@ -31,7 +31,7 @@ from .joint import (
     _trusted,
     _trusted_table,
 )
-from .networks import BayesNet, Cpt, Dag, _cpt_factor
+from .networks import BayesNet, Dag, _cpt_factor, _from_rows
 from .pools import _check_agent_count
 
 FLOOR = 0.01
@@ -105,12 +105,9 @@ def random_bn(
         _check_kind(dag, Dag)
         if dag.m != _check_variable_count(m, capacity=None):
             raise MismatchedVariables(f"dag has {dag.m} variables, the network {m}")
-    cpts = []
-    for v, ps in enumerate(dag.parents):
-        rows = tuple(rng.uniform(LOW, HIGH, 1 << len(ps)).tolist())
-        cpts.append(_trusted(Cpt, owner=v, parents=ps, rows=rows))
-    dag = _trusted(Dag, m=len(cpts), parents=dag.parents)
-    return _trusted(BayesNet, cpts=tuple(cpts), labels=None, _dag=dag)
+    # One draw of every row in owner order draws what a draw per CPT would.
+    dag = _trusted(Dag, m=dag.m, parents=dag.parents)
+    return _from_rows(dag, rng.uniform(LOW, HIGH, dag._offsets[-1]), None)
 
 
 def random_vstructure_pair(rng: np.random.Generator) -> tuple[BayesNet, BayesNet]:

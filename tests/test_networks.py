@@ -526,7 +526,7 @@ class TestMarkovBlanket:
             assert owners == sorted((v, *net.dag().children[v]))
             for rows, owner, bit, others in layout:
                 cpt = net.cpts[owner]
-                assert rows is cpt.rows
+                assert rows == cpt.rows  # read from the row array, not the Cpt
                 # v's row bit in its child's CPT; v's own CPT has none.
                 if owner == v:
                     assert bit == 0
