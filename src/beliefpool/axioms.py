@@ -15,14 +15,26 @@ pools' kernels (pools._linop_table, pools._logop_table) read them. A
 check that raises keeps nothing and raises again. The suites check seed
 and trials first; run_axioms_suite keeps one drawn instance at a time.
 
+Every gap, event mass and conditioning that a check measures is one
+call of a stacked kernel, over tables stacked on axis 0 (k, 2**m): an
+instance's cached profile, all its agents at once, or a pooled table as
+a stack of one (_event_masses, _event_pair_gaps and _product_gaps here;
+joint._masses, joint._pairwise_gaps, joint._markov_gaps and
+joint._kept_masses). pairwise_dependence_gap and markov_dependence_gap
+are the same kernels with k = 1. Each kernel sums over a C-contiguous
+last axis only, so a table's row of a stack has the bits the table has
+alone: a fancy index on axis 1 returns a Fortran-ordered copy, whose
+row sums from 8 selected states up add in another order.
+
 State indices, of the events and of StatePairInstance's two states,
-have one check, _state_indices. Each event or variable-set field is
-read once, as a set, into a cached property, so a generator there gives
-what its frozenset gives and a state listed twice counts once.
-family_pooled_joint makes one whole-array pass per ordering position,
-for every agent and prefix context at once (_prefix_masses), and one
-joint._contract call multiplies the positions' factors onto the state
-axes.
+have one check, _state_indices; StatePairInstance's two must differ.
+Each event or variable-set field is read once, as a set, into a cached
+property, so a generator there gives what its frozenset gives and a
+state listed twice counts once. family_pooled_joint gathers every
+chain-rule row of an ordering, for every agent and prefix context, into
+one (n, 2**m - 1, 2) array (_prefix_masses), pools all rows in one
+expression, and one joint._contract call multiplies the positions'
+factors onto the state axes.
 """
 from __future__ import annotations
 
@@ -40,17 +52,17 @@ from .consensus import linop_query, logop_consensus_bn
 from .errors import DegenerateProduct, MalformedInstance, ZeroEvidence
 from .joint import (
     JointTable,
+    _check_assignment,
     _check_kind,
     _check_pair,
     _check_partition,
     _check_reals,
     _check_sequence,
     _contract,
-    _factor_product,
-    _markov_gap,
-    _mass,
-    _pairwise_gap,
-    condition,
+    _kept_masses,
+    _markov_gaps,
+    _masses,
+    _pairwise_gaps,
     conditional_probability,
     marginal,
     pairwise_dependence_gap,
@@ -111,16 +123,41 @@ def _index_arrays(*events: set[int]) -> tuple[np.ndarray, ...]:
     return tuple(np.array(sorted(event), dtype=np.intp) for event in events)
 
 
-def _event_mass(table: JointTable, event: np.ndarray) -> float:
-    """The table's mass on an event as _index_arrays returns it."""
-    return float(table.probs[event].sum())
+def _event_masses(stacked: np.ndarray, event: np.ndarray) -> np.ndarray:
+    """Each stacked table's mass on an event as _index_arrays returns it."""
+    # take copies in C order; a fancy index on axis 1 would not.
+    return np.add.reduce(stacked.take(event, axis=1), axis=1)
 
 
-def _product_gap(table: JointTable) -> float:
-    """Largest deviation from the product of single-variable marginals."""
-    p_true = [_mass(table, {j: True}) for j in range(table.m)]  # table is checked
-    expected = _factor_product(table.m, [((j,), (1.0 - p, p)) for j, p in enumerate(p_true)])
-    return float(np.abs(table.probs - expected).max())
+def _event_pair_gaps(
+    stacked: np.ndarray, a: np.ndarray, b: np.ndarray, both: np.ndarray
+) -> np.ndarray:
+    """|P(a and b) - P(a) * P(b)| under each stacked table, for events a,
+    b and a & b as _index_arrays returns them."""
+    p_a, p_b = _event_masses(stacked, a), _event_masses(stacked, b)
+    return np.abs(_event_masses(stacked, both) - p_a * p_b)
+
+
+_STACK = -1  # _contract's label of the table axis; variables are 0..m-1
+
+
+def _product_gaps(m: int, stacked: np.ndarray) -> np.ndarray:
+    """Each stacked table's largest deviation from the product of its
+    single-variable marginals."""
+    marginals = np.empty((m, len(stacked), 2))  # variable, table, (false, true)
+    for j in range(m):
+        marginals[j, :, 1] = _masses(m, stacked, {j: True})
+    marginals[..., 0] = 1.0 - marginals[..., 1]
+    factors = [((_STACK, j), marginals[j]) for j in range(m)]
+    # Variable j on axis m - j, after the table axis: C order lists the
+    # states by index. A table over no variables is its own product.
+    expected = _contract(factors, (_STACK, *range(m - 1, -1, -1)))
+    return np.maximum.reduce(np.abs(stacked - expected.reshape(-1, stacked.shape[1])), axis=1)
+
+
+def _normalized(kept: np.ndarray) -> np.ndarray:
+    """Each row of kept divided by its sum, as _trusted_table divides one table."""
+    return kept / np.add.reduce(kept, axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -151,20 +188,20 @@ class EventPoolInstance(_Agents):
     weights: tuple[float, ...] | None = None
 
     @cached_property
-    def _event_masses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _event_split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The event as _index_arrays returns it, read once (the field may
         be an iterator), and every agent's mass off it and on it."""
         n_states = self.tables[0].n_states
         event = set(_state_indices(n_states, self.event))
         event, rest = _index_arrays(event, set(range(n_states)) - event)
-        true = np.array([_event_mass(t, event) for t in self.tables])
-        return event, np.array([_event_mass(t, rest) for t in self.tables]), true
+        _, stacked = self._profile
+        return event, _event_masses(stacked, rest), _event_masses(stacked, event)
 
     def _violation(self, pool: str) -> float:
         # The pool checks the tables before the event is read against them.
         pooled = self._pooled(pool)
-        event, false, true = self._event_masses
-        joint_route = _event_mass(pooled, event)
+        event, false, true = self._event_split
+        joint_route = float(_event_masses(pooled.probs[None], event)[0])
         if pool == "linop":
             return abs(joint_route - float(self._w @ true))
         # No NaN here: the joint route has raised DegenerateProduct first.
@@ -182,24 +219,27 @@ class EvidenceInstance(_Agents):
 
     @cached_property
     def _conditioned(self) -> tuple[dict, tuple[int, np.ndarray]]:
-        """The evidence as a mapping, and the conditioned agents' profile."""
+        """The evidence as _check_assignment returns it, and the
+        conditioned agents' profile."""
         try:
             evidence = dict(self.evidence)
         except (TypeError, ValueError):
             raise MalformedInstance("evidence must be (variable, state) pairs") from None
-        return evidence, _stack([condition(t, evidence) for t in self.tables])
+        m, stacked = self._profile
+        evidence = _check_assignment(m, evidence)
+        return evidence, (m, _normalized(_kept_masses(m, stacked, evidence)))
 
     def _violation(self, pool: str) -> float:
         try:
             pooled = self._pooled(pool)
             evidence, conditioned = self._conditioned
-            pool_then_condition = condition(pooled, evidence)
+            pool_then_condition = _normalized(_kept_masses(pooled.m, pooled.probs[None], evidence))
             condition_then_pool = self._pooled(pool, conditioned)
         except ZeroEvidence as err:
             raise MalformedInstance(
                 "evidence must have positive mass for every agent"
             ) from err
-        return float(np.abs(pool_then_condition.probs - condition_then_pool.probs).max())
+        return float(np.abs(pool_then_condition[0] - condition_then_pool.probs).max())
 
 
 @dataclass(frozen=True)
@@ -227,6 +267,8 @@ class StatePairInstance(_Agents):
         if len(p) != len(q):
             raise MalformedInstance("profiles must have the same agent count")
         s, t = _state_indices(1 << min(m_p, m_q), (self.s, self.t))
+        if s == t:  # p[s] / p[s] is 1 under any pool
+            raise MalformedInstance("state-ratio invariance needs two distinct states")
         if (np.abs(p[:, [s, t]] - q[:, [s, t]]) > 1e-15).any():
             raise MalformedInstance("profiles must agree on both distinguished states")
         return s, t
@@ -240,19 +282,20 @@ class StatePairInstance(_Agents):
 
 
 class _PreservedProperty(_Agents):
-    """Hypothesis: every agent's _gap is within _TOL; violation: the pool's."""
+    """Hypothesis: every agent's gap is within _TOL; violation: the pool's.
+    _gaps(m, stacked) gives the gap of each stacked table."""
 
     _TOL = 1e-12
 
     @cached_property
     def _agents_within(self) -> bool:
-        self._profile  # checks the tables
-        return not any(self._gap(t) > self._TOL for t in self.tables)
+        return not (self._gaps(*self._profile) > self._TOL).any()
 
     def _violation(self, pool: str) -> float:
         if not self._agents_within:
             raise MalformedInstance(self._HYPOTHESIS)
-        return self._gap(self._pooled(pool))
+        pooled = self._pooled(pool)
+        return float(self._gaps(pooled.m, pooled.probs[None])[0])
 
 
 @dataclass(frozen=True)
@@ -274,10 +317,8 @@ class EventPairInstance(_PreservedProperty):
         a, b = (set(_state_indices(n_states, e)) for e in (self.event_a, self.event_b))
         return _index_arrays(a, b, a & b)
 
-    def _gap(self, t: JointTable) -> float:
-        a, b, both = self._events
-        p_a, p_b = _event_mass(t, a), _event_mass(t, b)
-        return abs(_event_mass(t, both) - p_a * p_b)
+    def _gaps(self, m: int, stacked: np.ndarray) -> np.ndarray:
+        return _event_pair_gaps(stacked, *self._events)
 
 
 @dataclass(frozen=True)
@@ -296,8 +337,8 @@ class VariablePairInstance(_PreservedProperty):
         """a and b as _check_pair returns them."""
         return _check_pair(self.tables[0].m, self.a, self.b)
 
-    def _gap(self, t: JointTable) -> float:
-        return _pairwise_gap(t, *self._pair)
+    def _gaps(self, m: int, stacked: np.ndarray) -> np.ndarray:
+        return _pairwise_gaps(m, stacked, *self._pair)
 
 
 @dataclass(frozen=True)
@@ -309,8 +350,8 @@ class ProductInstance(_PreservedProperty):
 
     _HYPOTHESIS = "every agent table must be a full product of marginals"
 
-    def _gap(self, t: JointTable) -> float:
-        return _product_gap(t)
+    def _gaps(self, m: int, stacked: np.ndarray) -> np.ndarray:
+        return _product_gaps(m, stacked)
 
 
 @dataclass(frozen=True)
@@ -332,8 +373,8 @@ class MarkovInstance(_PreservedProperty):
         once: w or x may be an iterator."""
         return _check_partition(self.tables[0].m, self.a, self.w, self.x)
 
-    def _gap(self, t: JointTable) -> float:
-        return _markov_gap(t, *self._partition)
+    def _gaps(self, m: int, stacked: np.ndarray) -> np.ndarray:
+        return _markov_gaps(m, stacked, *self._partition)
 
 
 @dataclass(frozen=True)
@@ -346,17 +387,17 @@ class FamilyInstance(_Agents):
     weights: tuple[float, ...] | None = None
 
     @cached_property
-    def _prefixes_a(self) -> list:
+    def _prefixes_a(self) -> tuple:
         return _prefix_masses(*self._profile, self.ordering_a)
 
     @cached_property
-    def _prefixes_b(self) -> list:
+    def _prefixes_b(self) -> tuple:
         return _prefix_masses(*self._profile, self.ordering_b)
 
     def _violation(self, pool: str) -> float:
         prefixes_a = self._prefixes_a
-        joint_a = _chain_rule_pool(pool, prefixes_a, self.ordering_a, self._w)
-        joint_b = _chain_rule_pool(pool, self._prefixes_b, self.ordering_b, self._w)
+        joint_a = _chain_rule_pool(pool, prefixes_a, self._w)
+        joint_b = _chain_rule_pool(pool, self._prefixes_b, self._w)
         return float(np.abs(joint_a.probs - joint_b.probs).max())
 
 
@@ -364,20 +405,26 @@ class FamilyInstance(_Agents):
 # Pooling family by family
 
 
-def _prefix_masses(m: int, stacked: np.ndarray, ordering: Sequence[int]) -> list:
-    """Per ordering position k: each agent's mass (axis 0) of (prefix
-    context, ordering[k]) and of the context, axis i + 1 being
-    ordering[i], and which contexts some agent gives zero mass."""
+def _prefix_masses(m: int, stacked: np.ndarray, ordering: Sequence[int]) -> tuple:
+    """Every chain-rule row of the ordering, in row order: the ordering,
+    each agent's (false, true) mass of the row's node in the row's
+    context (rows, shape (n, 2**m - 1, 2)), that context's mass (shape
+    (n, 2**m - 1, 1)) and which rows some agent gives zero context mass.
+    Position k's 2**k rows start at row 2**k - 1; bit i of a row's index
+    within its position is the value of ordering[i]."""
     ordering = _check_order(m, ordering)
+    n = len(stacked)
     # State index bit j sits on axis m - j of the plain reshape.
-    mass = stacked.reshape((len(stacked),) + (2,) * m)
+    mass = stacked.reshape((n,) + (2,) * m)
     mass = mass.transpose((0,) + tuple(m - v for v in ordering))
-    prefixes = []
+    rows = np.empty((n, (1 << m) - 1, 2))
     for k in range(m):
         family = mass.sum(axis=tuple(range(k + 2, m + 1)))
-        context = family.sum(axis=-1, keepdims=True)
-        prefixes.append((family, context, (context[..., 0] <= 0.0).any(axis=0)))
-    return prefixes
+        # Reversing the context axes makes C order the row order.
+        family = family.transpose((0, *range(k, 0, -1), k + 1))
+        rows[:, (1 << k) - 1 : (2 << k) - 1] = family.reshape(n, 1 << k, 2)
+    context = rows[..., :1] + rows[..., 1:]
+    return ordering, rows, context, (context[..., 0] <= 0.0).any(axis=0)
 
 
 def family_pooled_joint(
@@ -398,33 +445,35 @@ def family_pooled_joint(
     """
     check_pool_name(pool)
     prefixes = _prefix_masses(*_stack(tables), ordering)
-    return _chain_rule_pool(pool, prefixes, ordering, normalize_weights(weights, len(tables)))
+    return _chain_rule_pool(pool, prefixes, normalize_weights(weights, len(tables)))
 
 
-def _chain_rule_pool(pool: str, prefixes: list, ordering: Sequence[int], w) -> JointTable:
-    """family_pooled_joint from _prefix_masses and normalized weights w."""
-    factors = []
-    for k, (family, context, dead) in enumerate(prefixes):
-        if pool == "linop":
-            split = np.divide(family, context, out=np.zeros(family.shape), where=context > 0.0)
-            wk = w.reshape((-1,) + (1,) * (k + 1))
-            # The weights' sum, and so a row of sure nodes, may round above 1.
-            factor = np.minimum((wk * split).sum(axis=0), 1.0)
-            bad = dead
-        else:
-            factor = np.empty(family.shape[1:])
-            log_odds = _pooled_log_odds(family[..., 0], family[..., 1], w)
-            factor[..., 0], factor[..., 1] = _logistic(log_odds)
-            bad = dead | np.isnan(factor[..., 1])
-        if bad.any():
-            # Row r's bit i is ordering[i], so Fortran order is row order.
-            first = np.flatnonzero(bad.ravel(order="F"))[0]
-            if dead.ravel(order="F")[first]:
-                raise MalformedInstance("every chain-rule context must have positive mass")
-            raise DegenerateProduct("event and complement both pooled to zero mass")
-        factors.append((ordering[: k + 1], factor))
+def _chain_rule_pool(pool: str, prefixes: tuple, w) -> JointTable:
+    """family_pooled_joint from _prefix_masses and normalized weights w:
+    one pool expression over every row, then one _contract call."""
+    ordering, rows, context, dead = prefixes
+    if pool == "linop":
+        split = np.divide(rows, context, out=np.zeros(rows.shape), where=context > 0.0)
+        # The weights' sum, and so a row of sure nodes, may round above 1.
+        pooled = np.minimum((w[:, None, None] * split).sum(axis=0), 1.0)
+        bad = dead
+    else:
+        pooled = np.empty(rows.shape[1:])
+        pooled[:, 0], pooled[:, 1] = _logistic(_pooled_log_odds(rows[..., 0], rows[..., 1], w))
+        bad = dead | np.isnan(pooled[:, 1])
+    if bad.any():
+        first = np.flatnonzero(bad)[0]  # the first in chain-rule row order
+        if dead[first]:
+            raise MalformedInstance("every chain-rule context must have positive mass")
+        raise DegenerateProduct("event and complement both pooled to zero mass")
+    m = len(ordering)
+    # Position k's rows as a factor over ordering[: k + 1]: Fortran order
+    # puts row bit i, ordering[i], on axis i and the node on axis k.
+    factors = [
+        (ordering[: k + 1], pooled[(1 << k) - 1 : (2 << k) - 1].reshape((2,) * (k + 1), order="F"))
+        for k in range(m)
+    ]
     # State-index layout: variable j on axis m - 1 - j.
-    m = len(prefixes)
     return _trusted_table(m, _contract(factors, range(m - 1, -1, -1)).ravel())
 
 
@@ -509,7 +558,7 @@ def _draw_meipp(rng: np.random.Generator) -> ProductInstance:
 
 def _draw_nmeipp(rng: np.random.Generator) -> VariablePairInstance | None:
     tables = tuple(bn_to_joint(bn) for bn in random_vstructure_pair(rng))
-    if all(_product_gap(t) <= 1e-9 for t in tables):
+    if (_product_gaps(tables[0].m, np.array([t.probs for t in tables])) <= 1e-9).all():
         return None  # mutually independent sample: hypothesis not met
     return VariablePairInstance(tables, 0, 1, random_weights(rng, 2))
 

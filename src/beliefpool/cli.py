@@ -63,8 +63,9 @@ EXIT_DEGENERATE = 4
 EXIT_ZERO_EVIDENCE = 5
 EXIT_CAPACITY = 6
 
-# The most cases a check row may run. On a 2-core host, the axioms suite at
-# 10,000 trials took 19.5-26 s with a 39 MB peak, as at 1,000; the oracle suite 13.4 s.
+# The most cases a check row may run. On a 2-core host (Python 3.11, numpy 2.4),
+# the axioms suite at 10,000 trials took 13.8-14.4 s with a 39 MB peak (38 MB at
+# 1,000); the oracle suite 10.0 s.
 MAX_TRIALS = 10_000
 
 

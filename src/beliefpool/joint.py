@@ -369,12 +369,20 @@ def _block(m: int, checked: Assignment) -> tuple:
     return tuple(axes)
 
 
+def _masses(m: int, stacked: np.ndarray, checked: Assignment) -> np.ndarray:
+    """P(checked) under each of the stacked tables (k, 2**m), table on
+    axis 0, for an assignment as _check_assignment returns it; the empty
+    one gives ones."""
+    k = len(stacked)
+    view = stacked.reshape((k,) + (2,) * m)[(slice(None),) + _block(m, checked)]
+    # C order lists the block's states by increasing index, as a mask
+    # would, and each table's sum runs over a contiguous last axis.
+    return np.add.reduce(np.ascontiguousarray(view).reshape(k, -1), axis=1)
+
+
 def _mass(table: JointTable, checked: Assignment) -> float:
-    """P(checked) from the dense table, for an assignment as
-    _check_assignment returns it; the empty one gives 1.0."""
-    view = table.probs.reshape((2,) * table.m)
-    # C order lists the block's states by increasing index, as a mask would.
-    return float(view[_block(table.m, checked)].ravel().sum())
+    """_masses of one table, as a float."""
+    return float(_masses(table.m, table.probs[None], checked)[0])
 
 
 def marginal(table: JointTable, assignment: Assignment) -> float:
@@ -389,12 +397,21 @@ def marginal(table: JointTable, assignment: Assignment) -> float:
 def condition(table: JointTable, evidence: Assignment) -> JointTable:
     """Table conditioned on the evidence; inconsistent states get mass zero."""
     _check_kind(table, JointTable)
-    block = _block(table.m, _check_assignment(table.m, evidence))
-    kept = np.zeros_like(table.probs)
-    kept.reshape((2,) * table.m)[block] = table.probs.reshape((2,) * table.m)[block]
-    if kept.sum() <= 0.0:
+    checked = _check_assignment(table.m, evidence)
+    return _trusted_table(table.m, _kept_masses(table.m, table.probs[None], checked)[0])
+
+
+def _kept_masses(m: int, stacked: np.ndarray, checked: Assignment) -> np.ndarray:
+    """The stacked tables (k, 2**m) with every state inconsistent with a
+    checked assignment set to zero, unnormalized; ZeroEvidence unless
+    each table gives the assignment positive mass."""
+    k = len(stacked)
+    index = (slice(None),) + _block(m, checked)
+    kept = np.zeros_like(stacked)
+    kept.reshape((k,) + (2,) * m)[index] = stacked.reshape((k,) + (2,) * m)[index]
+    if (np.add.reduce(kept, axis=1) <= 0.0).any():
         raise ZeroEvidence("conditioning event has probability zero")
-    return _trusted_table(table.m, kept)
+    return kept
 
 
 def _conditional_ratio(
@@ -427,16 +444,17 @@ def _check_pair(m: int, a, b) -> tuple[int, int]:
     return a, b
 
 
-def _pairwise_gap(table: JointTable, a: int, b: int) -> float:
-    """pairwise_dependence_gap for a pair that _check_pair returned."""
-    p_ab = _mass(table, {a: True, b: True})
-    return abs(p_ab - _mass(table, {a: True}) * _mass(table, {b: True}))
+def _pairwise_gaps(m: int, stacked: np.ndarray, a: int, b: int) -> np.ndarray:
+    """pairwise_dependence_gap of each stacked table (k, 2**m), for a
+    pair that _check_pair returned."""
+    p_ab = _masses(m, stacked, {a: True, b: True})
+    return np.abs(p_ab - _masses(m, stacked, {a: True}) * _masses(m, stacked, {b: True}))
 
 
 def pairwise_dependence_gap(table: JointTable, a: int, b: int) -> float:
     """|P(a and b) - P(a) * P(b)| with both variables true."""
     _check_kind(table, JointTable)
-    return _pairwise_gap(table, *_check_pair(table.m, a, b))
+    return float(_pairwise_gaps(table.m, table.probs[None], *_check_pair(table.m, a, b))[0])
 
 
 def markov_dependence_gap(
@@ -449,29 +467,34 @@ def markov_dependence_gap(
     full conditional structure around a. Empty x gives a gap of zero.
     """
     _check_kind(table, JointTable)
-    return _markov_gap(table, *_check_partition(table.m, a, w, x))
+    partition = _check_partition(table.m, a, w, x)
+    return float(_markov_gaps(table.m, table.probs[None], *partition)[0])
 
 
-def _markov_gap(
-    table: JointTable, a: int, w: tuple[int, ...], x: tuple[int, ...]
-) -> float:
-    """markov_dependence_gap for a partition that _check_partition returned."""
+def _markov_gaps(
+    m: int, stacked: np.ndarray, a: int, w: tuple[int, ...], x: tuple[int, ...]
+) -> np.ndarray:
+    """markov_dependence_gap of each stacked table (k, 2**m), for a
+    partition that _check_partition returned."""
+    k = len(stacked)
     if not x:
-        return 0.0
+        return np.zeros(k)
 
-    # Axis j of the reshaped view is variable j; group axes as (a, w, x).
-    view = table.probs.reshape((2,) * table.m)
-    view = view.transpose(tuple(reversed(range(table.m))))
-    arr = view.transpose((a,) + w + x).reshape(2, 1 << len(w), 1 << len(x))
+    # Variable v sits on axis m - v of the plain reshape; group the axes
+    # as (table, a, w, x), in C order, so that every sum below runs over
+    # a contiguous last axis.
+    view = stacked.reshape((k,) + (2,) * m).transpose((0,) + tuple(m - v for v in (a, *w, *x)))
+    arr = np.ascontiguousarray(view).reshape(k, 2, 1 << len(w), 1 << len(x))
 
-    context_mass = arr.sum(axis=0)
-    true_mass = arr[1]
-    w_mass = context_mass.sum(axis=1)
-    w_true_mass = true_mass.sum(axis=1)
+    context_mass = arr[:, 0] + arr[:, 1]
+    true_mass = arr[:, 1]
+    w_mass = np.add.reduce(context_mass, axis=-1)
+    w_true_mass = np.add.reduce(true_mass, axis=-1)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         cond_wx = np.where(context_mass > 0.0, true_mass / context_mass, 0.0)
         cond_w = np.where(w_mass > 0.0, w_true_mass / w_mass, 0.0)
-    live = (context_mass > 0.0) & (w_mass > 0.0)[:, None]
-    gaps = np.abs(cond_wx - cond_w[:, None])[live]
-    return float(gaps.max()) if gaps.size else 0.0
+    live = (context_mass > 0.0) & (w_mass > 0.0)[..., None]
+    # Every gap is finite and nonnegative, so a table with no live
+    # context gets 0.0.
+    return np.maximum.reduce(np.where(live, np.abs(cond_wx - cond_w[..., None]), 0.0), axis=(1, 2))

@@ -27,6 +27,7 @@ from beliefpool import (
     MalformedInstance,
     MismatchedVariables,
     WeightCountMismatch,
+    ZeroEvidence,
     bn_to_joint,
     check_property,
     family_pooled_joint,
@@ -35,7 +36,16 @@ from beliefpool import (
     marginal,
 )
 from beliefpool import axioms
-from beliefpool.joint import pairwise_dependence_gap
+from beliefpool.joint import (
+    _factor_product,
+    _kept_masses,
+    _markov_gaps,
+    _masses,
+    _pairwise_gaps,
+    condition,
+    markov_dependence_gap,
+    pairwise_dependence_gap,
+)
 from beliefpool.pools import normalize_weights
 from beliefpool.axioms import (
     EXAMPLE_IDS,
@@ -237,7 +247,8 @@ class TestCheckProperty:
         # State indices outside the m=2 table must not wrap or escape as
         # IndexError.
         tables = (dependent, dependent)
-        for s, t in ((-1, 0), (0, -1), (9, 0), (0, 4)):
+        # Nor may s equal t, whose ratio p[s] / p[t] is 1 under any pool.
+        for s, t in ((-1, 0), (0, -1), (9, 0), (0, 4), (1, 1)):
             with pytest.raises(MalformedInstance):
                 check_property(LOGOP, "pds", [StatePairInstance(tables, tables, s, t)])
 
@@ -615,6 +626,83 @@ class TestStackedInputs:
             assert np.array_equal(got.probs, want.probs)
 
 
+def bits(values):
+    """The bytes of values as float64, so that 0.0 and -0.0 differ."""
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestStackedKernels:
+    """Each stacked kernel gives every table of a stack the bits that the
+    public single-table function, or a one-table reference, gives it
+    alone: every sum runs over a contiguous last axis."""
+
+    @given(
+        k=st.integers(min_value=1, max_value=4),
+        m=st.integers(min_value=1, max_value=5),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_row_matches_its_table_alone(self, k, m, data):
+        entry = st.sampled_from((0.0, 1e-300, 1e-12, 0.3, 0.5, 1.0)) | st.floats(0.0, 1.0)
+        tables = [
+            JointTable(m, np.array(data.draw(
+                st.lists(entry, min_size=1 << m, max_size=1 << m)
+                .filter(lambda xs: sum(xs) > 0.0)
+            )))
+            for _ in range(k)
+        ]
+        stacked = np.array([t.probs for t in tables])
+        n_states = 1 << m
+        state_sets = st.sets(st.integers(0, n_states - 1))
+        a_event, b_event = data.draw(state_sets), data.draw(state_sets)
+        # All states but the first: 15 or 31 of them at m = 4 or 5, where
+        # a fancy index's Fortran-ordered copy sums in another order.
+        events = [np.array(sorted(e), dtype=np.intp) for e in (
+            a_event, b_event, a_event & b_event, range(1, n_states)
+        )]
+        for event in events:
+            masses = axioms._event_masses(stacked, event)
+            assert [bits(x) for x in masses] == [bits(t.probs[event].sum()) for t in tables]
+        gaps = axioms._event_pair_gaps(stacked, *events[:3])
+        for t, gap in zip(tables, gaps):
+            p_a, p_b, p_ab = (t.probs[e].sum() for e in events[:3])
+            assert bits(gap) == bits(abs(p_ab - p_a * p_b))
+
+        assignment = {
+            int(v): bool(x) for v, x in data.draw(st.dictionaries(
+                st.integers(0, m - 1), st.booleans()
+            )).items()
+        }
+        masses = _masses(m, stacked, assignment)
+        assert [bits(x) for x in masses] == [bits(marginal(t, assignment)) for t in tables]
+        if all(marginal(t, assignment) > 0.0 for t in tables):
+            kept = _kept_masses(m, stacked, assignment)
+            normalized = kept / np.add.reduce(kept, axis=1, keepdims=True)
+            for t, row in zip(tables, normalized):
+                assert bits(row) == bits(condition(t, assignment).probs)
+
+        for t, gap in zip(tables, axioms._product_gaps(m, stacked)):
+            p_true = [marginal(t, {j: True}) for j in range(m)]
+            expected = _factor_product(m, [((j,), (1.0 - p, p)) for j, p in enumerate(p_true)])
+            assert bits(gap) == bits(np.abs(t.probs - expected).max())
+        if m < 2:
+            return
+        a, b = data.draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+        gaps = _pairwise_gaps(m, stacked, a, b)
+        assert [bits(g) for g in gaps] == [bits(pairwise_dependence_gap(t, a, b)) for t in tables]
+        order = data.draw(st.permutations(range(m)))
+        cut = data.draw(st.integers(1, m))
+        w, x = tuple(sorted(order[1:cut])), tuple(sorted(order[cut:]))
+        gaps = _markov_gaps(m, stacked, order[0], w, x)
+        expected = [markov_dependence_gap(t, order[0], w, x) for t in tables]
+        assert [bits(g) for g in gaps] == [bits(e) for e in expected]
+
+    def test_kept_masses_raise_when_any_table_gives_evidence_no_mass(self):
+        stacked = np.array([[0.25] * 4, [0.5, 0.5, 0.0, 0.0]])
+        with pytest.raises(ZeroEvidence):
+            _kept_masses(2, stacked, {1: True})
+
+
 class TestWorkedFixtures:
     def test_fixture_agents(self):
         a, b = independent_pair_agents()
@@ -698,9 +786,9 @@ class TestReportSuites:
         assert lines == AXIOMS_SEED0_TRIALS5
 
     def test_agent_side_work_runs_once_per_instance(self, monkeypatch):
-        # The linop and logop rows check the same instances: each agent
-        # table meets its dependence gap or its conditioning once, not
-        # once per pool.
+        # The linop and logop rows check the same instances: each
+        # instance's stacked agent tables meet their dependence-gap or
+        # conditioning kernel once, in one call, not once per pool.
         drawn = []
         rows = {}
         for prop, (kind, draw, *expected) in axioms._PROPERTIES.items():
@@ -710,23 +798,27 @@ class TestReportSuites:
             rows[prop] = (kind, recording_draw, *expected)
         monkeypatch.setattr(axioms, "_PROPERTIES", rows)
         spied = {
-            "_markov_gap": MarkovInstance,
-            "_pairwise_gap": VariablePairInstance,
-            "condition": EvidenceInstance,
+            "_markov_gaps": MarkovInstance,
+            "_pairwise_gaps": VariablePairInstance,
+            "_product_gaps": ProductInstance,
+            "_event_pair_gaps": EventPairInstance,
+            "_kept_masses": EvidenceInstance,
         }
         calls = {name: [] for name in spied}
         for name in spied:
-            def spy(table, *args, real=getattr(axioms, name), seen=calls[name]):
-                seen.append(table)
-                return real(table, *args)
+            def spy(*args, real=getattr(axioms, name), seen=calls[name]):
+                seen.append(args)
+                return real(*args)
             monkeypatch.setattr(axioms, name, spy)
         lines, ok = run_axioms_suite(seed=0, trials=5)
         assert ok and lines == AXIOMS_SEED0_TRIALS5
         for name, kind in spied.items():
-            agent_tables = [t for inst in drawn if isinstance(inst, kind) for t in inst.tables]
-            assert len(agent_tables) >= 10
-            for table in agent_tables:
-                assert sum(seen is table for seen in calls[name]) == 1, name
+            profiles = [inst._profile[1] for inst in drawn if isinstance(inst, kind)]
+            assert len(profiles) >= 5
+            for stacked in profiles:
+                assert len(stacked) >= 2
+                met = sum(any(arg is stacked for arg in args) for args in calls[name])
+                assert met == 1, name
 
     def test_axioms_suite_holds_one_drawn_instance_at_a_time(self, monkeypatch):
         # Each instance is checked under both pools as it is drawn and then

@@ -21,11 +21,13 @@ def test_selftest_writes_a_record_of_the_schema(tmp_path, capsys):
 
 
 def test_schema_errors_name_each_fault():
-    data = record.layers_record(1, record.TINY)
+    data = record.layers_record(1, record.TINY, 1)
     assert record.schema_errors(data) == []
     data["layers"]["linop_query"] = {"best_s": 2.0, "median_s": 1.0}
     del data["host"]["numpy"]
+    data["axioms_trials"] = 0
     assert record.schema_errors(data) == [
         "host lacks numpy",
+        "axioms_trials must be a positive integer",
         "linop_query: need 0 < best_s <= median_s, got {'best_s': 2.0, 'median_s': 1.0}",
     ]

@@ -16,7 +16,10 @@ layers times, in this process and on fixed seeds, the layers that a
 - save_consensus: one save of the query-route consensus of the m=30
   agents, network_to_dict plus json_text, without the write;
 - linop_query: one linop_query on the m=120 agents, with fixed weights,
-  a one-variable event and three evidence variables.
+  a one-variable event and three evidence variables;
+- axioms_suite: one run_axioms_suite at AXIOMS_TRIALS trials, as a
+  `check --suite axioms` request runs it, on seeds 0, 1, 2, ... in turn
+  (the warm-up run takes seed 0).
 
 Each layer runs REPEATS times after one untimed warm-up run; the
 record keeps the best and the median time in seconds. The agent files
@@ -25,12 +28,14 @@ every checkout is timed on the same bytes. The record names its host
 (python, numpy, orjson, nproc) and the git rev of the timed checkout,
 with "dirty" set when that tree has uncommitted changes.
 
---selftest runs every layer at tiny sizes, checks the record's schema,
+--selftest runs every layer at tiny sizes (the axioms suite at one
+trial), checks the record's schema,
 prints "ok" and writes nothing unless --out is given.
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -43,13 +48,14 @@ from pathlib import Path
 
 import numpy as np
 
-SCHEMA = "beliefpool-layers/1"
+SCHEMA = "beliefpool-layers/2"
 REPEATS = 25
+AXIOMS_TRIALS = 20  # the check command's default
 LOW, HIGH = 0.05, 0.95
 # (m, edge probability) of the two agent groups, as in query-mix.
 SIZES = {"m120": (120, 0.02), "m30": (30, 0.05)}
 TINY = {"m120": (8, 0.3), "m30": (6, 0.4)}
-LAYERS = ("load_m120", "load_m30", "save_consensus", "linop_query")
+LAYERS = ("load_m120", "load_m30", "save_consensus", "linop_query", "axioms_suite")
 HOST_FIELDS = ("python", "numpy", "orjson", "nproc", "machine")
 
 
@@ -121,10 +127,12 @@ def checkout_rev(package_dir: Path) -> dict:
     return {"rev": rev, "dirty": None if rev is None or status is None else bool(status)}
 
 
-def layers_record(repeats: int, sizes: dict) -> dict:
-    """The layers mode's record: host, checkout and per-layer times."""
+def layers_record(repeats: int, sizes: dict, trials: int) -> dict:
+    """The layers mode's record: host, checkout and per-layer times, the
+    axioms suite's at the given trials."""
     import beliefpool
     import orjson
+    from beliefpool.axioms import run_axioms_suite
     from beliefpool.consensus import linop_query, logop_consensus_bn
     from beliefpool.model_io import json_text, load_networks, network_to_dict
 
@@ -141,6 +149,7 @@ def layers_record(repeats: int, sizes: dict) -> dict:
         evidence = {v: bool(rng.integers(0, 2)) for v in picked[1:]}
         weights = [0.2, 0.3, 0.5]
         consensus = logop_consensus_bn(load_networks(files["m30"])).bn
+        seeds = itertools.count()
         layers = {
             "load_m120": timed(lambda: load_networks(files["m120"]), repeats),
             "load_m30": timed(lambda: load_networks(files["m30"]), repeats),
@@ -150,6 +159,7 @@ def layers_record(repeats: int, sizes: dict) -> dict:
             "linop_query": timed(
                 lambda: linop_query(agents, event, evidence, weights), repeats
             ),
+            "axioms_suite": timed(lambda: run_axioms_suite(next(seeds), trials), repeats),
         }
     host = {
         "python": platform.python_version(),
@@ -164,6 +174,7 @@ def layers_record(repeats: int, sizes: dict) -> dict:
         "checkout": checkout_rev(Path(beliefpool.__file__).resolve().parent),
         "repeats": repeats,
         "sizes": {name: {"m": m, "edge_prob": p} for name, (m, p) in sizes.items()},
+        "axioms_trials": trials,
         "layers": layers,
     }
 
@@ -177,8 +188,9 @@ def schema_errors(record: dict) -> list[str]:
     errors += [f"host lacks {key}" for key in HOST_FIELDS if key not in host]
     checkout = record.get("checkout", {})
     errors += [f"checkout lacks {key}" for key in ("rev", "dirty") if key not in checkout]
-    if not isinstance(record.get("repeats"), int) or record["repeats"] < 1:
-        errors.append("repeats must be a positive integer")
+    for key in ("repeats", "axioms_trials"):
+        if not isinstance(record.get(key), int) or record[key] < 1:
+            errors.append(f"{key} must be a positive integer")
     layers = record.get("layers", {})
     if tuple(layers) != LAYERS:
         errors.append(f"layers are {list(layers)}, not {list(LAYERS)}")
@@ -192,16 +204,16 @@ def schema_errors(record: dict) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     modes = parser.add_subparsers(dest="mode", required=True)
-    layers = modes.add_parser("layers", help="time the load, save and query layers")
+    layers = modes.add_parser("layers", help="time the load, save, query and axioms layers")
     layers.add_argument("--out", type=Path, help="the BENCH_*.json file to write")
     layers.add_argument("--selftest", action="store_true", help="tiny sizes; check the schema")
     args = parser.parse_args(argv)
     if args.selftest:
-        record = layers_record(2, TINY)
+        record = layers_record(2, TINY, 1)
     elif args.out is None:
         parser.error("layers needs --out, or --selftest")
     else:
-        record = layers_record(REPEATS, SIZES)
+        record = layers_record(REPEATS, SIZES, AXIOMS_TRIALS)
     errors = schema_errors(record)
     if errors:
         print("\n".join(errors), file=sys.stderr)
