@@ -66,10 +66,11 @@ from .errors import (
     CapacityExceeded, DegenerateCpt, MalformedInstance, MismatchedVariables, NotChordal,
     ZeroEvidence,
 )
-from .inference import _probabilities, _weighted_product_cpts, query_conditional
+from .inference import (
+    _linear_conditional, _probabilities, _weighted_product_cpts, query_conditional,
+)
 from .joint import (
-    MAX_DENSE_VARIABLES, _Checked, _check_kind, _check_query, _conditional_ratio,
-    _shared_variable_count, _trusted,
+    MAX_DENSE_VARIABLES, _Checked, _check_kind, _check_query, _shared_variable_count, _trusted,
 )
 from .networks import (
     BayesNet,
@@ -445,22 +446,18 @@ def linop_query(
     conditional is the ratio of weighted sums of per-agent event
     probabilities; no pooled model is ever constructed. Agents of
     weight 0 add nothing to either sum, so they are never queried. The
-    other agents are grouped by DAG, and each assignment is planned once
-    per group: one elimination serves every agent of the group, and the
-    pool is one dot product with the weights. Event and evidence must
-    assign disjoint variables; each is checked once, whatever the number
-    of agents.
+    other agents are grouped by DAG, and one elimination per group, with
+    one plan, gives every agent of the group log P(event and evidence)
+    and log P(evidence); the pool weighs both, shifted by the largest
+    log P(evidence). Event and evidence must assign disjoint variables;
+    each is checked once, whatever the number of agents.
     """
     _, bns, w = _pooled_agents(bns, weights)
     event, evidence = _check_query(bns[0].m, event, evidence)
     groups: dict[Dag, list[int]] = {}
     for i, bn in enumerate(bns):
         groups.setdefault(bn.dag(), []).append(i)
-
-    def pooled(assignment):
-        p = np.empty(len(bns))
-        for positions in groups.values():
-            p[positions] = _probabilities([bns[i] for i in positions], assignment)
-        return float(w @ p)
-
-    return _conditional_ratio(pooled, event, evidence)
+    logs = np.empty((2, len(bns)))
+    for positions in groups.values():
+        logs[:, positions] = _probabilities([bns[i] for i in positions], evidence, event)
+    return _linear_conditional(logs, w)

@@ -2,24 +2,28 @@
 
 Queries never materialize the full joint table, so they stay usable on
 networks too large for dense enumeration as long as the induced factor
-widths stay small. Elimination has one kernel, _probabilities: it
-computes P(assignment) under every network of a group that shares one
-DAG, with one plan for the group. It restricts the CPTs of the
-assignment's ancestral set (every other CPT is barren and sums to one,
-so a zero-probability event stays exactly zero), builds each restricted
-CPT once for the group, by networks._cpt_factor from the agents' stacked
-rows (their row arrays, stacked once per call and sliced per CPT), with
-an agent axis, and sums out every variable left along
+widths stay small. Elimination has one kernel, _probabilities: one pass
+gives log P(target and evidence) and log P(evidence) under every network
+of a group that shares one DAG, with one plan for the group. It
+restricts the CPTs of the ancestral set by the evidence (every other CPT
+is barren and sums to one, so a zero-probability event stays exactly
+zero), builds each restricted CPT once for the group, by
+networks._cpt_factor from the agents' stacked rows (their row arrays,
+stacked once per call and sliced per CPT), with an agent axis, gives
+each target variable an indicator over a lane axis (lane 0 keeps its
+value, lane 1 sums it out), and sums out every variable left along
 _min_fill_order, one joint._contract call per bucket, as _buckets plans
 them (for _weighted_product_cpts' pass too). As in bucket elimination,
 _buckets files each factor once, under its first variable in the
 order, and each bucket's product under the first variable it has left,
 so no bucket scans the live factors; every bucket's scope is known
-before the first _contract call. At the first bucket over
-2**MAX_DENSE_VARIABLES entries, times the agents, min-fill stops with
-CapacityExceeded, before any _contract call. The single-network queries
-call it with a group of one, and consensus.linop_query with each group
-of agents that share a DAG.
+before the first _contract call. The factors left over no variable, one
+per connected component, add up in log space, so a long product of
+evidence cannot underflow. At the first bucket over
+2**MAX_DENSE_VARIABLES entries, times the agents and its lanes, min-fill
+stops with CapacityExceeded, before any _contract call. The
+single-network queries call it with a group of one, and
+consensus.linop_query with each group of agents that share a DAG.
 A conditional takes one of two routes:
 
 - A single-target conditional on a strictly positive network (every
@@ -32,12 +36,10 @@ A conditional takes one of two routes:
   evidence it reads is exactly the node's Markov blanket, so it gates
   itself: a missing blanket variable sends the query to elimination.
   Each consensus CPT row asks this query of every agent.
-- Every other conditional is P(target and evidence) / P(evidence) by
-  joint._conditional_ratio, the rule conditional_probability and
-  linop_query follow too. ZeroEvidence is raised unless P(evidence),
-  computed first, is positive. Near a sure event the ratio can exceed 1
-  by one rounding unit, more when P(evidence) is subnormal; it is not
-  clamped.
+- Every other conditional is one _probabilities call per group: its
+  lanes are the pair of joint._conditional_ratio, ZeroEvidence unless
+  P(evidence) is positive. Lane 0 sums lane 1's products, some set to
+  0, in the same order, so no answer exceeds 1.
 
 Each public query checks its network's kind and each mapping it takes
 once, with joint's checks; the kernels (_probabilities,
@@ -47,7 +49,6 @@ consensus builder has checked) are private and read them unchecked.
 from __future__ import annotations
 
 import itertools
-from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -82,6 +83,7 @@ def _ancestral_set(bn: BayesNet, variables: Iterable[int]) -> list[int]:
 
 
 _AGENT = -1  # _contract's label of the agent axis; variables are 0..m-1
+_LANE = -2  # and of the lane axis: lane 0 P(target and evidence), lane 1 P(evidence)
 _ALL = slice(None)  # the index that keeps an axis whole
 
 
@@ -115,42 +117,47 @@ def _buckets(
     return plan, buckets[none]
 
 
-def _probabilities(group: Sequence[BayesNet], assignment: Assignment) -> np.ndarray:
-    """P(assignment) under each network of group, which share one DAG,
-    for an assignment as _check_assignment returns it.
+def _probabilities(
+    group: Sequence[BayesNet], evidence: Assignment, target: Assignment
+) -> np.ndarray:
+    """log P(target and evidence), row 0, and log P(evidence), row 1,
+    under each network of group, which share one DAG, for a target and
+    evidence as _check_query returns them. Without evidence the target
+    restricts the CPTs, with no lane axis, and row 1 is 0.
 
-    One plan serves the whole group: the ancestral set of the
-    assignment, the restriction of each of its CPTs, _min_fill_order over
-    what is left, and _buckets along that order, stopped with
-    CapacityExceeded at the first bucket over capacity, over every agent.
-    Each restricted CPT is one factor, a slice of the agents' stacked
-    row arrays, with the agent axis first; each bucket is one _contract
-    call.
+    One plan serves the whole group: the ancestral set, its CPTs
+    restricted, one indicator over (_LANE, v) per target variable v,
+    _min_fill_order over what is left, stopped with CapacityExceeded at
+    the first bucket over capacity, over every agent and any lane, and
+    _buckets along that order; each restricted CPT is one factor, a slice
+    of the agents' stacked row arrays, and each bucket one _contract call.
     """
     n = len(group)
-    if not assignment:
-        return np.ones(n)  # the sure event: no CPT to read
+    restrict, lanes = (evidence, target) if evidence else (target, {})
     parents, offsets = group[0]._dag.parents, group[0]._dag._offsets
     rows = np.array([bn._rows for bn in group])  # agent on axis 0
     scopes: list[tuple[int, ...]] = []  # scopes[i]: the axes of tables[i]
     tables: list[np.ndarray] = []
-    for v in _ancestral_set(group[0], assignment):
+    for v in _ancestral_set(group[0], [*evidence, *target]):
         axes, table = _cpt_factor(
-            rows[:, offsets[v]:offsets[v + 1]], v, parents[v], assignment.get(v)
+            rows[:, offsets[v]:offsets[v + 1]], v, parents[v], restrict.get(v)
         )
-        restrict = tuple([int(assignment[u]) if u in assignment else _ALL for u in axes])
-        scopes.append((_AGENT, *[u for u in axes if u not in assignment]))
-        tables.append(table[(_ALL,) + restrict])
+        index = tuple([int(restrict[u]) if u in restrict else _ALL for u in axes])
+        scopes.append((_AGENT, *[u for u in axes if u not in restrict]))
+        tables.append(table[(_ALL,) + index])
+    scopes += [(_LANE, v) for v in lanes]  # like _AGENT, never in the planner's graph
+    tables += [np.array([[1.0 - x, x], [1.0, 1.0]]) for x in lanes.values()]
     adj: dict[int, set[int]] = {v: set() for variables in scopes for v in variables[1:]}
     for variables in scopes:
         for u, w in itertools.combinations(variables[1:], 2):
             adj[u].add(w)
             adj[w].add(u)
-    order = []
+    order, laned = [], set(lanes)  # laned: the variables whose bucket holds _LANE
     for v, nbrs in _min_fill_order(adj):
-        width = len(nbrs) + 1  # v's bucket: v, its neighbors now, the agent axis
-        if n << width > 1 << MAX_DENSE_VARIABLES:
-            size = f"2^{width}" if n == 1 else f"{n} agents x 2^{width}"
+        width, lane = len(nbrs) + 1, v in laned  # v and its neighbors now; lane or not
+        laned.update(nbrs if lane else ())  # they share the factor v's bucket leaves
+        if n << lane << width > 1 << MAX_DENSE_VARIABLES:
+            size = f"{n} agents x " * (n > 1) + "2 lanes x " * lane + f"2^{width}"
             name = group[0].labels[v] if group[0].labels else v
             raise CapacityExceeded(
                 f"the query's elimination is over the capacity of "
@@ -162,7 +169,17 @@ def _probabilities(group: Sequence[BayesNet], assignment: Assignment) -> np.ndar
     for bucket, rest in plan:
         tables.append(_contract([(scopes[i], tables[i]) for i in bucket], rest))
         scopes.append(rest)
-    return _contract([(scopes[i], tables[i]) for i in leftover], (_AGENT,))
+    logs = np.zeros((2, n))  # each leftover's scope is (_AGENT,) or (_LANE, _AGENT)
+    with np.errstate(divide="ignore"):  # log 0 is -inf
+        logs[: 1 + bool(evidence)] += sum(np.log(tables[i]) for i in leftover)
+    return logs
+
+
+def _linear_conditional(logs: np.ndarray, w: np.ndarray) -> float:
+    """P(target | evidence) under the linear pool, weights w, of agents with
+    these _probabilities logs, shifted by the largest log P(evidence)."""
+    with np.errstate(invalid="ignore"):  # every P(evidence) 0: NaN, as the rule rejects
+        return _conditional_ratio(*np.add.reduce(np.exp(logs - logs[1].max()) * w, axis=1))
 
 
 def _weighted_product_cpts(
@@ -262,15 +279,10 @@ def _blanket_conditional(
     return (a1 if x else a0) / total
 
 
-def _probability(bn: BayesNet, assignment: Assignment) -> float:
-    """P(assignment) on one network: the kernel on a group of one."""
-    return float(_probabilities((bn,), assignment)[0])
-
-
 def query_event_marginal(bn: BayesNet, event: Assignment) -> float:
     """Probability that every variable in event takes its given value."""
     _check_kind(bn, BayesNet)
-    return _probability(bn, _check_assignment(bn.m, event))
+    return float(np.exp(_probabilities((bn,), {}, _check_assignment(bn.m, event))[0, 0]))
 
 
 def query_conditional(
@@ -291,4 +303,4 @@ def query_conditional(
             return _blanket_conditional(bn, v, x, given)
         except KeyError:  # evidence misses part of v's blanket
             pass
-    return _conditional_ratio(partial(_probability, bn), wanted, given)
+    return _linear_conditional(_probabilities((bn,), given, wanted), np.ones(1))

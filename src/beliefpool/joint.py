@@ -12,8 +12,8 @@ is a checked entry point; a kernel, as _contract and _factor_product
 here, checks nothing and is private.
 
 Every conditional, dense, by elimination or under the arithmetic pool,
-is _conditional_ratio over that route's mass function: _mass here,
-inference._probabilities on networks.
+is _conditional_ratio over (P(target and evidence), P(evidence)), summed
+in one order, the first with the states off the target 0 (as lanes there).
 
 Each model is validated once, where it enters: the JointTable
 constructor checks every input. Each input rule has one function:
@@ -43,10 +43,9 @@ import math
 from collections.abc import Sequence
 from decimal import Decimal
 from dataclasses import dataclass
-from functools import partial
 from numbers import Integral, Real
 from operator import index
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Iterable, Mapping, TypeVar
 
 import numpy as np
 
@@ -414,16 +413,13 @@ def _kept_masses(m: int, stacked: np.ndarray, checked: Assignment) -> np.ndarray
     return kept
 
 
-def _conditional_ratio(
-    mass: Callable[[Assignment], float], target: Assignment, evidence: Assignment
-) -> float:
-    """The one conditional rule: P(target | evidence) as mass(target and
-    evidence) / mass(evidence), for checked, disjoint target and evidence.
-    mass(evidence) comes first; ZeroEvidence unless it is positive."""
-    p_evidence = mass(evidence)
-    if p_evidence <= 0.0:
+def _conditional_ratio(joint: float, evidence: float) -> float:
+    """The one conditional rule: P(target | evidence) as joint / evidence,
+    for the pair (P(target and evidence), P(evidence)), or that pair scaled
+    alike; ZeroEvidence unless P(evidence) is positive (NaN is not)."""
+    if not evidence > 0.0:
         raise ZeroEvidence("conditioning event has probability zero")
-    return mass({**evidence, **target}) / p_evidence
+    return float(joint / evidence)
 
 
 def conditional_probability(
@@ -432,7 +428,11 @@ def conditional_probability(
     """P(target | evidence) from the dense table, over disjoint variables."""
     _check_kind(table, JointTable)
     target, evidence = _check_query(table.m, target, evidence)
-    return _conditional_ratio(partial(_mass, table), target, evidence)
+    m, probs = table.m, table.probs
+    lanes = np.stack([np.zeros_like(probs), probs])  # lane 0: the target's states only
+    index = _block(m, target)
+    lanes[0].reshape((2,) * m)[index] = probs.reshape((2,) * m)[index]
+    return _conditional_ratio(*_masses(m, lanes, evidence))
 
 
 def _check_pair(m: int, a, b) -> tuple[int, int]:

@@ -1015,22 +1015,26 @@ class TestLinopQuery:
             with pytest.raises(ZeroEvidence):
                 linop_query(agents, event, evidence, w)
             return
-        assert linop_query(agents, event, evidence, w) == pytest.approx(want, abs=1e-12)
+        got = linop_query(agents, event, evidence, w)
+        assert got == pytest.approx(want, abs=1e-12) and got <= 1.0
 
-    def test_one_plan_per_assignment_and_dag(self):
+    def test_one_plan_per_dag(self):
         rng = np.random.default_rng(3)
         shared = random_common_structure_bns(rng, 6, 3)
         other = random_common_structure_bns(rng, 6, 2)
         assert shared[0].dag() != other[0].dag()
         event, evidence = {0: True}, {5: False}
-        for agents, plans in ((shared, 2), (shared + other, 4), (other + shared[:1], 4)):
+        for agents, plans in ((shared, 1), (shared + other, 2), (other + shared[:1], 2)):
             with mock.patch.object(
                 inference, "_min_fill_order", wraps=inference._min_fill_order
-            ) as order:
+            ) as order, mock.patch.object(
+                consensus, "_probabilities", wraps=inference._probabilities
+            ) as kernel:
                 got = linop_query(agents, event, evidence)
-            # One plan per assignment (the evidence, then event and
-            # evidence) and per distinct DAG, whatever the agent count.
-            assert order.call_count == plans
+            # One plan and one kernel call per distinct DAG, whatever the
+            # agent count: the evidence and the event share the pass.
+            assert order.call_count == kernel.call_count == plans
+            assert all(call.args[1:] == (evidence, event) for call in kernel.call_args_list)
             dense = linop([bn_to_joint(a) for a in agents])
             want = conditional_probability(dense, event, evidence)
             assert got == pytest.approx(want, abs=1e-12)

@@ -235,6 +235,29 @@ class TestConditionalProbability:
         with pytest.raises(ZeroEvidence):
             conditional_probability(table, {0: True}, {1: True})
 
+    def test_nearly_sure_target_is_at_most_one(self):
+        # Variable 0 is false only in state 2, of mass 1e-17 in 1.6. Summed
+        # over their own blocks, P(target) came out one rounding unit above
+        # P(evidence), the total, and the answer was 1.0000000000000002.
+        table = JointTable(3, (0.0, 0.3, 1e-17, 0.7, 0.0, 0.3, 0.0, 0.3))
+        assert conditional_probability(table, {0: True}) == 1.0
+
+    @given(m=st.integers(min_value=1, max_value=8), data=st.data())
+    @settings(max_examples=300)
+    def test_never_above_one(self, m, data):
+        entries = st.sampled_from((0.0, 1e-300, 1e-17, 0.1, 0.3, 0.7))
+        probs = data.draw(st.lists(entries, min_size=2**m, max_size=2**m).filter(any))
+        order = data.draw(st.permutations(range(m)))
+        k = data.draw(st.integers(min_value=1, max_value=m))
+        bits = data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
+        target = {v: bits[v] for v in order[:k]}
+        evidence = {v: bits[v] for v in order[k:]}
+        try:
+            got = conditional_probability(JointTable(m, probs), target, evidence)
+        except ZeroEvidence:
+            return
+        assert 0.0 <= got <= 1.0
+
 
 class TestPairwiseIndependence:
     def test_product_table_has_zero_gap(self):

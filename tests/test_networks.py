@@ -512,7 +512,7 @@ class TestMarkovBlanket:
                 inference, "_probabilities", wraps=inference._probabilities
             ) as kernel:
                 got = query_conditional(net, {v: True}, evidence)
-            assert kernel.call_count == (0 if closed_form else 2)
+            assert kernel.call_count == (0 if closed_form else 1)
             want = conditional_probability(dense, {v: True}, dict(evidence))
             assert got == pytest.approx(want, abs=1e-12)
 
