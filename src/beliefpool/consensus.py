@@ -447,17 +447,19 @@ def linop_query(
     probabilities; no pooled model is ever constructed. Agents of
     weight 0 add nothing to either sum, so they are never queried. The
     other agents are grouped by DAG, and one elimination per group, with
-    one plan, gives every agent of the group log P(event and evidence)
-    and log P(evidence); the pool weighs both, shifted by the largest
-    log P(evidence). Event and evidence must assign disjoint variables;
-    each is checked once, whatever the number of agents.
+    one plan, gives every agent of the group P(event and evidence) and
+    P(evidence) as mantissas and exponents; the pool weighs both, scaled
+    alike by the largest P(evidence)'s power of two. Event and evidence
+    must assign disjoint variables; each is checked once, whatever the
+    number of agents.
     """
     _, bns, w = _pooled_agents(bns, weights)
     event, evidence = _check_query(bns[0].m, event, evidence)
     groups: dict[Dag, list[int]] = {}
     for i, bn in enumerate(bns):
         groups.setdefault(bn.dag(), []).append(i)
-    logs = np.empty((2, len(bns)))
+    mantissas, exponents = np.empty((2, len(bns))), np.empty((2, len(bns)), dtype=int)
     for positions in groups.values():
-        logs[:, positions] = _probabilities([bns[i] for i in positions], evidence, event)
-    return _linear_conditional(logs, w)
+        group = [bns[i] for i in positions]
+        mantissas[:, positions], exponents[:, positions] = _probabilities(group, evidence, event)
+    return _linear_conditional(mantissas, exponents, w)

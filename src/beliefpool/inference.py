@@ -3,28 +3,27 @@
 Queries never materialize the full joint table, so they stay usable on
 networks too large for dense enumeration as long as the induced factor
 widths stay small. Elimination has one kernel, _probabilities: one pass
-gives log P(target and evidence) and log P(evidence) under every network
-of a group that shares one DAG, with one plan for the group. It
-restricts the CPTs of the ancestral set by the evidence (every other CPT
-is barren and sums to one, so a zero-probability event stays exactly
-zero), builds each restricted CPT once for the group, by
-networks._cpt_factor from the agents' stacked rows (their row arrays,
-stacked once per call and sliced per CPT), with an agent axis, gives
-each target variable an indicator over a lane axis (lane 0 keeps its
-value, lane 1 sums it out), and sums out every variable left along
-_min_fill_order, one joint._contract call per bucket, as _buckets plans
-them (for _weighted_product_cpts' pass too). As in bucket elimination,
-_buckets files each factor once, under its first variable in the
-order, and each bucket's product under the first variable it has left,
-so no bucket scans the live factors; every bucket's scope is known
-before the first _contract call. The factors left over no variable, one
-per connected component, add up in log space, so a long product of
-evidence cannot underflow. At the first bucket over
-2**MAX_DENSE_VARIABLES entries, times the agents and its lanes, min-fill
-stops with CapacityExceeded, before any _contract call. The
-single-network queries call it with a group of one, and
-consensus.linop_query with each group of agents that share a DAG.
-A conditional takes one of two routes:
+gives P(target and evidence) and P(evidence) under every network of a
+group that shares one DAG, with one plan for the group. It restricts
+the CPTs of the ancestral set (every other CPT is barren and sums to
+one, so a zero-probability event stays exactly zero) by the evidence
+and by each target variable outside the evidence's ancestral set, whose
+CPT is ones on the lane of P(evidence); each other target variable gets
+an indicator over that lane axis. It builds each restricted CPT once for
+the group, by networks._cpt_factor from the agents' stacked rows, with
+an agent axis, and sums out every variable left along _min_fill_order,
+one joint._contract call per bucket, as _buckets plans them (for
+_weighted_product_cpts' pass too). As in bucket elimination, _buckets
+files each factor once, under its first variable in the order, and
+each bucket's product under the first variable it has left, so every
+bucket's scope is known before the first _contract call. The factors
+left over no variable, one per connected component, multiply as
+mantissas and a sum of exponents, so a long product of evidence cannot
+underflow. At the first bucket over 2**MAX_DENSE_VARIABLES entries,
+times the agents and its lanes, min-fill stops with CapacityExceeded,
+before any _contract call. The single-network queries call it with a
+group of one, and consensus.linop_query with each group of agents that
+share a DAG. A conditional takes one of two routes:
 
 - A single-target conditional on a strictly positive network (every
   CPT row inside (0, 1)) first tries the closed form: only the node's
@@ -38,8 +37,8 @@ A conditional takes one of two routes:
   Each consensus CPT row asks this query of every agent.
 - Every other conditional is one _probabilities call per group: its
   lanes are the pair of joint._conditional_ratio, ZeroEvidence unless
-  P(evidence) is positive. Lane 0 sums lane 1's products, some set to
-  0, in the same order, so no answer exceeds 1.
+  P(evidence) is positive. Lane 0 sums lane 1's products, some factors
+  lowered (to 0, or 1 to a CPT entry) in one order: no answer exceeds 1.
 
 Each public query checks its network's kind and each mapping it takes
 once, with joint's checks; the kernels (_probabilities,
@@ -119,21 +118,16 @@ def _buckets(
 
 def _probabilities(
     group: Sequence[BayesNet], evidence: Assignment, target: Assignment
-) -> np.ndarray:
-    """log P(target and evidence), row 0, and log P(evidence), row 1,
-    under each network of group, which share one DAG, for a target and
-    evidence as _check_query returns them. Without evidence the target
-    restricts the CPTs, with no lane axis, and row 1 is 0.
-
-    One plan serves the whole group: the ancestral set, its CPTs
-    restricted, one indicator over (_LANE, v) per target variable v,
-    _min_fill_order over what is left, stopped with CapacityExceeded at
-    the first bucket over capacity, over every agent and any lane, and
-    _buckets along that order; each restricted CPT is one factor, a slice
-    of the agents' stacked row arrays, and each bucket one _contract call.
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """P(target and evidence), row 0, and P(evidence), row 1, as np.frexp's
+    (mantissas, exponents), under each network of group, which share one
+    DAG, for a target and evidence as _check_query returns them; without
+    evidence there is no lane axis and row 1 is 1. One plan serves the
+    group, as the module docstring describes."""
     n = len(group)
-    restrict, lanes = (evidence, target) if evidence else (target, {})
+    inner = set(_ancestral_set(group[0], evidence))
+    lanes = {v: x for v, x in target.items() if v in inner}  # free, with an indicator
+    restrict = {**evidence, **{v: x for v, x in target.items() if v not in lanes}}
     parents, offsets = group[0]._dag.parents, group[0]._dag._offsets
     rows = np.array([bn._rows for bn in group])  # agent on axis 0
     scopes: list[tuple[int, ...]] = []  # scopes[i]: the axes of tables[i]
@@ -142,19 +136,20 @@ def _probabilities(
         axes, table = _cpt_factor(
             rows[:, offsets[v]:offsets[v + 1]], v, parents[v], restrict.get(v)
         )
-        index = tuple([int(restrict[u]) if u in restrict else _ALL for u in axes])
-        scopes.append((_AGENT, *[u for u in axes if u not in restrict]))
-        tables.append(table[(_ALL,) + index])
-    scopes += [(_LANE, v) for v in lanes]  # like _AGENT, never in the planner's graph
+        lane = (_LANE,) * bool(evidence and v in target and v not in lanes)
+        scopes.append((*lane, _AGENT, *[u for u in axes if u not in restrict]))
+        table = table[(_ALL,) + tuple([int(restrict[u]) if u in restrict else _ALL for u in axes])]
+        tables.append(np.stack([table, np.ones_like(table)]) if lane else table)
+    scopes += [(_LANE, v) for v in lanes]
     tables += [np.array([[1.0 - x, x], [1.0, 1.0]]) for x in lanes.values()]
-    adj: dict[int, set[int]] = {v: set() for variables in scopes for v in variables[1:]}
-    for variables in scopes:
-        for u, w in itertools.combinations(variables[1:], 2):
+    adj: dict[int, set[int]] = {v: set() for s in scopes for v in s if v >= 0}
+    for variables in scopes:  # labels below 0 join no adjacency
+        for u, w in itertools.combinations([u for u in variables if u >= 0], 2):
             adj[u].add(w)
             adj[w].add(u)
-    order, laned = [], set(lanes)  # laned: the variables whose bucket holds _LANE
+    order, laned = [], {v for s in scopes if s[0] == _LANE for v in s if v >= 0}
     for v, nbrs in _min_fill_order(adj):
-        width, lane = len(nbrs) + 1, v in laned  # v and its neighbors now; lane or not
+        width, lane = len(nbrs) + 1, v in laned  # v and its neighbors now; _LANE in its bucket
         laned.update(nbrs if lane else ())  # they share the factor v's bucket leaves
         if n << lane << width > 1 << MAX_DENSE_VARIABLES:
             size = f"{n} agents x " * (n > 1) + "2 lanes x " * lane + f"2^{width}"
@@ -169,17 +164,20 @@ def _probabilities(
     for bucket, rest in plan:
         tables.append(_contract([(scopes[i], tables[i]) for i in bucket], rest))
         scopes.append(rest)
-    logs = np.zeros((2, n))  # each leftover's scope is (_AGENT,) or (_LANE, _AGENT)
-    with np.errstate(divide="ignore"):  # log 0 is -inf
-        logs[: 1 + bool(evidence)] += sum(np.log(tables[i]) for i in leftover)
-    return logs
+    mantissas, exponents = np.frexp(np.ones((2, n)))  # 1 is 0.5 * 2**1
+    k = 1 + bool(evidence)  # the rows the leftovers multiply; without evidence, row 0
+    for i in leftover:  # each over (_AGENT,) or (_LANE, _AGENT); rescaled, none underflows
+        x, e = np.frexp(tables[i])
+        mantissas[:k], scale = np.frexp(mantissas[:k] * x)
+        exponents[:k] += e + scale
+    return mantissas, exponents
 
 
-def _linear_conditional(logs: np.ndarray, w: np.ndarray) -> float:
+def _linear_conditional(mantissas: np.ndarray, exponents: np.ndarray, w: np.ndarray) -> float:
     """P(target | evidence) under the linear pool, weights w, of agents with
-    these _probabilities logs, shifted by the largest log P(evidence)."""
-    with np.errstate(invalid="ignore"):  # every P(evidence) 0: NaN, as the rule rejects
-        return _conditional_ratio(*np.add.reduce(np.exp(logs - logs[1].max()) * w, axis=1))
+    these _probabilities, scaled alike by the largest P(evidence)'s 2**exponent."""
+    shift = max(exponents[1][mantissas[1] > 0], default=0)
+    return _conditional_ratio(*np.add.reduce(np.ldexp(mantissas, exponents - shift) * w, axis=1))
 
 
 def _weighted_product_cpts(
@@ -282,7 +280,7 @@ def _blanket_conditional(
 def query_event_marginal(bn: BayesNet, event: Assignment) -> float:
     """Probability that every variable in event takes its given value."""
     _check_kind(bn, BayesNet)
-    return float(np.exp(_probabilities((bn,), {}, _check_assignment(bn.m, event))[0, 0]))
+    return float(np.ldexp(*_probabilities((bn,), {}, _check_assignment(bn.m, event)))[0, 0])
 
 
 def query_conditional(
@@ -303,4 +301,4 @@ def query_conditional(
             return _blanket_conditional(bn, v, x, given)
         except KeyError:  # evidence misses part of v's blanket
             pass
-    return _linear_conditional(_probabilities((bn,), given, wanted), np.ones(1))
+    return _linear_conditional(*_probabilities((bn,), given, wanted), np.ones(1))

@@ -379,18 +379,13 @@ def _masses(m: int, stacked: np.ndarray, checked: Assignment) -> np.ndarray:
     return np.add.reduce(np.ascontiguousarray(view).reshape(k, -1), axis=1)
 
 
-def _mass(table: JointTable, checked: Assignment) -> float:
-    """_masses of one table, as a float."""
-    return float(_masses(table.m, table.probs[None], checked)[0])
-
-
 def marginal(table: JointTable, assignment: Assignment) -> float:
     """Probability that every assigned variable takes its given value.
 
     An empty assignment is the sure event and returns 1.0.
     """
     _check_kind(table, JointTable)
-    return _mass(table, _check_assignment(table.m, assignment))
+    return float(_masses(table.m, table.probs[None], _check_assignment(table.m, assignment))[0])
 
 
 def condition(table: JointTable, evidence: Assignment) -> JointTable:
@@ -400,14 +395,20 @@ def condition(table: JointTable, evidence: Assignment) -> JointTable:
     return _trusted_table(table.m, _kept_masses(table.m, table.probs[None], checked)[0])
 
 
-def _kept_masses(m: int, stacked: np.ndarray, checked: Assignment) -> np.ndarray:
+def _kept(m: int, stacked: np.ndarray, checked: Assignment) -> np.ndarray:
     """The stacked tables (k, 2**m) with every state inconsistent with a
-    checked assignment set to zero, unnormalized; ZeroEvidence unless
-    each table gives the assignment positive mass."""
+    checked assignment set to zero."""
     k = len(stacked)
     index = (slice(None),) + _block(m, checked)
     kept = np.zeros_like(stacked)
     kept.reshape((k,) + (2,) * m)[index] = stacked.reshape((k,) + (2,) * m)[index]
+    return kept
+
+
+def _kept_masses(m: int, stacked: np.ndarray, checked: Assignment) -> np.ndarray:
+    """_kept, unnormalized; ZeroEvidence unless each table gives the
+    assignment positive mass."""
+    kept = _kept(m, stacked, checked)
     if (np.add.reduce(kept, axis=1) <= 0.0).any():
         raise ZeroEvidence("conditioning event has probability zero")
     return kept
@@ -416,8 +417,8 @@ def _kept_masses(m: int, stacked: np.ndarray, checked: Assignment) -> np.ndarray
 def _conditional_ratio(joint: float, evidence: float) -> float:
     """The one conditional rule: P(target | evidence) as joint / evidence,
     for the pair (P(target and evidence), P(evidence)), or that pair scaled
-    alike; ZeroEvidence unless P(evidence) is positive (NaN is not)."""
-    if not evidence > 0.0:
+    alike; ZeroEvidence unless P(evidence) is positive."""
+    if evidence <= 0.0:
         raise ZeroEvidence("conditioning event has probability zero")
     return float(joint / evidence)
 
@@ -429,10 +430,10 @@ def conditional_probability(
     _check_kind(table, JointTable)
     target, evidence = _check_query(table.m, target, evidence)
     m, probs = table.m, table.probs
-    lanes = np.stack([np.zeros_like(probs), probs])  # lane 0: the target's states only
-    index = _block(m, target)
-    lanes[0].reshape((2,) * m)[index] = probs.reshape((2,) * m)[index]
-    return _conditional_ratio(*_masses(m, lanes, evidence))
+    rest = [j for j in range(m) if j not in evidence]  # the evidence block's variables
+    block = np.ascontiguousarray(probs.reshape((2,) * m)[_block(m, evidence)]).reshape(1, -1)
+    kept = _kept(len(rest), block, {i: target[j] for i, j in enumerate(rest) if j in target})
+    return _conditional_ratio(*[np.add.reduce(t, axis=1)[0] for t in (kept, block)])
 
 
 def _check_pair(m: int, a, b) -> tuple[int, int]:

@@ -681,8 +681,8 @@ class TestConditionalRule:
         ):
             got, calls = self.kernel_calls(net, target, evidence)
             assert calls == [(evidence, target)]
-            log_joint, log_evidence = inference._probabilities((net,), evidence, target)[:, 0]
-            assert got == np.exp(log_joint - log_evidence)
+            both, given = np.ldexp(*inference._probabilities((net,), evidence, target))[:, 0]
+            assert got == both / given
             want = conditional_probability(bn_to_joint(net), target, evidence)
             assert got == pytest.approx(want, abs=1e-15)
 
@@ -698,21 +698,25 @@ class TestConditionalRule:
 
     def test_lanes_are_the_two_event_marginals(self):
         # Lane 0 restricts by evidence and target, lane 1 by the evidence:
-        # the logs of the two marginals, each eliminated alone.
+        # the two marginals, each eliminated alone. Targets 4 and 5 lie
+        # outside the evidence's ancestral set, so they restrict too.
         for net, target, evidence in (
             (COLLIDER, {2: True, 4: True}, {0: True, 1: False, 3: True}),
             (COLLIDER, {5: False}, {}),
             (COLLIDER, {}, {3: True, 5: False}),
+            (COLLIDER, {0: True, 5: False}, {3: True}),
             (ZERO_ANCESTOR, {2: True}, {0: True}),
         ):
-            logs = inference._probabilities((net, net), evidence, target)
-            assert logs.shape == (2, 2) and np.array_equal(logs[:, 0], logs[:, 1])
-            with np.errstate(divide="ignore"):
-                want = np.log([
-                    query_event_marginal(net, {**evidence, **target}),
-                    query_event_marginal(net, evidence),
-                ])
-            np.testing.assert_allclose(logs[:, 0], want, rtol=1e-14)
+            mantissas, exponents = inference._probabilities((net, net), evidence, target)
+            assert mantissas.shape == exponents.shape == (2, 2)
+            assert np.all((mantissas == 0) | ((0.5 <= mantissas) & (mantissas < 1)))
+            lanes = np.ldexp(mantissas, exponents)
+            assert np.array_equal(lanes[:, 0], lanes[:, 1])
+            want = [
+                query_event_marginal(net, {**evidence, **target}),
+                query_event_marginal(net, evidence),
+            ]
+            np.testing.assert_allclose(lanes[:, 0], want, rtol=1e-14)
 
     @given(seed=st.integers(min_value=0, max_value=100_000))
     @settings(max_examples=60, deadline=None)
@@ -736,9 +740,9 @@ class TestConditionalRule:
             tracemalloc.stop()
         assert peak < 1 << 20
         want = query_event_marginal(net, {**target, 39: False})
-        assert got == pytest.approx(want / query_event_marginal(net, {39: False}), rel=1e-14)
-        log_joint, log_evidence = inference._probabilities((net,), {39: False}, target)[:, 0]
-        assert got == np.exp(log_joint - log_evidence)
+        assert got == want / query_event_marginal(net, {39: False})
+        both, given = np.ldexp(*inference._probabilities((net,), {39: False}, target))[:, 0]
+        assert got == both / given
 
     def test_many_literals_match_joint(self):
         net = random_bn(np.random.default_rng(0), 16, edge_prob=0.1, max_parents=2)
@@ -787,8 +791,8 @@ def chain_forward(bn, evidence, t):
 class TestLongEvidence:
     """A thousand evidence literals on a chain split its restricted CPTs
     into a thousand components. Each agent's P(evidence), about 2^-1000,
-    underflows as one product; as a sum of the components' logs, the
-    conditional keeps its value."""
+    underflows as one product; as the components' mantissas and a sum of
+    their exponents, the conditional keeps its value."""
 
     def test_query_conditional(self):
         agents, evidence, target = long_evidence()
@@ -1125,13 +1129,14 @@ class TestCapacity:
 
     def test_far_corner_of_a_wide_grid_raises_before_contracting(self):
         grid = grid_bn(26)
-        # Evidence on variable 0 leaves the corner a variable, in one
-        # elimination: the conditional plans as many variables as the
-        # marginal, and the bucket over capacity holds no lane axis.
-        for query, args in (
-            (query_event_marginal, (grid, {self.CORNER: True})),
-            (query_conditional, (grid, {self.CORNER: True}, {0: False})),
-            (linop_query, ([grid], {self.CORNER: True})),
+        # The corner lies outside the ancestral set of the evidence on
+        # variable 0, so the conditional restricts both, plans one
+        # variable fewer than the marginal, and holds the lane axis only
+        # in the corner's CPT and what its buckets leave.
+        for query, args, step, total in (
+            (query_event_marginal, (grid, {self.CORNER: True}), 500, 675),
+            (query_conditional, (grid, {self.CORNER: True}, {0: False}), 499, 674),
+            (linop_query, ([grid], {self.CORNER: True}), 500, 675),
         ):
             with mock.patch.object(
                 inference, "_contract", side_effect=contract_per_agent_only
@@ -1141,15 +1146,35 @@ class TestCapacity:
             # One elimination per query, stopped before its first bucket.
             stub.assert_not_called()
             assert str(exc.value) == (
-                "the query's elimination is over the capacity of 2^24 entries at "
-                "bucket 500 of 675: variable 165's bucket needs 25 variables, 2^25 entries"
+                f"the query's elimination is over the capacity of 2^24 entries at "
+                f"bucket {step} of {total}: variable 165's bucket needs 25 variables, "
+                f"2^25 entries"
             )
+
+    @pytest.mark.parametrize("side", [15, 26])
+    def test_targets_outside_the_evidence_ancestors_plan_nothing(self, side):
+        # Every grid variable but the root is a target, none an ancestor
+        # of the evidence on the root: each CPT is restricted, nothing is
+        # left to sum out, and the answer is the product of the targets'
+        # CPT entries, at side 26 too, whose corner alone is over capacity.
+        grid = grid_bn(side)
+        target = {v: True for v in range(1, side * side)}
+        want = 1.0
+        for cpt in grid.cpts[1:]:
+            want *= cpt.rows[sum(1 << i for i, p in enumerate(cpt.parents) if p in target)]
+        with mock.patch.object(inference, "_contract", side_effect=contract_per_agent_only):
+            got = query_conditional(grid, target, {0: False})
+            pooled = linop_query([grid] * 4, target, {0: False})
+        assert 0.0 < want
+        assert got == pytest.approx(want, rel=1e-12)
+        assert pooled == pytest.approx(want, rel=1e-12)
 
     def test_lanes_multiply_only_their_buckets(self):
         # With the corner as evidence, 4 agents fill the widest bucket, of
-        # 22 variables, to 2^24 entries. A target next to the corner puts
-        # both lanes in that bucket, over the capacity; a target apart
-        # from the grid keeps the lane axis out of it.
+        # 22 variables, to 2^24 entries. A target next to the corner, one
+        # of its ancestors, puts both lanes in that bucket, over the
+        # capacity, where two eliminations would each fit; a target apart
+        # from the grid is restricted and keeps the lane axis out of it.
         net = BayesNet(grid_bn(15).cpts + (Cpt(225, (), (0.3,)),))
         corner = {15 * 15 - 1: True}
         with mock.patch.object(inference, "_contract", side_effect=contract_per_agent_only):

@@ -1,6 +1,7 @@
 """Dense joint-table behavior: construction, indexing, conditioning,
 and the two independence gap measures."""
 
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -241,6 +242,19 @@ class TestConditionalProbability:
         # P(evidence), the total, and the answer was 1.0000000000000002.
         table = JointTable(3, (0.0, 0.3, 1e-17, 0.7, 0.0, 0.3, 0.0, 0.3))
         assert conditional_probability(table, {0: True}) == 1.0
+
+    def test_holds_two_evidence_blocks_at_most(self):
+        # Evidence on variable 19 of 20 leaves a block of 2^19 states, 4 MiB:
+        # the answer reads that block and a copy with the target applied.
+        table = JointTable(20, np.full(1 << 20, 2.0**-20))
+        tracemalloc.start()
+        try:
+            got = conditional_probability(table, {0: True, 5: False}, {19: False})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == 0.25
+        assert peak < (2 << 22) + (1 << 16)
 
     @given(m=st.integers(min_value=1, max_value=8), data=st.data())
     @settings(max_examples=300)
