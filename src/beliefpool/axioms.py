@@ -39,11 +39,9 @@ factors onto the state axes.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
 from sys import float_info
 
 import numpy as np
@@ -53,6 +51,7 @@ from .errors import DegenerateProduct, MalformedInstance, ZeroEvidence
 from .joint import (
     JointTable,
     _check_assignment,
+    _check_integers,
     _check_kind,
     _check_pair,
     _check_partition,
@@ -105,13 +104,10 @@ class _Agents:
         return (_linop_table if pool == "linop" else _logop_table)(m, stacked, self._w)
 
 
-def _state_indices(n_states: int, states) -> list[int]:
+def _state_indices(n_states: int, states) -> tuple[int, ...]:
     """states as Python ints, in their order: the one check of state
-    indices, MalformedInstance unless each is an integer in range."""
-    try:
-        indices = list(map(operator.index, states))
-    except TypeError:
-        raise MalformedInstance(f"state indices must be integers, got {states!r}") from None
+    indices, MalformedInstance unless each is an integer (_check_integers) in range."""
+    indices = _check_integers(states, MalformedInstance, "state index")
     if indices and not (0 <= min(indices) and max(indices) < n_states):
         bad = min(indices) if min(indices) < 0 else max(indices)
         raise MalformedInstance(f"state index {bad} out of range")
@@ -864,12 +860,16 @@ def logop_mp_break_witness() -> tuple[EventPoolInstance, float]:
 # Deterministic report suites (used by the CLI check command)
 
 
-def _check_run(seed, trials) -> None:
-    """The one check of a suite's arguments: MalformedInstance unless
-    seed >= 0 and trials >= 1 are integers, a bool being neither."""
+def _check_run(seed, trials) -> tuple[int, int]:
+    """seed and trials as Python ints: the one check of a suite's arguments,
+    MalformedInstance unless integers (_check_integers), seed >= 0, trials >= 1."""
+    checked = []
     for name, value, least in (("seed", seed, 0), ("trials", trials, 1)):
-        if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-            raise MalformedInstance(f"{name} must be an integer >= {least}, got {value!r}")
+        (value,) = _check_integers((value,), MalformedInstance, name)
+        if value < least:
+            raise MalformedInstance(f"{name} must be >= {least}, got {value}")
+        checked.append(value)
+    return tuple(checked)
 
 
 def run_axioms_suite(seed: int = 0, trials: int = 20) -> tuple[tuple[str, ...], bool]:
@@ -878,7 +878,7 @@ def run_axioms_suite(seed: int = 0, trials: int = 20) -> tuple[tuple[str, ...], 
     Returns deterministic report lines and whether every row matched
     its expected outcome. Raises MalformedInstance as _check_run does.
     """
-    _check_run(seed, trials)
+    seed, trials = _check_run(seed, trials)
     lines: list[str] = []
     all_ok = True
     for prop, (_, draw, *expected) in _PROPERTIES.items():
@@ -934,7 +934,7 @@ def run_examples_suite() -> tuple[tuple[str, ...], bool]:
 def run_oracle_suite(seed: int = 0, trials: int = 25) -> tuple[tuple[str, ...], bool]:
     """Structured consensus and pooled queries versus dense recomputation.
     Raises MalformedInstance as _check_run does."""
-    _check_run(seed, trials)
+    seed, trials = _check_run(seed, trials)
     rng = np.random.default_rng(seed)
     max_consensus_err = 0.0
     max_query_err = 0.0

@@ -56,7 +56,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -70,7 +69,8 @@ from .inference import (
     _linear_conditional, _probabilities, _weighted_product_cpts, query_conditional,
 )
 from .joint import (
-    MAX_DENSE_VARIABLES, _Checked, _check_kind, _check_query, _shared_variable_count, _trusted,
+    MAX_DENSE_VARIABLES, _Checked, _check_integers, _check_kind, _check_query,
+    _shared_variable_count, _trusted,
 )
 from .networks import (
     BayesNet,
@@ -93,7 +93,7 @@ class ConsensusBn:
     agent_queries counts the per-agent inference calls issued while
     filling in CPTs, a row's failed all-true attempt included; the
     dense_oracle route issues none; it must be a nonnegative integer
-    other than a bool (MalformedInstance) and is kept as a Python int.
+    (joint._check_integers; MalformedInstance), kept as a Python int.
     Zero-weight agents shape neither the structure nor any CPT, so they
     are never asked. direct_by_order must orient bn's skeleton along
     elimination_order into bn's own parent sets, so bn is decomposable;
@@ -107,14 +107,9 @@ class ConsensusBn:
 
     def __post_init__(self) -> None:
         _check_kind(self.bn, BayesNet)
-        try:
-            queries = operator.index(self.agent_queries)
-        except TypeError:
-            queries = -1
-        if queries < 0 or isinstance(self.agent_queries, bool):
-            raise MalformedInstance(
-                f"agent_queries must be a nonnegative integer, got {self.agent_queries!r}"
-            )
+        (queries,) = _check_integers((self.agent_queries,), MalformedInstance, "agent_queries")
+        if queries < 0:
+            raise MalformedInstance(f"agent_queries must be nonnegative, got {queries}")
         object.__setattr__(self, "agent_queries", queries)
         dag = self.bn.dag()
         oriented = direct_by_order(

@@ -17,14 +17,15 @@ in one order, the first with the states off the target 0 (as lanes there).
 
 Each model is validated once, where it enters: the JointTable
 constructor checks every input. Each input rule has one function:
-_check_variable_count for a count (the Python int that JointTable, the
-samplers, Dag and MarkovNet store), _check_reals for every real-valued
-input (table entries, CPT rows, weights, tol, edge_prob), _check_kind
-for a model's or a property instance's kind, _check_sequence for a list
-of models or instances, _check_variables for variable indices and
-_check_partition for markov_dependence_gap's and the samplers' a, w, x;
-tests/test_imports.py (RULES) holds each rule's messages to its one
-function.
+_check_integers for every integer input (counts, indices, orders, seeds;
+a bool is none), _check_variable_count for a count (the Python int that
+JointTable, the samplers, Dag and MarkovNet store), _check_reals for
+every real-valued input (table entries, CPT rows, weights, tol,
+edge_prob), _check_kind for a model's or a property instance's kind,
+_check_sequence for a list of models or instances, _check_variables for
+variable indices and _check_partition for markov_dependence_gap's and
+the samplers' a, w, x; tests/test_imports.py (RULES) holds each rule's
+messages to its one function.
 Each query is checked once, where it enters: every public query checks
 each mapping once (_check_assignment: keys by _check_variables, states
 bools, 0 or 1; _check_query adds that target and evidence are disjoint)
@@ -86,14 +87,37 @@ def _trusted(cls: type[T], **fields) -> T:
     return obj
 
 
-def _check_variable_count(m, capacity: int | None = MAX_DENSE_VARIABLES) -> int:
-    """The one check of a variable count m: m as a Python int;
-    ModelFormatError unless a nonnegative integer, CapacityExceeded above
-    capacity (None, which Dag and MarkovNet pass, for no limit)."""
+def _check_integers(values, error: type, what: str) -> tuple[int, ...]:
+    """The one integer rule: values, an iterable read once, as a tuple of
+    Python ints. An integer has __index__ (a Python or numpy int, an IntEnum)
+    and is no bool, Python or numpy: error(f"{what} {x!r} is not an integer")
+    names the first x that is not, error(f"{what} list ... is not a collection
+    of integers") a non-iterable. One value x is passed as (x,)."""
     try:
-        count = index(m)
+        checked = tuple(values)
     except TypeError:
-        raise ModelFormatError(f"variable count {m!r} is not an integer") from None
+        raise error(f"{what} list {values!r} is not a collection of integers") from None
+    for x in checked:
+        if type(x) is not int:
+            break
+    else:  # Python ints only, the common case
+        return checked
+    ints = []
+    for x in checked:
+        try:
+            if isinstance(x, (bool, np.bool_)):  # numpy 1.x gives np.bool_ an __index__
+                raise TypeError
+            ints.append(index(x))
+        except TypeError:  # no __index__, or one that fails, as an array's does
+            raise error(f"{what} {x!r} is not an integer") from None
+    return tuple(ints)
+
+
+def _check_variable_count(m, capacity: int | None = MAX_DENSE_VARIABLES) -> int:
+    """The one check of a variable count m: m as a Python int; ModelFormatError
+    unless a nonnegative integer (_check_integers), CapacityExceeded above
+    capacity (None, which Dag and MarkovNet pass, for no limit)."""
+    (count,) = _check_integers((m,), ModelFormatError, "variable count")
     if count < 0:
         raise ModelFormatError(f"variable count must be nonnegative, got {count}")
     if capacity is not None and count > capacity:
@@ -320,12 +344,8 @@ def _check_assignment(m: int, assignment: Assignment) -> Assignment:
 
 def _check_variables(m: int, variables: Iterable) -> tuple[int, ...]:
     """The variables of a collection as Python ints: the one check of variable
-    indices, UnknownVariable unless each is an integer (numpy's too) in range(0, m)."""
-    try:
-        checked = tuple(map(index, variables))
-    except TypeError:
-        got = ", ".join(map(repr, variables)) if isinstance(variables, Iterable) else variables
-        raise UnknownVariable(f"variables must be integers, got {got}") from None
+    indices, UnknownVariable unless integers (_check_integers) in range(0, m)."""
+    checked = _check_integers(variables, UnknownVariable, "variable")
     if checked and not (0 <= min(checked) and max(checked) < m):
         v = min(checked) if min(checked) < 0 else max(checked)
         raise UnknownVariable(f"variable {v} outside range(0, {m})")

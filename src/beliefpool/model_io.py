@@ -464,14 +464,13 @@ def load_model_file(path: str | Path) -> BayesNet | LinopManifest:
     return _load_file(path, _model)
 
 
-def _dumps(value, what: str) -> str:
-    """json.dumps(value, indent=2); MalformedInstance, naming what, when
-    json cannot encode value (a type it does not know, a circular
-    reference, nesting too deep)."""
+def _dumps(data: dict) -> str:
+    """json.dumps(data, indent=2) + "\\n"; MalformedInstance when json cannot
+    encode a value (a type it does not know, a circular reference, deep nesting)."""
     try:
-        return json.dumps(value, indent=2)
+        return json.dumps(data, indent=2) + "\n"
     except (TypeError, ValueError, RecursionError) as err:
-        raise MalformedInstance(f"{what} is not JSON-encodable: {err}") from None
+        raise MalformedInstance(f"document is not JSON-encodable: {err}") from None
 
 
 # json.dumps(value) without the spaces after separators, by json's C
@@ -489,26 +488,18 @@ def json_text(data: dict) -> str:
     rule. Otherwise, for a value that either cannot encode or that they
     write differently (a float below 1e-4 or from 1e16 up, NaN, an
     infinity, a non-ASCII character or DEL, an integer from 2^64 up, a
-    numpy scalar), each field goes through json.dumps re-indented, and a
-    value json cannot encode is a MalformedInstance naming its field.
+    numpy scalar), json.dumps writes the whole document, and a value json
+    cannot encode is a MalformedInstance ("document is not JSON-encodable").
     """
     _check_kind(data, dict)
     if not _all_instances(list(data), str):
         raise MalformedInstance("json_text needs a dict with string keys")
-    try:
-        # orjson.JSONEncodeError is a TypeError.
-        same = orjson.dumps(data) == _compact(data).encode()
+    try:  # orjson.JSONEncodeError is a TypeError.
+        if orjson.dumps(data) == _compact(data).encode():
+            return orjson.dumps(data, option=orjson.OPT_INDENT_2).decode() + "\n"
     except (TypeError, ValueError, RecursionError):
-        same = False
-    if same:
-        return orjson.dumps(data, option=orjson.OPT_INDENT_2).decode() + "\n"
-    # json.dumps escapes every string with this one.
-    string = json.encoder.encode_basestring_ascii
-    fields = ",\n  ".join(
-        f"{string(key)}: " + _dumps(value, f"field {key!r}").replace("\n", "\n  ")
-        for key, value in data.items()
-    )
-    return "{\n  " + fields + "\n}\n"
+        pass
+    return _dumps(data)
 
 
 def _dump(data: dict, path: str | Path) -> None:

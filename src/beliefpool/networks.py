@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
@@ -55,6 +54,7 @@ from .errors import (
 )
 from .joint import (
     JointTable,
+    _check_integers,
     _check_kind,
     _check_reals,
     _check_variable_count,
@@ -149,13 +149,11 @@ class Cpt:
     rows: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        try:
-            owner = operator.index(self.owner)
-            parents = tuple(map(operator.index, self.parents))
-        except TypeError:
-            raise ModelFormatError("owner and parents must be integers") from None
+        (owner,) = _check_integers((self.owner,), ModelFormatError, "owner")
+        parents = _check_integers(self.parents, ModelFormatError, "parent")
         rows = _check_reals(self.rows, ModelFormatError, "rows").tolist()
         rows = tuple(map(parse_probability, rows))
+        object.__setattr__(self, "owner", owner)
         object.__setattr__(self, "parents", parents)
         object.__setattr__(self, "rows", rows)
         if owner < 0:
@@ -179,9 +177,9 @@ class Dag:
         m = _check_variable_count(self.m, capacity=None)
         object.__setattr__(self, "m", m)
         try:
-            parents = tuple(tuple(map(operator.index, ps)) for ps in self.parents)
-        except TypeError:
-            raise ModelFormatError("parents must be integers") from None
+            parents = tuple(_check_integers(ps, ModelFormatError, "parent") for ps in self.parents)
+        except TypeError:  # parents is not iterable
+            raise ModelFormatError("parent lists must cover every node") from None
         object.__setattr__(self, "parents", parents)
         if len(parents) != m:
             raise ModelFormatError("parent lists must cover every node")
@@ -374,14 +372,14 @@ class MarkovNet:
     def __post_init__(self) -> None:
         m = _check_variable_count(self.m, capacity=None)
         object.__setattr__(self, "m", m)
-        # index() rejects a float or a string endpoint; unpacking rejects
-        # an edge of another length.
+        # Unpacking rejects a non-iterable or an edge of another length.
         try:
-            pairs = [(operator.index(u), operator.index(v)) for u, v in self.edges]
+            ends = [x for u, v in self.edges for x in (u, v)]
         except (TypeError, ValueError):
-            raise ModelFormatError("edges must be pairs of integers") from None
+            raise ModelFormatError("edges must be pairs of nodes") from None
+        ends = _check_integers(ends, ModelFormatError, "edge endpoint")
         canonical = set()
-        for u, v in pairs:
+        for u, v in zip(ends[::2], ends[1::2]):
             if not (0 <= u < m and 0 <= v < m):
                 raise UnknownVariable(f"edge ({u}, {v}) outside range(0, {m})")
             if u == v:
@@ -506,12 +504,9 @@ def triangulate(mn: MarkovNet) -> tuple[MarkovNet, EliminationOrder]:
 
 def _check_order(m: int, order: Sequence[int]) -> EliminationOrder:
     """order as Python ints; MalformedInstance unless its entries are
-    integers that permute range(0, m)."""
-    try:
-        order = tuple(map(operator.index, order))
-    except TypeError:
-        order = None
-    if order is None or sorted(order) != list(range(m)):
+    integers (_check_integers) that permute range(0, m)."""
+    order = _check_integers(order, MalformedInstance, "variable")
+    if sorted(order) != list(range(m)):
         raise MalformedInstance("order must be a permutation of all variables")
     return order
 

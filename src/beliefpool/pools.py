@@ -7,8 +7,8 @@ _logistic, serve the consensus fill and the axioms."""
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
+from functools import reduce
 
 import numpy as np
 
@@ -18,18 +18,15 @@ from .errors import (
     MalformedInstance,
     WeightCountMismatch,
 )
-from .joint import JointTable, _check_reals, _shared_variable_count, _trusted_table
+from .joint import JointTable, _check_integers, _check_reals, _shared_variable_count, _trusted_table
 
 POOL_NAMES = ("linop", "logop")
 
 
 def _check_agent_count(n) -> int:
     """The one agent-count check: n as a Python int, MalformedInstance
-    unless n is a positive integer."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise MalformedInstance(f"agent count {n!r} is not an integer") from None
+    unless n is an integer (_check_integers) and positive."""
+    (n,) = _check_integers((n,), MalformedInstance, "agent count")
     if n <= 0:
         raise MalformedInstance("need at least one agent")
     return n
@@ -122,12 +119,14 @@ def _pooled_log_odds(
     the agents of w_i * (log true_i - log false_i): -inf or +inf where
     the pool is sure, NaN where the event and its complement both pool
     to zero mass. A zero-weight agent drops out, whatever its masses.
+    The agents are added one at a time, so an event's bits do not depend
+    on how many events share the call (a matrix product's do, and so do
+    np.add.reduce's from 8 agents up).
     """
     keep = weights > 0.0
-    w = weights[keep]
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.log(true[keep]) - np.log(false[keep])
-        return (w @ terms.reshape(w.size, -1)).reshape(terms.shape[1:])
+        return reduce(np.add, map(np.multiply, weights[keep], terms))
 
 
 def _logistic(log_odds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,6 @@ that only the tests use live in tests/samplers.py.
 """
 from __future__ import annotations
 
-from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +21,7 @@ import numpy as np
 from .errors import MalformedInstance, MismatchedVariables
 from .joint import (
     JointTable,
+    _check_integers,
     _check_kind,
     _check_partition,
     _check_reals,
@@ -73,10 +73,9 @@ def random_dag(
     (edge_prob,) = _check_reals((edge_prob,), MalformedInstance, "edge_prob", one=True).tolist()
     if not 0.0 <= edge_prob <= 1.0:
         raise MalformedInstance(f"edge_prob {edge_prob} outside [0, 1]")
-    if isinstance(max_parents, bool) or not (
-        isinstance(max_parents, Integral) and max_parents >= 0
-    ):
-        raise MalformedInstance(f"max_parents must be an integer >= 0, got {max_parents!r}")
+    (max_parents,) = _check_integers((max_parents,), MalformedInstance, "max_parents")
+    if max_parents < 0:
+        raise MalformedInstance(f"max_parents must be >= 0, got {max_parents}")
     perm = [int(v) for v in rng.permutation(m)]
     parents: list[list[int]] = [[] for _ in range(m)]
     for i in range(m):

@@ -9,6 +9,7 @@ arithmetic plus one square root) before this module existed.
 
 import itertools
 import math
+import re
 import time
 from unittest import mock
 
@@ -730,10 +731,19 @@ class TestLogopConsensusBn:
                 ConsensusBn(vee, order)
 
     @pytest.mark.parametrize(
-        "order", [(5,), (), (1, 1), (0, 1, 2), ("a", 0), (1.0, 0.0)]
+        "order, message",
+        [
+            ((5,), "order must be a permutation"),
+            ((), "order must be a permutation"),
+            ((1, 1), "order must be a permutation"),
+            ((0, 1, 2), "order must be a permutation"),
+            (("a", 0), "variable 'a' is not an integer"),
+            ((1.0, 0.0), "variable 1.0 is not an integer"),
+            ((True, False), "variable True is not an integer"),
+        ],
     )
-    def test_consensus_bn_order_must_be_a_permutation(self, order):
-        with pytest.raises(MalformedInstance, match="order must be a permutation"):
+    def test_consensus_bn_order_must_be_a_permutation(self, order, message):
+        with pytest.raises(MalformedInstance, match=message):
             ConsensusBn(CHAIN_A, order)
 
     def test_consensus_bn_order_must_orient_the_parents(self):
@@ -751,9 +761,18 @@ class TestLogopConsensusBn:
         with pytest.raises(MalformedInstance, match="expected a BayesNet"):
             ConsensusBn(CHAIN_A.dag(), (1, 0))
 
-    @pytest.mark.parametrize("queries", ["many", -5, 2.0, True, None])
-    def test_consensus_bn_agent_queries_must_be_a_count(self, queries):
-        with pytest.raises(MalformedInstance, match="agent_queries must be a nonnegative integer"):
+    @pytest.mark.parametrize(
+        "queries, message",
+        [
+            ("many", "agent_queries 'many' is not an integer"),
+            (-5, "agent_queries must be nonnegative, got -5"),
+            (2.0, "agent_queries 2.0 is not an integer"),
+            (True, "agent_queries True is not an integer"),
+            (None, "agent_queries None is not an integer"),
+        ],
+    )
+    def test_consensus_bn_agent_queries_must_be_a_count(self, queries, message):
+        with pytest.raises(MalformedInstance, match=f"^{re.escape(message)}$"):
             ConsensusBn(CHAIN_A, (1, 0), agent_queries=queries)
 
     def test_consensus_bn_keeps_agent_queries_as_an_int(self):

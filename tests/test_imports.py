@@ -8,12 +8,13 @@ it are BeliefPoolErrors that a caller's `except ValueError` still
 catches. Only the functions that have already validated their
 input call the trusted construction path. And there is one factor
 product, joint._contract, the only caller of np.einsum. Each input rule
-that more than one caller needs (a variable count, a model's kind, a
-parent list, a label list, the a, w, x partition, state indices, a real
-number) raises its messages from one function (RULES).
+that more than one caller needs (an integer, a variable count, a
+model's kind, a parent list, a label list, the a, w, x partition, state
+indices, a real number) raises its messages from one function (RULES).
 """
 
 import ast
+import enum
 import os
 import re
 import warnings
@@ -41,6 +42,7 @@ from beliefpool import (
     StatePairInstance,
     UnanimityInstance,
     UnknownVariable,
+    VariablePairInstance,
     bn_to_joint,
     check_property,
     family_pooled_joint,
@@ -80,6 +82,7 @@ from beliefpool.sampling import (
     random_conditional_table,
     random_dag,
     random_joint,
+    random_product_table,
     random_vstructure_pair,
     random_weights,
 )
@@ -486,11 +489,11 @@ CHOKE_POINT_ERRORS = {
         lambda: check_property("linop", "eb", [EvidenceInstance((PAIR,), ((0,),))]),
     ),
     "pds-string-state": (
-        MalformedInstance, "state indices must be integers, got ('a', 1)",
+        MalformedInstance, "state index 'a' is not an integer",
         lambda: check_property("linop", "pds", [StatePairInstance((PAIR,), (PAIR,), "a", 1)]),
     ),
     "mp-float-state": (
-        MalformedInstance, "state indices must be integers, got frozenset({1.5})",
+        MalformedInstance, "state index 1.5 is not an integer",
         lambda: check_property("linop", "mp", [EventPoolInstance((PAIR,), frozenset({1.5}))]),
     ),
     "align-int": (
@@ -514,7 +517,7 @@ CHOKE_POINT_ERRORS = {
         lambda: align_variables([CHAIN]),
     ),
     "gap-unhashable-variable": (
-        UnknownVariable, "variables must be integers, got [0], 1",
+        UnknownVariable, "variable [0] is not an integer",
         lambda: pairwise_dependence_gap(PAIR, [0], 1),
     ),
 }
@@ -734,16 +737,14 @@ def enclosing_calls(source, module, match):
     return found
 
 
-def indexes_a_count(call):
-    """Whether call is index(m), operator.index(m) or either on an
-    attribute .m."""
+def calls_index(call):
+    """Whether call is index(x) or operator.index(x), not a list's .index."""
     func = call.func
-    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    if name != "index" or len(call.args) != 1:
-        return False
-    (arg,) = call.args
-    return (isinstance(arg, ast.Name) and arg.id == "m") or (
-        isinstance(arg, ast.Attribute) and arg.attr == "m"
+    return (isinstance(func, ast.Name) and func.id == "index") or (
+        isinstance(func, ast.Attribute)
+        and func.attr == "index"
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "operator"
     )
 
 
@@ -780,6 +781,10 @@ def raises_message(pattern):
 # every wording of its messages, past ones included, with the one
 # function allowed to raise them.
 RULES = {
+    "integer": (
+        r"is not an integer|must be integers|of integers|must be an integer|nonnegative integer",
+        "joint._check_integers",
+    ),
     "count": (r"^variable count", "joint._check_variable_count"),
     "kind": (r"^expected (an? |\{\}, got)|has a file form", "joint._check_kind"),
     "parent list": (
@@ -804,7 +809,9 @@ def test_checkers_find_count_indexes_and_kind_messages():
         "def a(self, m, ps):\n"
         "    operator.index(self.m)\n"
         "    index(m)\n"
+        "    index(ps[0])\n"
         "    ps.index(p)\n"
+        "    self.operator.index(m)\n"
         "def b(model):\n"
         "    raise MalformedInstance(f'expected a {cls}, got {model}')\n"
         "def c():\n"
@@ -823,14 +830,21 @@ def test_checkers_find_count_indexes_and_kind_messages():
         "    raise ModelFormatError('probability is an integer too large for a float')\n"
         "    raise InvalidWeight('weights must be finite and nonnegative')\n"
         "    raise ModelFormatError(f'probability {p} outside [0, 1]')\n"
+        "def f(x, error):\n"
+        "    raise error(f'{x} {x!r} is not an integer')\n"
+        "    raise UnknownVariable(f'variables must be integers, got {x}')\n"
+        "    raise ModelFormatError('edges must be pairs of integers')\n"
+        "    raise MalformedInstance(f'seed must be an integer >= 0, got {x!r}')\n"
+        "    raise MalformedInstance('agent_queries must be a nonnegative integer')\n"
+        "    raise MalformedInstance(f'seed must be >= 0, got {x}')\n"
     )
-    assert enclosing_calls(source, "m", indexes_a_count) == ["m.a", "m.a"]
+    assert enclosing_calls(source, "m", calls_index) == ["m.a", "m.a", "m.a"]
     found = {
         rule: enclosing_calls(source, "m", raises_message(pattern))
         for rule, (pattern, _) in RULES.items()
     }
     assert found == {
-        "count": [], "kind": ["m.b", "m.d", "m.d", "m.d"], "parent list": ["m.c"],
+        "integer": ["m.f"] * 5, "count": [], "kind": ["m.b", "m.d", "m.d", "m.d"], "parent list": ["m.c"],
         "labels": ["m.d"], "partition": [], "state index": [], "sequence": ["m.d"],
         "agent count": [], "rng": [], "number": ["m.e", "m.e", "m.e"],
     }
@@ -856,19 +870,21 @@ def test_one_function_per_input_rule(pattern, function):
 
 
 def test_one_count_index():
-    """joint._check_variable_count is the only index() call on a count."""
+    """joint._check_integers, the integer rule, makes the package's only
+    index() call; joint alone imports numbers.Integral, for _state."""
     found = [
         f
         for path in MODULES
-        for f in enclosing_calls(path.read_text(), path.stem, indexes_a_count)
+        for f in enclosing_calls(path.read_text(), path.stem, calls_index)
     ]
-    assert found == ["joint._check_variable_count"]
+    assert found == ["joint._check_integers"]
+    assert [path.stem for path in MODULES if "Integral" in path.read_text()] == ["joint"]
 
 
 def nodes(m):
     """m where it is a nonnegative int, else 3: the size of the other
     arguments."""
-    return m if isinstance(m, int) and m >= 0 else 3
+    return m if type(m) is int and m >= 0 else 3
 
 
 COUNT_BUILDERS = {
@@ -890,7 +906,8 @@ COUNTS = {
     "3.0": (3.0, NOT_AN_INTEGER.format(3.0)),
     "'3'": ("3", NOT_AN_INTEGER.format("3")),
     "None": (None, NOT_AN_INTEGER.format(None)),
-    "True": (True, None),
+    "True": (True, NOT_AN_INTEGER.format(True)),
+    "numpy-bool": (np.True_, NOT_AN_INTEGER.format(np.True_)),
     "int64": (np.int64(3), None),
 }
 
@@ -970,3 +987,95 @@ def test_every_real_number_is_read_as_one_float(error, build, x, number):
                 build(x)
         else:
             assert outcome(build, x) == outcome(build, number)
+
+
+class Index:
+    """An integer by __index__ alone, as a user's index type may be."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"Index({self.value})"
+
+
+Two = enum.IntEnum("Two", {"TWO": 2})
+# Tables over three variables: each pair of variables is independent.
+PRODUCT_3 = random_product_table(np.random.default_rng(0), 3)
+TABLE_3 = JointTable(3, np.arange(1.0, 9.0))
+CHAIN_3 = BayesNet((Cpt(0, (), (0.2,)), Cpt(1, (0,), (0.6, 0.4)), Cpt(2, (1,), (0.3, 0.9))))
+# Each builder of an integer input with its error class, returning what it
+# stored of x (an int), or else what it made with x.
+INTEGER_BUILDERS = {
+    "JointTable-m": (ModelFormatError, lambda x: JointTable(x, np.ones(4)).m),
+    "Dag-m": (ModelFormatError, lambda x: Dag(x, ((), ())).m),
+    "MarkovNet-m": (ModelFormatError, lambda x: MarkovNet(x, frozenset()).m),
+    "Dag-parents": (ModelFormatError, lambda x: Dag(3, ((), (x,), ())).parents[1][0]),
+    "MarkovNet-edges": (ModelFormatError, lambda x: max(MarkovNet(3, {(0, x)}).edges)[1]),
+    "Cpt-owner": (ModelFormatError, lambda x: Cpt(x, (), (0.5,)).owner),
+    "Cpt-parents": (ModelFormatError, lambda x: Cpt(0, (x,), (0.5, 0.5)).parents[0]),
+    "normalize_weights-n": (MalformedInstance, lambda x: normalize_weights(None, x).tolist()),
+    "random_weights-n": (
+        MalformedInstance, lambda x: random_weights(np.random.default_rng(0), x)
+    ),
+    "random_dag-m": (ModelFormatError, lambda x: random_dag(np.random.default_rng(0), x).m),
+    "random_dag-max_parents": (
+        MalformedInstance,
+        lambda x: random_dag(np.random.default_rng(0), 5, 1.0, max_parents=x).parents,
+    ),
+    "ConsensusBn-agent_queries": (
+        MalformedInstance, lambda x: ConsensusBn(CHAIN_3, (2, 1, 0), x).agent_queries
+    ),
+    "run_axioms_suite-seed": (MalformedInstance, lambda x: run_axioms_suite(x, 1)),
+    "run_axioms_suite-trials": (MalformedInstance, lambda x: run_axioms_suite(0, x)),
+    "query_conditional-keys": (UnknownVariable, lambda x: query_conditional(CHAIN_3, {x: True})),
+    "family_pooled_joint-ordering": (
+        MalformedInstance,
+        lambda x: family_pooled_joint("linop", [TABLE_3] * 2, (0, 1, x)).probs.tolist(),
+    ),
+    "EventPoolInstance-event": (
+        MalformedInstance,
+        lambda x: check_property("linop", "mp", [EventPoolInstance((TABLE_3,) * 2, {0, x})]),
+    ),
+    "VariablePairInstance-a": (
+        UnknownVariable,
+        lambda x: check_property("linop", "eipp", [VariablePairInstance((PRODUCT_3,) * 2, x, 0)]),
+    ),
+    "VariablePairInstance-b": (
+        UnknownVariable,
+        lambda x: check_property("linop", "eipp", [VariablePairInstance((PRODUCT_3,) * 2, 0, x)]),
+    ),
+}
+# Each value with the Python int every builder reads it as, or None where
+# every builder must reject it by the integer rule.
+INTEGERS = {
+    "bool": (True, None),
+    "numpy-bool": (np.True_, None),
+    "float": (2.0, None),
+    "string": ("2", None),
+    "None": (None, None),
+    "int64": (np.int64(2), 2),
+    "uint8": (np.uint8(2), 2),
+    "index": (Index(2), 2),
+    "int-enum": (Two.TWO, 2),
+}
+
+
+@pytest.mark.parametrize("x, integer", INTEGERS.values(), ids=INTEGERS)
+@pytest.mark.parametrize("error, build", INTEGER_BUILDERS.values(), ids=INTEGER_BUILDERS)
+def test_every_integer_input_is_read_as_one_int(error, build, x, integer):
+    """Every integer input goes through the one integer rule: an integer
+    builds what its Python int builds, and is stored as that int, and
+    anything else, a bool included, raises the builder's own error class
+    with a message of the rule, without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if integer is None:
+            with pytest.raises(error, match=RULES["integer"][0]):
+                build(x)
+        else:
+            got, want = build(x), build(integer)
+            assert got == want and type(got) is type(want)

@@ -7,6 +7,7 @@ NotChordal) never grades itself.
 """
 
 import itertools
+import re
 from collections import defaultdict
 from unittest import mock
 
@@ -291,13 +292,25 @@ class TestBnToJoint:
 
 class TestMarkovNet:
     @pytest.mark.parametrize(
-        "edges",
-        [{(0, 1.5)}, {(0.0, 1)}, {(0, "1")}, {(0, 1, 1)}, {(0,)}, {5}],
-        ids=["float-endpoint", "integral-float", "string", "triple", "single", "not-a-pair"],
+        "edges, message",
+        [
+            ({(0, 1.5)}, "edge endpoint 1.5 is not an integer"),
+            ({(0.0, 1)}, "edge endpoint 0.0 is not an integer"),
+            ({(0, "1")}, "edge endpoint '1' is not an integer"),
+            ({(True, 2)}, "edge endpoint True is not an integer"),
+            ({(0, 1, 1)}, "edges must be pairs of nodes"),
+            ({(0,)}, "edges must be pairs of nodes"),
+            ({5}, "edges must be pairs of nodes"),
+            (None, "edges must be pairs of nodes"),
+        ],
+        ids=[
+            "float-endpoint", "integral-float", "string", "bool", "triple", "single",
+            "not-a-pair", "None",
+        ],
     )
-    def test_rejects_edges_that_are_not_integer_pairs(self, edges):
+    def test_rejects_edges_that_are_not_integer_pairs(self, edges, message):
         # (0, 1.5) used to build, and triangulate then raised KeyError: 1.5.
-        with pytest.raises(ModelFormatError, match="edges must be pairs of integers"):
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
             MarkovNet(3, edges)
 
     @pytest.mark.parametrize("m", ["3", 3.0, None])

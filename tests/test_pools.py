@@ -288,3 +288,25 @@ class TestPooledLogOdds:
                 # keeps its relative digits too (down to the subnormals).
                 assert math.isclose(got, expect, rel_tol=1e-12, abs_tol=1e-300)
 
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=12),
+        rows=st.integers(min_value=1, max_value=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_a_row_alone_has_its_batched_bits(self, seed, n, rows):
+        # The consensus fill pools every row of a build in one call, so a
+        # row's log-odds must not depend on how many rows share the call.
+        rng = np.random.default_rng(seed)
+        false, true = rng.uniform(0.0, 1.0, (2, n, rows)) ** rng.uniform(1.0, 40.0)
+        false[rng.random((n, rows)) < 0.05] = 0.0
+        weights = rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.8)
+        w = normalize_weights(weights if weights.any() else None, n)
+        batched = _pooled_log_odds(false, true, w)
+        for r in range(rows):
+            for alone in (
+                _pooled_log_odds(false[:, r], true[:, r], w),
+                _pooled_log_odds(false[:, r : r + 1], true[:, r : r + 1], w)[0],
+            ):
+                assert alone.tobytes() == batched[r].tobytes()

@@ -236,7 +236,7 @@ BAD_ARGUMENTS = {
     ),
     "block-not-integer": (
         lambda rng: random_block_product_table(rng, 3, [1.5]),
-        UnknownVariable, "variables must be integers, got 1.5",
+        UnknownVariable, "variable 1.5 is not an integer",
     ),
     "conditional-unknown": (
         lambda rng: random_conditional_table(rng, 3, 0, [1], [5]),
