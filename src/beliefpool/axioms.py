@@ -35,6 +35,10 @@ chain-rule row of an ordering, for every agent and prefix context, into
 one (n, 2**m - 1, 2) array (_prefix_masses), pools all rows in one
 expression, and one joint._contract call multiplies the positions'
 factors onto the state axes.
+
+Each randomized suite row is a CheckReport (_verdict), and every
+checked figure, the examples' near-zero gaps too, prints by _figure's
+rule: the bound it met, or the digits of a failure.
 """
 from __future__ import annotations
 
@@ -602,6 +606,13 @@ PROPERTY_NAMES = tuple(_PROPERTIES)
 # Reports
 
 
+def _figure(name: str, value: float, tol: float) -> str:
+    """A checked figure as a check line prints it: name<=tol when value
+    is within tol, where its digits are rounding noise that any reordered
+    sum moves, and name=value when it is not, whose digits are the finding."""
+    return f"{name}<={tol:.1e}" if value <= tol else f"{name}={value:.3e}"
+
+
 @dataclass(frozen=True)
 class CheckReport:
     """One violation per instance; a violation at most tol passes."""
@@ -621,13 +632,13 @@ class CheckReport:
 
     @property
     def max_violation(self) -> float:
-        return max(self.violations, default=0.0)
+        return float(np.max(self.violations, initial=0.0))  # NaN wherever it is
 
     def summary(self) -> str:
         return (
             f"property={self.prop} pool={self.pool} tol={self.tol:.1e} "
             f"cases={len(self.violations)} passed={self.n_passed} "
-            f"max_violation={self.max_violation:.3e}"
+            f"{_figure('max_violation', self.max_violation, self.tol)}"
         )
 
 
@@ -746,7 +757,7 @@ def _ex2_logop() -> ExampleReport:
         f"  consensus (TT,TF,FT,FF) = {_fmt_states(pooled)}",
         f"  P(A1)={marginal(pooled, {0: True}):.6f} "
         f"P(A2)={marginal(pooled, {1: True}):.6f}",
-        f"  independence gap {gap:.3e} (geometric pooling preserved independence)",
+        f"  {_figure('independence gap', gap, 1e-12)} (geometric pooling preserved independence)",
     )
     return ExampleReport("ex2-logop", ok, lines)
 
@@ -803,7 +814,8 @@ def _fig1d_logop() -> ExampleReport:
     lines = (
         "fig1d-logop: geometric pool of two agents holding A1, A2 independent"
         " but conditionally dependent through a shared effect",
-        f"  per-agent independence gaps {agent_gaps[0]:.3e} {agent_gaps[1]:.3e}",
+        "  per-agent independence gaps "
+        + " ".join(_figure(f"agent{i}", g, 1e-12) for i, g in enumerate(agent_gaps, 1)),
         f"  consensus independence gap {pooled_gap:.3e}"
         " (> 1e-06: pairwise independence was not preserved)",
     )
@@ -872,6 +884,23 @@ def _check_run(seed, trials) -> tuple[int, int]:
     return tuple(checked)
 
 
+def _row(text: str, ok: bool) -> tuple[str, bool]:
+    """A suite's line, text and its verdict (ok or UNEXPECTED), and ok."""
+    return f"{text} {'ok' if ok else 'UNEXPECTED'}", ok
+
+
+def _verdict(report: CheckReport, expect: str) -> tuple[str, bool]:
+    """_row of report, expected to be "all-pass" or "some-fail"."""
+    ok = report.all_passed == (expect == "all-pass")
+    return _row(f"{report.summary()} expected={expect}", ok)
+
+
+def _suite(rows: list[tuple[str, bool]]) -> tuple[tuple[str, ...], bool]:
+    """A suite's lines from its _rows, and whether every row is ok."""
+    lines, oks = zip(*rows)
+    return lines, all(oks)
+
+
 def run_axioms_suite(seed: int = 0, trials: int = 20) -> tuple[tuple[str, ...], bool]:
     """Property table for both pools plus the fixed negative controls.
 
@@ -879,8 +908,7 @@ def run_axioms_suite(seed: int = 0, trials: int = 20) -> tuple[tuple[str, ...], 
     its expected outcome. Raises MalformedInstance as _check_run does.
     """
     seed, trials = _check_run(seed, trials)
-    lines: list[str] = []
-    all_ok = True
+    rows = []
     for prop, (_, draw, *expected) in _PROPERTIES.items():
         # Rejected draws (None) are redrawn; each instance is checked under
         # both pools as it is drawn, and only its violations are kept.
@@ -892,67 +920,42 @@ def run_axioms_suite(seed: int = 0, trials: int = 20) -> tuple[tuple[str, ...], 
                 for pool, found in violations.items():
                     found.append(instance._violation(pool))
         for pool, (tol, expect) in zip(POOL_NAMES, expected):
-            report = CheckReport(prop, pool, tol, tuple(violations[pool]))
-            ok = report.all_passed if expect == "all-pass" else not report.all_passed
-            all_ok &= ok
-            lines.append(
-                f"{report.summary()} expected={expect} "
-                f"{'ok' if ok else 'UNEXPECTED'}"
-            )
-    for name, builder in (
-        ("linop-eb", linop_eb_break_witness),
-        ("logop-mp", logop_mp_break_witness),
-    ):
-        _, violation = builder()
-        ok = violation > 1e-6
-        all_ok &= ok
-        lines.append(
-            f"negative-control {name} seed=0 violation={violation:.3e} "
-            f"(want > 1e-06) {'ok' if ok else 'UNEXPECTED'}"
-        )
+            rows.append(_verdict(CheckReport(prop, pool, tol, tuple(violations[pool])), expect))
+    witnesses = {"linop-eb": linop_eb_break_witness, "logop-mp": logop_mp_break_witness}
+    for name, witness in witnesses.items():
+        _, violation = witness()
+        text = f"negative-control {name} seed=0 violation={violation:.3e} (want > 1e-06)"
+        rows.append(_row(text, violation > 1e-6))
     fig1d = reproduce_example("fig1d-logop")
-    all_ok &= fig1d.ok
-    lines.append(
-        f"negative-control fig1d-logop seed={_FIG1D_SEED} "
-        f"{'ok' if fig1d.ok else 'UNEXPECTED'}"
-    )
-    return tuple(lines), all_ok
+    rows.append(_row(f"negative-control fig1d-logop seed={_FIG1D_SEED}", fig1d.ok))
+    return _suite(rows)
 
 
 def run_examples_suite() -> tuple[tuple[str, ...], bool]:
     """All worked fixtures, each verified against its frozen values."""
-    lines: list[str] = []
-    all_ok = True
-    for example_id in EXAMPLE_IDS:
-        report = reproduce_example(example_id)
-        all_ok &= report.ok
-        lines.extend(report.lines)
-        lines.append(f"  {'ok' if report.ok else 'MISMATCH'}")
-    return tuple(lines), all_ok
+    reports = [reproduce_example(example_id) for example_id in EXAMPLE_IDS]
+    lines = [line for r in reports for line in (*r.lines, f"  {'ok' if r.ok else 'MISMATCH'}")]
+    return tuple(lines), all(r.ok for r in reports)
 
 
 def run_oracle_suite(seed: int = 0, trials: int = 25) -> tuple[tuple[str, ...], bool]:
-    """Structured consensus and pooled queries versus dense recomputation.
-    Raises MalformedInstance as _check_run does."""
+    """Structured consensus and pooled queries versus dense recomputation:
+    the consensus's largest state error (oracle-consensus) and
+    linop_query's error (oracle-linop-query) as CheckReport rows, and the
+    query-count bound. Raises MalformedInstance as _check_run does."""
     seed, trials = _check_run(seed, trials)
     rng = np.random.default_rng(seed)
-    max_consensus_err = 0.0
-    max_query_err = 0.0
+    state_errors, query_errors = [], []
     bound_ok = True
     for _ in range(trials):
         m = int(rng.integers(3, 8))
         n = int(rng.integers(2, 5))
-        agents = [
-            random_bn(rng, m, max_parents=2, edge_prob=0.4) for _ in range(n)
-        ]
+        agents = [random_bn(rng, m, max_parents=2, edge_prob=0.4) for _ in range(n)]
         weights = random_weights(rng, n)
         consensus = logop_consensus_bn(agents, weights)
         tables = [bn_to_joint(bn) for bn in agents]
         dense = logop(tables, weights)
-        err = float(
-            np.max(np.abs(bn_to_joint(consensus.bn).probs - dense.probs))
-        )
-        max_consensus_err = max(max_consensus_err, err)
+        state_errors.append(float(np.abs(bn_to_joint(consensus.bn).probs - dense.probs).max()))
         q = max(len(ps) for ps in consensus.bn.dag().parents)
         bound_ok &= consensus.agent_queries <= 2 * n * m * (1 << q)
 
@@ -961,21 +964,12 @@ def run_oracle_suite(seed: int = 0, trials: int = 25) -> tuple[tuple[str, ...], 
         given.discard(var)
         evidence = {g: bool(rng.integers(0, 2)) for g in given}
         got = linop_query(agents, {var: True}, evidence, weights)
-        want = conditional_probability(
-            linop(tables, weights),
-            {var: True},
-            evidence,
-        )
-        max_query_err = max(max_query_err, abs(got - want))
-    consensus_ok = max_consensus_err <= 1e-9
-    query_ok = max_query_err <= 1e-12
-    lines = (
-        f"oracle consensus seed={seed} trials={trials} "
-        f"max_state_error={max_consensus_err:.3e} (tol 1e-09) "
-        f"{'ok' if consensus_ok else 'UNEXPECTED'}",
-        f"oracle query-bound {'ok' if bound_ok else 'UNEXPECTED'}",
-        f"oracle linop-query seed={seed} trials={trials} "
-        f"max_error={max_query_err:.3e} (tol 1e-12) "
-        f"{'ok' if query_ok else 'UNEXPECTED'}",
-    )
-    return lines, consensus_ok and query_ok and bound_ok
+        want = conditional_probability(linop(tables, weights), {var: True}, evidence)
+        query_errors.append(abs(got - want))
+    return _suite([
+        _verdict(CheckReport("oracle-consensus", "logop", 1e-9, tuple(state_errors)), "all-pass"),
+        _row("oracle query-bound", bound_ok),
+        _verdict(
+            CheckReport("oracle-linop-query", "linop", 1e-12, tuple(query_errors)), "all-pass"
+        ),
+    ])

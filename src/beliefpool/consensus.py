@@ -11,7 +11,8 @@ undirected structures, and eliminate by min-fill; each variable's
 parents are its neighbors at its step. The result is a decomposable
 directed structure that can represent any geometric-mean consensus.
 Its builder, _structure, stops min-fill with CapacityExceeded at the
-first family over the capacity, before either fill.
+first family over the capacity, before either fill, and so does
+consensus_bn_structure, which counts the rows once, as dense_oracle does.
 
 Numeric side: fill in that structure's CPTs so the implied joint equals
 the normalized weighted geometric mean of the agent joints, using only
@@ -133,18 +134,22 @@ def consensus_bn_structure(
     elimination order, the reverse of a topological order of the result.
     Raises MalformedInstance unless models is a nonempty sequence of Dags
     and BayesNets, and MismatchedVariables unless they agree on the
-    variable count.
+    variable count. Raises CapacityExceeded as logop_consensus_bn's
+    dense_oracle route does (_structure), naming the variable by label
+    when the first model is a labelled BayesNet.
     """
     _shared_variable_count(models, (Dag, BayesNet), "structure", "structures")
-    return _structure([m.dag() if isinstance(m, BayesNet) else m for m in models])
+    labels = models[0].labels if isinstance(models[0], BayesNet) else None
+    return _structure([m.dag() if isinstance(m, BayesNet) else m for m in models], 1, labels)
 
 
 def _structure(
-    dags: Sequence[Dag], copies: int = 0, labels: tuple[str, ...] | None = None
+    dags: Sequence[Dag], copies: int, labels: tuple[str, ...] | None = None
 ) -> tuple[Dag, EliminationOrder]:
     """consensus_bn_structure of checked Dags, one family per min-fill
-    step. CapacityExceeded at the first family that takes copies times the
-    CPT rows so far, sum 2**|parents|, past 2**MAX_DENSE_VARIABLES."""
+    step. CapacityExceeded at the first family that takes copies (1, or
+    the query route's pooled agents) times the CPT rows so far, sum
+    2**|parents|, past 2**MAX_DENSE_VARIABLES."""
     union = mn_union([moralize(dag) for dag in dict.fromkeys(dags)])
     parents: dict[int, tuple[int, ...]] = {}  # in elimination order
     rows = 0

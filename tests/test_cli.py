@@ -768,7 +768,7 @@ class TestCheck:
             capsys, "check", "--suite", "oracle", "--trials", "5"
         )
         assert code == EXIT_OK
-        assert "max_state_error" in out
+        assert "property=oracle-consensus pool=logop tol=1.0e-09 cases=5 passed=5 " in out
 
     @pytest.mark.parametrize(
         "flags", [("--seed", "-1"), ("--trials", "0"), ("--trials", "-2")]

@@ -182,6 +182,42 @@ class TestCapacity:
             "is variable v1 with 22 parents"
         )
 
+    @pytest.mark.parametrize("m", [1000, 4000])
+    def test_structure_call_stops_at_the_capacity(self, m):
+        # Two random forests: without the check, the structure call ran
+        # min-fill to the end and returned a 49-parent family at m=1,000
+        # and families of 212 parents at m=4,000, after 26 s. It counts
+        # one copy of the rows, as the factor route does.
+        dags = [
+            random_dag(np.random.default_rng(s), m, edge_prob=2 / m, max_parents=1)
+            for s in (0, 1)
+        ]
+        steps = []
+        with mock.patch.object(consensus, "_min_fill_order", counted_planner(steps)):
+            with pytest.raises(CapacityExceeded) as exc:
+                consensus_bn_structure(dags)
+        assert len(steps) < m
+        rows = sum(1 << len(nbrs) for _, nbrs in steps)
+        assert rows - (1 << len(steps[-1][1])) <= 1 << 24 < rows
+        v, nbrs = steps[-1]
+        assert str(exc.value) == (
+            f"the consensus is over the capacity of 2^24 rows: its first {len(steps)} "
+            f"of {m} families need {rows} CPT rows; the last is variable {v} with "
+            f"{len(nbrs)} parents"
+        )
+
+    def test_structure_call_names_the_variable_by_the_first_label(self):
+        dags = [
+            random_dag(np.random.default_rng(s), 1000, edge_prob=0.002, max_parents=1)
+            for s in (0, 1)
+        ]
+        labels = tuple(f"x{i}" for i in range(1000))
+        first = BayesNet(random_bn(np.random.default_rng(2), 1000, dag=dags[0]).cpts, labels)
+        with pytest.raises(CapacityExceeded, match=r"the last is variable x155 with 29 parents$"):
+            consensus_bn_structure([first, dags[1]])
+        with pytest.raises(CapacityExceeded, match=r"the last is variable 155 with 29 parents$"):
+            consensus_bn_structure([dags[1], first])
+
 
 class TestConsensusStructures:
     def test_mixed_model_kinds_union(self):

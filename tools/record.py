@@ -19,7 +19,14 @@ layers times, in this process and on fixed seeds, the layers that a
   a one-variable event and three evidence variables;
 - axioms_suite: one run_axioms_suite at AXIOMS_TRIALS trials, as a
   `check --suite axioms` request runs it, on seeds 0, 1, 2, ... in turn
-  (the warm-up run takes seed 0).
+  (the warm-up run takes seed 0);
+- structure_shared_m1000: one consensus_bn_structure call on three
+  agents of one sparse random DAG over 1,000 variables (each variable
+  with at most 2 parents, each earlier variable of a random order a
+  parent with probability 0.002). Beside its times the layer records
+  its work: the fill edges that min-fill adds to the union of the
+  moralized agent structures, the variables of the largest family (a
+  node and its parents) and the CPT rows, sum 2**|parents|.
 
 Each layer runs REPEATS times after one untimed warm-up run; the
 record keeps the best and the median time in seconds. The agent files
@@ -29,8 +36,13 @@ every checkout is timed on the same bytes. The record names its host
 with "dirty" set when that tree has uncommitted changes.
 
 --selftest runs every layer at tiny sizes (the axioms suite at one
-trial), checks the record's schema,
-prints "ok" and writes nothing unless --out is given.
+trial), checks the record's schema and that a second run of the same
+tree records the same work, prints "ok" and writes nothing unless
+--out is given.
+
+Schema beliefpool-layers/3 adds the structure layer and its "work"; a
+beliefpool-layers/2 record holds the other five layers with the same
+names and fields, so its times compare with a /3 record's directly.
 """
 from __future__ import annotations
 
@@ -48,14 +60,22 @@ from pathlib import Path
 
 import numpy as np
 
-SCHEMA = "beliefpool-layers/2"
+SCHEMA = "beliefpool-layers/3"
 REPEATS = 25
 AXIOMS_TRIALS = 20  # the check command's default
 LOW, HIGH = 0.05, 0.95
-# (m, edge probability) of the two agent groups, as in query-mix.
-SIZES = {"m120": (120, 0.02), "m30": (30, 0.05)}
-TINY = {"m120": (8, 0.3), "m30": (6, 0.4)}
-LAYERS = ("load_m120", "load_m30", "save_consensus", "linop_query", "axioms_suite")
+# (m, edge probability) of the two agent groups, as in query-mix, and
+# of the structure layer's DAG, whose variables have at most
+# STRUCTURE_PARENTS parents; its own seed keeps the other draws as they were.
+SIZES = {"m120": (120, 0.02), "m30": (30, 0.05), "structure": (1000, 0.002)}
+TINY = {"m120": (8, 0.3), "m30": (6, 0.4), "structure": (40, 0.06)}
+STRUCTURE_PARENTS = 2
+STRUCTURE_SEED = 20261022
+LAYERS = (
+    "load_m120", "load_m30", "save_consensus", "linop_query", "axioms_suite",
+    "structure_shared_m1000",
+)
+WORK = {"structure_shared_m1000": ("fill_edges", "max_family", "cpt_rows")}
 HOST_FIELDS = ("python", "numpy", "orjson", "nproc", "machine")
 
 
@@ -64,15 +84,25 @@ def _row_key(r: int, k: int) -> str:
     return "".join("1" if r >> i & 1 else "0" for i in range(k))
 
 
-def agent_files(rng: np.random.Generator, m: int, edge_prob: float, folder: Path) -> list[str]:
-    """Three agents on one random DAG over m variables, each with CPT rows
-    drawn from [LOW, HIGH], written as network files; their paths."""
+def random_parents(
+    rng: np.random.Generator, m: int, edge_prob: float, max_parents: int
+) -> list[list[int]]:
+    """Each variable's parents in a random DAG over m variables: along a
+    random order, each earlier variable is a parent with probability
+    edge_prob, until the variable has max_parents."""
     perm = rng.permutation(m)
     parents: list[list[int]] = [[] for _ in range(m)]
     for i in range(m):
         for j in range(i):
-            if len(parents[perm[i]]) < 3 and rng.random() < edge_prob:
+            if len(parents[perm[i]]) < max_parents and rng.random() < edge_prob:
                 parents[perm[i]].append(int(perm[j]))
+    return parents
+
+
+def agent_files(rng: np.random.Generator, m: int, edge_prob: float, folder: Path) -> list[str]:
+    """Three agents on one random DAG over m variables, each with CPT rows
+    drawn from [LOW, HIGH], written as network files; their paths."""
+    parents = random_parents(rng, m, edge_prob, 3)
     labels = [f"x{i}" for i in range(m)]
     paths = []
     for agent in range(3):
@@ -127,20 +157,39 @@ def checkout_rev(package_dir: Path) -> dict:
     return {"rev": rev, "dirty": None if rev is None or status is None else bool(status)}
 
 
+def structure_work(dags: list, structure) -> dict:
+    """The structure layer's work: the fill edges of structure over the
+    union of the moralized dags, the variables of its largest family and
+    its CPT rows."""
+    from beliefpool.networks import mn_union, moralize
+
+    moral = mn_union([moralize(dag) for dag in dags]).edges
+    return {
+        "fill_edges": len(structure.skeleton() - moral),
+        "max_family": 1 + max(map(len, structure.parents)),
+        "cpt_rows": sum(1 << len(ps) for ps in structure.parents),
+    }
+
+
 def layers_record(repeats: int, sizes: dict, trials: int) -> dict:
     """The layers mode's record: host, checkout and per-layer times, the
-    axioms suite's at the given trials."""
+    axioms suite's at the given trials, and the structure layer's work."""
     import beliefpool
     import orjson
+    from beliefpool import Dag
     from beliefpool.axioms import run_axioms_suite
-    from beliefpool.consensus import linop_query, logop_consensus_bn
+    from beliefpool.consensus import consensus_bn_structure, linop_query, logop_consensus_bn
     from beliefpool.model_io import json_text, load_networks, network_to_dict
 
+    m, edge_prob = sizes["structure"]
+    parents = random_parents(
+        np.random.default_rng(STRUCTURE_SEED), m, edge_prob, STRUCTURE_PARENTS
+    )
+    dags = [Dag(m, tuple(map(tuple, parents))) for _ in range(3)]
     rng = np.random.default_rng(20261020)
     with tempfile.TemporaryDirectory() as folder:
         files = {
-            name: agent_files(rng, m, edge_prob, Path(folder))
-            for name, (m, edge_prob) in sizes.items()
+            name: agent_files(rng, *sizes[name], Path(folder)) for name in ("m120", "m30")
         }
         agents = load_networks(files["m120"])
         m = agents[0].m
@@ -160,7 +209,10 @@ def layers_record(repeats: int, sizes: dict, trials: int) -> dict:
                 lambda: linop_query(agents, event, evidence, weights), repeats
             ),
             "axioms_suite": timed(lambda: run_axioms_suite(next(seeds), trials), repeats),
+            "structure_shared_m1000": timed(lambda: consensus_bn_structure(dags), repeats),
         }
+    structure, _ = consensus_bn_structure(dags)
+    layers["structure_shared_m1000"]["work"] = structure_work(dags, structure)
     host = {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -198,13 +250,30 @@ def schema_errors(record: dict) -> list[str]:
         best, median = times.get("best_s"), times.get("median_s")
         if not all(isinstance(t, float) and t > 0.0 for t in (best, median)) or best > median:
             errors.append(f"{name}: need 0 < best_s <= median_s, got {times}")
+        work = times.get("work", {})
+        if tuple(work) != WORK.get(name, ()):
+            errors.append(f"{name}: work is {list(work)}, not {list(WORK.get(name, ()))}")
+        elif not all(isinstance(n, int) and n >= 0 for n in work.values()):
+            errors.append(f"{name}: work counts must be nonnegative integers, got {work}")
     return errors
+
+
+def work_differences(first: dict, second: dict) -> list[str]:
+    """Each layer whose work differs between two records; [] when none."""
+    return [
+        f"{name}: work {first['layers'][name].get('work')} then "
+        f"{second['layers'][name].get('work')}"
+        for name in WORK
+        if first["layers"][name].get("work") != second["layers"][name].get("work")
+    ]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     modes = parser.add_subparsers(dest="mode", required=True)
-    layers = modes.add_parser("layers", help="time the load, save, query and axioms layers")
+    layers = modes.add_parser(
+        "layers", help="time the load, save, query, axioms and structure layers"
+    )
     layers.add_argument("--out", type=Path, help="the BENCH_*.json file to write")
     layers.add_argument("--selftest", action="store_true", help="tiny sizes; check the schema")
     args = parser.parse_args(argv)
@@ -215,6 +284,8 @@ def main(argv=None) -> int:
     else:
         record = layers_record(REPEATS, SIZES, AXIOMS_TRIALS)
     errors = schema_errors(record)
+    if args.selftest and not errors:
+        errors = work_differences(record, layers_record(1, TINY, 1))
     if errors:
         print("\n".join(errors), file=sys.stderr)
         return 1
