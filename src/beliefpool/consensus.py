@@ -426,9 +426,12 @@ def logop_query(
     The pool of a single agent of positive weight is that agent, so
     then the query goes to it directly: no structure is built, its rows
     need not be strictly positive, and dense_oracle changes nothing.
+    Event and evidence are checked, as linop_query checks them, before
+    any structure is built.
     """
     pooled = _pooled_agents(bns, weights)
     agents = pooled[1]
+    event, evidence = _check_query(agents[0].m, event, evidence)
     if len(agents) > 1:
         agents = [_logop_consensus(bns, *pooled, dense_oracle).bn]
     return query_conditional(agents[0], event, evidence)

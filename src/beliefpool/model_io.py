@@ -9,10 +9,8 @@ parentless node uses the single key "". Each row value is a number in
 [0, 1]. Probabilities round-trip bit-exactly since values are written
 with Python's shortest-repr float serialization.
 
-Saved text is exactly json.dumps(data, indent=2) plus a newline. json_text
-has orjson write it when orjson's compact text equals json's own, and
-json.dumps, field by field and about three times slower, otherwise: the
-two lay out indented text by the same rule.
+Saved text is exactly json.dumps(data) plus a newline (json_text).
+orjson only parses (_load_file).
 
 Loading and saving both work from a row-key table: for one parent
 count, every valid key. The files of one command load in one
@@ -464,42 +462,18 @@ def load_model_file(path: str | Path) -> BayesNet | LinopManifest:
     return _load_file(path, _model)
 
 
-def _dumps(data: dict) -> str:
-    """json.dumps(data, indent=2) + "\\n"; MalformedInstance when json cannot
-    encode a value (a type it does not know, a circular reference, deep nesting)."""
-    try:
-        return json.dumps(data, indent=2) + "\n"
-    except (TypeError, ValueError, RecursionError) as err:
-        raise MalformedInstance(f"document is not JSON-encodable: {err}") from None
-
-
-# json.dumps(value) without the spaces after separators, by json's C
-# encoder where the interpreter has it.
-_compact = json.JSONEncoder(separators=(",", ":")).encode
-
-
 def json_text(data: dict) -> str:
-    """Exactly json.dumps(data, indent=2) + "\\n", the saved text of
-    network_to_dict or manifest_to_dict output.
-
-    data is a dict with string keys (MalformedInstance otherwise). When
-    orjson's compact text of data equals json's byte for byte, orjson
-    writes the indented text: both lay out indent=2 text by the same
-    rule. Otherwise, for a value that either cannot encode or that they
-    write differently (a float below 1e-4 or from 1e16 up, NaN, an
-    infinity, a non-ASCII character or DEL, an integer from 2^64 up, a
-    numpy scalar), json.dumps writes the whole document, and a value json
-    cannot encode is a MalformedInstance ("document is not JSON-encodable").
-    """
+    """json.dumps(data) + "\\n", the saved text of network_to_dict or
+    manifest_to_dict output. data is a dict with string keys, and json
+    must encode it: anything else (a type json does not know, a circular
+    reference, deep nesting) is a MalformedInstance."""
     _check_kind(data, dict)
     if not _all_instances(list(data), str):
         raise MalformedInstance("json_text needs a dict with string keys")
-    try:  # orjson.JSONEncodeError is a TypeError.
-        if orjson.dumps(data) == _compact(data).encode():
-            return orjson.dumps(data, option=orjson.OPT_INDENT_2).decode() + "\n"
-    except (TypeError, ValueError, RecursionError):
-        pass
-    return _dumps(data)
+    try:
+        return json.dumps(data) + "\n"
+    except (TypeError, ValueError, RecursionError) as err:
+        raise MalformedInstance(f"document is not JSON-encodable: {err}") from None
 
 
 def _dump(data: dict, path: str | Path) -> None:

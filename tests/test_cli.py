@@ -145,7 +145,7 @@ class TestAggregate:
         )
         assert printed.encode() == out_path.read_bytes()
         data = json.loads(printed)
-        assert printed == json.dumps(data, indent=2) + "\n"
+        assert printed == json.dumps(data) + "\n"
         assert data.get("inputs", data.get("provenance", {}).get("inputs")) == paths
 
     @pytest.mark.parametrize("where", ["missing folder", "directory"])
@@ -167,25 +167,6 @@ class TestAggregate:
         assert (code, printed) == (EXIT_PARSE, "")
         assert err.startswith(f"error: cannot write {out}: ")
         assert "Traceback" not in err
-
-    @pytest.mark.parametrize("pool", ["logop", "linop"])
-    @pytest.mark.parametrize("to_file", [False, True])
-    def test_output_never_takes_the_stdlib_path(
-        self, capsys, monkeypatch, tmp_path, chain_files, pool, to_file
-    ):
-        # Every field aggregate writes is one that orjson and json encode
-        # alike, so json_text never formats a field with json.dumps.
-        dumped = []
-        dumps = model_io._dumps
-        monkeypatch.setattr(
-            model_io, "_dumps", lambda value, what: dumped.append(what) or dumps(value, what)
-        )
-        out = ["--out", str(tmp_path / "c.json")] if to_file else []
-        code, printed, _ = run(capsys, "aggregate", *chain_files, "--pool", pool, *out)
-        assert code == EXIT_OK
-        text = (tmp_path / "c.json").read_text() if to_file else printed
-        assert text == json.dumps(json.loads(text), indent=2) + "\n"
-        assert dumped == []
 
     def test_markov_input_rejected(self, capsys, tmp_path, chain_files):
         path = markov_file(tmp_path)

@@ -30,6 +30,7 @@ from beliefpool import (
     MarkovNet,
     MismatchedVariables,
     NotChordal,
+    UnknownVariable,
     ZeroEvidence,
     bn_to_joint,
     consensus_bn_structure,
@@ -955,6 +956,26 @@ class TestLogopQuery:
         assert got == pytest.approx(P_NODE0, abs=1e-12)
         with pytest.raises(DegenerateCpt):
             logop_query([CHAIN_A, two_node_bn(1.0, 0.5)], {0: True})
+
+    @pytest.mark.parametrize("dense_oracle", [False, True])
+    @pytest.mark.parametrize("agents, event, evidence, error", [
+        # The build would raise CapacityExceeded, or DegenerateCpt for the
+        # row of 0, before the query's own error.
+        (wide_agents(), {99: True}, None, UnknownVariable),
+        ([two_node_bn(0.0, 0.5), CHAIN_A], {0: True}, {0: False}, MalformedInstance),
+    ], ids=["unknown-variable", "overlap"])
+    def test_query_is_checked_before_the_build(
+        self, monkeypatch, agents, event, evidence, error, dense_oracle
+    ):
+        with pytest.raises(error):
+            linop_query(agents, event, evidence)
+
+        def unreached(*args):
+            raise AssertionError("the consensus structure was built")
+
+        monkeypatch.setattr(consensus, "_structure", unreached)
+        with pytest.raises(error):
+            logop_query(agents, event, evidence, dense_oracle=dense_oracle)
 
     @pytest.mark.parametrize("weights", [None, (0.3, 0.0, 0.7)])
     def test_agents_are_pooled_once(self, weights, monkeypatch):

@@ -706,8 +706,8 @@ def test_one_cpt_factor_layout():
 def test_one_parse_site():
     """orjson and json.loads parse a file's text in model_io._load_file
     alone, the package's one parse site: every load takes orjson's value
-    or the stdlib path's there. The one other use of orjson is
-    model_io.json_text, the one encode site."""
+    or the stdlib path's there. orjson has no other use: saving is
+    json.dumps in model_io.json_text."""
     assert [path.stem for path in MODULES if "orjson" in path.read_text()] == ["model_io"]
 
     def uses(name):
@@ -718,7 +718,7 @@ def test_one_parse_site():
         }
 
     assert uses("loads") == {"model_io._load_file"}
-    assert uses("orjson") == {"model_io._load_file", "model_io.json_text"}
+    assert uses("orjson") == {"model_io._load_file"}
 
 def enclosing_calls(source, module, match):
     """The enclosing function ("module.name", None at module level) of

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beliefpool import (
@@ -83,7 +83,7 @@ def reference_text(model, provenance=None):
     }
     if provenance is not None:
         data["provenance"] = provenance
-    return json.dumps(data, indent=2) + "\n"
+    return json.dumps(data) + "\n"
 
 
 # Rows at the edges of [0, 1] and of the float range, all bit-exact in JSON.
@@ -106,6 +106,14 @@ def labelled_bns(draw, rows=EDGE_ROWS, labels=labels_text):
                                  max_size=1 << len(parents)))
         cpts.append(Cpt(v, tuple(parents), tuple(cpt_rows)))
     return BayesNet(tuple(cpts), tuple(labels))
+
+
+# Networks whose rows json writes in exponent form and whose labels it
+# escapes.
+odd_bns = labelled_bns(
+    rows=(5e-324, 1e-300, 5e-5, 1e-4, 0.5, 1.0 - 1e-16),
+    labels=st.text("aé✓\x7f", min_size=1, max_size=3),
+)
 
 
 # File paths as a user may pass them: quotes, backslashes, non-ASCII.
@@ -201,12 +209,12 @@ class TestNetworkRoundTrip:
         with tempfile.TemporaryDirectory() as folder:
             path = Path(folder) / "pool.json"
             save_manifest(manifest, path)
-            assert path.read_text() == json.dumps(data, indent=2) + "\n"
+            assert path.read_text() == json.dumps(data) + "\n"
 
     def test_wide_cpt_round_trip(self, tmp_path):
         # A 10-parent CPT (1,024 rows), parents listed out of index order
         # and row keys in shuffled order, loads bit for bit and saves as
-        # json.dumps(indent=2) writes it, keys sorted.
+        # json.dumps writes it, keys sorted.
         rng = np.random.default_rng(10)
         labels = tuple(f"v{i}" for i in range(11))
         parents = tuple(int(p) for p in rng.permutation(10))
@@ -237,7 +245,7 @@ class TestNetworkRoundTrip:
         save_network(bn, path)
         saved = network_to_dict(bn)
         assert list(saved["cpts"]["v10"]["rows"]) == sorted(keys)
-        assert path.read_text() == json.dumps(saved, indent=2) + "\n"
+        assert path.read_text() == json.dumps(saved) + "\n"
         assert path.read_text() == reference_text(bn)
         assert load_network(path) == bn
 
@@ -254,6 +262,25 @@ class TestNetworkRoundTrip:
             table[bad] = 0.5
             with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
                 network_from_dict(mutated)
+
+    @given(bn=odd_bns)
+    @settings(max_examples=60, deadline=None)
+    def test_save_load_save_round_trip(self, bn):
+        with tempfile.TemporaryDirectory() as folder:
+            first, second = Path(folder, "first.json"), Path(folder, "second.json")
+            save_network(bn, first)
+            save_network(load_network(first), second)
+            assert second.read_text() == first.read_text() == reference_text(bn)
+
+    @pytest.mark.parametrize("where", ["directory", "missing folder"])
+    @pytest.mark.parametrize("save", ["network", "manifest"])
+    def test_unwritable_path(self, tmp_path, where, save):
+        path = tmp_path if where == "directory" else tmp_path / "missing" / "a.json"
+        with pytest.raises(ModelFormatError, match=f"^cannot write {re.escape(str(path))}: "):
+            if save == "network":
+                save_network(CHAIN, path)
+            else:
+                save_manifest(LinopManifest(("a.json",)), path)
 
     def test_non_string_labels_are_not_saved(self, tmp_path):
         # The loader rejects such labels, and so does the constructor, so
@@ -1038,56 +1065,6 @@ layout_values = st.one_of(
 field_names = st.sampled_from(("kind", "variables", "edges", "cpts", "provenance")) | short_text
 
 
-class TestJsonText:
-    @given(data=st.dictionaries(field_names, layout_values, max_size=5))
-    @settings(max_examples=300, deadline=None)
-    def test_matches_json_dumps(self, data):
-        assert json_text(data) == json.dumps(data, indent=2) + "\n"
-
-    @given(pair=once_mutated_pairs(labelled_bns().map(network_to_dict)))
-    @settings(max_examples=100, deadline=None)
-    def test_mutated_networks_match_json_dumps(self, pair):
-        for data in pair:
-            assert json_text(data) == json.dumps(data, indent=2) + "\n"
-
-    @pytest.mark.parametrize("data", [
-        {"variables": 5},
-        {"variables": "A1"},
-        {"cpts": [1]},
-        {"edges": [[1, 2]]},
-        {"edges": [[]]},
-        {"cpts": {"A": {"rows": {"": 0.5}, "parents": []}}},
-        {"cpts": {"A": {"parents": [], "rows": {}}}},
-        {"cpts": {"A": {"parents": [], "rows": {"": float("nan")}}}},
-        {"cpts": {"A": {"parents": [], "rows": {"": np.float64(0.5)}}}},
-        {"cpts": {"A": {"parents": [], "rows": {"": 1}}}},
-        {"cpts": {"A": {"parents": [1], "rows": {"": 0.5}}}},
-    ])
-    def test_other_layouts_match_json_dumps(self, data):
-        assert json_text(data) == json.dumps(data, indent=2) + "\n"
-
-    @pytest.mark.parametrize("data", [
-        {"variables": [b"A"]},
-        {"edges": [["A", {1.5}]]},
-        {"cpts": {"A": {"parents": [], "rows": {"": {1.5}}}}},
-        {"cpts": {"A": {"parents": [], "rows": {("a",): 0.5}}}},
-    ])
-    def test_unencodable_values_raise(self, data):
-        with pytest.raises(MalformedInstance, match="is not JSON-encodable"):
-            json_text(data)
-
-    def test_network_fields_are_formatted_without_json_dumps(self, monkeypatch):
-        dumped = []
-        dumps = model_io._dumps
-        monkeypatch.setattr(
-            model_io, "_dumps",
-            lambda value, what, *rest: dumped.append(what) or dumps(value, what, *rest),
-        )
-        data = network_to_dict(VEE)
-        assert json_text(data) == json.dumps(data, indent=2) + "\n"
-        assert dumped == []
-
-
 class Color(enum.Enum):
     RED = "red"
 
@@ -1109,36 +1086,17 @@ class Point:
     x: int
 
 
-# Values that orjson and json encode differently, or that one of them
-# refuses: each sends json_text down the stdlib path.
-ENCODER_SPLITS = {
-    "enum": Color.RED,
-    "int-enum": Size.SMALL,
-    "uuid": uuid.UUID(int=7),
-    "dataclass": Point(1),
-    "datetime": datetime.datetime(2020, 1, 2, 3, 4, 5),
-    "numpy-float-in-list": [np.float64(0.5)],
-    "numpy-float-row": {"A": {"parents": [], "rows": {"": np.float64(0.5)}}},
-    "str-subclass": Label("A"),
-    "int-subclass": Count(3),
-    "del": "\x7f",
-    "lone-surrogate": "\ud800",
-    "two-to-the-64": 2**64,
-    "nested-int-key": {"x": {1: 2}},
-    "small-float": 5e-5,
-    "large-float": 1e16,
-    "nan": float("nan"),
-}
-
-# Leaves json may encode as orjson does, differently, or not at all.
+# Values json encodes in its own way (a float below 1e-4, a non-ASCII
+# character, an int subclass) or refuses (an Enum, a UUID, a dataclass).
+ODD_VALUES = [
+    5e-324, 1e-5, 9.99e-5, 1e-4, 1e16, 1e300, float("nan"), float("inf"), -float("inf"),
+    2**63, 2**64, 10**30, "é", "\x7f", "\x1f", "\ud800",
+    Color.RED, Size.SMALL, uuid.UUID(int=1), Point(2), np.float64(0.25), [np.float64(0.5)],
+    datetime.datetime(2020, 1, 2, 3, 4, 5), Label("b"), Count(4), [], {}, [[]], {"a": {}},
+]
 odd_leaves = st.one_of(
     json_values,
-    st.sampled_from([
-        5e-324, 1e-5, 9.99e-5, 1e-4, 1e16, 1e300, float("inf"), -float("inf"),
-        2**63, 2**64, 10**30, "é", "\x7f", "\x1f", "\ud800",
-        Color.RED, Size.SMALL, uuid.UUID(int=1), Point(2), np.float64(0.25),
-        Label("b"), Count(4), [], {}, [[]], {"a": {}},
-    ]),
+    st.sampled_from(ODD_VALUES),
     st.dictionaries(st.integers(), st.integers(), min_size=1, max_size=2),
 )
 odd_values = st.recursive(
@@ -1148,63 +1106,75 @@ odd_values = st.recursive(
     max_leaves=8,
 )
 
+# Documents for json_text: fields at and near a network's layout or
+# holding odd values, and network dicts, some with odd rows and labels,
+# as they are or once mutated.
+documents = st.one_of(
+    st.dictionaries(field_names, layout_values | odd_values, max_size=5),
+    once_mutated_pairs((labelled_bns() | odd_bns).map(network_to_dict)).flatmap(st.sampled_from),
+)
+
+# Documents json encodes and documents it refuses (a set, bytes, a tuple
+# key, a circular reference), at the fields of a network, and each odd
+# value as a network's "cpts".
+cyclic: list = []
+cyclic.append(cyclic)
+FIXED_DOCUMENTS = [
+    {"variables": 5},
+    {"variables": "A1"},
+    {"cpts": [1]},
+    {"edges": [[1, 2]]},
+    {"edges": [[]]},
+    {"cpts": {"A": {"rows": {"": 0.5}, "parents": []}}},
+    {"cpts": {"A": {"parents": [], "rows": {}}}},
+    {"cpts": {"A": {"parents": [], "rows": {"": float("nan")}}}},
+    {"cpts": {"A": {"parents": [], "rows": {"": np.float64(0.5)}}}},
+    {"cpts": {"A": {"parents": [], "rows": {"": 1}}}},
+    {"cpts": {"A": {"parents": [1], "rows": {"": 0.5}}}},
+    {"cpts": {"x": {1: 2}}},
+    {"variables": [b"A"]},
+    {"edges": [["A", {1.5}]]},
+    {"cpts": {"A": {"parents": [], "rows": {"": {1.5}}}}},
+    {"cpts": {"A": {"parents": [], "rows": {("a",): 0.5}}}},
+    {"provenance": cyclic},
+    network_to_dict(CHAIN),
+] + [{"kind": "bayes", "cpts": value} for value in ODD_VALUES]
+
+
+def with_examples(cases):
+    """The given-test with an example for each of cases."""
+    def decorate(test):
+        for data in cases:
+            test = example(data=data)(test)
+        return test
+    return decorate
+
 
 def dumps_outcome(data):
-    """json.dumps(data, indent=2) + "\\n", or MalformedInstance when json
-    cannot encode data."""
+    """json.dumps(data) + "\\n", or MalformedInstance when json cannot
+    encode data."""
     try:
-        return json.dumps(data, indent=2) + "\n"
+        return json.dumps(data) + "\n"
     except (TypeError, ValueError, RecursionError):
         return MalformedInstance
 
 
 def json_text_outcome(data):
-    """json_text(data), or MalformedInstance when it raises one."""
+    """json_text(data), or MalformedInstance when it raises one, which
+    says that the document is not JSON-encodable."""
     try:
         return json_text(data)
-    except MalformedInstance:
+    except MalformedInstance as err:
+        assert str(err).startswith("document is not JSON-encodable: ")
         return MalformedInstance
 
 
-class TestEncoderSplits:
-    """json_text against json.dumps where orjson and json part ways."""
-
-    @pytest.mark.parametrize("value", ENCODER_SPLITS.values(), ids=ENCODER_SPLITS)
-    def test_fixed_case(self, value):
-        data = {"kind": "bayes", "cpts": value}
+class TestJsonText:
+    @given(data=documents)
+    @with_examples(FIXED_DOCUMENTS)
+    @settings(max_examples=500, deadline=None)
+    def test_is_json_dumps_or_raises_where_it_does(self, data):
         assert json_text_outcome(data) == dumps_outcome(data)
-
-    @given(data=st.dictionaries(st.text(max_size=3), odd_values, max_size=4))
-    @settings(max_examples=300, deadline=None)
-    def test_matches_json_dumps_or_raises_where_it_does(self, data):
-        assert json_text_outcome(data) == dumps_outcome(data)
-
-    @given(bn=labelled_bns(
-        rows=(5e-324, 1e-300, 5e-5, 1e-4, 0.5, 1.0 - 1e-16),
-        labels=st.text("aé✓\x7f", min_size=1, max_size=3),
-    ))
-    @settings(max_examples=60, deadline=None)
-    def test_save_load_save_round_trip(self, bn):
-        with tempfile.TemporaryDirectory() as folder:
-            first, second = Path(folder, "first.json"), Path(folder, "second.json")
-            save_network(bn, first)
-            save_network(load_network(first), second)
-            assert second.read_text() == first.read_text() == reference_text(bn)
-
-    @pytest.mark.parametrize("where", ["directory", "missing folder"])
-    @pytest.mark.parametrize("save", ["network", "manifest"])
-    def test_unwritable_path(self, tmp_path, where, save):
-        path = tmp_path if where == "directory" else tmp_path / "missing" / "a.json"
-        with pytest.raises(ModelFormatError, match=f"^cannot write {re.escape(str(path))}: "):
-            if save == "network":
-                save_network(CHAIN, path)
-            else:
-                save_manifest(LinopManifest(("a.json",)), path)
-
-    def test_manifest_keeps_python_floats(self):
-        weights = LinopManifest(("a.json",), tuple(np.array([0.25, 0.75]))).weights
-        assert weights == (0.25, 0.75)
-        assert {type(w) for w in weights} == {float}
 
 
 class TestManifest:
@@ -1267,6 +1237,11 @@ class TestManifest:
         assert {type(w) for w in manifest.weights} == {float}
         save_manifest(manifest, tmp_path / "pool.json")
         assert load_model_file(tmp_path / "pool.json") == manifest
+
+    def test_manifest_keeps_python_floats(self):
+        weights = LinopManifest(("a.json",), tuple(np.array([0.25, 0.75]))).weights
+        assert weights == (0.25, 0.75)
+        assert {type(w) for w in weights} == {float}
 
 
 class TestAlignVariables:
