@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefpool import (
@@ -1141,15 +1141,6 @@ FIXED_DOCUMENTS = [
 ] + [{"kind": "bayes", "cpts": value} for value in ODD_VALUES]
 
 
-def with_examples(cases):
-    """The given-test with an example for each of cases."""
-    def decorate(test):
-        for data in cases:
-            test = example(data=data)(test)
-        return test
-    return decorate
-
-
 def dumps_outcome(data):
     """json.dumps(data) + "\\n", or MalformedInstance when json cannot
     encode data."""
@@ -1170,10 +1161,17 @@ def json_text_outcome(data):
 
 
 class TestJsonText:
+    """json_text(data) is json.dumps(data) + "\n", or raises
+    MalformedInstance exactly where json.dumps raises: on drawn documents
+    and on each fixed one."""
+
     @given(data=documents)
-    @with_examples(FIXED_DOCUMENTS)
     @settings(max_examples=500, deadline=None)
     def test_is_json_dumps_or_raises_where_it_does(self, data):
+        assert json_text_outcome(data) == dumps_outcome(data)
+
+    @pytest.mark.parametrize("data", FIXED_DOCUMENTS)
+    def test_fixed_case(self, data):
         assert json_text_outcome(data) == dumps_outcome(data)
 
 
