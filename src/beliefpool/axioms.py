@@ -6,25 +6,24 @@ reads it and measures its violation magnitude under a pool.
 check_property applies one pool to many instances and reports pass/fail
 against a tolerance. Expected failures (independence broken by pooling,
 order-dependent family aggregation) live here too, with deterministic
-report suites for the CLI. Both pools check the same frozen instances,
-so each instance keeps the agent-side values it works out
-(cached_property): the hypothesis check, the conditioned agent tables,
-the agents' event and prefix masses, each profile it pools stacked
-once, its weights normalized once, its events as index arrays; both
-pools' kernels (pools._linop_table, pools._logop_table) read them. A
-check that raises keeps nothing and raises again. The suites check seed
-and trials first; run_axioms_suite keeps one drawn instance at a time.
+report suites for the CLI. An instance measures both pools in one pass:
+it pools its profile once, a linop and a logop row below its agents'
+rows (_with_pools), and works out each value as a cached_property over
+all of them. _violation(pool) reads its pool's value and raises what
+that pool's checks alone would raise: an error of one pool is raised
+for that pool only, and again on every call. The suites check seed and
+trials first; run_axioms_suite keeps one drawn instance at a time.
 
 Every gap, event mass and conditioning that a check measures is one
 call of a stacked kernel, over tables stacked on axis 0 (k, 2**m): an
-instance's cached profile, all its agents at once, or a pooled table as
-a stack of one (_event_masses, _event_pair_gaps and _product_gaps here;
-joint._masses, joint._pairwise_gaps, joint._markov_gaps and
-joint._kept_masses). pairwise_dependence_gap and markov_dependence_gap
-are the same kernels with k = 1. Each kernel sums over a C-contiguous
-last axis only, so a table's row of a stack has the bits the table has
-alone: a fancy index on axis 1 returns a Fortran-ordered copy, whose
-row sums from 8 selected states up add in another order.
+instance's agents and both its pools at once (_event_masses,
+_event_pair_gaps and _product_gaps here; joint._masses,
+joint._pairwise_gaps, joint._markov_gaps and joint._kept).
+pairwise_dependence_gap and markov_dependence_gap are the same kernels
+with k = 1. Each kernel sums over a C-contiguous last axis only, so a
+table's row of a stack has the bits the table has alone: a fancy index
+on axis 1 returns a Fortran-ordered copy, whose row sums from 8
+selected states up add in another order.
 
 State indices, of the events and of StatePairInstance's two states,
 have one check, _state_indices; StatePairInstance's two must differ.
@@ -33,8 +32,8 @@ property, so a generator there gives what its frozenset gives and a
 state listed twice counts once. family_pooled_joint gathers every
 chain-rule row of an ordering, for every agent and prefix context, into
 one (n, 2**m - 1, 2) array (_prefix_masses), pools all rows in one
-expression, and one joint._contract call multiplies the positions'
-factors onto the state axes.
+expression per pool, and one joint._contract call multiplies both
+pools' factors onto the state axes (_chain_rule_pools).
 
 Each randomized suite row is a CheckReport (_verdict), and every
 checked figure, the examples' near-zero gaps too, prints by _figure's
@@ -44,6 +43,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from sys import float_info
@@ -51,7 +51,7 @@ from sys import float_info
 import numpy as np
 
 from .consensus import linop_query, logop_consensus_bn
-from .errors import DegenerateProduct, MalformedInstance, ZeroEvidence
+from .errors import BeliefPoolError, DegenerateProduct, MalformedInstance
 from .joint import (
     JointTable,
     _check_assignment,
@@ -62,18 +62,19 @@ from .joint import (
     _check_reals,
     _check_sequence,
     _contract,
-    _kept_masses,
+    _kept,
     _markov_gaps,
     _masses,
     _pairwise_gaps,
     conditional_probability,
     marginal,
     pairwise_dependence_gap,
+    _trusted,
     _trusted_table,
 )
 from .networks import BayesNet, Cpt, _check_order, bn_to_joint
 from .pools import (
-    POOL_NAMES, _linop_table, _logistic, _logop_table, _pooled_log_odds, _stack,
+    POOL_NAMES, _linop_mass, _logistic, _logop_mass, _pooled_log_odds, _stack,
     check_pool_name, linop, logop, normalize_weights,
 )
 from .sampling import (
@@ -91,8 +92,30 @@ from .sampling import (
 # (_violation; 0 means the property held)
 
 
+def _with_pools(stacked: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The stacked tables (n, 2**m) with rows of their linop and logop (weights w),
+    normalized, below them, read-only; each pool's error: None, or DegenerateProduct."""
+    rows = np.empty((len(stacked) + 2, stacked.shape[1]))
+    rows[:-2], rows[-2] = stacked, _linop_mass(stacked, w)
+    try:
+        rows[-1], error = _logop_mass(stacked, w), None
+    except DegenerateProduct as err:
+        rows[-1], error = 1.0, err
+    rows[-2:] = _normalized(rows[-2:])
+    rows.flags.writeable = False
+    return rows, (None, error)
+
+
+def _pool_row(pools: tuple, pool: str) -> int:
+    """The pool's row of _with_pools' or _chain_rule_pools' pools, or its error raised."""
+    error = pools[1][POOL_NAMES.index(pool)]
+    if error is not None:
+        raise error
+    return POOL_NAMES.index(pool) - 2
+
+
 class _Agents:
-    """The agents' profile, as _stack returns it, and normalized weights."""
+    """The agents' profile (_stack), normalized weights and _with_pools' rows."""
 
     @cached_property
     def _profile(self) -> tuple[int, np.ndarray]:
@@ -102,10 +125,14 @@ class _Agents:
     def _w(self) -> np.ndarray:
         return normalize_weights(self.weights, len(self._profile[1]))
 
-    def _pooled(self, pool: str, profile=None) -> JointTable:
-        """The pool's table of a profile (m, stacked), the agents' by default."""
-        m, stacked = self._profile if profile is None else profile
-        return (_linop_table if pool == "linop" else _logop_table)(m, stacked, self._w)
+    @cached_property
+    def _pools(self) -> tuple[np.ndarray, tuple]:
+        return _with_pools(self._profile[1], self._w)
+
+    def _pooled(self, pool: str, pools=None) -> JointTable:
+        """The pool's table, a row of pools (_with_pools), _pools by default."""
+        pools = self._pools if pools is None else pools
+        return _trusted(JointTable, m=self._profile[0], probs=pools[0][_pool_row(pools, pool)])
 
 
 def _state_indices(n_states: int, states) -> tuple[int, ...]:
@@ -188,25 +215,19 @@ class EventPoolInstance(_Agents):
     weights: tuple[float, ...] | None = None
 
     @cached_property
-    def _event_split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The event as _index_arrays returns it, read once (the field may
-        be an iterator), and every agent's mass off it and on it."""
-        n_states = self.tables[0].n_states
-        event = set(_state_indices(n_states, self.event))
-        event, rest = _index_arrays(event, set(range(n_states)) - event)
-        _, stacked = self._profile
-        return event, _event_masses(stacked, rest), _event_masses(stacked, event)
+    def _spreads(self) -> np.ndarray:
+        """Each pool's mass on the event (read once: it may be an iterator)
+        less the pool of the agents' masses on it and off it."""
+        rows = self._pools[0]
+        event = set(_state_indices(rows.shape[1], self.event))
+        event, rest = _index_arrays(event, set(range(rows.shape[1])) - event)
+        true = _event_masses(rows, event)  # each agent's, then each pool's
+        _, route = _logistic(_pooled_log_odds(_event_masses(rows[:-2], rest), true[:-2], self._w))
+        return np.abs(true[-2:] - (self._w @ true[:-2], route))
 
     def _violation(self, pool: str) -> float:
-        # The pool checks the tables before the event is read against them.
-        pooled = self._pooled(pool)
-        event, false, true = self._event_split
-        joint_route = float(_event_masses(pooled.probs[None], event)[0])
-        if pool == "linop":
-            return abs(joint_route - float(self._w @ true))
-        # No NaN here: the joint route has raised DegenerateProduct first.
-        _, event_route = _logistic(_pooled_log_odds(false, true, self._w))
-        return abs(joint_route - float(event_route))
+        i = _pool_row(self._pools, pool)  # the pool checks the tables before the event
+        return float(self._spreads[i])
 
 
 @dataclass(frozen=True)
@@ -218,28 +239,26 @@ class EvidenceInstance(_Agents):
     weights: tuple[float, ...] | None = None
 
     @cached_property
-    def _conditioned(self) -> tuple[dict, tuple[int, np.ndarray]]:
-        """The evidence as _check_assignment returns it, and the
-        conditioned agents' profile."""
+    def _conditioned(self) -> tuple:
+        """Which rows of _pools give the evidence no mass, each pool's largest gap
+        from pooling the conditioned agents, and the conditioned agents' pools."""
         try:
             evidence = dict(self.evidence)
         except (TypeError, ValueError):
             raise MalformedInstance("evidence must be (variable, state) pairs") from None
-        m, stacked = self._profile
-        evidence = _check_assignment(m, evidence)
-        return evidence, (m, _normalized(_kept_masses(m, stacked, evidence)))
+        m, rows = self._profile[0], self._pools[0]
+        kept = _kept(m, rows, _check_assignment(m, evidence))
+        failed = np.add.reduce(kept, axis=1) <= 0.0  # rows whose error is raised instead
+        kept = _normalized(np.where(failed[:, None], 1.0, kept))  # agents', then pools' rows
+        pools = _with_pools(kept[:-2], self._w)
+        return failed, np.abs(kept[-2:] - pools[0][-2:]).max(axis=1), pools
 
     def _violation(self, pool: str) -> float:
-        try:
-            pooled = self._pooled(pool)
-            evidence, conditioned = self._conditioned
-            pool_then_condition = _normalized(_kept_masses(pooled.m, pooled.probs[None], evidence))
-            condition_then_pool = self._pooled(pool, conditioned)
-        except ZeroEvidence as err:
-            raise MalformedInstance(
-                "evidence must have positive mass for every agent"
-            ) from err
-        return float(np.abs(pool_then_condition[0] - condition_then_pool.probs).max())
+        i = _pool_row(self._pools, pool)
+        failed, spreads, pools = self._conditioned
+        if failed[:-2].any() or failed[i]:
+            raise MalformedInstance("evidence must have positive mass for every agent")
+        return float(spreads[_pool_row(pools, pool)])
 
 
 @dataclass(frozen=True)
@@ -273,9 +292,13 @@ class StatePairInstance(_Agents):
             raise MalformedInstance("profiles must agree on both distinguished states")
         return s, t
 
+    @cached_property
+    def _pools_q(self) -> tuple[np.ndarray, tuple]:
+        return _with_pools(self._profile_q[1], self._w)
+
     def _violation(self, pool: str) -> float:
         s, t = self._states
-        p, q = self._pooled(pool).probs, self._pooled(pool, self._profile_q).probs
+        p, q = self._pooled(pool).probs, self._pooled(pool, self._pools_q).probs
         if p[t] <= 0.0 or q[t] <= 0.0:
             raise MalformedInstance("reference state t pooled to zero mass")
         return abs(float(p[s] / p[t] - q[s] / q[t]))
@@ -288,14 +311,17 @@ class _PreservedProperty(_Agents):
     _TOL = 1e-12
 
     @cached_property
-    def _agents_within(self) -> bool:
-        return not (self._gaps(*self._profile) > self._TOL).any()
+    def _all_gaps(self) -> np.ndarray:
+        """Each agent's gap, then each pool's, in one _gaps call."""
+        m, stacked = self._profile
+        with suppress(BeliefPoolError):  # the weights': raised after the hypothesis
+            stacked = self._pools[0]
+        return self._gaps(m, stacked)
 
     def _violation(self, pool: str) -> float:
-        if not self._agents_within:
+        if (self._all_gaps[: len(self._profile[1])] > self._TOL).any():
             raise MalformedInstance(self._HYPOTHESIS)
-        pooled = self._pooled(pool)
-        return float(self._gaps(pooled.m, pooled.probs[None])[0])
+        return float(self._all_gaps[_pool_row(self._pools, pool)])
 
 
 @dataclass(frozen=True)
@@ -387,18 +413,17 @@ class FamilyInstance(_Agents):
     weights: tuple[float, ...] | None = None
 
     @cached_property
-    def _prefixes_a(self) -> tuple:
-        return _prefix_masses(*self._profile, self.ordering_a)
+    def _along_a(self) -> tuple:
+        return _chain_rule_pools(_prefix_masses(*self._profile, self.ordering_a), self._w)
 
     @cached_property
-    def _prefixes_b(self) -> tuple:
-        return _prefix_masses(*self._profile, self.ordering_b)
+    def _along_b(self) -> tuple:
+        return _chain_rule_pools(_prefix_masses(*self._profile, self.ordering_b), self._w)
 
     def _violation(self, pool: str) -> float:
-        prefixes_a = self._prefixes_a
-        joint_a = _chain_rule_pool(pool, prefixes_a, self._w)
-        joint_b = _chain_rule_pool(pool, self._prefixes_b, self._w)
-        return float(np.abs(joint_a.probs - joint_b.probs).max())
+        joint_a = self._pooled(pool, self._along_a).probs
+        joint_b = self._pooled(pool, self._along_b).probs
+        return float(np.abs(joint_a - joint_b).max())
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +453,7 @@ def _prefix_masses(m: int, stacked: np.ndarray, ordering: Sequence[int]) -> tupl
 
 
 def family_pooled_joint(
-    pool: str,
-    tables: Sequence[JointTable],
-    ordering: Sequence[int],
+    pool: str, tables: Sequence[JointTable], ordering: Sequence[int],
     weights: Sequence[float] | None = None,
 ) -> JointTable:
     """Chain-rule along the ordering, pooling each conditional row.
@@ -444,37 +467,43 @@ def family_pooled_joint(
     comes first in chain-rule row order.
     """
     check_pool_name(pool)
-    prefixes = _prefix_masses(*_stack(tables), ordering)
-    return _chain_rule_pool(pool, prefixes, normalize_weights(weights, len(tables)))
+    m, stacked = _stack(tables)
+    prefixes = _prefix_masses(m, stacked, ordering)
+    pools = _chain_rule_pools(prefixes, normalize_weights(weights, len(tables)))
+    return _trusted_table(m, pools[2][_pool_row(pools, pool)])
 
 
-def _chain_rule_pool(pool: str, prefixes: tuple, w) -> JointTable:
-    """family_pooled_joint from _prefix_masses and normalized weights w:
-    one pool expression over every row, then one _contract call."""
+def _chain_rule_pools(prefixes: tuple, w: np.ndarray) -> tuple:
+    """family_pooled_joint's pools, normalized, and errors, as _with_pools's,
+    then unnormalized, from _prefix_masses and weights w, in one _contract call."""
     ordering, rows, context, dead = prefixes
-    if pool == "linop":
-        split = np.divide(rows, context, out=np.zeros(rows.shape), where=context > 0.0)
-        # The weights' sum, and so a row of sure nodes, may round above 1.
-        pooled = np.minimum((w[:, None, None] * split).sum(axis=0), 1.0)
-        bad = dead
-    else:
-        pooled = np.empty(rows.shape[1:])
-        pooled[:, 0], pooled[:, 1] = _logistic(_pooled_log_odds(rows[..., 0], rows[..., 1], w))
-        bad = dead | np.isnan(pooled[:, 1])
-    if bad.any():
-        first = np.flatnonzero(bad)[0]  # the first in chain-rule row order
-        if dead[first]:
-            raise MalformedInstance("every chain-rule context must have positive mass")
-        raise DegenerateProduct("event and complement both pooled to zero mass")
+    pooled = np.empty((2, *rows.shape[1:]))  # pool, row, (false, true)
+    split = np.divide(rows, context, out=np.zeros(rows.shape), where=context > 0.0)
+    # The weights' sum, and so a row of sure nodes, may round above 1.
+    pooled[0] = np.minimum((w[:, None, None] * split).sum(axis=0), 1.0)
+    pooled[1, :, 0], pooled[1, :, 1] = _logistic(_pooled_log_odds(rows[..., 0], rows[..., 1], w))
+    errors = tuple(  # each pool's first bad row, in chain-rule row order, decides
+        None if not bad.any()
+        else MalformedInstance("every chain-rule context must have positive mass")
+        if dead[np.flatnonzero(bad)[0]]
+        else DegenerateProduct("event and complement both pooled to zero mass")
+        for bad in (dead, dead | np.isnan(pooled[1, :, 1]))
+    )
+    pooled[[error is not None for error in errors]] = 0.5  # rows whose error is raised instead
     m = len(ordering)
-    # Position k's rows as a factor over ordering[: k + 1]: Fortran order
-    # puts row bit i, ordering[i], on axis i and the node on axis k.
-    factors = [
-        (ordering[: k + 1], pooled[(1 << k) - 1 : (2 << k) - 1].reshape((2,) * (k + 1), order="F"))
-        for k in range(m)
-    ]
-    # State-index layout: variable j on axis m - 1 - j.
-    return _trusted_table(m, _contract(factors, range(m - 1, -1, -1)).ravel())
+    # Position k's rows as a factor over the pool and ordering[: k + 1]:
+    # Fortran order puts the pool on axis 0, row bit i, ordering[i], on
+    # axis i + 1 and the node on axis k + 1.
+    factors = [(
+        (_STACK, *ordering[: k + 1]),
+        pooled[:, (1 << k) - 1 : (2 << k) - 1].reshape((2,) * (k + 2), order="F"),
+    ) for k in range(m)]
+    # Variable j on axis m - j after the pool axis, which no factor reads at m = 0.
+    joint = _contract(factors, (_STACK, *range(m - 1, -1, -1))) if m else np.ones((2, 1))
+    joint = joint.ravel().reshape(2, -1)
+    normalized = _normalized(joint)
+    normalized.flags.writeable = False
+    return normalized, errors, joint
 
 
 # ---------------------------------------------------------------------------
@@ -642,16 +671,13 @@ class CheckReport:
         )
 
 
-def check_property(
-    pool: str,
-    prop: str,
-    instances: Sequence,
-    tol: float = 1e-9,
-) -> CheckReport:
+def check_property(pool: str, prop: str, instances: Sequence, tol: float = 1e-9) -> CheckReport:
     """Measure one property of the named pool across many instances.
 
     Each instance pools with its own weights (None weights the agents
-    equally). Raises MalformedInstance for an unknown pool, property or
+    equally) and measures both pools at once; an error that one pool
+    alone meets, such as logop's DegenerateProduct, is raised for that
+    pool only. Raises MalformedInstance for an unknown pool, property or
     tol (a finite nonnegative number), instances that are not a sequence,
     or an instance of another type, outside its hypothesis or malformed.
     """
@@ -853,8 +879,7 @@ def linop_eb_break_witness() -> tuple[EvidenceInstance, float]:
     rng = np.random.default_rng(0)
     tables = (random_joint(rng, 3), random_joint(rng, 3))
     instance = EvidenceInstance(tables, ((0, True),))
-    violation = instance._violation("linop")
-    return instance, violation
+    return instance, instance._violation("linop")
 
 
 def logop_mp_break_witness() -> tuple[EventPoolInstance, float]:
@@ -864,8 +889,7 @@ def logop_mp_break_witness() -> tuple[EventPoolInstance, float]:
     tables = (random_joint(rng, 3), random_joint(rng, 3))
     event = frozenset(s for s in range(8) if s & 1)
     instance = EventPoolInstance(tables, event)
-    violation = instance._violation("logop")
-    return instance, violation
+    return instance, instance._violation("logop")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Arithmetic (linop) and geometric (logop) pooling of dense joint tables,
 and the logop of a single binary event. Callers name a pool by its string
 in POOL_NAMES, which check_pool_name checks. The kernels check nothing
-and are private: _linop_table and _logop_table, each pool's arithmetic,
-serve linop, logop and the axioms; the event's, _pooled_log_odds and
-_logistic, serve the consensus fill and the axioms."""
+and are private: _linop_mass and _logop_mass, each pool's unnormalized
+mass, serve linop, logop and the axioms, which normalize both at once;
+the event's, _pooled_log_odds and _logistic, serve the consensus fill and the axioms."""
 from __future__ import annotations
 
 import math
@@ -75,17 +75,13 @@ def _stack(tables: Sequence[JointTable]) -> tuple[int, np.ndarray]:
     return m, np.array([t.probs for t in tables])
 
 
-def linop(
-    tables: Sequence[JointTable], weights: Sequence[float] | None = None
-) -> JointTable:
+def linop(tables: Sequence[JointTable], weights: Sequence[float] | None = None) -> JointTable:
     """Weighted arithmetic mean of the agents' state probabilities."""
     m, stacked = _stack(tables)
-    return _linop_table(m, stacked, normalize_weights(weights, len(tables)))
+    return _trusted_table(m, _linop_mass(stacked, normalize_weights(weights, len(tables))))
 
 
-def logop(
-    tables: Sequence[JointTable], weights: Sequence[float] | None = None
-) -> JointTable:
+def logop(tables: Sequence[JointTable], weights: Sequence[float] | None = None) -> JointTable:
     """Normalized weighted geometric mean of the state probabilities.
 
     A zero-weight agent drops out of the product entirely (0**0 is
@@ -93,20 +89,20 @@ def logop(
     zero mass.
     """
     m, stacked = _stack(tables)
-    return _logop_table(m, stacked, normalize_weights(weights, len(tables)))
+    return _trusted_table(m, _logop_mass(stacked, normalize_weights(weights, len(tables))))
 
 
-def _linop_table(m: int, stacked: np.ndarray, w: np.ndarray) -> JointTable:
-    """linop of the tables _stack returns, under normalized weights w."""
-    return _trusted_table(m, w @ stacked)
+def _linop_mass(stacked: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Unnormalized linop of the tables _stack stacks, under normalized weights w."""
+    return w @ stacked
 
 
-def _logop_table(m: int, stacked: np.ndarray, w: np.ndarray) -> JointTable:
-    """logop of the tables _stack returns, under normalized weights w."""
+def _logop_mass(stacked: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Unnormalized logop of stacked tables; DegenerateProduct if no state keeps mass."""
     raw = np.multiply.reduce(stacked ** w[:, None], axis=0)
     if np.add.reduce(raw) <= 0.0:
         raise DegenerateProduct("geometric pooling left zero mass on every state")
-    return _trusted_table(m, raw)
+    return raw
 
 
 def _pooled_log_odds(

@@ -7,6 +7,7 @@ frozen here so future edits cannot quietly change them.
 """
 
 import dataclasses
+import hashlib
 import math
 import re
 import sys
@@ -120,6 +121,11 @@ AXIOMS_SEED0_TRIALS5 = (
     "negative-control logop-mp seed=0 violation=5.931e-02 (want > 1e-06) ok",
     "negative-control fig1d-logop seed=42 ok",
 )
+
+# SHA-256 of run_axioms_suite(seed)'s lines at the default 20 trials,
+# seeds 1 to 10 in turn, each line ending in a newline: the output of
+# `check --suite axioms` at its default trials, pinned without its text.
+AXIOMS_SEEDS1_10_DIGEST = "5952d58a714092dc90439f8e8e78c76c687e1589b424b69956b7068663b1fffe"
 
 
 def seeded_tables(seed, m, n):
@@ -518,6 +524,17 @@ class TestFamilyPooledJoint:
                     rtol=0.0, atol=1e-15,
                 )
 
+    def test_no_variables_is_the_sure_table(self):
+        # Over no variables the chain rule has no factor, so no factor
+        # reads the axis that holds both pools; each pool is the one state.
+        tables = (JointTable(0, np.array([1.0])), JointTable(0, np.array([2.0])))
+        for pool in (LINOP, LOGOP):
+            got = family_pooled_joint(pool, tables, (), (0.25, 3.0))
+            assert got.m == 0 and bits(got.probs) == bits([1.0])
+            assert check_property(pool, "fa-consistency", [
+                FamilyInstance(tables, (), ())
+            ]).violations == (0.0,)
+
     @given(case=pooling_cases())
     @example(case=(
         # A one-variable chain rule: the first agent's conditional rounds
@@ -652,7 +669,9 @@ class TestStackedKernels:
     alone: every sum runs over a contiguous last axis."""
 
     @given(
-        k=st.integers(min_value=1, max_value=4),
+        # Up to 4 agents and their two pooled tables: every stack height
+        # an axioms instance's kernel calls make.
+        k=st.integers(min_value=1, max_value=6),
         m=st.integers(min_value=1, max_value=5),
         data=st.data(),
     )
@@ -806,10 +825,19 @@ class TestReportSuites:
         assert ok
         assert lines == AXIOMS_SEED0_TRIALS5
 
+    def test_axioms_suite_default_trials_pinned(self):
+        digest = hashlib.sha256()
+        for seed in range(1, 11):
+            lines, ok = run_axioms_suite(seed)
+            assert ok
+            digest.update("".join(line + "\n" for line in lines).encode())
+        assert digest.hexdigest() == AXIOMS_SEEDS1_10_DIGEST
+
     def test_agent_side_work_runs_once_per_instance(self, monkeypatch):
         # The linop and logop rows check the same instances: each
-        # instance's stacked agent tables meet their dependence-gap or
-        # conditioning kernel once, in one call, not once per pool.
+        # instance's agent tables, with its linop and logop tables below
+        # them, meet their dependence-gap, event-mass or conditioning
+        # kernel once, in one call, not once per pool.
         drawn = []
         rows = {}
         for prop, (kind, draw, *expected) in axioms._PROPERTIES.items():
@@ -823,7 +851,8 @@ class TestReportSuites:
             "_pairwise_gaps": VariablePairInstance,
             "_product_gaps": ProductInstance,
             "_event_pair_gaps": EventPairInstance,
-            "_kept_masses": EvidenceInstance,
+            "_event_masses": EventPoolInstance,
+            "_kept": EvidenceInstance,
         }
         calls = {name: [] for name in spied}
         for name in spied:
@@ -834,11 +863,15 @@ class TestReportSuites:
         lines, ok = run_axioms_suite(seed=0, trials=5)
         assert ok and lines == AXIOMS_SEED0_TRIALS5
         for name, kind in spied.items():
-            profiles = [inst._profile[1] for inst in drawn if isinstance(inst, kind)]
-            assert len(profiles) >= 5
-            for stacked in profiles:
-                assert len(stacked) >= 2
-                met = sum(any(arg is stacked for arg in args) for args in calls[name])
+            instances = [inst for inst in drawn if isinstance(inst, kind)]
+            assert len(instances) >= 5
+            for inst in instances:
+                rows, stacked = inst._pools[0], inst._profile[1]
+                assert len(stacked) >= 2 and len(rows) == len(stacked) + 2
+                assert np.array_equal(rows[:-2], stacked)
+                for row, dense in zip(rows[-2:], (linop, logop)):
+                    assert bits(row) == bits(dense(inst.tables, inst.weights).probs)
+                met = sum(any(arg is rows for arg in args) for args in calls[name])
                 assert met == 1, name
 
     def test_axioms_suite_holds_one_drawn_instance_at_a_time(self, monkeypatch):
@@ -872,13 +905,13 @@ class TestReportSuites:
             with np.errstate(divide="ignore", invalid="ignore"):
                 return weights[keep] @ (np.log(true[keep]) - np.log(false[keep]))
 
-        def exp_log_table(m, stacked, w, real=pools._logop_table):
+        def exp_log_mass(stacked, w, real=pools._logop_mass):
             keep = w > 0.0
             with np.errstate(divide="ignore"):
                 raw = np.exp(w[keep] @ np.log(stacked[keep]))
             # One table of weight 1: the real kernel's DegenerateProduct
-            # rule and normalization, and raw ** 1.0 is raw.
-            return real(m, raw[None], np.ones(1))
+            # rule, and raw ** 1.0 is raw.
+            return real(raw[None], np.ones(1))
 
         def suites():
             figures.clear()
@@ -897,7 +930,7 @@ class TestReportSuites:
         lines, before = suites()
         patched = 0
         for name, rewrite in (
-            ("_pooled_log_odds", matmul_log_odds), ("_logop_table", exp_log_table)
+            ("_pooled_log_odds", matmul_log_odds), ("_logop_mass", exp_log_mass)
         ):
             real = getattr(pools, name)
             for module in [m for n, m in sys.modules.items() if n.startswith("beliefpool")]:

@@ -560,10 +560,11 @@ TRUSTED_CALLERS = {
     "consensus._structure",
     "consensus._logop_consensus",
     "networks.bn_to_joint",
-    "pools._linop_table",
-    "pools._logop_table",
+    "pools.linop",
+    "pools.logop",
     "joint.condition",
-    "axioms._chain_rule_pool",
+    "axioms._pooled",  # a row of _with_pools, normalized as _trusted_table normalizes
+    "axioms.family_pooled_joint",
     "axioms._draw_pds",
     "sampling.random_bn",
     "sampling.random_dag",

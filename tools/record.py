@@ -26,10 +26,22 @@ layers times, in this process and on fixed seeds, the layers that a
   parent with probability 0.002). Beside its times the layer records
   its work: the fill edges that min-fill adds to the union of the
   moralized agent structures, the variables of the largest family (a
-  node and its parents) and the CPT rows, sum 2**|parents|.
+  node and its parents) and the CPT rows, sum 2**|parents|;
+- fill_query_unshared_m28, fill_factor_unshared_m28: one
+  logop_consensus_bn call on the files of three agents over 28
+  variables, each on its own random structure (at most 2 parents, edge
+  probability 0.15), on the query route and on the factor route
+  (dense_oracle=True). Their work: the consensus CPT rows, the agent
+  queries the build issued (none on the factor route) and the
+  variables of the largest family.
 
-Each layer runs REPEATS times after one untimed warm-up run; the
-record keeps the best and the median time in seconds. The agent files
+Each layer runs REPEATS times after one untimed warm-up run, and before
+each timed run a fixed calibration task: bench/run.py's Clock._task,
+restated here so that the script imports neither bench nor the
+package for it. The record keeps the best and the median time in
+seconds and the median calibration time, calibration_s; a time divided
+by its layer's calibration_s is in host-independent units, so two
+records taken on a shared host compare by those ratios. The agent files
 come from this script's own numpy draws, never from the package, so
 every checkout is timed on the same bytes. The record names its host
 (python, numpy, orjson, nproc) and the git rev of the timed checkout,
@@ -40,9 +52,10 @@ trial), checks the record's schema and that a second run of the same
 tree records the same work, prints "ok" and writes nothing unless
 --out is given.
 
-Schema beliefpool-layers/3 adds the structure layer and its "work"; a
-beliefpool-layers/2 record holds the other five layers with the same
-names and fields, so its times compare with a /3 record's directly.
+Schema beliefpool-layers/4 adds calibration_s to every layer and the
+two fill layers. A beliefpool-layers/3 record holds the other six
+layers with the same names, times and work, and a /2 record the first
+five, so their raw times compare with a /4 record's directly.
 """
 from __future__ import annotations
 
@@ -60,22 +73,33 @@ from pathlib import Path
 
 import numpy as np
 
-SCHEMA = "beliefpool-layers/3"
+SCHEMA = "beliefpool-layers/4"
 REPEATS = 25
 AXIOMS_TRIALS = 20  # the check command's default
 LOW, HIGH = 0.05, 0.95
-# (m, edge probability) of the two agent groups, as in query-mix, and
-# of the structure layer's DAG, whose variables have at most
-# STRUCTURE_PARENTS parents; its own seed keeps the other draws as they were.
-SIZES = {"m120": (120, 0.02), "m30": (30, 0.05), "structure": (1000, 0.002)}
-TINY = {"m120": (8, 0.3), "m30": (6, 0.4), "structure": (40, 0.06)}
+# (m, edge probability) of the two agent groups, as in query-mix, of
+# the structure layer's DAG, whose variables have at most
+# STRUCTURE_PARENTS parents, and of the fill layers' unshared agents, at
+# most UNSHARED_PARENTS parents each; each of the last two has its own
+# seed, which keeps the other draws as they were.
+SIZES = {
+    "m120": (120, 0.02), "m30": (30, 0.05), "structure": (1000, 0.002), "unshared": (28, 0.15),
+}
+TINY = {"m120": (8, 0.3), "m30": (6, 0.4), "structure": (40, 0.06), "unshared": (8, 0.15)}
 STRUCTURE_PARENTS = 2
 STRUCTURE_SEED = 20261022
+UNSHARED_PARENTS = 2
+UNSHARED_SEED = 20261023
 LAYERS = (
     "load_m120", "load_m30", "save_consensus", "linop_query", "axioms_suite",
-    "structure_shared_m1000",
+    "structure_shared_m1000", "fill_query_unshared_m28", "fill_factor_unshared_m28",
 )
-WORK = {"structure_shared_m1000": ("fill_edges", "max_family", "cpt_rows")}
+FILL_WORK = ("cpt_rows", "agent_queries", "max_family")
+WORK = {
+    "structure_shared_m1000": ("fill_edges", "max_family", "cpt_rows"),
+    "fill_query_unshared_m28": FILL_WORK,
+    "fill_factor_unshared_m28": FILL_WORK,
+}
 HOST_FIELDS = ("python", "numpy", "orjson", "nproc", "machine")
 
 
@@ -99,13 +123,19 @@ def random_parents(
     return parents
 
 
-def agent_files(rng: np.random.Generator, m: int, edge_prob: float, folder: Path) -> list[str]:
-    """Three agents on one random DAG over m variables, each with CPT rows
-    drawn from [LOW, HIGH], written as network files; their paths."""
-    parents = random_parents(rng, m, edge_prob, 3)
+def agent_files(
+    rng: np.random.Generator, m: int, edge_prob: float, folder: Path, name: str,
+    max_parents: int = 3, shared: bool = True,
+) -> list[str]:
+    """Three agents over m variables, each with CPT rows drawn from [LOW,
+    HIGH], on one random DAG (shared) or each on its own, drawn just
+    before its rows, written as network files name-0.json ...; their paths."""
+    parents = random_parents(rng, m, edge_prob, max_parents)
     labels = [f"x{i}" for i in range(m)]
     paths = []
     for agent in range(3):
+        if agent and not shared:
+            parents = random_parents(rng, m, edge_prob, max_parents)
         cpts = {
             labels[v]: {
                 "parents": [labels[p] for p in ps],
@@ -122,21 +152,63 @@ def agent_files(rng: np.random.Generator, m: int, edge_prob: float, folder: Path
             "edges": [[labels[p], labels[v]] for v, ps in enumerate(parents) for p in ps],
             "cpts": cpts,
         }
-        path = folder / f"{m}-{agent}.json"
+        path = folder / f"{name}-{agent}.json"
         path.write_text(json.dumps(data, indent=2) + "\n")
         paths.append(str(path))
     return paths
 
 
-def timed(run, repeats: int) -> dict:
-    """Best and median seconds of repeats calls of run, after one more."""
+def calibration_task():
+    """bench/run.py's Clock._task, restated: a function that runs a fixed
+    mix of pure-Python graph work (min-fill elimination of a random graph
+    over 40 vertices) and small numpy products, independent of beliefpool."""
+    rng = np.random.default_rng(12345)
+    edges = [tuple(map(int, rng.choice(40, 2, replace=False))) for _ in range(70)]
+    tables = rng.random((8, 2, 2, 2))
+
+    def task() -> None:
+        adj = {v: set() for v in range(40)}
+        for u, w in edges:
+            adj[u].add(w)
+            adj[w].add(u)
+        while adj:  # min-fill elimination
+            v = min(adj, key=lambda u: sum(
+                b not in adj[a] for a, b in itertools.combinations(sorted(adj[u]), 2)
+            ))
+            for a, b in itertools.combinations(adj[v], 2):
+                adj[a].add(b)
+                adj[b].add(a)
+            for a in adj.pop(v):
+                adj[a].discard(v)
+        for _ in range(40):
+            t = tables[0]
+            for k in range(1, 8):
+                t = np.einsum("abc,bcd->acd", t, tables[k])
+
+    return task
+
+
+def seconds(run) -> float:
+    """The seconds one call of run takes."""
+    start = time.perf_counter()
     run()
-    times = []
+    return time.perf_counter() - start
+
+
+def timed(run, repeats: int) -> dict:
+    """Best and median seconds of repeats calls of run, after one more,
+    and the median seconds of the calibration task run before each."""
+    calibrate = calibration_task()
+    run()
+    calibrations, times = [], []
     for _ in range(repeats):
-        start = time.perf_counter()
-        run()
-        times.append(time.perf_counter() - start)
-    return {"best_s": min(times), "median_s": statistics.median(times)}
+        calibrations.append(seconds(calibrate))
+        times.append(seconds(run))
+    return {
+        "best_s": min(times),
+        "median_s": statistics.median(times),
+        "calibration_s": statistics.median(calibrations),
+    }
 
 
 def checkout_rev(package_dir: Path) -> dict:
@@ -171,9 +243,21 @@ def structure_work(dags: list, structure) -> dict:
     }
 
 
+def fill_work(consensus) -> dict:
+    """A fill layer's work: the consensus CPT rows, the agent queries of
+    its build and the variables of its largest family."""
+    parents = consensus.bn.dag().parents
+    return {
+        "cpt_rows": sum(1 << len(ps) for ps in parents),
+        "agent_queries": consensus.agent_queries,
+        "max_family": 1 + max(map(len, parents)),
+    }
+
+
 def layers_record(repeats: int, sizes: dict, trials: int) -> dict:
     """The layers mode's record: host, checkout and per-layer times, the
-    axioms suite's at the given trials, and the structure layer's work."""
+    axioms suite's at the given trials, and the work of the structure
+    and fill layers."""
     import beliefpool
     import orjson
     from beliefpool import Dag
@@ -189,8 +273,12 @@ def layers_record(repeats: int, sizes: dict, trials: int) -> dict:
     rng = np.random.default_rng(20261020)
     with tempfile.TemporaryDirectory() as folder:
         files = {
-            name: agent_files(rng, *sizes[name], Path(folder)) for name in ("m120", "m30")
+            name: agent_files(rng, *sizes[name], Path(folder), name) for name in ("m120", "m30")
         }
+        unshared = load_networks(agent_files(
+            np.random.default_rng(UNSHARED_SEED), *sizes["unshared"], Path(folder),
+            "unshared", UNSHARED_PARENTS, shared=False,
+        ))
         agents = load_networks(files["m120"])
         m = agents[0].m
         picked = [int(v) for v in rng.choice(m, 4, replace=False)]
@@ -210,9 +298,16 @@ def layers_record(repeats: int, sizes: dict, trials: int) -> dict:
             ),
             "axioms_suite": timed(lambda: run_axioms_suite(next(seeds), trials), repeats),
             "structure_shared_m1000": timed(lambda: consensus_bn_structure(dags), repeats),
+            "fill_query_unshared_m28": timed(lambda: logop_consensus_bn(unshared), repeats),
+            "fill_factor_unshared_m28": timed(
+                lambda: logop_consensus_bn(unshared, dense_oracle=True), repeats
+            ),
         }
     structure, _ = consensus_bn_structure(dags)
     layers["structure_shared_m1000"]["work"] = structure_work(dags, structure)
+    for name, dense_oracle in (("fill_query", False), ("fill_factor", True)):
+        consensus = logop_consensus_bn(unshared, dense_oracle=dense_oracle)
+        layers[f"{name}_unshared_m28"]["work"] = fill_work(consensus)
     host = {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -250,6 +345,9 @@ def schema_errors(record: dict) -> list[str]:
         best, median = times.get("best_s"), times.get("median_s")
         if not all(isinstance(t, float) and t > 0.0 for t in (best, median)) or best > median:
             errors.append(f"{name}: need 0 < best_s <= median_s, got {times}")
+        calibration = times.get("calibration_s")
+        if not (isinstance(calibration, float) and calibration > 0.0):
+            errors.append(f"{name}: need calibration_s > 0, got {calibration!r}")
         work = times.get("work", {})
         if tuple(work) != WORK.get(name, ()):
             errors.append(f"{name}: work is {list(work)}, not {list(WORK.get(name, ()))}")
@@ -272,7 +370,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     modes = parser.add_subparsers(dest="mode", required=True)
     layers = modes.add_parser(
-        "layers", help="time the load, save, query, axioms and structure layers"
+        "layers", help="time the load, save, query, axioms, structure and fill layers"
     )
     layers.add_argument("--out", type=Path, help="the BENCH_*.json file to write")
     layers.add_argument("--selftest", action="store_true", help="tiny sizes; check the schema")
